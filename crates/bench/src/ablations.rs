@@ -1,11 +1,27 @@
-//! Ablations A1–A7: design choices called out in `DESIGN.md`.
+//! Ablations A1–A16: design choices called out in `DESIGN.md`.
+//!
+//! The gated sections (a9–a16) implement [`Report`]: `records()` is their
+//! output and `violations()` is the one home of their contract.
 
+use crate::record::{Kind, Record, Report};
 use gpes_core::codec::strzodka16;
-use gpes_core::{ComputeContext, ComputeError, ExecMode, Kernel, PackBias, Readback, ScalarType};
+use gpes_core::{
+    ComputeContext, ComputeError, Engine, ExecMode, Kernel, PackBias, Readback, ScalarType,
+};
 use gpes_gles2::{Dispatch, StoreRounding};
 use gpes_kernels::data;
 use gpes_perf::{estimate_gpu, gpu_run_from_passes, readback_bytes_for, GpuRun, Vc4Gpu};
 use std::time::Instant;
+
+/// Pushes the formatted message onto `violations` unless the contract
+/// `holds`.
+macro_rules! require {
+    ($violations:ident, $holds:expr, $($message:tt)+) => {
+        if !$holds {
+            $violations.push(format!($($message)+));
+        }
+    };
+}
 
 /// A1 — output byte bias: paper δ vs half-texel, under both store
 /// roundings, measured by exhaustive `u8` identity round trips through
@@ -125,6 +141,18 @@ pub fn a3_dispatch(n: usize) -> Result<Vec<A3Row>, ComputeError> {
         });
     }
     Ok(rows)
+}
+
+impl Report for Vec<A3Row> {
+    fn records(&self) -> Vec<Record> {
+        self.iter()
+            .map(|r| {
+                Record::new("a3")
+                    .key("dispatch", format!("{:?}", r.dispatch))
+                    .advisory("fragments_per_sec", r.fragments_per_s)
+            })
+            .collect()
+    }
 }
 
 /// A4 — readback strategy equivalence (workaround #7): every path must
@@ -776,18 +804,61 @@ pub struct A9Row {
     pub pool_hits: u64,
 }
 
-impl A9Row {
-    /// Formats the row.
-    pub fn format(&self) -> String {
-        format!(
-            "{:<14} {:<13} {:>9.2} ms   programs {:>3}   textures {:>3}   pool hits {:>3}",
-            self.workload,
-            self.mode,
-            self.host_ms,
-            self.programs_linked,
-            self.textures_created,
-            self.pool_hits,
-        )
+/// Programs each a9 workload's retained loop links (its distinct kernels).
+const A9_RETAINED_LINKS: [(&str, u64); 3] = [("srad", 2), ("reduce", 1), ("fft", 2)];
+
+impl Report for Vec<A9Row> {
+    fn records(&self) -> Vec<Record> {
+        self.iter()
+            .map(|r| {
+                Record::new("a9")
+                    .key("workload", r.workload)
+                    .key("mode", r.mode)
+                    .advisory("host_ms", r.host_ms)
+                    .exact("programs_linked", r.programs_linked)
+                    .exact("textures_created", r.textures_created)
+                    .exact("pool_hits", r.pool_hits)
+            })
+            .collect()
+    }
+
+    /// Retained mode links exactly each workload's kernels in-loop, always
+    /// hits the texture pool, and links and allocates less than
+    /// rebuild-per-pass.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let row = |workload, mode| {
+            self.iter()
+                .find(|r| r.workload == workload && r.mode == mode)
+        };
+        for (workload, want) in A9_RETAINED_LINKS {
+            let (Some(rebuild), Some(retained)) =
+                (row(workload, "rebuild/pass"), row(workload, "retained"))
+            else {
+                v.push(format!(
+                    "a9: missing rebuild/pass or retained row for {workload}"
+                ));
+                continue;
+            };
+            let linked = retained.programs_linked;
+            require!(
+                v,
+                linked == want,
+                "a9: {workload} retained linked {linked} programs in-loop, contract is {want}"
+            );
+            require!(
+                v,
+                retained.pool_hits > 0,
+                "a9: {workload} retained never hit the texture pool"
+            );
+            require!(
+                v,
+                linked < rebuild.programs_linked
+                    && retained.textures_created < rebuild.textures_created,
+                "a9: {workload} retained linked or allocated no less than rebuild/pass"
+            );
+        }
+        v
     }
 }
 
@@ -978,20 +1049,80 @@ pub struct A10Row {
     pub post_warmup_links: u64,
 }
 
-impl A10Row {
-    /// Formats the row.
-    pub fn format(&self) -> String {
-        format!(
-            "{:<7} workers {}   {:<12} {:>4} jobs {:>9.2} ms {:>8.1} jobs/s   links {:>3}   post-warmup {:>3}",
-            self.mix,
-            self.workers,
-            self.cache,
-            self.jobs,
-            self.host_ms,
-            self.jobs_per_sec,
-            self.links,
-            self.post_warmup_links,
-        )
+/// Each a10 mix: the programs it links process-wide under the shared
+/// cache, and the worker counts it is served at under both caches.
+const A10_MIXES: [(&str, u64, &[usize]); 2] = [("hot3", 3, &[1, 2, 4]), ("wide24", 24, &[1, 4])];
+const A10_CACHES: [&str; 2] = ["shared", "per-context"];
+
+impl Report for Vec<A10Row> {
+    fn records(&self) -> Vec<Record> {
+        self.iter()
+            .map(|r| {
+                // Per-context caches relink on whichever workers happen to
+                // serve a kernel: a scheduling-dependent count.
+                let links = if r.cache == "shared" {
+                    Kind::Exact
+                } else {
+                    Kind::Advisory
+                };
+                Record::new("a10")
+                    .key("mix", r.mix)
+                    .key("workers", r.workers)
+                    .key("cache", r.cache)
+                    .exact("jobs", r.jobs)
+                    .advisory("host_ms", r.host_ms)
+                    .advisory("jobs_per_sec", r.jobs_per_sec)
+                    .field("links", links, r.links)
+                    .field("post_warmup_links", links, r.post_warmup_links)
+            })
+            .collect()
+    }
+
+    /// Shared-cache rows link exactly the mix size at every worker count
+    /// and nothing after warmup; per-context rows link at least the mix.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for (mix, _, worker_counts) in A10_MIXES {
+            for &workers in worker_counts {
+                for cache in A10_CACHES {
+                    require!(
+                        v,
+                        self.iter()
+                            .any(|r| r.mix == mix && r.workers == workers && r.cache == cache),
+                        "a10: {mix} {cache} @ {workers} workers: row missing"
+                    );
+                }
+            }
+        }
+        for row in self {
+            let at = format!("a10: {} {} @ {} workers", row.mix, row.cache, row.workers);
+            let Some(&(_, want, _)) = A10_MIXES.iter().find(|(mix, ..)| *mix == row.mix) else {
+                v.push(format!("{at}: unknown mix"));
+                continue;
+            };
+            if row.cache != "shared" {
+                require!(
+                    v,
+                    row.links >= want,
+                    "{at}: {} links, fewer than the {want}-kernel mix",
+                    row.links
+                );
+                continue;
+            }
+            require!(
+                v,
+                row.links == want,
+                "{at}: {} process-wide links, contract is {want} (constant across worker counts)",
+                row.links
+            );
+            require!(
+                v,
+                row.post_warmup_links == 0,
+                "{at}: {} post-warmup links, contract is 0 with the shared cache",
+                row.post_warmup_links
+            );
+        }
+        v
     }
 }
 
@@ -1045,7 +1176,7 @@ fn a10_mix(
     worker_counts: &[usize],
 ) -> Result<Vec<A10Row>, ComputeError> {
     use gpes_core::serve::CachePolicy;
-    use gpes_core::{Bindings, Engine, Job};
+    use gpes_core::{Bindings, Job};
     use std::sync::Arc;
 
     let x: Arc<Vec<f32>> = Arc::new(data::random_f32(n, 1001, 25.0));
@@ -1145,7 +1276,8 @@ pub fn a10_serving(n: usize, jobs: usize) -> Result<Vec<A10Row>, ComputeError> {
     use gpes_core::KernelSpec;
     use std::sync::Arc;
 
-    let mut rows = a10_mix("hot3", &a10_specs(n), n, jobs, &[1, 2, 4])?;
+    let [(hot3, _, hot3_workers), (wide24, _, wide24_workers)] = A10_MIXES;
+    let mut rows = a10_mix(hot3, &a10_specs(n), n, jobs, hot3_workers)?;
 
     let wide_n = 256usize;
     let wide: Vec<Arc<KernelSpec>> = (0..24)
@@ -1165,7 +1297,7 @@ pub fn a10_serving(n: usize, jobs: usize) -> Result<Vec<A10Row>, ComputeError> {
             )
         })
         .collect();
-    rows.extend(a10_mix("wide24", &wide, wide_n, 24 * 8, &[1, 4])?);
+    rows.extend(a10_mix(wide24, &wide, wide_n, 24 * 8, wide24_workers)?);
     Ok(rows)
 }
 
@@ -1201,22 +1333,87 @@ pub struct A11Row {
     pub identical: bool,
 }
 
-impl A11Row {
-    /// Formats the row (parsed by `scripts/ci_perf_gate.py`).
-    pub fn format(&self) -> String {
-        format!(
-            "{:<7} {:<15} workers {}   {:>4} jobs {:>9.2} ms {:>8.1} jobs/s   links {:>3}   post-warmup links {:>3}   objects {:>3}   identical {}",
-            self.workload,
-            self.mode,
-            self.workers,
-            self.jobs,
-            self.host_ms,
-            self.jobs_per_sec,
-            self.links,
-            self.post_warmup_links,
-            self.post_warmup_gl_objects,
-            if self.identical { "yes" } else { "NO" },
-        )
+/// The a11 workloads, and the worker counts each is served at as an
+/// engine-pipeline job and as per-pass DAGs.
+const A11_WORKLOADS: [&str; 3] = ["fft", "srad", "reduce"];
+const A11_ENGINE_WORKERS: [usize; 3] = [1, 2, 4];
+const A11_PER_PASS_WORKERS: [usize; 2] = [1, 4];
+
+impl Report for Vec<A11Row> {
+    fn records(&self) -> Vec<Record> {
+        self.iter()
+            .map(|r| {
+                Record::new("a11")
+                    .key("workload", r.workload)
+                    .key("mode", r.mode)
+                    .key("workers", r.workers)
+                    .exact("jobs", r.jobs)
+                    .advisory("host_ms", r.host_ms)
+                    .advisory("jobs_per_sec", r.jobs_per_sec)
+                    .exact("links", r.links)
+                    .exact("post_warmup_links", r.post_warmup_links)
+                    .exact("post_warmup_gl_objects", r.post_warmup_gl_objects)
+                    .exact("identical", r.identical)
+            })
+            .collect()
+    }
+
+    /// Every row is bit-identical to the direct run, and every
+    /// engine-pipeline row reaches a steady wave that links and
+    /// allocates nothing.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for row in self {
+            let at = format!(
+                "a11: {} {} @ {} workers",
+                row.workload, row.mode, row.workers
+            );
+            require!(v, row.jobs > 0, "{at}: served no jobs");
+            require!(
+                v,
+                row.identical,
+                "{at}: output diverged from the direct run"
+            );
+        }
+        for workload in A11_WORKLOADS {
+            require!(
+                v,
+                self.iter()
+                    .any(|r| r.workload == workload && r.mode == "direct"),
+                "a11: {workload} direct row missing"
+            );
+            for workers in A11_PER_PASS_WORKERS {
+                require!(
+                    v,
+                    self.iter().any(|r| {
+                        r.workload == workload && r.mode == "per-pass" && r.workers == workers
+                    }),
+                    "a11: {workload} per-pass @ {workers} workers: row missing"
+                );
+            }
+            for workers in A11_ENGINE_WORKERS {
+                let at = format!("a11: {workload} engine-pipeline @ {workers} workers");
+                let Some(row) = self.iter().find(|r| {
+                    r.workload == workload && r.mode == "engine-pipeline" && r.workers == workers
+                }) else {
+                    v.push(format!("{at}: row missing"));
+                    continue;
+                };
+                require!(
+                    v,
+                    row.post_warmup_links == 0,
+                    "{at}: {} post-warmup links, contract is 0 for steady-state pipeline serving",
+                    row.post_warmup_links
+                );
+                require!(
+                    v,
+                    row.post_warmup_gl_objects == 0,
+                    "{at}: {} GL objects created in the steady-state wave, contract is 0",
+                    row.post_warmup_gl_objects
+                );
+            }
+        }
+        v
     }
 }
 
@@ -1396,37 +1593,60 @@ fn a11_workloads() -> Result<Vec<A11Workload>, ComputeError> {
     Ok(workloads)
 }
 
+/// Programs linked process-wide and GL objects created across every
+/// worker of `engine`: the pair whose per-wave delta marks steady state.
+fn gl_counters(engine: &Engine) -> (u64, u64) {
+    (
+        engine.programs_linked(),
+        engine
+            .worker_stats()
+            .iter()
+            .map(gpes_core::ContextStats::gl_objects_created)
+            .sum(),
+    )
+}
+
+/// Waits until idle workers have drained every stale (cancelled) queue
+/// entry, so a snapshot taken next sees true quiescence.
+fn drain_queue(engine: &Engine) {
+    while engine.queue_depth() > 0 {
+        std::thread::yield_now();
+    }
+}
+
+/// The last wave [`serve_until_steady`] served.
+struct SteadyWave {
+    /// Wall-clock of the wave, milliseconds.
+    host_ms: f64,
+    /// Programs linked process-wide over every wave.
+    links: u64,
+    /// Programs linked during the wave.
+    post_warmup_links: u64,
+    /// GL objects created during the wave.
+    post_warmup_gl_objects: u64,
+    /// Whether every wave reported bit-identical outputs.
+    identical: bool,
+}
+
 /// Serves convergence-checked waves: repeats `wave` until two
-/// consecutive full waves show the same per-wave counter deltas — for a
-/// healthy retained pipeline that steady delta is `(0, 0)`; for a mode
-/// that churns every wave (or leaks) the stable nonzero delta is
-/// reported and the gate fails it. Reports the last wave's timing and
-/// deltas plus the process-wide link total.
-fn a11_serve_steady(
-    engine: &gpes_core::Engine,
-    mut wave: impl FnMut(&gpes_core::Engine) -> Result<bool, ComputeError>,
-    jobs: usize,
-) -> Result<(f64, u64, u64, u64, bool), ComputeError> {
+/// consecutive full waves show the same per-wave [`gl_counters`] deltas —
+/// for a healthy retained pipeline that steady delta is `(0, 0)`; for a
+/// mode that churns every wave (or leaks) the stable nonzero delta is
+/// reported and the gate fails it.
+fn serve_until_steady(
+    engine: &Engine,
+    mut wave: impl FnMut(&Engine) -> Result<bool, ComputeError>,
+) -> Result<SteadyWave, ComputeError> {
     const MAX_WAVES: usize = 16;
-    let counters = |engine: &gpes_core::Engine| -> (u64, u64) {
-        (
-            engine.programs_linked(),
-            engine
-                .worker_stats()
-                .iter()
-                .map(gpes_core::ContextStats::gl_objects_created)
-                .sum(),
-        )
-    };
     let mut identical = true;
     let mut elapsed = std::time::Duration::ZERO;
     let mut delta = (u64::MAX, u64::MAX);
     for _ in 0..MAX_WAVES {
-        let before = counters(engine);
+        let before = gl_counters(engine);
         let start = Instant::now();
         identical &= wave(engine)?;
         elapsed = start.elapsed();
-        let after = counters(engine);
+        let after = gl_counters(engine);
         let wave_delta = (after.0 - before.0, after.1 - before.1);
         let steady = wave_delta == delta || wave_delta == (0, 0);
         delta = wave_delta;
@@ -1434,14 +1654,13 @@ fn a11_serve_steady(
             break;
         }
     }
-    let (links, _) = counters(engine);
-    Ok((
-        elapsed.as_secs_f64() * 1e3,
-        links,
-        delta.0,
-        delta.1,
-        identical && jobs > 0,
-    ))
+    Ok(SteadyWave {
+        host_ms: elapsed.as_secs_f64() * 1e3,
+        links: engine.programs_linked(),
+        post_warmup_links: delta.0,
+        post_warmup_gl_objects: delta.1,
+        identical,
+    })
 }
 
 /// Runs A11: every workload through every mode, asserting bit-identity
@@ -1452,7 +1671,7 @@ fn a11_serve_steady(
 ///
 /// Propagates engine/simulator failures.
 pub fn a11_pipeline_serving() -> Result<Vec<A11Row>, ComputeError> {
-    use gpes_core::{Engine, PipelineJob};
+    use gpes_core::PipelineJob;
     const WAVE_JOBS: usize = 8;
     let mut rows = Vec::new();
 
@@ -1484,87 +1703,69 @@ pub fn a11_pipeline_serving() -> Result<Vec<A11Row>, ComputeError> {
         }
 
         // ---- engine-pipeline: whole pipeline as one job ---------------
-        for workers in [1usize, 2, 4] {
+        let served_row = |mode, workers, wave: SteadyWave| A11Row {
+            workload: workload.name,
+            mode,
+            workers,
+            jobs: WAVE_JOBS,
+            host_ms: wave.host_ms,
+            jobs_per_sec: WAVE_JOBS as f64 / (wave.host_ms / 1e3),
+            links: wave.links,
+            post_warmup_links: wave.post_warmup_links,
+            post_warmup_gl_objects: wave.post_warmup_gl_objects,
+            identical: wave.identical,
+        };
+        for workers in A11_ENGINE_WORKERS {
             let engine = Engine::builder().workers(workers).build()?;
-            let (host_ms, links, post_links, post_objects, identical) = a11_serve_steady(
-                &engine,
-                |engine| {
-                    let handles: Vec<_> = (0..WAVE_JOBS)
-                        .map(|_| {
-                            let mut job = PipelineJob::new(&workload.spec);
-                            for source in &workload.sources {
-                                job = job.source_shared(source);
-                            }
-                            for read in &workload.reads {
-                                job = job.read(read);
-                            }
-                            engine.submit_pipeline(job)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let mut identical = true;
-                    for h in handles {
-                        let result = h.wait()?;
-                        let mut served = Vec::new();
-                        for read in &workload.reads {
-                            served.extend_from_slice(result.output(read).unwrap_or(&[]));
+            let wave = serve_until_steady(&engine, |engine| {
+                let handles: Vec<_> = (0..WAVE_JOBS)
+                    .map(|_| {
+                        let mut job = PipelineJob::new(&workload.spec);
+                        for source in &workload.sources {
+                            job = job.source_shared(source);
                         }
-                        identical &= served == workload.reference;
+                        for read in &workload.reads {
+                            job = job.read(read);
+                        }
+                        engine.submit_pipeline(job)
+                    })
+                    .collect::<Result<_, _>>()?;
+                let mut identical = true;
+                for h in handles {
+                    let result = h.wait()?;
+                    let mut served = Vec::new();
+                    for read in &workload.reads {
+                        served.extend_from_slice(result.output(read).unwrap_or(&[]));
                     }
-                    Ok(identical)
-                },
-                WAVE_JOBS,
-            )?;
-            rows.push(A11Row {
-                workload: workload.name,
-                mode: "engine-pipeline",
-                workers,
-                jobs: WAVE_JOBS,
-                host_ms,
-                jobs_per_sec: WAVE_JOBS as f64 / (host_ms / 1e3),
-                links,
-                post_warmup_links: post_links,
-                post_warmup_gl_objects: post_objects,
-                identical,
-            });
+                    identical &= served == workload.reference;
+                }
+                Ok(identical)
+            })?;
+            rows.push(served_row("engine-pipeline", workers, wave));
         }
 
         // ---- per-pass: the same passes as a flat Submission DAG -------
-        for workers in [1usize, 4] {
+        for workers in A11_PER_PASS_WORKERS {
             let engine = Engine::builder().workers(workers).build()?;
-            let (host_ms, links, post_links, post_objects, identical) = a11_serve_steady(
-                &engine,
-                |engine| {
-                    let handles: Vec<_> = (0..WAVE_JOBS)
-                        .map(|_| {
-                            let (sub, reads) = (workload.build_submission)();
-                            engine.submit_batch(sub).map(|h| (h, reads))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let mut identical = true;
-                    for (h, reads) in handles {
-                        let result = h.wait()?;
-                        let mut served = Vec::new();
-                        for read in reads {
-                            served.extend_from_slice(result.output(read).unwrap_or(&[]));
-                        }
-                        identical &= served == workload.reference;
+            let wave = serve_until_steady(&engine, |engine| {
+                let handles: Vec<_> = (0..WAVE_JOBS)
+                    .map(|_| {
+                        let (sub, reads) = (workload.build_submission)();
+                        engine.submit_batch(sub).map(|h| (h, reads))
+                    })
+                    .collect::<Result<_, _>>()?;
+                let mut identical = true;
+                for (h, reads) in handles {
+                    let result = h.wait()?;
+                    let mut served = Vec::new();
+                    for read in reads {
+                        served.extend_from_slice(result.output(read).unwrap_or(&[]));
                     }
-                    Ok(identical)
-                },
-                WAVE_JOBS,
-            )?;
-            rows.push(A11Row {
-                workload: workload.name,
-                mode: "per-pass",
-                workers,
-                jobs: WAVE_JOBS,
-                host_ms,
-                jobs_per_sec: WAVE_JOBS as f64 / (host_ms / 1e3),
-                links,
-                post_warmup_links: post_links,
-                post_warmup_gl_objects: post_objects,
-                identical,
-            });
+                    identical &= served == workload.reference;
+                }
+                Ok(identical)
+            })?;
+            rows.push(served_row("per-pass", workers, wave));
         }
     }
     Ok(rows)
@@ -1596,44 +1797,112 @@ pub struct A12Report {
     pub identical: bool,
 }
 
-impl A12Report {
-    /// Formats the report as the stable multi-line block
-    /// `scripts/ci_perf_gate.py` parses.
-    pub fn format(&self) -> String {
+/// One a12 latency histogram as an advisory record: quantile bounds are
+/// host timing.
+fn a12_latency_record(row: &'static str, h: &gpes_core::LatencyHistogram) -> Record {
+    Record::new("a12")
+        .key("row", row)
+        .advisory("p50_us", h.quantile_micros(0.50))
+        .advisory("p90_us", h.quantile_micros(0.90))
+        .advisory("p99_us", h.quantile_micros(0.99))
+        .advisory("max_us", h.max_micros())
+        .advisory("mean_us", h.mean_micros())
+        .advisory("samples", h.count())
+}
+
+impl Report for A12Report {
+    /// The admission counters scale with how fast the host drained the
+    /// open-loop load, so only the steady-state fields are exact.
+    fn records(&self) -> Vec<Record> {
         let s = &self.snapshot;
-        let completed_per_sec = s.completed as f64 / (self.elapsed_ms / 1e3);
-        [
-            format!(
-                "a12 config    workers {}   capacity {}   target jobs {}",
-                self.workers, self.queue_capacity, self.target_jobs
-            ),
-            format!(
-                "a12 counters  submitted {}   completed {}   rejected {}   shed {}   \
-                 cancelled {}   aborted {}   unobserved {}   balanced {}",
-                s.submitted,
-                s.completed,
-                s.rejected,
-                s.shed,
-                s.cancelled,
-                s.aborted,
-                s.unobserved_errors,
-                if s.counters_balanced() { "yes" } else { "NO" },
-            ),
-            format!(
-                "a12 steady    post-warmup links {}   objects {}   queue high-water {}   identical {}",
-                self.post_warmup_links,
-                self.post_warmup_gl_objects,
-                s.queue_depth_high_water,
-                if self.identical { "yes" } else { "NO" },
-            ),
-            format!("a12 queue     {}", s.queue_latency.format_summary()),
-            format!("a12 service   {}", s.service_latency.format_summary()),
-            format!(
-                "a12 timing    {:.2} ms   {:.1} completed jobs/s",
-                self.elapsed_ms, completed_per_sec
-            ),
+        vec![
+            Record::new("a12")
+                .key("row", "counters")
+                .exact("workers", self.workers)
+                .exact("capacity", self.queue_capacity)
+                .exact("target_jobs", self.target_jobs)
+                .advisory("submitted", s.submitted)
+                .advisory("completed", s.completed)
+                .advisory("rejected", s.rejected)
+                .advisory("shed", s.shed)
+                .advisory("cancelled", s.cancelled)
+                .exact("aborted", s.aborted)
+                .exact("unobserved", s.unobserved_errors)
+                .exact("balanced", s.counters_balanced())
+                .exact("post_warmup_links", self.post_warmup_links)
+                .exact("post_warmup_gl_objects", self.post_warmup_gl_objects)
+                .exact("queue_high_water", s.queue_depth_high_water)
+                .exact("identical", self.identical)
+                .advisory("elapsed_ms", self.elapsed_ms)
+                .advisory(
+                    "completed_jobs_per_sec",
+                    s.completed as f64 / (self.elapsed_ms / 1e3),
+                ),
+            a12_latency_record("queue", &s.queue_latency),
+            a12_latency_record("service", &s.service_latency),
         ]
-        .join("\n")
+    }
+
+    /// Counters balance, the load both saturated the queue (QueueFull) and
+    /// shed expired deadlines, completed outputs are bit-identical, and
+    /// the saturated steady state links and allocates nothing.
+    fn violations(&self) -> Vec<String> {
+        let s = &self.snapshot;
+        let mut v = Vec::new();
+        require!(
+            v,
+            s.counters_balanced(),
+            "a12: outcome counters do not balance (submitted != completed + rejected + shed + \
+             cancelled + aborted)"
+        );
+        require!(
+            v,
+            s.rejected > 0,
+            "a12: zero QueueFull rejections — the open-loop load never saturated the \
+             admission bound"
+        );
+        require!(
+            v,
+            s.shed > 0,
+            "a12: zero deadline sheds — expired jobs were not shed at dequeue"
+        );
+        require!(
+            v,
+            s.completed > 0 && s.failed == 0,
+            "a12: {} completed and {} failed jobs, contract is >0 and 0",
+            s.completed,
+            s.failed
+        );
+        require!(
+            v,
+            self.identical,
+            "a12: a completed output diverged from the direct run"
+        );
+        require!(
+            v,
+            self.post_warmup_links == 0,
+            "a12: {} post-warmup links, contract is 0 under saturation",
+            self.post_warmup_links
+        );
+        require!(
+            v,
+            self.post_warmup_gl_objects == 0,
+            "a12: {} GL objects created under saturation, contract is 0",
+            self.post_warmup_gl_objects
+        );
+        require!(
+            v,
+            s.queue_depth_high_water <= self.queue_capacity as u64,
+            "a12: queue high-water {} exceeds the admission bound {}",
+            s.queue_depth_high_water,
+            self.queue_capacity
+        );
+        require!(
+            v,
+            !s.queue_latency.is_empty() && !s.service_latency.is_empty(),
+            "a12: the queue or service latency histogram is empty"
+        );
+        v
     }
 }
 
@@ -1655,7 +1924,7 @@ impl A12Report {
 /// Propagates engine/simulator failures (shed, cancelled and queue-full
 /// outcomes are expected and absorbed).
 pub fn a12_latency_under_load(n: usize, target_jobs: usize) -> Result<A12Report, ComputeError> {
-    use gpes_core::{CompletionSet, Engine, Job, KernelSpec};
+    use gpes_core::{CompletionSet, Job, KernelSpec};
     use std::sync::Arc;
     const WORKERS: usize = 2;
     const CAPACITY: usize = 8;
@@ -1689,38 +1958,22 @@ pub fn a12_latency_under_load(n: usize, target_jobs: usize) -> Result<A12Report,
         .workers(WORKERS)
         .queue_capacity(CAPACITY)
         .build()?;
-    let counters = |engine: &Engine| -> (u64, u64) {
-        (
-            engine.programs_linked(),
-            engine
-                .worker_stats()
-                .iter()
-                .map(gpes_core::ContextStats::gl_objects_created)
-                .sum(),
-        )
-    };
     let make_job = || Job::new(&spec).data(x.clone()).data(y.clone());
 
     // Warmup to steady state, a11-style: closed-loop waves until a full
     // wave links no programs and creates no GL objects.
-    let mut identical = true;
-    let mut prev = (u64::MAX, u64::MAX);
-    for _ in 0..16 {
-        let before = counters(&engine);
+    let mut identical = serve_until_steady(&engine, |engine| {
         let handles: Vec<_> = (0..WORKERS * 2)
             .map(|_| engine.submit(make_job()))
             .collect::<Result<_, _>>()?;
+        let mut identical = true;
         for h in handles {
             identical &= h.wait()? == reference;
         }
-        let after = counters(&engine);
-        let delta = (after.0 - before.0, after.1 - before.1);
-        if delta == (0, 0) || delta == prev {
-            break;
-        }
-        prev = delta;
-    }
-    let warm = counters(&engine);
+        Ok(identical)
+    })?
+    .identical;
+    let warm = gl_counters(&engine);
 
     // Saturation: open-loop flood past the admission bound. On every
     // QueueFull the producer drains one completion and retries — the
@@ -1773,14 +2026,10 @@ pub fn a12_latency_under_load(n: usize, target_jobs: usize) -> Result<A12Report,
     }
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    // Cancelled payloads are discarded lazily at dequeue; wait for the
-    // idle workers to drain any stale entry so the snapshot is taken at
-    // true quiescence.
-    while engine.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
+    // Cancelled payloads are discarded lazily at dequeue.
+    drain_queue(&engine);
     let snapshot = engine.snapshot();
-    let after = counters(&engine);
+    let after = gl_counters(&engine);
     Ok(A12Report {
         workers: WORKERS,
         queue_capacity: CAPACITY,
@@ -1840,38 +2089,107 @@ pub struct A13Report {
     pub rows: Vec<A13ChaosRow>,
 }
 
-impl A13Report {
-    /// Formats the report as the stable multi-line block
-    /// `scripts/ci_perf_gate.py` parses.
-    pub fn format(&self) -> String {
-        let mut lines = vec![format!(
-            "a13 config    workers {}   capacity {}   target jobs {}   lose-after {}   \
-             attempts {}",
-            self.workers, self.queue_capacity, self.target_jobs, self.lose_after, self.max_attempts
-        )];
+/// The a13 per-site fault injection rates, one chaos row each.
+const A13_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.15];
+
+impl Report for A13Report {
+    /// Which faults fire, and so how often jobs retry or exhaust their
+    /// budget, depends on which worker claims which job: those counts
+    /// and the drain-speed-dependent admission counts are advisory.
+    /// Every admitted job still completes or fails exactly once.
+    fn records(&self) -> Vec<Record> {
+        let config = Record::new("a13")
+            .key("row", "config")
+            .exact("workers", self.workers)
+            .exact("capacity", self.queue_capacity)
+            .exact("target_jobs", self.target_jobs)
+            .exact("lose_after", self.lose_after)
+            .exact("attempts", self.max_attempts);
+        let rows = self.rows.iter().map(|row| {
+            let s = &row.snapshot;
+            Record::new("a13")
+                .key("row", "chaos")
+                .key("rate", row.rate)
+                .advisory("submitted", s.submitted)
+                .exact("completed", s.completed)
+                .advisory("failed", s.failed)
+                .advisory("rejected", s.rejected)
+                .exact("shed", s.shed)
+                .exact("cancelled", s.cancelled)
+                .exact("aborted", s.aborted)
+                .advisory("retried", s.retried)
+                .exact("recovered", s.recovered_contexts)
+                .advisory("faults", s.faults_injected)
+                .exact("balanced", s.counters_balanced())
+                .exact("identical", row.identical())
+                .exact("hung", row.hung)
+        });
+        std::iter::once(config).chain(rows).collect()
+    }
+
+    /// At every rate: balanced, bit-identical, no hung waiter, at least
+    /// one rebuilt context, completions within the admission bound.
+    /// Across the sweep: nonzero rates inject faults and something
+    /// retries. Typed failures after the retry budget are allowed.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let rates: Vec<f64> = self.rows.iter().map(|r| r.rate).collect();
+        require!(
+            v,
+            rates == A13_RATES,
+            "a13: chaos rows at rates {rates:?}, contract is {A13_RATES:?}"
+        );
         for row in &self.rows {
             let s = &row.snapshot;
-            lines.push(format!(
-                "a13 chaos     rate {:.4}   submitted {}   completed {}   failed {}   \
-                 rejected {}   shed {}   cancelled {}   aborted {}   retried {}   \
-                 recovered {}   faults {}   balanced {}   identical {}   hung {}",
-                row.rate,
-                s.submitted,
+            let at = format!("a13: rate {:.4}", row.rate);
+            require!(
+                v,
+                s.counters_balanced(),
+                "{at}: outcome counters do not balance under fault injection (a retried job \
+                 must still count exactly once)"
+            );
+            require!(
+                v,
+                row.identical(),
+                "{at}: {} completed outputs diverged from the fault-free reference",
+                row.wrong
+            );
+            require!(
+                v,
+                !row.hung,
+                "{at}: a submitted job never resolved — a waiter hung through fault recovery"
+            );
+            require!(
+                v,
+                s.recovered_contexts >= 1,
+                "{at}: no worker context was rebuilt after the injected context loss"
+            );
+            require!(
+                v,
+                s.completed > 0 && s.queue_depth_high_water <= self.queue_capacity as u64,
+                "{at}: {} completed, queue high-water {} vs bound {}",
                 s.completed,
-                s.failed,
-                s.rejected,
-                s.shed,
-                s.cancelled,
-                s.aborted,
-                s.retried,
-                s.recovered_contexts,
-                s.faults_injected,
-                if s.counters_balanced() { "yes" } else { "NO" },
-                if row.identical() { "yes" } else { "NO" },
-                if row.hung { "YES" } else { "no" },
-            ));
+                s.queue_depth_high_water,
+                self.queue_capacity
+            );
         }
-        lines.join("\n")
+        let faults: u64 = self
+            .rows
+            .iter()
+            .filter(|r| r.rate > 0.0)
+            .map(|r| r.snapshot.faults_injected)
+            .sum();
+        require!(
+            v,
+            faults > 0,
+            "a13: nonzero fault rates injected zero faults — the chaos plan never armed"
+        );
+        require!(
+            v,
+            self.rows.iter().any(|r| r.snapshot.retried > 0),
+            "a13: zero retries across the sweep — transient failures were never re-run"
+        );
+        v
     }
 }
 
@@ -1895,7 +2213,7 @@ impl A13Report {
 /// Propagates simulator failures that are neither transient nor
 /// injection-induced (those are expected and absorbed).
 pub fn a13_chaos(n: usize, target_jobs: usize) -> Result<A13Report, ComputeError> {
-    use gpes_core::{CompletionSet, Engine, Job, KernelSpec, RetryPolicy};
+    use gpes_core::{CompletionSet, Job, KernelSpec, RetryPolicy};
     use gpes_gles2::FaultPlan;
     use std::sync::Arc;
     use std::time::Duration;
@@ -1904,7 +2222,6 @@ pub fn a13_chaos(n: usize, target_jobs: usize) -> Result<A13Report, ComputeError
     const LOSE_AFTER: u64 = 9;
     const SEED: u64 = 0xDA7E_2016;
     const MAX_ATTEMPTS: u32 = 6;
-    const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.15];
     /// Per-row drain budget: far beyond any real run, tight enough that
     /// a genuine hang fails the row (and the gate) instead of wedging CI.
     const DRAIN_TIMEOUT: Duration = Duration::from_secs(120);
@@ -1935,8 +2252,8 @@ pub fn a13_chaos(n: usize, target_jobs: usize) -> Result<A13Report, ComputeError
         cc.run_f32(&kernel)?
     };
 
-    let mut rows = Vec::with_capacity(RATES.len());
-    for rate in RATES {
+    let mut rows = Vec::with_capacity(A13_RATES.len());
+    for rate in A13_RATES {
         let engine = Engine::builder()
             .workers(WORKERS)
             .queue_capacity(CAPACITY)
@@ -2002,11 +2319,7 @@ pub fn a13_chaos(n: usize, target_jobs: usize) -> Result<A13Report, ComputeError
             }
         }
         if !hung {
-            // Quiescence before the snapshot: all handles resolved, and
-            // any stale queue entry drained by the idle workers.
-            while engine.queue_depth() > 0 {
-                std::thread::yield_now();
-            }
+            drain_queue(&engine);
         }
         rows.push(A13ChaosRow {
             rate,
@@ -2085,49 +2398,141 @@ pub struct A14Report {
     pub rows: Vec<A14TenantRow>,
 }
 
+/// The a14 tenants: three well-behaved, then the malformed and the noisy.
+const A14_TENANTS: [&str; 5] = ["alpha", "beta", "gamma", "mallory", "noisy"];
+
+/// Mallory's invalid registrations: four sources, one per rejection
+/// stage, tried before warm-up and again mid-flood.
+const A14_INVALID_ATTEMPTS: u64 = 8;
+
 impl A14Report {
     /// Whether every completed output matched its tenant's reference.
     pub fn identical(&self) -> bool {
         self.rows.iter().all(|r| r.wrong == 0)
     }
+}
 
-    /// Whether every invalid source was rejected with a typed error.
-    pub fn all_invalid_typed(&self) -> bool {
-        self.invalid_typed == self.invalid_total
+impl Report for A14Report {
+    /// Every count is exact: the noisy tenant drains one completion per
+    /// quota refusal, so even its flood repeats run to run.
+    fn records(&self) -> Vec<Record> {
+        let s = &self.snapshot;
+        let config = Record::new("a14")
+            .key("row", "config")
+            .exact("workers", self.workers)
+            .exact("capacity", self.queue_capacity)
+            .exact("tenants", self.rows.len())
+            .exact("wave_jobs", self.wave_jobs)
+            .exact("noisy_quota", self.noisy_quota);
+        let tenants = self.rows.iter().map(|row| {
+            Record::new("a14")
+                .key("row", "tenant")
+                .key("name", row.tenant.as_str())
+                .exact("admitted", row.admitted)
+                .exact("rejected", row.rejected)
+                .exact("evicted", row.evicted)
+                .exact("jobs", row.jobs)
+                .exact("wrong", row.wrong)
+        });
+        let totals = Record::new("a14")
+            .key("row", "totals")
+            .exact("invalid", self.invalid_total)
+            .exact("typed", self.invalid_typed)
+            .exact("quota_rejections", self.quota_rejections)
+            .exact("post_warmup_links", self.post_warmup_links)
+            .exact("post_warmup_gl_objects", self.post_warmup_gl_objects)
+            .exact("balanced", s.counters_balanced())
+            .exact("identical", self.identical());
+        std::iter::once(config)
+            .chain(tenants)
+            .chain([totals])
+            .collect()
     }
 
-    /// Formats the report as the stable multi-line block
-    /// `scripts/ci_perf_gate.py` parses.
-    pub fn format(&self) -> String {
+    /// Every invalid source is refused with a typed admission error and
+    /// charged to mallory, the noisy tenant trips its quota, every tenant
+    /// is present with bit-identical outputs, counters balance with no
+    /// permit held, and the hostile tenants cost their neighbours no
+    /// link or GL object past warmup.
+    fn violations(&self) -> Vec<String> {
         let s = &self.snapshot;
-        let mut lines = vec![format!(
-            "a14 config    workers {}   capacity {}   tenants {}   wave jobs {}   \
-             noisy quota {}",
-            self.workers,
-            self.queue_capacity,
-            self.rows.len(),
-            self.wave_jobs,
-            self.noisy_quota,
-        )];
-        for row in &self.rows {
-            lines.push(format!(
-                "a14 tenant    name {}   admitted {}   rejected {}   evicted {}   \
-                 jobs {}   wrong {}",
-                row.tenant, row.admitted, row.rejected, row.evicted, row.jobs, row.wrong,
-            ));
-        }
-        lines.push(format!(
-            "a14 totals    invalid {}   typed {}   quota-rejections {}   \
-             post-warmup links {}   objects {}   balanced {}   identical {}",
+        let mut v = Vec::new();
+        require!(v, !self.rows.is_empty(), "a14: no tenant rows");
+        require!(
+            v,
+            self.invalid_total >= A14_INVALID_ATTEMPTS,
+            "a14: {} invalid registration attempts, contract is at least \
+             {A14_INVALID_ATTEMPTS} — the admission pipeline was not fully exercised",
+            self.invalid_total
+        );
+        require!(
+            v,
+            self.invalid_typed == self.invalid_total,
+            "a14: {} invalid sources but only {} typed rejections — an admission failure was \
+             untyped",
             self.invalid_total,
-            self.invalid_typed,
-            self.quota_rejections,
-            self.post_warmup_links,
-            self.post_warmup_gl_objects,
-            if s.counters_balanced() { "yes" } else { "NO" },
-            if self.identical() { "yes" } else { "NO" },
-        ));
-        lines.join("\n")
+            self.invalid_typed
+        );
+        require!(
+            v,
+            self.quota_rejections > 0,
+            "a14: zero quota rejections — the noisy tenant never tripped its in-flight quota"
+        );
+        require!(
+            v,
+            s.counters_balanced() && s.completed > 0,
+            "a14: outcome counters do not balance (tenant-tagged rejections must feed the same \
+             global ledger) or nothing completed"
+        );
+        require!(
+            v,
+            self.post_warmup_links == 0,
+            "a14: {} post-warmup links, contract is 0 — a hostile tenant cost its neighbours a \
+             relink",
+            self.post_warmup_links
+        );
+        require!(
+            v,
+            self.post_warmup_gl_objects == 0,
+            "a14: {} GL objects created post-warmup, contract is 0",
+            self.post_warmup_gl_objects
+        );
+        for name in A14_TENANTS {
+            require!(
+                v,
+                self.rows.iter().any(|r| r.tenant == name),
+                "a14: tenant {name} row missing"
+            );
+        }
+        for row in &self.rows {
+            let name = &row.tenant;
+            require!(
+                v,
+                row.wrong == 0,
+                "a14: tenant {name} had {} outputs diverge from its reference",
+                row.wrong
+            );
+            let (admitted, rejected, jobs_ok) = match name.as_str() {
+                "mallory" => (0, self.invalid_total, true),
+                "noisy" => (1, self.quota_rejections, row.jobs >= self.noisy_jobs),
+                _ => (1, 0, row.jobs > 0),
+            };
+            require!(
+                v,
+                row.admitted == admitted && row.rejected == rejected && jobs_ok,
+                "a14: tenant {name} ledger admitted {} rejected {} jobs {}, contract is \
+                 admitted {admitted} rejected {rejected}",
+                row.admitted,
+                row.rejected,
+                row.jobs
+            );
+        }
+        require!(
+            v,
+            s.tenants.iter().all(|t| t.in_flight == 0),
+            "a14: a quiescent engine still holds tenant permits"
+        );
+        v
     }
 }
 
@@ -2152,7 +2557,7 @@ impl A14Report {
 /// Propagates engine/simulator failures (typed admission and quota
 /// rejections are expected and absorbed).
 pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeError> {
-    use gpes_core::{CompletionSet, Engine, KernelSpec, TenantQuotas};
+    use gpes_core::{CompletionSet, KernelSpec, TenantQuotas};
     const WORKERS: usize = 2;
     const CAPACITY: usize = 32;
     const NOISY_TARGET: usize = 48;
@@ -2244,17 +2649,6 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     };
     attempt_invalid(&mut invalid_total, &mut invalid_typed);
 
-    let counters = |engine: &Engine| -> (u64, u64) {
-        (
-            engine.programs_linked(),
-            engine
-                .worker_stats()
-                .iter()
-                .map(gpes_core::ContextStats::gl_objects_created)
-                .sum(),
-        )
-    };
-
     // Warmup, a12-style: closed-loop waves until a full wave links no
     // programs and creates no GL objects on either worker. Programs link
     // once process-wide (shared cache) but pipeline GL objects are
@@ -2263,9 +2657,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     // to pull every kernel through every worker before the watermark.
     let mut wrong = vec![0u64; WELL_BEHAVED.len()];
     let mut noisy_wrong = 0u64;
-    let mut prev = (u64::MAX, u64::MAX);
-    for _ in 0..16 {
-        let before = counters(&engine);
+    serve_until_steady(&engine, |engine| {
         for (i, kernel) in kernels.iter().enumerate() {
             let handles: Vec<_> = (0..WORKERS * 2)
                 .map(|_| engine.submit(kernel.job().data(x.clone())))
@@ -2288,14 +2680,10 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
                 }
             }
         }
-        let after = counters(&engine);
-        let delta = (after.0 - before.0, after.1 - before.1);
-        if delta == (0, 0) || delta == prev {
-            break;
-        }
-        prev = delta;
-    }
-    let warm = counters(&engine);
+        // Mismatches are tallied per tenant above.
+        Ok(true)
+    })?;
+    let warm = gl_counters(&engine);
 
     // Steady phase: the noisy tenant floods from its own thread while
     // the well-behaved tenants serve their waves and the malformed
@@ -2362,10 +2750,8 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
         Ok(())
     })?;
 
-    while engine.queue_depth() > 0 {
-        std::thread::yield_now();
-    }
-    let after = counters(&engine);
+    drain_queue(&engine);
+    let after = gl_counters(&engine);
     let snapshot = engine.snapshot();
 
     // Join the engine's per-tenant counters with the bench's own
@@ -2470,59 +2856,133 @@ pub struct A15Report {
     pub serve_scalar_fallbacks: u64,
 }
 
-impl A15Report {
-    /// Whether every VM row matched the tree-walker oracle.
-    pub fn identical(&self) -> bool {
-        self.vm.iter().all(|r| r.identical)
+/// The a15 executor ladder, the kernels it runs, and the mode the
+/// engine serves under.
+const A15_MODES: [ExecMode; 3] = [
+    ExecMode::Scalar,
+    ExecMode::Spmd { lanes: 4 },
+    ExecMode::Spmd { lanes: 8 },
+];
+const A15_KERNELS: [&str; 2] = ["sum (fp)", "sgemm (fp)"];
+const A15_SERVE_MODE: ExecMode = ExecMode::Spmd { lanes: 8 };
+
+impl Report for A15Report {
+    /// Throughputs and speedups are host timing, hence advisory.
+    fn records(&self) -> Vec<Record> {
+        let vm = self.vm.iter().map(|r| {
+            Record::new("a15")
+                .key("row", "vm")
+                .key("kernel", r.kernel)
+                .key("mode", r.mode.label())
+                .advisory("fragments_per_sec", r.fragments_per_s)
+                .exact("identical", r.identical)
+                .exact("spmd_batches", r.spmd_batches)
+                .exact("fallbacks", r.scalar_fallbacks)
+        });
+        let mix = self.mix.iter().map(|(mode, speedup)| {
+            Record::new("a15")
+                .key("row", "mix")
+                .key("mode", mode.label())
+                .advisory("geomean_speedup", *speedup)
+        });
+        let codec = self.codec.iter().map(|r| {
+            Record::new("a15")
+                .key("row", "codec")
+                .key("format", r.codec)
+                .key("path", r.path)
+                .advisory("texels_per_sec", r.texels_per_s)
+        });
+        let serve = Record::new("a15")
+            .key("row", "serve")
+            .exact("exec_mode", self.serve_exec_mode.as_str())
+            .exact("jobs", self.serve_jobs)
+            .exact("identical", self.serve_identical)
+            .exact("balanced", self.serve_balanced)
+            .exact("spmd_batches", self.serve_spmd_batches)
+            .exact("fallbacks", self.serve_scalar_fallbacks);
+        vm.chain(mix).chain(codec).chain([serve]).collect()
     }
 
-    /// Whether `spmd_batches` is positive exactly on the Spmd rows.
-    pub fn batches_consistent(&self) -> bool {
-        self.vm.iter().all(|r| match r.mode {
-            ExecMode::Spmd { .. } => r.spmd_batches > 0,
-            _ => r.spmd_batches == 0,
-        })
-    }
-
-    /// Formats the report as the stable multi-line block
-    /// `scripts/ci_perf_gate.py` parses.
-    pub fn format(&self) -> String {
-        let mut lines = Vec::new();
+    /// Every executor row is bit-identical to the tree-walker, SPMD rows
+    /// batch and scalar rows never do, and the engine serves under an
+    /// SPMD mode — balanced, bit-identical and batching.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for kernel in A15_KERNELS {
+            for mode in A15_MODES {
+                require!(
+                    v,
+                    self.vm.iter().any(|r| r.kernel == kernel && r.mode == mode),
+                    "a15: {kernel} {}: row missing",
+                    mode.label()
+                );
+            }
+        }
         for row in &self.vm {
-            lines.push(format!(
-                "a15 vm        kernel {:<10} mode {:<7} fragments/s {:>10.0}   \
-                 identical {}   spmd_batches {}   fallbacks {}",
-                row.kernel,
-                row.mode.label(),
-                row.fragments_per_s,
-                if row.identical { "yes" } else { "NO" },
-                row.spmd_batches,
-                row.scalar_fallbacks,
-            ));
+            let at = format!("a15: {} {}", row.kernel, row.mode.label());
+            require!(
+                v,
+                row.fragments_per_s.total_cmp(&0.0).is_gt(),
+                "{at}: no fragment throughput measured"
+            );
+            require!(
+                v,
+                row.identical,
+                "{at}: output or profile diverged from the tree-walker"
+            );
+            let spmd = matches!(row.mode, ExecMode::Spmd { .. });
+            require!(
+                v,
+                !spmd || row.spmd_batches > 0,
+                "{at}: an SPMD mode never dispatched a lane batch"
+            );
+            require!(
+                v,
+                spmd || row.spmd_batches == 0,
+                "{at}: {} SPMD batches on a non-SPMD mode, contract is 0",
+                row.spmd_batches
+            );
         }
-        for (mode, speedup) in &self.mix {
-            lines.push(format!(
-                "a15 mix       mode {:<7} geomean speedup vs scalar {speedup:.2}x",
-                mode.label(),
-            ));
+        require!(
+            v,
+            self.mix.len() == A15_MODES.len() - 1,
+            "a15: {} geomean speedup rows, contract is one per SPMD mode",
+            self.mix.len()
+        );
+        for codec in ["float32", "u16"] {
+            for path in ["element", "slice"] {
+                require!(
+                    v,
+                    self.codec
+                        .iter()
+                        .any(|r| r.codec == codec && r.path == path && r.texels_per_s > 0.0),
+                    "a15: codec {codec} {path}: row missing or no throughput measured"
+                );
+            }
         }
-        for row in &self.codec {
-            lines.push(format!(
-                "a15 codec     {:<12} path {:<8} texels/s {:>12.0}",
-                row.codec, row.path, row.texels_per_s,
-            ));
-        }
-        lines.push(format!(
-            "a15 serve     exec_mode {}   jobs {}   identical {}   balanced {}   \
-             spmd_batches {}   fallbacks {}",
-            self.serve_exec_mode,
-            self.serve_jobs,
-            if self.serve_identical { "yes" } else { "NO" },
-            if self.serve_balanced { "yes" } else { "NO" },
-            self.serve_spmd_batches,
-            self.serve_scalar_fallbacks,
-        ));
-        lines.join("\n")
+        let serve_mode = A15_SERVE_MODE.label();
+        require!(
+            v,
+            self.serve_exec_mode == serve_mode,
+            "a15: serving ran under exec_mode {}, contract is {serve_mode}",
+            self.serve_exec_mode
+        );
+        require!(
+            v,
+            self.serve_identical,
+            "a15: a served output diverged from the scalar reference"
+        );
+        require!(
+            v,
+            self.serve_balanced,
+            "a15: serving outcome counters do not balance"
+        );
+        require!(
+            v,
+            self.serve_spmd_batches > 0,
+            "a15: the serving engine never dispatched a lane batch"
+        );
+        v
     }
 }
 
@@ -2539,12 +2999,6 @@ impl A15Report {
 /// Propagates simulator/engine failures.
 pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     use gpes_core::codec::{float32, ushort};
-
-    const MODES: [ExecMode; 3] = [
-        ExecMode::Scalar,
-        ExecMode::Spmd { lanes: 4 },
-        ExecMode::Spmd { lanes: 8 },
-    ];
 
     // --- VM ladder over the a8 kernel mix -------------------------------
     let a = data::random_f32(n, 501, 100.0);
@@ -2595,12 +3049,12 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     type KernelRun<'r> = &'r dyn Fn(ExecMode) -> Result<(Vec<f32>, f64, u64, u64), ComputeError>;
     let mut vm = Vec::new();
     let kernels: [(&'static str, KernelRun); 2] =
-        [("sum (fp)", &run_sum), ("sgemm (fp)", &run_gemm)];
+        [(A15_KERNELS[0], &run_sum), (A15_KERNELS[1], &run_gemm)];
     let mut scalar_rates = Vec::new();
     let mut spmd_rates: Vec<Vec<f64>> = vec![Vec::new(); 2];
     for (kernel, run) in kernels {
         let (oracle, _, _, _) = run(ExecMode::TreeWalker)?;
-        for (mi, mode) in MODES.into_iter().enumerate() {
+        for (mi, mode) in A15_MODES.into_iter().enumerate() {
             let (out, rate, spmd_batches, scalar_fallbacks) = run(mode)?;
             vm.push(A15VmRow {
                 kernel,
@@ -2616,7 +3070,7 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
             }
         }
     }
-    let mix: Vec<(ExecMode, f64)> = MODES[1..]
+    let mix: Vec<(ExecMode, f64)> = A15_MODES[1..]
         .iter()
         .zip(&spmd_rates)
         .map(|(&mode, rates)| {
@@ -2699,7 +3153,7 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     });
 
     // --- Served wave under Spmd{8} --------------------------------------
-    use gpes_core::{Bindings, Engine, Job};
+    use gpes_core::{Bindings, Job};
     use std::sync::Arc;
     let specs = a10_specs(n);
     let x: Arc<Vec<f32>> = Arc::new(data::random_f32(n, 521, 25.0));
@@ -2717,7 +3171,7 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     }
     let engine = Engine::builder()
         .workers(2)
-        .exec_mode(ExecMode::Spmd { lanes: 8 })
+        .exec_mode(A15_SERVE_MODE)
         .build()?;
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
@@ -2782,7 +3236,7 @@ pub struct A16PathRow {
     /// Programs linked after the warmup wave (must be 0).
     pub post_warmup_links: u64,
     /// GL objects created after the warmup wave (must be 0).
-    pub post_warmup_objects: u64,
+    pub post_warmup_gl_objects: u64,
     /// `f32` tensors that crossed the host boundary, all workers, whole
     /// run (gate: 0 on the quantized path).
     pub f32_transfers: u64,
@@ -2808,61 +3262,118 @@ pub struct A16Report {
     pub paths: Vec<A16PathRow>,
 }
 
-impl A16Report {
-    /// Whether every path row was bit-identical to the host reference.
-    pub fn identical(&self) -> bool {
-        self.paths.iter().all(|r| r.identical)
+/// The a16 precisions, and the worker counts each is served at.
+const A16_PRECISIONS: [&str; 2] = ["quant", "f32"];
+const A16_WORKERS: [usize; 3] = [1, 2, 4];
+
+impl Report for A16Report {
+    /// Layers are keyed by position: the two reduction levels share one
+    /// kernel name.
+    fn records(&self) -> Vec<Record> {
+        let config = Record::new("a16")
+            .key("row", "config")
+            .exact("img_side", gpes_kernels::cnn::IMG_SIDE)
+            .exact(
+                "conv_layers",
+                self.layers
+                    .iter()
+                    .filter(|l| l.pass.contains("conv"))
+                    .count(),
+            )
+            .exact("dense_inputs", gpes_kernels::cnn::DENSE_INPUTS)
+            .exact("dense_outputs", gpes_kernels::cnn::DENSE_OUTPUTS);
+        let layers = self.layers.iter().enumerate().map(|(i, r)| {
+            Record::new("a16")
+                .key("row", "layer")
+                .key("index", i)
+                .exact("pass", r.pass.as_str())
+                .exact("output_texels", r.output_texels)
+                .exact("ops_per_texel", r.ops_per_texel)
+        });
+        let paths = self.paths.iter().map(|r| {
+            Record::new("a16")
+                .key("row", "path")
+                .key("precision", r.precision)
+                .key("workers", r.workers)
+                .exact("jobs", r.jobs)
+                .advisory("host_ms", r.host_ms)
+                .advisory("images_per_sec", r.images_per_s)
+                .exact("identical", r.identical)
+                .exact("balanced", r.balanced)
+                .exact("post_warmup_links", r.post_warmup_links)
+                .exact("post_warmup_gl_objects", r.post_warmup_gl_objects)
+                .exact("f32_transfers", r.f32_transfers)
+                .exact("quant_transfers", r.quant_transfers)
+        });
+        std::iter::once(config).chain(layers).chain(paths).collect()
     }
 
-    /// Whether every path row's engine counters balanced.
-    pub fn balanced(&self) -> bool {
-        self.paths.iter().all(|r| r.balanced)
-    }
-
-    /// Whether the transfer counters prove the quantized path never
-    /// widened to f32 at the host boundary (and the f32 path did).
-    pub fn transfers_consistent(&self) -> bool {
-        self.paths.iter().all(|r| match r.precision {
-            "quant" => r.f32_transfers == 0 && r.quant_transfers > 0,
-            _ => r.f32_transfers > 0,
-        })
-    }
-
-    /// Formats the report as the stable multi-line block
-    /// `scripts/ci_perf_gate.py` parses.
-    pub fn format(&self) -> String {
-        let mut lines = vec![format!(
-            "a16 config    img {side}x{side}   conv 3x3 x2   dense {di}->{do_}   \
-             weights i16   activations u8",
-            side = gpes_kernels::cnn::IMG_SIDE,
-            di = gpes_kernels::cnn::DENSE_INPUTS,
-            do_ = gpes_kernels::cnn::DENSE_OUTPUTS,
-        )];
-        for row in &self.layers {
-            lines.push(format!(
-                "a16 layer     pass {:<16} output_texels {:>5}   ops/texel {:>8.1}",
-                row.pass, row.output_texels, row.ops_per_texel,
-            ));
+    /// Every precision is served at every worker count bit-identically,
+    /// balanced, in a zero-link zero-allocation steady state; quant rows
+    /// cross the host boundary only in native u8/i16 codecs while the f32
+    /// twin proves the transfer counter fires.
+    fn violations(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        require!(v, !self.layers.is_empty(), "a16: no per-layer rows");
+        for precision in A16_PRECISIONS {
+            for workers in A16_WORKERS {
+                let at = format!("a16: {precision} @ {workers} workers");
+                let Some(row) = self
+                    .paths
+                    .iter()
+                    .find(|r| r.precision == precision && r.workers == workers)
+                else {
+                    v.push(format!("{at}: row missing"));
+                    continue;
+                };
+                require!(v, row.jobs > 0, "{at}: served no jobs");
+                require!(
+                    v,
+                    row.identical,
+                    "{at}: served scores/top diverged from the host reference"
+                );
+                require!(
+                    v,
+                    row.balanced,
+                    "{at}: serving outcome counters do not balance"
+                );
+                require!(
+                    v,
+                    row.post_warmup_links == 0,
+                    "{at}: {} post-warmup links, contract is 0 for steady-state CNN serving",
+                    row.post_warmup_links
+                );
+                require!(
+                    v,
+                    row.post_warmup_gl_objects == 0,
+                    "{at}: {} GL objects created in the steady-state wave, contract is 0",
+                    row.post_warmup_gl_objects
+                );
+                if precision == "quant" {
+                    require!(
+                        v,
+                        row.f32_transfers == 0,
+                        "{at}: {} f32 host transfers on the quantized path, contract is 0 \
+                         (tensors must cross as native u8/i16)",
+                        row.f32_transfers
+                    );
+                    require!(
+                        v,
+                        row.quant_transfers > 0,
+                        "{at}: zero quantized host transfers — the native-codec path was never \
+                         exercised"
+                    );
+                } else {
+                    require!(
+                        v,
+                        row.f32_transfers > 0,
+                        "{at}: zero f32 host transfers on the f32 twin — the counter never \
+                         discriminated the paths"
+                    );
+                }
+            }
         }
-        for row in &self.paths {
-            lines.push(format!(
-                "a16 path      precision {:<6} workers {}   jobs {:>4} {:>9.2} ms \
-                 {:>8.1} images/s   identical {}   balanced {}   post_warmup_links {}   \
-                 post_warmup_objects {}   f32_transfers {}   quant_transfers {}",
-                row.precision,
-                row.workers,
-                row.jobs,
-                row.host_ms,
-                row.images_per_s,
-                if row.identical { "yes" } else { "NO" },
-                if row.balanced { "yes" } else { "NO" },
-                row.post_warmup_links,
-                row.post_warmup_objects,
-                row.f32_transfers,
-                row.quant_transfers,
-            ));
-        }
-        lines.join("\n")
+        v
     }
 }
 
@@ -2876,7 +3387,7 @@ impl A16Report {
 ///
 /// Propagates simulator/engine failures.
 pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
-    use gpes_core::{Engine, PipelineJob, ResidentInput, SourceSeed, TensorData};
+    use gpes_core::{PipelineJob, ResidentInput, SourceSeed, TensorData};
     use gpes_kernels::cnn::{self, CnnOutput, Precision};
     use std::sync::Arc;
 
@@ -2948,60 +3459,56 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
             .iter()
             .map(|img| Arc::new(cnn::img_tensor(precision, img)))
             .collect();
-        for workers in [1usize, 2, 4] {
+        for workers in A16_WORKERS {
             // Fresh residents per engine so each run pays (and counts)
             // its own per-worker weight uploads.
             let r1 = ResidentInput::new_tensor(t1.clone());
             let r2 = ResidentInput::new_tensor(t2.clone());
             let rd = ResidentInput::new_tensor(td.clone());
             let engine = Engine::builder().workers(workers).build()?;
-            let (host_ms, _links, post_links, post_objects, identical) = a11_serve_steady(
-                &engine,
-                |engine| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|i| {
-                            engine.submit_pipeline(
-                                PipelineJob::new(&spec)
-                                    .source_tensor_shared(&image_tensors[i % IMAGES])
-                                    .source_resident(&r1)
-                                    .source_resident(&r2)
-                                    .source_resident(&rd)
-                                    .read("scores")
-                                    .read("top"),
-                            )
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let mut identical = true;
-                    for (i, h) in handles.into_iter().enumerate() {
-                        let result = h.wait()?;
-                        let served = match precision {
-                            Precision::Quantized => CnnOutput {
-                                scores: result
-                                    .tensor("scores")
-                                    .and_then(|t| t.as_i16())
-                                    .unwrap_or(&[])
-                                    .to_vec(),
-                                top: result
-                                    .tensor("top")
-                                    .and_then(|t| t.as_i16())
-                                    .unwrap_or(&[0])[0],
-                            },
-                            Precision::F32 => CnnOutput {
-                                scores: result
-                                    .output("scores")
-                                    .unwrap_or(&[])
-                                    .iter()
-                                    .map(|&v| v as i16)
-                                    .collect(),
-                                top: result.output("top").unwrap_or(&[0.0])[0] as i16,
-                            },
-                        };
-                        identical &= served == references[i % IMAGES];
-                    }
-                    Ok(identical)
-                },
-                jobs,
-            )?;
+            let wave = serve_until_steady(&engine, |engine| {
+                let handles: Vec<_> = (0..jobs)
+                    .map(|i| {
+                        engine.submit_pipeline(
+                            PipelineJob::new(&spec)
+                                .source_tensor_shared(&image_tensors[i % IMAGES])
+                                .source_resident(&r1)
+                                .source_resident(&r2)
+                                .source_resident(&rd)
+                                .read("scores")
+                                .read("top"),
+                        )
+                    })
+                    .collect::<Result<_, _>>()?;
+                let mut identical = true;
+                for (i, h) in handles.into_iter().enumerate() {
+                    let result = h.wait()?;
+                    let served = match precision {
+                        Precision::Quantized => CnnOutput {
+                            scores: result
+                                .tensor("scores")
+                                .and_then(|t| t.as_i16())
+                                .unwrap_or(&[])
+                                .to_vec(),
+                            top: result
+                                .tensor("top")
+                                .and_then(|t| t.as_i16())
+                                .unwrap_or(&[0])[0],
+                        },
+                        Precision::F32 => CnnOutput {
+                            scores: result
+                                .output("scores")
+                                .unwrap_or(&[])
+                                .iter()
+                                .map(|&v| v as i16)
+                                .collect(),
+                            top: result.output("top").unwrap_or(&[0.0])[0] as i16,
+                        },
+                    };
+                    identical &= served == references[i % IMAGES];
+                }
+                Ok(identical)
+            })?;
             let stats = engine
                 .worker_stats()
                 .iter()
@@ -3012,12 +3519,12 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
                 precision: precision.tag(),
                 workers,
                 jobs,
-                host_ms,
-                images_per_s: jobs as f64 / (host_ms / 1e3),
-                identical,
+                host_ms: wave.host_ms,
+                images_per_s: jobs as f64 / (wave.host_ms / 1e3),
+                identical: wave.identical,
                 balanced: snapshot.counters_balanced(),
-                post_warmup_links: post_links,
-                post_warmup_objects: post_objects,
+                post_warmup_links: wave.post_warmup_links,
+                post_warmup_gl_objects: wave.post_warmup_gl_objects,
                 f32_transfers: stats.f32_host_transfers,
                 quant_transfers: stats.quantized_host_transfers,
             });
@@ -3031,178 +3538,172 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
 mod tests {
     use super::*;
 
+    /// Asserts `report` holds its contract, then that each mutation —
+    /// one contract field flipped or one required row dropped — makes
+    /// `violations()` fail: the gate can fail.
+    fn assert_gate<R: Report + Clone>(report: &R, mutations: &[fn(&mut R)]) {
+        assert!(!report.records().is_empty());
+        let violations = report.violations();
+        assert!(violations.is_empty(), "{violations:#?}");
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut broken = report.clone();
+            mutate(&mut broken);
+            assert!(
+                !broken.violations().is_empty(),
+                "mutation {i} passed the gate"
+            );
+        }
+    }
+
     #[test]
     fn a16_quant_cnn_serves_bit_identically_without_f32_round_trips() {
-        let report = a16_quant_cnn(8).expect("a16");
-        assert!(!report.layers.is_empty(), "{}", report.format());
-        assert_eq!(report.paths.len(), 6, "{}", report.format());
-        assert!(report.identical(), "{}", report.format());
-        assert!(report.balanced(), "{}", report.format());
-        assert!(report.transfers_consistent(), "{}", report.format());
-        for row in &report.paths {
-            assert_eq!(row.post_warmup_links, 0, "{}", report.format());
-            assert_eq!(row.post_warmup_objects, 0, "{}", report.format());
-        }
+        assert_gate(
+            &a16_quant_cnn(8).expect("a16"),
+            &[
+                |r| r.paths[0].f32_transfers = 1,
+                |r| r.paths[0].quant_transfers = 0,
+                |r| r.paths[5].f32_transfers = 0,
+                |r| r.paths[1].identical = false,
+                |r| r.paths[2].post_warmup_gl_objects = 1,
+                |r| r.paths[3].jobs = 0,
+                |r| r.paths.truncate(5),
+                |r| r.layers.clear(),
+            ],
+        );
     }
 
     #[test]
     fn a13_chaos_heals_without_corruption_or_hangs() {
-        let report = a13_chaos(256, 32).expect("a13");
-        assert_eq!(report.rows.len(), 4);
-        let mut injected_under_chaos = 0u64;
-        let mut retried_total = 0u64;
-        for row in &report.rows {
-            let s = &row.snapshot;
-            assert!(!row.hung, "{}", report.format());
-            assert!(row.identical(), "{}", report.format());
-            assert!(s.counters_balanced(), "{}", report.format());
-            assert!(s.completed > 0, "{}", report.format());
-            assert!(
-                s.recovered_contexts >= 1,
-                "every row arms a one-shot context loss: {}",
-                report.format()
-            );
-            assert!(s.queue_depth_high_water <= report.queue_capacity as u64);
-            if row.rate > 0.0 {
-                injected_under_chaos += s.faults_injected;
-            }
-            retried_total += s.retried;
-        }
-        assert!(injected_under_chaos > 0, "{}", report.format());
-        assert!(retried_total >= 1, "{}", report.format());
+        assert_gate(
+            &a13_chaos(256, 32).expect("a13"),
+            &[
+                |r| r.rows[1].wrong = 1,
+                |r| r.rows[2].hung = true,
+                |r| r.rows[0].snapshot.recovered_contexts = 0,
+                |r| r.rows[3].snapshot.completed += 1,
+                |r| r.rows.iter_mut().for_each(|row| row.snapshot.retried = 0),
+                |r| {
+                    r.rows
+                        .iter_mut()
+                        .for_each(|row| row.snapshot.faults_injected = 0)
+                },
+                |r| r.rows.truncate(3),
+            ],
+        );
     }
 
     #[test]
     fn a14_registry_isolates_tenants() {
-        let report = a14_registry(256, 12).expect("a14");
-        let s = &report.snapshot;
-        assert!(report.all_invalid_typed(), "{}", report.format());
-        assert!(report.invalid_total >= 8, "{}", report.format());
-        assert!(report.identical(), "{}", report.format());
-        assert!(report.quota_rejections > 0, "{}", report.format());
-        assert_eq!(report.post_warmup_links, 0, "{}", report.format());
-        assert_eq!(report.post_warmup_gl_objects, 0, "{}", report.format());
-        assert!(s.counters_balanced(), "{}", report.format());
-        assert!(s.completed > 0, "{}", report.format());
-        for row in &report.rows {
-            assert_eq!(row.wrong, 0, "{}", report.format());
-            match row.tenant.as_str() {
-                "mallory" => {
-                    assert_eq!(row.admitted, 0, "{}", report.format());
-                    assert_eq!(row.rejected, report.invalid_total, "{}", report.format());
-                }
-                "noisy" => {
-                    assert_eq!(row.admitted, 1, "{}", report.format());
-                    assert_eq!(row.rejected, report.quota_rejections, "{}", report.format());
-                    assert!(row.jobs >= report.noisy_jobs, "{}", report.format());
-                }
-                _ => {
-                    assert_eq!(row.admitted, 1, "{}", report.format());
-                    assert_eq!(row.rejected, 0, "{}", report.format());
-                    assert!(row.jobs > 0, "{}", report.format());
-                }
-            }
-        }
-        for counters in &s.tenants {
-            assert_eq!(
-                counters.in_flight,
-                0,
-                "quiescent engine must hold no permits: {}",
-                report.format()
-            );
-        }
+        assert_gate(
+            &a14_registry(256, 12).expect("a14"),
+            &[
+                |r| r.invalid_typed -= 1,
+                |r| {
+                    // A run that tried only the first round of invalid sources.
+                    r.invalid_total = 4;
+                    r.invalid_typed = 4;
+                    let mallory = r.rows.iter_mut().find(|t| t.tenant == "mallory");
+                    mallory.expect("mallory row").rejected = 4;
+                },
+                |r| r.quota_rejections = 0,
+                |r| r.post_warmup_links = 1,
+                |r| r.post_warmup_gl_objects = 1,
+                |r| r.rows[0].wrong = 1,
+                |r| r.rows[0].admitted = 2,
+                |r| r.rows.retain(|t| t.tenant != "mallory"),
+                |r| r.snapshot.tenants[0].in_flight = 1,
+            ],
+        );
     }
 
     #[test]
     fn a12_saturation_balances_counters_and_stays_steady() {
-        let report = a12_latency_under_load(256, 48).expect("a12");
-        let s = &report.snapshot;
-        assert!(s.counters_balanced(), "{}", report.format());
-        assert!(s.rejected > 0, "saturation must observe QueueFull");
-        assert!(s.shed > 0, "expired deadlines must shed");
-        assert!(s.completed > 0 && s.failed == 0, "{}", report.format());
-        assert!(report.identical, "{}", report.format());
-        assert_eq!(report.post_warmup_links, 0, "{}", report.format());
-        assert_eq!(report.post_warmup_gl_objects, 0, "{}", report.format());
-        assert!(s.queue_depth_high_water <= 8);
-        assert!(!s.queue_latency.is_empty() && !s.service_latency.is_empty());
+        assert_gate(
+            &a12_latency_under_load(256, 48).expect("a12"),
+            &[
+                |r| r.identical = false,
+                |r| r.post_warmup_links = 1,
+                |r| r.post_warmup_gl_objects = 1,
+                |r| r.snapshot.submitted += 1,
+                |r| r.snapshot.queue_depth_high_water = 9,
+                |r| r.snapshot.service_latency = gpes_core::LatencyHistogram::new(),
+            ],
+        );
     }
 
     #[test]
     fn a11_engine_pipelines_are_identical_and_reach_steady_state() {
-        let rows = a11_pipeline_serving().expect("a11");
-        // 3 workloads × (1 direct + 3 engine-pipeline + 2 per-pass).
-        assert_eq!(rows.len(), 18);
-        for row in &rows {
-            // Every mode must reproduce the direct reference bit-exactly.
-            assert!(row.identical, "{}", row.format());
+        fn engine_row(rows: &mut [A11Row]) -> &mut A11Row {
+            rows.iter_mut()
+                .find(|r| r.mode == "engine-pipeline")
+                .expect("row")
         }
-        for row in rows.iter().filter(|r| r.mode == "engine-pipeline") {
-            // The CI gate's contract: steady-state pipeline serving
-            // links nothing and allocates nothing.
-            assert_eq!(row.post_warmup_links, 0, "{}", row.format());
-            assert_eq!(row.post_warmup_gl_objects, 0, "{}", row.format());
-        }
+        assert_gate(
+            &a11_pipeline_serving().expect("a11"),
+            &[
+                |r| r[0].identical = false,
+                |r| engine_row(r).post_warmup_links = 1,
+                |r| engine_row(r).post_warmup_gl_objects = 1,
+                |r| r.retain(|row| row.mode != "engine-pipeline" || row.workers != 4),
+                |r| r.retain(|row| row.mode != "direct"),
+                |r| r.retain(|row| row.mode != "per-pass" || row.workers != 4),
+                |r| r[0].jobs = 0,
+            ],
+        );
     }
 
     #[test]
     fn a10_shared_cache_links_once_process_wide() {
-        let rows = a10_serving(512, 12).expect("a10");
-        assert_eq!(rows.len(), 10);
-        for row in rows.iter().filter(|r| r.cache == "shared") {
-            // Shared-cache links equal the mix size at every pool size
-            // and nothing links after warmup — the numbers CI gates on.
-            let mix_size = if row.mix == "hot3" { 3 } else { 24 };
-            assert_eq!(row.links, mix_size, "{}", row.format());
-            assert_eq!(row.post_warmup_links, 0, "{}", row.format());
-        }
-        // Per-context caches at any pool size link at least the whole
-        // mix; the outputs were asserted bit-identical inside
-        // a10_serving.
-        for row in rows.iter().filter(|r| r.cache == "per-context") {
-            let mix_size = if row.mix == "hot3" { 3 } else { 24 };
-            assert!(row.links >= mix_size, "{}", row.format());
-        }
+        // Rows run hot3 at 1/2/4 workers, then wide24 at 1/4, shared
+        // before per-context at each.
+        assert_gate(
+            &a10_serving(512, 12).expect("a10"),
+            &[
+                |r| r[0].links = 4,
+                |r| r[2].post_warmup_links = 1,
+                |r| r[1].links = 2,
+                |r| r.retain(|row| row.mix != "wide24" || row.cache != "shared"),
+                |r| r.retain(|row| row.cache != "per-context" || row.workers != 2),
+                |r| r[0].mix = "hot4",
+            ],
+        );
     }
 
     #[test]
     fn a9_retained_mode_compiles_nothing_in_the_loop() {
-        let rows = a9_host_cache(512, 4).expect("a9");
-        assert_eq!(rows.len(), 6);
-        for pair in rows.chunks(2) {
-            let (rebuild, retained) = (&pair[0], &pair[1]);
-            assert_eq!(rebuild.workload, retained.workload);
-            assert!(
-                retained.programs_linked < rebuild.programs_linked,
-                "{} vs {}",
-                rebuild.format(),
-                retained.format()
-            );
-            assert!(retained.textures_created < rebuild.textures_created);
-            assert!(retained.pool_hits > 0);
-        }
-        // The retained srad loop compiles exactly its two kernels.
-        assert_eq!(rows[1].programs_linked, 2);
+        // Rows pair rebuild/pass then retained for srad, reduce, fft.
+        assert_gate(
+            &a9_host_cache(512, 4).expect("a9"),
+            &[
+                |r| r[1].programs_linked = 3,
+                |r| r[3].pool_hits = 0,
+                |r| r[5].textures_created = r[4].textures_created,
+                |r| r.truncate(4),
+            ],
+        );
     }
 
     #[test]
     fn a15_spmd_is_identical_and_actually_batches() {
-        let report = a15_spmd(512, 12).expect("a15");
-        assert_eq!(report.vm.len(), 6);
-        assert!(report.identical(), "{}", report.format());
-        assert!(report.batches_consistent(), "{}", report.format());
-        for row in &report.vm {
-            assert!(row.fragments_per_s > 0.0, "{}", report.format());
-        }
-        assert_eq!(report.mix.len(), 2);
-        assert_eq!(report.codec.len(), 4);
-        for row in &report.codec {
-            assert!(row.texels_per_s > 0.0, "{}", report.format());
-        }
-        assert!(report.serve_identical, "{}", report.format());
-        assert!(report.serve_balanced, "{}", report.format());
-        assert!(report.serve_spmd_batches > 0, "{}", report.format());
-        assert_eq!(report.serve_exec_mode, "spmd8", "{}", report.format());
+        // vm rows run scalar/spmd4/spmd8 for sum, then for sgemm.
+        assert_gate(
+            &a15_spmd(512, 12).expect("a15"),
+            &[
+                |r| r.vm[1].identical = false,
+                |r| r.vm[0].spmd_batches = 1,
+                |r| r.vm[2].spmd_batches = 0,
+                |r| r.vm.retain(|row| row.mode == ExecMode::Scalar),
+                |r| r.vm.retain(|row| row.kernel != "sgemm (fp)"),
+                |r| r.vm[4].fragments_per_s = 0.0,
+                |r| r.mix.clear(),
+                |r| r.codec.truncate(3),
+                |r| r.codec[1].texels_per_s = 0.0,
+                |r| r.serve_exec_mode = "spmd4".into(),
+                |r| r.serve_identical = false,
+                |r| r.serve_balanced = false,
+                |r| r.serve_spmd_batches = 0,
+            ],
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! workload. Absolute times are modelled; the profile driving them is
 //! measured, not assumed.
 
+use crate::record::Record;
 use gpes_core::{ComputeContext, ComputeError, ScalarType};
 use gpes_glsl::exec::OpProfile;
 use gpes_kernels::{data, sgemm, sum};
@@ -56,6 +57,22 @@ impl E1Row {
             paper,
             if self.validated { "yes" } else { "NO" },
         )
+    }
+
+    /// The row as a record of `section`: every figure is modelled, so
+    /// all are exact.
+    pub fn record(&self, section: &'static str) -> Record {
+        let record = Record::new(section)
+            .key("kernel", self.label.as_str())
+            .key("size", self.size.as_str())
+            .exact("cpu_ms", self.cpu_s * 1e3)
+            .exact("gpu_ms", self.gpu.total() * 1e3)
+            .exact("speedup", self.speedup())
+            .exact("validated", self.validated);
+        match self.paper_speedup {
+            Some(p) => record.exact("paper", p),
+            None => record,
+        }
     }
 }
 

@@ -1,368 +1,112 @@
 #!/usr/bin/env python3
-"""Diff freshly measured counters against the committed BENCH baselines.
+"""Diff a fresh `reproduce --json` document against a committed baseline.
 
-Reads the `ci_perf.json` a CI run just produced (see `ci_perf_gate.py`)
-and the newest committed `BENCH_<n>.json` that recorded each section,
-then prints a markdown regression table — counters compared exactly,
-timing as an advisory ratio. CI appends the table to the job summary and
-uploads it as an artifact, so a counter drift is visible at a glance
-without downloading logs.
+Both files are `gpes-bench/1` documents. Records are matched by
+(section, key fields). `exact` fields must repeat: any difference is
+reported as drift. `advisory` fields (timing, scheduling-dependent
+counts) and each section's `host_seconds` print as fresh/base ratios.
+The markdown goes to stdout, for a CI job summary.
 
-This script never fails the build: the deterministic contracts are
-enforced by the blocking `ci_perf_gate.py` step; this one exists to show
-the *trajectory* (e.g. a row whose links changed between baselines on
-purpose, or a jobs/s shift worth a look).
+This script never fails the build. The contracts are enforced by
+`reproduce` itself, which exits 1 when a report's `violations()` is
+non-empty; this diff only shows the trajectory.
 
 Usage:
-    bench_diff.py <ci_perf.json> [markdown_out]
+    bench_diff.py FRESH.json
+
+The baseline is the newest committed BENCH_<n>.json whose schema is
+gpes-bench/1.
 """
 
-import glob
 import json
 import pathlib
-import re
 import sys
 
-
-def latest_baseline_with(key):
-    """Newest committed BENCH_<n>.json that recorded section `key`."""
-    for path in sorted(glob.glob("BENCH_*.json"),
-                       key=lambda p: int(re.search(r"\d+", p).group()),
-                       reverse=True):
-        data = json.load(open(path))
-        if data.get(key):
-            return path, data[key]
-    return None, []
+SCHEMA = "gpes-bench/1"
 
 
-def fmt_ratio(fresh, base):
-    if not base:
-        return "n/a"
+def newest_baseline():
+    paths = sorted(pathlib.Path(".").glob("BENCH_*.json"),
+                   key=lambda p: int(p.stem.split("_")[1]), reverse=True)
+    for path in paths:
+        if json.loads(path.read_text()).get("schema") == SCHEMA:
+            return path
+    return None
+
+
+def ident(record):
+    return (record["section"], tuple(sorted(record["key"].items())))
+
+
+def ratio(fresh, base):
+    if not isinstance(fresh, (int, float)) or not base:
+        return f"{fresh}/{base}"
     return f"{fresh / base:.2f}x"
 
 
-def diff_section(lines, title, baseline_key, fresh_rows, key_fields,
-                 counter_fields, time_field):
-    path, base_rows = latest_baseline_with(baseline_key)
-    lines.append(f"### {title}")
-    if not fresh_rows:
-        lines.append("_no fresh rows measured_\n")
-        return
-    if path is None:
-        lines.append(f"_no committed baseline records `{baseline_key}` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    head = key_fields + [f"{c} (fresh/base)" for c in counter_fields] + \
-        [f"{time_field} ratio", "verdict"]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    base_index = {tuple(str(r.get(k)) for k in key_fields): r for r in base_rows}
-    for row in fresh_rows:
-        key = tuple(str(row.get(k)) for k in key_fields)
-        base = base_index.get(key)
-        cells = list(key)
-        if base is None:
-            cells += ["new" for _ in counter_fields] + ["n/a", "NEW ROW"]
-        else:
-            drift = False
-            for c in counter_fields:
-                fresh_v, base_v = row.get(c), base.get(c)
-                cells.append(f"{fresh_v}/{base_v}")
-                drift |= fresh_v != base_v
-            cells.append(fmt_ratio(row.get(time_field, 0.0),
-                                   base.get(time_field, 0.0)))
-            cells.append("counter drift" if drift else "ok")
-        lines.append("| " + " | ".join(str(c) for c in cells) + " |")
-    lines.append("")
+def diff_record(fresh, base):
+    """Returns (drift cells, advisory cells) for one matched record.
 
-
-def diff_a12(lines, fresh):
-    """a12 is one nested block, not a row table. Only its steady-state
-    fields are deterministic; the admission counters scale with how fast
-    the host drained the open-loop load, so they (and the latency
-    quantiles) appear as advisory ratios, not exact comparisons."""
-    lines.append("### a12 — serving latency under saturation")
-    if not fresh:
-        lines.append("_no fresh a12 block measured_\n")
-        return
-    path, base = latest_baseline_with("a12_serving_latency")
-    if path is None:
-        lines.append("_no committed baseline records `a12_serving_latency` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    fs, bs = fresh.get("steady", {}), base.get("steady", {})
-    drift = any(fs.get(k) != bs.get(k)
-                for k in ("post_warmup_links", "post_warmup_gl_objects",
-                          "identical"))
-    lines.append("| links (fresh/base) | objects (fresh/base) | "
-                 "identical (fresh/base) | service p50 ratio | "
-                 "queue p50 ratio | verdict |")
-    lines.append("|" + "---|" * 6)
-    fl, bl = fresh.get("latency_us", {}), base.get("latency_us", {})
-    lines.append(
-        "| {}/{} | {}/{} | {}/{} | {} | {} | {} |".format(
-            fs.get("post_warmup_links"), bs.get("post_warmup_links"),
-            fs.get("post_warmup_gl_objects"), bs.get("post_warmup_gl_objects"),
-            fs.get("identical"), bs.get("identical"),
-            fmt_ratio(fl.get("service", {}).get("p50_us", 0),
-                      bl.get("service", {}).get("p50_us", 0)),
-            fmt_ratio(fl.get("queue", {}).get("p50_us", 0),
-                      bl.get("queue", {}).get("p50_us", 0)),
-            "counter drift" if drift else "ok",
-        )
-    )
-    lines.append("")
-
-
-def diff_a13(lines, fresh):
-    """a13 is a per-rate row table. The healing outcomes (balanced /
-    identical / hung / recovered) plus the seed-deterministic retried and
-    faults counts compare exactly; submitted/rejected scale with how fast
-    the host drained the open-loop load, so they stay advisory."""
-    lines.append("### a13 — chaos serving under fault injection")
-    fresh_rows = fresh.get("rows", [])
-    if not fresh_rows:
-        lines.append("_no fresh a13 rows measured_\n")
-        return
-    path, base = latest_baseline_with("a13_chaos")
-    if path is None:
-        lines.append("_no committed baseline records `a13_chaos` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    exact = ("balanced", "identical", "hung", "recovered", "retried", "faults")
-    head = ["rate"] + [f"{c} (fresh/base)" for c in exact] + \
-        ["completed ratio", "verdict"]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    base_index = {f"{r['rate']:.4f}": r for r in base.get("rows", [])}
-    for row in fresh_rows:
-        key = f"{row['rate']:.4f}"
-        old = base_index.get(key)
-        cells = [key]
-        if old is None:
-            cells += ["new" for _ in exact] + ["n/a", "NEW ROW"]
-        else:
-            drift = False
-            for c in exact:
-                cells.append(f"{row.get(c)}/{old.get(c)}")
-                drift |= row.get(c) != old.get(c)
-            cells.append(fmt_ratio(row.get("completed", 0),
-                                   old.get("completed", 0)))
-            cells.append("counter drift" if drift else "ok")
-        lines.append("| " + " | ".join(str(c) for c in cells) + " |")
-    lines.append("")
-
-
-def diff_a14(lines, fresh):
-    """a14 is a per-tenant row table plus a totals block. The admission
-    outcomes (admitted / wrong, the typed-vs-invalid totals and the
-    zero-cost steady state) compare exactly; the rejected/jobs counts
-    scale with how fast the noisy tenant's flood drained, so they stay
-    advisory."""
-    lines.append("### a14 — multi-tenant dynamic kernel registry")
-    fresh_rows = fresh.get("tenants", [])
-    if not fresh_rows:
-        lines.append("_no fresh a14 tenant rows measured_\n")
-        return
-    path, base = latest_baseline_with("a14_registry")
-    if path is None:
-        lines.append("_no committed baseline records `a14_registry` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    exact = ("admitted", "evicted", "wrong")
-    head = ["tenant"] + [f"{c} (fresh/base)" for c in exact] + \
-        ["jobs ratio", "verdict"]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    base_index = {r["name"]: r for r in base.get("tenants", [])}
-    for row in fresh_rows:
-        old = base_index.get(row["name"])
-        cells = [row["name"]]
-        if old is None:
-            cells += ["new" for _ in exact] + ["n/a", "NEW ROW"]
-        else:
-            drift = False
-            for c in exact:
-                cells.append(f"{row.get(c)}/{old.get(c)}")
-                drift |= row.get(c) != old.get(c)
-            cells.append(fmt_ratio(row.get("jobs", 0), old.get("jobs", 0)))
-            cells.append("counter drift" if drift else "ok")
-        lines.append("| " + " | ".join(str(c) for c in cells) + " |")
-    ft, bt = fresh.get("totals", {}), base.get("totals", {})
-    exact_totals = ("invalid", "typed", "post_warmup_links",
-                    "post_warmup_gl_objects", "balanced", "identical")
-    drift = any(ft.get(k) != bt.get(k) for k in exact_totals)
-    lines.append("")
-    lines.append("| invalid (fresh/base) | typed (fresh/base) | "
-                 "links (fresh/base) | objects (fresh/base) | "
-                 "balanced (fresh/base) | identical (fresh/base) | verdict |")
-    lines.append("|" + "---|" * 7)
-    lines.append(
-        "| {}/{} | {}/{} | {}/{} | {}/{} | {}/{} | {}/{} | {} |".format(
-            ft.get("invalid"), bt.get("invalid"),
-            ft.get("typed"), bt.get("typed"),
-            ft.get("post_warmup_links"), bt.get("post_warmup_links"),
-            ft.get("post_warmup_gl_objects"), bt.get("post_warmup_gl_objects"),
-            ft.get("balanced"), bt.get("balanced"),
-            ft.get("identical"), bt.get("identical"),
-            "counter drift" if drift else "ok",
-        )
-    )
-    lines.append("")
-
-
-def diff_a15(lines, fresh):
-    """a15 is per-kernel executor rows plus codec/serve summaries. The
-    identity and batching outcomes compare exactly; fragments/s, texels/s
-    and the geomean speedups are host-dependent and stay advisory."""
-    lines.append("### a15 — SPMD lane VM")
-    fresh_rows = fresh.get("vm", [])
-    if not fresh_rows:
-        lines.append("_no fresh a15 vm rows measured_\n")
-        return
-    path, base = latest_baseline_with("a15_spmd")
-    if path is None:
-        lines.append("_no committed baseline records `a15_spmd` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    head = ["kernel", "mode", "identical (fresh/base)",
-            "batched (fresh/base)", "fragments/s ratio", "verdict"]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    base_index = {(r["kernel"], r["mode"]): r for r in base.get("vm", [])}
-    for row in fresh_rows:
-        old = base_index.get((row["kernel"], row["mode"]))
-        cells = [row["kernel"], row["mode"]]
-        if old is None:
-            cells += ["new", "new", "n/a", "NEW ROW"]
-        else:
-            batched = row["spmd_batches"] > 0
-            old_batched = old["spmd_batches"] > 0
-            drift = (row["identical"] != old["identical"]
-                     or batched != old_batched)
-            cells.append(f"{row['identical']}/{old['identical']}")
-            cells.append(f"{str(batched).lower()}/{str(old_batched).lower()}")
-            cells.append(fmt_ratio(row.get("fragments_per_sec", 0),
-                                   old.get("fragments_per_sec", 0)))
-            cells.append("counter drift" if drift else "ok")
-        lines.append("| " + " | ".join(str(c) for c in cells) + " |")
-    fm = {r["mode"]: r["geomean_speedup"] for r in fresh.get("mix", [])}
-    bm = {r["mode"]: r["geomean_speedup"] for r in base.get("mix", [])}
-    if fm:
-        lines.append("")
-        lines.append("geomean speedup vs scalar (advisory): " + ", ".join(
-            f"{mode} {fm[mode]:.2f}x (base "
-            f"{bm.get(mode, float('nan')):.2f}x)" for mode in sorted(fm)))
-    fs, bs = fresh.get("serve", {}), base.get("serve", {})
-    if fs:
-        drift = any(fs.get(k) != bs.get(k)
-                    for k in ("exec_mode", "identical", "balanced"))
-        lines.append("")
-        lines.append(
-            f"serving: exec_mode {fs.get('exec_mode')}/{bs.get('exec_mode')} "
-            f"identical {fs.get('identical')}/{bs.get('identical')} "
-            f"balanced {fs.get('balanced')}/{bs.get('balanced')} — "
-            f"{'counter drift' if drift else 'ok'}")
-    lines.append("")
-
-
-def diff_a16(lines, fresh):
-    """a16 is per-layer pass-accounting rows plus quant/f32 path rows.
-    The identity/balance flags, the zero-allocation steady state and the
-    transfer-codec counters compare exactly (they are deterministic from
-    the graph and the codec plumbing); images/s stays advisory — and on
-    a single-core host it is flat across worker counts by construction."""
-    lines.append("### a16 — quantized CNN serving")
-    fresh_rows = fresh.get("paths", [])
-    if not fresh_rows:
-        lines.append("_no fresh a16 path rows measured_\n")
-        return
-    path, base = latest_baseline_with("a16_quant")
-    if path is None:
-        lines.append("_no committed baseline records `a16_quant` yet_\n")
-        return
-    lines.append(f"baseline: `{path}`\n")
-    exact = ("identical", "balanced", "post_warmup_links",
-             "post_warmup_objects", "f32_transfers", "quant_transfers")
-    head = ["precision", "workers"] + [f"{c} (fresh/base)" for c in exact] + \
-        ["images/s ratio", "verdict"]
-    lines.append("| " + " | ".join(head) + " |")
-    lines.append("|" + "---|" * len(head))
-    base_index = {(r["precision"], r["workers"]): r
-                  for r in base.get("paths", [])}
-    for row in fresh_rows:
-        old = base_index.get((row["precision"], row["workers"]))
-        cells = [row["precision"], row["workers"]]
-        if old is None:
-            cells += ["new" for _ in exact] + ["n/a", "NEW ROW"]
-        else:
-            drift = False
-            for c in exact:
-                cells.append(f"{row.get(c)}/{old.get(c)}")
-                drift |= row.get(c) != old.get(c)
-            cells.append(fmt_ratio(row.get("images_per_sec", 0.0),
-                                   old.get("images_per_sec", 0.0)))
-            cells.append("counter drift" if drift else "ok")
-        lines.append("| " + " | ".join(str(c) for c in cells) + " |")
-    # Layers compare positionally: the two reduction levels share one
-    # kernel name, so the pass name alone is not a unique key.
-    fresh_layers = fresh.get("layers", [])
-    base_layers = base.get("layers", [])
-    layer_drift = [
-        f["pass"] for f, b in zip(fresh_layers, base_layers)
-        if f["output_texels"] != b["output_texels"]
-    ]
-    if len(fresh_layers) != len(base_layers):
-        layer_drift.append(
-            f"pass count {len(fresh_layers)} vs {len(base_layers)}")
-    lines.append("")
-    lines.append(
-        f"layer accounting: {len(fresh.get('layers', []))} passes — "
-        + (f"texel counts drifted on {', '.join(layer_drift)}"
-           if layer_drift else "output texel counts all match the baseline"))
-    lines.append("")
+    Exact fields are compared over both records' keys, so an exact field
+    that vanished or was retagged advisory counts as drift too."""
+    keys = sorted(base["exact"].keys() | fresh["exact"].keys())
+    drift = [f"{k} {fresh['exact'].get(k)}/{base['exact'].get(k)}"
+             for k in keys if fresh["exact"].get(k) != base["exact"].get(k)]
+    advisory = [f"{k} {ratio(v, base['advisory'].get(k))}"
+                for k, v in fresh["advisory"].items()]
+    return drift, advisory
 
 
 def main():
-    if len(sys.argv) < 2:
+    if len(sys.argv) != 2:
         sys.exit(__doc__)
-    ci_perf = json.load(open(sys.argv[1]))
-    lines = ["## Bench counter diff vs committed baselines", ""]
+    fresh = json.loads(pathlib.Path(sys.argv[1]).read_text())
+    base_path = newest_baseline()
+    out = ["## Bench diff vs committed baseline", ""]
+    violations = [f"{name}: {v}" for name, s in fresh["sections"].items()
+                  for v in s["violations"]]
+    out.append(f"contract violations in the fresh run: {len(violations)}")
+    out += [f"- {v}" for v in violations] + [""]
+    if base_path is None:
+        out.append(f"_no committed baseline with schema `{SCHEMA}` yet_")
+        print("\n".join(out))
+        return
+    base = json.loads(base_path.read_text())
+    out += [f"baseline: `{base_path}` (git {base['host'].get('git_rev')}, "
+            f"{base['host'].get('cpus')} cpus); fresh: git "
+            f"{fresh['host'].get('git_rev')}, {fresh['host'].get('cpus')} cpus", ""]
 
-    diff_section(
-        lines, "a9 — compile/bind split", "a9_host_cache",
-        ci_perf.get("a9_counters", []),
-        ["workload", "mode"],
-        ["programs_linked", "textures_created", "pool_hits"],
-        "host_ms",
-    )
-    diff_section(
-        lines, "a10 — concurrent serving", "a10_serving",
-        ci_perf.get("a10_counters", []),
-        ["mix", "workers", "cache"],
-        ["links", "post_warmup_links"],
-        "jobs_per_sec",
-    )
-    diff_section(
-        lines, "a11 — pipeline serving", "a11_pipeline_serving",
-        ci_perf.get("a11_counters", []),
-        ["workload", "mode", "workers"],
-        ["links", "post_warmup_links", "post_warmup_gl_objects", "identical"],
-        "jobs_per_sec",
-    )
-    diff_a12(lines, ci_perf.get("a12_serving_latency", {}))
-    diff_a13(lines, ci_perf.get("a13_chaos", {}))
-    diff_a14(lines, ci_perf.get("a14_registry", {}))
-    diff_a15(lines, ci_perf.get("a15_spmd", {}))
-    diff_a16(lines, ci_perf.get("a16_quant", {}))
-    lines.append("_counters compare exactly; timing ratios are advisory "
-                 "(shared runners are noisy). The blocking contracts live in "
-                 "`ci_perf_gate.py`._")
+    out += ["| section | host_seconds (fresh/base) |", "|---|---|"]
+    for name, section in fresh["sections"].items():
+        base_s = base["sections"].get(name, {}).get("host_seconds")
+        out.append(f"| {name} | {ratio(section['host_seconds'], base_s)} |")
+    out.append("")
 
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if len(sys.argv) > 2:
-        pathlib.Path(sys.argv[2]).write_text(table)
+    base_index = {ident(r): r for r in base["records"]}
+    fresh_ids = {ident(r) for r in fresh["records"]}
+    ran = set(fresh["sections"])
+    drifted = 0
+    out += ["| section | key | exact drift (fresh/base) | advisory (fresh/base) | verdict |",
+            "|---|---|---|---|---|"]
+    for record in fresh["records"]:
+        key = " ".join(f"{k}={v}" for k, v in record["key"].items())
+        base_record = base_index.get(ident(record))
+        if base_record is None:
+            out.append(f"| {record['section']} | {key} | | | new row |")
+            continue
+        drift, advisory = diff_record(record, base_record)
+        drifted += len(drift)
+        verdict = "exact drift" if drift else "ok"
+        out.append(f"| {record['section']} | {key} | {', '.join(drift)} | "
+                   f"{', '.join(advisory)} | {verdict} |")
+    for record in base["records"]:
+        if record["section"] in ran and ident(record) not in fresh_ids:
+            key = " ".join(f"{k}={v}" for k, v in record["key"].items())
+            out.append(f"| {record['section']} | {key} | | | row gone |")
+    out += ["", f"exact fields drifted: {drifted}", "",
+            "_exact fields must repeat; advisory ratios are host- and "
+            "scheduling-dependent and never gate._"]
+    print("\n".join(out))
 
 
 if __name__ == "__main__":
