@@ -680,110 +680,6 @@ pub fn a7_channel_packing(n: usize) -> Result<Vec<A7Row>, ComputeError> {
     Ok(rows)
 }
 
-/// A8 — shader executor: the slot-addressed bytecode VM vs the
-/// tree-walking interpreter, through the full pipeline (host
-/// performance; results are bit-identical by the differential suites).
-#[derive(Debug, Clone)]
-pub struct A8Row {
-    /// Kernel family exercised.
-    pub kernel: &'static str,
-    /// Execution mode under test.
-    pub mode: ExecMode,
-    /// Simulated fragments per host second.
-    pub fragments_per_s: f64,
-    /// Whether the run produced the same bytes as the tree-walker.
-    pub matches_oracle: bool,
-}
-
-impl A8Row {
-    /// Formats the row.
-    pub fn format(&self) -> String {
-        format!(
-            "{:<10} {:<12} {:>12.0} fragments/s (host)   matches oracle {}",
-            self.kernel,
-            self.mode.label(),
-            self.fragments_per_s,
-            if self.matches_oracle { "yes" } else { "NO" },
-        )
-    }
-}
-
-/// Runs A8 on `sum (fp)` (codec-heavy) and `sgemm (fp)` (loop-heavy)
-/// kernels at modest sizes.
-///
-/// # Errors
-///
-/// Propagates simulator failures.
-pub fn a8_executor(n: usize) -> Result<Vec<A8Row>, ComputeError> {
-    let mut rows = Vec::new();
-
-    // Each executor runs exactly once per kernel; the tree-walker's own
-    // output is the oracle the other run is compared against.
-
-    // sum (fp): one fragment per element.
-    let a = data::random_f32(n, 501, 100.0);
-    let b = data::random_f32(n, 502, 100.0);
-    let run_sum = |mode: ExecMode| -> Result<(Vec<f32>, f64), ComputeError> {
-        let mut cc = ComputeContext::new(256, 256)?;
-        cc.set_exec_mode(mode);
-        let ga = cc.upload(&a)?;
-        let gb = cc.upload(&b)?;
-        let k = gpes_kernels::sum::build_f32(&mut cc, &ga, &gb)?;
-        let start = Instant::now();
-        let out = cc.run_f32(&k)?;
-        let elapsed = start.elapsed().as_secs_f64();
-        Ok((out, n as f64 / elapsed))
-    };
-    let (vm_out, vm_rate) = run_sum(ExecMode::Scalar)?;
-    let (tw_out, tw_rate) = run_sum(ExecMode::TreeWalker)?;
-    rows.push(A8Row {
-        kernel: "sum (fp)",
-        mode: ExecMode::Scalar,
-        fragments_per_s: vm_rate,
-        matches_oracle: vm_out == tw_out,
-    });
-    rows.push(A8Row {
-        kernel: "sum (fp)",
-        mode: ExecMode::TreeWalker,
-        fragments_per_s: tw_rate,
-        matches_oracle: true,
-    });
-
-    // sgemm (fp): K multiply-adds per fragment.
-    let side = 32usize;
-    let ma = data::random_f32(side * side, 503, 2.0);
-    let mb = data::random_f32(side * side, 504, 2.0);
-    let mc = data::random_f32(side * side, 505, 2.0);
-    let run_gemm = |mode: ExecMode| -> Result<(Vec<f32>, f64), ComputeError> {
-        let mut cc = ComputeContext::new(64, 64)?;
-        cc.set_exec_mode(mode);
-        let ga = cc.upload_matrix(side as u32, side as u32, &ma)?;
-        let gb = cc.upload_matrix(side as u32, side as u32, &mb)?;
-        let gc = cc.upload_matrix(side as u32, side as u32, &mc)?;
-        let k = gpes_kernels::sgemm::build_f32(&mut cc, &ga, &gb, &gc, 1.0, 0.5)?;
-        let start = Instant::now();
-        let out = cc.run_f32(&k)?;
-        let elapsed = start.elapsed().as_secs_f64();
-        Ok((out, (side * side) as f64 / elapsed))
-    };
-    let (vm_out, vm_rate) = run_gemm(ExecMode::Scalar)?;
-    let (tw_out, tw_rate) = run_gemm(ExecMode::TreeWalker)?;
-    rows.push(A8Row {
-        kernel: "sgemm (fp)",
-        mode: ExecMode::Scalar,
-        fragments_per_s: vm_rate,
-        matches_oracle: vm_out == tw_out,
-    });
-    rows.push(A8Row {
-        kernel: "sgemm (fp)",
-        mode: ExecMode::TreeWalker,
-        fragments_per_s: tw_rate,
-        matches_oracle: true,
-    });
-
-    Ok(rows)
-}
-
 /// A9 — host-side compile/bind split: the cost of rebuilding shaders
 /// inside a multi-pass iteration loop (the pre-split idiom, program cache
 /// off) vs the retained [`gpes_core::Pipeline`] (compile once, rebind
@@ -2794,8 +2690,8 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     })
 }
 
-/// A15 — SPMD lane execution: one per-kernel row for each execution
-/// mode in the scalar/spmd4/spmd8 ladder.
+/// A15 — shader executors: one per-kernel row for each execution mode
+/// in the tree/spmd1/spmd4/spmd8 ladder.
 #[derive(Debug, Clone)]
 pub struct A15VmRow {
     /// Kernel family exercised.
@@ -2806,7 +2702,7 @@ pub struct A15VmRow {
     pub fragments_per_s: f64,
     /// Whether the run produced the same bytes as the tree-walker.
     pub identical: bool,
-    /// SPMD batches dispatched (gate: > 0 for Spmd rows, 0 otherwise).
+    /// SPMD batches dispatched (gate: > 0 for Spmd rows, 0 for tree).
     pub spmd_batches: u64,
     /// Bands/draws that fell back to scalar execution.
     pub scalar_fallbacks: u64,
@@ -2825,7 +2721,8 @@ pub struct A15CodecRow {
     pub texels_per_s: f64,
 }
 
-/// A15 — SPMD lane-parallel fragment VM: kernel throughput ladder,
+/// A15 — shader executors: kernel throughput ladder from the
+/// tree-walking oracle through one-lane to eight-lane SPMD batches,
 /// geometric-mean speedups, codec slice-path microbench, and a served
 /// engine run proving the SPMD path is what production serving executes.
 ///
@@ -2838,7 +2735,7 @@ pub struct A15CodecRow {
 pub struct A15Report {
     /// Per-kernel, per-mode throughput rows.
     pub vm: Vec<A15VmRow>,
-    /// Geomean speedup vs the scalar VM, one entry per Spmd mode.
+    /// Geomean speedup vs `spmd1`, one entry per other mode.
     pub mix: Vec<(ExecMode, f64)>,
     /// Codec hot-path rows.
     pub codec: Vec<A15CodecRow>,
@@ -2846,7 +2743,7 @@ pub struct A15Report {
     pub serve_exec_mode: String,
     /// Jobs served in the engine run.
     pub serve_jobs: usize,
-    /// Every served output bit-identical to the scalar reference.
+    /// Every served output bit-identical to the tree-walker reference.
     pub serve_identical: bool,
     /// Engine outcome counters balance at quiescence.
     pub serve_balanced: bool,
@@ -2856,13 +2753,15 @@ pub struct A15Report {
     pub serve_scalar_fallbacks: u64,
 }
 
-/// The a15 executor ladder, the kernels it runs, and the mode the
-/// engine serves under.
-const A15_MODES: [ExecMode; 3] = [
-    ExecMode::Scalar,
+/// The a15 executor ladder, the mode its speedups are taken against,
+/// the kernels it runs, and the mode the engine serves under.
+const A15_MODES: [ExecMode; 4] = [
+    ExecMode::TreeWalker,
+    ExecMode::Spmd { lanes: 1 },
     ExecMode::Spmd { lanes: 4 },
     ExecMode::Spmd { lanes: 8 },
 ];
+const A15_BASELINE: ExecMode = ExecMode::Spmd { lanes: 1 };
 const A15_KERNELS: [&str; 2] = ["sum (fp)", "sgemm (fp)"];
 const A15_SERVE_MODE: ExecMode = ExecMode::Spmd { lanes: 8 };
 
@@ -2904,7 +2803,7 @@ impl Report for A15Report {
     }
 
     /// Every executor row is bit-identical to the tree-walker, SPMD rows
-    /// batch and scalar rows never do, and the engine serves under an
+    /// batch and the tree row never does, and the engine serves under an
     /// SPMD mode — balanced, bit-identical and batching.
     fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
@@ -2939,15 +2838,16 @@ impl Report for A15Report {
             require!(
                 v,
                 spmd || row.spmd_batches == 0,
-                "{at}: {} SPMD batches on a non-SPMD mode, contract is 0",
+                "{at}: {} SPMD batches on the tree-walker, contract is 0",
                 row.spmd_batches
             );
         }
         require!(
             v,
             self.mix.len() == A15_MODES.len() - 1,
-            "a15: {} geomean speedup rows, contract is one per SPMD mode",
-            self.mix.len()
+            "a15: {} geomean speedup rows, contract is one per mode other than {}",
+            self.mix.len(),
+            A15_BASELINE.label()
         );
         for codec in ["float32", "u16"] {
             for path in ["element", "slice"] {
@@ -2970,7 +2870,7 @@ impl Report for A15Report {
         require!(
             v,
             self.serve_identical,
-            "a15: a served output diverged from the scalar reference"
+            "a15: a served output diverged from the tree-walker reference"
         );
         require!(
             v,
@@ -2986,13 +2886,13 @@ impl Report for A15Report {
     }
 }
 
-/// Runs A15: the a8 kernel mix (`sum (fp)` codec-heavy, `sgemm (fp)`
-/// loop-heavy) under `Scalar`, `Spmd{4}` and `Spmd{8}`, each checked
-/// bit-for-bit against a tree-walker oracle run with per-row
-/// `spmd_batches`/`scalar_fallbacks` counters; the float32 and u16 codec
-/// round trips element-wise vs sliced; and a 2-worker engine wave under
-/// `Spmd{8}` whose snapshot must balance, report an spmd label, and show
-/// nonzero SPMD batches.
+/// Runs A15: a kernel mix (`sum (fp)` codec-heavy, `sgemm (fp)`
+/// loop-heavy) timed under `TreeWalker`, `Spmd{1}`, `Spmd{4}` and
+/// `Spmd{8}`, each checked bit-for-bit against a separate tree-walker
+/// oracle run, with per-row `spmd_batches`/`scalar_fallbacks` counters;
+/// the float32 and u16 codec round trips element-wise vs sliced; and a
+/// 2-worker engine wave under `Spmd{8}` whose snapshot must balance,
+/// report an spmd label, and show nonzero SPMD batches.
 ///
 /// # Errors
 ///
@@ -3000,7 +2900,7 @@ impl Report for A15Report {
 pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     use gpes_core::codec::{float32, ushort};
 
-    // --- VM ladder over the a8 kernel mix -------------------------------
+    // --- Executor ladder over the kernel mix ----------------------------
     let a = data::random_f32(n, 501, 100.0);
     let b = data::random_f32(n, 502, 100.0);
     let side = 32usize;
@@ -3050,11 +2950,9 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     let mut vm = Vec::new();
     let kernels: [(&'static str, KernelRun); 2] =
         [(A15_KERNELS[0], &run_sum), (A15_KERNELS[1], &run_gemm)];
-    let mut scalar_rates = Vec::new();
-    let mut spmd_rates: Vec<Vec<f64>> = vec![Vec::new(); 2];
     for (kernel, run) in kernels {
         let (oracle, _, _, _) = run(ExecMode::TreeWalker)?;
-        for (mi, mode) in A15_MODES.into_iter().enumerate() {
+        for mode in A15_MODES {
             let (out, rate, spmd_batches, scalar_fallbacks) = run(mode)?;
             vm.push(A15VmRow {
                 kernel,
@@ -3064,22 +2962,22 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
                 spmd_batches,
                 scalar_fallbacks,
             });
-            match mi {
-                0 => scalar_rates.push(rate),
-                i => spmd_rates[i - 1].push(rate),
-            }
         }
     }
-    let mix: Vec<(ExecMode, f64)> = A15_MODES[1..]
-        .iter()
-        .zip(&spmd_rates)
-        .map(|(&mode, rates)| {
-            let logsum: f64 = rates
-                .iter()
-                .zip(&scalar_rates)
-                .map(|(r, s)| (r / s).ln())
+    let rates = |mode: ExecMode| {
+        vm.iter()
+            .filter(move |r| r.mode == mode)
+            .map(|r| r.fragments_per_s)
+    };
+    let mix: Vec<(ExecMode, f64)> = A15_MODES
+        .into_iter()
+        .filter(|&mode| mode != A15_BASELINE)
+        .map(|mode| {
+            let logsum: f64 = rates(mode)
+                .zip(rates(A15_BASELINE))
+                .map(|(r, base)| (r / base).ln())
                 .sum();
-            (mode, (logsum / rates.len() as f64).exp())
+            (mode, (logsum / A15_KERNELS.len() as f64).exp())
         })
         .collect();
 
@@ -3159,7 +3057,7 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     let x: Arc<Vec<f32>> = Arc::new(data::random_f32(n, 521, 25.0));
     let y: Arc<Vec<f32>> = Arc::new(data::random_f32(n, 522, 25.0));
     let mut cc = ComputeContext::new(256, 256)?;
-    cc.set_exec_mode(ExecMode::Scalar);
+    cc.set_exec_mode(ExecMode::TreeWalker);
     let gx = cc.upload(x.as_slice())?;
     let gy = cc.upload(y.as_slice())?;
     let mut expected: Vec<Vec<f32>> = Vec::new();
@@ -3685,16 +3583,16 @@ mod tests {
 
     #[test]
     fn a15_spmd_is_identical_and_actually_batches() {
-        // vm rows run scalar/spmd4/spmd8 for sum, then for sgemm.
+        // vm rows run tree/spmd1/spmd4/spmd8 for sum, then for sgemm.
         assert_gate(
             &a15_spmd(512, 12).expect("a15"),
             &[
                 |r| r.vm[1].identical = false,
                 |r| r.vm[0].spmd_batches = 1,
                 |r| r.vm[2].spmd_batches = 0,
-                |r| r.vm.retain(|row| row.mode == ExecMode::Scalar),
+                |r| r.vm.retain(|row| row.mode != ExecMode::Spmd { lanes: 1 }),
                 |r| r.vm.retain(|row| row.kernel != "sgemm (fp)"),
-                |r| r.vm[4].fragments_per_s = 0.0,
+                |r| r.vm[5].fragments_per_s = 0.0,
                 |r| r.mix.clear(),
                 |r| r.codec.truncate(3),
                 |r| r.codec[1].texels_per_s = 0.0,
@@ -3704,16 +3602,6 @@ mod tests {
                 |r| r.serve_spmd_batches = 0,
             ],
         );
-    }
-
-    #[test]
-    fn a8_executors_agree_and_report_throughput() {
-        let rows = a8_executor(1024).expect("a8");
-        assert_eq!(rows.len(), 4);
-        for row in &rows {
-            assert!(row.matches_oracle, "{}", row.format());
-            assert!(row.fragments_per_s > 0.0);
-        }
     }
 
     #[test]

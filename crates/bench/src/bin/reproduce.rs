@@ -169,18 +169,6 @@ fn run_a7() -> Outcome {
     Ok(Default::default())
 }
 
-fn run_a8() -> Outcome {
-    heading("A8: shader executor — bytecode VM vs tree-walking interpreter");
-    for row in ablations::a8_executor(1 << 13)? {
-        println!("{}", row.format());
-    }
-    println!();
-    println!("the VM lowers each linked shader once to slot-addressed bytecode;");
-    println!("the tree-walker stays available as the differential-testing oracle");
-    println!("(outputs and op profiles are asserted bit-identical).");
-    Ok(Default::default())
-}
-
 fn run_a9() -> Outcome {
     heading("A9: host compile/bind split — rebuild-per-pass vs retained pipeline");
     let outcome = gated(&ablations::a9_host_cache(1 << 12, 24)?);
@@ -264,15 +252,16 @@ fn run_a14() -> Outcome {
 }
 
 fn run_a15() -> Outcome {
-    heading("A15: SPMD lane VM — scalar vs spmd4 vs spmd8, codec slice paths");
+    heading("A15: shader executors — tree vs spmd1/4/8, codec slice paths");
     let outcome = gated(&ablations::a15_spmd(1 << 13, 48)?);
     println!();
-    println!("the SPMD VM shades band fragments in lockstep lanes over one");
-    println!("shared bytecode walk, with masked divergence for branches and");
-    println!("discard; outputs are bit-identical to the scalar VM and the");
-    println!("tree-walker. The codec rows compare the old per-value");
-    println!("encode/decode loops with the single-pass slice paths the buffers");
-    println!("now call.");
+    println!("the bytecode VM lowers each linked shader once and shades");
+    println!("vertices and band fragments in lockstep lanes over one shared");
+    println!("bytecode walk, with masked divergence for branches and discard;");
+    println!("every row is bit-identical to the tree-walking oracle, and the");
+    println!("mix speedups are taken against one-lane batches. The codec rows");
+    println!("compare the old per-value encode/decode loops with the");
+    println!("single-pass slice paths the buffers now call.");
     outcome
 }
 
@@ -292,7 +281,7 @@ fn run_a16() -> Outcome {
 type Run = fn() -> Outcome;
 
 /// Every section, in `all` order.
-const SECTIONS: [(&str, Run); 20] = [
+const SECTIONS: [(&str, Run); 19] = [
     ("e1", run_e1),
     ("sweep", run_sweep),
     ("e2", run_e2),
@@ -304,7 +293,6 @@ const SECTIONS: [(&str, Run); 20] = [
     ("a5", run_a5),
     ("a6", run_a6),
     ("a7", run_a7),
-    ("a8", run_a8),
     ("a9", run_a9),
     ("a10", run_a10),
     ("a11", run_a11),

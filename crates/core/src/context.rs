@@ -45,12 +45,12 @@ pub struct ContextStats {
     /// Textures returned to the pool via the `recycle_*` family.
     pub textures_recycled: u64,
     /// SPMD fragment batches dispatched across all draws. Zero under the
-    /// scalar executors; the CI gate asserts it is positive whenever
+    /// tree-walker; the CI gate asserts it is positive whenever
     /// [`ExecMode::Spmd`] is selected, proving the lane path really ran.
     pub spmd_batches: u64,
-    /// SPMD batches replayed scalar-style after a lane trap, plus draws
-    /// that fell back to a scalar executor (lowerer rejected the shader,
-    /// or the vertex stage, which is always scalar under `Spmd`).
+    /// SPMD fragment batches replayed lane-by-lane after a lane trap,
+    /// plus bands that fell back to the tree-walker because the lowerer
+    /// rejected the fragment shader.
     pub scalar_fallbacks: u64,
     /// Typed `f32` tensors that crossed the host↔GPU boundary (uploads
     /// and readbacks alike). A fully quantized serving path performs
@@ -291,10 +291,9 @@ impl ComputeContext {
         self.gl.set_dispatch(dispatch);
     }
 
-    /// Selects the shader execution mode: the SPMD lane VM (default),
-    /// the scalar bytecode VM, or the tree-walking interpreter retained
-    /// as the differential-testing oracle. All three are bit-identical
-    /// in outputs and op profiles.
+    /// Selects the shader execution mode: the SPMD lane VM (default) or
+    /// the tree-walking interpreter retained as the differential-testing
+    /// oracle. Both are bit-identical in outputs and op profiles.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.gl.set_exec_mode(mode);
     }

@@ -144,8 +144,9 @@ impl LatencyHistogram {
         self.max_micros = self.max_micros.max(other.max_micros);
     }
 
-    /// One-line summary: `p50 .. p90 .. p99 .. max .. mean .. us` — the
-    /// form the `a12` ablation prints and `ci_perf_gate.py` parses.
+    /// One-line human-readable summary: `p50 .. p90 .. p99 .. max ..
+    /// mean .. us`. Nothing parses it; structured consumers read the
+    /// quantile accessors.
     pub fn format_summary(&self) -> String {
         format!(
             "p50 {} us   p90 {} us   p99 {} us   max {} us   mean {} us   samples {}",
@@ -271,8 +272,7 @@ pub struct EngineSnapshot {
     /// global `rejected`, so the balance identity is unaffected.
     pub tenants: Vec<super::TenantCounters>,
     /// Resolved shader execution mode of the worker contexts, as the
-    /// compact [`gpes_gles2::ExecMode::label`] (`tree`, `scalar`,
-    /// `spmdN`). Paired with [`ContextStats::spmd_batches`] this lets the
+    /// compact [`gpes_gles2::ExecMode::label`] (`tree` or `spmdN`). Paired with [`ContextStats::spmd_batches`] this lets the
     /// CI gate assert the SPMD path actually ran, not just that outputs
     /// matched.
     pub exec_mode: String,

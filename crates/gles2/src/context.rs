@@ -208,8 +208,8 @@ impl Context {
     }
 
     /// Selects the shader execution mode (SPMD lane VM by default; the
-    /// scalar VM and tree-walking interpreter remain available as
-    /// reference oracles for differential testing).
+    /// tree-walking interpreter remains available as the reference
+    /// oracle for differential testing).
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }

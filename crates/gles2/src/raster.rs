@@ -3,9 +3,9 @@
 //! perspective-correct varying interpolation and fragment dispatch.
 //!
 //! This is "Figure 1" of the paper as executable code: the programmable
-//! vertex and fragment stages run through the `gpes-glsl` interpreter; the
-//! fixed-function stages (assembly, rasterisation, framebuffer conversion)
-//! are implemented here.
+//! vertex and fragment stages run through the `gpes-glsl` executors, one
+//! batched loop per stage; the fixed-function stages (assembly,
+//! rasterisation, framebuffer conversion) are implemented here.
 //!
 //! Conformance notes for the GPGPU use case:
 //!
@@ -22,32 +22,27 @@ use crate::program::Program;
 use crate::texture::Texture;
 use gpes_glsl::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use gpes_glsl::interp::Interpreter;
-use gpes_glsl::spmd::{SpmdVm, MAX_LANES};
-use gpes_glsl::vm::Vm;
+use gpes_glsl::spmd::{BatchError, SpmdVm, MAX_LANES};
 use gpes_glsl::{Type, Value};
 use std::collections::HashMap;
 
 /// Which shader executor runs the programmable stages.
 ///
-/// All three produce bit-identical results and identical [`OpProfile`]s
-/// (the differential suites assert it across every float model): the
-/// tree-walker is the reference oracle, the scalar VM shades one
-/// fragment per dispatch, and the SPMD VM shades up to
-/// [`gpes_glsl::spmd::MAX_LANES`] band fragments per dispatch with
-/// masked divergence — the default, mirroring how mobile GPUs extract
-/// fragment-stage throughput (QPU-style lane parallelism).
+/// Both produce bit-identical results and identical [`OpProfile`]s (the
+/// differential suites assert it across every float model): the
+/// tree-walker is the reference oracle, and the SPMD VM shades up to
+/// [`gpes_glsl::spmd::MAX_LANES`] vertices or fragments per dispatch
+/// with masked divergence — the default, mirroring how mobile GPUs
+/// extract shader throughput (QPU-style lane parallelism).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Tree-walking interpreter ([`gpes_glsl::interp::Interpreter`]).
+    /// Tree-walking interpreter ([`gpes_glsl::interp::Interpreter`]),
+    /// one invocation per dispatch.
     TreeWalker,
-    /// Slot-addressed scalar bytecode VM ([`gpes_glsl::vm::Vm`]), one
-    /// fragment per dispatch.
-    Scalar,
-    /// SPMD bytecode VM ([`gpes_glsl::spmd::SpmdVm`]): `lanes` fragments
-    /// per dispatch (clamped to `1..=8`). The vertex stage always runs
-    /// scalar — it feeds primitive assembly sequentially.
+    /// SPMD bytecode VM ([`gpes_glsl::spmd::SpmdVm`]): `lanes`
+    /// invocations per dispatch (clamped to `1..=8`), in both stages.
     Spmd {
-        /// Fragments shaded per VM dispatch.
+        /// Invocations shaded per VM dispatch.
         lanes: u8,
     },
 }
@@ -60,9 +55,9 @@ impl Default for ExecMode {
 
 impl ExecMode {
     /// Reads the `GPES_EXECUTOR` override (mirroring
-    /// [`Dispatch::from_env`]): `tree`/`treewalker`/`interp`,
-    /// `scalar`/`vm`/`bytecode`, `spmd` (8 lanes) or `spmdN` for N
-    /// lanes. Returns `None` when unset or unrecognised.
+    /// [`Dispatch::from_env`]): `tree`/`treewalker`/`interp`, `spmd`
+    /// (8 lanes) or `spmdN` for N lanes. Returns `None` when unset or
+    /// unrecognised.
     pub fn from_env() -> Option<ExecMode> {
         Self::parse(std::env::var("GPES_EXECUTOR").ok()?.as_str())
     }
@@ -70,7 +65,6 @@ impl ExecMode {
     fn parse(s: &str) -> Option<ExecMode> {
         match s {
             "tree" | "treewalker" | "interp" => Some(ExecMode::TreeWalker),
-            "scalar" | "vm" | "bytecode" => Some(ExecMode::Scalar),
             "spmd" => Some(ExecMode::Spmd { lanes: 8 }),
             _ => {
                 let n = s.strip_prefix("spmd")?.parse::<u8>().ok()?;
@@ -81,20 +75,19 @@ impl ExecMode {
         }
     }
 
-    /// Lane width: the SPMD lane count, 1 for the scalar executors.
+    /// Lane width: the SPMD lane count, 1 for the tree-walker.
     pub fn lanes(self) -> u8 {
         match self {
             ExecMode::Spmd { lanes } => lanes.clamp(1, MAX_LANES as u8),
-            _ => 1,
+            ExecMode::TreeWalker => 1,
         }
     }
 
-    /// Stable compact label (`tree`, `scalar`, `spmdN`) for stats
-    /// snapshots and benchmark rows.
+    /// Stable compact label (`tree`, `spmdN`) for stats snapshots and
+    /// benchmark rows.
     pub fn label(self) -> String {
         match self {
             ExecMode::TreeWalker => "tree".into(),
-            ExecMode::Scalar => "scalar".into(),
             ExecMode::Spmd { lanes } => format!("spmd{lanes}"),
         }
     }
@@ -178,17 +171,29 @@ pub struct DrawStats {
     pub fragments_discarded: u64,
     /// Pixels written to the target after all per-fragment tests.
     pub pixels_written: u64,
-    /// SPMD fragment batches dispatched (0 under the scalar executors —
-    /// the CI gate asserts it is positive when [`ExecMode::Spmd`] ran).
+    /// SPMD fragment batches dispatched (0 under the tree-walker — the
+    /// CI gate asserts it is positive when [`ExecMode::Spmd`] ran).
     pub spmd_batches: u64,
-    /// SPMD batches replayed lane-by-lane after a lane trap, plus bands
-    /// that fell back to a scalar executor because the lowerer rejected
-    /// the shader.
+    /// SPMD fragment batches replayed lane-by-lane after a lane trap,
+    /// plus bands that fell back to the tree-walker because the lowerer
+    /// rejected the shader.
     pub scalar_fallbacks: u64,
     /// Vertex-stage operation profile.
     pub vs_profile: OpProfile,
     /// Fragment-stage operation profile (drives the `gpes-perf` model).
     pub fs_profile: OpProfile,
+}
+
+impl DrawStats {
+    /// Folds one band's fragment-stage counters in.
+    fn add_band(&mut self, band: &BandStats) {
+        self.fragments_shaded += band.shaded;
+        self.fragments_discarded += band.discarded;
+        self.pixels_written += band.written;
+        self.spmd_batches += band.spmd_batches;
+        self.scalar_fallbacks += band.scalar_fallbacks;
+        self.fs_profile.merge(&band.profile);
+    }
 }
 
 /// A client-side attribute array (`glVertexAttribPointer` analog).
@@ -216,14 +221,13 @@ impl TextureAccess for Bindings<'_> {
     }
 }
 
-/// A shader stage instance behind the [`ExecMode`] selection: the SPMD
-/// VM, the scalar bytecode VM or the tree-walking interpreter. All are
-/// bit-identical in results and profile counts; the VMs additionally
-/// offer pre-resolved slot stores for the per-fragment/per-vertex hot
-/// path.
+/// A shader stage instance behind the [`ExecMode`] selection, with one
+/// lane-indexed API: stage per-invocation inputs with
+/// [`StageExec::set_lane`], dispatch with [`StageExec::run_batch`], then
+/// read each lane's outputs. The tree-walker is a one-lane batch; both
+/// arms are bit-identical in results and profile counts.
 enum StageExec<'a> {
     Spmd(SpmdVm<'a>),
-    Vm(Vm<'a>),
     Tree(Interpreter<'a>),
 }
 
@@ -231,57 +235,17 @@ impl<'a> StageExec<'a> {
     /// Instantiates the stage executor for `shader`, honouring
     /// `config.exec_mode` (falling back to the tree-walker when the
     /// lowerer rejected the shader).
-    fn for_fragment(
-        program: &'a Program,
-        bindings: &'a Bindings<'a>,
-        config: &RasterConfig,
-    ) -> Result<StageExec<'a>, GlError> {
-        Self::new(
-            program.fragment_executable(),
-            &program.fragment,
-            bindings,
-            config,
-            true,
-        )
-    }
-
-    fn for_vertex(
-        program: &'a Program,
-        bindings: &'a Bindings<'a>,
-        config: &RasterConfig,
-    ) -> Result<StageExec<'a>, GlError> {
-        Self::new(
-            program.vertex_executable(),
-            &program.vertex,
-            bindings,
-            config,
-            false,
-        )
-    }
-
     fn new(
         exe: Option<&'a gpes_glsl::Executable>,
         shader: &'a gpes_glsl::CompiledShader,
         bindings: &'a Bindings<'a>,
         config: &RasterConfig,
-        spmd_ok: bool,
     ) -> Result<StageExec<'a>, GlError> {
-        // The vertex stage runs scalar even under Spmd: vertices feed
-        // primitive assembly one at a time.
-        let mode = match config.exec_mode {
-            ExecMode::Spmd { .. } if !spmd_ok => ExecMode::Scalar,
-            mode => mode,
-        };
-        let exec = match (mode, exe) {
+        let exec = match (config.exec_mode, exe) {
             (ExecMode::Spmd { lanes }, Some(exe)) => {
                 let mut vm = SpmdVm::with_model(exe, bindings, config.float_model, lanes as usize)?;
                 vm.set_limits(config.exec_limits);
                 StageExec::Spmd(vm)
-            }
-            (ExecMode::Scalar, Some(exe)) => {
-                let mut vm = Vm::with_model(exe, bindings, config.float_model)?;
-                vm.set_limits(config.exec_limits);
-                StageExec::Vm(vm)
             }
             _ => {
                 let mut interp = Interpreter::with_model(shader, bindings, config.float_model)?;
@@ -292,71 +256,79 @@ impl<'a> StageExec<'a> {
         Ok(exec)
     }
 
-    /// Resolves a global to its slot (VMs) or a name marker
+    fn is_spmd(&self) -> bool {
+        matches!(self, StageExec::Spmd(_))
+    }
+
+    /// Invocations per full batch.
+    fn lanes(&self) -> usize {
+        match self {
+            StageExec::Spmd(vm) => vm.lanes(),
+            StageExec::Tree(_) => 1,
+        }
+    }
+
+    /// Resolves a global to its slot (SPMD) or a name marker
     /// (tree-walker). Returns `None` when the stage does not declare the
     /// global.
     fn resolve(&self, name: &str) -> Option<u32> {
         match self {
             StageExec::Spmd(vm) => vm.global_slot(name),
-            StageExec::Vm(vm) => vm.global_slot(name),
             // The tree-walker addresses globals by name; use a dummy slot
             // value and remember resolvability.
             StageExec::Tree(interp) => interp.global(name).map(|_| u32::MAX),
         }
     }
 
+    /// Sets a global on every lane (uniforms, `gl_FrontFacing`).
     fn set_global(&mut self, name: &str, value: Value) -> Result<(), gpes_glsl::RuntimeError> {
         match self {
             StageExec::Spmd(vm) => vm.set_global(name, value),
-            StageExec::Vm(vm) => vm.set_global(name, value),
             StageExec::Tree(interp) => interp.set_global(name, value),
         }
     }
 
-    /// Fast store for a global pre-resolved with [`StageExec::resolve`];
-    /// `name` is only consulted on the tree-walker path. On the SPMD VM
-    /// this broadcasts to every lane — per-fragment inputs go through
-    /// [`SpmdVm::set_lane_slot`] in the batched loops instead.
-    fn set_resolved(&mut self, slot: u32, name: &str, value: Value) {
+    /// Stores one lane's input through a global pre-resolved with
+    /// [`StageExec::resolve`]; `name` is only consulted by the
+    /// tree-walker.
+    fn set_lane(&mut self, lane: usize, slot: u32, name: &str, value: Value) {
         match self {
-            StageExec::Spmd(vm) => vm.set_slot_all(slot, value),
-            StageExec::Vm(vm) => vm.set_slot(slot, value),
+            StageExec::Spmd(vm) => vm.set_lane_slot(lane, slot, value),
             StageExec::Tree(interp) => {
+                debug_assert_eq!(lane, 0);
                 let _ = interp.set_global(name, value);
             }
         }
     }
 
-    fn global(&self, name: &str) -> Option<Value> {
+    /// Runs `main()` on lanes `0..n`. On a trap, every lane below the
+    /// reported one completed exactly as a sequential run would have.
+    fn run_batch(&mut self, n: usize) -> Result<(), BatchError> {
         match self {
-            StageExec::Spmd(vm) => vm.global(0, name),
-            StageExec::Vm(vm) => vm.global(name).cloned(),
+            StageExec::Spmd(vm) => vm.run_batch(n),
+            StageExec::Tree(interp) => interp
+                .run_main()
+                .map_err(|error| BatchError { lane: 0, error }),
+        }
+    }
+
+    fn global(&self, lane: usize, name: &str) -> Option<Value> {
+        match self {
+            StageExec::Spmd(vm) => vm.global(lane, name),
             StageExec::Tree(interp) => interp.global(name).cloned(),
         }
     }
 
-    fn run_main(&mut self) -> Result<(), gpes_glsl::RuntimeError> {
+    fn discarded(&self, lane: usize) -> bool {
         match self {
-            // Single-lane batch == scalar execution; the batched raster
-            // loops bypass this and call run_batch directly.
-            StageExec::Spmd(vm) => vm.run_batch(1).map_err(|e| e.error),
-            StageExec::Vm(vm) => vm.run_main(),
-            StageExec::Tree(interp) => interp.run_main(),
-        }
-    }
-
-    fn discarded(&self) -> bool {
-        match self {
-            StageExec::Spmd(vm) => vm.discarded(0),
-            StageExec::Vm(vm) => vm.discarded(),
+            StageExec::Spmd(vm) => vm.discarded(lane),
             StageExec::Tree(interp) => interp.discarded(),
         }
     }
 
-    fn frag_color(&self) -> Option<[f32; 4]> {
+    fn frag_color(&self, lane: usize) -> Option<[f32; 4]> {
         match self {
-            StageExec::Spmd(vm) => vm.frag_color(0),
-            StageExec::Vm(vm) => vm.frag_color(),
+            StageExec::Spmd(vm) => vm.frag_color(lane),
             StageExec::Tree(interp) => interp.frag_color(),
         }
     }
@@ -364,8 +336,15 @@ impl<'a> StageExec<'a> {
     fn take_profile(&mut self) -> OpProfile {
         match self {
             StageExec::Spmd(vm) => vm.take_profile(),
-            StageExec::Vm(vm) => vm.take_profile(),
             StageExec::Tree(interp) => interp.take_profile(),
+        }
+    }
+
+    /// Batches replayed lane-by-lane after a trap since the last call.
+    fn take_replays(&mut self) -> u64 {
+        match self {
+            StageExec::Spmd(vm) => vm.take_replays(),
+            StageExec::Tree(_) => 0,
         }
     }
 }
@@ -459,59 +438,47 @@ pub(crate) fn draw(
     }
 
     // ---- vertex stage ----------------------------------------------------
-    let mut vs = StageExec::for_vertex(program, bindings, config)?;
+    let mut vs = StageExec::new(
+        program.vertex_executable(),
+        &program.vertex,
+        bindings,
+        config,
+    )?;
     apply_uniforms(&mut vs, program);
-    // Pre-resolve attribute slots so the per-vertex loop stores without
-    // name lookups (this is the hot path of §III-1 vertex-stage compute).
-    let attr_slots: Vec<u32> = program
+    // Pre-resolve attribute slots and arrays so the per-vertex stores
+    // need no name lookups (this is the hot path of §III-1 vertex-stage
+    // compute).
+    let attrs: Vec<(&str, &Type, u32, &AttribArray)> = program
         .attributes()
         .iter()
-        .map(|(name, _)| {
-            vs.resolve(name).ok_or_else(|| {
+        .map(|(name, ty)| {
+            let slot = vs.resolve(name).ok_or_else(|| {
                 GlError::invalid_op(format!("vertex shader lost attribute `{name}`"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut shaded: Vec<ShadedVertex> = Vec::with_capacity(count);
-    for vi in first..first + count {
-        for ((name, ty), slot) in program.attributes().iter().zip(&attr_slots) {
+            })?;
             let arr = attribs.get(name).ok_or_else(|| {
                 GlError::invalid_op(format!("no attribute array bound for `{name}`"))
             })?;
-            let value = attribute_value(arr, vi, ty)?;
-            vs.set_resolved(*slot, name, value);
+            Ok((name.as_str(), ty, slot, arr))
+        })
+        .collect::<Result<_, GlError>>()?;
+
+    // Vertices shade `lanes()` at a time; primitive assembly reads them
+    // back in vertex order.
+    let mut shaded: Vec<ShadedVertex> = Vec::with_capacity(count);
+    let end = first + count;
+    for start in (first..end).step_by(vs.lanes()) {
+        let n = vs.lanes().min(end - start);
+        for lane in 0..n {
+            for &(name, ty, slot, arr) in &attrs {
+                vs.set_lane(lane, slot, name, attribute_value(arr, start + lane, ty)?);
+            }
         }
-        vs.run_main()?;
-        let clip = vs
-            .global("gl_Position")
-            .and_then(|v| v.as_vec4())
-            .ok_or_else(|| GlError::invalid_op("vertex shader did not produce gl_Position"))?;
-        let mut varyings = Vec::with_capacity(layout.total);
-        for (name, _, len) in &layout.names {
-            let v = vs.global(name).ok_or_else(|| {
-                GlError::invalid_op(format!("vertex shader lost varying `{name}`"))
-            })?;
-            let comps = v.float_components().ok_or_else(|| {
-                GlError::invalid_op(format!("varying `{name}` is not float-based"))
-            })?;
-            debug_assert_eq!(comps.len(), *len);
-            varyings.extend_from_slice(&comps);
+        vs.run_batch(n).map_err(|e| GlError::ShaderTrap(e.error))?;
+        for lane in 0..n {
+            shaded.push(vertex_outputs(&vs, lane, &layout)?);
         }
-        let point_size = vs
-            .global("gl_PointSize")
-            .and_then(|v| match v {
-                Value::Float(f) => Some(f),
-                _ => None,
-            })
-            .unwrap_or(1.0);
-        shaded.push(ShadedVertex {
-            clip,
-            varyings,
-            point_size,
-        });
-        stats.vertices_shaded += 1;
     }
+    stats.vertices_shaded = count as u32;
     stats.vs_profile = vs.take_profile();
 
     if mode == PrimitiveMode::Points {
@@ -535,6 +502,38 @@ pub(crate) fn draw(
         }
     }
     Ok(stats)
+}
+
+/// Reads one shaded vertex's `gl_Position`, varyings and `gl_PointSize`.
+fn vertex_outputs(
+    vs: &StageExec<'_>,
+    lane: usize,
+    layout: &VaryingLayout,
+) -> Result<ShadedVertex, GlError> {
+    let clip = vs
+        .global(lane, "gl_Position")
+        .and_then(|v| v.as_vec4())
+        .ok_or_else(|| GlError::invalid_op("vertex shader did not produce gl_Position"))?;
+    let mut varyings = Vec::with_capacity(layout.total);
+    for (name, _, len) in &layout.names {
+        let v = vs
+            .global(lane, name)
+            .ok_or_else(|| GlError::invalid_op(format!("vertex shader lost varying `{name}`")))?;
+        let comps = v
+            .float_components()
+            .ok_or_else(|| GlError::invalid_op(format!("varying `{name}` is not float-based")))?;
+        debug_assert_eq!(comps.len(), *len);
+        varyings.extend_from_slice(&comps);
+    }
+    let point_size = match vs.global(lane, "gl_PointSize") {
+        Some(Value::Float(f)) => f,
+        _ => 1.0,
+    };
+    Ok(ShadedVertex {
+        clip,
+        varyings,
+        point_size,
+    })
 }
 
 fn varying_layout(program: &Program) -> VaryingLayout {
@@ -795,13 +794,7 @@ fn raster_triangle(
     };
 
     for result in band_results {
-        let band = result?;
-        stats.fragments_shaded += band.shaded;
-        stats.fragments_discarded += band.discarded;
-        stats.pixels_written += band.written;
-        stats.spmd_batches += band.spmd_batches;
-        stats.scalar_fallbacks += band.scalar_fallbacks;
-        stats.fs_profile.merge(&band.profile);
+        stats.add_band(&result?);
     }
     Ok(true)
 }
@@ -843,61 +836,150 @@ fn store_pixel(
     }
 }
 
-/// Dispatches one SPMD fragment batch and retires its lanes in lane
-/// order: deferred depth writes, colour stores and stat counting happen
-/// here. Lane order equals fragment acceptance order and batched pixels
-/// are unique, so retiring at flush time is indistinguishable from the
-/// scalar loop's write-as-you-shade. On a lane trap the lanes below the
-/// erroring lane (which the replay completed with exact scalar outputs)
-/// are still retired before the error propagates — exactly the pixels a
-/// scalar walk would have written before trapping.
-#[allow(clippy::too_many_arguments)]
-fn flush_spmd_batch(
-    vm: &mut SpmdVm<'_>,
+/// The fragment stage of one band (or of one points draw). Accepted
+/// fragments become the lanes of the next batch; their depth and colour
+/// writes are deferred until the batch flushes. Batched pixels are
+/// unique — a band never revisits a pixel, and points flush per point
+/// whenever depth is observable — so retiring at flush time is
+/// indistinguishable from writing each fragment as it is shaded.
+struct FragmentBatch<'a> {
+    fs: StageExec<'a>,
+    varying_slots: Vec<u32>,
+    fragcoord_slot: u32,
     n: usize,
-    pixel_indices: &[usize; MAX_LANES],
-    frag_zs: &[f32; MAX_LANES],
-    config: &RasterConfig,
-    color: &mut [u8],
-    depth: &mut Option<&mut [f32]>,
-    pixel: PixelStore,
-    band: &mut BandStats,
-) -> Result<(), GlError> {
-    let result = vm.run_batch(n);
-    band.spmd_batches += 1;
-    band.scalar_fallbacks += vm.take_replays();
-    let retired = match &result {
-        Ok(()) => n,
-        Err(e) => e.lane,
-    };
-    for lane in 0..retired {
-        band.shaded += 1;
-        if vm.discarded(lane) {
-            band.discarded += 1;
-            continue;
+    pixel_index: [usize; MAX_LANES],
+    frag_z: [f32; MAX_LANES],
+    stats: BandStats,
+}
+
+impl<'a> FragmentBatch<'a> {
+    fn new(
+        program: &'a Program,
+        layout: &VaryingLayout,
+        bindings: &'a Bindings<'a>,
+        config: &RasterConfig,
+        front_facing: bool,
+    ) -> Result<Self, GlError> {
+        let mut fs = StageExec::new(
+            program.fragment_executable(),
+            &program.fragment,
+            bindings,
+            config,
+        )?;
+        let mut stats = BandStats::default();
+        if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !fs.is_spmd() {
+            stats.scalar_fallbacks += 1;
         }
-        let rgba = vm.frag_color(lane).ok_or(GlError::ShaderTrap(
-            gpes_glsl::RuntimeError::MissingOutput {
-                name: "gl_FragColor",
-            },
-        ))?;
-        if config.depth_test {
-            if let Some(depth_buf) = depth.as_deref_mut() {
-                depth_buf[pixel_indices[lane]] = frag_zs[lane];
-            }
-        }
-        store_pixel(
-            color,
-            pixel_indices[lane],
-            pixel,
-            rgba,
-            config.store_rounding,
-        );
-        band.written += 1;
+        apply_uniforms(&mut fs, program);
+        let _ = fs.set_global("gl_FrontFacing", Value::Bool(front_facing));
+        // Pre-resolve per-fragment stores once: inside the raster loops
+        // the SPMD path is a plain indexed slot write, no string
+        // comparisons.
+        let varying_slots: Vec<u32> = layout
+            .names
+            .iter()
+            .map(|(name, _, _)| {
+                fs.resolve(name).ok_or_else(|| {
+                    GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let fragcoord_slot = fs
+            .resolve("gl_FragCoord")
+            .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
+        Ok(FragmentBatch {
+            fs,
+            varying_slots,
+            fragcoord_slot,
+            n: 0,
+            pixel_index: [0; MAX_LANES],
+            frag_z: [0.0; MAX_LANES],
+            stats,
+        })
     }
-    match result {
-        Ok(()) => Ok(()),
-        Err(e) => Err(GlError::ShaderTrap(e.error)),
+
+    /// Stages one accepted fragment as the next lane: its varying
+    /// components (in `layout` order), `gl_FragCoord` and deferred
+    /// destination. Returns whether the batch is now full.
+    fn push(
+        &mut self,
+        layout: &VaryingLayout,
+        comps: &[f32],
+        frag_coord: [f32; 4],
+        pixel_index: usize,
+        frag_z: f32,
+    ) -> bool {
+        let lane = self.n;
+        let mut offset = 0usize;
+        for ((name, ty, len), slot) in layout.names.iter().zip(&self.varying_slots) {
+            let value = rebuild_varying(ty, &comps[offset..offset + len]);
+            offset += len;
+            self.fs.set_lane(lane, *slot, name, value);
+        }
+        self.fs.set_lane(
+            lane,
+            self.fragcoord_slot,
+            "gl_FragCoord",
+            Value::Vec4(frag_coord),
+        );
+        self.pixel_index[lane] = pixel_index;
+        self.frag_z[lane] = frag_z;
+        self.n += 1;
+        self.n == self.fs.lanes()
+    }
+
+    /// Dispatches the staged lanes and retires them in lane order:
+    /// depth writes, colour stores and stat counting happen here. On a
+    /// lane trap the lanes below the erroring lane (which completed
+    /// exactly) still retire before the error propagates — exactly the
+    /// pixels a sequential walk would have written before trapping.
+    fn flush(
+        &mut self,
+        config: &RasterConfig,
+        color: &mut [u8],
+        mut depth: Option<&mut [f32]>,
+        pixel: PixelStore,
+    ) -> Result<(), GlError> {
+        let n = std::mem::take(&mut self.n);
+        if n == 0 {
+            return Ok(());
+        }
+        let result = self.fs.run_batch(n);
+        if self.fs.is_spmd() {
+            self.stats.spmd_batches += 1;
+        }
+        self.stats.scalar_fallbacks += self.fs.take_replays();
+        let retired = match &result {
+            Ok(()) => n,
+            Err(e) => e.lane,
+        };
+        for lane in 0..retired {
+            self.stats.shaded += 1;
+            if self.fs.discarded(lane) {
+                self.stats.discarded += 1;
+                continue;
+            }
+            let rgba = self.fs.frag_color(lane).ok_or(GlError::ShaderTrap(
+                gpes_glsl::RuntimeError::MissingOutput {
+                    name: "gl_FragColor",
+                },
+            ))?;
+            let pixel_index = self.pixel_index[lane];
+            if config.depth_test {
+                if let Some(depth_buf) = depth.as_deref_mut() {
+                    depth_buf[pixel_index] = self.frag_z[lane];
+                }
+            }
+            store_pixel(color, pixel_index, pixel, rgba, config.store_rounding);
+            self.stats.written += 1;
+        }
+        result.map_err(|e| GlError::ShaderTrap(e.error))
+    }
+
+    /// The band's counters, with the stage's accumulated profile.
+    fn finish(mut self) -> BandStats {
+        self.stats.profile = self.fs.take_profile();
+        self.stats
     }
 }
 
@@ -914,32 +996,11 @@ fn raster_points(
     config: &RasterConfig,
     stats: &mut DrawStats,
 ) -> Result<(), GlError> {
-    let mut band = BandStats::default();
-    let mut fs = StageExec::for_fragment(program, bindings, config)?;
-    if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !matches!(fs, StageExec::Spmd(_)) {
-        band.scalar_fallbacks += 1;
-    }
-    apply_uniforms(&mut fs, program);
-    let _ = fs.set_global("gl_FrontFacing", Value::Bool(true));
-    let varying_slots: Vec<u32> = layout
-        .names
-        .iter()
-        .map(|(name, _, _)| {
-            fs.resolve(name).ok_or_else(|| {
-                GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let fragcoord_slot = fs
-        .resolve("gl_FragCoord")
-        .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
+    let mut batch = FragmentBatch::new(program, layout, bindings, config, true)?;
     // A batch may only span points when no depth buffer is observable:
     // two points can cover the same pixel, and the second must see the
     // first's depth write. Pixels within one point are unique.
     let flush_per_point = config.depth_test && target.depth.is_some();
-    let mut batch_n = 0usize;
-    let mut batch_pixel = [0usize; MAX_LANES];
-    let mut batch_z = [0.0f32; MAX_LANES];
 
     let (vx, vy, vw, vh) = config.viewport;
     let clip_lo_x = vx.max(0);
@@ -974,128 +1035,46 @@ fn raster_points(
         let y0 = ((sy - half - 0.5).ceil() as i32).max(clip_lo_y);
         let y1 = ((sy + half - 0.5).floor() as i32 + 1).min(clip_hi_y);
 
-        // Pass-through varyings (no interpolation for points). Under SPMD
-        // these are staged per lane at push time — a broadcast here would
-        // clobber lanes still pending from a previous point.
-        let mut point_varyings: Vec<Value> = Vec::new();
-        {
-            let mut offset = 0usize;
-            for ((name, ty, len), slot) in layout.names.iter().zip(&varying_slots) {
-                let comps = &v.varyings[offset..offset + len];
-                offset += len;
-                let value = rebuild_varying(ty, comps);
-                if matches!(fs, StageExec::Spmd(_)) {
-                    point_varyings.push(value);
-                } else {
-                    fs.set_resolved(*slot, name, value);
-                }
-            }
-        }
-
         for py in y0..y1 {
             for px in x0..x1 {
                 let pixel_index = py as usize * width + px as usize;
                 if config.depth_test {
-                    if let Some(depth_buf) = target.depth.as_deref_mut() {
+                    if let Some(depth_buf) = target.depth.as_deref() {
                         if frag_z >= depth_buf[pixel_index] {
                             continue;
                         }
                     }
                 }
-                let fragcoord = Value::Vec4([px as f32 + 0.5, py as f32 + 0.5, frag_z, 1.0 / w]);
-                if let StageExec::Spmd(vm) = &mut fs {
-                    let lane = batch_n;
-                    for (slot, value) in varying_slots.iter().zip(&point_varyings) {
-                        vm.set_lane_slot(lane, *slot, value.clone());
-                    }
-                    vm.set_lane_slot(lane, fragcoord_slot, fragcoord);
-                    batch_pixel[lane] = pixel_index;
-                    batch_z[lane] = frag_z;
-                    batch_n += 1;
-                    if batch_n == vm.lanes() {
-                        flush_spmd_batch(
-                            vm,
-                            batch_n,
-                            &batch_pixel,
-                            &batch_z,
-                            config,
-                            target.color,
-                            &mut target.depth,
-                            target.pixel,
-                            &mut band,
-                        )?;
-                        batch_n = 0;
-                    }
-                    continue;
+                let frag_coord = [px as f32 + 0.5, py as f32 + 0.5, frag_z, 1.0 / w];
+                if batch.push(layout, &v.varyings, frag_coord, pixel_index, frag_z) {
+                    batch.flush(
+                        config,
+                        target.color,
+                        target.depth.as_deref_mut(),
+                        target.pixel,
+                    )?;
                 }
-                fs.set_resolved(fragcoord_slot, "gl_FragCoord", fragcoord);
-                fs.run_main()?;
-                band.shaded += 1;
-                if fs.discarded() {
-                    band.discarded += 1;
-                    continue;
-                }
-                let rgba = fs.frag_color().ok_or(GlError::ShaderTrap(
-                    gpes_glsl::RuntimeError::MissingOutput {
-                        name: "gl_FragColor",
-                    },
-                ))?;
-                if config.depth_test {
-                    if let Some(depth_buf) = target.depth.as_deref_mut() {
-                        depth_buf[pixel_index] = frag_z;
-                    }
-                }
-                store_pixel(
-                    target.color,
-                    pixel_index,
-                    target.pixel,
-                    rgba,
-                    config.store_rounding,
-                );
-                band.written += 1;
             }
         }
 
         // With a depth buffer active a later point may cover one of this
         // point's pixels, so its writes must land before the next point.
-        if flush_per_point && batch_n > 0 {
-            if let StageExec::Spmd(vm) = &mut fs {
-                flush_spmd_batch(
-                    vm,
-                    batch_n,
-                    &batch_pixel,
-                    &batch_z,
-                    config,
-                    target.color,
-                    &mut target.depth,
-                    target.pixel,
-                    &mut band,
-                )?;
-                batch_n = 0;
-            }
-        }
-    }
-    if batch_n > 0 {
-        if let StageExec::Spmd(vm) = &mut fs {
-            flush_spmd_batch(
-                vm,
-                batch_n,
-                &batch_pixel,
-                &batch_z,
+        if flush_per_point {
+            batch.flush(
                 config,
                 target.color,
-                &mut target.depth,
+                target.depth.as_deref_mut(),
                 target.pixel,
-                &mut band,
             )?;
         }
     }
-    stats.fragments_shaded += band.shaded;
-    stats.fragments_discarded += band.discarded;
-    stats.pixels_written += band.written;
-    stats.spmd_batches += band.spmd_batches;
-    stats.scalar_fallbacks += band.scalar_fallbacks;
-    stats.fs_profile.merge(&fs.take_profile());
+    batch.flush(
+        config,
+        target.color,
+        target.depth.as_deref_mut(),
+        target.pixel,
+    )?;
+    stats.add_band(&batch.finish());
     Ok(())
 }
 
@@ -1118,27 +1097,8 @@ fn raster_band(
     mut depth: Option<&mut [f32]>,
     pixel: PixelStore,
 ) -> Result<BandStats, GlError> {
-    let mut band = BandStats::default();
-    let mut fs = StageExec::for_fragment(program, bindings, config)?;
-    if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !matches!(fs, StageExec::Spmd(_)) {
-        band.scalar_fallbacks += 1;
-    }
-    apply_uniforms(&mut fs, program);
-    let _ = fs.set_global("gl_FrontFacing", Value::Bool(setup.front_facing));
-    // Pre-resolve per-fragment stores once per band: inside the loop the
-    // VM path is a plain indexed slot write, no string comparisons.
-    let varying_slots: Vec<u32> = layout
-        .names
-        .iter()
-        .map(|(name, _, _)| {
-            fs.resolve(name).ok_or_else(|| {
-                GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let fragcoord_slot = fs
-        .resolve("gl_FragCoord")
-        .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
+    // Batches never span triangles or bands.
+    let mut batch = FragmentBatch::new(program, layout, bindings, config, setup.front_facing)?;
 
     let [ax, bx, cx] = setup.sx;
     let [ay, by, cy] = setup.sy;
@@ -1150,13 +1110,6 @@ fn raster_band(
     let top_left_ca = accepts_zero_edge(cx, cy, ax, ay);
 
     let mut comps = [0.0f32; MAX_VARYING_COMPONENTS];
-    // SPMD batch state: accepted fragments become lanes; their deferred
-    // depth/colour destinations retire at flush (band pixels are unique,
-    // so deferral is invisible). Batches never span triangles or bands.
-    let mut batch_n = 0usize;
-    let mut batch_pixel = [0usize; MAX_LANES];
-    let mut batch_z = [0.0f32; MAX_LANES];
-
     for py in y0..y1 {
         let pyc = py as f64 + 0.5;
         for px in x0..x1 {
@@ -1181,105 +1134,31 @@ fn raster_band(
 
             let pixel_index = (py - band_base) as usize * width + px as usize;
             if config.depth_test {
-                if let Some(depth_buf) = depth.as_deref_mut() {
+                if let Some(depth_buf) = depth.as_deref() {
                     if frag_z >= depth_buf[pixel_index] {
                         continue;
                     }
                 }
             }
 
-            // Interpolate varyings into the fixed buffer, then store each
-            // rebuilt value through its pre-resolved slot.
+            // Interpolate varyings into the fixed buffer; the batch
+            // rebuilds each value into its pre-resolved slot.
             for (idx, slot) in comps[..layout.total].iter_mut().enumerate() {
                 let num = la * setup.var_over_w[0][idx]
                     + lb * setup.var_over_w[1][idx]
                     + lc * setup.var_over_w[2][idx];
                 *slot = num / denom;
             }
-            if let StageExec::Spmd(vm) = &mut fs {
-                let mut offset = 0usize;
-                for ((_, ty, len), slot) in layout.names.iter().zip(&varying_slots) {
-                    let value = rebuild_varying(ty, &comps[offset..offset + len]);
-                    offset += len;
-                    vm.set_lane_slot(batch_n, *slot, value);
-                }
-                vm.set_lane_slot(
-                    batch_n,
-                    fragcoord_slot,
-                    Value::Vec4([pxc as f32, pyc as f32, frag_z, denom]),
-                );
-                batch_pixel[batch_n] = pixel_index;
-                batch_z[batch_n] = frag_z;
-                batch_n += 1;
-                if batch_n == vm.lanes() {
-                    flush_spmd_batch(
-                        vm,
-                        batch_n,
-                        &batch_pixel,
-                        &batch_z,
-                        config,
-                        color,
-                        &mut depth,
-                        pixel,
-                        &mut band,
-                    )?;
-                    batch_n = 0;
-                }
-                continue;
+            let frag_coord = [pxc as f32, pyc as f32, frag_z, denom];
+            if batch.push(layout, &comps, frag_coord, pixel_index, frag_z) {
+                batch.flush(config, color, depth.as_deref_mut(), pixel)?;
             }
-
-            let mut offset = 0usize;
-            for ((name, ty, len), slot) in layout.names.iter().zip(&varying_slots) {
-                let value = rebuild_varying(ty, &comps[offset..offset + len]);
-                offset += len;
-                fs.set_resolved(*slot, name, value);
-            }
-            fs.set_resolved(
-                fragcoord_slot,
-                "gl_FragCoord",
-                Value::Vec4([pxc as f32, pyc as f32, frag_z, denom]),
-            );
-
-            fs.run_main()?;
-            band.shaded += 1;
-            if fs.discarded() {
-                band.discarded += 1;
-                continue;
-            }
-            let rgba = fs.frag_color().ok_or(GlError::ShaderTrap(
-                gpes_glsl::RuntimeError::MissingOutput {
-                    name: "gl_FragColor",
-                },
-            ))?;
-
-            if config.depth_test {
-                if let Some(depth_buf) = depth.as_deref_mut() {
-                    depth_buf[pixel_index] = frag_z;
-                }
-            }
-            store_pixel(color, pixel_index, pixel, rgba, config.store_rounding);
-            band.written += 1;
         }
     }
     // Partial-band tail: fragments left over when the band ends before
     // filling a full batch.
-    if let StageExec::Spmd(vm) = &mut fs {
-        if batch_n > 0 {
-            flush_spmd_batch(
-                vm,
-                batch_n,
-                &batch_pixel,
-                &batch_z,
-                config,
-                color,
-                &mut depth,
-                pixel,
-                &mut band,
-            )?;
-        }
-    }
-    band.profile = fs.take_profile();
-    Ok(band)
+    batch.flush(config, color, depth, pixel)?;
+    Ok(batch.finish())
 }
 
 fn rebuild_varying(ty: &Type, comps: &[f32]) -> Value {
@@ -1354,6 +1233,26 @@ mod tests {
             let backward = accepts_zero_edge(bx, by, ax, ay);
             assert_ne!(forward, backward, "edge ({ax},{ay})→({bx},{by})");
         }
+    }
+
+    #[test]
+    fn exec_mode_parse_accepts_tree_and_spmd_widths() {
+        for tree in ["tree", "treewalker", "interp"] {
+            assert_eq!(ExecMode::parse(tree), Some(ExecMode::TreeWalker));
+        }
+        assert_eq!(ExecMode::parse("spmd"), Some(ExecMode::Spmd { lanes: 8 }));
+        assert_eq!(ExecMode::parse("spmd1"), Some(ExecMode::Spmd { lanes: 1 }));
+        assert_eq!(ExecMode::parse("spmd4"), Some(ExecMode::Spmd { lanes: 4 }));
+        // Out-of-range widths clamp to 1..=MAX_LANES.
+        assert_eq!(ExecMode::parse("spmd0"), Some(ExecMode::Spmd { lanes: 1 }));
+        assert_eq!(ExecMode::parse("spmd64"), Some(ExecMode::Spmd { lanes: 8 }));
+        for retired in ["scalar", "vm", "bytecode", "spmdx", ""] {
+            assert_eq!(ExecMode::parse(retired), None, "{retired:?}");
+        }
+        assert_eq!(
+            ExecMode::parse("spmd4").map(ExecMode::label),
+            Some("spmd4".into())
+        );
     }
 
     #[test]

@@ -963,7 +963,8 @@ mod tests {
     /// it accepts must be dispatchable by `call` for at least one probe
     /// argument list, and names it rejects must never dispatch. (The
     /// bytecode lowerer relies on this agreement for out-parameter
-    /// copy-back; `Vm::exec_call` additionally hard-errors on drift.)
+    /// copy-back; `SpmdVm`'s call dispatch additionally hard-errors on
+    /// drift.)
     #[test]
     fn is_builtin_name_matches_call_dispatch() {
         let probes: [&[Value]; 8] = [

@@ -5,7 +5,7 @@
 //! This module performs all of that work **once per shader**: a resolver
 //! pass interns names, assigns every global, parameter and local a numeric
 //! slot, and flattens the statement tree into a compact instruction
-//! sequence (`Insn`) executed by [`crate::vm::Vm`].
+//! sequence (`Insn`) executed by [`crate::spmd::SpmdVm`].
 //!
 //! The lowering is deliberately semantics-preserving to the point of
 //! being boring: evaluation order, profile counting points, rounding and
@@ -206,8 +206,9 @@ pub(crate) struct GlobalDef {
 }
 
 /// A checked shader lowered to slot-addressed bytecode, ready to be
-/// executed by [`crate::vm::Vm`]. Immutable and shareable across threads
-/// (each rasteriser band runs its own `Vm` over the same `Executable`).
+/// executed by [`crate::spmd::SpmdVm`]. Immutable and shareable across
+/// threads (each rasteriser band runs its own VM over the same
+/// `Executable`).
 #[derive(Debug, Clone)]
 pub struct Executable {
     /// Stage.
@@ -238,8 +239,8 @@ impl Executable {
     }
 
     /// Resolves a global (uniform, attribute, varying or builtin) to its
-    /// slot, for allocation-free per-fragment stores via
-    /// [`crate::vm::Vm::set_slot`].
+    /// slot, for allocation-free per-lane stores via
+    /// [`crate::spmd::SpmdVm::set_lane_slot`].
     pub fn global_slot(&self, name: &str) -> Option<u32> {
         self.global_index.get(name).copied()
     }
@@ -270,7 +271,7 @@ pub fn lower(shader: &CompiledShader) -> Result<Executable, LowerError> {
 /// for cross-context (and cross-thread) sharing.
 ///
 /// An `Executable` is immutable after lowering — all mutable execution
-/// state lives in the [`crate::vm::Vm`] frame — so one lowered program can
+/// state lives in the [`crate::spmd::SpmdVm`] — so one lowered program can
 /// back any number of concurrently running VMs. This is the handle shape
 /// the process-wide program cache stores: link once, share everywhere.
 ///

@@ -63,7 +63,6 @@ pub mod swizzle;
 pub mod token;
 pub mod types;
 pub mod value;
-pub mod vm;
 
 pub use admission::{admit, AdmissionDiagnostic, AdmissionStage};
 pub use compile::{lower, lower_shared, Executable, LowerError};
@@ -74,7 +73,6 @@ pub use spmd::{BatchError, SpmdVm, MAX_LANES};
 pub use strict::StrictProfile;
 pub use types::{Precision, Scalar, Type};
 pub use value::Value;
-pub use vm::Vm;
 
 /// Compiles (parses + checks) a shader source string.
 ///

@@ -1,7 +1,7 @@
 //! Shared evaluation semantics for the two shader executors.
 //!
 //! The tree-walking [`crate::interp::Interpreter`] and the bytecode
-//! [`crate::vm::Vm`] must agree **bit for bit** — on results, on rounding
+//! [`crate::spmd::SpmdVm`] must agree **bit for bit** — on results, on rounding
 //! under every [`FloatModel`], and on [`OpProfile`] counters (the timing
 //! model consumes them). The only way to guarantee that is to make both
 //! executors call the exact same arithmetic code, which lives here.

@@ -1,6 +1,10 @@
-//! SPMD lane-parallel virtual machine for lowered fragment shaders.
+//! SPMD lane-parallel virtual machine: the one bytecode executor.
 //!
-//! One [`SpmdVm`] shades up to [`MAX_LANES`] fragments per dispatch. All
+//! One [`SpmdVm`] shades up to [`MAX_LANES`] invocations of a lowered
+//! shader per dispatch, in either programmable stage: the rasteriser
+//! batches band fragments and, in the vertex stage, consecutive vertices
+//! (§III-1 — kernels run "in the vertex or the fragment processing
+//! stage"). A one-lane batch is an exact sequential run. All
 //! *semantic* state is per-lane, but it is stored **struct-of-arrays**:
 //! each operand-stack slot, locals slot and global slot is one `Slot`
 //! holding the value of every lane side by side (`[f32; 8]`,
@@ -15,7 +19,7 @@
 //! subset of lanes) degrade to `Slot::Boxed`, a boxed `[Value; 8]`
 //! that preserves exact per-lane values; every instruction has a generic
 //! per-lane fallback that applies the same `ops` / `builtins` routines as
-//! the scalar VM.
+//! the tree-walking interpreter.
 //!
 //! # Divergence model
 //!
@@ -40,34 +44,34 @@
 //! the overwhelmingly common uniform-flow case — stack and locals slots
 //! are written wholesale, which keeps the hot loops branch-free and
 //! vectorisable. Globals are always written masked, because retired
-//! lanes' outputs (`gl_FragColor`) are read after the batch.
+//! lanes' outputs (`gl_FragColor`, `gl_Position`) are read after the
+//! batch.
 //!
-//! # Bit-identity with the scalar VM
+//! # Bit-identity with the tree-walker
 //!
-//! Every fast path reproduces the scalar VM's arithmetic exactly — same
-//! operation order, same [`FloatModel`] rounding calls, same
-//! [`OpProfile`] counter increments — and anything outside the fast
-//! paths runs the very same `ops` / `builtins` code
-//! one lane at a time. There is no re-association, no fused math, and no
-//! shared mutable value state, so results, profiles and runtime errors
-//! are bit-identical per lane. When *any* lane traps, the whole batch is
-//! replayed lane-by-lane in lane order (a single-lane run through this
-//! machinery is exactly a scalar run): earlier lanes finish with exact
-//! outputs and the first erroring lane in scalar order defines the
-//! reported error, so error semantics match running the scalar VM over
-//! the same fragments sequentially.
+//! Every fast path reproduces the tree-walking
+//! [`crate::interp::Interpreter`]'s arithmetic exactly — same operation
+//! order, same [`FloatModel`] rounding calls, same [`OpProfile`] counter
+//! increments — and anything outside the fast paths runs the very same
+//! `ops` / `builtins` code one lane at a time. There is no
+//! re-association, no fused math, and no shared mutable value state, so
+//! results, profiles and runtime errors are bit-identical per lane. When
+//! *any* lane traps, the whole batch is replayed lane-by-lane in lane
+//! order (a single-lane run through this machinery is exactly a
+//! sequential run): earlier lanes finish with exact outputs and the first
+//! erroring lane in lane order defines the reported error, so error
+//! semantics match running the invocations one after another.
 
 use crate::ast::{BinOp, ParamQual};
 use crate::builtins::{self, BuiltinCx};
-use crate::compile::{Executable, Insn, SlotRef};
+use crate::compile::{Executable, Insn, PathStep, SlotRef};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::ops;
 use crate::types::Scalar;
 use crate::value::Value;
-use crate::vm::store_path;
 
-/// Maximum number of fragments one [`SpmdVm`] shades per batch.
+/// Maximum number of invocations one [`SpmdVm`] shades per batch.
 pub const MAX_LANES: usize = 8;
 
 /// A runtime error raised by one lane of a batch.
@@ -103,7 +107,7 @@ struct Frame {
     /// Whether the call site expects out/inout copy-back pushes.
     pushes_outs: bool,
     /// Loop-counter stack depth at call entry (truncated on return,
-    /// mirroring the scalar VM's `run_chunk`).
+    /// so a loop left by `return` cannot leak its counter).
     counters_base: usize,
 }
 
@@ -272,7 +276,7 @@ impl Slot {
 }
 
 /// Executes batches of up to [`MAX_LANES`] invocations of one lowered
-/// fragment shader, bit-identical per lane to [`crate::vm::Vm`].
+/// shader, bit-identical per lane to [`crate::interp::Interpreter`].
 pub struct SpmdVm<'a> {
     exe: &'a Executable,
     textures: &'a dyn TextureAccess,
@@ -294,7 +298,7 @@ pub struct SpmdVm<'a> {
     /// global-initialiser cost held in `init_profile`).
     profiles: Vec<OpProfile>,
     /// Cost of running the global initialisers, counted once per VM —
-    /// exactly like the scalar VM counts chunk 0 once in `with_model`.
+    /// exactly like the interpreter counts its global initialisers once.
     init_profile: OpProfile,
     /// Reusable per-lane argument buffer for generic builtin dispatch.
     arg_buf: Vec<Value>,
@@ -314,7 +318,7 @@ impl<'a> SpmdVm<'a> {
     /// # Errors
     ///
     /// Fails if a global initialiser fails to evaluate (same cases as
-    /// [`crate::vm::Vm::with_model`]).
+    /// [`crate::interp::Interpreter::with_model`]).
     pub fn with_model(
         exe: &'a Executable,
         textures: &'a dyn TextureAccess,
@@ -445,7 +449,7 @@ impl<'a> SpmdVm<'a> {
 
     /// One lane's accumulated profile (excluding the shared
     /// global-initialiser cost; add [`SpmdVm::init_profile`] to compare
-    /// against a dedicated scalar VM's total).
+    /// against a sequential run's total).
     pub fn lane_profile(&self, lane: usize) -> OpProfile {
         self.profiles[lane]
     }
@@ -456,8 +460,8 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// Accumulated profile over all lanes plus the initialiser cost —
-    /// identical to a scalar VM's [`crate::vm::Vm::profile`] after
-    /// shading the same fragments sequentially.
+    /// identical to [`crate::interp::Interpreter::profile`] after
+    /// running the same invocations sequentially.
     pub fn profile(&self) -> OpProfile {
         let mut total = self.init_profile;
         for p in &self.profiles {
@@ -525,7 +529,7 @@ impl<'a> SpmdVm<'a> {
         }
     }
 
-    /// Per-invocation reset for one lane, mirroring the scalar VM's
+    /// Per-invocation reset for one lane, mirroring the interpreter's
     /// `run_main` prologue.
     fn begin_invocation(&mut self, lane: usize) {
         self.discarded[lane] = false;
@@ -740,7 +744,7 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// Generic per-lane binary operator: materialises both operands and
-    /// applies the scalar VM's [`ops::apply_binary`] exactly.
+    /// applies the interpreter's [`ops::apply_binary`] exactly.
     fn binary_generic(&mut self, op: BinOp, sp: usize, mask: u8) -> Result<(), RuntimeError> {
         for_lanes!(mask, l => {
             let bv = self.stack[sp - 1].get(l);
@@ -1159,7 +1163,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 // Mirrors `builtins::build`: exact fill, single-scalar
                 // splat, or single-argument truncation; anything else
-                // errors in the scalar VM, so take the generic path.
+                // errors in a sequential run, so take the generic path.
                 if !(total == dim || total == 1 || (total > dim && argc == 1)) {
                     return false;
                 }
@@ -1938,54 +1942,102 @@ impl<'a> SpmdVm<'a> {
         }
     }
 }
+/// Writes `value` through `path` into `root`, using the shared
+/// swizzle/index mutators so behaviour matches the interpreter's
+/// `assign_to`/`modify` recursion. Every per-lane store takes exactly
+/// this path.
+fn store_path(
+    root: &mut Value,
+    path: &[PathStep],
+    indices: &[i64],
+    value: Value,
+) -> Result<(), RuntimeError> {
+    match path.first() {
+        None => {
+            *root = value;
+            Ok(())
+        }
+        Some(PathStep::Index) => {
+            let i = indices[0];
+            if path.len() == 1 {
+                ops::index_write(root, i, &value)
+            } else {
+                ops::index_modify(root, i, &mut |inner| {
+                    store_path(inner, &path[1..], &indices[1..], value.clone())
+                })
+            }
+        }
+        Some(PathStep::Swizzle { idx, len }) => {
+            let mut sel = [0usize; 4];
+            for (slot, &i) in sel.iter_mut().zip(idx.iter()) {
+                *slot = i as usize;
+            }
+            let sel = &sel[..*len as usize];
+            if path.len() == 1 {
+                ops::swizzle_write(root, sel, &value)
+            } else {
+                // Swizzle-of-swizzle lvalues: read, recurse, write back —
+                // the interpreter's `modify` does the same.
+                let mut tmp = ops::swizzle_read(root, sel)?;
+                store_path(&mut tmp, &path[1..], indices, value)?;
+                ops::swizzle_write(root, sel, &tmp)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::lower;
     use crate::exec::NoTextures;
+    use crate::interp::Interpreter;
     use crate::parser::parse;
-    use crate::sema::{check, ShaderKind};
-    use crate::vm::Vm;
+    use crate::sema::{check, CompiledShader, ShaderKind};
 
     const P: &str = "precision highp float;\n";
 
+    fn check_src(src: &str) -> CompiledShader {
+        check(ShaderKind::Fragment, parse(src).expect("parse")).expect("check")
+    }
+
     fn lower_src(src: &str) -> Executable {
-        let shader = check(ShaderKind::Fragment, parse(src).expect("parse")).expect("check");
-        lower(&shader).expect("lower")
+        lower(&check_src(src)).expect("lower")
     }
 
     /// Runs `src` with per-lane values for the global `u_in` through the
-    /// SPMD VM (one batch of `inputs.len()` lanes) and through a scalar
-    /// VM (sequential invocations), asserting bit-identical colors,
-    /// discard flags and aggregate profiles.
+    /// SPMD VM (one batch of `inputs.len()` lanes) and through the
+    /// tree-walking interpreter (sequential invocations), asserting
+    /// bit-identical colors, discard flags and aggregate profiles.
     fn assert_lanes_match(src: &str, inputs: &[f32]) {
         for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
-            let exe = lower_src(src);
+            let shader = check_src(src);
+            let exe = lower(&shader).expect("lower");
             let tex = NoTextures;
             let mut spmd = SpmdVm::with_model(&exe, &tex, model, inputs.len()).expect("spmd");
-            let mut scalar = Vm::with_model(&exe, &tex, model).expect("vm");
+            let mut oracle = Interpreter::with_model(&shader, &tex, model).expect("interp");
             let slot = exe.global_slot("u_in").expect("u_in slot");
             for (lane, &x) in inputs.iter().enumerate() {
                 spmd.set_lane_slot(lane, slot, Value::Float(x));
             }
             spmd.run_batch(inputs.len()).expect("batch");
             for (lane, &x) in inputs.iter().enumerate() {
-                scalar.set_slot(slot, Value::Float(x));
-                scalar.run_main().expect("scalar run");
+                oracle.set_global("u_in", Value::Float(x)).expect("u_in");
+                oracle.run_main().expect("oracle run");
                 assert_eq!(
                     spmd.discarded(lane),
-                    scalar.discarded(),
+                    oracle.discarded(),
                     "discard lane {lane} of {src}"
                 );
-                if !scalar.discarded() {
+                if !oracle.discarded() {
                     assert_eq!(
                         spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
-                        scalar.frag_color().map(|c| c.map(f32::to_bits)),
+                        oracle.frag_color().map(|c| c.map(f32::to_bits)),
                         "color lane {lane} input {x} of {src} under {model:?}"
                     );
                 }
             }
-            assert_eq!(spmd.profile(), scalar.profile(), "profiles for {src}");
+            assert_eq!(spmd.profile(), oracle.profile(), "profiles for {src}");
         }
     }
 
@@ -2196,6 +2248,88 @@ mod tests {
         for lane in 0..3 {
             assert_eq!(spmd.wrote_outputs(lane), (false, true));
             assert_eq!(spmd.frag_color(lane), Some([1.0, 0.25, 0.125, 1.0]));
+        }
+    }
+
+    #[test]
+    fn swizzle_lvalues_arrays_matrices_and_out_params_match() {
+        assert_lanes_match(
+            &format!(
+                "{P}uniform float u_in;\n\
+                 void split(float v, out float hi, out float lo) {{
+                    hi = floor(v); lo = fract(v);
+                 }}
+                 float scale(float v) {{ return v * 2.0; }}
+                 void main() {{
+                    vec4 v = vec4(u_in, 0.2, 0.3, 0.4);
+                    v.xz *= u_in;
+                    v.w += 0.5;
+                    float a[3];
+                    for (int i = 0; i < 3; i++) {{ a[i] = float(i) * u_in; }}
+                    mat2 m = mat2(1.0, 2.0, 3.0, u_in);
+                    vec2 p = m * vec2(a[1], a[2]);
+                    float h; float l;
+                    split(u_in, h, l);
+                    gl_FragColor = vec4(v.x + p.x, v.z * p.y, h + l, scale(v.w));
+                 }}"
+            ),
+            &[0.25, 3.75, -1.5, 6.0, 2.5, 5.125, 4.0, 0.0],
+        );
+    }
+
+    #[test]
+    fn call_depth_guard_traps_unbounded_recursion() {
+        let src = format!(
+            "{P}uniform float u_in;\n\
+             float f(float x) {{ return f(x) + 1.0; }}\n\
+             void main() {{ gl_FragColor = vec4(u_in > 0.0 ? f(u_in) : u_in); }}"
+        );
+        let exe = lower_src(&src);
+        let tex = NoTextures;
+        let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 2).expect("spmd");
+        spmd.set_limits(ExecLimits {
+            max_loop_iterations: 1000,
+            max_call_depth: 8,
+        });
+        let slot = exe.global_slot("u_in").expect("slot");
+        spmd.set_lane_slot(0, slot, Value::Float(-1.0));
+        spmd.set_lane_slot(1, slot, Value::Float(1.0));
+        let err = spmd
+            .run_batch(2)
+            .expect_err("lane 1 recurses without bound");
+        assert_eq!(err.lane, 1);
+        assert!(matches!(err.error, RuntimeError::CallDepth { limit: 8 }));
+        assert_eq!(spmd.frag_color(0), Some([-1.0; 4]));
+    }
+
+    #[test]
+    fn globals_reset_between_batches() {
+        let src = format!(
+            "{P}float counter = 0.0;\n\
+             void main() {{ counter += 1.0; gl_FragColor = vec4(counter); }}"
+        );
+        let exe = lower_src(&src);
+        let tex = NoTextures;
+        let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 2).expect("spmd");
+        for _ in 0..2 {
+            spmd.run_batch(2).expect("batch");
+            assert_eq!(spmd.frag_color(0), Some([1.0; 4]));
+            assert_eq!(spmd.frag_color(1), Some([1.0; 4]));
+        }
+    }
+
+    #[test]
+    fn broadcast_slot_round_trips() {
+        let src = format!("{P}uniform float u_x;\nvoid main() {{ gl_FragColor = vec4(u_x); }}");
+        let exe = lower_src(&src);
+        let tex = NoTextures;
+        let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 3).expect("spmd");
+        let slot = spmd.global_slot("u_x").expect("slot");
+        spmd.set_slot_all(slot, Value::Float(0.75));
+        spmd.run_batch(3).expect("batch");
+        for lane in 0..3 {
+            assert_eq!(spmd.global(lane, "u_x"), Some(Value::Float(0.75)));
+            assert_eq!(spmd.frag_color(lane), Some([0.75; 4]));
         }
     }
 }

@@ -8,15 +8,14 @@
 //! at every batch width from one lane up to full occupancy (the
 //! partial-band tails the rasteriser produces at band edges).
 //!
-//! Oracles are the scalar bytecode VM *and* the tree-walking
-//! interpreter, each run invocation-by-invocation in lane order.
-//! Everything must be bit-identical: colour bits, discard and output
-//! flags, aggregate `OpProfile` counters, and trap messages.
+//! The oracle is the tree-walking interpreter, run
+//! invocation-by-invocation in lane order. Everything must be
+//! bit-identical: colour bits, discard and output flags, aggregate
+//! `OpProfile` counters, and trap messages.
 
 use gpes_glsl::exec::{FloatModel, NoTextures};
 use gpes_glsl::interp::Interpreter;
 use gpes_glsl::spmd::SpmdVm;
-use gpes_glsl::vm::Vm;
 use gpes_glsl::{compile, lower, ShaderKind, Value};
 use proptest::prelude::*;
 
@@ -229,8 +228,7 @@ fn check_divergent(seed: u64) {
             // produces: active < lanes leaves the trailing lanes idle.
             for active in 1..=lanes {
                 let mut spmd = SpmdVm::with_model(&exe, &tex, model, lanes).expect("spmd init");
-                let mut scalar = Vm::with_model(&exe, &tex, model).expect("vm init");
-                let mut interp =
+                let mut oracle =
                     Interpreter::with_model(&shader, &tex, model).expect("interp init");
                 for lane in 0..active {
                     for (name, value) in uniforms(lane_seed(lane)) {
@@ -245,80 +243,58 @@ fn check_divergent(seed: u64) {
                 };
                 for lane in 0..stop {
                     for (name, value) in uniforms(lane_seed(lane)) {
-                        scalar.set_global(name, value.clone()).expect("vm uniform");
-                        interp.set_global(name, value).expect("interp uniform");
+                        oracle.set_global(name, value).expect("oracle uniform");
                     }
-                    scalar.run_main().unwrap_or_else(|e| {
+                    oracle.run_main().unwrap_or_else(|e| {
                         panic!(
-                            "scalar oracle trapped before the SPMD batch did \
+                            "tree-walker oracle trapped before the SPMD batch did \
                              (seed {seed}, {model:?}, lane {lane}): {e}\n{src}"
                         )
                     });
-                    interp.run_main().expect("interp oracle trapped");
                     assert!(
                         spmd.completed(lane),
                         "lane {lane} not retired (seed {seed}, {model:?})\n{src}"
                     );
                     assert_eq!(
                         spmd.discarded(lane),
-                        scalar.discarded(),
+                        oracle.discarded(),
                         "lane {lane} discard flag diverged (seed {seed}, {model:?})\n{src}"
                     );
-                    assert_eq!(
-                        scalar.discarded(),
-                        interp.discarded(),
-                        "oracles disagree on discard (seed {seed}, {model:?})\n{src}"
-                    );
                     // A discarded lane never writes its colour: the
-                    // sequentially-reused scalar oracle keeps the previous
+                    // sequentially-reused oracle keeps the previous
                     // invocation's value there, so only compare colours
                     // for surviving lanes (what the rasteriser consumes).
-                    if !scalar.discarded() {
-                        let sc = spmd.frag_color(lane).map(|c| c.map(f32::to_bits));
+                    if !oracle.discarded() {
                         assert_eq!(
-                            sc,
-                            scalar.frag_color().map(|c| c.map(f32::to_bits)),
-                            "lane {lane} diverged from scalar VM (seed {seed}, {model:?}, \
-                             {lanes} lanes, {active} active)\n{src}"
-                        );
-                        assert_eq!(
-                            sc,
-                            interp.frag_color().map(|c| c.map(f32::to_bits)),
+                            spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
+                            oracle.frag_color().map(|c| c.map(f32::to_bits)),
                             "lane {lane} diverged from tree-walker (seed {seed}, {model:?}, \
                              {lanes} lanes, {active} active)\n{src}"
                         );
                     }
                     assert_eq!(
                         spmd.wrote_outputs(lane),
-                        scalar.wrote_outputs(),
+                        oracle.wrote_outputs(),
                         "lane {lane} output flags diverged (seed {seed}, {model:?})\n{src}"
                     );
                 }
                 match batch {
-                    Ok(()) => {
-                        assert_eq!(
-                            spmd.profile(),
-                            scalar.profile(),
-                            "aggregate profile diverged from scalar VM (seed {seed}, \
-                             {model:?}, {lanes} lanes, {active} active)\n{src}"
-                        );
-                        assert_eq!(
-                            spmd.profile(),
-                            interp.profile(),
-                            "aggregate profile diverged from tree-walker (seed {seed}, \
-                             {model:?}, {lanes} lanes, {active} active)\n{src}"
-                        );
-                    }
+                    Ok(()) => assert_eq!(
+                        spmd.profile(),
+                        oracle.profile(),
+                        "aggregate profile diverged from tree-walker (seed {seed}, \
+                         {model:?}, {lanes} lanes, {active} active)\n{src}"
+                    ),
                     Err(e) => {
                         for (name, value) in uniforms(lane_seed(e.lane)) {
-                            scalar.set_global(name, value).expect("vm uniform");
+                            oracle.set_global(name, value).expect("oracle uniform");
                         }
-                        let se = scalar
+                        let oe = oracle
                             .run_main()
-                            .expect_err("SPMD trapped where the scalar oracle succeeded");
+                            .expect_err("SPMD trapped where the tree-walker oracle succeeded");
                         assert_eq!(
                             e.error.to_string(),
-                            se.to_string(),
+                            oe.to_string(),
                             "trap diverged (seed {seed}, {model:?}, lane {})\n{src}",
                             e.lane
                         );
@@ -332,8 +308,8 @@ fn check_divergent(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Branch-heavy generated programs stay bit-identical across the
-    /// SPMD VM, scalar VM, and tree-walker at every batch width.
+    /// Branch-heavy generated programs stay bit-identical between the
+    /// SPMD VM and the tree-walker at every batch width.
     #[test]
     fn spmd_matches_oracles_on_divergent_programs(seed in 0u64..1_000_000) {
         check_divergent(seed);

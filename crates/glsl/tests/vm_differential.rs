@@ -1,8 +1,9 @@
 //! Property-based differential testing: randomly generated shader
-//! programs must behave **bit-identically** on the bytecode VM and the
-//! tree-walking interpreter under every float model — same fragment
-//! colour bits, same `OpProfile` counters, same discard/output flags,
-//! and, when a program traps, the same runtime error.
+//! programs must behave **bit-identically** on the bytecode VM (one-lane
+//! and multi-lane SPMD batches) and the tree-walking interpreter under
+//! every float model — same fragment colour bits, same `OpProfile`
+//! counters, same discard/output flags, and, when a program traps, the
+//! same runtime error.
 //!
 //! The generator builds programs that are valid by construction (they
 //! pass `sema::check`) but deliberately exercise the lowerer's whole
@@ -14,7 +15,6 @@
 use gpes_glsl::exec::{FloatModel, NoTextures};
 use gpes_glsl::interp::Interpreter;
 use gpes_glsl::spmd::SpmdVm;
-use gpes_glsl::vm::Vm;
 use gpes_glsl::{compile, lower, ShaderKind, Value};
 use proptest::prelude::*;
 
@@ -389,7 +389,8 @@ fn check_program(seed: u64) {
     };
     let tex = NoTextures;
     for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
-        let mut vm = Vm::with_model(&exe, &tex, model).expect("vm init");
+        // One lane: every batch is a single sequential invocation.
+        let mut vm = SpmdVm::with_model(&exe, &tex, model, 1).expect("vm init");
         let mut interp = Interpreter::with_model(&shader, &tex, model).expect("interp init");
         for (name, value) in uniforms(seed) {
             vm.set_global(name, value.clone()).expect("vm uniform");
@@ -398,23 +399,23 @@ fn check_program(seed: u64) {
         // Two invocations back to back: the second catches state leaking
         // across invocations (globals reset, stale stack, arena reuse).
         for invocation in 0..2 {
-            let vr = vm.run_main();
+            let vr = vm.run_batch(1).map_err(|e| e.error);
             let ir = interp.run_main();
             match (vr, ir) {
                 (Ok(()), Ok(())) => {
-                    let vc = vm.frag_color().map(|c| c.map(f32::to_bits));
+                    let vc = vm.frag_color(0).map(|c| c.map(f32::to_bits));
                     let ic = interp.frag_color().map(|c| c.map(f32::to_bits));
                     assert_eq!(
                         vc, ic,
                         "colour diverged (seed {seed}, {model:?}, invocation {invocation})\n{src}"
                     );
                     assert_eq!(
-                        vm.discarded(),
+                        vm.discarded(0),
                         interp.discarded(),
                         "discard flag diverged (seed {seed})\n{src}"
                     );
                     assert_eq!(
-                        vm.wrote_outputs(),
+                        vm.wrote_outputs(0),
                         interp.wrote_outputs(),
                         "output flags diverged (seed {seed})\n{src}"
                     );
@@ -440,14 +441,14 @@ fn check_program(seed: u64) {
         }
     }
 
-    // Third executor: the SPMD lane VM, each lane fed *different*
-    // uniforms so generated branches genuinely diverge across the batch.
-    // The oracle is one scalar VM run invocation-by-invocation in lane
-    // order — exactly the contract the rasteriser relies on.
+    // Multi-lane batches, each lane fed *different* uniforms so generated
+    // branches genuinely diverge across the batch. The oracle is one
+    // tree-walker run invocation-by-invocation in lane order — exactly
+    // the contract the rasteriser relies on.
     for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
         for lanes in [4usize, 8] {
             let mut spmd = SpmdVm::with_model(&exe, &tex, model, lanes).expect("spmd init");
-            let mut scalar = Vm::with_model(&exe, &tex, model).expect("vm init");
+            let mut oracle = Interpreter::with_model(&shader, &tex, model).expect("interp init");
             let lane_seed = |lane: usize| seed ^ (lane as u64).wrapping_mul(0x9E37_79B9);
             for lane in 0..lanes {
                 for (name, value) in uniforms(lane_seed(lane)) {
@@ -462,11 +463,11 @@ fn check_program(seed: u64) {
             };
             for lane in 0..stop {
                 for (name, value) in uniforms(lane_seed(lane)) {
-                    scalar.set_global(name, value).expect("scalar uniform");
+                    oracle.set_global(name, value).expect("oracle uniform");
                 }
-                scalar.run_main().unwrap_or_else(|e| {
+                oracle.run_main().unwrap_or_else(|e| {
                     panic!(
-                        "scalar oracle trapped before the SPMD batch did \
+                        "tree-walker oracle trapped before the SPMD batch did \
                          (seed {seed}, {model:?}, lane {lane}): {e}\n{src}"
                     )
                 });
@@ -476,15 +477,15 @@ fn check_program(seed: u64) {
                 );
                 assert_eq!(
                     spmd.discarded(lane),
-                    scalar.discarded(),
+                    oracle.discarded(),
                     "SPMD lane {lane} discard flag diverged (seed {seed}, {model:?})\n{src}"
                 );
-                // Discarded lanes never write a colour; the reused scalar
+                // Discarded lanes never write a colour; the reused
                 // oracle keeps the previous invocation's value there.
-                if !scalar.discarded() {
+                if !oracle.discarded() {
                     assert_eq!(
                         spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
-                        scalar.frag_color().map(|c| c.map(f32::to_bits)),
+                        oracle.frag_color().map(|c| c.map(f32::to_bits)),
                         "SPMD lane {lane} colour diverged (seed {seed}, {model:?}, {lanes} lanes)\n{src}"
                     );
                 }
@@ -492,16 +493,16 @@ fn check_program(seed: u64) {
             match batch {
                 Ok(()) => assert_eq!(
                     spmd.profile(),
-                    scalar.profile(),
+                    oracle.profile(),
                     "SPMD aggregate profile diverged (seed {seed}, {model:?}, {lanes} lanes)\n{src}"
                 ),
                 Err(e) => {
                     for (name, value) in uniforms(lane_seed(e.lane)) {
-                        scalar.set_global(name, value).expect("scalar uniform");
+                        oracle.set_global(name, value).expect("oracle uniform");
                     }
-                    let se = scalar
+                    let se = oracle
                         .run_main()
-                        .expect_err("SPMD trapped where the scalar oracle succeeded");
+                        .expect_err("SPMD trapped where the tree-walker oracle succeeded");
                     assert_eq!(
                         e.error.to_string(),
                         se.to_string(),
@@ -517,8 +518,8 @@ fn check_program(seed: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Generated programs behave identically on both executors under
-    /// every float model.
+    /// Generated programs behave identically on the SPMD VM and the
+    /// tree-walker under every float model.
     #[test]
     fn vm_matches_interpreter_on_generated_programs(seed in 0u64..1_000_000) {
         check_program(seed);

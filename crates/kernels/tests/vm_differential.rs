@@ -1,16 +1,17 @@
-//! Differential testing: the SPMD lane VM and the scalar bytecode VM
-//! against the tree-walking interpreter, across **every bundled kernel**
+//! Differential testing: the SPMD lane VM against the tree-walking
+//! interpreter, across **every bundled kernel**, a vertex-stage kernel
 //! and all three [`FloatModel`]s.
 //!
-//! For each kernel the same workload runs through the full pipeline once
-//! per [`ExecMode`] — tree-walker, scalar VM, `Spmd{4}` and `Spmd{8}` —
+//! For each workload the same work runs through the full pipeline once
+//! per [`ExecMode`] — tree-walker, `Spmd{1}`, `Spmd{4}` and `Spmd{8}` —
 //! and must produce byte-identical outputs and identical fragment/vertex
 //! [`gpes_glsl::exec::OpProfile`] counters (the timing model consumes
 //! the profiles, so they are part of the contract, not just the pixels).
 //! The SPMD runs additionally assert `spmd_batches > 0`: the lane path
 //! must actually execute, not silently fall back.
 
-use gpes_core::{ComputeContext, ComputeError, ExecMode};
+use gpes_core::vertex_compute::VertexKernel;
+use gpes_core::{ComputeContext, ComputeError, ExecMode, ScalarType};
 use gpes_glsl::exec::{FloatModel, OpProfile};
 use gpes_kernels::backprop::{self, Activation};
 use gpes_kernels::fft::{self, Direction};
@@ -23,8 +24,8 @@ const MODELS: [FloatModel; 3] = [FloatModel::Exact, FloatModel::Vc4Sfu, FloatMod
 
 /// The VM fast path must be *live* for the bundled kernels: if the
 /// lowerer rejected these shaders, `Program::link` would silently fall
-/// back to the tree-walker for both executors and every differential
-/// test below would compare the interpreter against itself.
+/// back to the tree-walker and every differential test below would
+/// compare the interpreter against itself.
 #[test]
 fn bundled_kernel_shaders_lower_to_bytecode() {
     let mut cc = ComputeContext::new(64, 64).expect("context");
@@ -54,7 +55,7 @@ fn bundled_kernel_shaders_lower_to_bytecode() {
 
 const MODES: [ExecMode; 4] = [
     ExecMode::TreeWalker,
-    ExecMode::Scalar,
+    ExecMode::Spmd { lanes: 1 },
     ExecMode::Spmd { lanes: 4 },
     ExecMode::Spmd { lanes: 8 },
 ];
@@ -83,7 +84,7 @@ where
                 assert_eq!(
                     cc.stats().spmd_batches,
                     0,
-                    "{name}/{model:?}: scalar mode dispatched SPMD batches"
+                    "{name}/{model:?}: the tree-walker dispatched SPMD batches"
                 );
             }
             let mut fs = OpProfile::new();
@@ -305,4 +306,66 @@ fn solver_and_ml_kernels_match() {
         let k = hotspot::build(cc, &gt, &gp, hotspot::HotspotParams::default())?;
         Ok(f32s_bytes(&cc.run_f32(&k)?))
     });
+}
+
+/// A vertex kernel whose item count (1000) is not a multiple of the lane
+/// width, so the last vertex batch is partial.
+fn vertex_kernel(
+    cc: &mut ComputeContext,
+    n: usize,
+    body: &str,
+) -> Result<VertexKernel, ComputeError> {
+    let x = data::random_f32(n, 61, 4.0);
+    let y = data::random_f32(n, 62, 4.0);
+    let vk = VertexKernel::builder("vertex_mix")
+        .input("x", &x)
+        .input("y", &y)
+        .uniform_f32("alpha", 1.75)
+        .output(ScalarType::F32, n)
+        .body(body)
+        .build(cc)?;
+    // Under SPMD the vertex stage must really run as lane batches.
+    let vs = gpes_glsl::compile(gpes_glsl::ShaderKind::Vertex, vk.vertex_source())
+        .expect("vertex compiles");
+    gpes_glsl::lower(&vs).expect("vertex shader must lower to bytecode");
+    Ok(vk)
+}
+
+#[test]
+fn vertex_stage_kernels_match() {
+    assert_differential("vertex_points", |cc| {
+        let vk = vertex_kernel(
+            cc,
+            1000,
+            "float t = alpha * x + sin(y);\n\
+             if (t > 0.5) { t = sqrt(t) + exp2(y * 0.25); } else { t = t * fract(idx * 0.37); }\n\
+             return t;",
+        )?;
+        Ok(f32s_bytes(&vk.run_and_read::<f32>(cc)?))
+    });
+}
+
+/// A vertex that traps in the middle of a lane batch fails the draw with
+/// exactly the tree-walker's error.
+#[test]
+fn vertex_trap_mid_batch_matches_tree_walker() {
+    let run = |mode: ExecMode| -> String {
+        let mut cc = ComputeContext::new(64, 64).expect("context");
+        cc.set_exec_mode(mode);
+        let vk = vertex_kernel(
+            &mut cc,
+            20,
+            "float a[3];\n\
+             a[0] = x; a[1] = y; a[2] = alpha;\n\
+             int k = idx == 4.0 ? 7 : 1;\n\
+             return a[k];",
+        )
+        .expect("build");
+        vk.run_and_read::<f32>(&mut cc)
+            .expect_err("vertex 4 indexes out of bounds")
+            .to_string()
+    };
+    let oracle = run(ExecMode::TreeWalker);
+    assert!(oracle.contains("out of bounds"), "{oracle}");
+    assert_eq!(run(ExecMode::Spmd { lanes: 8 }), oracle);
 }
