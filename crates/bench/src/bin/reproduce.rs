@@ -202,10 +202,10 @@ fn run_a11() -> Outcome {
     println!("steady-state wave links zero programs and creates zero GL objects,");
     println!("and every served output is bit-identical to the direct");
     println!("retained-Pipeline run. The per-pass rows flatten the same passes");
-    println!("into Submission DAGs — correct, but every intermediate of the DAG");
-    println!("is live at once, so deep chains (fft: 12 same-shape steps)");
-    println!("overflow the texture-pool bucket and keep allocating every wave");
-    println!("where the retained pipeline ping-pongs in two or three buffers.");
+    println!("into Submission DAGs; the worker recycles each intermediate once");
+    println!("its last reader has dispatched, so even the deep chains (fft: 12");
+    println!("same-shape steps) hold only their live textures, and their steady");
+    println!("wave also links nothing and creates no GL objects (gated too).");
     outcome
 }
 

@@ -16,13 +16,17 @@
 //!   no matter which worker sees it first ([`CachePolicy::PerContext`]
 //!   exists for the `a10` ablation that measures what N× relinking
 //!   costs);
-//! * requests are [`Job`]s (one kernel dispatch), [`Submission`]s (a
-//!   multi-kernel DAG that runs on one worker without per-step queue
-//!   round-trips, intermediates staying on the GPU), or [`PipelineJob`]s
-//!   (a whole retained multi-pass [`crate::Pipeline`] described by a
-//!   context-free [`PipelineSpec`] — iteration loops, ping-pong pairs,
-//!   per-iteration uniforms and `until` predicates run entirely on one
-//!   worker, with the built pipeline cached per worker by spec hash);
+//! * workers run two kinds of task. A [`Submission`] is a multi-kernel
+//!   DAG that runs on one worker without per-step queue round-trips; its
+//!   intermediates stay on the GPU and each is recycled once its last
+//!   reader has dispatched. A [`Job`] (one f32 kernel dispatch) is
+//!   lowered at submit time into a one-step submission. A
+//!   [`PipelineJob`] is a whole retained multi-pass [`crate::Pipeline`]
+//!   described by a context-free [`PipelineSpec`]: iteration loops,
+//!   ping-pong pairs, per-iteration uniforms and `until` predicates run
+//!   entirely on one worker, with the built pipeline cached per worker
+//!   by spec hash. Typed (quantized) kernels are served as pipelines; a
+//!   typed single kernel is a one-pass spec;
 //! * constant inputs can be made **resident** ([`ResidentInput`]): each
 //!   worker uploads them once and every later job — kernel, DAG or
 //!   pipeline — reuses the on-GPU texture, with capacity evictions
@@ -63,8 +67,8 @@
 //! context that compiled it. A spec carries exactly the information
 //! [`crate::KernelBuilder`] needs, so a worker executing a job performs
 //! the same upload → build → dispatch → read sequence a caller would
-//! perform directly — the engine differential test asserts the outputs
-//! are bit-identical.
+//! perform directly — the engine tests assert the outputs are
+//! bit-identical and the counted GL work equal.
 //!
 //! ```
 //! use gpes_core::serve::{Engine, Job, KernelSpec};

@@ -451,64 +451,50 @@ pub enum CachePolicy {
     PerContext,
 }
 
-/// Where a single-kernel job's result goes: the legacy `Vec<f32>` handle
-/// ([`Engine::submit`]) or a typed [`TensorData`] handle
-/// ([`Engine::submit_typed`]). The worker computes a `TensorData` either
-/// way; the `F32` sink unwraps it at fulfilment.
+/// Where a submission's result goes: the [`BatchResult`] handle of
+/// [`Engine::submit_batch`], or — for a [`Job`] lowered into a one-step
+/// submission — the `Vec<f32>` handle of [`Engine::submit`], filled from
+/// that step's readback.
 #[derive(Clone)]
-pub(crate) enum SingleSink {
-    F32(Arc<HandleState<Vec<f32>>>),
-    Tensor(Arc<HandleState<TensorData>>),
+pub(crate) enum BatchSink {
+    Batch(Arc<HandleState<BatchResult>>),
+    Job(Arc<HandleState<Vec<f32>>>),
 }
 
-impl SingleSink {
-    pub(crate) fn control(&self) -> &TaskControl {
+impl BatchSink {
+    fn control(&self) -> &TaskControl {
         match self {
-            SingleSink::F32(handle) => &handle.control,
-            SingleSink::Tensor(handle) => &handle.control,
+            BatchSink::Batch(handle) => &handle.control,
+            BatchSink::Job(handle) => &handle.control,
         }
     }
 
-    pub(crate) fn fulfil(self, result: Result<TensorData, ComputeError>) {
+    pub(crate) fn fulfil(self, result: Result<BatchResult, ComputeError>) {
         match self {
-            SingleSink::F32(handle) => {
-                let result = result.map(|t| match t {
-                    TensorData::F32(v) => v,
-                    // submit() admits only all-f32 specs, so a typed
-                    // result can never reach an F32 sink.
-                    other => unreachable!("f32 job produced {:?} output", other.scalar()),
+            BatchSink::Batch(handle) => fulfil(&handle, result),
+            BatchSink::Job(handle) => {
+                let result = result.and_then(|batch| {
+                    batch.outputs.into_iter().next().flatten().ok_or_else(|| {
+                        ComputeError::EngineInternal {
+                            message: "one-step submission returned no readback".into(),
+                        }
+                    })
                 });
                 fulfil(&handle, result);
             }
-            SingleSink::Tensor(handle) => fulfil(&handle, result),
         }
     }
 }
 
-/// `submit`/`try_submit` resolve to `Vec<f32>`, so they only admit specs
-/// whose inputs and output are all f32; typed specs go through
-/// [`Engine::submit_typed`].
-fn check_f32_job(job: &Job) -> Result<(), ComputeError> {
-    if !job.kernel.is_all_f32() {
-        return Err(spec::bad_job(format!(
-            "kernel spec `{}` declares typed tensors; submit it with Engine::submit_typed",
-            job.kernel.name
-        )));
-    }
-    Ok(())
-}
-
 pub(crate) enum Task {
-    Single(Job, SingleSink),
-    Batch(Submission, Arc<HandleState<BatchResult>>),
+    Batch(Submission, BatchSink),
     Pipeline(PipelineJob, Arc<HandleState<PipelineResult>>),
 }
 
 impl Task {
     pub(crate) fn control(&self) -> &TaskControl {
         match self {
-            Task::Single(_, sink) => sink.control(),
-            Task::Batch(_, handle) => &handle.control,
+            Task::Batch(_, sink) => sink.control(),
             Task::Pipeline(_, handle) => &handle.control,
         }
     }
@@ -517,7 +503,6 @@ impl Task {
     /// one.
     pub(crate) fn retry_override(&self) -> Option<RetryPolicy> {
         match self {
-            Task::Single(job, _) => job.retry,
             Task::Batch(submission, _) => submission.retry,
             Task::Pipeline(job, _) => job.retry,
         }
@@ -531,21 +516,19 @@ impl Task {
             return;
         }
         EngineMetrics::bump(&metrics.aborted);
-        match self {
-            Task::Single(_, sink) => sink.fulfil(Err(error)),
-            Task::Batch(_, handle) => fulfil(&handle, Err(error)),
-            Task::Pipeline(_, handle) => fulfil(&handle, Err(error)),
-        }
+        self.fail(error);
     }
 
     /// Fulfils an already-claimed task with
     /// [`ComputeError::DeadlineExceeded`] — the worker shed it at dequeue
     /// without touching the GPU.
     pub(crate) fn shed(self, queued_ms: u64) {
-        let error = ComputeError::DeadlineExceeded { queued_ms };
+        self.fail(ComputeError::DeadlineExceeded { queued_ms });
+    }
+
+    fn fail(self, error: ComputeError) {
         match self {
-            Task::Single(_, sink) => sink.fulfil(Err(error)),
-            Task::Batch(_, handle) => fulfil(&handle, Err(error)),
+            Task::Batch(_, sink) => sink.fulfil(Err(error)),
             Task::Pipeline(_, handle) => fulfil(&handle, Err(error)),
         }
     }
@@ -553,7 +536,6 @@ impl Task {
     /// The tenant the submission was tagged with, if any.
     pub(crate) fn tenant(&self) -> Option<&TenantId> {
         match self {
-            Task::Single(job, _) => job.tenant.as_ref(),
             Task::Batch(submission, _) => submission.tenant.as_ref(),
             Task::Pipeline(job, _) => job.tenant.as_ref(),
         }
@@ -1039,65 +1021,25 @@ impl Engine {
         }
     }
 
-    /// Enqueues a single-kernel job. Blocks up to the configured
+    /// Enqueues a single-kernel job, lowered into a one-step
+    /// [`Submission`]. Blocks up to the configured
     /// [`EngineBuilder::submit_timeout`] when the queue is full, then
     /// gives up with [`ComputeError::QueueFull`]; use
     /// [`Engine::try_submit`] to never block.
     ///
     /// # Errors
     ///
-    /// Validation errors (input arity) and admission errors
+    /// Validation errors (input arity, typed specs) and admission errors
     /// ([`ComputeError::QueueFull`], [`ComputeError::EngineShutdown`])
     /// surface here; execution errors surface on the handle.
     pub fn submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        check_f32_job(&job)?;
-        job.validate()?;
-        let deadline = job.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Single(job, SingleSink::F32(state)), deadline, true)?;
-        Ok(handle)
+        self.enqueue_submission(job.into_submission(), BatchSink::Job, true)
     }
 
     /// Non-blocking [`Engine::submit`]: a full queue rejects with
     /// [`ComputeError::QueueFull`] immediately.
     pub fn try_submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        check_f32_job(&job)?;
-        job.validate()?;
-        let deadline = job.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Single(job, SingleSink::F32(state)), deadline, false)?;
-        Ok(handle)
-    }
-
-    /// [`Engine::submit`] for typed kernels: the handle resolves to the
-    /// output's [`TensorData`] in the spec's declared output scalar, so
-    /// quantized results come back as their own bytes. Accepts all-f32
-    /// specs too (the result is then `TensorData::F32`).
-    ///
-    /// # Errors
-    ///
-    /// Validation errors (input arity, scalar mismatches) and admission
-    /// errors surface here; execution errors surface on the handle.
-    pub fn submit_typed(&self, job: Job) -> Result<JobHandle<TensorData>, ComputeError> {
-        job.validate()?;
-        let deadline = job.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Single(job, SingleSink::Tensor(state)), deadline, true)?;
-        Ok(handle)
-    }
-
-    /// Non-blocking [`Engine::submit_typed`]: a full queue rejects with
-    /// [`ComputeError::QueueFull`] immediately.
-    pub fn try_submit_typed(&self, job: Job) -> Result<JobHandle<TensorData>, ComputeError> {
-        job.validate()?;
-        let deadline = job.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(
-            Task::Single(job, SingleSink::Tensor(state)),
-            deadline,
-            false,
-        )?;
-        Ok(handle)
+        self.enqueue_submission(job.into_submission(), BatchSink::Job, false)
     }
 
     /// Enqueues a multi-kernel DAG as one unit of work. Blocks up to the
@@ -1113,11 +1055,7 @@ impl Engine {
         &self,
         submission: Submission,
     ) -> Result<JobHandle<BatchResult>, ComputeError> {
-        submission.validate()?;
-        let deadline = submission.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Batch(submission, state), deadline, true)?;
-        Ok(handle)
+        self.enqueue_submission(submission, BatchSink::Batch, true)
     }
 
     /// Non-blocking [`Engine::submit_batch`]: a full queue rejects with
@@ -1126,10 +1064,21 @@ impl Engine {
         &self,
         submission: Submission,
     ) -> Result<JobHandle<BatchResult>, ComputeError> {
+        self.enqueue_submission(submission, BatchSink::Batch, false)
+    }
+
+    /// Validates and enqueues a submission whose result `sink` routes to
+    /// a handle of type `T`.
+    fn enqueue_submission<T>(
+        &self,
+        submission: Submission,
+        sink: fn(Arc<HandleState<T>>) -> BatchSink,
+        blocking: bool,
+    ) -> Result<JobHandle<T>, ComputeError> {
         submission.validate()?;
         let deadline = submission.deadline;
         let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Batch(submission, state), deadline, false)?;
+        self.enqueue(Task::Batch(submission, sink(state)), deadline, blocking)?;
         Ok(handle)
     }
 

@@ -45,8 +45,9 @@ impl KernelSpec {
     }
 
     /// Declares an array input of an explicit scalar type — how quantized
-    /// tensors enter a kernel. Jobs must supply data of exactly this type
-    /// ([`Job::tensor`] / [`PipelineJob::source_tensor`]).
+    /// tensors enter a kernel. Typed kernels are served as passes of a
+    /// [`PipelineSpec`], whose jobs supply data of exactly this type
+    /// ([`PipelineJob::source_tensor`]).
     pub fn input_typed(mut self, name: impl Into<String>, scalar: ScalarType) -> Self {
         self.inputs.push((name.into(), scalar));
         self
@@ -124,7 +125,7 @@ impl KernelSpec {
     }
 
     /// Whether every input and the output are `f32` — the only shape the
-    /// (f32-wired) [`Submission`] DAG path accepts.
+    /// (f32-wired) [`Submission`] DAG path, and so a [`Job`], accepts.
     pub(crate) fn is_all_f32(&self) -> bool {
         self.output_scalar == ScalarType::F32
             && self.inputs.iter().all(|(_, s)| *s == ScalarType::F32)
@@ -337,9 +338,9 @@ impl ResidentStats {
     }
 }
 
-/// One input of a [`Job`] or [`PipelineJob`]: fresh host data uploaded
-/// when the job runs (and recycled after), or a reference to a
-/// per-worker [`ResidentInput`].
+/// One source of a [`PipelineJob`]: fresh host data uploaded when the
+/// job runs (and recycled after), or a reference to a per-worker
+/// [`ResidentInput`].
 #[derive(Debug, Clone)]
 pub enum JobInput {
     /// `f32` host data uploaded per request. `Arc`-held so fan-out jobs
@@ -416,12 +417,14 @@ impl From<StepHandle> for StepInput {
     }
 }
 
-/// A single kernel dispatch: spec + positional input data + optional
-/// dispatch-time uniform overrides. Result type: `Vec<f32>`.
+/// A single f32 kernel dispatch: spec + positional input data + optional
+/// dispatch-time uniform overrides. Result type: `Vec<f32>`. The engine
+/// serves it as a one-step [`Submission`] whose step is read back; a
+/// typed single kernel is a one-pass [`PipelineSpec`].
 #[derive(Debug, Clone)]
 pub struct Job {
     pub(crate) kernel: Arc<KernelSpec>,
-    pub(crate) inputs: Vec<JobInput>,
+    pub(crate) inputs: Vec<StepInput>,
     pub(crate) uniforms: Vec<(String, Value)>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) retry: Option<RetryPolicy>,
@@ -473,33 +476,20 @@ impl Job {
 
     /// Appends `f32` host data for the next declared input.
     pub fn data(mut self, data: Vec<f32>) -> Job {
-        self.inputs.push(JobInput::Data(Arc::new(data)));
+        self.inputs.push(StepInput::Data(Arc::new(data)));
         self
     }
 
     /// Appends shared `f32` host data for the next declared input.
     pub fn data_shared(mut self, data: &Arc<Vec<f32>>) -> Job {
-        self.inputs.push(JobInput::Data(Arc::clone(data)));
-        self
-    }
-
-    /// Appends typed host data for the next declared input — must match
-    /// the scalar the spec declared with [`KernelSpec::input_typed`].
-    pub fn tensor(mut self, data: impl Into<TensorData>) -> Job {
-        self.inputs.push(JobInput::Tensor(Arc::new(data.into())));
-        self
-    }
-
-    /// Appends shared typed host data for the next declared input.
-    pub fn tensor_shared(mut self, data: &Arc<TensorData>) -> Job {
-        self.inputs.push(JobInput::Tensor(Arc::clone(data)));
+        self.inputs.push(StepInput::Data(Arc::clone(data)));
         self
     }
 
     /// Binds a per-worker [`ResidentInput`] to the next declared input —
     /// no upload happens on workers that already hold it.
     pub fn resident(mut self, input: &ResidentInput) -> Job {
-        self.inputs.push(JobInput::Resident(input.clone()));
+        self.inputs.push(StepInput::Resident(input.clone()));
         self
     }
 
@@ -514,27 +504,19 @@ impl Job {
         self.uniform(name, Value::Float(value))
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ComputeError> {
-        if self.inputs.len() != self.kernel.inputs.len() {
-            return Err(bad_job(format!(
-                "job for `{}` supplies {} inputs, spec declares {}",
-                self.kernel.name,
-                self.inputs.len(),
-                self.kernel.inputs.len()
-            )));
+    /// Lowers the job into the one-step submission the worker runs.
+    pub(crate) fn into_submission(self) -> Submission {
+        Submission {
+            steps: vec![Step {
+                kernel: self.kernel,
+                inputs: self.inputs,
+                uniforms: self.uniforms,
+            }],
+            read: Vec::new(),
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
         }
-        for ((name, scalar), input) in self.kernel.inputs.iter().zip(&self.inputs) {
-            input.check_live(&format!("job for `{}`", self.kernel.name))?;
-            if input.scalar() != *scalar {
-                return Err(bad_job(format!(
-                    "input `{name}` of job for `{}` is declared {scalar:?}, supplied \
-                     {:?} data",
-                    self.kernel.name,
-                    input.scalar()
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -548,7 +530,10 @@ pub(crate) struct Step {
 /// executed back-to-back on a single worker. Later steps read earlier
 /// steps' outputs directly from GPU memory ([`StepInput::Step`]), so a
 /// k-kernel chain costs one queue round-trip instead of k, and no
-/// intermediate ever crosses the host boundary.
+/// intermediate ever crosses the host boundary. The worker recycles each
+/// step's uploads once the step has dispatched, and each unread step
+/// output once its last reader has, so a long chain holds only its live
+/// intermediates and a warm worker allocates no textures for it.
 #[derive(Default)]
 pub struct Submission {
     pub(crate) steps: Vec<Step>,

@@ -94,11 +94,7 @@ pub(crate) fn retire_worker(shared: &EngineShared) {
 /// has published its stats so a caller returning from `wait()` observes
 /// stats that already include its job.
 pub(crate) enum Completed {
-    Single(SingleSink, Result<TensorData, ComputeError>),
-    Batch(
-        Arc<HandleState<BatchResult>>,
-        Result<BatchResult, ComputeError>,
-    ),
+    Batch(BatchSink, Result<BatchResult, ComputeError>),
     Pipeline(
         Arc<HandleState<PipelineResult>>,
         Result<PipelineResult, ComputeError>,
@@ -112,7 +108,6 @@ impl Completed {
 
     fn error(&self) -> Option<&ComputeError> {
         match self {
-            Completed::Single(_, result) => result.as_ref().err(),
             Completed::Batch(_, result) => result.as_ref().err(),
             Completed::Pipeline(_, result) => result.as_ref().err(),
         }
@@ -120,8 +115,7 @@ impl Completed {
 
     fn fulfil(self) {
         match self {
-            Completed::Single(sink, result) => sink.fulfil(result),
-            Completed::Batch(handle, result) => fulfil(&handle, result),
+            Completed::Batch(sink, result) => sink.fulfil(result),
             Completed::Pipeline(handle, result) => fulfil(&handle, result),
         }
     }
@@ -290,13 +284,9 @@ pub(crate) fn run_task(
     payload: &Task,
 ) -> (Completed, bool) {
     match payload {
-        Task::Single(job, sink) => {
-            let (result, panicked) = run_shielded(cc, |cc| run_job(cc, state, job));
-            (Completed::Single(sink.clone(), result), panicked)
-        }
-        Task::Batch(submission, handle) => {
+        Task::Batch(submission, sink) => {
             let (result, panicked) = run_shielded(cc, |cc| run_submission(cc, state, submission));
-            (Completed::Batch(Arc::clone(handle), result), panicked)
+            (Completed::Batch(sink.clone(), result), panicked)
         }
         Task::Pipeline(job, handle) => {
             let (result, panicked) = run_shielded(cc, |cc| run_pipeline(cc, state, job));
@@ -456,60 +446,6 @@ pub(crate) fn worker_main(
     }
 }
 
-/// Executes one job exactly as a direct caller would: upload (or resolve
-/// resident) inputs, build (cache-hit) the kernel, dispatch with
-/// overrides, read back through the FBO path, recycle every *per-job*
-/// texture — resident textures stay on the worker.
-pub(crate) fn run_job(
-    cc: &mut ComputeContext,
-    state: &mut WorkerState,
-    job: &Job,
-) -> Result<TensorData, ComputeError> {
-    let mut arrays = Vec::with_capacity(job.inputs.len());
-    let mut uploads = Vec::new();
-    let mut failure = None;
-    for input in &job.inputs {
-        let uploaded = match input {
-            JobInput::Data(data) => Some(cc.upload(data.as_slice()).map(|a| a.erase())),
-            JobInput::Tensor(tensor) => Some(cc.upload_any(tensor)),
-            JobInput::Resident(resident) => {
-                match state.resident_array(cc, resident, SourceShape::Linear(None)) {
-                    Ok(array) => {
-                        arrays.push(array);
-                        None
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        };
-        match uploaded {
-            Some(Ok(array)) => {
-                uploads.push(array);
-                arrays.push(array);
-            }
-            Some(Err(e)) => {
-                failure = Some(e);
-                break;
-            }
-            None => {}
-        }
-    }
-    let result = match failure {
-        Some(e) => Err(e),
-        None => dispatch_spec(cc, &job.kernel, &arrays, &job.uniforms),
-    };
-    for array in uploads {
-        cc.recycle_any(array);
-    }
-    let out = result?;
-    let host = cc.read_array_any(&out, Readback::DirectFbo);
-    cc.recycle_any(out);
-    host
-}
-
 /// Executes a whole retained pipeline as one job: cache-hit (or build)
 /// the pipeline for the spec, seed every declared source from the job,
 /// run all iterations on-GPU, read back the marked buffers, retire every
@@ -603,111 +539,119 @@ pub(crate) fn run_pipeline(
 }
 
 /// Executes a submission's steps in order on one worker, keeping step
-/// outputs on the GPU for later steps, reading back only marked steps.
+/// outputs on the GPU for later steps and reading back only marked steps.
+/// Textures are retired at last use: each step's uploads once it has
+/// dispatched, each unmarked output once its last reader has. A one-step
+/// submission (a lowered [`Job`]) therefore does exactly what a direct
+/// caller would: upload, build, dispatch, recycle the uploads, read back,
+/// recycle the output.
 pub(crate) fn run_submission(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
     submission: &Submission,
 ) -> Result<BatchResult, ComputeError> {
     let n = submission.steps.len();
-    let mut step_outputs: Vec<Option<AnyGpuArray>> = (0..n).map(|_| None).collect();
-    let mut uploads: Vec<AnyGpuArray> = Vec::new();
-    let mut failure: Option<ComputeError> = None;
+    let read: Vec<usize> = if submission.read.is_empty() {
+        vec![n - 1]
+    } else {
+        submission.read.clone()
+    };
+    // The last step reading each output; `n` keeps a marked output alive
+    // until readback, and an output nobody reads dies with its own step.
+    let mut last_use: Vec<usize> = (0..n).collect();
     for (i, step) in submission.steps.iter().enumerate() {
-        let mut arrays: Vec<AnyGpuArray> = Vec::with_capacity(step.inputs.len());
-        let mut ok = true;
-        for input in &step.inputs {
-            let array = match input {
-                StepInput::Data(data) => match cc.upload(data.as_slice()) {
-                    Ok(array) => {
-                        // Track the upload for recycling; the borrow the
-                        // kernel needs is the (Copy) texture + layout pair.
-                        let array = array.erase();
-                        uploads.push(array);
-                        array
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        ok = false;
-                        break;
-                    }
-                },
-                StepInput::Step(j) => match &step_outputs[*j] {
-                    Some(array) => *array,
-                    None => {
-                        failure = Some(bad_job(format!("step {i} reads failed step {j}")));
-                        ok = false;
-                        break;
-                    }
-                },
-                StepInput::Resident(resident) => {
-                    match state.resident_array(cc, resident, SourceShape::Linear(None)) {
-                        Ok(array) => array,
-                        Err(e) => {
-                            failure = Some(e);
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-            };
-            arrays.push(array);
+        for &j in step_reads(step) {
+            last_use[j] = i;
         }
-        if !ok {
-            break;
+    }
+    for &r in &read {
+        last_use[r] = n;
+    }
+    let mut live: Vec<Option<AnyGpuArray>> = vec![None; n];
+    let mut result = Ok(());
+    for (i, step) in submission.steps.iter().enumerate() {
+        let mut uploads = Vec::new();
+        let dispatched = step_arrays(cc, state, step, &live, &mut uploads)
+            .and_then(|arrays| dispatch_spec(cc, &step.kernel, &arrays, &step.uniforms));
+        for array in uploads {
+            cc.recycle_any(array);
         }
-        match dispatch_spec(cc, &step.kernel, &arrays, &step.uniforms) {
-            Ok(out) => step_outputs[i] = Some(out),
+        match dispatched {
+            Ok(out) => live[i] = Some(out),
             Err(e) => {
-                failure = Some(e);
+                result = Err(e);
                 break;
             }
         }
-    }
-
-    let mut outputs: Vec<Option<Vec<f32>>> = (0..n).map(|_| None).collect();
-    if failure.is_none() {
-        let read: Vec<usize> = if submission.read.is_empty() {
-            vec![n - 1]
-        } else {
-            submission.read.clone()
-        };
-        for &r in &read {
-            match step_outputs[r].as_ref() {
-                Some(array) => match cc.read_array_any(array, Readback::DirectFbo) {
-                    // Submission validation admits only all-f32 specs, so
-                    // every step readback is an f32 tensor.
-                    Ok(TensorData::F32(host)) => outputs[r] = Some(host),
-                    Ok(other) => {
-                        failure = Some(bad_job(format!(
-                            "step {r} produced {:?} output in an f32 submission",
-                            other.scalar()
-                        )));
-                        break;
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                },
-                None => {
-                    failure = Some(bad_job(format!("readback of unexecuted step {r}")));
-                    break;
+        // Retire every output this step was the last reader of, and its
+        // own output if nothing reads it.
+        for &j in step_reads(step).chain([&i]) {
+            if last_use[j] == i {
+                if let Some(array) = live[j].take() {
+                    cc.recycle_any(array);
                 }
             }
         }
     }
+    let mut outputs: Vec<Option<Vec<f32>>> = vec![None; n];
+    let result = result.and_then(|()| {
+        for &r in &read {
+            let array =
+                live[r].ok_or_else(|| bad_job(format!("readback of unexecuted step {r}")))?;
+            // Submission validation admits only all-f32 specs, so every
+            // step readback is an f32 tensor.
+            match cc.read_array_any(&array, Readback::DirectFbo)? {
+                TensorData::F32(host) => outputs[r] = Some(host),
+                other => {
+                    return Err(bad_job(format!(
+                        "step {r} produced {:?} output in an f32 submission",
+                        other.scalar()
+                    )))
+                }
+            }
+        }
+        Ok(BatchResult { outputs })
+    });
+    for array in live.into_iter().flatten() {
+        cc.recycle_any(array);
+    }
+    result
+}
 
-    for array in uploads {
-        cc.recycle_any(array);
+/// The earlier steps whose outputs `step` reads.
+fn step_reads(step: &Step) -> impl Iterator<Item = &usize> {
+    step.inputs.iter().filter_map(|input| match input {
+        StepInput::Step(j) => Some(j),
+        _ => None,
+    })
+}
+
+/// Resolves a step's inputs to arrays: uploads host data (recording each
+/// upload in `uploads` for the caller to recycle), takes earlier outputs
+/// from `live`, and resolves residents on the worker.
+fn step_arrays(
+    cc: &mut ComputeContext,
+    state: &mut WorkerState,
+    step: &Step,
+    live: &[Option<AnyGpuArray>],
+    uploads: &mut Vec<AnyGpuArray>,
+) -> Result<Vec<AnyGpuArray>, ComputeError> {
+    let mut arrays = Vec::with_capacity(step.inputs.len());
+    for input in &step.inputs {
+        arrays.push(match input {
+            StepInput::Data(data) => {
+                let array = cc.upload(data.as_slice())?.erase();
+                uploads.push(array);
+                array
+            }
+            StepInput::Step(j) => live[*j]
+                .ok_or_else(|| bad_job(format!("step reads step {j}, which holds no output")))?,
+            StepInput::Resident(resident) => {
+                state.resident_array(cc, resident, SourceShape::Linear(None))?
+            }
+        });
     }
-    for array in step_outputs.into_iter().flatten() {
-        cc.recycle_any(array);
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(BatchResult { outputs }),
-    }
+    Ok(arrays)
 }
 
 /// Builds the spec's kernel over `arrays` and dispatches it once with the

@@ -237,6 +237,146 @@ fn batch_dag_matches_chained_direct_dispatch_bitwise() {
     assert!(result.output(b).is_none(), "unmarked step is not read back");
 }
 
+/// Field-wise `after - before` of two snapshots of one context's stats.
+fn stats_delta(after: &ContextStats, before: &ContextStats) -> ContextStats {
+    ContextStats {
+        programs_linked: after.programs_linked - before.programs_linked,
+        programs_adopted: after.programs_adopted - before.programs_adopted,
+        program_cache_hits: after.program_cache_hits - before.program_cache_hits,
+        textures_created: after.textures_created - before.textures_created,
+        texture_pool_hits: after.texture_pool_hits - before.texture_pool_hits,
+        textures_recycled: after.textures_recycled - before.textures_recycled,
+        spmd_batches: after.spmd_batches - before.spmd_batches,
+        scalar_fallbacks: after.scalar_fallbacks - before.scalar_fallbacks,
+        f32_host_transfers: after.f32_host_transfers - before.f32_host_transfers,
+        quantized_host_transfers: after.quantized_host_transfers - before.quantized_host_transfers,
+    }
+}
+
+#[test]
+fn served_job_does_the_counted_work_of_a_direct_dispatch() {
+    // A `Job` runs as a one-step submission; its GL work must be exactly
+    // a direct caller's: upload → build → dispatch → recycle the upload →
+    // DirectFbo readback → recycle the output. Every ContextStats field
+    // of the warm worker's delta equals the direct context's.
+    const JOBS: usize = 6;
+    let n = 300;
+    let spec = saxpy_spec(n);
+    let x = Arc::new(ramp(n, 0.5));
+    let resident = ResidentInput::new(ramp(n, 0.25));
+    let engine = Engine::builder()
+        .workers(1)
+        .dispatch(Dispatch::Serial)
+        .build()
+        .expect("engine");
+    let serve = || {
+        engine
+            .submit(Job::new(&spec).data_shared(&x).resident(&resident))
+            .expect("submit")
+            .wait()
+            .expect("job")
+    };
+    let warm = serve();
+    let before = engine.worker_stats()[0];
+    for _ in 0..JOBS {
+        assert_eq!(serve(), warm);
+    }
+    let served = stats_delta(&engine.worker_stats()[0], &before);
+
+    let mut cc = ComputeContext::new(256, 256).expect("context");
+    cc.set_dispatch(Dispatch::Serial);
+    cc.set_shared_program_cache(Arc::clone(engine.cache().expect("shared cache")));
+    let resident_array = cc.upload(&ramp(n, 0.25)).expect("resident").erase();
+    let direct = |cc: &mut ComputeContext| {
+        let data = cc.upload(&x).expect("x").erase();
+        let kernel = spec.build_any(cc, &[data, resident_array]).expect("build");
+        let out = cc
+            .run_to_array_any_with(&kernel, &Bindings::new())
+            .expect("run");
+        cc.recycle_any(data);
+        let host = cc.read_array_any(&out, Readback::DirectFbo).expect("read");
+        cc.recycle_any(out);
+        host
+    };
+    assert_eq!(direct(&mut cc), TensorData::F32(warm.clone()));
+    let before = cc.stats();
+    for _ in 0..JOBS {
+        assert_eq!(direct(&mut cc), TensorData::F32(warm.clone()));
+    }
+    assert_eq!(served, stats_delta(&cc.stats(), &before));
+    assert!(served.texture_pool_hits > 0 && served.textures_created == 0);
+}
+
+#[test]
+fn dag_steps_free_intermediates_at_last_use() {
+    // A 20-step same-shape chain where step i reads steps i-1 and i-2,
+    // with a middle step and the last one read back. Outputs are exact
+    // integer sums, so the host computes them bit-for-bit. All 20 outputs
+    // live at once would overflow the pool's per-shape bucket and
+    // allocate every wave; freed at last use, a warm wave allocates
+    // nothing.
+    const STEPS: usize = 20;
+    const MIDDLE: usize = 9;
+    let n = 256;
+    let spec = Arc::new(
+        KernelSpec::new("add")
+            .input("x")
+            .input("y")
+            .output(n)
+            .body("return fetch_x(idx) + fetch_y(idx);"),
+    );
+    let a: Arc<Vec<f32>> = Arc::new((0..n).map(|i| (i % 7) as f32).collect());
+    let b: Arc<Vec<f32>> = Arc::new(vec![1.0; n]);
+    // `chain[k]` is what step `k - 2` outputs; chain[0], chain[1] are the
+    // two uploads steps 0 and 1 start from.
+    let mut chain = vec![b.as_ref().clone(), a.as_ref().clone()];
+    for i in 0..STEPS {
+        let (x, y) = (&chain[i + 1], &chain[i]);
+        let next = x.iter().zip(y).map(|(x, y)| x + y).collect();
+        chain.push(next);
+    }
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let wave = || {
+        let mut sub = Submission::new();
+        let mut chain_inputs: Vec<StepInput> = vec![
+            StepInput::Data(Arc::clone(&b)),
+            StepInput::Data(Arc::clone(&a)),
+        ];
+        let mut handles = Vec::new();
+        for i in 0..STEPS {
+            let h = sub.step(
+                &spec,
+                vec![chain_inputs[i + 1].clone(), chain_inputs[i].clone()],
+                vec![],
+            );
+            chain_inputs.push(h.into());
+            handles.push(h);
+        }
+        sub.read(handles[MIDDLE]);
+        sub.read(handles[STEPS - 1]);
+        let result = engine
+            .submit_batch(sub)
+            .expect("submit")
+            .wait()
+            .expect("batch");
+        for (i, h) in handles.iter().enumerate() {
+            match result.output(*h) {
+                Some(out) => {
+                    assert!(i == MIDDLE || i == STEPS - 1, "step {i} was not marked");
+                    assert_eq!(out, chain[i + 2].as_slice(), "step {i}");
+                }
+                None => assert!(i != MIDDLE && i != STEPS - 1, "step {i} read back"),
+            }
+        }
+    };
+    let textures = || engine.worker_stats()[0].textures_created;
+    wave();
+    wave();
+    let before = textures();
+    wave();
+    assert_eq!(textures() - before, 0, "a warm wave creates no textures");
+}
+
 #[test]
 fn submission_validation_rejects_bad_dags() {
     let engine = Engine::builder().build().expect("engine");
