@@ -9,9 +9,14 @@
 //! and keyed by the generated `vertex\0fragment` source exactly like the
 //! per-context cache, so a kernel built on any worker links at most once
 //! process-wide. The cached value is a pristine linked
-//! [`Program`] whose lowered bytecode stages are `Arc`-shared
-//! ([`gpes_gles2::Program::fragment_executable_shared`]); installing it
-//! into a context clones only the cheap interface tables.
+//! [`Program`] whose checked shaders and lowered bytecode stages are
+//! `Arc`-shared ([`gpes_gles2::Program::fragment_executable_shared`]);
+//! installing it into a context clones only the cheap interface tables.
+//!
+//! Both levels are bounded. This cache is a [`FifoCache`] of
+//! [`SharedProgramCache::with_capacity`] entries. Each context keeps at
+//! most [`crate::PROGRAM_CACHE_CAP`] programs of its own, and deletes an
+//! evicted program from GL as soon as no kernel built on it is alive.
 //!
 //! This is the CNNdroid / TFLite-delegate amortisation argument applied
 //! across contexts and threads instead of across iterations.
@@ -119,6 +124,15 @@ impl<K: std::hash::Hash + Eq + Clone, V> FifoCache<K, V> {
     pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.order.clear();
+    }
+
+    /// Removes and returns every entry, oldest first.
+    pub(crate) fn drain(&mut self) -> Vec<(K, V)> {
+        let map = &mut self.map;
+        self.order
+            .drain(..)
+            .filter_map(|key| map.remove(&key).map(|value| (key, value)))
+            .collect()
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::addressing::ArrayLayout;
 use crate::bind::Bindings;
 use crate::buffer::{AnyGpuArray, GpuArray, GpuMatrix, GpuScalar, GpuTexels, TensorData};
-use crate::cache::SharedProgramCache;
+use crate::cache::{FifoCache, SharedProgramCache};
 use crate::codec::{FloatSpecials, PackBias, ScalarType};
 use crate::error::ComputeError;
 use crate::geometry::{self, FULLSCREEN_QUAD, FULLSCREEN_QUAD_VERTICES, POSITION_ATTRIBUTE};
@@ -36,6 +36,11 @@ pub struct ContextStats {
     pub programs_adopted: u64,
     /// Kernel builds served by the program cache without a link.
     pub program_cache_hits: u64,
+    /// Programs deleted from GL after leaving the program cache (evicted
+    /// or cleared) once no kernel referred to them any more. Live
+    /// programs are `programs_linked + programs_adopted -
+    /// programs_deleted`.
+    pub programs_deleted: u64,
     /// Textures freshly allocated (pool misses), render targets and
     /// uploads alike.
     pub textures_created: u64,
@@ -79,6 +84,7 @@ impl ContextStats {
             programs_linked: self.programs_linked + other.programs_linked,
             programs_adopted: self.programs_adopted + other.programs_adopted,
             program_cache_hits: self.program_cache_hits + other.program_cache_hits,
+            programs_deleted: self.programs_deleted + other.programs_deleted,
             textures_created: self.textures_created + other.textures_created,
             texture_pool_hits: self.texture_pool_hits + other.texture_pool_hits,
             textures_recycled: self.textures_recycled + other.textures_recycled,
@@ -90,6 +96,12 @@ impl ContextStats {
         }
     }
 }
+
+/// A context's handle on one of its GL programs. The program cache holds
+/// one clone and every [`Kernel`] or vertex kernel built on the program
+/// another, so a program that leaves the cache is deleted only once the
+/// last kernel using it is dropped.
+pub(crate) type ProgramRef = Arc<ProgramId>;
 
 /// A kernel's bindings after validation against its signature and merging
 /// with the build-time defaults: what one dispatch actually uses.
@@ -109,7 +121,9 @@ struct ResolvedDispatch {
 /// object churn (the TFLite-delegate / CNNdroid pattern):
 ///
 /// * a **program cache** keyed by generated fragment source — building an
-///   identical kernel twice links one program;
+///   identical kernel twice links one program. It holds at most
+///   [`PROGRAM_CACHE_CAP`] programs; an evicted program is deleted once
+///   no kernel refers to it any more;
 /// * a **render-target pool** — textures released with the `recycle_*`
 ///   methods are reused by later render-to-texture dispatches of the same
 ///   dimensions.
@@ -120,8 +134,11 @@ pub struct ComputeContext {
     scratch_fbo: FramebufferId,
     copy_program: Option<ProgramId>,
     pass_log: Vec<PassRecord>,
-    /// `vs \0 fs` source → linked program.
-    program_cache: HashMap<String, ProgramId>,
+    /// `vs \0 fs` source → linked program, oldest evicted first.
+    program_cache: FifoCache<String, ProgramRef>,
+    /// Programs out of the cache that a live kernel still used at the
+    /// last sweep; deleted by a later sweep once their last kernel drops.
+    parked: Vec<ProgramRef>,
     program_cache_enabled: bool,
     /// Optional process-wide cache consulted on local misses: workers in a
     /// serving pool install shared linked programs instead of relinking.
@@ -140,6 +157,12 @@ const POOL_BUCKET_CAP: usize = 8;
 /// Total pooled-texture cap across all buckets, so a long-lived context
 /// serving many distinct shapes cannot retain memory without bound.
 const POOL_TOTAL_CAP: usize = 256;
+
+/// Programs the per-context program cache keeps, so a context building a
+/// never-ending stream of distinct kernels (a serving worker under tenant
+/// churn) holds a bounded working set. Every bundled pipeline uses far
+/// fewer distinct programs, so none of them evicts in steady state.
+pub const PROGRAM_CACHE_CAP: usize = 64;
 
 impl ComputeContext {
     /// Creates a context whose default framebuffer ("screen") is
@@ -177,7 +200,8 @@ impl ComputeContext {
             scratch_fbo,
             copy_program: None,
             pass_log: Vec::new(),
-            program_cache: HashMap::new(),
+            program_cache: FifoCache::new(PROGRAM_CACHE_CAP),
+            parked: Vec::new(),
             program_cache_enabled: true,
             shared_cache: None,
             target_pool: HashMap::new(),
@@ -212,13 +236,30 @@ impl ComputeContext {
         self.shared_cache.as_ref()
     }
 
-    /// Drops every cached program and deletes the underlying GL objects.
-    /// Kernels built earlier keep working only if rebuilt; call this when
-    /// retiring a family of shaders for good.
+    /// Empties the program cache. Each cached program is deleted from GL
+    /// as soon as no kernel refers to it: at once for programs no live
+    /// kernel uses, and at a later kernel build for the rest. Kernels built
+    /// earlier keep working; a later build of the same source links (or
+    /// adopts) a new program.
     pub fn clear_program_cache(&mut self) {
-        for (_, id) in self.program_cache.drain() {
-            self.gl.delete_program(id);
-        }
+        let cleared = self.program_cache.drain();
+        self.park(cleared.into_iter().map(|(_, program)| program));
+    }
+
+    /// Parks programs that just left the cache, then deletes every parked
+    /// program whose last kernel has been dropped.
+    fn park(&mut self, programs: impl IntoIterator<Item = ProgramRef>) {
+        self.parked.extend(programs);
+        let gl = &mut self.gl;
+        let stats = &mut self.stats;
+        self.parked.retain(|program| {
+            let unused = Arc::strong_count(program) == 1;
+            if unused {
+                gl.delete_program(**program);
+                stats.programs_deleted += 1;
+            }
+            !unused
+        });
     }
 
     /// Deletes every pooled render target.
@@ -525,12 +566,12 @@ impl ComputeContext {
         &mut self,
         vs: &str,
         fs: &str,
-    ) -> Result<ProgramId, ComputeError> {
+    ) -> Result<ProgramRef, ComputeError> {
         let key = format!("{vs}\u{0}{fs}");
         if self.program_cache_enabled {
-            if let Some(&id) = self.program_cache.get(&key) {
+            if let Some(program) = self.program_cache.get(&key) {
                 self.stats.program_cache_hits += 1;
-                return Ok(id);
+                return Ok(Arc::clone(program));
             }
         }
         // Local miss: adopt from the process-wide cache when one is
@@ -554,16 +595,22 @@ impl ComputeContext {
                 id
             }
         };
-        if self.program_cache_enabled {
-            self.program_cache.insert(key, id);
-        }
-        Ok(id)
+        let program = Arc::new(id);
+        // With the cache off the program leaves it at once: it is deleted
+        // after the kernel that asked for it is dropped.
+        let evicted = if self.program_cache_enabled {
+            self.program_cache.insert(key, Arc::clone(&program))
+        } else {
+            vec![(key, Arc::clone(&program))]
+        };
+        self.park(evicted.into_iter().map(|(_, program)| program));
+        Ok(program)
     }
 
     pub(crate) fn compile_kernel_program(
         &mut self,
         fragment_source: &str,
-    ) -> Result<ProgramId, ComputeError> {
+    ) -> Result<ProgramRef, ComputeError> {
         let vs = geometry::passthrough_vertex_shader();
         self.compile_program_cached(&vs, fragment_source)
     }
@@ -664,7 +711,7 @@ impl ComputeContext {
         to_screen: bool,
         reused_target: bool,
     ) -> Result<DrawStats, ComputeError> {
-        self.gl.use_program(kernel.program)?;
+        self.gl.use_program(*kernel.program)?;
         self.gl.set_uniform(
             "u_out_dims",
             Value::Vec2([resolved.layout.width as f32, resolved.layout.height as f32]),
@@ -1475,5 +1522,100 @@ mod tests {
             .expect("build");
         let out = cc.run_f32(&k).expect("run");
         assert_eq!(out, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+    }
+
+    /// GL programs the context holds right now.
+    fn live_programs(cc: &ComputeContext) -> u64 {
+        let stats = cc.stats();
+        stats.programs_linked + stats.programs_adopted - stats.programs_deleted
+    }
+
+    /// A kernel whose generated source, and so whose program, is distinct
+    /// for every `k`.
+    fn scale_kernel(cc: &mut ComputeContext, a: &GpuArray<f32>, k: usize) -> Kernel {
+        Kernel::builder(format!("scale_{k}"))
+            .input("a", a)
+            .output(ScalarType::F32, 4)
+            .body(format!("return fetch_a(idx) * {k}.0 + 0.5;"))
+            .build(cc)
+            .expect("build")
+    }
+
+    #[test]
+    fn program_cache_keeps_at_most_cap_unreferenced_programs() {
+        let mut cc = ComputeContext::new(8, 8).expect("context");
+        let a = cc.upload(&[1.0f32, -2.0, 3.5, 0.25]).expect("a");
+        for k in 0..3 * PROGRAM_CACHE_CAP {
+            let kernel = scale_kernel(&mut cc, &a, k);
+            let out = cc.run_f32(&kernel).expect("run");
+            let want: Vec<f32> = [1.0f32, -2.0, 3.5, 0.25]
+                .iter()
+                .map(|x| x * k as f32 + 0.5)
+                .collect();
+            assert_eq!(out, want, "kernel {k}");
+            drop(kernel);
+            assert!(live_programs(&cc) <= PROGRAM_CACHE_CAP as u64);
+        }
+        assert_eq!(cc.stats().programs_linked, 3 * PROGRAM_CACHE_CAP as u64);
+        assert_eq!(cc.stats().programs_deleted, 2 * PROGRAM_CACHE_CAP as u64);
+    }
+
+    #[test]
+    fn evicted_program_outlives_the_kernels_that_use_it() {
+        let mut cc = ComputeContext::new(8, 8).expect("context");
+        let a = cc.upload(&[1.0f32, -2.0, 3.5, 0.25]).expect("a");
+        let held = scale_kernel(&mut cc, &a, 7);
+        let copy = held.clone();
+        let first = cc.run_f32(&held).expect("run");
+        for k in 100..100 + 3 * PROGRAM_CACHE_CAP {
+            drop(scale_kernel(&mut cc, &a, k));
+        }
+        // Evicted long ago, but still in use: parked, not deleted.
+        assert_eq!(live_programs(&cc), PROGRAM_CACHE_CAP as u64 + 1);
+        let again = cc.run_f32(&held).expect("held kernel still dispatches");
+        assert_eq!(
+            again.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            first.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        // The last kernel using the program goes; the next build deletes it.
+        drop(held);
+        drop(scale_kernel(&mut cc, &a, 1));
+        assert_eq!(live_programs(&cc), PROGRAM_CACHE_CAP as u64 + 1);
+        assert_eq!(cc.run_f32(&copy).expect("clone still dispatches"), first);
+        drop(copy);
+        drop(scale_kernel(&mut cc, &a, 2));
+        assert_eq!(live_programs(&cc), PROGRAM_CACHE_CAP as u64);
+        assert!(cc.parked.is_empty());
+    }
+
+    #[test]
+    fn clearing_the_program_cache_spares_live_kernels() {
+        let mut cc = ComputeContext::new(8, 8).expect("context");
+        let a = cc.upload(&[1.0f32, -2.0, 3.5, 0.25]).expect("a");
+        let held = scale_kernel(&mut cc, &a, 3);
+        drop(scale_kernel(&mut cc, &a, 4));
+        cc.clear_program_cache();
+        // The unused program goes at once; the held one waits for its kernel.
+        assert_eq!(cc.stats().programs_deleted, 1);
+        assert_eq!(cc.run_f32(&held).expect("run"), vec![3.5, -5.5, 11.0, 1.25]);
+        drop(held);
+        // Rebuilding relinks (the cache was cleared) and sweeps the parked one.
+        drop(scale_kernel(&mut cc, &a, 3));
+        assert_eq!(cc.stats().programs_linked, 3);
+        assert_eq!(cc.stats().programs_deleted, 2);
+    }
+
+    #[test]
+    fn uncached_programs_are_deleted_with_their_kernel() {
+        let mut cc = ComputeContext::new(8, 8).expect("context");
+        cc.set_program_cache_enabled(false);
+        let a = cc.upload(&[1.0f32, -2.0, 3.5, 0.25]).expect("a");
+        for _ in 0..10 {
+            let kernel = scale_kernel(&mut cc, &a, 5);
+            cc.run_f32(&kernel).expect("run");
+        }
+        // Each build links; each earlier kernel is gone by the next build.
+        assert_eq!(cc.stats().programs_linked, 10);
+        assert_eq!(live_programs(&cc), 1);
     }
 }

@@ -4,9 +4,10 @@
 use crate::addressing::{self, ArrayLayout};
 use crate::buffer::{GpuArray, GpuMatrix, GpuScalar, GpuTexels};
 use crate::codec::ScalarType;
+use crate::context::ProgramRef;
 use crate::error::ComputeError;
 use crate::geometry;
-use gpes_gles2::{ProgramId, TextureId};
+use gpes_gles2::TextureId;
 use gpes_glsl::Value;
 
 /// How the kernel's output domain is shaped.
@@ -452,7 +453,7 @@ pub(crate) fn is_valid_name(name: &str) -> bool {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     pub(crate) name: String,
-    pub(crate) program: ProgramId,
+    pub(crate) program: ProgramRef,
     pub(crate) inputs: Vec<InputBinding>,
     /// `("u_<name>", "u_<name>_dims")` per input, precomputed for the
     /// dispatch loop.

@@ -57,7 +57,7 @@ pub use bind::Bindings;
 pub use buffer::{AnyGpuArray, GpuArray, GpuMatrix, GpuScalar, GpuTexels, TensorData};
 pub use cache::{SharedCacheStats, SharedProgramCache};
 pub use codec::{FloatSpecials, PackBias, ScalarType};
-pub use context::{ComputeContext, ContextStats};
+pub use context::{ComputeContext, ContextStats, PROGRAM_CACHE_CAP};
 pub use error::{AdmissionStage, ComputeError, QuotaResource};
 pub use gpes_gles2::ExecMode;
 pub use kernel::{InputEncoding, Kernel, KernelBuilder, OutputKind, OutputShape};

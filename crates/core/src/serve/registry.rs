@@ -68,6 +68,13 @@ use crate::{FloatSpecials, PackBias};
 use gpes_glsl::admission as glsl_admission;
 use gpes_glsl::ShaderKind;
 
+/// Largest kernel source a tenant may submit: the body plus the helper
+/// functions, in bytes. Refused at the signature stage, before the source
+/// is generated or parsed, so admission work and memory stay bounded per
+/// request. Nesting depth is bounded separately by the parser
+/// ([`gpes_glsl::parser::MAX_NESTING`]).
+pub const MAX_KERNEL_SOURCE_BYTES: usize = 16 * 1024;
+
 /// An opaque tenant identity. Cheap to clone (`Arc`-backed); equal ids
 /// share quotas and counters.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -570,6 +577,17 @@ impl KernelRegistry {
                 format!("kernel `{}` has an empty body", spec.name),
             ));
         }
+        let source_bytes = spec.body.len() + spec.functions.len();
+        if source_bytes > MAX_KERNEL_SOURCE_BYTES {
+            return Err(reject(
+                AdmissionStage::Signature,
+                format!(
+                    "kernel `{}` source is {source_bytes} bytes, over the \
+                     {MAX_KERNEL_SOURCE_BYTES}-byte limit",
+                    spec.name
+                ),
+            ));
+        }
         for (i, (name, _)) in spec.inputs.iter().enumerate() {
             if !is_valid_name(name) {
                 return Err(reject(
@@ -629,9 +647,11 @@ impl KernelRegistry {
     }
 
     /// Retires a registration: forgets it and removes its program from
-    /// the shared cache (workers that already adopted the program keep
-    /// serving in-flight jobs; the cache just stops advertising it).
-    /// Returns whether the fingerprint was still registered.
+    /// the shared cache, which stops advertising it. Workers that already
+    /// adopted the program keep it in their own program cache until that
+    /// cache's cap ([`crate::PROGRAM_CACHE_CAP`]) evicts it, so a kernel
+    /// registered again soon after is served without relinking. Returns
+    /// whether the fingerprint was still registered.
     pub fn retire(&self, kernel: &RegisteredKernel) -> bool {
         self.tenants
             .retire_kernel(&kernel.tenant, kernel.fingerprint, self.cache.as_deref())

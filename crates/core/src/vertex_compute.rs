@@ -15,9 +15,10 @@
 use crate::addressing::ArrayLayout;
 use crate::buffer::GpuScalar;
 use crate::codec::ScalarType;
+use crate::context::ProgramRef;
 use crate::error::ComputeError;
 use crate::ComputeContext;
-use gpes_gles2::{PrimitiveMode, ProgramId};
+use gpes_gles2::PrimitiveMode;
 use gpes_glsl::Value;
 
 /// Builder for [`VertexKernel`]s.
@@ -215,7 +216,7 @@ fn is_valid_attr_name(name: &str) -> bool {
 #[derive(Debug, Clone)]
 pub struct VertexKernel {
     name: String,
-    program: ProgramId,
+    program: ProgramRef,
     inputs: Vec<(String, Vec<f32>)>,
     uniforms: Vec<(String, Value)>,
     positions: Vec<f32>,
@@ -273,7 +274,7 @@ impl VertexKernel {
 
     fn dispatch(&self, cc: &mut ComputeContext) -> Result<(), ComputeError> {
         let gl = cc.gl();
-        gl.use_program(self.program)?;
+        gl.use_program(*self.program)?;
         for (name, value) in &self.uniforms {
             gl.set_uniform(name, value.clone())?;
         }

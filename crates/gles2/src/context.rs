@@ -47,6 +47,9 @@ use std::collections::HashMap;
 pub struct Context {
     textures: Vec<Option<Texture>>,
     programs: Vec<Option<Program>>,
+    /// Deleted program slots, reused before the table grows, so a
+    /// context that creates and deletes programs forever stays bounded.
+    free_programs: Vec<u32>,
     framebuffers: Vec<Option<Framebuffer>>,
     default_fb: DefaultFramebuffer,
     bound_fb: Option<FramebufferId>,
@@ -105,6 +108,7 @@ impl Context {
         Ok(Context {
             textures: Vec::new(),
             programs: Vec::new(),
+            free_programs: Vec::new(),
             framebuffers: Vec::new(),
             default_fb: DefaultFramebuffer::new(width, height),
             bound_fb: None,
@@ -511,23 +515,34 @@ impl Context {
     pub fn create_program(&mut self, vs: &str, fs: &str) -> Result<ProgramId, GlError> {
         self.fault_check(FaultSite::ProgramLink)?;
         let program = Program::link_with(vs, fs, &self.limits, self.strict_shaders)?;
-        self.programs.push(Some(program));
-        Ok(ProgramId(self.programs.len() as u32 - 1))
+        Ok(self.install_program(program))
     }
 
     /// Adopts an already-linked [`Program`] into this context's object
     /// table without compiling or linking anything — the mechanism behind
     /// cross-context program sharing: a process-wide cache links each
     /// generated source once, and every worker context installs a clone.
-    /// The clone shares the expensive lowered bytecode through `Arc`
-    /// handles; only the (empty) per-context uniform table is fresh.
+    /// The clone shares the checked shaders and their lowered bytecode
+    /// through `Arc` handles; it copies only the interface tables and the
+    /// per-context uniform values.
     ///
     /// The caller is responsible for having linked the program under
     /// limits compatible with this context (worker pools share one
     /// [`Limits`] value, so this holds by construction).
+    ///
+    /// The program takes a deleted program's slot if there is one: as in
+    /// GL, a deleted program's name may be handed out again.
     pub fn install_program(&mut self, program: Program) -> ProgramId {
-        self.programs.push(Some(program));
-        ProgramId(self.programs.len() as u32 - 1)
+        match self.free_programs.pop() {
+            Some(slot) => {
+                self.programs[slot as usize] = Some(program);
+                ProgramId(slot)
+            }
+            None => {
+                self.programs.push(Some(program));
+                ProgramId(self.programs.len() as u32 - 1)
+            }
+        }
     }
 
     /// Enables the GLSL ES Appendix A validation pass for programs
@@ -598,10 +613,13 @@ impl Context {
         self.program(id)
     }
 
-    /// Deletes a program object.
+    /// Deletes a program object; its slot (and name) is reused by the
+    /// next program created or installed.
     pub fn delete_program(&mut self, id: ProgramId) {
         if let Some(slot) = self.programs.get_mut(id.0 as usize) {
-            *slot = None;
+            if slot.take().is_some() {
+                self.free_programs.push(id.0);
+            }
         }
         if self.current_program == Some(id) {
             self.current_program = None;
@@ -1081,6 +1099,35 @@ mod tests {
         gl.use_program(prog).expect("use");
         gl.set_attribute("a_pos", 2, &QUAD).expect("attrib");
         (gl, prog)
+    }
+
+    #[test]
+    fn deleted_program_slots_are_reused() {
+        let fs = "precision highp float;\nvoid main() { gl_FragColor = vec4(1.0); }";
+        let mut gl = Context::new(4, 4).expect("context");
+        let kept = gl.create_program(VS_QUAD, fs).expect("program");
+        let template = Program::link(VS_QUAD, fs, &Limits::default()).expect("links");
+        for i in 0..100 {
+            let id = if i % 2 == 0 {
+                gl.create_program(VS_QUAD, fs).expect("program")
+            } else {
+                gl.install_program(template.clone())
+            };
+            gl.delete_program(id);
+            // A second delete of the same name must not free the slot twice.
+            gl.delete_program(id);
+        }
+        assert_eq!(
+            gl.programs.len(),
+            2,
+            "one live program plus one reused slot"
+        );
+        gl.use_program(kept)
+            .expect("the live program survives the churn");
+        let a = gl.create_program(VS_QUAD, fs).expect("program");
+        let b = gl.create_program(VS_QUAD, fs).expect("program");
+        assert_ne!(a, b);
+        assert_eq!(gl.programs.len(), 3);
     }
 
     #[test]

@@ -7,12 +7,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A linked pair of vertex + fragment shaders with uniform state.
+///
+/// Cloning shares the checked shaders and their bytecode through `Arc`
+/// handles; only the interface tables and uniform values are copied.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// The checked vertex shader.
-    pub vertex: CompiledShader,
+    pub vertex: Arc<CompiledShader>,
     /// The checked fragment shader.
-    pub fragment: CompiledShader,
+    pub fragment: Arc<CompiledShader>,
     /// The vertex shader lowered to slot-addressed bytecode (done once at
     /// link time; `None` for the rare shapes the lowerer rejects, which
     /// fall back to the tree-walking interpreter).
@@ -160,8 +163,8 @@ impl Program {
         let fragment_exe = gpes_glsl::lower_shared(&fragment).ok();
 
         Ok(Program {
-            vertex,
-            fragment,
+            vertex: Arc::new(vertex),
+            fragment: Arc::new(fragment),
             vertex_exe,
             fragment_exe,
             uniforms,

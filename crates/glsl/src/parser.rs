@@ -7,11 +7,24 @@ use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
 use crate::types::{Precision, Type};
 
+/// How deep a shader may nest: enclosing statements, parenthesised
+/// sub-expressions, call arguments and prefix operators each count one
+/// level, and an expression counts its own height, so a left-deep chain
+/// like `a + a + … + a` or `v.xyzw.xyzw…` counts one level per operator.
+///
+/// Every pass after the parser (strict, sema, lowering, the tree-walker
+/// and dropping the tree) recurses over the AST, so this one bound keeps
+/// all of them inside a small thread stack: untrusted source is rejected
+/// as a typed parse error instead of overflowing the stack, which would
+/// abort the whole process. The deepest bundled kernel reaches 11.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a complete shader source into a [`TranslationUnit`].
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered, including
+/// nesting deeper than [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<TranslationUnit, CompileError> {
     let tokens = tokenize(source)?;
     Parser::new(tokens).translation_unit()
@@ -20,11 +33,47 @@ pub fn parse(source: &str) -> Result<TranslationUnit, CompileError> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Open nesting levels around the current position.
+    depth: usize,
+    /// Height of the expression the last expression rule returned (a
+    /// leaf is 1).
+    height: usize,
 }
 
 impl Parser {
     fn new(toks: Vec<Token>) -> Self {
-        Parser { toks, pos: 0 }
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+            height: 0,
+        }
+    }
+
+    fn too_deep(&self) -> CompileError {
+        CompileError::parse(
+            format!("nesting deeper than {MAX_NESTING} levels"),
+            self.span(),
+        )
+    }
+
+    /// Opens one nesting level; the caller closes it with `depth -= 1`.
+    fn enter(&mut self) -> Result<(), CompileError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Builds an expression node one level above `below`, the height of
+    /// its tallest child (0 for a leaf).
+    fn node(&mut self, kind: ExprKind, span: Span, below: usize) -> Result<Expr, CompileError> {
+        self.height = below + 1;
+        if self.depth + self.height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(Expr::new(kind, span))
     }
 
     fn peek(&self) -> &TokenKind {
@@ -377,6 +426,11 @@ impl Parser {
     }
 
     // ---- statements -------------------------------------------------------
+    //
+    // The recursive rules below keep their stack frames small: every arm
+    // that needs locals of its own is a separate function, so a deeply
+    // nested shader costs little stack per level even in an unoptimised
+    // build.
 
     fn block_body(&mut self) -> Result<Vec<Stmt>, CompileError> {
         self.expect(&TokenKind::LBrace)?;
@@ -390,13 +444,98 @@ impl Parser {
         Ok(stmts)
     }
 
+    /// A statement, one nesting level below its parent.
     fn statement(&mut self) -> Result<Stmt, CompileError> {
+        self.enter()?;
+        let stmt = self.statement_here();
+        self.depth -= 1;
+        stmt
+    }
+
+    fn statement_here(&mut self) -> Result<Stmt, CompileError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::LBrace => {
                 let body = self.block_body()?;
                 Ok(Stmt::new(StmtKind::Block(body), span))
             }
+            TokenKind::Keyword(Keyword::If) => self.if_statement(span),
+            TokenKind::Keyword(Keyword::For) => self.for_statement(span),
+            TokenKind::Keyword(Keyword::While) => self.while_statement(span),
+            TokenKind::Keyword(Keyword::Do) => self.do_statement(span),
+            _ => self.leaf_statement(span),
+        }
+    }
+
+    fn if_statement(&mut self, span: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expression()?;
+        self.expect(&TokenKind::RParen)?;
+        let then = Box::new(self.statement()?);
+        let els = if self.accept(&TokenKind::Keyword(Keyword::Else)) {
+            Some(Box::new(self.statement()?))
+        } else {
+            None
+        };
+        Ok(Stmt::new(StmtKind::If(cond, then, els), span))
+    }
+
+    fn for_statement(&mut self, span: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let init = if self.accept(&TokenKind::Semicolon) {
+            None
+        } else {
+            Some(Box::new(self.simple_statement()?))
+        };
+        let cond = if matches!(self.peek(), TokenKind::Semicolon) {
+            None
+        } else {
+            Some(self.expression()?)
+        };
+        self.expect(&TokenKind::Semicolon)?;
+        let step = if matches!(self.peek(), TokenKind::RParen) {
+            None
+        } else {
+            Some(self.expression()?)
+        };
+        self.expect(&TokenKind::RParen)?;
+        let body = Box::new(self.statement()?);
+        Ok(Stmt::new(
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            },
+            span,
+        ))
+    }
+
+    fn while_statement(&mut self, span: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expression()?;
+        self.expect(&TokenKind::RParen)?;
+        let body = Box::new(self.statement()?);
+        Ok(Stmt::new(StmtKind::While(cond, body), span))
+    }
+
+    fn do_statement(&mut self, span: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        let body = Box::new(self.statement()?);
+        self.expect(&TokenKind::Keyword(Keyword::While))?;
+        self.expect(&TokenKind::LParen)?;
+        let cond = self.expression()?;
+        self.expect(&TokenKind::RParen)?;
+        self.expect(&TokenKind::Semicolon)?;
+        Ok(Stmt::new(StmtKind::DoWhile(body, cond), span))
+    }
+
+    /// A statement that holds no other statement.
+    fn leaf_statement(&mut self, span: Span) -> Result<Stmt, CompileError> {
+        match self.peek() {
             TokenKind::Semicolon => {
                 self.bump();
                 Ok(Stmt::new(StmtKind::Empty, span))
@@ -408,68 +547,6 @@ impl Parser {
                 self.expect_type()?;
                 self.expect(&TokenKind::Semicolon)?;
                 Ok(Stmt::new(StmtKind::Empty, span))
-            }
-            TokenKind::Keyword(Keyword::If) => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                let then = Box::new(self.statement()?);
-                let els = if self.accept(&TokenKind::Keyword(Keyword::Else)) {
-                    Some(Box::new(self.statement()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::new(StmtKind::If(cond, then, els), span))
-            }
-            TokenKind::Keyword(Keyword::For) => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let init = if self.accept(&TokenKind::Semicolon) {
-                    None
-                } else {
-                    Some(Box::new(self.simple_statement()?))
-                };
-                let cond = if matches!(self.peek(), TokenKind::Semicolon) {
-                    None
-                } else {
-                    Some(self.expression()?)
-                };
-                self.expect(&TokenKind::Semicolon)?;
-                let step = if matches!(self.peek(), TokenKind::RParen) {
-                    None
-                } else {
-                    Some(self.expression()?)
-                };
-                self.expect(&TokenKind::RParen)?;
-                let body = Box::new(self.statement()?);
-                Ok(Stmt::new(
-                    StmtKind::For {
-                        init,
-                        cond,
-                        step,
-                        body,
-                    },
-                    span,
-                ))
-            }
-            TokenKind::Keyword(Keyword::While) => {
-                self.bump();
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                let body = Box::new(self.statement()?);
-                Ok(Stmt::new(StmtKind::While(cond, body), span))
-            }
-            TokenKind::Keyword(Keyword::Do) => {
-                self.bump();
-                let body = Box::new(self.statement()?);
-                self.expect(&TokenKind::Keyword(Keyword::While))?;
-                self.expect(&TokenKind::LParen)?;
-                let cond = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::Semicolon)?;
-                Ok(Stmt::new(StmtKind::DoWhile(body, cond), span))
             }
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
@@ -525,19 +602,38 @@ impl Parser {
     }
 
     // ---- expressions -------------------------------------------------------
+    //
+    // Each rule on the path a parenthesised operand recurses through
+    // (expression → assignment → ternary → binary → unary → postfix →
+    // primary) hands its less common branches to a helper, for the same
+    // small-frame reason as the statement rules.
 
     /// Full expression, including the comma operator.
     fn expression(&mut self) -> Result<Expr, CompileError> {
         let mut expr = self.assignment_expr()?;
         while self.accept(&TokenKind::Comma) {
-            let rhs = self.assignment_expr()?;
-            let span = expr.span.to(rhs.span);
-            expr = Expr::new(ExprKind::Comma(Box::new(expr), Box::new(rhs)), span);
+            expr = self.comma_rest(expr)?;
         }
         Ok(expr)
     }
 
+    fn comma_rest(&mut self, lhs: Expr) -> Result<Expr, CompileError> {
+        let below = self.height;
+        let rhs = self.assignment_expr()?;
+        let span = lhs.span.to(rhs.span);
+        let below = below.max(self.height);
+        self.node(ExprKind::Comma(Box::new(lhs), Box::new(rhs)), span, below)
+    }
+
+    /// An assignment expression, one nesting level below its parent.
     fn assignment_expr(&mut self) -> Result<Expr, CompileError> {
+        self.enter()?;
+        let expr = self.assignment_here();
+        self.depth -= 1;
+        expr
+    }
+
+    fn assignment_here(&mut self) -> Result<Expr, CompileError> {
         let lhs = self.ternary_expr()?;
         let op = match self.peek() {
             TokenKind::Eq => AssignOp::Assign,
@@ -547,6 +643,10 @@ impl Parser {
             TokenKind::SlashEq => AssignOp::DivAssign,
             _ => return Ok(lhs),
         };
+        self.assignment_rest(lhs, op)
+    }
+
+    fn assignment_rest(&mut self, lhs: Expr, op: AssignOp) -> Result<Expr, CompileError> {
         let op_span = self.span();
         self.bump();
         if !lhs.is_lvalue() {
@@ -555,134 +655,174 @@ impl Parser {
                 op_span,
             ));
         }
+        let below = self.height;
         let rhs = self.assignment_expr()?;
         let span = lhs.span.to(rhs.span);
-        Ok(Expr::new(
+        let below = below.max(self.height);
+        self.node(
             ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
             span,
-        ))
+            below,
+        )
     }
 
     fn ternary_expr(&mut self) -> Result<Expr, CompileError> {
         let cond = self.binary_expr(0)?;
-        if self.accept(&TokenKind::Question) {
-            let yes = self.assignment_expr()?;
-            self.expect(&TokenKind::Colon)?;
-            let no = self.assignment_expr()?;
-            let span = cond.span.to(no.span);
-            Ok(Expr::new(
-                ExprKind::Ternary(Box::new(cond), Box::new(yes), Box::new(no)),
-                span,
-            ))
+        if matches!(self.peek(), TokenKind::Question) {
+            self.ternary_rest(cond)
         } else {
             Ok(cond)
         }
     }
 
-    fn binop_at(&self, level: usize) -> Option<BinOp> {
-        // Precedence levels, lowest first.
-        const LEVELS: &[&[(TokenKind, BinOp)]] = &[];
-        let _ = LEVELS;
-        match (level, self.peek()) {
-            (0, TokenKind::OrOr) => Some(BinOp::Or),
-            (1, TokenKind::XorXor) => Some(BinOp::Xor),
-            (2, TokenKind::AndAnd) => Some(BinOp::And),
-            (3, TokenKind::EqEq) => Some(BinOp::Eq),
-            (3, TokenKind::NotEq) => Some(BinOp::Ne),
-            (4, TokenKind::Lt) => Some(BinOp::Lt),
-            (4, TokenKind::Gt) => Some(BinOp::Gt),
-            (4, TokenKind::Le) => Some(BinOp::Le),
-            (4, TokenKind::Ge) => Some(BinOp::Ge),
-            (5, TokenKind::Plus) => Some(BinOp::Add),
-            (5, TokenKind::Minus) => Some(BinOp::Sub),
-            (6, TokenKind::Star) => Some(BinOp::Mul),
-            (6, TokenKind::Slash) => Some(BinOp::Div),
-            _ => None,
-        }
+    fn ternary_rest(&mut self, cond: Expr) -> Result<Expr, CompileError> {
+        self.bump();
+        let mut below = self.height;
+        let yes = self.assignment_expr()?;
+        below = below.max(self.height);
+        self.expect(&TokenKind::Colon)?;
+        let no = self.assignment_expr()?;
+        let span = cond.span.to(no.span);
+        let below = below.max(self.height);
+        self.node(
+            ExprKind::Ternary(Box::new(cond), Box::new(yes), Box::new(no)),
+            span,
+            below,
+        )
     }
 
-    fn binary_expr(&mut self, level: usize) -> Result<Expr, CompileError> {
-        if level > 6 {
-            return self.unary_expr();
-        }
-        let mut lhs = self.binary_expr(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
-            self.bump();
-            let rhs = self.binary_expr(level + 1)?;
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
+    /// The binary operator at the cursor and its precedence level
+    /// (0 = `||`, lowest, … 6 = `*` `/`, highest).
+    fn binop(&self) -> Option<(BinOp, usize)> {
+        Some(match self.peek() {
+            TokenKind::OrOr => (BinOp::Or, 0),
+            TokenKind::XorXor => (BinOp::Xor, 1),
+            TokenKind::AndAnd => (BinOp::And, 2),
+            TokenKind::EqEq => (BinOp::Eq, 3),
+            TokenKind::NotEq => (BinOp::Ne, 3),
+            TokenKind::Lt => (BinOp::Lt, 4),
+            TokenKind::Gt => (BinOp::Gt, 4),
+            TokenKind::Le => (BinOp::Le, 4),
+            TokenKind::Ge => (BinOp::Ge, 4),
+            TokenKind::Plus => (BinOp::Add, 5),
+            TokenKind::Minus => (BinOp::Sub, 5),
+            TokenKind::Star => (BinOp::Mul, 6),
+            TokenKind::Slash => (BinOp::Div, 6),
+            _ => return None,
+        })
+    }
+
+    /// Precedence climbing over left-associative operators of level
+    /// `min_level` and above: one frame per precedence step actually
+    /// taken, not one per level.
+    fn binary_expr(&mut self, min_level: usize) -> Result<Expr, CompileError> {
+        let mut lhs = self.unary_expr()?;
+        while let Some((op, level)) = self.binop().filter(|&(_, level)| level >= min_level) {
+            lhs = self.binary_rest(lhs, op, level)?;
         }
         Ok(lhs)
     }
 
+    fn binary_rest(&mut self, lhs: Expr, op: BinOp, level: usize) -> Result<Expr, CompileError> {
+        self.bump();
+        let below = self.height;
+        let rhs = self.binary_expr(level + 1)?;
+        let span = lhs.span.to(rhs.span);
+        let below = below.max(self.height);
+        self.node(
+            ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
+            span,
+            below,
+        )
+    }
+
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
-        let span = self.span();
         let op = match self.peek() {
-            TokenKind::Minus => Some(UnOp::Neg),
-            TokenKind::Plus => Some(UnOp::Plus),
-            TokenKind::Bang => Some(UnOp::Not),
-            TokenKind::PlusPlus => Some(UnOp::PreInc),
-            TokenKind::MinusMinus => Some(UnOp::PreDec),
-            _ => None,
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Plus => UnOp::Plus,
+            TokenKind::Bang => UnOp::Not,
+            TokenKind::PlusPlus => UnOp::PreInc,
+            TokenKind::MinusMinus => UnOp::PreDec,
+            _ => return self.postfix_expr(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let inner = self.unary_expr()?;
-            if matches!(op, UnOp::PreInc | UnOp::PreDec) && !inner.is_lvalue() {
-                return Err(CompileError::parse(
-                    "operand of ++/-- must be an lvalue",
-                    span,
-                ));
-            }
-            let full = span.to(inner.span);
-            Ok(Expr::new(ExprKind::Unary(op, Box::new(inner)), full))
-        } else {
-            self.postfix_expr()
+        self.prefix_expr(op)
+    }
+
+    /// A prefix operator applied to the unary expression after it, one
+    /// nesting level down.
+    fn prefix_expr(&mut self, op: UnOp) -> Result<Expr, CompileError> {
+        let span = self.span();
+        self.bump();
+        self.enter()?;
+        let inner = self.unary_expr();
+        self.depth -= 1;
+        let inner = inner?;
+        if matches!(op, UnOp::PreInc | UnOp::PreDec) && !inner.is_lvalue() {
+            return Err(CompileError::parse(
+                "operand of ++/-- must be an lvalue",
+                span,
+            ));
         }
+        let full = span.to(inner.span);
+        let below = self.height;
+        self.node(ExprKind::Unary(op, Box::new(inner)), full, below)
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
         let mut expr = self.primary_expr()?;
-        loop {
-            match self.peek() {
-                TokenKind::LBracket => {
-                    self.bump();
-                    let index = self.expression()?;
-                    let end = self.expect(&TokenKind::RBracket)?;
-                    let span = expr.span.to(end);
-                    expr = Expr::new(ExprKind::Index(Box::new(expr), Box::new(index)), span);
+        while matches!(
+            self.peek(),
+            TokenKind::LBracket | TokenKind::Dot | TokenKind::PlusPlus | TokenKind::MinusMinus
+        ) {
+            expr = self.postfix_op(expr)?;
+        }
+        Ok(expr)
+    }
+
+    /// Applies the postfix operator at the cursor to `expr`.
+    fn postfix_op(&mut self, expr: Expr) -> Result<Expr, CompileError> {
+        let below = self.height;
+        match self.bump() {
+            TokenKind::LBracket => {
+                let index = self.expression()?;
+                let end = self.expect(&TokenKind::RBracket)?;
+                let span = expr.span.to(end);
+                let below = below.max(self.height);
+                self.node(
+                    ExprKind::Index(Box::new(expr), Box::new(index)),
+                    span,
+                    below,
+                )
+            }
+            TokenKind::Dot => {
+                let (field, fspan) = self.expect_ident()?;
+                let span = expr.span.to(fspan);
+                self.node(ExprKind::Field(Box::new(expr), field), span, below)
+            }
+            inc_dec => {
+                let sp = self.prev_span();
+                let (op, sign) = if inc_dec == TokenKind::PlusPlus {
+                    (UnOp::PostInc, "++")
+                } else {
+                    (UnOp::PostDec, "--")
+                };
+                if !expr.is_lvalue() {
+                    return Err(CompileError::parse(
+                        format!("operand of {sign} must be an lvalue"),
+                        sp,
+                    ));
                 }
-                TokenKind::Dot => {
-                    self.bump();
-                    let (field, fspan) = self.expect_ident()?;
-                    let span = expr.span.to(fspan);
-                    expr = Expr::new(ExprKind::Field(Box::new(expr), field), span);
-                }
-                TokenKind::PlusPlus => {
-                    let sp = self.span();
-                    self.bump();
-                    if !expr.is_lvalue() {
-                        return Err(CompileError::parse("operand of ++ must be an lvalue", sp));
-                    }
-                    let span = expr.span.to(sp);
-                    expr = Expr::new(ExprKind::Unary(UnOp::PostInc, Box::new(expr)), span);
-                }
-                TokenKind::MinusMinus => {
-                    let sp = self.span();
-                    self.bump();
-                    if !expr.is_lvalue() {
-                        return Err(CompileError::parse("operand of -- must be an lvalue", sp));
-                    }
-                    let span = expr.span.to(sp);
-                    expr = Expr::new(ExprKind::Unary(UnOp::PostDec, Box::new(expr)), span);
-                }
-                _ => return Ok(expr),
+                let span = expr.span.to(sp);
+                self.node(ExprKind::Unary(op, Box::new(expr)), span, below)
             }
         }
     }
 
+    /// Parses `( args… )`, leaving the tallest argument's height (0 for
+    /// none) in `self.height`.
     fn call_args(&mut self) -> Result<Vec<Expr>, CompileError> {
         self.expect(&TokenKind::LParen)?;
+        self.height = 0;
         let mut args = Vec::new();
         if self.accept(&TokenKind::RParen) {
             return Ok(args);
@@ -695,70 +835,80 @@ impl Parser {
             self.bump();
             return Ok(args);
         }
+        let mut below = 0;
         loop {
             args.push(self.assignment_expr()?);
+            below = below.max(self.height);
             if !self.accept(&TokenKind::Comma) {
                 break;
             }
         }
         self.expect(&TokenKind::RParen)?;
+        self.height = below;
         Ok(args)
     }
 
     fn primary_expr(&mut self) -> Result<Expr, CompileError> {
+        if self.accept(&TokenKind::LParen) {
+            let inner = self.expression()?;
+            self.expect(&TokenKind::RParen)?;
+            Ok(inner)
+        } else {
+            self.primary_leaf()
+        }
+    }
+
+    /// A literal, a variable, or a call with its arguments.
+    fn primary_leaf(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        match self.peek().clone() {
+        let callee = match self.peek().clone() {
             TokenKind::FloatLit(v) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::FloatLit(v), span))
+                return self.node(ExprKind::FloatLit(v), span, 0);
             }
             TokenKind::IntLit(v) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::IntLit(v), span))
+                return self.node(ExprKind::IntLit(v), span, 0);
             }
             TokenKind::BoolLit(v) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::BoolLit(v), span))
-            }
-            TokenKind::LParen => {
-                self.bump();
-                let inner = self.expression()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(inner)
+                return self.node(ExprKind::BoolLit(v), span, 0);
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if matches!(self.peek(), TokenKind::LParen) {
-                    let args = self.call_args()?;
-                    let end = self.prev_span();
-                    Ok(Expr::new(ExprKind::Call(name, args), span.to(end)))
-                } else {
-                    Ok(Expr::new(ExprKind::Ident(name), span))
+                if !matches!(self.peek(), TokenKind::LParen) {
+                    return self.node(ExprKind::Ident(name), span, 0);
                 }
+                name
             }
-            TokenKind::Keyword(kw) => {
-                // Type constructors: vec4(...), float(...), mat3(...)
-                if let Some(ty) = self.peek_type() {
-                    if ty != Type::Void && ty != Type::Sampler2D {
-                        self.bump();
-                        let args = self.call_args()?;
-                        let end = self.prev_span();
-                        return Ok(Expr::new(
-                            ExprKind::Call(ty.glsl_name(), args),
-                            span.to(end),
-                        ));
-                    }
+            // Type constructors: vec4(...), float(...), mat3(...)
+            TokenKind::Keyword(kw) => match self.peek_type() {
+                Some(ty) if ty != Type::Void && ty != Type::Sampler2D => {
+                    self.bump();
+                    ty.glsl_name()
                 }
-                Err(CompileError::parse(
-                    format!("unexpected keyword `{kw}` in expression"),
+                _ => {
+                    return Err(CompileError::parse(
+                        format!("unexpected keyword `{kw}` in expression"),
+                        span,
+                    ))
+                }
+            },
+            other => {
+                return Err(CompileError::parse(
+                    format!("unexpected {other} in expression"),
                     span,
                 ))
             }
-            other => Err(CompileError::parse(
-                format!("unexpected {other} in expression"),
-                span,
-            )),
-        }
+        };
+        self.call(callee, span)
+    }
+
+    fn call(&mut self, callee: String, span: Span) -> Result<Expr, CompileError> {
+        let args = self.call_args()?;
+        let end = self.prev_span();
+        let below = self.height;
+        self.node(ExprKind::Call(callee, args), span.to(end), below)
     }
 }
 

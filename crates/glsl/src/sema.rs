@@ -575,6 +575,10 @@ impl Checker {
     }
 
     fn check_expr(&mut self, e: &Expr) -> Result<Type, CompileError> {
+        // Every compound form is checked in a function of its own, so this
+        // frame, which a deeply nested expression repeats once per level,
+        // stays small even in an unoptimised build.
+        let span = e.span;
         match &e.kind {
             ExprKind::FloatLit(_) => Ok(Type::Float),
             ExprKind::IntLit(_) => Ok(Type::Int),
@@ -582,193 +586,219 @@ impl Checker {
             ExprKind::Ident(name) => self
                 .lookup(name)
                 .map(|s| s.ty.clone())
-                .ok_or_else(|| CompileError::check(format!("`{name}` is not declared"), e.span)),
-            ExprKind::Binary(op, a, b) => {
-                let (ta, tb) = (self.check_expr(a)?, self.check_expr(b)?);
-                binary_type(*op, &ta, &tb).ok_or_else(|| {
-                    CompileError::check(
-                        format!("operator `{}` cannot combine {ta} and {tb}", op.symbol()),
-                        e.span,
-                    )
-                })
-            }
-            ExprKind::Unary(op, inner) => {
-                let ty = self.check_expr(inner)?;
-                match op {
-                    UnOp::Neg | UnOp::Plus => {
-                        if ty.scalar() == Some(Scalar::Bool)
-                            || ty == Type::Sampler2D
-                            || matches!(ty, Type::Array(..))
-                        {
-                            Err(CompileError::check(format!("cannot negate {ty}"), e.span))
-                        } else {
-                            Ok(ty)
-                        }
-                    }
-                    UnOp::Not => {
-                        if ty == Type::Bool {
-                            Ok(Type::Bool)
-                        } else {
-                            Err(CompileError::check(
-                                format!("`!` requires bool, found {ty}"),
-                                e.span,
-                            ))
-                        }
-                    }
-                    UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
-                        self.check_assignable(inner)?;
-                        if matches!(ty.scalar(), Some(Scalar::Float) | Some(Scalar::Int))
-                            && !ty.is_matrix()
-                        {
-                            Ok(ty)
-                        } else {
-                            Err(CompileError::check(
-                                format!("++/-- requires a numeric lvalue, found {ty}"),
-                                e.span,
-                            ))
-                        }
-                    }
-                }
-            }
-            ExprKind::Assign(op, lhs, rhs) => {
-                let lt = self.check_expr(lhs)?;
-                let rt = self.check_expr(rhs)?;
-                self.check_assignable(lhs)?;
-                let effective = match op {
-                    AssignOp::Assign => {
-                        if lt == rt {
-                            Some(lt.clone())
-                        } else {
-                            None
-                        }
-                    }
-                    AssignOp::AddAssign | AssignOp::SubAssign | AssignOp::DivAssign => binary_type(
-                        match op {
-                            AssignOp::AddAssign => BinOp::Add,
-                            AssignOp::SubAssign => BinOp::Sub,
-                            _ => BinOp::Div,
-                        },
-                        &lt,
-                        &rt,
-                    )
-                    .filter(|t| *t == lt),
-                    AssignOp::MulAssign => binary_type(BinOp::Mul, &lt, &rt).filter(|t| *t == lt),
-                };
-                effective.ok_or_else(|| {
-                    CompileError::check(
-                        format!("cannot assign {rt} to lvalue of type {lt}"),
-                        e.span,
-                    )
-                })
-            }
-            ExprKind::Ternary(cond, yes, no) => {
-                self.expect_bool(cond)?;
-                let (ty, tn) = (self.check_expr(yes)?, self.check_expr(no)?);
-                if ty != tn {
-                    return Err(CompileError::check(
-                        format!("ternary branches have different types: {ty} vs {tn}"),
-                        e.span,
-                    ));
-                }
-                Ok(ty)
-            }
-            ExprKind::Call(name, args) => {
-                let mut arg_types = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_types.push(self.check_expr(a)?);
-                }
-                if let Some(ret) = builtins::signature(name, &arg_types) {
-                    return Ok(ret);
-                }
-                if let Some(overloads) = self.functions.get(name) {
-                    if let Some(sig) = overloads
-                        .iter()
-                        .find(|s| param_types(&s.params) == arg_types)
-                    {
-                        // out/inout arguments must be lvalues.
-                        let quals: Vec<ParamQual> = sig.params.iter().map(|p| p.qual).collect();
-                        let ret = sig.ret.clone();
-                        for (arg, qual) in args.iter().zip(quals) {
-                            if matches!(qual, ParamQual::Out | ParamQual::InOut) {
-                                self.check_assignable(arg)?;
-                            }
-                        }
-                        return Ok(ret);
-                    }
-                    return Err(CompileError::check(
-                        format!(
-                            "no overload of `{name}` matches argument types ({})",
-                            type_list(&arg_types)
-                        ),
-                        e.span,
-                    ));
-                }
-                if is_constructor_name(name) {
-                    return Err(CompileError::check(
-                        format!("invalid constructor `{name}({})`", type_list(&arg_types)),
-                        e.span,
-                    ));
-                }
-                Err(CompileError::check(
-                    format!("`{name}` is not a function"),
-                    e.span,
-                ))
-            }
-            ExprKind::Field(base, field) => {
-                let bt = self.check_expr(base)?;
-                if !bt.is_vector() {
-                    return Err(CompileError::check(
-                        format!("cannot swizzle type {bt}"),
-                        e.span,
-                    ));
-                }
-                let dim = bt.dim().expect("vector dim");
-                let idx = swizzle_indices(field).ok_or_else(|| {
-                    CompileError::check(format!("invalid swizzle `.{field}`"), e.span)
-                })?;
-                if idx.iter().any(|&i| i >= dim) {
-                    return Err(CompileError::check(
-                        format!("swizzle `.{field}` out of range for {bt}"),
-                        e.span,
-                    ));
-                }
-                let scalar = bt.scalar().expect("vector scalar");
-                Type::vector_of(scalar, idx.len()).ok_or_else(|| {
-                    CompileError::check(format!("invalid swizzle `.{field}`"), e.span)
-                })
-            }
-            ExprKind::Index(base, index) => {
-                let bt = self.check_expr(base)?;
-                let it = self.check_expr(index)?;
-                if it != Type::Int {
-                    return Err(CompileError::check(
-                        format!("index must be int, found {it}"),
-                        index.span,
-                    ));
-                }
-                let result = bt.index_result().ok_or_else(|| {
-                    CompileError::check(format!("type {bt} cannot be indexed"), e.span)
-                })?;
-                // Static bounds check for literal indices.
-                if let ExprKind::IntLit(i) = &index.kind {
-                    let len = match &bt {
-                        Type::Array(_, n) => *n,
-                        other => other.dim().unwrap_or(usize::MAX),
-                    };
-                    if *i < 0 || (*i as usize) >= len {
-                        return Err(CompileError::check(
-                            format!("index {i} out of bounds for {bt}"),
-                            index.span,
-                        ));
-                    }
-                }
-                Ok(result)
-            }
+                .ok_or_else(|| CompileError::check(format!("`{name}` is not declared"), span)),
+            ExprKind::Binary(op, a, b) => self.check_binary(*op, a, b, span),
+            ExprKind::Unary(op, inner) => self.check_unary(*op, inner, span),
+            ExprKind::Assign(op, lhs, rhs) => self.check_assign(*op, lhs, rhs, span),
+            ExprKind::Ternary(cond, yes, no) => self.check_ternary(cond, yes, no, span),
+            ExprKind::Call(name, args) => self.check_call(name, args, span),
+            ExprKind::Field(base, field) => self.check_field(base, field, span),
+            ExprKind::Index(base, index) => self.check_index(base, index, span),
             ExprKind::Comma(a, b) => {
                 self.check_expr(a)?;
                 self.check_expr(b)
             }
         }
+    }
+
+    fn check_binary(
+        &mut self,
+        op: BinOp,
+        a: &Expr,
+        b: &Expr,
+        span: Span,
+    ) -> Result<Type, CompileError> {
+        let (ta, tb) = (self.check_expr(a)?, self.check_expr(b)?);
+        binary_type(op, &ta, &tb).ok_or_else(|| {
+            CompileError::check(
+                format!("operator `{}` cannot combine {ta} and {tb}", op.symbol()),
+                span,
+            )
+        })
+    }
+
+    fn check_unary(&mut self, op: UnOp, inner: &Expr, span: Span) -> Result<Type, CompileError> {
+        let ty = self.check_expr(inner)?;
+        match op {
+            UnOp::Neg | UnOp::Plus => {
+                if ty.scalar() == Some(Scalar::Bool)
+                    || ty == Type::Sampler2D
+                    || matches!(ty, Type::Array(..))
+                {
+                    Err(CompileError::check(format!("cannot negate {ty}"), span))
+                } else {
+                    Ok(ty)
+                }
+            }
+            UnOp::Not => {
+                if ty == Type::Bool {
+                    Ok(Type::Bool)
+                } else {
+                    Err(CompileError::check(
+                        format!("`!` requires bool, found {ty}"),
+                        span,
+                    ))
+                }
+            }
+            UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
+                self.check_assignable(inner)?;
+                if matches!(ty.scalar(), Some(Scalar::Float) | Some(Scalar::Int)) && !ty.is_matrix()
+                {
+                    Ok(ty)
+                } else {
+                    Err(CompileError::check(
+                        format!("++/-- requires a numeric lvalue, found {ty}"),
+                        span,
+                    ))
+                }
+            }
+        }
+    }
+
+    fn check_assign(
+        &mut self,
+        op: AssignOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        span: Span,
+    ) -> Result<Type, CompileError> {
+        let lt = self.check_expr(lhs)?;
+        let rt = self.check_expr(rhs)?;
+        self.check_assignable(lhs)?;
+        let effective = match op {
+            AssignOp::Assign => {
+                if lt == rt {
+                    Some(lt.clone())
+                } else {
+                    None
+                }
+            }
+            AssignOp::AddAssign | AssignOp::SubAssign | AssignOp::DivAssign => binary_type(
+                match op {
+                    AssignOp::AddAssign => BinOp::Add,
+                    AssignOp::SubAssign => BinOp::Sub,
+                    _ => BinOp::Div,
+                },
+                &lt,
+                &rt,
+            )
+            .filter(|t| *t == lt),
+            AssignOp::MulAssign => binary_type(BinOp::Mul, &lt, &rt).filter(|t| *t == lt),
+        };
+        effective.ok_or_else(|| {
+            CompileError::check(format!("cannot assign {rt} to lvalue of type {lt}"), span)
+        })
+    }
+
+    fn check_ternary(
+        &mut self,
+        cond: &Expr,
+        yes: &Expr,
+        no: &Expr,
+        span: Span,
+    ) -> Result<Type, CompileError> {
+        self.expect_bool(cond)?;
+        let (ty, tn) = (self.check_expr(yes)?, self.check_expr(no)?);
+        if ty != tn {
+            return Err(CompileError::check(
+                format!("ternary branches have different types: {ty} vs {tn}"),
+                span,
+            ));
+        }
+        Ok(ty)
+    }
+
+    fn check_call(&mut self, name: &str, args: &[Expr], span: Span) -> Result<Type, CompileError> {
+        let mut arg_types = Vec::with_capacity(args.len());
+        for a in args {
+            arg_types.push(self.check_expr(a)?);
+        }
+        if let Some(ret) = builtins::signature(name, &arg_types) {
+            return Ok(ret);
+        }
+        if let Some(overloads) = self.functions.get(name) {
+            if let Some(sig) = overloads
+                .iter()
+                .find(|s| param_types(&s.params) == arg_types)
+            {
+                // out/inout arguments must be lvalues.
+                let quals: Vec<ParamQual> = sig.params.iter().map(|p| p.qual).collect();
+                let ret = sig.ret.clone();
+                for (arg, qual) in args.iter().zip(quals) {
+                    if matches!(qual, ParamQual::Out | ParamQual::InOut) {
+                        self.check_assignable(arg)?;
+                    }
+                }
+                return Ok(ret);
+            }
+            return Err(CompileError::check(
+                format!(
+                    "no overload of `{name}` matches argument types ({})",
+                    type_list(&arg_types)
+                ),
+                span,
+            ));
+        }
+        if is_constructor_name(name) {
+            return Err(CompileError::check(
+                format!("invalid constructor `{name}({})`", type_list(&arg_types)),
+                span,
+            ));
+        }
+        Err(CompileError::check(
+            format!("`{name}` is not a function"),
+            span,
+        ))
+    }
+
+    fn check_field(&mut self, base: &Expr, field: &str, span: Span) -> Result<Type, CompileError> {
+        let bt = self.check_expr(base)?;
+        if !bt.is_vector() {
+            return Err(CompileError::check(
+                format!("cannot swizzle type {bt}"),
+                span,
+            ));
+        }
+        let dim = bt.dim().expect("vector dim");
+        let idx = swizzle_indices(field)
+            .ok_or_else(|| CompileError::check(format!("invalid swizzle `.{field}`"), span))?;
+        if idx.iter().any(|&i| i >= dim) {
+            return Err(CompileError::check(
+                format!("swizzle `.{field}` out of range for {bt}"),
+                span,
+            ));
+        }
+        let scalar = bt.scalar().expect("vector scalar");
+        Type::vector_of(scalar, idx.len())
+            .ok_or_else(|| CompileError::check(format!("invalid swizzle `.{field}`"), span))
+    }
+
+    fn check_index(&mut self, base: &Expr, index: &Expr, span: Span) -> Result<Type, CompileError> {
+        let bt = self.check_expr(base)?;
+        let it = self.check_expr(index)?;
+        if it != Type::Int {
+            return Err(CompileError::check(
+                format!("index must be int, found {it}"),
+                index.span,
+            ));
+        }
+        let result = bt
+            .index_result()
+            .ok_or_else(|| CompileError::check(format!("type {bt} cannot be indexed"), span))?;
+        // Static bounds check for literal indices.
+        if let ExprKind::IntLit(i) = &index.kind {
+            let len = match &bt {
+                Type::Array(_, n) => *n,
+                other => other.dim().unwrap_or(usize::MAX),
+            };
+            if *i < 0 || (*i as usize) >= len {
+                return Err(CompileError::check(
+                    format!("index {i} out of bounds for {bt}"),
+                    index.span,
+                ));
+            }
+        }
+        Ok(result)
     }
 
     /// Verifies that `e` denotes a writable location.

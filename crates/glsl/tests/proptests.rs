@@ -1,8 +1,9 @@
 //! Property-based tests for the GLSL ES front end and interpreter.
 
-use gpes_glsl::admission::{admit, AdmissionStage};
+use gpes_glsl::admission::{admit, AdmissionDiagnostic, AdmissionStage};
 use gpes_glsl::exec::{FloatModel, NoTextures};
 use gpes_glsl::interp::Interpreter;
+use gpes_glsl::parser::MAX_NESTING;
 use gpes_glsl::{compile, compile_strict, ShaderKind, Value};
 use proptest::prelude::*;
 
@@ -20,6 +21,52 @@ fn generated_valid(n: u8, scale: i16, use_loop: bool) -> String {
         format!("gl_FragColor = vec4(u_k * {scale}.0);")
     };
     format!("precision highp float;\nuniform float u_k;\nvoid main() {{\n  {body}\n}}")
+}
+
+/// Nesting shapes an untrusted kernel can stack arbitrarily deep.
+const DEEP_SHAPES: usize = 9;
+
+/// A fragment shader nesting construct `shape` `depth` times.
+fn deep_source(shape: usize, depth: usize) -> String {
+    let body = match shape {
+        0 => format!("c = {}u{};", "(".repeat(depth), ")".repeat(depth)),
+        1 => format!("{} c = u; {}", "{".repeat(depth), "}".repeat(depth)),
+        2 => format!("c = {}u;", "- ".repeat(depth)),
+        3 => format!("c = u{};", " + 1.0".repeat(depth)),
+        4 => format!("c = {}u{};", "abs(".repeat(depth), ")".repeat(depth)),
+        5 => format!(
+            "{}{{ c = 2.0; }}",
+            "if (u > 0.0) { c = 1.0; } else ".repeat(depth)
+        ),
+        6 => format!("c = v{}.x;", ".xyzw".repeat(depth)),
+        7 => format!("c = {}2.0;", "u > 0.0 ? 1.0 : ".repeat(depth)),
+        _ => format!("{}u;", "c = ".repeat(depth)),
+    };
+    format!(
+        "precision highp float;\nuniform float u;\nvoid main() {{\n  \
+         float c = 0.0;\n  vec4 v = vec4(u);\n  {body}\n  gl_FragColor = vec4(c);\n}}"
+    )
+}
+
+/// Admits `src` on a thread with a 512 KiB stack (a quarter of the
+/// default), then lowers and runs whatever admits, all on that thread. A
+/// recursion the nesting bound misses overflows the stack, which aborts
+/// the whole test binary rather than failing one test.
+fn admit_on_small_stack(src: String) -> Result<(), AdmissionDiagnostic> {
+    std::thread::Builder::new()
+        .stack_size(512 * 1024)
+        .spawn(move || {
+            let shader = admit(ShaderKind::Fragment, &src)?;
+            let _ = gpes_glsl::lower_shared(&shader);
+            let tex = NoTextures;
+            let mut interp = Interpreter::new(&shader, &tex).expect("interp");
+            interp.set_global("u", Value::Float(0.5)).expect("uniform");
+            interp.run_main().expect("run");
+            Ok(())
+        })
+        .expect("spawn")
+        .join()
+        .expect("admission panicked")
 }
 
 /// Compiles and runs a fragment shader that computes `expr` into the red
@@ -333,5 +380,43 @@ proptest! {
     #[test]
     fn admission_total_on_garbage(src in "[ -~]{0,200}") {
         let _ = admit(ShaderKind::Fragment, &src);
+    }
+
+    /// However deep a tenant nests parens, blocks, prefix operators,
+    /// operator chains, calls, `if`/`else` ladders, swizzles, ternaries or
+    /// assignments, admission on a small stack admits or rejects typed.
+    /// Shallow nesting admits; past the bound it is a parse rejection.
+    #[test]
+    fn deep_nesting_admits_or_rejects_typed_on_a_small_stack(
+        shape in 0usize..DEEP_SHAPES,
+        depth in 1usize..3 * MAX_NESTING,
+    ) {
+        let verdict = admit_on_small_stack(deep_source(shape, depth));
+        if depth <= MAX_NESTING / 2 {
+            prop_assert!(verdict.is_ok(), "shape {} depth {}: {:?}", shape, depth, verdict);
+        }
+        if depth > MAX_NESTING {
+            let err = verdict.expect_err("nesting past the bound must reject");
+            prop_assert_eq!(err.stage, AdmissionStage::Parse);
+            prop_assert!(err.message.contains("nesting"), "{}", err.message);
+        }
+    }
+}
+
+/// The cases that used to abort the process on the default 2 MiB stack:
+/// 1000 nested parens or blocks, and a 5000-term chain that overflowed in
+/// semantic analysis. Each is now a typed parse rejection on a quarter of
+/// that stack, as are ten times deeper versions and every other shape.
+#[test]
+fn stack_overflow_cases_reject_typed_on_a_small_stack() {
+    let cases = (0..DEEP_SHAPES).flat_map(|shape| [(shape, 1000), (shape, 5000), (shape, 10_000)]);
+    for (shape, depth) in cases {
+        let err =
+            admit_on_small_stack(deep_source(shape, depth)).expect_err("deep nesting must reject");
+        assert_eq!(
+            err.stage,
+            AdmissionStage::Parse,
+            "shape {shape} depth {depth}"
+        );
     }
 }

@@ -7,7 +7,7 @@
 //! hang), and evicted `ResidentInput`s fail validation.
 
 use gpes::core::serve::StepInput;
-use gpes::core::SharedCacheStats;
+use gpes::core::{SharedCacheStats, PROGRAM_CACHE_CAP};
 use gpes::glsl::Value;
 use gpes::kernels::{data, fft, reduce, srad};
 use gpes::prelude::*;
@@ -243,6 +243,7 @@ fn stats_delta(after: &ContextStats, before: &ContextStats) -> ContextStats {
         programs_linked: after.programs_linked - before.programs_linked,
         programs_adopted: after.programs_adopted - before.programs_adopted,
         program_cache_hits: after.program_cache_hits - before.program_cache_hits,
+        programs_deleted: after.programs_deleted - before.programs_deleted,
         textures_created: after.textures_created - before.textures_created,
         texture_pool_hits: after.texture_pool_hits - before.texture_pool_hits,
         textures_recycled: after.textures_recycled - before.textures_recycled,
@@ -499,6 +500,74 @@ fn worker_contexts_reach_steady_state_over_repeated_jobs() {
         prev = now;
     }
     assert!(steady, "steady-state serving must stop allocating");
+}
+
+/// GL programs a context holds right now.
+fn live_programs(stats: &ContextStats) -> u64 {
+    stats.programs_linked + stats.programs_adopted - stats.programs_deleted
+}
+
+/// A tenant kernel whose generated source is distinct for every `source`.
+fn tenant_spec(source: usize, n: usize) -> KernelSpec {
+    KernelSpec::new(format!("tenant_{source}"))
+        .input("x")
+        .output(n)
+        .body(format!("return fetch_x(idx) * {source}.0 + 0.5;"))
+}
+
+/// Registers, serves and retires one tenant kernel per source, checking
+/// every result bit for bit.
+fn serve_tenant_kernels(engine: &Engine, sources: impl Iterator<Item = usize>) {
+    let n = 64;
+    let x = Arc::new(ramp(n, 0.25));
+    let registry = engine.registry();
+    for source in sources {
+        let kernel = registry
+            .register("tenant", tenant_spec(source, n))
+            .expect("register");
+        let out = engine
+            .submit(kernel.job().data_shared(&x))
+            .expect("submit")
+            .wait()
+            .expect("job");
+        let want: Vec<f32> = x.iter().map(|v| v * source as f32 + 0.5).collect();
+        assert_eq!(out, want, "kernel {source}");
+        assert!(registry.retire(&kernel));
+    }
+}
+
+#[test]
+fn tenant_churn_keeps_worker_programs_within_the_cache_cap() {
+    let engine = Engine::builder().workers(2).build().expect("engine");
+    serve_tenant_kernels(&engine, 0..3 * PROGRAM_CACHE_CAP);
+    let snapshot = engine.snapshot();
+    assert_eq!(
+        snapshot.context.programs_adopted,
+        3 * PROGRAM_CACHE_CAP as u64
+    );
+    let live = live_programs(&snapshot.context);
+    assert!(
+        live <= 2 * PROGRAM_CACHE_CAP as u64,
+        "{live} live programs on 2 workers"
+    );
+    for stats in engine.worker_stats() {
+        assert!(live_programs(&stats) <= PROGRAM_CACHE_CAP as u64);
+    }
+}
+
+#[test]
+fn workers_keep_retired_programs_so_recurring_kernels_do_not_relink() {
+    // One worker, so the wave that first adopts a kernel and the wave that
+    // reuses it meet the same context.
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    serve_tenant_kernels(&engine, 0..8);
+    let before = engine.snapshot();
+    serve_tenant_kernels(&engine, 0..8);
+    let after = engine.snapshot();
+    let wave = stats_delta(&after.context, &before.context);
+    assert_eq!(engine.programs_linked(), 8, "the second wave links nothing");
+    assert_eq!(wave.programs_linked + wave.programs_adopted, 0);
+    assert_eq!(wave.program_cache_hits, 8);
 }
 
 // ---- pipeline serving ----------------------------------------------------

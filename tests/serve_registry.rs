@@ -5,6 +5,7 @@
 //! in-flight jobs) with tenant-scoped FIFO eviction, and the snapshot's
 //! per-tenant counters riding alongside an intact balance identity.
 
+use gpes::core::serve::MAX_KERNEL_SOURCE_BYTES;
 use gpes::core::{AdmissionStage, QuotaResource};
 use gpes::kernels::{data, saxpy};
 use gpes::prelude::*;
@@ -164,6 +165,34 @@ fn admission_rejects_each_stage_typed() {
     assert_eq!(counters[0].tenant, "t");
     assert_eq!(counters[0].admitted, 0);
     assert_eq!(counters[0].rejected, 6);
+    engine.shutdown();
+}
+
+#[test]
+fn oversized_or_deeply_nested_source_rejects_typed() {
+    let engine = Engine::builder().build().expect("engine");
+    let registry = engine.registry();
+    let stage_of = |spec: KernelSpec| match registry.register("t", spec) {
+        Err(ComputeError::AdmissionRejected { stage, .. }) => stage,
+        other => panic!("expected a typed rejection, got {other:?}"),
+    };
+    let kernel = |body: String| KernelSpec::new("deep").output(4).body(body);
+
+    // A body past the byte cap never reaches the parser.
+    let long = format!(
+        "return 1.0{};",
+        " + 1.0".repeat(MAX_KERNEL_SOURCE_BYTES / 6)
+    );
+    assert_eq!(stage_of(kernel(long)), AdmissionStage::Signature);
+
+    // Shapes that used to overflow the registering thread's stack and
+    // abort the process: deep parens, deep blocks, a long operator chain.
+    let parens = format!("return {}1.0{};", "(".repeat(1000), ")".repeat(1000));
+    let blocks = format!("{}return 1.0;{}", "{".repeat(1000), "}".repeat(1000));
+    let chain = format!("return 1.0{};", "+1.0".repeat(2000));
+    for body in [parens, blocks, chain] {
+        assert_eq!(stage_of(kernel(body)), AdmissionStage::Parse);
+    }
     engine.shutdown();
 }
 
