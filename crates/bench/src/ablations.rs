@@ -2760,6 +2760,16 @@ const A15_MODES: [ExecMode; 4] = [
 const A15_BASELINE: ExecMode = ExecMode::Spmd { lanes: 1 };
 const A15_KERNELS: [&str; 2] = ["sum (fp)", "sgemm (fp)"];
 const A15_SERVE_MODE: ExecMode = ExecMode::Spmd { lanes: 8 };
+/// `sum (fp)` on sign-uniform inputs (`|a|`, `|b|`), run at
+/// [`A15_SERVE_MODE`] only: next to the sign-mixed row it shows what the
+/// f32 codec's sign branch costs a diverging lane batch. Not in the mix.
+const A15_SAME_SIGN_SUM: &str = "sum (fp, same sign)";
+/// Timed runs per a15 VM row in `reproduce`, after one untimed warm-up
+/// run; the row reports their median.
+pub const A15_TIMED_RUNS: usize = 5;
+/// One a15 VM row's measurement: output, fragments/s, SPMD batches and
+/// scalar fallbacks.
+type VmRun = Result<(Vec<f32>, f64, u64, u64), ComputeError>;
 
 impl Report for A15Report {
     /// Throughputs and speedups are host timing, hence advisory.
@@ -2803,15 +2813,16 @@ impl Report for A15Report {
     /// SPMD mode — balanced, bit-identical and batching.
     fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        for kernel in A15_KERNELS {
-            for mode in A15_MODES {
-                require!(
-                    v,
-                    self.vm.iter().any(|r| r.kernel == kernel && r.mode == mode),
-                    "a15: {kernel} {}: row missing",
-                    mode.label()
-                );
-            }
+        let ladder = A15_KERNELS
+            .into_iter()
+            .flat_map(|k| A15_MODES.map(|m| (k, m)));
+        for (kernel, mode) in ladder.chain([(A15_SAME_SIGN_SUM, A15_SERVE_MODE)]) {
+            require!(
+                v,
+                self.vm.iter().any(|r| r.kernel == kernel && r.mode == mode),
+                "a15: {kernel} {}: row missing",
+                mode.label()
+            );
         }
         for row in &self.vm {
             let at = format!("a15: {} {}", row.kernel, row.mode.label());
@@ -2884,8 +2895,11 @@ impl Report for A15Report {
 
 /// Runs A15: a kernel mix (`sum (fp)` codec-heavy, `sgemm (fp)`
 /// loop-heavy) timed under `TreeWalker`, `Spmd{1}`, `Spmd{4}` and
-/// `Spmd{8}`, each checked bit-for-bit against a separate tree-walker
-/// oracle run, with per-row `spmd_batches`/`scalar_fallbacks` counters;
+/// `Spmd{8}`, plus `sum (fp)` on sign-uniform inputs under `Spmd{8}`.
+/// Each row is one warm-up run, whose output is checked bit-for-bit
+/// against a separate tree-walker oracle run and whose
+/// `spmd_batches`/`scalar_fallbacks` counters it reports, then the
+/// median of `timed_runs` timed runs ([`A15_TIMED_RUNS`] in `reproduce`);
 /// the float32 and u16 codec round trips element-wise vs sliced; and a
 /// 2-worker engine wave under `Spmd{8}` whose snapshot must balance,
 /// report an spmd label, and show nonzero SPMD batches.
@@ -2893,36 +2907,48 @@ impl Report for A15Report {
 /// # Errors
 ///
 /// Propagates simulator/engine failures.
-pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
+pub fn a15_spmd(n: usize, jobs: usize, timed_runs: usize) -> Result<A15Report, ComputeError> {
     use gpes_core::codec::{float32, ushort};
 
     // --- Executor ladder over the kernel mix ----------------------------
     let a = data::random_f32(n, 501, 100.0);
     let b = data::random_f32(n, 502, 100.0);
+    let a_abs: Vec<f32> = a.iter().map(|v| v.abs()).collect();
+    let b_abs: Vec<f32> = b.iter().map(|v| v.abs()).collect();
     let side = 32usize;
     let ma = data::random_f32(side * side, 503, 2.0);
     let mb = data::random_f32(side * side, 504, 2.0);
     let mc = data::random_f32(side * side, 505, 2.0);
 
-    let run_sum = |mode: ExecMode| -> Result<(Vec<f32>, f64, u64, u64), ComputeError> {
-        let mut cc = ComputeContext::new(256, 256)?;
-        cc.set_exec_mode(mode);
-        cc.set_dispatch(Dispatch::Serial);
-        let ga = cc.upload(&a)?;
-        let gb = cc.upload(&b)?;
-        let k = gpes_kernels::sum::build_f32(&mut cc, &ga, &gb)?;
-        let start = Instant::now();
-        let out = cc.run_f32(&k)?;
-        let elapsed = start.elapsed().as_secs_f64();
+    // One warm-up run (output and counters), then the median of the
+    // timed runs, all on the context the kernel was built on.
+    let time_runs = |cc: &mut ComputeContext, k: &Kernel, fragments: usize| -> VmRun {
+        let out = cc.run_f32(k)?;
         let stats = cc.stats();
+        let mut secs = Vec::new();
+        for _ in 0..timed_runs.max(1) {
+            let start = Instant::now();
+            cc.run_f32(k)?;
+            secs.push(start.elapsed().as_secs_f64());
+        }
+        secs.sort_by(f64::total_cmp);
         Ok((
             out,
-            n as f64 / elapsed,
+            fragments as f64 / secs[secs.len() / 2],
             stats.spmd_batches,
             stats.scalar_fallbacks,
         ))
     };
-    let run_gemm = |mode: ExecMode| -> Result<(Vec<f32>, f64, u64, u64), ComputeError> {
+    let run_sum = |mode: ExecMode, a: &[f32], b: &[f32]| -> VmRun {
+        let mut cc = ComputeContext::new(256, 256)?;
+        cc.set_exec_mode(mode);
+        cc.set_dispatch(Dispatch::Serial);
+        let ga = cc.upload(a)?;
+        let gb = cc.upload(b)?;
+        let k = gpes_kernels::sum::build_f32(&mut cc, &ga, &gb)?;
+        time_runs(&mut cc, &k, n)
+    };
+    let run_gemm = |mode: ExecMode| -> VmRun {
         let mut cc = ComputeContext::new(64, 64)?;
         cc.set_exec_mode(mode);
         cc.set_dispatch(Dispatch::Serial);
@@ -2930,25 +2956,21 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
         let gb = cc.upload_matrix(side as u32, side as u32, &mb)?;
         let gc = cc.upload_matrix(side as u32, side as u32, &mc)?;
         let k = gpes_kernels::sgemm::build_f32(&mut cc, &ga, &gb, &gc, 1.0, 0.5)?;
-        let start = Instant::now();
-        let out = cc.run_f32(&k)?;
-        let elapsed = start.elapsed().as_secs_f64();
-        let stats = cc.stats();
-        Ok((
-            out,
-            (side * side) as f64 / elapsed,
-            stats.spmd_batches,
-            stats.scalar_fallbacks,
-        ))
+        time_runs(&mut cc, &k, side * side)
     };
 
-    type KernelRun<'r> = &'r dyn Fn(ExecMode) -> Result<(Vec<f32>, f64, u64, u64), ComputeError>;
+    type KernelRun<'r> = &'r dyn Fn(ExecMode) -> VmRun;
     let mut vm = Vec::new();
-    let kernels: [(&'static str, KernelRun); 2] =
-        [(A15_KERNELS[0], &run_sum), (A15_KERNELS[1], &run_gemm)];
-    for (kernel, run) in kernels {
+    let sum_mixed = |mode| run_sum(mode, &a, &b);
+    let sum_same_sign = |mode| run_sum(mode, &a_abs, &b_abs);
+    let kernels: [(&'static str, KernelRun, &[ExecMode]); 3] = [
+        (A15_KERNELS[0], &sum_mixed, &A15_MODES),
+        (A15_SAME_SIGN_SUM, &sum_same_sign, &[A15_SERVE_MODE]),
+        (A15_KERNELS[1], &run_gemm, &A15_MODES),
+    ];
+    for (kernel, run, modes) in kernels {
         let (oracle, _, _, _) = run(ExecMode::TreeWalker)?;
-        for mode in A15_MODES {
+        for &mode in modes {
             let (out, rate, spmd_batches, scalar_fallbacks) = run(mode)?;
             vm.push(A15VmRow {
                 kernel,
@@ -2962,7 +2984,7 @@ pub fn a15_spmd(n: usize, jobs: usize) -> Result<A15Report, ComputeError> {
     }
     let rates = |mode: ExecMode| {
         vm.iter()
-            .filter(move |r| r.mode == mode)
+            .filter(move |r| r.mode == mode && A15_KERNELS.contains(&r.kernel))
             .map(|r| r.fragments_per_s)
     };
     let mix: Vec<(ExecMode, f64)> = A15_MODES
@@ -3579,11 +3601,14 @@ mod tests {
 
     #[test]
     fn a15_spmd_is_identical_and_actually_batches() {
-        // vm rows run tree/spmd1/spmd4/spmd8 for sum, then for sgemm.
+        // vm rows run tree/spmd1/spmd4/spmd8 for sum, spmd8 for the
+        // same-sign sum, then tree/spmd1/spmd4/spmd8 for sgemm.
         assert_gate(
-            &a15_spmd(512, 12).expect("a15"),
+            &a15_spmd(512, 12, 1).expect("a15"),
             &[
                 |r| r.vm[1].identical = false,
+                |r| r.vm[4].identical = false,
+                |r| r.vm.retain(|row| row.kernel != A15_SAME_SIGN_SUM),
                 |r| r.vm[0].spmd_batches = 1,
                 |r| r.vm[2].spmd_batches = 0,
                 |r| r.vm.retain(|row| row.mode != ExecMode::Spmd { lanes: 1 }),

@@ -253,15 +253,24 @@ fn run_a14() -> Outcome {
 
 fn run_a15() -> Outcome {
     heading("A15: shader executors — tree vs spmd1/4/8, codec slice paths");
-    let outcome = gated(&ablations::a15_spmd(1 << 13, 48)?);
+    let outcome = gated(&ablations::a15_spmd(
+        1 << 13,
+        48,
+        ablations::A15_TIMED_RUNS,
+    )?);
     println!();
     println!("the bytecode VM lowers each linked shader once and shades");
     println!("vertices and band fragments in lockstep lanes over one shared");
-    println!("bytecode walk, with masked divergence for branches and discard;");
-    println!("every row is bit-identical to the tree-walking oracle, and the");
-    println!("mix speedups are taken against one-lane batches. The codec rows");
-    println!("compare the old per-value encode/decode loops with the");
-    println!("single-pass slice paths the buffers now call.");
+    println!("bytecode walk. Under divergence only writes below a deferred");
+    println!("context's stack or locals depth are masked, so the sign-mixed");
+    println!("and same-sign sum rows read alike. Every row is bit-identical to");
+    println!(
+        "the tree-walking oracle and reads the median of {} timed runs",
+        ablations::A15_TIMED_RUNS
+    );
+    println!("after a warm-up; the mix speedups are taken against one-lane");
+    println!("batches. The codec rows compare the old per-value encode/decode");
+    println!("loops with the single-pass slice paths the buffers now call.");
     outcome
 }
 

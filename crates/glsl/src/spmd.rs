@@ -15,11 +15,11 @@
 //! small typed array instead of eight tagged-enum manipulations.
 //!
 //! Slots whose lanes cannot be represented uniformly (samplers, arrays,
-//! matrices, bvecs, or divergent writes that change a slot's type for a
-//! subset of lanes) degrade to `Slot::Boxed`, a boxed `[Value; 8]`
-//! that preserves exact per-lane values; every instruction has a generic
-//! per-lane fallback that applies the same `ops` / `builtins` routines as
-//! the tree-walking interpreter.
+//! matrices, bvecs, or a masked write that changes a slot's type under
+//! the ownership rule below) degrade to `Slot::Boxed`, a boxed
+//! `[Value; 8]` that preserves exact per-lane values; every instruction
+//! has a generic per-lane fallback that applies the same `ops` /
+//! `builtins` routines as the tree-walking interpreter.
 //!
 //! # Divergence model
 //!
@@ -37,15 +37,25 @@
 //! furthest-behind compatible pending context so laggards catch up.
 //! `discard` simply retires the lanes of the executing context.
 //!
-//! While any deferred context exists, writes to shared slots are
-//! *masked*: only the current context's lanes are touched and the other
-//! lanes' values are preserved (falling back to `Slot::Boxed` when a
-//! masked write changes the slot's type). When no context is pending —
-//! the overwhelmingly common uniform-flow case — stack and locals slots
-//! are written wholesale, which keeps the hot loops branch-free and
-//! vectorisable. Globals are always written masked, because retired
-//! lanes' outputs (`gl_FragColor`, `gl_Position`) are read after the
-//! batch.
+//! Writes to stack and locals slots follow an **ownership rule**. A
+//! deferred context's live state is exactly `stack[..sp]` and
+//! `locals[..frame_end]`: callee frames start at the caller's
+//! `frame_end`, and the operand stack is one array indexed by absolute
+//! `sp`. So the running context *owns* stack depth `d` when `d` is at
+//! least the largest `sp` of any pending context, and locals index `i`
+//! when `i` is at least the largest pending `frame_end` (both floors are
+//! 0 when nothing is pending — the uniform-flow case). Owned slots are
+//! written wholesale: re-typed, full-width loops that keep the hot paths
+//! branch-free and vectorisable, whatever clobbers the other lanes (they
+//! are retired, or the slot is dead for their context). Only a write
+//! below a floor is *masked*: the current context's lanes are touched
+//! and the other lanes' values preserved, falling back to `Slot::Boxed`
+//! when it changes the slot's type (e.g. a `Ret` into the caller while a
+//! sibling lane is still inside the callee). A diverged batch that only
+//! writes above the floors — the f32 codec's sign branch — therefore
+//! shades at uniform-flow speed. Globals are always written masked,
+//! because retired lanes' outputs (`gl_FragColor`, `gl_Position`) are
+//! read after the batch.
 //!
 //! # Bit-identity with the tree-walker
 //!
@@ -221,11 +231,36 @@ impl Slot {
         }
     }
 
+    /// Whether this slot's variant is the one [`Slot::splat`] picks for
+    /// `v`, i.e. `v` can be written into a lane without boxing.
+    fn holds(&self, v: &Value) -> bool {
+        match (self, v) {
+            (Slot::F(_), Value::Float(_))
+            | (Slot::I(_), Value::Int(_))
+            | (Slot::B(_), Value::Bool(_))
+            | (Slot::V2(_), Value::Vec2(_))
+            | (Slot::V3(_), Value::Vec3(_))
+            | (Slot::V4(_), Value::Vec4(_)) => true,
+            (Slot::Boxed(_), v) => !matches!(
+                v,
+                Value::Float(_)
+                    | Value::Int(_)
+                    | Value::Bool(_)
+                    | Value::Vec2(_)
+                    | Value::Vec3(_)
+                    | Value::Vec4(_)
+            ),
+            _ => false,
+        }
+    }
+
     /// Converts in place to [`Slot::Boxed`], preserving every lane.
     fn boxify(&mut self) {
         if matches!(self, Slot::Boxed(_)) {
             return;
         }
+        #[cfg(test)]
+        BOXINGS.with(|n| n.set(n.get() + 1));
         let b: Box<[Value; MAX_LANES]> = Box::new(std::array::from_fn(|lane| self.get(lane)));
         *self = Slot::Boxed(b);
     }
@@ -250,6 +285,22 @@ impl Slot {
         }
     }
 
+    /// Moves the `mask` lanes of per-lane results `vals` in. A slot the
+    /// running context owns is first re-typed wholesale when its variant
+    /// cannot hold the results (the other lanes are dead); an unowned
+    /// one is boxed by [`Slot::set`] so the other lanes survive. Generic
+    /// paths collect every lane's result before writing, because the
+    /// destination is usually also an operand that later lanes read.
+    fn put_lanes(&mut self, vals: &mut [Value; MAX_LANES], mask: u8, owned: bool) {
+        let first = &vals[mask.trailing_zeros() as usize];
+        if owned && !self.holds(first) {
+            *self = Slot::splat(first);
+        }
+        for_lanes!(mask, l => {
+            self.set(l, std::mem::replace(&mut vals[l], Value::Bool(false)));
+        });
+    }
+
     /// Copies `mask` lanes from `src`, preserving the rest.
     fn copy_masked_from(&mut self, src: &Slot, mask: u8) {
         match (&mut *self, src) {
@@ -264,14 +315,56 @@ impl Slot {
         }
     }
 
-    /// Copies from `src`: wholesale when this context runs alone (dead
-    /// lanes may be clobbered), masked otherwise.
-    fn write_from(&mut self, src: &Slot, mask: u8, solo: bool) {
-        if solo {
+    /// Copies from `src`: wholesale when the running context owns this
+    /// slot (no deferred context reads it), masked otherwise.
+    fn write_from(&mut self, src: &Slot, mask: u8, owned: bool) {
+        if owned {
             self.clone_from(src);
         } else {
             self.copy_masked_from(src, mask);
         }
+    }
+}
+
+/// Moves `src` (a slot the running context is done with) into `dst`:
+/// a swap when the running context owns both, a wholesale copy when it
+/// owns only `dst` (`src` is still live for a deferred context), a
+/// masked copy otherwise.
+fn move_slot(dst: &mut Slot, src: &mut Slot, mask: u8, dst_owned: bool, src_owned: bool) {
+    if !dst_owned {
+        dst.copy_masked_from(src, mask);
+    } else if src_owned {
+        std::mem::swap(dst, src);
+    } else {
+        dst.clone_from(src);
+    }
+}
+
+/// The stack and locals ownership floors of the deferred contexts (see
+/// the module docs): the largest pending `sp` and `frame_end`.
+fn floors(pending: &[Ctx]) -> (usize, usize) {
+    pending
+        .iter()
+        .fold((0, 0), |(s, l), p| (s.max(p.sp), l.max(p.frame_end)))
+}
+
+/// A per-lane result buffer for the generic paths.
+fn lane_values() -> [Value; MAX_LANES] {
+    std::array::from_fn(|_| Value::Bool(false))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Typed slots this thread has boxed to keep a lane write's type.
+    static BOXINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+impl SpmdVm<'_> {
+    /// Typed slots boxed on this thread so far: a masked lane write
+    /// whose type the slot's variant could not hold.
+    fn boxings() -> u64 {
+        BOXINGS.with(|n| n.get())
     }
 }
 
@@ -557,10 +650,10 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// Applies a binary operator to the slots at `sp-2`/`sp-1` via the
-    /// typed fast paths, writing the result to `sp-2`. Returns `false`
-    /// (with no state mutated) when the operand shapes need the generic
-    /// per-lane path.
-    fn binary_fast(&mut self, op: BinOp, sp: usize, mask: u8, solo: bool) -> bool {
+    /// typed fast paths, writing the result to `sp-2` (wholesale when the
+    /// running context `owned` it). Returns `false` (with no state
+    /// mutated) when the operand shapes need the generic per-lane path.
+    fn binary_fast(&mut self, op: BinOp, sp: usize, mask: u8, owned: bool) -> bool {
         use BinOp::*;
         let model = self.model;
         let is_arith = matches!(op, Add | Sub | Mul | Div);
@@ -584,7 +677,7 @@ impl<'a> SpmdVm<'a> {
                 if !is_arith {
                     return false;
                 }
-                if solo {
+                if owned {
                     for i in 0..MAX_LANES {
                         for c in 0..$n {
                             $x[i][c] = model.round_alu(fop($x[i][c], $y[i][c]));
@@ -606,7 +699,7 @@ impl<'a> SpmdVm<'a> {
                 if !is_arith {
                     return false;
                 }
-                if solo {
+                if owned {
                     for i in 0..MAX_LANES {
                         for c in 0..$n {
                             $x[i][c] = model.round_alu(fop($x[i][c], $y[i]));
@@ -626,7 +719,7 @@ impl<'a> SpmdVm<'a> {
         match (&mut *a, b) {
             (Slot::F(x), Slot::F(y)) => {
                 if is_arith {
-                    if solo {
+                    if owned {
                         for i in 0..MAX_LANES {
                             x[i] = model.round_alu(fop(x[i], y[i]));
                         }
@@ -650,7 +743,7 @@ impl<'a> SpmdVm<'a> {
                             };
                         });
                         bump_alu!(1);
-                        if solo {
+                        if owned {
                             *a = Slot::B(r);
                         } else {
                             for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
@@ -674,7 +767,7 @@ impl<'a> SpmdVm<'a> {
                             }
                         }
                     };
-                    if solo {
+                    if owned {
                         for i in 0..MAX_LANES {
                             x[i] = g(x[i], y[i]);
                         }
@@ -698,7 +791,7 @@ impl<'a> SpmdVm<'a> {
                             };
                         });
                         bump_alu!(1);
-                        if solo {
+                        if owned {
                             *a = Slot::B(r);
                         } else {
                             for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
@@ -745,23 +838,31 @@ impl<'a> SpmdVm<'a> {
 
     /// Generic per-lane binary operator: materialises both operands and
     /// applies the interpreter's [`ops::apply_binary`] exactly.
-    fn binary_generic(&mut self, op: BinOp, sp: usize, mask: u8) -> Result<(), RuntimeError> {
+    fn binary_generic(
+        &mut self,
+        op: BinOp,
+        sp: usize,
+        mask: u8,
+        owned: bool,
+    ) -> Result<(), RuntimeError> {
+        let mut out = lane_values();
         for_lanes!(mask, l => {
             let bv = self.stack[sp - 1].get(l);
             let av = self.stack[sp - 2].get(l);
-            let r = ops::apply_binary(self.model, &mut self.profiles[l], op, av, bv)?;
-            self.stack[sp - 2].set(l, r);
+            out[l] = ops::apply_binary(self.model, &mut self.profiles[l], op, av, bv)?;
         });
+        self.stack[sp - 2].put_lanes(&mut out, mask, owned);
         Ok(())
     }
 
     /// SoA fast paths for the hot builtins and constructors, replicating
     /// [`crate::builtins::call`]'s values, rounding and profile counts
-    /// exactly. Returns `false` (with no state mutated) when the call
+    /// exactly; the result goes to stack slot `s`, wholesale when the
+    /// running context `owned` it. Returns `false` (with no state mutated) when the call
     /// must take the generic per-lane path — including every case where
     /// the scalar builtin would error.
     #[allow(clippy::type_complexity)] // fn-pointer dispatch tables
-    fn fast_builtin(&mut self, name: &str, s: usize, argc: usize, mask: u8, solo: bool) -> bool {
+    fn fast_builtin(&mut self, name: &str, s: usize, argc: usize, mask: u8, owned: bool) -> bool {
         use std::f32::consts::PI;
         let model = self.model;
 
@@ -810,7 +911,7 @@ impl<'a> SpmdVm<'a> {
                 };
                 macro_rules! m1_vec {
                     ($x:ident, $n:expr) => {{
-                        if solo {
+                        if owned {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c]));
@@ -835,7 +936,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 return match &mut self.stack[s] {
                     Slot::F(x) => {
-                        if solo {
+                        if owned {
                             for v in x.iter_mut() {
                                 *v = round(f(*v));
                             }
@@ -894,7 +995,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 macro_rules! m2_vec_vec {
                     ($x:ident, $y:ident, $n:expr) => {{
-                        if solo {
+                        if owned {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c], $y[i][c]));
@@ -913,7 +1014,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 macro_rules! m2_vec_scalar {
                     ($x:ident, $y:ident, $n:expr) => {{
-                        if solo {
+                        if owned {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c], $y[i]));
@@ -932,7 +1033,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 return match (&mut *a, b) {
                     (Slot::F(x), Slot::F(y)) => {
-                        if solo {
+                        if owned {
                             for i in 0..MAX_LANES {
                                 x[i] = round(f(x[i], y[i]));
                             }
@@ -967,7 +1068,7 @@ impl<'a> SpmdVm<'a> {
                             }
                             self.profiles[l].alu_ops += $n;
                         });
-                        self.write_vec_result(s, $n, &out, mask, solo);
+                        self.write_vec_result(s, $n, &out, mask, owned);
                         true
                     }};
                 }
@@ -1005,7 +1106,7 @@ impl<'a> SpmdVm<'a> {
                             out[l] = acc;
                             self.profiles[l].alu_ops += 2 * $n;
                         });
-                        if solo {
+                        if owned {
                             *a = Slot::F(out);
                         } else {
                             for_lanes!(mask, l => { a.set(l, Value::Float(out[l])); });
@@ -1040,7 +1141,7 @@ impl<'a> SpmdVm<'a> {
                     out[l] = self.textures.sample(unit, coords[l]);
                     self.profiles[l].tex_fetches += 1;
                 });
-                self.write_vec_result(s, 4, &out, mask, solo);
+                self.write_vec_result(s, 4, &out, mask, owned);
                 return true;
             }
         }
@@ -1091,13 +1192,13 @@ impl<'a> SpmdVm<'a> {
             });
             if n == 1 {
                 let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                if solo {
+                if owned {
                     self.stack[s] = Slot::F(r);
                 } else {
                     for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(r[l])); });
                 }
             } else {
-                self.write_vec_result(s, n, &out, mask, solo);
+                self.write_vec_result(s, n, &out, mask, owned);
             }
             return true;
         }
@@ -1133,12 +1234,12 @@ impl<'a> SpmdVm<'a> {
                 for_lanes!(mask, l => { self.profiles[l].alu_ops += comps; });
                 if to_int {
                     let r: [i32; MAX_LANES] = std::array::from_fn(|l| out[l] as i32);
-                    if solo {
+                    if owned {
                         self.stack[s] = Slot::I(r);
                     } else {
                         for_lanes!(mask, l => { self.stack[s].set(l, Value::Int(r[l])); });
                     }
-                } else if solo {
+                } else if owned {
                     self.stack[s] = Slot::F(out);
                 } else {
                     for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(out[l])); });
@@ -1203,7 +1304,7 @@ impl<'a> SpmdVm<'a> {
                     }
                     self.profiles[l].alu_ops += total as u64;
                 });
-                self.write_vec_result(s, dim, &out, mask, solo);
+                self.write_vec_result(s, dim, &out, mask, owned);
                 true
             }
             _ => false,
@@ -1211,18 +1312,19 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// Writes an `n`-component float vector result (per lane, padded to
-    /// 4 components) into stack slot `s`.
+    /// 4 components) into stack slot `s`: wholesale when `owned`, else
+    /// into the `mask` lanes.
     fn write_vec_result(
         &mut self,
         s: usize,
         n: usize,
         out: &[[f32; 4]; MAX_LANES],
         mask: u8,
-        solo: bool,
+        owned: bool,
     ) {
         match n {
             2 => {
-                if solo {
+                if owned {
                     self.stack[s] = Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]]));
                 } else {
                     for_lanes!(mask, l => {
@@ -1231,7 +1333,7 @@ impl<'a> SpmdVm<'a> {
                 }
             }
             3 => {
-                if solo {
+                if owned {
                     self.stack[s] =
                         Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]]));
                 } else {
@@ -1241,7 +1343,7 @@ impl<'a> SpmdVm<'a> {
                 }
             }
             _ => {
-                if solo {
+                if owned {
                     self.stack[s] = Slot::V4(std::array::from_fn(|l| out[l]));
                 } else {
                     for_lanes!(mask, l => { self.stack[s].set(l, Value::Vec4(out[l])); });
@@ -1254,6 +1356,9 @@ impl<'a> SpmdVm<'a> {
     /// divergent contexts as described in the module docs. On error the
     /// per-lane state is torn (the caller replays); a single-lane call
     /// is exact scalar execution.
+    // `slot >= floor` spells the ownership rule for every slot, `sp - 1`
+    // included.
+    #[allow(clippy::int_plus_one)]
     fn exec(&mut self, mask: u8, start_chunk: u32) -> Result<(), RuntimeError> {
         let exe = self.exe;
         let mut cur = Ctx {
@@ -1267,12 +1372,24 @@ impl<'a> SpmdVm<'a> {
         };
         self.ensure_locals(cur.frame_end);
         let mut pending: Vec<Ctx> = Vec::new();
+        // Ownership floors of `pending` (see `floors`): a write at or
+        // above them goes wholesale, below them it is masked. Globals are
+        // always written masked — see the module docs. Every change to
+        // `pending` is followed by `refloor!`.
+        let (mut sfl, mut lfl) = (0usize, 0usize);
+
+        macro_rules! refloor {
+            () => {
+                (sfl, lfl) = floors(&pending)
+            };
+        }
 
         macro_rules! next_ctx {
             () => {{
                 match pending.pop() {
                     Some(p) => {
                         cur = p;
+                        refloor!();
                         continue;
                     }
                     None => return Ok(()),
@@ -1283,6 +1400,7 @@ impl<'a> SpmdVm<'a> {
         loop {
             // Merge any pending context that has caught up to `cur`.
             if !pending.is_empty() {
+                let before = pending.len();
                 let mut i = 0;
                 while i < pending.len() {
                     if same_point(&pending[i], &cur) {
@@ -1293,12 +1411,10 @@ impl<'a> SpmdVm<'a> {
                         i += 1;
                     }
                 }
+                if pending.len() != before {
+                    refloor!();
+                }
             }
-            // With no deferred context, this context is the only live
-            // one: slots may be overwritten wholesale (retired lanes'
-            // stack and locals are dead). Globals stay masked — see the
-            // module docs.
-            let solo = pending.is_empty();
             let code = &exe.chunks[cur.chunk as usize].code;
             if cur.pc >= code.len() {
                 // Fell off the end: only the initialiser chunk and
@@ -1311,7 +1427,7 @@ impl<'a> SpmdVm<'a> {
                 Insn::Const(i) => {
                     self.ensure_stack(cur.sp + 1);
                     let v = &exe.consts[*i as usize];
-                    if solo {
+                    if cur.sp >= sfl {
                         self.stack[cur.sp] = Slot::splat(v);
                     } else {
                         for_lanes!(cur.mask, lane => {
@@ -1325,24 +1441,25 @@ impl<'a> SpmdVm<'a> {
                     // Globals and stack are disjoint fields; copy via
                     // split borrow.
                     let (stack, globals) = (&mut self.stack, &self.globals);
-                    stack[cur.sp].write_from(&globals[*s as usize], cur.mask, solo);
+                    stack[cur.sp].write_from(&globals[*s as usize], cur.mask, cur.sp >= sfl);
                     cur.sp += 1;
                 }
                 Insn::LoadLocal(s) => {
                     self.ensure_stack(cur.sp + 1);
                     let (stack, locals) = (&mut self.stack, &self.locals);
-                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, solo);
+                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, cur.sp >= sfl);
                     cur.sp += 1;
                 }
                 Insn::StoreLocal(s) => {
                     cur.sp -= 1;
                     let dst = fb + *s as usize;
-                    if solo {
-                        std::mem::swap(&mut self.locals[dst], &mut self.stack[cur.sp]);
-                    } else {
-                        let (stack, locals) = (&self.stack, &mut self.locals);
-                        locals[dst].copy_masked_from(&stack[cur.sp], cur.mask);
-                    }
+                    move_slot(
+                        &mut self.locals[dst],
+                        &mut self.stack[cur.sp],
+                        cur.mask,
+                        dst >= lfl,
+                        cur.sp >= sfl,
+                    );
                 }
                 Insn::StoreGlobalPop(s) => {
                     cur.sp -= 1;
@@ -1353,26 +1470,23 @@ impl<'a> SpmdVm<'a> {
                 Insn::Dup => {
                     self.ensure_stack(cur.sp + 1);
                     let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                    hi[0].write_from(&lo[cur.sp - 1], cur.mask, solo);
+                    hi[0].write_from(&lo[cur.sp - 1], cur.mask, cur.sp >= sfl);
                     cur.sp += 1;
                 }
                 Insn::Pop => cur.sp -= 1,
                 Insn::Swap => {
-                    if solo {
+                    if cur.sp - 2 >= sfl {
                         self.stack.swap(cur.sp - 1, cur.sp - 2);
                     } else {
                         let (lo, hi) = self.stack.split_at_mut(cur.sp - 1);
-                        for_lanes!(cur.mask, lane => {
-                            let a = hi[0].get(lane);
-                            let b = lo[cur.sp - 2].get(lane);
-                            hi[0].set(lane, b);
-                            lo[cur.sp - 2].set(lane, a);
-                        });
+                        let top = hi[0].clone();
+                        hi[0].write_from(&lo[cur.sp - 2], cur.mask, cur.sp - 1 >= sfl);
+                        lo[cur.sp - 2].copy_masked_from(&top, cur.mask);
                     }
                 }
                 Insn::Neg => match &mut self.stack[cur.sp - 1] {
                     Slot::F(x) => {
-                        if solo {
+                        if cur.sp - 1 >= sfl {
                             for v in x.iter_mut() {
                                 *v = -*v;
                             }
@@ -1381,7 +1495,7 @@ impl<'a> SpmdVm<'a> {
                         }
                     }
                     Slot::I(x) => {
-                        if solo {
+                        if cur.sp - 1 >= sfl {
                             for v in x.iter_mut() {
                                 *v = v.wrapping_neg();
                             }
@@ -1407,7 +1521,7 @@ impl<'a> SpmdVm<'a> {
                 },
                 Insn::Not => match &mut self.stack[cur.sp - 1] {
                     Slot::B(x) => {
-                        if solo {
+                        if cur.sp - 1 >= sfl {
                             for v in x.iter_mut() {
                                 *v = !*v;
                             }
@@ -1425,8 +1539,9 @@ impl<'a> SpmdVm<'a> {
                     }
                 },
                 Insn::Binary(op) => {
-                    if !self.binary_fast(*op, cur.sp, cur.mask, solo) {
-                        self.binary_generic(*op, cur.sp, cur.mask)?;
+                    let owned = cur.sp - 2 >= sfl;
+                    if !self.binary_fast(*op, cur.sp, cur.mask, owned) {
+                        self.binary_generic(*op, cur.sp, cur.mask, owned)?;
                     }
                     cur.sp -= 1;
                 }
@@ -1438,6 +1553,7 @@ impl<'a> SpmdVm<'a> {
                 Insn::Jump(t) => {
                     cur.pc = *t as usize;
                     reschedule(&mut cur, &mut pending);
+                    refloor!();
                     continue;
                 }
                 Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => {
@@ -1474,6 +1590,7 @@ impl<'a> SpmdVm<'a> {
                     } else if stay == 0 {
                         cur.pc = *t as usize;
                         reschedule(&mut cur, &mut pending);
+                        refloor!();
                     } else {
                         // Divergence: defer the jumping subgroup, keep
                         // walking the fall-through side.
@@ -1488,6 +1605,7 @@ impl<'a> SpmdVm<'a> {
                         });
                         cur.mask = stay;
                         cur.pc += 1;
+                        refloor!();
                     }
                     continue;
                 }
@@ -1495,7 +1613,7 @@ impl<'a> SpmdVm<'a> {
                     Slot::F(x) => {
                         let model = self.model;
                         let d = if *inc { 1.0f32 } else { -1.0 };
-                        if solo {
+                        if cur.sp - 1 >= sfl {
                             for v in x.iter_mut() {
                                 *v = model.round_alu(*v + d);
                             }
@@ -1508,7 +1626,7 @@ impl<'a> SpmdVm<'a> {
                     }
                     Slot::I(x) => {
                         let d: i32 = if *inc { 1 } else { -1 };
-                        if solo {
+                        if cur.sp - 1 >= sfl {
                             for v in x.iter_mut() {
                                 *v = v.wrapping_add(d);
                             }
@@ -1542,6 +1660,7 @@ impl<'a> SpmdVm<'a> {
                         *slot = i as usize;
                     }
                     let sel = &indices[..*len as usize];
+                    let owned = cur.sp - 1 >= sfl;
                     let src_n = match &self.stack[cur.sp - 1] {
                         Slot::V2(_) => 2,
                         Slot::V3(_) => 3,
@@ -1567,7 +1686,7 @@ impl<'a> SpmdVm<'a> {
                         }
                         if sel.len() == 1 {
                             let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                            if solo {
+                            if owned {
                                 self.stack[cur.sp - 1] = Slot::F(r);
                             } else {
                                 for_lanes!(cur.mask, lane => {
@@ -1575,16 +1694,19 @@ impl<'a> SpmdVm<'a> {
                                 });
                             }
                         } else {
-                            self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, solo);
+                            self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, owned);
                         }
                     } else {
+                        let mut out = lane_values();
                         for_lanes!(cur.mask, lane => {
                             let v = self.stack[cur.sp - 1].get(lane);
-                            self.stack[cur.sp - 1].set(lane, ops::swizzle_read(&v, sel)?);
+                            out[lane] = ops::swizzle_read(&v, sel)?;
                         });
+                        self.stack[cur.sp - 1].put_lanes(&mut out, cur.mask, owned);
                     }
                 }
                 Insn::IndexOp => {
+                    let mut out = lane_values();
                     for_lanes!(cur.mask, lane => {
                         let idx = match self.stack[cur.sp - 1].get(lane) {
                             Value::Int(i) => i as i64,
@@ -1596,15 +1718,15 @@ impl<'a> SpmdVm<'a> {
                         };
                         // Avoid cloning boxed aggregates (arrays) just to
                         // read one element.
-                        let r = match &self.stack[cur.sp - 2] {
+                        out[lane] = match &self.stack[cur.sp - 2] {
                             Slot::Boxed(b) => ops::index_read(&b[lane], idx)?,
                             slot => {
                                 let base = slot.get(lane);
                                 ops::index_read(&base, idx)?
                             }
                         };
-                        self.stack[cur.sp - 2].set(lane, r);
                     });
+                    self.stack[cur.sp - 2].put_lanes(&mut out, cur.mask, cur.sp - 2 >= sfl);
                     cur.sp -= 1;
                 }
                 Insn::Store(def) => {
@@ -1628,12 +1750,13 @@ impl<'a> SpmdVm<'a> {
                             }
                             SlotRef::Local(s) => {
                                 let dst = fb + s as usize;
-                                if solo {
-                                    std::mem::swap(&mut self.locals[dst], &mut self.stack[cur.sp]);
-                                } else {
-                                    let (stack, locals) = (&self.stack, &mut self.locals);
-                                    locals[dst].copy_masked_from(&stack[cur.sp], cur.mask);
-                                }
+                                move_slot(
+                                    &mut self.locals[dst],
+                                    &mut self.stack[cur.sp],
+                                    cur.mask,
+                                    dst >= lfl,
+                                    cur.sp >= sfl,
+                                );
                             }
                         }
                     } else {
@@ -1743,29 +1866,25 @@ impl<'a> SpmdVm<'a> {
                                 // params: ret to sp-1+n_outs first (its
                                 // destination is never an out slot), then
                                 // outs to sp-1.. in parameter order.
-                                if solo {
-                                    let ret = std::mem::replace(
-                                        &mut self.stack[cur.sp - 1],
-                                        Slot::B([false; MAX_LANES]),
-                                    );
-                                    self.stack[cur.sp - 1 + n_outs] = ret;
-                                } else {
-                                    let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                                    hi[n_outs - 1].copy_masked_from(&lo[cur.sp - 1], cur.mask);
-                                }
+                                let (lo, hi) = self.stack.split_at_mut(cur.sp);
+                                move_slot(
+                                    &mut hi[n_outs - 1],
+                                    &mut lo[cur.sp - 1],
+                                    cur.mask,
+                                    cur.sp - 1 + n_outs >= sfl,
+                                    cur.sp - 1 >= sfl,
+                                );
                                 let mut k = cur.sp - 1;
                                 for (i, (_, qual)) in func.params.iter().enumerate() {
                                     if matches!(qual, ParamQual::Out | ParamQual::InOut) {
                                         let src = frame.callee_base + i;
-                                        if solo {
-                                            std::mem::swap(
-                                                &mut self.stack[k],
-                                                &mut self.locals[src],
-                                            );
-                                        } else {
-                                            let (stack, locals) = (&mut self.stack, &self.locals);
-                                            stack[k].copy_masked_from(&locals[src], cur.mask);
-                                        }
+                                        move_slot(
+                                            &mut self.stack[k],
+                                            &mut self.locals[src],
+                                            cur.mask,
+                                            k >= sfl,
+                                            src >= lfl,
+                                        );
                                         k += 1;
                                     }
                                 }
@@ -1777,6 +1896,7 @@ impl<'a> SpmdVm<'a> {
                         cur.frame_base = frame.frame_base;
                         cur.frame_end = frame.frame_end;
                         reschedule(&mut cur, &mut pending);
+                        refloor!();
                         continue;
                     }
                 },
@@ -1805,7 +1925,8 @@ impl<'a> SpmdVm<'a> {
                     // covers the batch). Skipped when the lowerer
                     // expects out-param copy-back so the drift error
                     // below still fires.
-                    if !*pushes_outs && self.fast_builtin(name_s, args_start, argc, cur.mask, solo)
+                    let owned = args_start >= sfl;
+                    if !*pushes_outs && self.fast_builtin(name_s, args_start, argc, cur.mask, owned)
                     {
                         cur.sp = args_start + 1;
                         cur.pc += 1;
@@ -1818,6 +1939,7 @@ impl<'a> SpmdVm<'a> {
                     // is decided by name and argument types, which are
                     // uniform across lanes.
                     let mut is_builtin = false;
+                    let mut out = lane_values();
                     for_lanes!(cur.mask, lane => {
                         self.arg_buf.clear();
                         for k in 0..argc {
@@ -1842,8 +1964,7 @@ impl<'a> SpmdVm<'a> {
                                         ),
                                     });
                                 }
-                                let v = r?;
-                                self.stack[args_start].set(lane, v);
+                                out[lane] = r?;
                                 is_builtin = true;
                             }
                             None => {
@@ -1853,6 +1974,7 @@ impl<'a> SpmdVm<'a> {
                         }
                     });
                     if is_builtin {
+                        self.stack[args_start].put_lanes(&mut out, cur.mask, owned);
                         cur.sp = args_start + 1;
                         cur.pc += 1;
                         continue;
@@ -1898,19 +2020,17 @@ impl<'a> SpmdVm<'a> {
                         match qual {
                             ParamQual::In | ParamQual::InOut => {
                                 let dst = callee_base + i;
-                                if solo {
-                                    std::mem::swap(
-                                        &mut self.locals[dst],
-                                        &mut self.stack[args_start + i],
-                                    );
-                                } else {
-                                    let (stack, locals) = (&self.stack, &mut self.locals);
-                                    locals[dst].copy_masked_from(&stack[args_start + i], cur.mask);
-                                }
+                                move_slot(
+                                    &mut self.locals[dst],
+                                    &mut self.stack[args_start + i],
+                                    cur.mask,
+                                    dst >= lfl,
+                                    args_start + i >= sfl,
+                                );
                             }
                             ParamQual::Out => {
                                 let z = Value::zero_of(ty);
-                                if solo {
+                                if callee_base + i >= lfl {
                                     self.locals[callee_base + i] = Slot::splat(&z);
                                 } else {
                                     for_lanes!(cur.mask, lane => {
@@ -2038,6 +2158,128 @@ mod tests {
                 }
             }
             assert_eq!(spmd.profile(), oracle.profile(), "profiles for {src}");
+        }
+    }
+
+    /// The f32 codec library a kernel links (paper §IV; quarter-texel
+    /// pack bias, specials preserved), as the core crate generates it.
+    const F32_CODEC: &str = "\
+        float gpes_unpack_byte(float t) { return floor(t * 255.0 + 0.5); }
+        float gpes_pack_byte(float b) { return (b + 0.25) / 255.0; }
+        float gpes_unpack_float(vec4 t) {
+            float b0 = gpes_unpack_byte(t.x);
+            float b1 = gpes_unpack_byte(t.y);
+            float b2 = gpes_unpack_byte(t.z);
+            float b3 = gpes_unpack_byte(t.w);
+            float sign_value = b2 < 128.0 ? 1.0 : -1.0;
+            float mant_hi = b2 < 128.0 ? b2 : b2 - 128.0;
+            float m = b0 + b1 * 256.0 + mant_hi * 65536.0;
+            if (b3 == 0.0) {
+                return sign_value * m * exp2(-149.0);
+            }
+            if (b3 == 255.0) {
+                if (m == 0.0) { return sign_value / 0.0; }
+                return 0.0 / 0.0;
+            }
+            return sign_value * (1.0 + m * exp2(-23.0)) * exp2(b3 - 127.0);
+        }
+        vec4 gpes_pack_float(float v) {
+            float s = 0.0;
+            if (v < 0.0 || (v == 0.0 && 1.0 / v < 0.0)) { s = 128.0; }
+            float a = abs(v);
+            if (a != a) {
+                return vec4(gpes_pack_byte(0.0), gpes_pack_byte(0.0),
+                            gpes_pack_byte(64.0), gpes_pack_byte(255.0));
+            }
+            if (a == 1.0 / 0.0) {
+                return vec4(gpes_pack_byte(0.0), gpes_pack_byte(0.0),
+                            gpes_pack_byte(s), gpes_pack_byte(255.0));
+            }
+            if (a == 0.0) {
+                return vec4(gpes_pack_byte(0.0), gpes_pack_byte(0.0),
+                            gpes_pack_byte(s), gpes_pack_byte(0.0));
+            }
+            float e = floor(log2(a));
+            if (e > 127.0) { e = 127.0; }
+            float p = exp2(e);
+            if (a < p) { e = e - 1.0; p = p * 0.5; }
+            if (a >= p * 2.0) { e = e + 1.0; p = p * 2.0; }
+            if (e < -126.0) {
+                float md = floor(a * exp2(126.0) * 8388608.0 + 0.5);
+                float d0 = mod(md, 256.0);
+                float d1 = mod(floor(md / 256.0), 256.0);
+                float d2 = s + floor(md / 65536.0);
+                return vec4(gpes_pack_byte(d0), gpes_pack_byte(d1),
+                            gpes_pack_byte(d2), gpes_pack_byte(0.0));
+            }
+            float m = floor((a / p - 1.0) * 8388608.0 + 0.5);
+            if (m >= 8388608.0) { m = 0.0; e = e + 1.0; }
+            float b3 = e + 127.0;
+            float b0 = mod(m, 256.0);
+            float b1 = mod(floor(m / 256.0), 256.0);
+            float b2 = s + floor(m / 65536.0);
+            return vec4(gpes_pack_byte(b0), gpes_pack_byte(b1),
+                        gpes_pack_byte(b2), gpes_pack_byte(b3));
+        }
+    ";
+
+    /// One f32 per texel of a row, in the codec's byte layout
+    /// (mantissa low/mid, sign plus mantissa high, biased exponent).
+    struct F32Row(Vec<f32>);
+
+    impl TextureAccess for F32Row {
+        fn sample(&self, _unit: u32, coord: [f32; 2]) -> [f32; 4] {
+            let i = (coord[0] * self.0.len() as f32) as usize;
+            let bits = self.0[i].to_bits();
+            let m = bits & 0x7f_ffff;
+            let bytes = [
+                m & 0xff,
+                (m >> 8) & 0xff,
+                (bits >> 31) << 7 | m >> 16,
+                (bits >> 23) & 0xff,
+            ];
+            bytes.map(|b| b as f32 / 255.0)
+        }
+    }
+
+    /// The f32 codec branches on the sign, so a sign-mixed batch
+    /// diverges for most of the kernel. Its writes land on slots the
+    /// running context owns, so no slot is boxed, and every lane stays
+    /// bit-identical to the tree-walker.
+    #[test]
+    fn sign_mixed_f32_codec_round_trip_boxes_no_slot() {
+        let src = format!(
+            "{P}uniform sampler2D u_tex;\nvarying vec2 v_uv;\n{F32_CODEC}\n\
+             void main() {{ gl_FragColor = gpes_pack_float(gpes_unpack_float(texture2D(u_tex, v_uv))); }}"
+        );
+        let row = F32Row(vec![1.5, -2.25, 3.0e-3, -0.125, 96.0, -7.5e5, 0.625, -1.0]);
+        let uv = |lane: usize| Value::Vec2([(lane as f32 + 0.5) / row.0.len() as f32, 0.5]);
+        for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
+            let shader = check_src(&src);
+            let exe = lower(&shader).expect("lower");
+            let mut spmd = SpmdVm::with_model(&exe, &row, model, MAX_LANES).expect("spmd");
+            let mut oracle = Interpreter::with_model(&shader, &row, model).expect("interp");
+            spmd.set_global("u_tex", Value::Sampler(0)).expect("u_tex");
+            oracle
+                .set_global("u_tex", Value::Sampler(0))
+                .expect("u_tex");
+            let slot = exe.global_slot("v_uv").expect("v_uv slot");
+            for lane in 0..MAX_LANES {
+                spmd.set_lane_slot(lane, slot, uv(lane));
+            }
+            let boxed = SpmdVm::boxings();
+            spmd.run_batch(MAX_LANES).expect("batch");
+            assert_eq!(SpmdVm::boxings() - boxed, 0, "slots boxed under {model:?}");
+            for lane in 0..MAX_LANES {
+                oracle.set_global("v_uv", uv(lane)).expect("v_uv");
+                oracle.run_main().expect("oracle run");
+                assert_eq!(
+                    spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
+                    oracle.frag_color().map(|c| c.map(f32::to_bits)),
+                    "lane {lane} under {model:?}"
+                );
+            }
+            assert_eq!(spmd.profile(), oracle.profile(), "profiles under {model:?}");
         }
     }
 

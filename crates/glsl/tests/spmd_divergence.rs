@@ -4,9 +4,19 @@
 //! suite generates programs that are *pathologically branchy* — nested
 //! `if`/`else` keyed on per-lane uniforms, `discard` inside branches,
 //! short-circuit `&&`/`||`, and loops whose `break`/`continue` depth
-//! depends on lane data — then runs them under `Spmd{4}` and `Spmd{8}`
+//! depends on lane data — then runs them under `Spmd{1}`, `Spmd{4}` and
+//! `Spmd{8}`
 //! at every batch width from one lane up to full occupancy (the
 //! partial-band tails the rasteriser produces at band edges).
+//!
+//! The remaining shapes target the VM's slot-ownership rule (a write
+//! the running context owns goes wholesale, one below a deferred
+//! context's stack or locals floor stays masked): helper functions that
+//! `return` early under a divergent condition, called in the middle of
+//! an expression, so a `Ret` lands below a sibling's stack depth;
+//! sibling branches that declare locals of different types in the same
+//! frame slot; `vec4` temporaries feeding a divergent `?:`; and user
+//! calls (with `inout`/`out` parameters) inside divergent branches.
 //!
 //! The oracle is the tree-walking interpreter, run
 //! invocation-by-invocation in lane order. Everything must be
@@ -52,14 +62,58 @@ impl Rng {
 struct Gen {
     rng: Rng,
     next_id: u32,
+    /// `float hK(float x, vec4 v)` helpers defined so far.
+    helpers: u64,
 }
+
+/// Local types two sibling branches may declare in the same frame slot:
+/// (type, initialiser, a float expression reading the local `t`).
+const SIBLING_LOCALS: [(&str, &str, &str); 5] = [
+    ("float", "acc * 0.5", "t"),
+    ("vec2", "vec2(acc, u_b)", "(t.x - t.y)"),
+    ("vec4", "u_v * acc", "dot(t, u_v)"),
+    ("int", "int(acc)", "float(t)"),
+    ("bool", "acc > u_a", "(t ? 1.0 : -1.0)"),
+];
 
 impl Gen {
     fn new(seed: u64) -> Self {
         Gen {
             rng: Rng::new(seed),
             next_id: 0,
+            helpers: 0,
         }
+    }
+
+    /// A call to a random helper defined so far.
+    fn call(&mut self, x: &str, v: &str) -> String {
+        let k = self.rng.below(self.helpers);
+        format!("h{k}({x}, {v})")
+    }
+
+    /// Helper `hK`: early `return`s under conditions on its arguments,
+    /// vector locals, and (past the first helper) a call to an earlier
+    /// helper inside a divergent branch.
+    fn helper(&mut self, out: &mut String) {
+        let k = self.helpers;
+        let sw = ["x", "y", "z", "w"][self.rng.below(4) as usize];
+        let (c0, c1, t0) = (self.rng.flt(), self.rng.flt(), self.rng.flt());
+        out.push_str(&format!(
+            "float h{k}(float x, vec4 v) {{\n\
+             \x20   float t = x * {c0:?} + v.{sw};\n\
+             \x20   if (t > {t0:?}) {{ return t; }}\n\
+             \x20   vec2 w = vec2(t, x) * {c1:?};\n"
+        ));
+        if k > 0 {
+            let inner = self.call("w.y", "v.wzyx");
+            out.push_str(&format!("    if (w.x < w.y) {{ t += {inner}; }}\n"));
+        }
+        out.push_str(
+            "    if (w.x > v.x) { return w.x - w.y; }\n\
+             \x20   return fract(t) + v.w;\n\
+             }\n",
+        );
+        self.helpers += 1;
     }
 
     /// A scalar expression over the uniforms — cheap on purpose; the
@@ -112,7 +166,7 @@ impl Gen {
 
     fn stmt(&mut self, out: &mut String, indent: usize, depth: u32) {
         let pad = "    ".repeat(indent);
-        match self.rng.below(if depth < 3 { 7 } else { 3 }) {
+        match self.rng.below(if depth < 3 { 11 } else { 3 }) {
             0 => {
                 let e = self.scalar();
                 out.push_str(&format!("{pad}acc += {e};\n"));
@@ -163,6 +217,65 @@ impl Gen {
                 }
                 out.push_str(&format!("{pad}}}\n"));
             }
+            7 => {
+                // An early-returning helper mid-expression: the partial
+                // sum sits on the stack under the call's arguments.
+                let e = self.scalar();
+                let call = self.call("acc", "u_v");
+                let c = self.rng.flt();
+                out.push_str(&format!("{pad}acc = {e} + {call} * {c:?};\n"));
+            }
+            8 => {
+                // Sibling branches declaring differently typed locals in
+                // the same frame slot.
+                let c = self.cond();
+                let n = SIBLING_LOCALS.len() as u64;
+                let (t1, init1, use1) = SIBLING_LOCALS[self.rng.below(n) as usize];
+                let (t2, init2, use2) = SIBLING_LOCALS[self.rng.below(n) as usize];
+                out.push_str(&format!(
+                    "{pad}if ({c}) {{\n\
+                     {pad}    {t1} t = {init1};\n"
+                ));
+                self.stmt(out, indent + 1, depth + 1);
+                out.push_str(&format!(
+                    "{pad}    acc += {use1};\n\
+                     {pad}}} else {{\n\
+                     {pad}    {t2} t = {init2};\n\
+                     {pad}    acc -= {use2};\n\
+                     {pad}}}\n"
+                ));
+            }
+            9 => {
+                // vec4 temporaries feeding a divergent `?:`, one arm a
+                // helper call.
+                self.next_id += 1;
+                let id = self.next_id;
+                let c = self.cond();
+                let k = self.rng.flt();
+                let call = self.call(&format!("q{id}.y"), &format!("q{id}"));
+                out.push_str(&format!(
+                    "{pad}vec4 q{id} = vec4(acc, u_a, u_b, 1.0) * {k:?};\n\
+                     {pad}vec4 r{id} = ({c}) ? q{id} : q{id}.wzyx + u_v;\n\
+                     {pad}acc += r{id}.x - r{id}.z + (({c}) ? {call} : q{id}.w);\n"
+                ));
+            }
+            10 => {
+                // User calls inside divergent branches, one with
+                // `inout`/`out` copy-back.
+                self.next_id += 1;
+                let id = self.next_id;
+                let c = self.cond();
+                let call = self.call("acc", "u_v.yxwz");
+                out.push_str(&format!(
+                    "{pad}vec4 o{id} = u_v;\n\
+                     {pad}if ({c}) {{\n\
+                     {pad}    acc = {call};\n\
+                     {pad}}} else {{\n\
+                     {pad}    hio(acc, o{id});\n\
+                     {pad}    acc += o{id}.y;\n\
+                     {pad}}}\n"
+                ));
+            }
             _ => {
                 // Divergent discard nested under another branch.
                 let c1 = self.cond();
@@ -180,10 +293,22 @@ impl Gen {
     fn program(&mut self) -> String {
         let mut src = String::from(
             "precision highp float;\n\
-             uniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\nuniform int u_i;\n\
-             void main() {\n\
-             \x20   float acc = u_a;\n",
+             uniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\nuniform int u_i;\n",
         );
+        for _ in 0..1 + self.rng.below(3) {
+            self.helper(&mut src);
+        }
+        let t = self.rng.flt();
+        src.push_str(&format!(
+            "void hio(inout float x, out vec4 o) {{\n\
+             \x20   o = vec4(x, x * 0.5, 1.0, 0.0);\n\
+             \x20   if (x < {t:?}) {{ x = x + 1.0; return; }}\n\
+             \x20   x = x * 0.25;\n\
+             \x20   o = o.wzyx;\n\
+             }}\n\
+             void main() {{\n\
+             \x20   float acc = u_a;\n"
+        ));
         let n = 4 + self.rng.below(5);
         for _ in 0..n {
             self.stmt(&mut src, 1, 0);
@@ -223,7 +348,7 @@ fn check_divergent(seed: u64) {
     let tex = NoTextures;
     let lane_seed = |lane: usize| seed ^ (lane as u64).wrapping_mul(0x9E37_79B9);
     for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
-        for lanes in [4usize, 8] {
+        for lanes in [1usize, 4, 8] {
             // Every batch width, including the partial tails a band edge
             // produces: active < lanes leaves the trailing lanes idle.
             for active in 1..=lanes {
