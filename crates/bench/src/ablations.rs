@@ -6,7 +6,8 @@
 use crate::record::{Kind, Record, Report};
 use gpes_core::codec::strzodka16;
 use gpes_core::{
-    ComputeContext, ComputeError, Engine, ExecMode, Kernel, PackBias, Readback, ScalarType,
+    ComputeContext, ComputeError, ContextStats, Engine, ExecMode, Kernel, PackBias, Readback,
+    ScalarType,
 };
 use gpes_gles2::{Dispatch, StoreRounding};
 use gpes_kernels::data;
@@ -21,6 +22,30 @@ macro_rules! require {
             $violations.push(format!($($message)+));
         }
     };
+}
+
+/// Timed runs per row of the timed sections (a3, a15) in `reproduce`,
+/// after one untimed warm-up run; the row reports their median.
+pub const TIMED_RUNS: usize = 5;
+
+/// Runs `k` once untimed on `cc` — returning that output and the
+/// context counters after it — then `timed_runs` (at least 1) more
+/// times, returning the median host seconds of those.
+fn warm_median_run(
+    cc: &mut ComputeContext,
+    k: &Kernel,
+    timed_runs: usize,
+) -> Result<(Vec<f32>, ContextStats, f64), ComputeError> {
+    let out = cc.run_f32(k)?;
+    let stats = cc.stats();
+    let mut secs = Vec::new();
+    for _ in 0..timed_runs.max(1) {
+        let start = Instant::now();
+        cc.run_f32(k)?;
+        secs.push(start.elapsed().as_secs_f64());
+    }
+    secs.sort_by(f64::total_cmp);
+    Ok((out, stats, secs[secs.len() / 2]))
 }
 
 /// A1 — output byte bias: paper δ vs half-texel, under both store
@@ -97,7 +122,8 @@ pub fn a1_pack_bias() -> Result<Vec<A1Row>, ComputeError> {
 }
 
 /// A3 — serial vs parallel fragment dispatch: wall-clock of the simulator
-/// itself (host performance, not modelled device time).
+/// itself (host performance, not modelled device time), the median of
+/// [`TIMED_RUNS`] runs after a warm-up.
 #[derive(Debug, Clone)]
 pub struct A3Row {
     /// Dispatch mode.
@@ -132,12 +158,10 @@ pub fn a3_dispatch(n: usize) -> Result<Vec<A3Row>, ComputeError> {
         let ga = cc.upload(&a)?;
         let gb = cc.upload(&b)?;
         let k = gpes_kernels::sum::build_f32(&mut cc, &ga, &gb)?;
-        let start = Instant::now();
-        let _ = cc.run_f32(&k)?;
-        let elapsed = start.elapsed().as_secs_f64();
+        let (_, _, secs) = warm_median_run(&mut cc, &k, TIMED_RUNS)?;
         rows.push(A3Row {
             dispatch,
-            fragments_per_s: n as f64 / elapsed,
+            fragments_per_s: n as f64 / secs,
         });
     }
     Ok(rows)
@@ -2277,6 +2301,16 @@ pub struct A14Report {
     /// The subset rejected with a typed
     /// [`gpes_core::ComputeError::AdmissionRejected`] (gate: all).
     pub invalid_typed: u64,
+    /// The subset rejected by the GLSL front end (parse, strict or sema)
+    /// rather than at the signature stage.
+    pub invalid_front_end: u64,
+    /// Fragment front-end runs at admission, from the final snapshot's
+    /// shared-cache counters (gate: one per valid registration plus one
+    /// per `invalid_front_end` — a rejection is never memoised).
+    pub admissions: u64,
+    /// Registrations served from a live admitted shader (gate: 0 — every
+    /// valid a14 source is registered once).
+    pub admission_hits: u64,
     /// Typed in-flight quota rejections observed by the noisy tenant
     /// (gate: > 0).
     pub quota_rejections: u64,
@@ -2330,6 +2364,9 @@ impl Report for A14Report {
             .key("row", "totals")
             .exact("invalid", self.invalid_total)
             .exact("typed", self.invalid_typed)
+            .exact("front_end", self.invalid_front_end)
+            .exact("admissions", self.admissions)
+            .exact("admission_hits", self.admission_hits)
             .exact("quota_rejections", self.quota_rejections)
             .exact("post_warmup_links", self.post_warmup_links)
             .exact("post_warmup_gl_objects", self.post_warmup_gl_objects)
@@ -2344,8 +2381,9 @@ impl Report for A14Report {
     /// Every invalid source is refused with a typed admission error and
     /// charged to mallory, the noisy tenant trips its quota, every tenant
     /// is present with bit-identical outputs, counters balance with no
-    /// permit held, and the hostile tenants cost their neighbours no
-    /// link or GL object past warmup.
+    /// permit held, the hostile tenants cost their neighbours no link or
+    /// GL object past warmup, and every invalid source that reached the
+    /// front end ran it (no rejection is memoised).
     fn violations(&self) -> Vec<String> {
         let s = &self.snapshot;
         let mut v = Vec::new();
@@ -2364,6 +2402,19 @@ impl Report for A14Report {
              untyped",
             self.invalid_total,
             self.invalid_typed
+        );
+        let admitted: u64 = self.rows.iter().map(|r| r.admitted).sum();
+        require!(
+            v,
+            self.invalid_front_end > 0
+                && self.admission_hits == 0
+                && self.admissions == admitted + self.invalid_front_end,
+            "a14: {} front-end runs and {} live hits for {admitted} distinct valid sources and \
+             {} invalid ones past the signature stage — a rejection was memoised or an \
+             admission skipped",
+            self.admissions,
+            self.admission_hits,
+            self.invalid_front_end
         );
         require!(
             v,
@@ -2526,20 +2577,20 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
                 .body("return 1.0;"),
         ]
     };
-    let mut invalid_total = 0u64;
-    let mut invalid_typed = 0u64;
-    let attempt_invalid = |total: &mut u64, typed: &mut u64| {
+    // Invalid attempts: (all, typed, rejected by the GLSL front end).
+    let mut invalid = (0u64, 0u64, 0u64);
+    let attempt_invalid = |(total, typed, front_end): &mut (u64, u64, u64)| {
         for spec in invalid_specs() {
             *total += 1;
-            if matches!(
-                registry.register("mallory", spec),
-                Err(ComputeError::AdmissionRejected { .. })
-            ) {
+            if let Err(ComputeError::AdmissionRejected { stage, .. }) =
+                registry.register("mallory", spec)
+            {
                 *typed += 1;
+                *front_end += u64::from(stage != gpes_core::AdmissionStage::Signature);
             }
         }
     };
-    attempt_invalid(&mut invalid_total, &mut invalid_typed);
+    attempt_invalid(&mut invalid);
 
     // Warmup, a12-style: closed-loop waves until a full wave links no
     // programs and creates no GL objects on either worker. Programs link
@@ -2631,7 +2682,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
             if wave == wave_jobs / 2 {
                 // Mid-flood: admission keeps rejecting typed while the
                 // engine serves.
-                attempt_invalid(&mut invalid_total, &mut invalid_typed);
+                attempt_invalid(&mut invalid);
             }
         }
         let (accepted, rejections, thread_wrong) =
@@ -2669,7 +2720,9 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
             wrong: wrong_of(&c.tenant),
         })
         .collect();
+    let shared = snapshot.shared_cache.unwrap_or_default();
     engine.shutdown();
+    let (invalid_total, invalid_typed, invalid_front_end) = invalid;
     Ok(A14Report {
         workers: WORKERS,
         queue_capacity: CAPACITY,
@@ -2678,6 +2731,9 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
         noisy_quota: NOISY_QUOTA,
         invalid_total,
         invalid_typed,
+        invalid_front_end,
+        admissions: shared.admissions,
+        admission_hits: shared.admission_hits,
         quota_rejections,
         post_warmup_links: after.0 - warm.0,
         post_warmup_gl_objects: after.1 - warm.1,
@@ -2764,9 +2820,6 @@ const A15_SERVE_MODE: ExecMode = ExecMode::Spmd { lanes: 8 };
 /// [`A15_SERVE_MODE`] only: next to the sign-mixed row it shows what the
 /// f32 codec's sign branch costs a diverging lane batch. Not in the mix.
 const A15_SAME_SIGN_SUM: &str = "sum (fp, same sign)";
-/// Timed runs per a15 VM row in `reproduce`, after one untimed warm-up
-/// run; the row reports their median.
-pub const A15_TIMED_RUNS: usize = 5;
 /// One a15 VM row's measurement: output, fragments/s, SPMD batches and
 /// scalar fallbacks.
 type VmRun = Result<(Vec<f32>, f64, u64, u64), ComputeError>;
@@ -2899,7 +2952,7 @@ impl Report for A15Report {
 /// Each row is one warm-up run, whose output is checked bit-for-bit
 /// against a separate tree-walker oracle run and whose
 /// `spmd_batches`/`scalar_fallbacks` counters it reports, then the
-/// median of `timed_runs` timed runs ([`A15_TIMED_RUNS`] in `reproduce`);
+/// median of `timed_runs` timed runs ([`TIMED_RUNS`] in `reproduce`);
 /// the float32 and u16 codec round trips element-wise vs sliced; and a
 /// 2-worker engine wave under `Spmd{8}` whose snapshot must balance,
 /// report an spmd label, and show nonzero SPMD batches.
@@ -2920,21 +2973,13 @@ pub fn a15_spmd(n: usize, jobs: usize, timed_runs: usize) -> Result<A15Report, C
     let mb = data::random_f32(side * side, 504, 2.0);
     let mc = data::random_f32(side * side, 505, 2.0);
 
-    // One warm-up run (output and counters), then the median of the
-    // timed runs, all on the context the kernel was built on.
+    // The output and counters come from the warm-up run, the rate from
+    // the timed runs, all on the context the kernel was built on.
     let time_runs = |cc: &mut ComputeContext, k: &Kernel, fragments: usize| -> VmRun {
-        let out = cc.run_f32(k)?;
-        let stats = cc.stats();
-        let mut secs = Vec::new();
-        for _ in 0..timed_runs.max(1) {
-            let start = Instant::now();
-            cc.run_f32(k)?;
-            secs.push(start.elapsed().as_secs_f64());
-        }
-        secs.sort_by(f64::total_cmp);
+        let (out, stats, secs) = warm_median_run(cc, k, timed_runs)?;
         Ok((
             out,
-            fragments as f64 / secs[secs.len() / 2],
+            fragments as f64 / secs,
             stats.spmd_batches,
             stats.scalar_fallbacks,
         ))
@@ -3520,6 +3565,13 @@ mod tests {
                     r.invalid_typed = 4;
                     let mallory = r.rows.iter_mut().find(|t| t.tenant == "mallory");
                     mallory.expect("mallory row").rejected = 4;
+                },
+                // A registry that memoised mallory's three front-end
+                // rejections, counted as hits or not counted at all.
+                |r| r.admissions -= 3,
+                |r| {
+                    r.admissions -= 3;
+                    r.admission_hits = 3;
                 },
                 |r| r.quota_rejections = 0,
                 |r| r.post_warmup_links = 1,

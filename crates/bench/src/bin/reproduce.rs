@@ -116,6 +116,10 @@ fn run_a3() -> Outcome {
     for row in &rows {
         println!("{}", row.format());
     }
+    println!(
+        "each row is the median of {} timed runs after a warm-up",
+        ablations::TIMED_RUNS
+    );
     Ok((rows.records(), Vec::new()))
 }
 
@@ -248,16 +252,14 @@ fn run_a14() -> Outcome {
     println!("steady waves; mallory hammers admission with garbage, undeclared");
     println!("identifiers, non-constant loops and oversized outputs; noisy is");
     println!("quota-capped at two in-flight jobs and floods from its own thread.");
+    println!("every invalid source that reaches the front end must run it:");
+    println!("only accepted shaders enter the admission table.");
     outcome
 }
 
 fn run_a15() -> Outcome {
     heading("A15: shader executors — tree vs spmd1/4/8, codec slice paths");
-    let outcome = gated(&ablations::a15_spmd(
-        1 << 13,
-        48,
-        ablations::A15_TIMED_RUNS,
-    )?);
+    let outcome = gated(&ablations::a15_spmd(1 << 13, 48, ablations::TIMED_RUNS)?);
     println!();
     println!("the bytecode VM lowers each linked shader once and shades");
     println!("vertices and band fragments in lockstep lanes over one shared");
@@ -266,7 +268,7 @@ fn run_a15() -> Outcome {
     println!("and same-sign sum rows read alike. Every row is bit-identical to");
     println!(
         "the tree-walking oracle and reads the median of {} timed runs",
-        ablations::A15_TIMED_RUNS
+        ablations::TIMED_RUNS
     );
     println!("after a warm-up; the mix speedups are taken against one-lane");
     println!("batches. The codec rows compare the old per-value encode/decode");

@@ -13,18 +13,31 @@
 //! `Arc`-shared ([`gpes_gles2::Program::fragment_executable_shared`]);
 //! installing it into a context clones only the cheap interface tables.
 //!
-//! Both levels are bounded. This cache is a [`FifoCache`] of
+//! Both levels are bounded. This cache is a `FifoCache` of
 //! [`SharedProgramCache::with_capacity`] entries. Each context keeps at
 //! most [`crate::PROGRAM_CACHE_CAP`] programs of its own, and deletes an
 //! evicted program from GL as soon as no kernel built on it is alive.
+//!
+//! Beside the programs sits an **admission table**: exact fragment
+//! source → the shader a strict admission ([`SharedProgramCache::admit`])
+//! checked, held as a [`Weak`] reference. A source that is admitted again
+//! while its shader is alive — held by a registration, or by a program a
+//! worker still caches — skips the front end, and a program miss whose
+//! fragment source is in the table compiles only the vertex shader and
+//! links the admitted shader ([`Program::link_checked`]). The table keeps
+//! nothing alive by itself, so it needs no capacity bound: dead entries
+//! are pruned on every insert.
 //!
 //! This is the CNNdroid / TFLite-delegate amortisation argument applied
 //! across contexts and threads instead of across iterations.
 
 use crate::error::ComputeError;
-use gpes_gles2::{Limits, Program};
+use crate::serve::metrics::lock_recover;
+use gpes_gles2::{GlError, Limits, Program};
+use gpes_glsl::admission::{self, AdmissionDiagnostic};
+use gpes_glsl::{compile, compile_strict, CompiledShader, ShaderKind};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Counters for a [`SharedProgramCache`] — the process-wide complement of
 /// [`crate::ContextStats`].
@@ -44,6 +57,13 @@ pub struct SharedCacheStats {
     pub misses: u64,
     /// Entries discarded to keep the cache within its capacity bound.
     pub evictions: u64,
+    /// Fragment front-end runs at admission: sources admitted (or
+    /// rejected) by [`SharedProgramCache::admit`] because no live
+    /// admitted shader had the same bytes.
+    pub admissions: u64,
+    /// Admissions served from a live admitted shader without running the
+    /// front end.
+    pub admission_hits: u64,
 }
 
 /// A bounded insertion-order (FIFO) map: inserting past `capacity`
@@ -142,6 +162,21 @@ struct Inner {
     stats: SharedCacheStats,
 }
 
+/// The admission table: exact fragment source → the shader its strict
+/// admission produced, for as long as something else holds that shader.
+#[derive(Default)]
+struct Admitted {
+    shaders: HashMap<String, Weak<CompiledShader>>,
+    admissions: u64,
+    hits: u64,
+}
+
+impl Admitted {
+    fn live(&self, fs: &str) -> Option<Arc<CompiledShader>> {
+        self.shaders.get(fs).and_then(Weak::upgrade)
+    }
+}
+
 /// A thread-safe, process-wide cache of linked shader programs.
 ///
 /// Cloneable via `Arc`; all methods take `&self`. Linking happens while
@@ -168,6 +203,8 @@ struct Inner {
 /// ```
 pub struct SharedProgramCache {
     inner: Mutex<Inner>,
+    /// Its own lock, so admission never waits on a link.
+    admitted: Mutex<Admitted>,
     capacity: usize,
 }
 
@@ -190,6 +227,7 @@ impl SharedProgramCache {
                 cache: FifoCache::new(capacity),
                 stats: SharedCacheStats::default(),
             }),
+            admitted: Mutex::new(Admitted::default()),
             capacity: capacity.max(1),
         }
     }
@@ -203,6 +241,11 @@ impl SharedProgramCache {
     /// context simulating a strict (Appendix-A) or tighter-limits
     /// driver, where the same source might not link at all.
     ///
+    /// A miss whose fragment source has a live admitted shader (see
+    /// [`SharedProgramCache::admit`]) compiles only `vs` and links that
+    /// shader: strict admission accepts a subset of what either front end
+    /// accepts, and yields the same checked shader.
+    ///
     /// # Errors
     ///
     /// Compile/link diagnostics from the GL layer. Failures are not
@@ -215,14 +258,22 @@ impl SharedProgramCache {
         strict: bool,
     ) -> Result<Arc<Program>, ComputeError> {
         let key = program_key(vs, fs, limits, strict);
-        let mut inner = self.inner.lock().expect("shared program cache poisoned");
+        let mut inner = lock_recover(&self.inner);
         if let Some(program) = inner.cache.get(&key) {
             let program = Arc::clone(program);
             inner.stats.hits += 1;
             return Ok(program);
         }
         inner.stats.misses += 1;
-        let program = Arc::new(Program::link_with(vs, fs, limits, strict)?);
+        let admitted = lock_recover(&self.admitted).live(fs);
+        let program = Arc::new(match admitted {
+            Some(fragment) => {
+                let front_end = if strict { compile_strict } else { compile };
+                let vertex = front_end(ShaderKind::Vertex, vs).map_err(GlError::from)?;
+                Program::link_checked(Arc::new(vertex), fragment, limits)?
+            }
+            None => Program::link_with(vs, fs, limits, strict)?,
+        });
         inner.stats.links += 1;
         // FIFO eviction past capacity: evicted entries still referenced
         // elsewhere stay alive through their `Arc`s; the cache just stops
@@ -231,21 +282,53 @@ impl SharedProgramCache {
         Ok(program)
     }
 
-    /// Snapshot of the hit/miss/link/eviction counters.
+    /// Strictly admits fragment shader `source`
+    /// ([`gpes_glsl::admission::admit`]: preprocess → parse → Appendix A
+    /// → sema), or returns the shader an earlier admission of the same
+    /// bytes produced, if that shader is still alive. Only accepted
+    /// sources enter the table; a rejection runs the front end every
+    /// time. The table holds [`Weak`] references: keeping the returned
+    /// shader (or a program linked from it) alive is what lets the next
+    /// admission of `source` skip the front end.
+    ///
+    /// # Errors
+    ///
+    /// The stage-tagged [`AdmissionDiagnostic`] of the first stage that
+    /// refused `source`.
+    pub fn admit(&self, source: &str) -> Result<Arc<CompiledShader>, AdmissionDiagnostic> {
+        {
+            let mut admitted = lock_recover(&self.admitted);
+            if let Some(shader) = admitted.live(source) {
+                admitted.hits += 1;
+                return Ok(shader);
+            }
+            admitted.admissions += 1;
+        }
+        let shader = Arc::new(admission::admit(ShaderKind::Fragment, source)?);
+        let mut admitted = lock_recover(&self.admitted);
+        admitted
+            .shaders
+            .retain(|_, shader| shader.strong_count() > 0);
+        admitted
+            .shaders
+            .insert(source.to_owned(), Arc::downgrade(&shader));
+        Ok(shader)
+    }
+
+    /// Snapshot of the link and admission counters.
     pub fn stats(&self) -> SharedCacheStats {
-        self.inner
-            .lock()
-            .expect("shared program cache poisoned")
-            .stats
+        let stats = lock_recover(&self.inner).stats;
+        let admitted = lock_recover(&self.admitted);
+        SharedCacheStats {
+            admissions: admitted.admissions,
+            admission_hits: admitted.hits,
+            ..stats
+        }
     }
 
     /// Number of programs currently cached.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("shared program cache poisoned")
-            .cache
-            .len()
+        lock_recover(&self.inner).cache.len()
     }
 
     /// Whether the cache is empty.
@@ -260,11 +343,7 @@ impl SharedProgramCache {
 
     /// Drops every cached entry (outstanding `Arc` handles stay valid).
     pub fn clear(&self) {
-        self.inner
-            .lock()
-            .expect("shared program cache poisoned")
-            .cache
-            .clear();
+        lock_recover(&self.inner).cache.clear();
     }
 
     /// Evicts one entry by exact key, if cached. Used by the kernel
@@ -273,7 +352,7 @@ impl SharedProgramCache {
     /// Outstanding `Arc` handles (programs already adopted by worker
     /// contexts) stay valid. Returns whether an entry was removed.
     pub(crate) fn remove_key(&self, key: &str) -> bool {
-        let mut inner = self.inner.lock().expect("shared program cache poisoned");
+        let mut inner = lock_recover(&self.inner);
         let removed = !inner.cache.extract_if(|k, _| k == key).is_empty();
         if removed {
             inner.stats.evictions += 1;
@@ -373,6 +452,117 @@ mod tests {
             .expect("small limits");
         assert_eq!(cache.stats().links, 3);
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    /// Builds and runs `2x - 1` on a fresh 16×16 context, through
+    /// `cache` when given. Returns the output bits and the kernel's
+    /// fragment source.
+    fn run_affine(cache: Option<&Arc<SharedProgramCache>>, strict: bool) -> (Vec<u32>, String) {
+        use crate::{ComputeContext, Kernel, ScalarType};
+        let x: Vec<f32> = (0..64).map(|i| i as f32 * 0.37 - 9.0).collect();
+        let mut cc = ComputeContext::new(16, 16).expect("context");
+        cc.gl().set_strict_shaders(strict);
+        if let Some(cache) = cache {
+            cc.set_shared_program_cache(Arc::clone(cache));
+        }
+        let gx = cc.upload(&x).expect("upload");
+        let k = Kernel::builder("affine")
+            .input("x", &gx)
+            .output(ScalarType::F32, x.len())
+            .body("return 2.0 * fetch_x(idx) - 1.0;")
+            .build(&mut cc)
+            .expect("build");
+        let out = cc.run_f32(&k).expect("run");
+        (
+            out.iter().map(|v| v.to_bits()).collect(),
+            k.fragment_source().to_owned(),
+        )
+    }
+
+    #[test]
+    fn an_admitted_shader_is_the_one_that_links() {
+        let vs = geometry::passthrough_vertex_shader();
+        for strict in [false, true] {
+            // Reference: a plain context links from source.
+            let (reference, source) = run_affine(None, strict);
+            let cache = Arc::new(SharedProgramCache::new());
+            let admitted = cache.admit(&source).expect("admits");
+            let (served, _) = run_affine(Some(&cache), strict);
+            assert_eq!(served, reference, "strict {strict}: output differs");
+            let program = cache
+                .get_or_link(&vs, &source, &Limits::default(), strict)
+                .expect("hit");
+            assert!(
+                Arc::ptr_eq(&program.fragment, &admitted),
+                "strict {strict}: the link re-ran the fragment front end"
+            );
+            let stats = cache.stats();
+            assert_eq!((stats.links, stats.admissions), (1, 1));
+        }
+    }
+
+    #[test]
+    fn the_table_holds_live_accepted_shaders_only() {
+        let cache = SharedProgramCache::new();
+        // Rejections are never stored: each attempt runs the front end.
+        let bad = "precision highp float;\nvoid main() { gl_FragColor = vec4(nope); }\n";
+        for _ in 0..2 {
+            let err = cache.admit(bad).unwrap_err();
+            assert_eq!(err.stage, admission::AdmissionStage::Sema);
+        }
+        assert_eq!(cache.stats().admissions, 2);
+        assert!(lock_recover(&cache.admitted).shaders.is_empty());
+
+        let first = cache.admit(&fs("0.5")).expect("admits");
+        let again = cache.admit(&fs("0.5")).expect("admits");
+        assert!(Arc::ptr_eq(&first, &again));
+        // One byte away is another source: the front end runs in full.
+        cache.admit(&fs("0.6")).expect("admits");
+        let stats = cache.stats();
+        assert_eq!((stats.admissions, stats.admission_hits), (4, 1));
+        // The table keeps nothing alive: once every handle is gone the
+        // next admission of the same bytes runs the front end again.
+        drop((first, again));
+        cache.admit(&fs("0.5")).expect("admits");
+        assert_eq!(cache.stats().admissions, 5);
+        assert_eq!(
+            lock_recover(&cache.admitted).shaders.len(),
+            1,
+            "dead entries pruned"
+        );
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_serves() {
+        let cache = SharedProgramCache::new();
+        let vs = geometry::passthrough_vertex_shader();
+        let limits = Limits::default();
+        let shader = cache.admit(&fs("0.5")).expect("admits");
+        cache
+            .get_or_link(&vs, &fs("0.5"), &limits, false)
+            .expect("link");
+        // A thread panics while it holds both locks.
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _inner = cache.inner.lock();
+                let _admitted = cache.admitted.lock();
+                panic!("panic under the shared cache locks");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned() && cache.admitted.is_poisoned());
+        let hit = cache.admit(&fs("0.5")).expect("admission after poisoning");
+        assert!(Arc::ptr_eq(&hit, &shader));
+        cache
+            .get_or_link(&vs, &fs("0.5"), &limits, false)
+            .expect("hit after poisoning");
+        cache
+            .get_or_link(&vs, &fs("0.7"), &limits, false)
+            .expect("link after poisoning");
+        assert!(cache.remove_key(&program_key(&vs, &fs("0.5"), &limits, false)));
+        let stats = cache.stats();
+        assert_eq!((stats.links, stats.hits, stats.evictions), (2, 1, 1));
+        assert_eq!((stats.admissions, stats.admission_hits), (1, 1));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   signature stage   names, arity, output shape vs driver limits
 //!        │                      └─ AdmissionRejected{stage: Signature}
 //!        ▼
+//!   admission table   exact generated source already admitted and
+//!        │            still alive? → reuse its checked shader, skip
+//!        │            parse/strict/sema (rejections are never stored)
+//!        ▼
 //!   parse stage       preprocess + parse the generated fragment shader
 //!        │                      └─ AdmissionRejected{stage: Parse}
 //!        ▼
@@ -36,7 +40,11 @@
 //! success means the job cannot fail shader compilation at serve time,
 //! and the fingerprint is exactly the [`SharedProgramCache`] key — a
 //! registered kernel links at most once per process no matter how many
-//! tenants or workers touch it.
+//! tenants or workers touch it. With a shared cache the front end runs
+//! once per live source, not once per registration: admission goes
+//! through [`SharedProgramCache::admit`], the registration holds the
+//! checked shader until it is retired or evicted, and the worker's link
+//! uses that shader instead of parsing the source again.
 //!
 //! Tenancy is enforced in three places:
 //!
@@ -66,7 +74,7 @@ use crate::error::{AdmissionStage, QuotaResource};
 use crate::kernel::{generate_fragment_source, is_valid_name, InputEncoding, OutputKind};
 use crate::{FloatSpecials, PackBias};
 use gpes_glsl::admission as glsl_admission;
-use gpes_glsl::ShaderKind;
+use gpes_glsl::{CompiledShader, ShaderKind};
 
 /// Largest kernel source a tenant may submit: the body plus the helper
 /// functions, in bytes. Refused at the signature stage, before the source
@@ -200,6 +208,9 @@ struct KernelEntry {
     /// The full shared-program-cache key, kept so retiring or displacing
     /// this registration can remove exactly its program.
     key: Arc<str>,
+    /// The admitted fragment shader, held (never read) until retire or
+    /// eviction so the admission table keeps it for the worker's link.
+    _shader: Arc<CompiledShader>,
 }
 
 #[derive(Default)]
@@ -294,8 +305,7 @@ impl TenantTable {
     fn admit_kernel(
         &self,
         tenant: &TenantId,
-        fingerprint: u64,
-        key: Arc<str>,
+        entry: KernelEntry,
         cache: Option<&SharedProgramCache>,
     ) -> Result<(), ComputeError> {
         self.with_state(tenant, |quotas, state| {
@@ -313,7 +323,7 @@ impl TenantTable {
                 }
                 state.evicted += 1;
             }
-            state.kernels.push_back(KernelEntry { fingerprint, key });
+            state.kernels.push_back(entry);
             state.admitted += 1;
             Ok(())
         })
@@ -526,8 +536,8 @@ impl KernelRegistry {
         spec: KernelSpec,
     ) -> Result<RegisteredKernel, ComputeError> {
         let tenant = tenant.into();
-        let source = match self.admission_source(&spec) {
-            Ok(source) => source,
+        let (source, shader) = match self.admission_source(&spec) {
+            Ok(admitted) => admitted,
             Err(error) => {
                 self.tenants.note_rejected(&tenant);
                 return Err(error);
@@ -538,8 +548,13 @@ impl KernelRegistry {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         let fingerprint = hasher.finish();
+        let entry = KernelEntry {
+            fingerprint,
+            key,
+            _shader: shader,
+        };
         self.tenants
-            .admit_kernel(&tenant, fingerprint, key, self.cache.as_deref())?;
+            .admit_kernel(&tenant, entry, self.cache.as_deref())?;
         Ok(RegisteredKernel {
             tenant,
             spec: Arc::new(spec),
@@ -553,14 +568,18 @@ impl KernelRegistry {
     /// # Errors
     ///
     /// [`ComputeError::AdmissionRejected`] exactly as
-    /// [`KernelRegistry::register`]; no counters move.
+    /// [`KernelRegistry::register`]; no tenant counters move.
     pub fn check(&self, spec: &KernelSpec) -> Result<(), ComputeError> {
         self.admission_source(spec).map(drop)
     }
 
     /// Signature-validates `spec`, generates the exact fragment source a
-    /// worker will compile, and runs the GLSL admission pipeline on it.
-    fn admission_source(&self, spec: &KernelSpec) -> Result<String, ComputeError> {
+    /// worker will compile, and runs the GLSL admission pipeline on it —
+    /// through the shared cache's admission table when there is one.
+    fn admission_source(
+        &self,
+        spec: &KernelSpec,
+    ) -> Result<(String, Arc<CompiledShader>), ComputeError> {
         let reject = |stage: AdmissionStage, message: String| ComputeError::AdmissionRejected {
             stage,
             message,
@@ -635,7 +654,11 @@ impl KernelRegistry {
             OutputKind::Scalar(spec.output_scalar),
             &spec.body,
         );
-        glsl_admission::admit(ShaderKind::Fragment, &source).map_err(|diag| {
+        let admitted = match &self.cache {
+            Some(cache) => cache.admit(&source),
+            None => glsl_admission::admit(ShaderKind::Fragment, &source).map(Arc::new),
+        };
+        let shader = admitted.map_err(|diag| {
             let stage = match diag.stage {
                 glsl_admission::AdmissionStage::Parse => AdmissionStage::Parse,
                 glsl_admission::AdmissionStage::Strict => AdmissionStage::Strict,
@@ -643,15 +666,17 @@ impl KernelRegistry {
             };
             reject(stage, diag.to_string())
         })?;
-        Ok(source)
+        Ok((source, shader))
     }
 
     /// Retires a registration: forgets it and removes its program from
     /// the shared cache, which stops advertising it. Workers that already
     /// adopted the program keep it in their own program cache until that
     /// cache's cap ([`crate::PROGRAM_CACHE_CAP`]) evicts it, so a kernel
-    /// registered again soon after is served without relinking. Returns
-    /// whether the fingerprint was still registered.
+    /// registered again soon after is served without relinking, and —
+    /// since such a program holds the admitted shader — admitted again
+    /// without re-running the front end. Returns whether the fingerprint
+    /// was still registered.
     pub fn retire(&self, kernel: &RegisteredKernel) -> bool {
         self.tenants
             .retire_kernel(&kernel.tenant, kernel.fingerprint, self.cache.as_deref())

@@ -57,17 +57,32 @@ impl Program {
         limits: &Limits,
         strict: bool,
     ) -> Result<Program, GlError> {
-        let (vertex, fragment) = if strict {
-            (
-                compile_strict(ShaderKind::Vertex, vs_source)?,
-                compile_strict(ShaderKind::Fragment, fs_source)?,
-            )
-        } else {
-            (
-                compile(ShaderKind::Vertex, vs_source)?,
-                compile(ShaderKind::Fragment, fs_source)?,
-            )
-        };
+        let front_end = if strict { compile_strict } else { compile };
+        let vertex = front_end(ShaderKind::Vertex, vs_source)?;
+        let fragment = front_end(ShaderKind::Fragment, fs_source)?;
+        Program::link_checked(Arc::new(vertex), Arc::new(fragment), limits)
+    }
+
+    /// Links two already-checked shaders (`glLinkProgram` without the
+    /// compiles): every interface and limits check of [`Program::link`],
+    /// then lowering to bytecode. The program shares `vertex` and
+    /// `fragment` rather than copying them, so a shader checked once — at
+    /// a serving boundary's admission, say — is the very one that runs.
+    ///
+    /// # Errors
+    ///
+    /// [`GlError::Link`] as [`Program::link`]; never [`GlError::Compile`].
+    pub fn link_checked(
+        vertex: Arc<CompiledShader>,
+        fragment: Arc<CompiledShader>,
+        limits: &Limits,
+    ) -> Result<Program, GlError> {
+        if vertex.kind != ShaderKind::Vertex || fragment.kind != ShaderKind::Fragment {
+            return Err(GlError::Link {
+                message: "link_checked needs a vertex and a fragment shader, in that order"
+                    .to_owned(),
+            });
+        }
 
         // Every varying the fragment shader declares must be declared by
         // the vertex shader with an identical type.
@@ -163,8 +178,8 @@ impl Program {
         let fragment_exe = gpes_glsl::lower_shared(&fragment).ok();
 
         Ok(Program {
-            vertex: Arc::new(vertex),
-            fragment: Arc::new(fragment),
+            vertex,
+            fragment,
             vertex_exe,
             fragment_exe,
             uniforms,
@@ -308,6 +323,26 @@ mod tests {
             p.fragment_executable().is_some(),
             "fragment stage must lower"
         );
+    }
+
+    #[test]
+    fn link_checked_shares_the_checked_shaders() {
+        let vertex = Arc::new(compile(ShaderKind::Vertex, VS).expect("vs"));
+        let fragment = Arc::new(compile(ShaderKind::Fragment, FS).expect("fs"));
+        let p = Program::link_checked(
+            Arc::clone(&vertex),
+            Arc::clone(&fragment),
+            &Limits::default(),
+        )
+        .expect("links");
+        assert!(Arc::ptr_eq(&p.vertex, &vertex) && Arc::ptr_eq(&p.fragment, &fragment));
+        let from_source = Program::link(VS, FS, &Limits::default()).expect("links");
+        assert_eq!(p.uniforms(), from_source.uniforms());
+        assert_eq!(p.varyings(), from_source.varyings());
+        assert!(p.fragment_executable().is_some());
+        // Swapped stages are a link error, not a mis-run.
+        let err = Program::link_checked(fragment, vertex, &Limits::default()).unwrap_err();
+        assert!(matches!(err, GlError::Link { .. }));
     }
 
     #[test]

@@ -13,6 +13,28 @@
 //! parse never reaches the (more expensive) semantic checker, and a
 //! shader a strict mobile driver would refuse is rejected before sema,
 //! exactly as the VideoCore-class drivers the paper targets behave.
+//!
+//! A serving process puts a table in front of this function and hands
+//! its result to the link (`gpes_core::SharedProgramCache::admit`):
+//!
+//! ```text
+//!   fragment source ──▶ table: same bytes admitted and still alive? ──yes──┐
+//!                          │ no                                           │
+//!                          ▼                                              │
+//!              admit: preprocess → parse → strict → sema                  │
+//!                 │ Err: AdmissionDiagnostic (never stored)               │
+//!                 ▼ Ok                                                    │
+//!           Arc<CompiledShader> ──▶ table (weak ref) ◀────────────────────┘
+//!                 │
+//!                 ▼  held by the registration, then by the linked program
+//!   link: compile the vertex shader only, Program::link_checked(vs, fs)
+//! ```
+//!
+//! The table holds weak references, so a source is re-admitted in full
+//! once nothing holds its shader. Strict admission accepts a subset of
+//! what the permissive front end ([`crate::compile()`]) accepts and yields
+//! the same checked shader, so one admitted shader serves strict and
+//! permissive links alike.
 
 use crate::error::{CompileError, Phase};
 use crate::sema::{self, CompiledShader, ShaderKind};

@@ -3,12 +3,15 @@
 //! panic), bit-identity between dynamically registered kernels and the
 //! compiled-in path, per-tenant quotas (kernels, resident bytes,
 //! in-flight jobs) with tenant-scoped FIFO eviction, and the snapshot's
-//! per-tenant counters riding alongside an intact balance identity.
+//! per-tenant counters riding alongside an intact balance identity, and
+//! the admission table: a live admitted source skips the front end,
+//! anything else runs it in full.
 
 use gpes::core::serve::MAX_KERNEL_SOURCE_BYTES;
-use gpes::core::{AdmissionStage, QuotaResource};
+use gpes::core::{AdmissionStage, QuotaResource, SharedCacheStats};
 use gpes::kernels::{data, saxpy};
 use gpes::prelude::*;
+use std::sync::Arc;
 
 /// The bundled saxpy kernel re-expressed as a serving-boundary spec —
 /// same body string as `gpes::kernels::saxpy::build`.
@@ -449,5 +452,177 @@ fn registered_kernels_share_one_link_across_tenants() {
         1,
         "identical source must link once process-wide"
     );
+    engine.shutdown();
+}
+
+/// A kernel with an Appendix-A loop, so one-byte edits of it can fail
+/// at each front-end stage.
+const LOOP_BODY: &str = "float s = 0.0;\n\
+                         for (float i = 0.0; i < 4.0; i += 1.0) { s += fetch_x(idx); }\n\
+                         return s;";
+
+fn loop_spec(body: &str) -> KernelSpec {
+    KernelSpec::new("loop").input("x").output(16).body(body)
+}
+
+/// Front-end runs and live-shader hits since `before`.
+fn admission_delta(engine: &Engine, before: SharedCacheStats) -> (u64, u64) {
+    let after = engine.cache().expect("shared").stats();
+    (
+        after.admissions - before.admissions,
+        after.admission_hits - before.admission_hits,
+    )
+}
+
+fn cache_stats(engine: &Engine) -> SharedCacheStats {
+    engine.cache().expect("shared").stats()
+}
+
+#[test]
+fn recurring_source_skips_the_front_end() {
+    let n = 256;
+    let alpha = 1.75;
+    let x = data::random_f32(n, 17, 50.0);
+    let y = data::random_f32(n, 18, 50.0);
+    let mut cc = ComputeContext::new(32, 32).expect("context");
+    let gx = cc.upload(&x).expect("x");
+    let gy = cc.upload(&y).expect("y");
+    let k = saxpy::build(&mut cc, &gx, &gy, alpha).expect("kernel");
+    let direct = cc.run_f32(&k).expect("run");
+
+    let engine = Engine::builder().workers(2).build().expect("engine");
+    let registry = engine.registry();
+    let serve = |k: &RegisteredKernel| {
+        engine
+            .submit(k.job().data(x.clone()).data(y.clone()))
+            .expect("submit")
+            .wait()
+            .expect("wait")
+    };
+    let before = cache_stats(&engine);
+    let first = registry
+        .register("t", saxpy_spec(n, alpha))
+        .expect("admits");
+    assert_eq!(admission_delta(&engine, before), (1, 0));
+    assert_eq!(serve(&first), direct);
+    registry.retire(&first);
+
+    // The worker that served it still holds the program, and with it the
+    // admitted shader: the recurring source is a hit.
+    let before = cache_stats(&engine);
+    let again = registry
+        .register("t", saxpy_spec(n, alpha))
+        .expect("admits");
+    assert_eq!(admission_delta(&engine, before), (0, 1), "no front end ran");
+    let served = serve(&again);
+    assert_eq!(
+        served.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "a hit must serve the compiled-in bits"
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn a_one_byte_edit_runs_admission_in_full() {
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let registry = engine.registry();
+    let _base = registry
+        .register("t", loop_spec(LOOP_BODY))
+        .expect("admits");
+
+    let before = cache_stats(&engine);
+    let _edited = registry
+        .register("t", loop_spec(&LOOP_BODY.replacen("4.0", "5.0", 1)))
+        .expect("admits");
+    assert_eq!(admission_delta(&engine, before), (1, 0));
+
+    // One byte away and invalid: each rejects typed at its own stage.
+    for (body, stage) in [
+        (
+            LOOP_BODY.replacen("(idx)", "(idx", 1),
+            AdmissionStage::Parse,
+        ),
+        (
+            LOOP_BODY.replacen("s += fetch", "i += fetch", 1),
+            AdmissionStage::Strict,
+        ),
+        (
+            LOOP_BODY.replacen("fetch_x", "fetch_y", 1),
+            AdmissionStage::Sema,
+        ),
+    ] {
+        let before = cache_stats(&engine);
+        let err = registry.register("t", loop_spec(&body)).unwrap_err();
+        assert!(
+            matches!(err, ComputeError::AdmissionRejected { stage: s, .. } if s == stage),
+            "{body:?}: {err}"
+        );
+        assert_eq!(admission_delta(&engine, before), (1, 0), "{body:?}");
+    }
+    engine.shutdown();
+}
+
+#[test]
+fn rejections_are_never_memoised() {
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let registry = engine.registry();
+    let bad = LOOP_BODY.replacen("fetch_x", "fetch_y", 1);
+    let before = cache_stats(&engine);
+    for _ in 0..2 {
+        assert!(matches!(
+            registry.register("t", loop_spec(&bad)),
+            Err(ComputeError::AdmissionRejected {
+                stage: AdmissionStage::Sema,
+                ..
+            })
+        ));
+    }
+    assert_eq!(admission_delta(&engine, before), (2, 0));
+    let counters = registry.tenant_counters();
+    assert_eq!(
+        counters
+            .iter()
+            .find(|c| c.tenant == "t")
+            .expect("row")
+            .rejected,
+        2
+    );
+    engine.shutdown();
+}
+
+#[test]
+fn the_admission_table_keeps_nothing_alive() {
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let registry = engine.registry();
+    // A context configured like a worker, on the engine's shared cache.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    cc.set_shared_program_cache(Arc::clone(engine.cache().expect("shared")));
+    let gx = cc.upload(&data::random_f32(16, 5, 9.0)).expect("x");
+
+    let k = registry
+        .register("t", loop_spec(LOOP_BODY))
+        .expect("admits");
+    let built = k.spec().build(&mut cc, &[gx]).expect("build");
+    cc.run_f32(&built).expect("run");
+    assert!(registry.retire(&k));
+
+    // Retired, but the context's cached program holds the shader.
+    let before = cache_stats(&engine);
+    let again = registry
+        .register("t", loop_spec(LOOP_BODY))
+        .expect("admits");
+    assert_eq!(admission_delta(&engine, before), (0, 1));
+    assert!(registry.retire(&again));
+
+    // Once the context drops the program nothing holds the shader, and
+    // the same bytes run the front end again.
+    drop(built);
+    cc.clear_program_cache();
+    let before = cache_stats(&engine);
+    registry
+        .register("t", loop_spec(LOOP_BODY))
+        .expect("admits");
+    assert_eq!(admission_delta(&engine, before), (1, 0));
     engine.shutdown();
 }
