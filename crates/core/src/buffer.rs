@@ -379,20 +379,6 @@ impl TensorData {
         elem * self.len()
     }
 
-    /// An all-zero tensor of `len` elements tagged `scalar` — the
-    /// serving layer's placeholder seed for typed pipeline buffers.
-    pub fn zeros(scalar: ScalarType, len: usize) -> TensorData {
-        match scalar {
-            ScalarType::U8 => TensorData::U8(vec![0; len]),
-            ScalarType::I8 => TensorData::I8(vec![0; len]),
-            ScalarType::U16 => TensorData::U16(vec![0; len]),
-            ScalarType::I16 => TensorData::I16(vec![0; len]),
-            ScalarType::U32 => TensorData::U32(vec![0; len]),
-            ScalarType::I32 => TensorData::I32(vec![0; len]),
-            ScalarType::F32 => TensorData::F32(vec![0.0; len]),
-        }
-    }
-
     /// The f32 payload, when this is an f32 tensor.
     pub fn as_f32(&self) -> Option<&[f32]> {
         match self {

@@ -8,8 +8,7 @@ use crate::cache::{FifoCache, SharedProgramCache};
 use crate::codec::{FloatSpecials, PackBias, ScalarType};
 use crate::error::ComputeError;
 use crate::geometry::{self, FULLSCREEN_QUAD, FULLSCREEN_QUAD_VERTICES, POSITION_ATTRIBUTE};
-use crate::kernel::Kernel;
-use crate::kernel::OutputKind;
+use crate::kernel::{check_uniform, unbound_input, Kernel, OutputKind};
 use crate::pipeline::{PassRecord, Readback};
 use gpes_gles2::{
     Context, Dispatch, DrawStats, ExecMode, Filter, FramebufferId, PrimitiveMode, ProgramId,
@@ -659,24 +658,7 @@ impl ComputeContext {
             }
         }
         for (name, value) in &bindings.uniforms {
-            let decl = kernel
-                .uniforms
-                .iter()
-                .find(|(n, _)| n == name)
-                .ok_or_else(|| {
-                    ComputeError::bad_kernel(format!(
-                        "kernel `{}` declares no uniform `{name}`",
-                        kernel.name
-                    ))
-                })?;
-            if std::mem::discriminant(&decl.1) != std::mem::discriminant(value) {
-                return Err(ComputeError::bad_kernel(format!(
-                    "uniform `{name}` of kernel `{}` is {}, bound {}",
-                    kernel.name,
-                    decl.1.ty(),
-                    value.ty()
-                )));
-            }
+            check_uniform(&kernel.name, &kernel.uniforms, name, Some(value))?;
         }
         let layout = match bindings.output {
             None => kernel.output_layout,
@@ -691,9 +673,10 @@ impl ComputeContext {
                     .iter()
                     .find(|b| b.name == spec.name)
                     .map(|b| (b.texture, b.layout))
-                    .unwrap_or((spec.texture, spec.layout))
+                    .or(spec.default)
+                    .ok_or_else(|| unbound_input(&kernel.name, &spec.name))
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(ResolvedDispatch { layout, inputs })
     }
 

@@ -64,7 +64,52 @@ pub enum OutputKind {
     RawTexel,
 }
 
-/// One input binding of a kernel.
+/// One declared input of a kernel: its name, its encoding and an
+/// optional default texture. An input without a default must be bound by
+/// every dispatch ([`crate::Bindings`]) or pipeline pass that runs it.
+#[derive(Debug, Clone)]
+pub(crate) struct KernelInput {
+    pub(crate) name: String,
+    pub(crate) encoding: InputEncoding,
+    pub(crate) default: Option<(TextureId, ArrayLayout)>,
+}
+
+/// The error for a kernel input that has no default texture and that a
+/// dispatch or pipeline pass leaves unbound.
+pub(crate) fn unbound_input(kernel: &str, input: &str) -> ComputeError {
+    ComputeError::bad_kernel(format!(
+        "input `{input}` of kernel `{kernel}` is unbound: it has no default texture, so \
+         each dispatch or pipeline pass must bind it"
+    ))
+}
+
+/// Finds uniform `name` among a kernel's declarations and, when `value`
+/// is given, checks it has the declared GLSL type. Returns the
+/// declaration's index. The one check behind default updates, dispatch
+/// overrides and pipeline overrides, for kernels and kernel specs alike.
+pub(crate) fn check_uniform(
+    kernel: &str,
+    decls: &[(String, Value)],
+    name: &str,
+    value: Option<&Value>,
+) -> Result<usize, ComputeError> {
+    let index = decls.iter().position(|(n, _)| n == name).ok_or_else(|| {
+        ComputeError::bad_kernel(format!("kernel `{kernel}` declares no uniform `{name}`"))
+    })?;
+    let declared = &decls[index].1;
+    if let Some(v) = value {
+        if std::mem::discriminant(declared) != std::mem::discriminant(v) {
+            return Err(ComputeError::bad_kernel(format!(
+                "uniform `{name}` of kernel `{kernel}` is {}, bound {}",
+                declared.ty(),
+                v.ty()
+            )));
+        }
+    }
+    Ok(index)
+}
+
+/// One input binding of a dispatch ([`crate::Bindings`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputBinding {
     /// The GLSL-visible name (`fetch_<name>` is generated).
@@ -98,7 +143,7 @@ pub struct InputBinding {
 #[derive(Debug, Clone)]
 pub struct KernelBuilder {
     name: String,
-    inputs: Vec<InputBinding>,
+    inputs: Vec<KernelInput>,
     uniforms: Vec<(String, Value)>,
     output: Option<(OutputKind, OutputShape)>,
     body: Option<String>,
@@ -118,66 +163,64 @@ impl KernelBuilder {
         }
     }
 
-    /// Binds an array input; the body reads it with `fetch_<name>(j)`
-    /// (and `fetch_<name>_rc(row, col)`).
-    pub fn input<T: GpuScalar>(mut self, name: &str, array: &GpuArray<T>) -> Self {
-        self.inputs.push(InputBinding {
+    fn push_input(
+        mut self,
+        name: &str,
+        encoding: InputEncoding,
+        default: Option<(TextureId, ArrayLayout)>,
+    ) -> Self {
+        self.inputs.push(KernelInput {
             name: name.to_owned(),
-            texture: array.texture,
-            layout: array.layout,
-            encoding: InputEncoding::Scalar(T::SCALAR),
+            encoding,
+            default,
         });
         self
     }
 
+    /// Binds an array input; the body reads it with `fetch_<name>(j)`
+    /// (and `fetch_<name>_rc(row, col)`).
+    pub fn input<T: GpuScalar>(self, name: &str, array: &GpuArray<T>) -> Self {
+        let default = Some((array.texture, array.layout));
+        self.push_input(name, InputEncoding::Scalar(T::SCALAR), default)
+    }
+
     /// Binds a matrix input; the body reads it with
     /// `fetch_<name>_rc(row, col)`.
-    pub fn input_matrix<T: GpuScalar>(mut self, name: &str, matrix: &GpuMatrix<T>) -> Self {
-        self.inputs.push(InputBinding {
-            name: name.to_owned(),
-            texture: matrix.texture,
-            layout: matrix.layout,
-            encoding: InputEncoding::Scalar(T::SCALAR),
-        });
-        self
+    pub fn input_matrix<T: GpuScalar>(self, name: &str, matrix: &GpuMatrix<T>) -> Self {
+        let default = Some((matrix.texture, matrix.layout));
+        self.push_input(name, InputEncoding::Scalar(T::SCALAR), default)
     }
 
     /// Binds a runtime-tagged array input; the generated fetch decodes
     /// through the codec named by the array's scalar tag, exactly as
     /// [`KernelBuilder::input`] does for the static type.
-    pub fn input_any(mut self, name: &str, array: &crate::buffer::AnyGpuArray) -> Self {
-        self.inputs.push(InputBinding {
-            name: name.to_owned(),
-            texture: array.texture(),
-            layout: array.layout(),
-            encoding: InputEncoding::Scalar(array.scalar()),
-        });
-        self
+    pub fn input_any(self, name: &str, array: &crate::buffer::AnyGpuArray) -> Self {
+        let default = Some((array.texture(), array.layout()));
+        self.push_input(name, InputEncoding::Scalar(array.scalar()), default)
+    }
+
+    /// Declares a `scalar` input with no default texture. The generated
+    /// program is the one [`KernelBuilder::input`] makes for that type;
+    /// every dispatch must bind the input ([`crate::Bindings::input`]) and
+    /// every pipeline pass must read it, or the run fails with
+    /// [`ComputeError::BadKernel`].
+    pub fn input_declared(self, name: &str, scalar: ScalarType) -> Self {
+        self.push_input(name, InputEncoding::Scalar(scalar), None)
     }
 
     /// Binds an untyped texel buffer; the body reads raw colours with
     /// `fetch_<name>_texel(j)` (and `fetch_<name>_texel_rc(row, col)`).
-    pub fn input_texels(mut self, name: &str, texels: &GpuTexels) -> Self {
-        self.inputs.push(InputBinding {
-            name: name.to_owned(),
-            texture: texels.texture,
-            layout: texels.layout,
-            encoding: InputEncoding::RawTexel,
-        });
-        self
+    pub fn input_texels(self, name: &str, texels: &GpuTexels) -> Self {
+        let default = Some((texels.texture, texels.layout));
+        self.push_input(name, InputEncoding::RawTexel, default)
     }
 
     /// Binds a typed array *as raw texels*, exposing
     /// `fetch_<name>_texel(j)` instead of the decoding fetch — useful for
     /// kernels that reinterpret the §IV byte layout themselves.
-    pub fn input_raw<T: GpuScalar>(mut self, name: &str, array: &GpuArray<T>) -> Self {
-        self.inputs.push(InputBinding {
-            name: name.to_owned(),
-            texture: array.texture,
-            layout: array.layout,
-            encoding: InputEncoding::RawTexel,
-        });
-        self
+    pub fn input_raw<T: GpuScalar>(self, name: &str, array: &GpuArray<T>) -> Self {
+        let default = Some((array.texture, array.layout));
+        self.push_input(name, InputEncoding::RawTexel, default)
     }
 
     /// Declares a uniform of any supported GLSL type with an initial
@@ -444,7 +487,8 @@ pub(crate) fn is_valid_name(name: &str) -> bool {
 /// *signature* (input names/encodings, declared uniforms, output kind).
 ///
 /// Since the compile/bind split, a `Kernel` is immutable compiled state:
-/// the textures captured at build time are only *default bindings*.
+/// the textures captured at build time are only *default bindings*, and
+/// an input declared with [`KernelBuilder::input_declared`] has none.
 /// Dispatch-time state — which textures feed the inputs, the output
 /// shape, uniform values — can be replaced per dispatch with a
 /// [`crate::Bindings`] value (see
@@ -454,7 +498,7 @@ pub(crate) fn is_valid_name(name: &str) -> bool {
 pub struct Kernel {
     pub(crate) name: String,
     pub(crate) program: ProgramRef,
-    pub(crate) inputs: Vec<InputBinding>,
+    pub(crate) inputs: Vec<KernelInput>,
     /// `("u_<name>", "u_<name>_dims")` per input, precomputed for the
     /// dispatch loop.
     pub(crate) input_uniform_names: Vec<(String, String)>,
@@ -514,21 +558,8 @@ impl Kernel {
     /// [`ComputeError::BadKernel`] for unknown names or a value whose GLSL
     /// type differs from the declaration.
     pub fn set_uniform(&mut self, name: &str, value: Value) -> Result<(), ComputeError> {
-        let slot = self
-            .uniforms
-            .iter_mut()
-            .find(|(n, _)| n == name)
-            .ok_or_else(|| {
-                ComputeError::bad_kernel(format!("kernel declares no uniform `{name}`"))
-            })?;
-        if std::mem::discriminant(&slot.1) != std::mem::discriminant(&value) {
-            return Err(ComputeError::bad_kernel(format!(
-                "uniform `{name}` is {}, got {}",
-                slot.1.ty(),
-                value.ty()
-            )));
-        }
-        slot.1 = value;
+        let index = check_uniform(&self.name, &self.uniforms, name, Some(&value))?;
+        self.uniforms[index].1 = value;
         Ok(())
     }
 

@@ -23,12 +23,13 @@ use crate::addressing::ArrayLayout;
 use crate::buffer::{GpuArray, GpuMatrix, GpuScalar, GpuTexels};
 use crate::codec::ScalarType;
 use crate::error::ComputeError;
-use crate::kernel::{InputEncoding, Kernel, OutputKind, OutputShape};
+use crate::kernel::{check_uniform, unbound_input, InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::ComputeContext;
 use gpes_gles2::{DrawStats, TextureId};
 use gpes_glsl::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Strategy for reading a GPU array back to host memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,8 +72,8 @@ impl PassRecord {
 // ---- the retained Pipeline API ----------------------------------------------
 
 /// What a pipeline buffer holds, for read/encoding validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BufKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum BufKind {
     /// §IV-encoded scalars of one type.
     Scalar(ScalarType),
     /// Raw RGBA8 texels.
@@ -96,6 +97,29 @@ impl BufKind {
     }
 }
 
+/// The extent a source's per-run data must have. The core pipeline
+/// accepts seeds of any extent (`Linear(None)`); a serving
+/// [`crate::PipelineSpec`] declares it, checks each job's host data
+/// against it and uploads grids as matrices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SourceShape {
+    /// Linear array; `Some(len)` additionally pins the expected length.
+    Linear(Option<usize>),
+    /// Row-major `rows × cols` matrix.
+    Grid { rows: u32, cols: u32 },
+}
+
+/// One declared source buffer of a pipeline.
+#[derive(Debug, Clone)]
+pub(crate) struct Source {
+    pub(crate) name: String,
+    pub(crate) kind: BufKind,
+    /// The build-time texture, or `None` for a declared source that every
+    /// run must seed.
+    pub(crate) texture: Option<(TextureId, ArrayLayout)>,
+    pub(crate) shape: SourceShape,
+}
+
 /// One named buffer's current generation during (and after) a run.
 #[derive(Debug, Clone, Copy)]
 struct BufferState {
@@ -107,26 +131,62 @@ struct BufferState {
     owned: bool,
 }
 
-type ShapeFn = Box<dyn Fn(usize) -> OutputShape>;
-type UniformFn = Box<dyn Fn(usize) -> Value>;
-type UntilFn = Box<dyn Fn(usize) -> bool>;
-
-/// One declared pass of a [`Pipeline`]: a kernel plus the buffer wiring
-/// and per-iteration overrides.
-pub struct Pass {
-    kernel: Kernel,
-    /// (kernel input name, pipeline buffer name).
-    reads: Vec<(String, String)>,
-    write: Option<(String, OutputShape)>,
-    output_fn: Option<ShapeFn>,
-    uniforms: Vec<(String, Value)>,
-    uniform_fns: Vec<(String, UniformFn)>,
+/// The context-free signature a pass's wiring is checked against: what
+/// both a compiled [`Kernel`] and a serving [`crate::KernelSpec`] know
+/// without a context.
+pub(crate) struct Signature<'a> {
+    pub(crate) name: &'a str,
+    /// `(input, encoding, has a default texture)` in texture-unit order.
+    pub(crate) inputs: Vec<(&'a str, InputEncoding, bool)>,
+    pub(crate) output: OutputKind,
+    pub(crate) uniforms: &'a [(String, Value)],
 }
 
-impl Pass {
-    /// Starts a pass around a compiled kernel (the kernel is cloned; its
-    /// program stays shared through the context's cache).
-    pub fn new(kernel: &Kernel) -> Pass {
+/// A kernel a [`Pass`] can run: anything with a [`Signature`].
+pub(crate) trait PassKernel {
+    fn signature(&self) -> Signature<'_>;
+}
+
+impl PassKernel for Kernel {
+    fn signature(&self) -> Signature<'_> {
+        Signature {
+            name: &self.name,
+            inputs: self
+                .inputs
+                .iter()
+                .map(|i| (i.name.as_str(), i.encoding, i.default.is_some()))
+                .collect(),
+            output: self.output_kind,
+            uniforms: &self.uniforms,
+        }
+    }
+}
+
+pub(crate) type ShapeFn = Arc<dyn Fn(usize) -> OutputShape + Send + Sync>;
+pub(crate) type UniformFn = Arc<dyn Fn(usize) -> Value + Send + Sync>;
+pub(crate) type UntilFn = Arc<dyn Fn(usize) -> bool + Send + Sync>;
+
+/// One declared pass of a [`Pipeline`]: a kernel plus the buffer wiring
+/// and per-iteration overrides. `K` is a compiled [`Kernel`], or a
+/// context-free [`crate::KernelSpec`] for a serving
+/// [`crate::PassSpec`]; the wiring is the same. Closures are
+/// `Send + Sync` so a spec can cross into engine workers.
+#[derive(Clone)]
+pub struct Pass<K = Kernel> {
+    pub(crate) kernel: K,
+    /// (kernel input name, pipeline buffer name).
+    pub(crate) reads: Vec<(String, String)>,
+    pub(crate) write: Option<(String, OutputShape)>,
+    pub(crate) output_fn: Option<ShapeFn>,
+    pub(crate) uniforms: Vec<(String, Value)>,
+    pub(crate) uniform_fns: Vec<(String, UniformFn)>,
+}
+
+impl<K: Clone> Pass<K> {
+    /// Starts a pass around a kernel (a compiled kernel is cloned — its
+    /// program stays shared through the context's cache; a spec is an
+    /// `Arc` clone).
+    pub fn new(kernel: &K) -> Pass<K> {
         Pass {
             kernel: kernel.clone(),
             reads: Vec::new(),
@@ -136,10 +196,13 @@ impl Pass {
             uniform_fns: Vec::new(),
         }
     }
+}
 
-    /// Feeds kernel input `input` from pipeline buffer `buffer`. Inputs
-    /// without a `read` keep the kernel's build-time default binding
-    /// (useful for constant textures like a DP wall matrix).
+impl<K> Pass<K> {
+    /// Feeds kernel input `input` from pipeline buffer `buffer`. Each
+    /// input is read at most once; inputs without a `read` keep the
+    /// kernel's build-time default binding (useful for constant textures
+    /// like a DP wall matrix), so an input without one must be read.
     pub fn read(mut self, input: &str, buffer: &str) -> Self {
         self.reads.push((input.to_owned(), buffer.to_owned()));
         self
@@ -166,8 +229,11 @@ impl Pass {
 
     /// Makes the output shape a function of the iteration index — the
     /// reduction-tree case, where each pass shrinks the domain.
-    pub fn output_per_iter(mut self, f: impl Fn(usize) -> OutputShape + 'static) -> Self {
-        self.output_fn = Some(Box::new(f));
+    pub fn output_per_iter(
+        mut self,
+        f: impl Fn(usize) -> OutputShape + Send + Sync + 'static,
+    ) -> Self {
+        self.output_fn = Some(Arc::new(f));
         self
     }
 
@@ -180,16 +246,32 @@ impl Pass {
     /// Overrides a declared uniform per iteration (`f` receives the
     /// zero-based iteration index) — the paper's workloads use this for
     /// `n_live`, `row_idx`, `kcol` and FFT stage widths.
-    pub fn uniform_per_iter(mut self, name: &str, f: impl Fn(usize) -> Value + 'static) -> Self {
-        self.uniform_fns.push((name.to_owned(), Box::new(f)));
+    pub fn uniform_per_iter(
+        mut self,
+        name: &str,
+        f: impl Fn(usize) -> Value + Send + Sync + 'static,
+    ) -> Self {
+        self.uniform_fns.push((name.to_owned(), Arc::new(f)));
         self
+    }
+
+    /// The same wiring around another kernel; closures are shared.
+    fn with_kernel<J>(&self, kernel: J) -> Pass<J> {
+        Pass {
+            kernel,
+            reads: self.reads.clone(),
+            write: self.write.clone(),
+            output_fn: self.output_fn.clone(),
+            uniforms: self.uniforms.clone(),
+            uniform_fns: self.uniform_fns.clone(),
+        }
     }
 }
 
-impl fmt::Debug for Pass {
+impl<K: PassKernel> fmt::Debug for Pass<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pass")
-            .field("kernel", &self.kernel.name())
+            .field("kernel", &self.kernel.signature().name)
             .field("reads", &self.reads)
             .field("write", &self.write)
             .field("dynamic_output", &self.output_fn.is_some())
@@ -262,69 +344,60 @@ impl SourceSeed {
     }
 }
 
-/// Builder for [`Pipeline`]s; see [`Pipeline::builder`].
-pub struct PipelineBuilder {
-    name: String,
-    sources: Vec<(String, TextureId, ArrayLayout, BufKind)>,
-    passes: Vec<Pass>,
-    iterations: Option<usize>,
-    iteration_cap: Option<usize>,
-    until: Option<UntilFn>,
-    ping_pongs: Vec<(String, String)>,
+/// Builder for [`Pipeline`]s; see [`Pipeline::builder`]. The same
+/// builder declares a serving [`crate::PipelineSpec`]
+/// ([`crate::serve::PipelineSpecBuilder`]): passes, iterations and
+/// ping-pong pairs are declared the same way, and both `build`s run one
+/// wiring check.
+pub struct PipelineBuilder<K = Kernel> {
+    dag: Pipeline<K>,
 }
 
-impl PipelineBuilder {
-    /// Seeds buffer `name` from an uploaded (or previously computed)
-    /// array. The texture stays owned by the caller — the pipeline never
-    /// recycles it.
-    pub fn source<T: GpuScalar>(mut self, name: &str, array: &GpuArray<T>) -> Self {
-        self.sources.push((
-            name.to_owned(),
-            array.texture,
-            array.layout,
-            BufKind::Scalar(T::SCALAR),
-        ));
+impl<K> PipelineBuilder<K> {
+    pub(crate) fn named(name: String) -> PipelineBuilder<K> {
+        PipelineBuilder {
+            dag: Pipeline {
+                name,
+                sources: Vec::new(),
+                passes: Vec::new(),
+                iterations: None,
+                iteration_cap: None,
+                until: None,
+                ping_pongs: Vec::new(),
+            },
+        }
+    }
+
+    fn push_source(
+        mut self,
+        name: &str,
+        kind: BufKind,
+        texture: Option<(TextureId, ArrayLayout)>,
+        shape: SourceShape,
+    ) -> Self {
+        self.dag.sources.push(Source {
+            name: name.to_owned(),
+            kind,
+            texture,
+            shape,
+        });
         self
     }
 
-    /// Seeds buffer `name` from a matrix.
-    pub fn source_matrix<T: GpuScalar>(mut self, name: &str, matrix: &GpuMatrix<T>) -> Self {
-        self.sources.push((
-            name.to_owned(),
-            matrix.texture,
-            matrix.layout,
-            BufKind::Scalar(T::SCALAR),
-        ));
-        self
-    }
-
-    /// Seeds buffer `name` from a raw texel buffer.
-    pub fn source_texels(mut self, name: &str, texels: &GpuTexels) -> Self {
-        self.sources.push((
-            name.to_owned(),
-            texels.texture,
-            texels.layout,
-            BufKind::Texels,
-        ));
-        self
-    }
-
-    /// Seeds buffer `name` from a runtime-tagged array — the buffer takes
-    /// the array's scalar kind, so passes reading it must declare a
-    /// matching input encoding.
-    pub fn source_any(mut self, name: &str, array: &crate::buffer::AnyGpuArray) -> Self {
-        self.sources.push((
-            name.to_owned(),
-            array.texture(),
-            array.layout(),
-            BufKind::Scalar(array.scalar()),
-        ));
-        self
+    /// Declares a `scalar` source of `shape` with no texture: every run
+    /// must seed it.
+    pub(crate) fn declared_source(
+        self,
+        name: &str,
+        scalar: ScalarType,
+        shape: SourceShape,
+    ) -> Self {
+        self.push_source(name, BufKind::Scalar(scalar), None, shape)
     }
 
     /// Appends a pass; passes execute in declaration order each iteration.
-    pub fn pass(mut self, pass: Pass) -> Self {
-        self.passes.push(pass);
+    pub fn pass(mut self, pass: Pass<K>) -> Self {
+        self.dag.passes.push(pass);
         self
     }
 
@@ -332,7 +405,7 @@ impl PipelineBuilder {
     /// known count the final pass can be routed straight to the default
     /// framebuffer by [`Pipeline::run_and_read`].
     pub fn iterations(mut self, n: usize) -> Self {
-        self.iterations = Some(n);
+        self.dag.iterations = Some(n);
         self
     }
 
@@ -340,10 +413,11 @@ impl PipelineBuilder {
     /// (checked after each iteration). Combine with
     /// [`PipelineBuilder::iterations`] to cap the loop silently, or with
     /// [`PipelineBuilder::iteration_cap`] to make cap exhaustion a typed
-    /// error; without either the pipeline aborts after 1 000 000
-    /// iterations.
-    pub fn until(mut self, stop: impl Fn(usize) -> bool + 'static) -> Self {
-        self.until = Some(Box::new(stop));
+    /// error; without either a pipeline aborts after 1 000 000
+    /// iterations and a spec after
+    /// [`crate::serve::DEFAULT_SERVE_ITERATION_CAP`].
+    pub fn until(mut self, stop: impl Fn(usize) -> bool + Send + Sync + 'static) -> Self {
+        self.dag.until = Some(Arc::new(stop));
         self
     }
 
@@ -353,7 +427,7 @@ impl PipelineBuilder {
     /// predicate never fires fails loudly rather than hanging or lying.
     /// Ignored when a fixed [`PipelineBuilder::iterations`] count is set.
     pub fn iteration_cap(mut self, cap: usize) -> Self {
-        self.iteration_cap = Some(cap.max(1));
+        self.dag.iteration_cap = Some(cap.max(1));
         self
     }
 
@@ -363,163 +437,204 @@ impl PipelineBuilder {
     /// stage pair). Single-pass feedback (`.read("x", "x").write("x", …)`)
     /// does not need this; it swaps implicitly.
     pub fn ping_pong(mut self, front: &str, back: &str) -> Self {
-        self.ping_pongs.push((front.to_owned(), back.to_owned()));
+        self.dag
+            .ping_pongs
+            .push((front.to_owned(), back.to_owned()));
         self
     }
 
-    /// Validates the wiring against every kernel's signature.
-    ///
-    /// # Errors
-    ///
-    /// [`ComputeError::BadKernel`] for passes without a write, reads of
-    /// undeclared buffers or kernel inputs, encoding mismatches, unknown
-    /// or type-mismatched uniform overrides, and unknown ping-pong names.
-    pub fn build(self) -> Result<Pipeline, ComputeError> {
-        if self.passes.is_empty() {
-            return Err(ComputeError::bad_kernel(format!(
-                "pipeline `{}` declares no passes",
-                self.name
-            )));
-        }
-        let mut kinds: HashMap<&str, BufKind> = HashMap::new();
-        for (name, _, _, kind) in &self.sources {
-            if kinds.insert(name, *kind).is_some() {
-                return Err(ComputeError::bad_kernel(format!(
-                    "pipeline `{}` declares source `{name}` twice",
-                    self.name
-                )));
-            }
-        }
-        // Register every written buffer for kind checking. A buffer must
-        // hold ONE kind — seeding or rewriting it with a different element
-        // kind would let a later read decode garbage.
-        for pass in &self.passes {
-            let (write_name, _) = pass.write.as_ref().ok_or_else(|| {
-                ComputeError::bad_kernel(format!(
-                    "pass `{}` of pipeline `{}` writes no buffer",
-                    pass.kernel.name(),
-                    self.name
-                ))
-            })?;
-            let kind = BufKind::of_output(pass.kernel.output_kind());
-            match kinds.get(write_name.as_str()) {
-                None => {
-                    kinds.insert(write_name, kind);
-                }
-                Some(existing) if *existing != kind => {
-                    return Err(ComputeError::bad_kernel(format!(
-                        "buffer `{write_name}` holds {existing:?}, but pass `{}` \
-                         writes {kind:?}",
-                        pass.kernel.name()
-                    )));
-                }
-                Some(_) => {}
-            }
-        }
-        // A read must be satisfiable on the FIRST iteration — from a
-        // source or an earlier pass's write. (A buffer first written by a
-        // later pass is empty when iteration 0 reaches the read, and the
-        // end-of-iteration ping-pong swap cannot rescue it either, so the
-        // dag would always fail at runtime.)
-        let mut available: std::collections::HashSet<&str> =
-            self.sources.iter().map(|(n, _, _, _)| n.as_str()).collect();
-        for pass in &self.passes {
-            for (input, buffer) in &pass.reads {
-                let spec = pass
-                    .kernel
-                    .inputs
-                    .iter()
-                    .find(|s| &s.name == input)
-                    .ok_or_else(|| {
-                        ComputeError::bad_kernel(format!(
-                            "kernel `{}` declares no input `{input}`",
-                            pass.kernel.name()
-                        ))
-                    })?;
-                let kind = kinds.get(buffer.as_str()).ok_or_else(|| {
-                    ComputeError::bad_kernel(format!(
-                        "pipeline `{}` has no buffer `{buffer}` (read by `{}`)",
-                        self.name,
-                        pass.kernel.name()
-                    ))
-                })?;
-                if !kind.accepts(spec.encoding) {
-                    return Err(ComputeError::bad_kernel(format!(
-                        "buffer `{buffer}` holds {kind:?}, but input `{input}` of `{}` wants {:?}",
-                        pass.kernel.name(),
-                        spec.encoding
-                    )));
-                }
-                if !available.contains(buffer.as_str()) {
-                    return Err(ComputeError::bad_kernel(format!(
-                        "pass `{}` reads buffer `{buffer}` before its first write",
-                        pass.kernel.name()
-                    )));
-                }
-            }
-            for (name, value) in &pass.uniforms {
-                check_uniform_decl(&pass.kernel, name, Some(value))?;
-            }
-            for (name, _) in &pass.uniform_fns {
-                check_uniform_decl(&pass.kernel, name, None)?;
-            }
-            if let Some((write_name, _)) = &pass.write {
-                available.insert(write_name);
-            }
-        }
-        for (front, back) in &self.ping_pongs {
-            for name in [front, back] {
-                if !kinds.contains_key(name.as_str()) {
-                    return Err(ComputeError::bad_kernel(format!(
-                        "ping-pong names unknown buffer `{name}`"
-                    )));
-                }
-            }
-        }
-        Ok(Pipeline {
-            name: self.name,
-            sources: self.sources,
-            passes: self.passes,
-            iterations: self.iterations,
-            iteration_cap: self.iteration_cap,
-            until: self.until,
-            ping_pongs: self.ping_pongs,
-        })
+    /// The declared plan, once it passes the one wiring check.
+    pub(crate) fn checked(self) -> Result<Pipeline<K>, ComputeError>
+    where
+        K: PassKernel,
+    {
+        check_wiring(&self.dag)?;
+        Ok(self.dag)
     }
 }
 
-fn check_uniform_decl(
-    kernel: &Kernel,
-    name: &str,
-    value: Option<&Value>,
-) -> Result<(), ComputeError> {
-    let decl = kernel
-        .uniforms
-        .iter()
-        .find(|(n, _)| n == name)
-        .ok_or_else(|| {
+/// The one wiring check, over kernel signatures only — so a
+/// [`crate::PipelineSpec`] is rejected on the caller's thread, with no
+/// context.
+fn check_wiring<K: PassKernel>(dag: &Pipeline<K>) -> Result<(), ComputeError> {
+    if dag.passes.is_empty() {
+        return Err(ComputeError::bad_kernel(format!(
+            "pipeline `{}` declares no passes",
+            dag.name
+        )));
+    }
+    let mut kinds: HashMap<&str, BufKind> = HashMap::new();
+    for source in &dag.sources {
+        if kinds.insert(&source.name, source.kind).is_some() {
+            return Err(ComputeError::bad_kernel(format!(
+                "pipeline `{}` declares source `{}` twice",
+                dag.name, source.name
+            )));
+        }
+    }
+    let signatures: Vec<Signature<'_>> = dag.passes.iter().map(|p| p.kernel.signature()).collect();
+    // Register every written buffer for kind checking. A buffer must
+    // hold ONE kind — seeding or rewriting it with a different element
+    // kind would let a later read decode garbage.
+    for (pass, sig) in dag.passes.iter().zip(&signatures) {
+        let (write_name, _) = pass.write.as_ref().ok_or_else(|| {
             ComputeError::bad_kernel(format!(
-                "kernel `{}` declares no uniform `{name}`",
-                kernel.name()
+                "pass `{}` of pipeline `{}` writes no buffer",
+                sig.name, dag.name
             ))
         })?;
-    if let Some(v) = value {
-        if std::mem::discriminant(&decl.1) != std::mem::discriminant(v) {
+        let kind = BufKind::of_output(sig.output);
+        match kinds.get(write_name.as_str()) {
+            None => {
+                kinds.insert(write_name, kind);
+            }
+            Some(existing) if *existing != kind => {
+                return Err(ComputeError::bad_kernel(format!(
+                    "buffer `{write_name}` holds {existing:?}, but pass `{}` \
+                     writes {kind:?}",
+                    sig.name
+                )));
+            }
+            Some(_) => {}
+        }
+    }
+    // A read must be satisfiable on the FIRST iteration — from a
+    // source or an earlier pass's write. (A buffer first written by a
+    // later pass is empty when iteration 0 reaches the read, and the
+    // end-of-iteration ping-pong swap cannot rescue it either, so the
+    // dag would always fail at runtime.)
+    let mut available: HashSet<&str> = dag.sources.iter().map(|s| s.name.as_str()).collect();
+    for (pass, sig) in dag.passes.iter().zip(&signatures) {
+        for &(input, _, has_default) in &sig.inputs {
+            let wired = pass.reads.iter().filter(|(i, _)| i == input).count();
+            if wired > 1 {
+                return Err(ComputeError::bad_kernel(format!(
+                    "input `{input}` of kernel `{}` is read from {wired} buffers",
+                    sig.name
+                )));
+            }
+            if wired == 0 && !has_default {
+                return Err(unbound_input(sig.name, input));
+            }
+        }
+        for (input, buffer) in &pass.reads {
+            let &(_, encoding, _) = sig
+                .inputs
+                .iter()
+                .find(|(name, _, _)| name == input)
+                .ok_or_else(|| {
+                    ComputeError::bad_kernel(format!(
+                        "kernel `{}` declares no input `{input}`",
+                        sig.name
+                    ))
+                })?;
+            let kind = kinds.get(buffer.as_str()).ok_or_else(|| {
+                ComputeError::bad_kernel(format!(
+                    "pipeline `{}` has no buffer `{buffer}` (read by `{}`)",
+                    dag.name, sig.name
+                ))
+            })?;
+            if !kind.accepts(encoding) {
+                return Err(ComputeError::bad_kernel(format!(
+                    "buffer `{buffer}` holds {kind:?}, but input `{input}` of `{}` wants \
+                     {encoding:?}",
+                    sig.name
+                )));
+            }
+            if !available.contains(buffer.as_str()) {
+                return Err(ComputeError::bad_kernel(format!(
+                    "pass `{}` reads buffer `{buffer}` before its first write",
+                    sig.name
+                )));
+            }
+        }
+        for (name, value) in &pass.uniforms {
+            check_uniform(sig.name, sig.uniforms, name, Some(value))?;
+        }
+        for (name, _) in &pass.uniform_fns {
+            check_uniform(sig.name, sig.uniforms, name, None)?;
+        }
+        if let Some((write_name, _)) = &pass.write {
+            available.insert(write_name);
+        }
+    }
+    let kind_of = |name: &String| {
+        kinds.get(name.as_str()).copied().ok_or_else(|| {
+            ComputeError::bad_kernel(format!("ping-pong names unknown buffer `{name}`"))
+        })
+    };
+    for (front, back) in &dag.ping_pongs {
+        let (f, b) = (kind_of(front)?, kind_of(back)?);
+        if f != b {
             return Err(ComputeError::bad_kernel(format!(
-                "uniform `{name}` of kernel `{}` is {}, bound {}",
-                kernel.name(),
-                decl.1.ty(),
-                v.ty()
+                "ping-pong pair `{front}`/`{back}` mixes kinds: `{front}` holds {f:?}, \
+                 `{back}` holds {b:?}"
             )));
         }
     }
     Ok(())
 }
 
+impl PipelineBuilder<Kernel> {
+    /// Seeds buffer `name` from an uploaded (or previously computed)
+    /// array. The texture stays owned by the caller — the pipeline never
+    /// recycles it.
+    pub fn source<T: GpuScalar>(self, name: &str, array: &GpuArray<T>) -> Self {
+        let texture = Some((array.texture, array.layout));
+        self.push_source(name, BufKind::Scalar(T::SCALAR), texture, ANY_EXTENT)
+    }
+
+    /// Seeds buffer `name` from a matrix.
+    pub fn source_matrix<T: GpuScalar>(self, name: &str, matrix: &GpuMatrix<T>) -> Self {
+        let texture = Some((matrix.texture, matrix.layout));
+        self.push_source(name, BufKind::Scalar(T::SCALAR), texture, ANY_EXTENT)
+    }
+
+    /// Seeds buffer `name` from a raw texel buffer.
+    pub fn source_texels(self, name: &str, texels: &GpuTexels) -> Self {
+        let texture = Some((texels.texture, texels.layout));
+        self.push_source(name, BufKind::Texels, texture, ANY_EXTENT)
+    }
+
+    /// Seeds buffer `name` from a runtime-tagged array — the buffer takes
+    /// the array's scalar kind, so passes reading it must declare a
+    /// matching input encoding.
+    pub fn source_any(self, name: &str, array: &crate::buffer::AnyGpuArray) -> Self {
+        let texture = Some((array.texture(), array.layout()));
+        self.push_source(name, BufKind::Scalar(array.scalar()), texture, ANY_EXTENT)
+    }
+
+    /// Declares buffer `name` as a `scalar` source with no texture. Every
+    /// run must seed it ([`Pipeline::run_seeded`]); a run that does not
+    /// fails with [`ComputeError::BadKernel`].
+    pub fn declare_source(self, name: &str, scalar: ScalarType) -> Self {
+        self.declared_source(name, scalar, ANY_EXTENT)
+    }
+
+    /// Validates the wiring against every kernel's signature.
+    ///
+    /// # Errors
+    ///
+    /// [`ComputeError::BadKernel`] for empty dags, duplicate sources,
+    /// passes without a write, reads of undeclared buffers or kernel
+    /// inputs, inputs read twice, inputs with no default texture and no
+    /// read, reads before a buffer's first write, element-kind
+    /// mismatches, unknown or type-mismatched uniform overrides, and
+    /// unknown or mixed-kind ping-pong pairs.
+    pub fn build(self) -> Result<Pipeline, ComputeError> {
+        self.checked()
+    }
+}
+
+/// The extent of a core pipeline source: seeds may have any length.
+const ANY_EXTENT: SourceShape = SourceShape::Linear(None);
+
 /// A retained multi-pass execution plan: kernels compile once at build
 /// time; [`Pipeline::run`] only rebinds textures and uniforms, recycling
 /// render targets through the context pool so steady-state iteration
-/// allocates no GL objects.
+/// allocates no GL objects. (`K` is a compiled [`Kernel`]; a serving
+/// [`crate::PipelineSpec`] holds the same plan over context-free kernel
+/// specs and builds this one per worker.)
 ///
 /// ```
 /// use gpes_core::{ComputeContext, Kernel, OutputShape, Pass, Pipeline, ScalarType};
@@ -545,17 +660,18 @@ fn check_uniform_decl(
 /// # Ok(())
 /// # }
 /// ```
-pub struct Pipeline {
-    name: String,
-    sources: Vec<(String, TextureId, ArrayLayout, BufKind)>,
-    passes: Vec<Pass>,
-    iterations: Option<usize>,
-    iteration_cap: Option<usize>,
-    until: Option<UntilFn>,
-    ping_pongs: Vec<(String, String)>,
+#[derive(Clone)]
+pub struct Pipeline<K = Kernel> {
+    pub(crate) name: String,
+    pub(crate) sources: Vec<Source>,
+    pub(crate) passes: Vec<Pass<K>>,
+    pub(crate) iterations: Option<usize>,
+    pub(crate) iteration_cap: Option<usize>,
+    pub(crate) until: Option<UntilFn>,
+    pub(crate) ping_pongs: Vec<(String, String)>,
 }
 
-impl fmt::Debug for Pipeline {
+impl<K: PassKernel> fmt::Debug for Pipeline<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pipeline")
             .field("name", &self.name)
@@ -564,11 +680,12 @@ impl fmt::Debug for Pipeline {
                 &self
                     .sources
                     .iter()
-                    .map(|(n, _, _, _)| n.as_str())
+                    .map(|s| s.name.as_str())
                     .collect::<Vec<_>>(),
             )
             .field("passes", &self.passes)
             .field("iterations", &self.iterations)
+            .field("iteration_cap", &self.iteration_cap)
             .field("has_until", &self.until.is_some())
             .field("ping_pongs", &self.ping_pongs)
             .finish()
@@ -578,23 +695,40 @@ impl fmt::Debug for Pipeline {
 /// Iteration safety net when only an `until` predicate drives the loop.
 const MAX_OPEN_ITERATIONS: usize = 1_000_000;
 
-impl Pipeline {
-    /// Starts declaring a pipeline named `name` (names appear in errors).
-    pub fn builder(name: impl Into<String>) -> PipelineBuilder {
-        PipelineBuilder {
-            name: name.into(),
-            sources: Vec::new(),
-            passes: Vec::new(),
-            iterations: None,
-            iteration_cap: None,
-            until: None,
-            ping_pongs: Vec::new(),
-        }
-    }
-
+impl<K> Pipeline<K> {
     /// The pipeline's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The same plan with every pass kernel replaced by `build(kernel)`:
+    /// sources and wiring are cloned, closures shared, nothing re-checked
+    /// (the wiring check reads only signatures, which `build` keeps).
+    pub(crate) fn map_kernels<J>(
+        &self,
+        mut build: impl FnMut(&K) -> Result<J, ComputeError>,
+    ) -> Result<Pipeline<J>, ComputeError> {
+        let passes = self
+            .passes
+            .iter()
+            .map(|pass| Ok(pass.with_kernel(build(&pass.kernel)?)))
+            .collect::<Result<_, ComputeError>>()?;
+        Ok(Pipeline {
+            name: self.name.clone(),
+            sources: self.sources.clone(),
+            passes,
+            iterations: self.iterations,
+            iteration_cap: self.iteration_cap,
+            until: self.until.clone(),
+            ping_pongs: self.ping_pongs.clone(),
+        })
+    }
+}
+
+impl Pipeline {
+    /// Starts declaring a pipeline named `name` (names appear in errors).
+    pub fn builder(name: impl Into<String>) -> PipelineBuilder {
+        PipelineBuilder::named(name.into())
     }
 
     /// Executes the dag and returns a handle over the surviving buffers.
@@ -603,7 +737,7 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Runtime wiring errors (reading a buffer before its first write),
+    /// Runtime wiring errors (a declared source left unseeded),
     /// per-iteration uniform type mismatches, and GL/shader errors.
     pub fn run(&self, cc: &mut ComputeContext) -> Result<PipelineRun, ComputeError> {
         let (buffers, _) = self.run_internal(cc, None, &[])?;
@@ -613,18 +747,19 @@ impl Pipeline {
     /// [`Pipeline::run`] with per-run source overrides: each seed
     /// re-points a declared source buffer at fresh data for this run
     /// only, so one retained pipeline serves many requests without being
-    /// rebuilt — the serving engine's hot path.
+    /// rebuilt — the serving engine's hot path. Sources declared without
+    /// a texture must be seeded.
     ///
     /// # Errors
     ///
     /// `BadKernel` for seeds naming undeclared sources or carrying the
-    /// wrong element kind, plus everything [`Pipeline::run`] can raise.
+    /// wrong element kind, and for unseeded textureless sources, plus
+    /// everything [`Pipeline::run`] can raise.
     pub fn run_seeded(
         &self,
         cc: &mut ComputeContext,
         seeds: &[SourceSeed],
     ) -> Result<PipelineRun, ComputeError> {
-        self.check_seeds(seeds)?;
         let (buffers, _) = self.run_internal(cc, None, seeds)?;
         Ok(PipelineRun { buffers })
     }
@@ -641,7 +776,6 @@ impl Pipeline {
         seeds: &[SourceSeed],
         buffer: &str,
     ) -> Result<Vec<T>, ComputeError> {
-        self.check_seeds(seeds)?;
         let screen_target = self.screen_routable::<T>(cc, buffer);
         let (buffers, screen) = self.run_internal(cc, screen_target.as_deref(), seeds)?;
         if let Some((bytes, layout)) = screen {
@@ -654,26 +788,54 @@ impl Pipeline {
         out
     }
 
-    fn check_seeds(&self, seeds: &[SourceSeed]) -> Result<(), ComputeError> {
+    /// The starting buffers of one run: every source at its seed, or at
+    /// its build-time texture when the run does not seed it.
+    fn seeded_buffers(
+        &self,
+        seeds: &[SourceSeed],
+    ) -> Result<HashMap<String, BufferState>, ComputeError> {
         for seed in seeds {
             let declared = self
                 .sources
                 .iter()
-                .find(|(n, _, _, _)| *n == seed.name)
+                .find(|s| s.name == seed.name)
                 .ok_or_else(|| {
                     ComputeError::bad_kernel(format!(
                         "pipeline `{}` declares no source `{}` to seed",
                         self.name, seed.name
                     ))
                 })?;
-            if declared.3 != seed.kind {
+            if declared.kind != seed.kind {
                 return Err(ComputeError::bad_kernel(format!(
                     "source `{}` of pipeline `{}` holds {:?}, seeded with {:?}",
-                    seed.name, self.name, declared.3, seed.kind
+                    seed.name, self.name, declared.kind, seed.kind
                 )));
             }
         }
-        Ok(())
+        let mut bufs = HashMap::with_capacity(self.sources.len());
+        for source in &self.sources {
+            let seeded = seeds.iter().rev().find(|seed| seed.name == source.name);
+            let (texture, layout) = seeded
+                .map(|seed| (seed.texture, seed.layout))
+                .or(source.texture)
+                .ok_or_else(|| {
+                    ComputeError::bad_kernel(format!(
+                        "source `{}` of pipeline `{}` is declared without a texture, and \
+                         this run does not seed it",
+                        source.name, self.name
+                    ))
+                })?;
+            bufs.insert(
+                source.name.clone(),
+                BufferState {
+                    texture,
+                    layout,
+                    kind: source.kind,
+                    owned: false,
+                },
+            );
+        }
+        Ok(bufs)
     }
 
     /// Executes the dag and reads buffer `buffer` back, retiring every
@@ -739,29 +901,7 @@ impl Pipeline {
         screen_buffer: Option<&str>,
         seeds: &[SourceSeed],
     ) -> Result<(Vec<(String, BufferState)>, Option<(Vec<u8>, ArrayLayout)>), ComputeError> {
-        let mut bufs: HashMap<String, BufferState> = HashMap::new();
-        for (name, texture, layout, kind) in &self.sources {
-            bufs.insert(
-                name.clone(),
-                BufferState {
-                    texture: *texture,
-                    layout: *layout,
-                    kind: *kind,
-                    owned: false,
-                },
-            );
-        }
-        for seed in seeds {
-            bufs.insert(
-                seed.name.clone(),
-                BufferState {
-                    texture: seed.texture,
-                    layout: seed.layout,
-                    kind: seed.kind,
-                    owned: false,
-                },
-            );
-        }
+        let mut bufs = self.seeded_buffers(seeds)?;
         let fixed_total = if self.until.is_none() {
             Some(self.iterations.unwrap_or(1))
         } else {
@@ -819,7 +959,7 @@ impl Pipeline {
     fn run_pass(
         &self,
         cc: &mut ComputeContext,
-        pass: &Pass,
+        pass: &Pass<Kernel>,
         iteration: usize,
         bufs: &mut HashMap<String, BufferState>,
         to_screen: bool,
@@ -838,7 +978,9 @@ impl Pipeline {
                     })?;
                     (b.texture, b.layout)
                 }
-                None => (spec.texture, spec.layout),
+                None => spec
+                    .default
+                    .ok_or_else(|| unbound_input(kernel.name(), &spec.name))?,
             };
             inputs.push(slot);
         }
@@ -853,7 +995,7 @@ impl Pipeline {
         let mut dynamic: Vec<(String, Value)> = Vec::with_capacity(pass.uniform_fns.len());
         for (name, f) in &pass.uniform_fns {
             let value = f(iteration);
-            check_uniform_decl(kernel, name, Some(&value))?;
+            check_uniform(kernel.name(), &kernel.uniforms, name, Some(&value))?;
             dynamic.push((name.clone(), value));
         }
         let overrides: [&[(String, Value)]; 2] = [&pass.uniforms, &dynamic];

@@ -110,14 +110,17 @@ use crate::cache::{FifoCache, SharedProgramCache};
 use crate::codec::ScalarType;
 use crate::context::{ComputeContext, ContextStats};
 use crate::error::ComputeError;
-use crate::kernel::{Kernel, OutputShape};
-use crate::pipeline::{Pass, Pipeline, Readback, SourceSeed};
+use crate::kernel::{InputEncoding, Kernel, OutputKind, OutputShape};
+use crate::pipeline::{
+    BufKind, Pass, PassKernel, Pipeline, PipelineBuilder, Readback, Signature, SourceSeed,
+    SourceShape,
+};
 use crate::Bindings;
 use gpes_gles2::{Dispatch, ExecMode, FaultPlan, Limits};
 use gpes_glsl::Value;
 use metrics::{lock_recover, wait_recover, EngineMetrics};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};

@@ -174,9 +174,6 @@ impl KernelSpec {
                 arrays.len()
             )));
         }
-        let shape = self
-            .output
-            .ok_or_else(|| bad_job(format!("kernel spec `{}` declares no output", self.name)))?;
         let mut b = Kernel::builder(self.name.clone());
         for ((name, scalar), array) in self.inputs.iter().zip(arrays) {
             if array.scalar() != *scalar {
@@ -189,6 +186,33 @@ impl KernelSpec {
             }
             b = b.input_any(name, array);
         }
+        self.finish_build(b, cc)
+    }
+
+    /// Builds the kernel from the signature alone: every input is
+    /// declared, none bound, so the kernel needs no arrays — a
+    /// [`PipelineSpec`] pass reads every input from a pipeline buffer.
+    /// The program is the one [`KernelSpec::build_any`] links.
+    pub(crate) fn build_declared(&self, cc: &mut ComputeContext) -> Result<Kernel, ComputeError> {
+        let b = self
+            .inputs
+            .iter()
+            .fold(Kernel::builder(self.name.clone()), |b, (name, scalar)| {
+                b.input_declared(name, *scalar)
+            });
+        self.finish_build(b, cc)
+    }
+
+    /// Adds the uniforms, helpers, output and body to a builder whose
+    /// inputs are set, and builds.
+    fn finish_build(
+        &self,
+        mut b: crate::KernelBuilder,
+        cc: &mut ComputeContext,
+    ) -> Result<Kernel, ComputeError> {
+        let shape = self
+            .output
+            .ok_or_else(|| bad_job(format!("kernel spec `{}` declares no output", self.name)))?;
         for (name, value) in &self.uniforms {
             b = b.uniform(name, value.clone());
         }
@@ -200,6 +224,21 @@ impl KernelSpec {
             OutputShape::Grid { rows, cols } => b.output_grid(self.output_scalar, rows, cols),
         };
         b.body(self.body.clone()).build(cc)
+    }
+}
+
+impl PassKernel for Arc<KernelSpec> {
+    fn signature(&self) -> Signature<'_> {
+        Signature {
+            name: &self.name,
+            inputs: self
+                .inputs
+                .iter()
+                .map(|(name, scalar)| (name.as_str(), InputEncoding::Scalar(*scalar), false))
+                .collect(),
+            output: OutputKind::Scalar(self.output_scalar),
+            uniforms: &self.uniforms,
+        }
     }
 }
 
@@ -685,143 +724,24 @@ impl BatchResult {
 
 // ---- pipeline specs ------------------------------------------------------
 
-pub(crate) type SharedShapeFn = Arc<dyn Fn(usize) -> OutputShape + Send + Sync>;
-pub(crate) type SharedUniformFn = Arc<dyn Fn(usize) -> Value + Send + Sync>;
-pub(crate) type SharedUntilFn = Arc<dyn Fn(usize) -> bool + Send + Sync>;
-
 /// Default iteration cap applied to `until`-driven [`PipelineSpec`]s that
 /// set no explicit cap: a serving engine must never run a convergence
 /// loop open-ended on a worker, so cap exhaustion surfaces as
 /// [`ComputeError::IterationCap`] on the job handle instead of a hang.
 pub const DEFAULT_SERVE_ITERATION_CAP: usize = 65_536;
 
-/// How a [`PipelineSpec`] source is shaped (and therefore uploaded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SourceShape {
-    /// Linear array; `Some(len)` additionally pins the expected length.
-    Linear(Option<usize>),
-    /// Row-major `rows × cols` matrix.
-    Grid { rows: u32, cols: u32 },
-}
+/// One declared pass of a [`PipelineSpec`]: a [`Pass`] around a
+/// context-free kernel spec. A spec's kernel inputs have no default
+/// textures, so a pass must [`Pass::read`] every one of them.
+pub type PassSpec = Pass<Arc<KernelSpec>>;
 
-#[derive(Debug, Clone)]
-pub(crate) struct SourceDecl {
-    pub(crate) name: String,
-    pub(crate) shape: SourceShape,
-    pub(crate) scalar: ScalarType,
-}
+/// Builder for [`PipelineSpec`]s; see [`PipelineSpec::builder`]. The
+/// [`PipelineBuilder`] over kernel specs: passes, iterations, `until`
+/// and ping-pong pairs are declared exactly as for a [`Pipeline`], and
+/// sources are declared by type and shape instead of bound to textures.
+pub type PipelineSpecBuilder = PipelineBuilder<Arc<KernelSpec>>;
 
-/// One declared pass of a [`PipelineSpec`]: a context-free kernel plus
-/// buffer wiring and per-iteration overrides — the [`Pass`] builder with
-/// every context-bound piece removed. Unlike [`Pass`], **every** kernel
-/// input must be wired to a pipeline buffer with [`PassSpec::read`]: a
-/// spec has no build-time textures to fall back on.
-#[derive(Clone)]
-pub struct PassSpec {
-    pub(crate) kernel: Arc<KernelSpec>,
-    pub(crate) reads: Vec<(String, String)>,
-    pub(crate) write: Option<(String, OutputShape)>,
-    pub(crate) output_fn: Option<SharedShapeFn>,
-    pub(crate) uniforms: Vec<(String, Value)>,
-    pub(crate) uniform_fns: Vec<(String, SharedUniformFn)>,
-}
-
-impl PassSpec {
-    /// Starts a pass around a kernel spec.
-    pub fn new(kernel: &Arc<KernelSpec>) -> PassSpec {
-        PassSpec {
-            kernel: Arc::clone(kernel),
-            reads: Vec::new(),
-            write: None,
-            output_fn: None,
-            uniforms: Vec::new(),
-            uniform_fns: Vec::new(),
-        }
-    }
-
-    /// Feeds kernel input `input` from pipeline buffer `buffer`.
-    pub fn read(mut self, input: &str, buffer: &str) -> Self {
-        self.reads.push((input.to_owned(), buffer.to_owned()));
-        self
-    }
-
-    /// Writes the pass output into buffer `buffer` with a fixed shape.
-    pub fn write(mut self, buffer: &str, shape: OutputShape) -> Self {
-        self.write = Some((buffer.to_owned(), shape));
-        self
-    }
-
-    /// [`PassSpec::write`] with a linear output of `len` elements.
-    pub fn write_len(self, buffer: &str, len: usize) -> Self {
-        self.write(buffer, OutputShape::Linear(len))
-    }
-
-    /// [`PassSpec::write`] with a `rows × cols` grid output.
-    pub fn write_grid(self, buffer: &str, rows: u32, cols: u32) -> Self {
-        self.write(buffer, OutputShape::Grid { rows, cols })
-    }
-
-    /// Makes the output shape a function of the iteration index (the
-    /// reduction-tree case). `Send + Sync` because the spec crosses into
-    /// worker threads.
-    pub fn output_per_iter(
-        mut self,
-        f: impl Fn(usize) -> OutputShape + Send + Sync + 'static,
-    ) -> Self {
-        self.output_fn = Some(Arc::new(f));
-        self
-    }
-
-    /// Overrides a declared uniform with a fixed value for this pass.
-    pub fn uniform(mut self, name: &str, value: Value) -> Self {
-        self.uniforms.push((name.to_owned(), value));
-        self
-    }
-
-    /// Overrides a declared uniform per iteration (FFT stage widths,
-    /// reduction `n_live`, …).
-    pub fn uniform_per_iter(
-        mut self,
-        name: &str,
-        f: impl Fn(usize) -> Value + Send + Sync + 'static,
-    ) -> Self {
-        self.uniform_fns.push((name.to_owned(), Arc::new(f)));
-        self
-    }
-}
-
-impl std::fmt::Debug for PassSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PassSpec")
-            .field("kernel", &self.kernel.name)
-            .field("reads", &self.reads)
-            .field("write", &self.write)
-            .field("dynamic_output", &self.output_fn.is_some())
-            .field("uniforms", &self.uniforms)
-            .field(
-                "per_iter_uniforms",
-                &self
-                    .uniform_fns
-                    .iter()
-                    .map(|(n, _)| n.as_str())
-                    .collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-/// Builder for [`PipelineSpec`]s; see [`PipelineSpec::builder`].
-pub struct PipelineSpecBuilder {
-    name: String,
-    sources: Vec<SourceDecl>,
-    passes: Vec<PassSpec>,
-    iterations: Option<usize>,
-    iteration_cap: Option<usize>,
-    until: Option<SharedUntilFn>,
-    ping_pongs: Vec<(String, String)>,
-}
-
-impl PipelineSpecBuilder {
+impl PipelineBuilder<Arc<KernelSpec>> {
     /// Declares a linear `f32` source buffer; jobs supply its data
     /// positionally, in declaration order.
     pub fn source(self, name: &str) -> Self {
@@ -830,13 +750,8 @@ impl PipelineSpecBuilder {
 
     /// Declares a linear source buffer of an explicit scalar type — jobs
     /// must seed it with matching [`TensorData`].
-    pub fn source_typed(mut self, name: &str, scalar: ScalarType) -> Self {
-        self.sources.push(SourceDecl {
-            name: name.to_owned(),
-            shape: SourceShape::Linear(None),
-            scalar,
-        });
-        self
+    pub fn source_typed(self, name: &str, scalar: ScalarType) -> Self {
+        self.declared_source(name, scalar, SourceShape::Linear(None))
     }
 
     /// Declares a linear `f32` source buffer of exactly `len` elements
@@ -846,13 +761,8 @@ impl PipelineSpecBuilder {
     }
 
     /// Declares a typed linear source buffer of exactly `len` elements.
-    pub fn source_len_typed(mut self, name: &str, scalar: ScalarType, len: usize) -> Self {
-        self.sources.push(SourceDecl {
-            name: name.to_owned(),
-            shape: SourceShape::Linear(Some(len)),
-            scalar,
-        });
-        self
+    pub fn source_len_typed(self, name: &str, scalar: ScalarType, len: usize) -> Self {
+        self.declared_source(name, scalar, SourceShape::Linear(Some(len)))
     }
 
     /// Declares a row-major `rows × cols` `f32` matrix source buffer.
@@ -862,54 +772,8 @@ impl PipelineSpecBuilder {
 
     /// Declares a typed row-major `rows × cols` matrix source buffer —
     /// how a quantized image enters a CNN pipeline.
-    pub fn source_grid_typed(
-        mut self,
-        name: &str,
-        scalar: ScalarType,
-        rows: u32,
-        cols: u32,
-    ) -> Self {
-        self.sources.push(SourceDecl {
-            name: name.to_owned(),
-            shape: SourceShape::Grid { rows, cols },
-            scalar,
-        });
-        self
-    }
-
-    /// Appends a pass; passes execute in declaration order each iteration.
-    pub fn pass(mut self, pass: PassSpec) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// Runs the dag a fixed number of iterations (default 1).
-    pub fn iterations(mut self, n: usize) -> Self {
-        self.iterations = Some(n);
-        self
-    }
-
-    /// Caps an `until`-driven loop, turning cap exhaustion into
-    /// [`ComputeError::IterationCap`] on the job handle. Defaults to
-    /// [`DEFAULT_SERVE_ITERATION_CAP`] when an `until` predicate is set
-    /// without a fixed iteration count.
-    pub fn iteration_cap(mut self, cap: usize) -> Self {
-        self.iteration_cap = Some(cap.max(1));
-        self
-    }
-
-    /// Runs the dag until `stop(completed_iterations)` returns `true`
-    /// (checked after each iteration).
-    pub fn until(mut self, stop: impl Fn(usize) -> bool + Send + Sync + 'static) -> Self {
-        self.until = Some(Arc::new(stop));
-        self
-    }
-
-    /// Swaps buffers `front` and `back` after every iteration (the FFT's
-    /// explicit double-buffer pair).
-    pub fn ping_pong(mut self, front: &str, back: &str) -> Self {
-        self.ping_pongs.push((front.to_owned(), back.to_owned()));
-        self
+    pub fn source_grid_typed(self, name: &str, scalar: ScalarType, rows: u32, cols: u32) -> Self {
+        self.declared_source(name, scalar, SourceShape::Grid { rows, cols })
     }
 
     /// Validates the wiring — context-free, so a malformed spec is
@@ -918,165 +782,28 @@ impl PipelineSpecBuilder {
     ///
     /// # Errors
     ///
-    /// [`ComputeError::BadKernel`] for empty dags, duplicate sources,
-    /// passes without a write, unwired kernel inputs, reads of buffers
-    /// before their first write, unknown or type-mismatched uniform
-    /// overrides, and unknown ping-pong names.
+    /// [`ComputeError::BadKernel`] for a kernel spec without an output,
+    /// and for everything [`PipelineBuilder::build`] rejects — here every
+    /// kernel input has no default, so each must be read exactly once.
     pub fn build(self) -> Result<PipelineSpec, ComputeError> {
-        if self.passes.is_empty() {
+        let mut pipeline = self.checked()?;
+        if let Some(pass) = pipeline.passes.iter().find(|p| p.kernel.output.is_none()) {
             return Err(bad_job(format!(
-                "pipeline spec `{}` declares no passes",
-                self.name
+                "kernel spec `{}` (pass of `{}`) declares no output",
+                pass.kernel.name, pipeline.name
             )));
         }
-        let mut buffers: HashSet<&str> = HashSet::new();
-        // Every buffer carries one scalar type for the pipeline's whole
-        // life: sources fix theirs at declaration, written buffers take
-        // the writing kernel's output scalar, and every read/rewrite must
-        // agree — so a u8 activation can never be sampled as f32.
-        let mut scalars: HashMap<&str, ScalarType> = HashMap::new();
-        for decl in &self.sources {
-            if !buffers.insert(&decl.name) {
-                return Err(bad_job(format!(
-                    "pipeline spec `{}` declares source `{}` twice",
-                    self.name, decl.name
-                )));
-            }
-            scalars.insert(&decl.name, decl.scalar);
+        let fingerprint = spec_fingerprint(&pipeline);
+        if pipeline.until.is_some() && pipeline.iterations.is_none() {
+            pipeline
+                .iteration_cap
+                .get_or_insert(DEFAULT_SERVE_ITERATION_CAP);
         }
-        // A read must be satisfiable on the FIRST iteration, exactly as
-        // in `PipelineBuilder::build`.
-        let mut available: HashSet<&str> = self.sources.iter().map(|d| d.name.as_str()).collect();
-        for pass in &self.passes {
-            let kernel = &pass.kernel;
-            let (write_name, _) = pass.write.as_ref().ok_or_else(|| {
-                bad_job(format!(
-                    "pass `{}` of pipeline spec `{}` writes no buffer",
-                    kernel.name, self.name
-                ))
-            })?;
-            if kernel.output.is_none() {
-                return Err(bad_job(format!(
-                    "kernel spec `{}` (pass of `{}`) declares no output",
-                    kernel.name, self.name
-                )));
-            }
-            for (input, _) in &kernel.inputs {
-                let mapped = pass.reads.iter().filter(|(i, _)| i == input).count();
-                if mapped != 1 {
-                    return Err(bad_job(format!(
-                        "input `{input}` of pass `{}` in pipeline spec `{}` has {mapped} \
-                         read mappings; a spec pass must wire every input exactly once",
-                        kernel.name, self.name
-                    )));
-                }
-            }
-            for (input, buffer) in &pass.reads {
-                let Some((_, want)) = kernel.inputs.iter().find(|(n, _)| n == input) else {
-                    return Err(bad_job(format!(
-                        "kernel spec `{}` declares no input `{input}`",
-                        kernel.name
-                    )));
-                };
-                if !available.contains(buffer.as_str()) {
-                    return Err(bad_job(format!(
-                        "pass `{}` reads buffer `{buffer}` before its first write",
-                        kernel.name
-                    )));
-                }
-                if let Some(have) = scalars.get(buffer.as_str()) {
-                    if have != want {
-                        return Err(bad_job(format!(
-                            "input `{input}` of pass `{}` in pipeline spec `{}` is declared \
-                             {want:?}, but buffer `{buffer}` holds {have:?}",
-                            kernel.name, self.name
-                        )));
-                    }
-                }
-            }
-            for (name, value) in &pass.uniforms {
-                check_spec_uniform(kernel, name, Some(value))?;
-            }
-            for (name, _) in &pass.uniform_fns {
-                check_spec_uniform(kernel, name, None)?;
-            }
-            if let Some(have) = scalars.get(write_name.as_str()) {
-                if *have != kernel.output_scalar {
-                    return Err(bad_job(format!(
-                        "pass `{}` writes {:?} into buffer `{write_name}` of pipeline spec \
-                         `{}`, which holds {have:?}; a buffer keeps one scalar type",
-                        kernel.name, kernel.output_scalar, self.name
-                    )));
-                }
-            }
-            scalars.insert(write_name, kernel.output_scalar);
-            buffers.insert(write_name);
-            available.insert(write_name);
-        }
-        for (front, back) in &self.ping_pongs {
-            for name in [front, back] {
-                if !buffers.contains(name.as_str()) {
-                    return Err(bad_job(format!(
-                        "ping-pong names unknown buffer `{name}` in pipeline spec `{}`",
-                        self.name
-                    )));
-                }
-            }
-            if scalars.get(front.as_str()) != scalars.get(back.as_str()) {
-                return Err(bad_job(format!(
-                    "ping-pong pair `{front}`/`{back}` of pipeline spec `{}` mixes scalar \
-                     types ({:?} vs {:?})",
-                    self.name,
-                    scalars.get(front.as_str()),
-                    scalars.get(back.as_str())
-                )));
-            }
-        }
-        let iteration_cap = match (self.iteration_cap, &self.until, self.iterations) {
-            (Some(cap), _, _) => Some(cap),
-            (None, Some(_), None) => Some(DEFAULT_SERVE_ITERATION_CAP),
-            _ => None,
-        };
-        let fingerprint = spec_fingerprint(&self);
         Ok(PipelineSpec {
-            name: self.name,
-            sources: self.sources,
-            passes: self.passes,
-            iterations: self.iterations,
-            iteration_cap,
-            until: self.until,
-            ping_pongs: self.ping_pongs,
+            pipeline,
             fingerprint,
         })
     }
-}
-
-pub(crate) fn check_spec_uniform(
-    kernel: &KernelSpec,
-    name: &str,
-    value: Option<&Value>,
-) -> Result<(), ComputeError> {
-    let decl = kernel
-        .uniforms
-        .iter()
-        .find(|(n, _)| n == name)
-        .ok_or_else(|| {
-            bad_job(format!(
-                "kernel spec `{}` declares no uniform `{name}`",
-                kernel.name
-            ))
-        })?;
-    if let Some(v) = value {
-        if std::mem::discriminant(&decl.1) != std::mem::discriminant(v) {
-            return Err(bad_job(format!(
-                "uniform `{name}` of kernel spec `{}` is {}, bound {}",
-                kernel.name,
-                decl.1.ty(),
-                v.ty()
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Computes the per-worker cache key for a spec: a structural hash of
@@ -1084,15 +811,15 @@ pub(crate) fn check_spec_uniform(
 /// dynamic output shape, `until` predicate) contributing a process-unique
 /// token instead — two structurally identical closure-free specs share a
 /// cached pipeline, while closure-bearing specs never alias.
-pub(crate) fn spec_fingerprint(b: &PipelineSpecBuilder) -> u64 {
+fn spec_fingerprint(p: &Pipeline<Arc<KernelSpec>>) -> u64 {
     let mut h = DefaultHasher::new();
-    b.name.hash(&mut h);
-    for decl in &b.sources {
-        decl.name.hash(&mut h);
-        format!("{:?}", decl.shape).hash(&mut h);
-        decl.scalar.hash(&mut h);
+    p.name.hash(&mut h);
+    for source in &p.sources {
+        source.name.hash(&mut h);
+        format!("{:?}", source.shape).hash(&mut h);
+        source.kind.hash(&mut h);
     }
-    for pass in &b.passes {
+    for pass in &p.passes {
         let k = &pass.kernel;
         k.name.hash(&mut h);
         k.inputs.hash(&mut h);
@@ -1118,22 +845,23 @@ pub(crate) fn spec_fingerprint(b: &PipelineSpecBuilder) -> u64 {
             next_unique_id().hash(&mut h);
         }
     }
-    b.iterations.hash(&mut h);
-    b.iteration_cap.hash(&mut h);
-    if b.until.is_some() {
+    p.iterations.hash(&mut h);
+    p.iteration_cap.hash(&mut h);
+    if p.until.is_some() {
         next_unique_id().hash(&mut h);
     }
-    b.ping_pongs.hash(&mut h);
+    p.ping_pongs.hash(&mut h);
     h.finish()
 }
 
 /// A context-free description of a whole retained multi-pass pipeline:
-/// everything [`Pipeline::builder`] captures — passes, buffer wiring,
+/// the declared form of a [`Pipeline`] — passes, buffer wiring,
 /// per-iteration uniforms and shapes, ping-pong pairs, iteration counts
-/// and `until` predicates — minus the textures, so any engine worker can
-/// build, cache and run it. The serving analog of recording an op-graph
-/// once and replaying it per request (the TFLite-delegate / CNNdroid
-/// amortisation, lifted to multi-pass kernels).
+/// and `until` predicates over kernel specs, with typed, shaped sources
+/// instead of textures — so any engine worker can build, cache and run
+/// it. The serving analog of recording an op-graph once and replaying it
+/// per request (the TFLite-delegate / CNNdroid amortisation, lifted to
+/// multi-pass kernels).
 ///
 /// Specs are immutable once built; wrap them in [`Arc`] and submit them
 /// through [`Engine::submit_pipeline`]. Each worker builds the pipeline
@@ -1171,33 +899,15 @@ pub(crate) fn spec_fingerprint(b: &PipelineSpecBuilder) -> u64 {
 /// ```
 #[derive(Clone)]
 pub struct PipelineSpec {
-    pub(crate) name: String,
-    pub(crate) sources: Vec<SourceDecl>,
-    pub(crate) passes: Vec<PassSpec>,
-    pub(crate) iterations: Option<usize>,
-    pub(crate) iteration_cap: Option<usize>,
-    pub(crate) until: Option<SharedUntilFn>,
-    pub(crate) ping_pongs: Vec<(String, String)>,
+    /// The checked plan; every source is declared without a texture.
+    pub(crate) pipeline: Pipeline<Arc<KernelSpec>>,
     pub(crate) fingerprint: u64,
 }
 
 impl std::fmt::Debug for PipelineSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelineSpec")
-            .field("name", &self.name)
-            .field(
-                "sources",
-                &self
-                    .sources
-                    .iter()
-                    .map(|d| d.name.as_str())
-                    .collect::<Vec<_>>(),
-            )
-            .field("passes", &self.passes)
-            .field("iterations", &self.iterations)
-            .field("iteration_cap", &self.iteration_cap)
-            .field("has_until", &self.until.is_some())
-            .field("ping_pongs", &self.ping_pongs)
+            .field("pipeline", &self.pipeline)
             .field("fingerprint", &self.fingerprint)
             .finish()
     }
@@ -1206,20 +916,12 @@ impl std::fmt::Debug for PipelineSpec {
 impl PipelineSpec {
     /// Starts declaring a pipeline spec named `name`.
     pub fn builder(name: impl Into<String>) -> PipelineSpecBuilder {
-        PipelineSpecBuilder {
-            name: name.into(),
-            sources: Vec::new(),
-            passes: Vec::new(),
-            iterations: None,
-            iteration_cap: None,
-            until: None,
-            ping_pongs: Vec::new(),
-        }
+        PipelineBuilder::named(name.into())
     }
 
     /// The spec's name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.pipeline.name()
     }
 
     /// The per-worker cache key: a structural hash of the spec, with
@@ -1232,107 +934,43 @@ impl PipelineSpec {
 
     /// The declared source names, in positional order.
     pub fn source_names(&self) -> impl Iterator<Item = &str> {
-        self.sources.iter().map(|d| d.name.as_str())
+        self.pipeline.sources.iter().map(|s| s.name.as_str())
     }
 
     /// The buffer names a job may mark for readback.
     fn has_buffer(&self, name: &str) -> bool {
-        self.sources.iter().any(|d| d.name == name)
+        self.source_names().any(|s| s == name)
             || self
+                .pipeline
                 .passes
                 .iter()
                 .any(|p| p.write.as_ref().is_some_and(|(w, _)| w == name))
     }
 
-    /// Builds the retained pipeline on `cc` — a program-cache hit for
-    /// every pass everywhere but the first build in the process (shared
-    /// cache) or context. Public so direct (non-engine) execution of a
-    /// spec builds the byte-identical pipeline an engine worker runs —
-    /// the differential tests and the `a11` ablation rely on it.
+    /// Builds the retained pipeline on `cc`: each pass kernel from its
+    /// signature (a program-cache hit everywhere but the first build in
+    /// the process or context), the wiring shared with the spec. Creates
+    /// no textures and transfers nothing; every run must seed every
+    /// source. Public so direct (non-engine) execution of a spec builds
+    /// the byte-identical pipeline an engine worker runs — the
+    /// differential tests and the `a11` ablation rely on it.
     ///
     /// # Errors
     ///
-    /// Kernel build/compile errors and pipeline validation errors.
+    /// Kernel build/compile errors.
     pub fn build(&self, cc: &mut ComputeContext) -> Result<ServedPipeline, ComputeError> {
-        // Every source and kernel default binding points at a 1-texel
-        // placeholder of the buffer's scalar type: a run seeds every
-        // declared source with real data, and spec validation guarantees
-        // every kernel input is wired to a pipeline buffer, so the
-        // placeholder is never sampled — but its scalar tag must match
-        // the declaration for the typed build to pass.
-        let mut placeholders: Vec<(ScalarType, AnyGpuArray)> = Vec::new();
-        fn placeholder_for(
-            cc: &mut ComputeContext,
-            pool: &mut Vec<(ScalarType, AnyGpuArray)>,
-            scalar: ScalarType,
-        ) -> Result<AnyGpuArray, ComputeError> {
-            if let Some((_, a)) = pool.iter().find(|(s, _)| *s == scalar) {
-                return Ok(*a);
-            }
-            let a = cc.upload_any(&TensorData::zeros(scalar, 1))?;
-            pool.push((scalar, a));
-            Ok(a)
-        }
-        let mut builder = Pipeline::builder(self.name.clone());
-        for decl in &self.sources {
-            let placeholder = placeholder_for(cc, &mut placeholders, decl.scalar)?;
-            builder = builder.source_any(&decl.name, &placeholder);
-        }
-        for pass in &self.passes {
-            let mut arrays = Vec::with_capacity(pass.kernel.inputs.len());
-            for (_, scalar) in &pass.kernel.inputs {
-                arrays.push(placeholder_for(cc, &mut placeholders, *scalar)?);
-            }
-            let kernel = pass.kernel.build_any(cc, &arrays)?;
-            let mut p = Pass::new(&kernel);
-            for (input, buffer) in &pass.reads {
-                p = p.read(input, buffer);
-            }
-            let (write_name, shape) = pass.write.as_ref().expect("validated by spec build");
-            p = p.write(write_name, *shape);
-            if let Some(f) = &pass.output_fn {
-                let f = Arc::clone(f);
-                p = p.output_per_iter(move |i| f(i));
-            }
-            for (name, value) in &pass.uniforms {
-                p = p.uniform(name, value.clone());
-            }
-            for (name, f) in &pass.uniform_fns {
-                let f = Arc::clone(f);
-                p = p.uniform_per_iter(name, move |i| f(i));
-            }
-            builder = builder.pass(p);
-        }
-        if let Some(n) = self.iterations {
-            builder = builder.iterations(n);
-        }
-        if let Some(cap) = self.iteration_cap {
-            builder = builder.iteration_cap(cap);
-        }
-        if let Some(until) = &self.until {
-            let until = Arc::clone(until);
-            builder = builder.until(move |i| until(i));
-        }
-        for (front, back) in &self.ping_pongs {
-            builder = builder.ping_pong(front, back);
-        }
         Ok(ServedPipeline {
-            pipeline: builder.build()?,
-            placeholders: placeholders.into_iter().map(|(_, a)| a).collect(),
+            pipeline: self.pipeline.map_kernels(|spec| spec.build_declared(cc))?,
         })
     }
 }
 
 /// A [`PipelineSpec`] compiled against one context: the retained
-/// [`Pipeline`] plus the source metadata needed to seed it per request.
-/// Obtained from [`PipelineSpec::build`]; engine workers cache one per
-/// spec fingerprint.
+/// [`Pipeline`], whose sources every run seeds. Obtained from
+/// [`PipelineSpec::build`]; engine workers cache one per spec
+/// fingerprint.
 pub struct ServedPipeline {
     pub(crate) pipeline: Pipeline,
-    /// The 1-texel arrays (one per scalar type the spec touches) backing
-    /// build-time bindings; recycled when the worker evicts the cached
-    /// pipeline.
-    pub(crate) placeholders: Vec<AnyGpuArray>,
 }
 
 impl ServedPipeline {
@@ -1440,22 +1078,23 @@ impl PipelineJob {
 
     pub(crate) fn validate(&self) -> Result<(), ComputeError> {
         let spec = &self.spec;
-        if self.sources.len() != spec.sources.len() {
+        let sources = &spec.pipeline.sources;
+        if self.sources.len() != sources.len() {
             return Err(bad_job(format!(
                 "pipeline job for `{}` supplies {} sources, spec declares {}",
-                spec.name,
+                spec.name(),
                 self.sources.len(),
-                spec.sources.len()
+                sources.len()
             )));
         }
-        for (decl, input) in spec.sources.iter().zip(&self.sources) {
-            input.check_live(&format!("pipeline job for `{}`", spec.name))?;
-            if input.scalar() != decl.scalar {
+        for (decl, input) in sources.iter().zip(&self.sources) {
+            input.check_live(&format!("pipeline job for `{}`", spec.name()))?;
+            if decl.kind != BufKind::Scalar(input.scalar()) {
                 return Err(bad_job(format!(
-                    "source `{}` of pipeline `{}` is declared {:?}, supplied {:?} data",
+                    "source `{}` of pipeline `{}` holds {:?}, supplied {:?} data",
                     decl.name,
-                    spec.name,
-                    decl.scalar,
+                    spec.name(),
+                    decl.kind,
                     input.scalar()
                 )));
             }
@@ -1470,7 +1109,7 @@ impl PipelineJob {
                         "source `{}` of pipeline `{}` wants {want} elements, job \
                          supplies {}",
                         decl.name,
-                        spec.name,
+                        spec.name(),
                         input.len()
                     )));
                 }
@@ -1479,14 +1118,14 @@ impl PipelineJob {
         if self.reads.is_empty() {
             return Err(bad_job(format!(
                 "pipeline job for `{}` reads no buffers; mark at least one with .read()",
-                spec.name
+                spec.name()
             )));
         }
         for buffer in &self.reads {
             if !spec.has_buffer(buffer) {
                 return Err(bad_job(format!(
                     "pipeline `{}` has no buffer `{buffer}` to read",
-                    spec.name
+                    spec.name()
                 )));
             }
         }

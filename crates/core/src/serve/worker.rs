@@ -123,7 +123,7 @@ impl Completed {
 
 /// Built pipelines a worker caches across requests, keyed by
 /// [`PipelineSpec::fingerprint`]; beyond the cap the oldest entry is
-/// dropped (its placeholder texture recycled — the programs stay in the
+/// dropped (it owns no textures; the programs stay in the
 /// context/shared caches, so rebuilding links nothing).
 pub(crate) const PIPELINES_PER_WORKER_CAP: usize = 32;
 
@@ -172,11 +172,7 @@ impl WorkerState {
         let key = spec.fingerprint();
         if !self.pipelines.contains(&key) {
             let served = spec.build(cc)?;
-            for (_, evicted) in self.pipelines.insert(key, served) {
-                for placeholder in evicted.placeholders {
-                    cc.recycle_any(placeholder);
-                }
-            }
+            self.pipelines.insert(key, served);
         }
         Ok(self.pipelines.get(&key).expect("just ensured present"))
     }
@@ -459,7 +455,7 @@ pub(crate) fn run_pipeline(
     let mut seeds = Vec::with_capacity(job.sources.len());
     let mut uploads: Vec<AnyGpuArray> = Vec::new();
     let mut failure = None;
-    for (decl, input) in job.spec.sources.iter().zip(&job.sources) {
+    for (decl, input) in job.spec.pipeline.sources.iter().zip(&job.sources) {
         let resolved = match input {
             JobInput::Data(data) => {
                 let uploaded = match decl.shape {

@@ -2,8 +2,10 @@
 //! rebindable dispatches, the retained `Pipeline`, and the steady-state
 //! zero-new-GL-objects guarantee.
 
+use gpes::core::SourceSeed;
 use gpes::glsl::Value;
 use gpes::prelude::*;
+use std::sync::Arc;
 
 /// Builds the two-kernel "blur then gain" chain used by the differential
 /// tests: `mid = (x[i-1] + x[i] + x[i+1]) / 3`, `x' = mid * gain`.
@@ -373,4 +375,321 @@ fn steady_state_iteration_creates_no_gl_objects() {
     );
     assert!(steady.program_cache_hits > warm.program_cache_hits);
     assert!(steady.texture_pool_hits > warm.texture_pool_hits);
+}
+
+#[test]
+fn dispatching_an_unbound_declared_input_is_a_typed_error() {
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let a = cc.upload(&[1.0f32, 2.0]).expect("a");
+    let k = Kernel::builder("scale")
+        .input_declared("x", ScalarType::F32)
+        .output(ScalarType::F32, 2)
+        .body("return fetch_x(idx) * 3.0;")
+        .build(&mut cc)
+        .expect("a declared input needs no texture to build");
+    let err = cc.run_f32(&k).unwrap_err();
+    assert!(matches!(err, ComputeError::BadKernel { .. }), "{err:?}");
+    assert!(err.to_string().contains("`x`"), "{err}");
+    assert!(cc.run_to_array::<f32>(&k).is_err());
+    let out = cc
+        .run_f32_with(&k, &Bindings::new().input("x", &a))
+        .expect("bound dispatch");
+    assert_eq!(out, vec![3.0, 6.0]);
+    // A pipeline pass must read it, too.
+    let err = Pipeline::builder("p")
+        .source("x", &a)
+        .pass(Pass::new(&k).write_len("y", 2))
+        .build()
+        .unwrap_err();
+    assert!(err.to_string().contains("unbound"), "{err}");
+}
+
+#[test]
+fn mixed_kind_ping_pong_is_rejected_at_build() {
+    // `a` holds f32 and `b` u8: swapping them would make the second
+    // iteration decode u8 bytes as f32.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let a = cc.upload(&[1.0f32, 2.0, 3.0, 4.0]).expect("a");
+    let quantize = Kernel::builder("quantize")
+        .input("x", &a)
+        .output(ScalarType::U8, 4)
+        .body("return fetch_x(idx);")
+        .build(&mut cc)
+        .expect("kernel");
+    let err = Pipeline::builder("mixed")
+        .source("a", &a)
+        .pass(Pass::new(&quantize).read("x", "a").write_len("b", 4))
+        .ping_pong("a", "b")
+        .iterations(2)
+        .build()
+        .unwrap_err();
+    assert!(matches!(err, ComputeError::BadKernel { .. }), "{err:?}");
+    assert!(err.to_string().contains("holds"), "{err}");
+}
+
+#[test]
+fn an_input_read_from_two_buffers_is_rejected_at_build() {
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let a = cc.upload(&[1.0f32, 2.0]).expect("a");
+    let b = cc.upload(&[3.0f32, 4.0]).expect("b");
+    let k = Kernel::builder("id")
+        .input("x", &a)
+        .output(ScalarType::F32, 2)
+        .body("return fetch_x(idx);")
+        .build(&mut cc)
+        .expect("kernel");
+    let err = Pipeline::builder("twice")
+        .source("a", &a)
+        .source("b", &b)
+        .pass(
+            Pass::new(&k)
+                .read("x", "a")
+                .read("x", "b")
+                .write_len("y", 2),
+        )
+        .build()
+        .unwrap_err();
+    assert!(matches!(err, ComputeError::BadKernel { .. }), "{err:?}");
+    assert!(err.to_string().contains("read from 2 buffers"), "{err}");
+}
+
+/// The kernels the malformed-dag table wires: `id` copies an f32 input
+/// (and declares a `gain` uniform), `quantize` packs an f32 input as u8.
+/// Neither input has a default texture.
+struct TableKernels<K> {
+    id: K,
+    quantize: K,
+}
+
+/// Every malformed dag, declared through the builder API the core
+/// `Pipeline` and the serving `PipelineSpec` share. `source` declares a
+/// source of a scalar type the way each builder does. Returns
+/// `(case, expected message substring, builder)`.
+fn malformed_dags<K: Clone>(
+    k: &TableKernels<K>,
+    builder: impl Fn() -> gpes::core::PipelineBuilder<K>,
+    source: impl Fn(gpes::core::PipelineBuilder<K>, &str, ScalarType) -> gpes::core::PipelineBuilder<K>,
+) -> Vec<(&'static str, &'static str, gpes::core::PipelineBuilder<K>)> {
+    let f32_src = |name| source(builder(), name, ScalarType::F32);
+    let copy = |from: &str, to: &str| Pass::new(&k.id).read("x", from).write_len(to, 4);
+    vec![
+        ("no passes", "no passes", f32_src("x")),
+        (
+            "duplicate source",
+            "twice",
+            source(f32_src("x"), "x", ScalarType::F32).pass(copy("x", "y")),
+        ),
+        (
+            "pass without a write",
+            "writes no buffer",
+            f32_src("x").pass(Pass::new(&k.id).read("x", "x")),
+        ),
+        (
+            "unknown input",
+            "no input",
+            f32_src("x").pass(copy("x", "y").read("nope", "x")),
+        ),
+        (
+            "unwired input",
+            "unbound",
+            f32_src("x").pass(Pass::new(&k.id).write_len("y", 4)),
+        ),
+        (
+            "input read twice",
+            "read from 2 buffers",
+            f32_src("x").pass(copy("x", "y").read("x", "x")),
+        ),
+        (
+            "read of an unknown buffer",
+            "no buffer",
+            f32_src("x").pass(copy("ghost", "y")),
+        ),
+        (
+            "read before first write",
+            "before its first write",
+            f32_src("x")
+                .pass(copy("later", "y"))
+                .pass(copy("y", "later")),
+        ),
+        (
+            "unknown uniform",
+            "no uniform",
+            f32_src("x").pass(copy("x", "y").uniform("missing", Value::Float(1.0))),
+        ),
+        (
+            "mistyped uniform",
+            "bound",
+            f32_src("x").pass(copy("x", "y").uniform("gain", Value::Vec2([1.0, 2.0]))),
+        ),
+        (
+            "mistyped per-iteration uniform name",
+            "no uniform",
+            f32_src("x").pass(copy("x", "y").uniform_per_iter("gian", |_| Value::Float(1.0))),
+        ),
+        (
+            "unknown ping-pong buffer",
+            "unknown buffer",
+            f32_src("x").pass(copy("x", "y")).ping_pong("y", "ghost"),
+        ),
+        (
+            "mixed-kind ping-pong",
+            "holds",
+            f32_src("a")
+                .pass(Pass::new(&k.quantize).read("x", "a").write_len("b", 4))
+                .ping_pong("a", "b"),
+        ),
+        (
+            "read of the wrong scalar type",
+            "holds",
+            source(builder(), "x", ScalarType::U8).pass(copy("x", "y")),
+        ),
+        (
+            "rewrite with a different scalar type",
+            "holds",
+            f32_src("x")
+                .pass(copy("x", "y"))
+                .pass(Pass::new(&k.quantize).read("x", "x").write_len("y", 4)),
+        ),
+    ]
+}
+
+#[test]
+fn malformed_dags_are_rejected_by_pipeline_and_spec_alike() {
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let xf = cc.upload(&[1.0f32, 2.0, 3.0, 4.0]).expect("f32");
+    let xu = cc.upload(&[1u8, 2, 3, 4]).expect("u8");
+    let kernel = |name: &str, out: ScalarType| {
+        Kernel::builder(name)
+            .input_declared("x", ScalarType::F32)
+            .uniform_f32("gain", 1.0)
+            .output(out, 4)
+            .body("return fetch_x(idx) * gain;")
+    };
+    let core = TableKernels {
+        id: kernel("id", ScalarType::F32).build(&mut cc).expect("id"),
+        quantize: kernel("quantize", ScalarType::U8)
+            .build(&mut cc)
+            .expect("quantize"),
+    };
+    let spec = |name: &str, out: ScalarType| {
+        Arc::new(
+            KernelSpec::new(name)
+                .input("x")
+                .uniform_f32("gain", 1.0)
+                .output_typed(out, 4)
+                .body("return fetch_x(idx) * gain;"),
+        )
+    };
+    let specs = TableKernels {
+        id: spec("id", ScalarType::F32),
+        quantize: spec("quantize", ScalarType::U8),
+    };
+    let core_cases = malformed_dags(
+        &core,
+        || Pipeline::builder("core"),
+        |b, name, scalar| match scalar {
+            ScalarType::U8 => b.source(name, &xu),
+            _ => b.source(name, &xf),
+        },
+    );
+    let spec_cases = malformed_dags(
+        &specs,
+        || PipelineSpec::builder("spec"),
+        |b, name, scalar| b.source_typed(name, scalar),
+    );
+    assert_eq!(core_cases.len(), spec_cases.len());
+    for ((case, want, core), (_, _, spec)) in core_cases.into_iter().zip(spec_cases) {
+        for (api, result) in [
+            ("Pipeline", core.build().map(|_| ())),
+            ("PipelineSpec", spec.build().map(|_| ())),
+        ] {
+            match result {
+                Err(ComputeError::BadKernel { message }) => {
+                    assert!(message.contains(want), "{api} / {case}: {message}")
+                }
+                other => panic!("{api} / {case}: expected BadKernel, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn an_unseeded_declared_source_is_a_typed_error() {
+    // At build, a spec used to bind every source to a 1-texel zero
+    // placeholder, so an unseeded run shaded zeros and returned
+    // `[1.0; 4]` for `double(x) * 2 + 1`.
+    let double = Arc::new(
+        KernelSpec::new("double")
+            .input("x")
+            .output(4)
+            .body("return fetch_x(idx) * 2.0 + 1.0;"),
+    );
+    let spec = PipelineSpec::builder("unseeded")
+        .source_len("x", 4)
+        .pass(PassSpec::new(&double).read("x", "x").write_len("y", 4))
+        .build()
+        .expect("spec");
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let served = spec.build(&mut cc).expect("build");
+    for result in [
+        served.pipeline().run_and_read::<f32>(&mut cc, "y"),
+        served
+            .pipeline()
+            .run_and_read_seeded::<f32>(&mut cc, &[], "y"),
+    ] {
+        match result {
+            Err(ComputeError::BadKernel { message }) => {
+                assert!(message.contains("source `x`"), "{message}")
+            }
+            other => panic!("expected BadKernel, got {other:?}"),
+        }
+    }
+    // Seeded, the same pipeline computes.
+    let x = cc.upload(&[1.0f32, 2.0, 3.0, 4.0]).expect("x");
+    let out: Vec<f32> = served
+        .pipeline()
+        .run_and_read_seeded(&mut cc, &[SourceSeed::array("x", &x)], "y")
+        .expect("seeded run");
+    assert_eq!(out, vec![3.0, 5.0, 7.0, 9.0]);
+    // The core builder's declared source behaves the same.
+    let k = double.build(&mut cc, &[x]).expect("kernel");
+    let pipe = Pipeline::builder("declared")
+        .declare_source("x", ScalarType::F32)
+        .pass(Pass::new(&k).read("x", "x").write_len("y", 4))
+        .build()
+        .expect("pipeline");
+    let err = pipe.run(&mut cc).unwrap_err();
+    assert!(err.to_string().contains("source `x`"), "{err}");
+}
+
+#[test]
+fn spec_build_creates_no_textures_and_transfers_nothing() {
+    let scale = Arc::new(
+        KernelSpec::new("scale")
+            .input_typed("x", ScalarType::U8)
+            .output_typed(ScalarType::U8, 4)
+            .body("return fetch_x(idx) * 0.5;"),
+    );
+    let spec = PipelineSpec::builder("declared")
+        .source_typed("x", ScalarType::U8)
+        .pass(PassSpec::new(&scale).read("x", "x").write_len("x", 4))
+        .iterations(2)
+        .build()
+        .expect("spec");
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let before = cc.stats();
+    let served = spec.build(&mut cc).expect("build");
+    let after = cc.stats();
+    assert_eq!(after.textures_created, before.textures_created);
+    assert_eq!(after.f32_host_transfers, before.f32_host_transfers);
+    assert_eq!(
+        after.quantized_host_transfers,
+        before.quantized_host_transfers
+    );
+    let x = cc.upload(&[8u8, 16, 32, 64]).expect("x");
+    let out: Vec<u8> = served
+        .pipeline()
+        .run_and_read_seeded(&mut cc, &[SourceSeed::array("x", &x)], "x")
+        .expect("run");
+    assert_eq!(out, vec![2, 4, 8, 16]);
 }
