@@ -312,9 +312,12 @@ impl<'a> StageExec<'a> {
         }
     }
 
-    fn global(&self, lane: usize, name: &str) -> Option<Value> {
+    /// Reads one lane's global through a slot pre-resolved with
+    /// [`StageExec::resolve`]; `name` is only consulted by the
+    /// tree-walker.
+    fn global_at(&self, lane: usize, slot: u32, name: &str) -> Option<Value> {
         match self {
-            StageExec::Spmd(vm) => vm.global(lane, name),
+            StageExec::Spmd(vm) => Some(vm.global_at(lane, slot)),
             StageExec::Tree(interp) => interp.global(name).cloned(),
         }
     }
@@ -464,6 +467,7 @@ pub(crate) fn draw(
 
     // Vertices shade `lanes()` at a time; primitive assembly reads them
     // back in vertex order.
+    let outputs = VertexOutputs::resolve(&vs, &layout);
     let mut shaded: Vec<ShadedVertex> = Vec::with_capacity(count);
     let end = first + count;
     for start in (first..end).step_by(vs.lanes()) {
@@ -475,7 +479,7 @@ pub(crate) fn draw(
         }
         vs.run_batch(n).map_err(|e| GlError::ShaderTrap(e.error))?;
         for lane in 0..n {
-            shaded.push(vertex_outputs(&vs, lane, &layout)?);
+            shaded.push(vertex_outputs(&vs, lane, &outputs, &layout)?);
         }
     }
     stats.vertices_shaded = count as u32;
@@ -504,20 +508,45 @@ pub(crate) fn draw(
     Ok(stats)
 }
 
+/// The vertex stage's outputs, resolved to slots once per draw (`None`
+/// where the stage does not declare the global).
+struct VertexOutputs {
+    position: Option<u32>,
+    point_size: Option<u32>,
+    /// One per entry of [`VaryingLayout::names`].
+    varyings: Vec<Option<u32>>,
+}
+
+impl VertexOutputs {
+    fn resolve(vs: &StageExec<'_>, layout: &VaryingLayout) -> VertexOutputs {
+        VertexOutputs {
+            position: vs.resolve("gl_Position"),
+            point_size: vs.resolve("gl_PointSize"),
+            varyings: layout
+                .names
+                .iter()
+                .map(|(name, ..)| vs.resolve(name))
+                .collect(),
+        }
+    }
+}
+
 /// Reads one shaded vertex's `gl_Position`, varyings and `gl_PointSize`.
 fn vertex_outputs(
     vs: &StageExec<'_>,
     lane: usize,
+    outputs: &VertexOutputs,
     layout: &VaryingLayout,
 ) -> Result<ShadedVertex, GlError> {
-    let clip = vs
-        .global(lane, "gl_Position")
+    let clip = outputs
+        .position
+        .and_then(|slot| vs.global_at(lane, slot, "gl_Position"))
         .and_then(|v| v.as_vec4())
         .ok_or_else(|| GlError::invalid_op("vertex shader did not produce gl_Position"))?;
     let mut varyings = Vec::with_capacity(layout.total);
-    for (name, _, len) in &layout.names {
-        let v = vs
-            .global(lane, name)
+    for ((name, _, len), slot) in layout.names.iter().zip(&outputs.varyings) {
+        let v = slot
+            .and_then(|slot| vs.global_at(lane, slot, name))
             .ok_or_else(|| GlError::invalid_op(format!("vertex shader lost varying `{name}`")))?;
         let comps = v
             .float_components()
@@ -525,7 +554,10 @@ fn vertex_outputs(
         debug_assert_eq!(comps.len(), *len);
         varyings.extend_from_slice(&comps);
     }
-    let point_size = match vs.global(lane, "gl_PointSize") {
+    let point_size = match outputs
+        .point_size
+        .and_then(|slot| vs.global_at(lane, slot, "gl_PointSize"))
+    {
         Some(Value::Float(f)) => f,
         _ => 1.0,
     };

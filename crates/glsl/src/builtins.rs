@@ -48,76 +48,132 @@ fn bvec_of_dim(dim: usize) -> Type {
     Type::vector_of(Scalar::Bool, dim).expect("bvec dim")
 }
 
-/// Whether `name` could dispatch to a builtin function or constructor for
-/// *some* argument list — i.e. whether [`call`] can ever return `Some`
-/// for it. Used by the bytecode lowerer, which must know statically when
-/// a user call site can be intercepted by the builtin layer.
-pub(crate) fn is_builtin_name(name: &str) -> bool {
-    matches!(
-        name,
-        "radians"
-            | "degrees"
-            | "sin"
-            | "cos"
-            | "tan"
-            | "asin"
-            | "acos"
-            | "atan"
-            | "pow"
-            | "exp"
-            | "log"
-            | "exp2"
-            | "log2"
-            | "sqrt"
-            | "inversesqrt"
-            | "abs"
-            | "sign"
-            | "floor"
-            | "ceil"
-            | "fract"
-            | "mod"
-            | "min"
-            | "max"
-            | "clamp"
-            | "mix"
-            | "step"
-            | "smoothstep"
-            | "length"
-            | "distance"
-            | "dot"
-            | "cross"
-            | "normalize"
-            | "faceforward"
-            | "reflect"
-            | "refract"
-            | "matrixCompMult"
-            | "lessThan"
-            | "lessThanEqual"
-            | "greaterThan"
-            | "greaterThanEqual"
-            | "equal"
-            | "notEqual"
-            | "any"
-            | "all"
-            | "not"
-            | "texture2D"
-            | "texture2DProj"
-            | "float"
-            | "int"
-            | "bool"
-            | "vec2"
-            | "vec3"
-            | "vec4"
-            | "ivec2"
-            | "ivec3"
-            | "ivec4"
-            | "bvec2"
-            | "bvec3"
-            | "bvec4"
-            | "mat2"
-            | "mat3"
-            | "mat4"
-    )
+/// Declares [`BuiltinId`] and its name table from one list.
+macro_rules! builtin_ids {
+    ($($id:ident = $name:literal,)*) => {
+        /// A builtin function or type constructor, resolved from its name
+        /// once (at lowering, or per call in the tree-walker) so that
+        /// [`call`] and the SPMD VM's fast paths switch on an enum rather
+        /// than matching strings.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum BuiltinId {
+            $(
+                #[doc = concat!("`", $name, "`")]
+                $id,
+            )*
+        }
+
+        impl BuiltinId {
+            /// Every builtin, in declaration order.
+            pub const ALL: &'static [BuiltinId] = &[$(BuiltinId::$id,)*];
+
+            /// The GLSL name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(BuiltinId::$id => $name,)*
+                }
+            }
+
+            /// The builtin called `name`, if any: whether [`call`] can
+            /// ever dispatch a call of that name for *some* argument list.
+            pub fn from_name(name: &str) -> Option<BuiltinId> {
+                match name {
+                    $($name => Some(BuiltinId::$id),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+builtin_ids! {
+    Radians = "radians",
+    Degrees = "degrees",
+    Sin = "sin",
+    Cos = "cos",
+    Tan = "tan",
+    Asin = "asin",
+    Acos = "acos",
+    Atan = "atan",
+    Pow = "pow",
+    Exp = "exp",
+    Log = "log",
+    Exp2 = "exp2",
+    Log2 = "log2",
+    Sqrt = "sqrt",
+    InverseSqrt = "inversesqrt",
+    Abs = "abs",
+    Sign = "sign",
+    Floor = "floor",
+    Ceil = "ceil",
+    Fract = "fract",
+    Mod = "mod",
+    Min = "min",
+    Max = "max",
+    Clamp = "clamp",
+    Mix = "mix",
+    Step = "step",
+    SmoothStep = "smoothstep",
+    Length = "length",
+    Distance = "distance",
+    Dot = "dot",
+    Cross = "cross",
+    Normalize = "normalize",
+    FaceForward = "faceforward",
+    Reflect = "reflect",
+    Refract = "refract",
+    MatrixCompMult = "matrixCompMult",
+    LessThan = "lessThan",
+    LessThanEqual = "lessThanEqual",
+    GreaterThan = "greaterThan",
+    GreaterThanEqual = "greaterThanEqual",
+    Equal = "equal",
+    NotEqual = "notEqual",
+    Any = "any",
+    All = "all",
+    Not = "not",
+    Texture2D = "texture2D",
+    Texture2DProj = "texture2DProj",
+    Float = "float",
+    Int = "int",
+    Bool = "bool",
+    Vec2 = "vec2",
+    Vec3 = "vec3",
+    Vec4 = "vec4",
+    IVec2 = "ivec2",
+    IVec3 = "ivec3",
+    IVec4 = "ivec4",
+    BVec2 = "bvec2",
+    BVec3 = "bvec3",
+    BVec4 = "bvec4",
+    Mat2 = "mat2",
+    Mat3 = "mat3",
+    Mat4 = "mat4",
+}
+
+impl BuiltinId {
+    /// The type a constructor builds; `None` for builtin functions.
+    fn constructs(self) -> Option<Type> {
+        use BuiltinId as B;
+        Some(match self {
+            B::Float => Type::Float,
+            B::Int => Type::Int,
+            B::Bool => Type::Bool,
+            B::Vec2 => Type::Vec2,
+            B::Vec3 => Type::Vec3,
+            B::Vec4 => Type::Vec4,
+            B::IVec2 => Type::IVec2,
+            B::IVec3 => Type::IVec3,
+            B::IVec4 => Type::IVec4,
+            B::BVec2 => Type::BVec2,
+            B::BVec3 => Type::BVec3,
+            B::BVec4 => Type::BVec4,
+            B::Mat2 => Type::Mat2,
+            B::Mat3 => Type::Mat3,
+            B::Mat4 => Type::Mat4,
+            _ => return None,
+        })
+    }
 }
 
 /// Computes the result type of a builtin call, or `None` if `name` is not a
@@ -225,24 +281,7 @@ pub fn signature(name: &str, args: &[Type]) -> Option<Type> {
 
 /// Result type for type constructors (`vec4(...)`, `float(...)`, …).
 fn constructor_signature(name: &str, args: &[Type]) -> Option<Type> {
-    let target = match name {
-        "float" => Type::Float,
-        "int" => Type::Int,
-        "bool" => Type::Bool,
-        "vec2" => Type::Vec2,
-        "vec3" => Type::Vec3,
-        "vec4" => Type::Vec4,
-        "ivec2" => Type::IVec2,
-        "ivec3" => Type::IVec3,
-        "ivec4" => Type::IVec4,
-        "bvec2" => Type::BVec2,
-        "bvec3" => Type::BVec3,
-        "bvec4" => Type::BVec4,
-        "mat2" => Type::Mat2,
-        "mat3" => Type::Mat3,
-        "mat4" => Type::Mat4,
-        _ => return None,
-    };
+    let target = BuiltinId::from_name(name)?.constructs()?;
     if args.is_empty() {
         return None;
     }
@@ -416,17 +455,50 @@ fn map3(
     Ok(gen_value(&ga.ty, comps))
 }
 
+/// `floor`, bit-identical to [`f32::floor`] but inline and branch-free:
+/// without SSE4.1 `f32::floor` is an out-of-line `floorf` call, and a
+/// codec kernel floors about a dozen times per fragment. Adding and
+/// subtracting 2²³ (with `x`'s sign) rounds any `|x| < 2²³` to an integer
+/// exactly; where that rounded up, step down one. `copysign` keeps
+/// `floor(-0.0) == -0.0`. Larger magnitudes, infinities and NaN are
+/// integral already and pass through unchanged.
+#[inline]
+pub(crate) fn floor_f32(x: f32) -> f32 {
+    const TWO23: f32 = 8_388_608.0;
+    let c = TWO23.copysign(x);
+    let t = (x + c) - c;
+    let r = if t > x { t - 1.0 } else { t }.copysign(x);
+    if x.abs() < TWO23 {
+        r
+    } else {
+        x
+    }
+}
+
+/// `ceil` on [`floor_f32`]: `ceil(x) = -floor(-x)`, which also gets the
+/// sign of zero right (`ceil(-0.5) == -0.0`).
+#[inline]
+pub(crate) fn ceil_f32(x: f32) -> f32 {
+    -floor_f32(-x)
+}
+
+/// GLSL `fract(x) = x - floor(x)`.
+#[inline]
+pub(crate) fn fract_f32(x: f32) -> f32 {
+    x - floor_f32(x)
+}
+
 /// GLSL `mod(x, y) = x - y * floor(x/y)`, computed in fp32 steps so the
 /// float model applies as on hardware.
 pub(crate) fn glsl_mod(x: f32, y: f32) -> f32 {
-    x - y * (x / y).floor()
+    x - y * floor_f32(x / y)
 }
 
 /// `exp2` with an exact fast path for integral arguments — powers of two
 /// are exactly representable and the numeric transformations of §IV depend
 /// on that exactness.
 pub(crate) fn exp2_f32(x: f32) -> f32 {
-    if x.fract() == 0.0 && (-149.0..=127.0).contains(&x) {
+    if floor_f32(x) == x && (-149.0..=127.0).contains(&x) {
         let e = x as i32;
         if e >= -126 {
             f32::from_bits(((e + 127) as u32) << 23)
@@ -481,35 +553,36 @@ fn bvec_comps(v: &Value) -> Result<Vec<bool>, RuntimeError> {
     }
 }
 
-/// Evaluates builtin `name` on `args`.
+/// Evaluates builtin `id` on `args`.
 ///
-/// Returns `None` if `name` is not a builtin or constructor (the caller
-/// then resolves a user-defined function).
+/// Returns `None` if no overload of `id` takes `args` (the caller then
+/// resolves a user-defined function of the same name).
 pub fn call(
-    name: &str,
+    id: BuiltinId,
     args: &[Value],
     cx: &mut BuiltinCx<'_>,
 ) -> Option<Result<Value, RuntimeError>> {
     use std::f32::consts::PI;
-    let r = match (name, args) {
-        ("radians", [x]) => map1(cx, x, false, |v| v * (PI / 180.0)),
-        ("degrees", [x]) => map1(cx, x, false, |v| v * (180.0 / PI)),
-        ("sin", [x]) => map1(cx, x, true, f32::sin),
-        ("cos", [x]) => map1(cx, x, true, f32::cos),
-        ("tan", [x]) => map1(cx, x, true, f32::tan),
-        ("asin", [x]) => map1(cx, x, true, f32::asin),
-        ("acos", [x]) => map1(cx, x, true, f32::acos),
-        ("atan", [x]) => map1(cx, x, true, f32::atan),
-        ("atan", [y, x]) => map2(cx, y, x, true, f32::atan2),
-        ("pow", [x, y]) => map2(cx, x, y, true, f32::powf),
-        ("exp", [x]) => map1(cx, x, true, f32::exp),
-        ("log", [x]) => map1(cx, x, true, f32::ln),
-        ("exp2", [x]) => map1(cx, x, true, exp2_f32),
-        ("log2", [x]) => map1(cx, x, true, f32::log2),
-        ("sqrt", [x]) => map1(cx, x, true, f32::sqrt),
-        ("inversesqrt", [x]) => map1(cx, x, true, |v| 1.0 / v.sqrt()),
-        ("abs", [x]) => map1(cx, x, false, f32::abs),
-        ("sign", [x]) => map1(cx, x, false, |v| {
+    use BuiltinId as B;
+    let r = match (id, args) {
+        (B::Radians, [x]) => map1(cx, x, false, |v| v * (PI / 180.0)),
+        (B::Degrees, [x]) => map1(cx, x, false, |v| v * (180.0 / PI)),
+        (B::Sin, [x]) => map1(cx, x, true, f32::sin),
+        (B::Cos, [x]) => map1(cx, x, true, f32::cos),
+        (B::Tan, [x]) => map1(cx, x, true, f32::tan),
+        (B::Asin, [x]) => map1(cx, x, true, f32::asin),
+        (B::Acos, [x]) => map1(cx, x, true, f32::acos),
+        (B::Atan, [x]) => map1(cx, x, true, f32::atan),
+        (B::Atan, [y, x]) => map2(cx, y, x, true, f32::atan2),
+        (B::Pow, [x, y]) => map2(cx, x, y, true, f32::powf),
+        (B::Exp, [x]) => map1(cx, x, true, f32::exp),
+        (B::Log, [x]) => map1(cx, x, true, f32::ln),
+        (B::Exp2, [x]) => map1(cx, x, true, exp2_f32),
+        (B::Log2, [x]) => map1(cx, x, true, f32::log2),
+        (B::Sqrt, [x]) => map1(cx, x, true, f32::sqrt),
+        (B::InverseSqrt, [x]) => map1(cx, x, true, |v| 1.0 / v.sqrt()),
+        (B::Abs, [x]) => map1(cx, x, false, f32::abs),
+        (B::Sign, [x]) => map1(cx, x, false, |v| {
             if v > 0.0 {
                 1.0
             } else if v < 0.0 {
@@ -518,15 +591,15 @@ pub fn call(
                 0.0
             }
         }),
-        ("floor", [x]) => map1(cx, x, false, f32::floor),
-        ("ceil", [x]) => map1(cx, x, false, f32::ceil),
-        ("fract", [x]) => map1(cx, x, false, |v| v - v.floor()),
-        ("mod", [x, y]) => map2(cx, x, y, false, glsl_mod),
-        ("min", [x, y]) => map2(cx, x, y, false, f32::min),
-        ("max", [x, y]) => map2(cx, x, y, false, f32::max),
-        ("clamp", [x, a, b]) => map3(cx, x, a, b, |v, lo, hi| v.max(lo).min(hi)),
-        ("mix", [x, y, a]) => map3(cx, x, y, a, |p, q, t| p * (1.0 - t) + q * t),
-        ("step", [e, x]) => {
+        (B::Floor, [x]) => map1(cx, x, false, floor_f32),
+        (B::Ceil, [x]) => map1(cx, x, false, ceil_f32),
+        (B::Fract, [x]) => map1(cx, x, false, fract_f32),
+        (B::Mod, [x, y]) => map2(cx, x, y, false, glsl_mod),
+        (B::Min, [x, y]) => map2(cx, x, y, false, f32::min),
+        (B::Max, [x, y]) => map2(cx, x, y, false, f32::max),
+        (B::Clamp, [x, a, b]) => map3(cx, x, a, b, |v, lo, hi| v.max(lo).min(hi)),
+        (B::Mix, [x, y, a]) => map3(cx, x, y, a, |p, q, t| p * (1.0 - t) + q * t),
+        (B::Step, [e, x]) => {
             // step(edge, x): edge may be scalar with vector x.
             let ge = match gen_of(e) {
                 Ok(g) => g,
@@ -549,7 +622,7 @@ pub fn call(
                 .collect();
             Ok(gen_value(&gx.ty, comps))
         }
-        ("smoothstep", [e0, e1, x]) => {
+        (B::SmoothStep, [e0, e1, x]) => {
             let g0 = match gen_of(e0) {
                 Ok(g) => g,
                 Err(e) => return Some(Err(e)),
@@ -579,12 +652,12 @@ pub fn call(
                 .collect();
             Ok(gen_value(&gx.ty, comps))
         }
-        ("length", [x]) => gen_of(x).map(|g| {
+        (B::Length, [x]) => gen_of(x).map(|g| {
             let d = dot_comps(cx, &g.comps, &g.comps);
             cx.profile.sfu_ops += 1;
             Value::Float(cx.model.round_sfu(d.sqrt()))
         }),
-        ("distance", [a, b]) => match (gen_of(a), gen_of(b)) {
+        (B::Distance, [a, b]) => match (gen_of(a), gen_of(b)) {
             (Ok(ga), Ok(gb)) => {
                 let diff: Vec<f32> = ga
                     .comps
@@ -598,11 +671,11 @@ pub fn call(
             }
             (Err(e), _) | (_, Err(e)) => Err(e),
         },
-        ("dot", [a, b]) => match (gen_of(a), gen_of(b)) {
+        (B::Dot, [a, b]) => match (gen_of(a), gen_of(b)) {
             (Ok(ga), Ok(gb)) => Ok(Value::Float(dot_comps(cx, &ga.comps, &gb.comps))),
             (Err(e), _) | (_, Err(e)) => Err(e),
         },
-        ("cross", [a, b]) => match (a, b) {
+        (B::Cross, [a, b]) => match (a, b) {
             (Value::Vec3(a), Value::Vec3(b)) => {
                 cx.profile.alu_ops += 9;
                 Ok(Value::Vec3([
@@ -613,7 +686,7 @@ pub fn call(
             }
             _ => Err(type_err("cross requires two vec3 operands")),
         },
-        ("normalize", [x]) => gen_of(x).map(|g| {
+        (B::Normalize, [x]) => gen_of(x).map(|g| {
             let d = dot_comps(cx, &g.comps, &g.comps);
             cx.profile.sfu_ops += 1;
             let inv = cx.model.round_sfu(1.0 / d.sqrt());
@@ -624,7 +697,7 @@ pub fn call(
                 .collect();
             gen_value(&g.ty, comps)
         }),
-        ("faceforward", [n, i, nref]) => match (gen_of(n), gen_of(i), gen_of(nref)) {
+        (B::FaceForward, [n, i, nref]) => match (gen_of(n), gen_of(i), gen_of(nref)) {
             (Ok(gn), Ok(gi), Ok(gr)) => {
                 let d = dot_comps(cx, &gr.comps, &gi.comps);
                 let comps = if d < 0.0 {
@@ -636,7 +709,7 @@ pub fn call(
             }
             _ => Err(type_err("faceforward requires genType operands")),
         },
-        ("reflect", [i, n]) => match (gen_of(i), gen_of(n)) {
+        (B::Reflect, [i, n]) => match (gen_of(i), gen_of(n)) {
             (Ok(gi), Ok(gn)) => {
                 let d = dot_comps(cx, &gn.comps, &gi.comps);
                 let comps = gi
@@ -649,7 +722,7 @@ pub fn call(
             }
             _ => Err(type_err("reflect requires genType operands")),
         },
-        ("refract", [i, n, eta]) => match (gen_of(i), gen_of(n), eta.as_f32()) {
+        (B::Refract, [i, n, eta]) => match (gen_of(i), gen_of(n), eta.as_f32()) {
             (Ok(gi), Ok(gn), Some(eta)) => {
                 let d = dot_comps(cx, &gn.comps, &gi.comps);
                 let k = 1.0 - eta * eta * (1.0 - d * d);
@@ -668,7 +741,7 @@ pub fn call(
             }
             _ => Err(type_err("refract requires (genType, genType, float)")),
         },
-        ("matrixCompMult", [a, b]) => match (a, b) {
+        (B::MatrixCompMult, [a, b]) => match (a, b) {
             (Value::Mat2(x), Value::Mat2(y)) => {
                 cx.profile.alu_ops += 4;
                 let mut m = [[0.0; 2]; 2];
@@ -701,11 +774,11 @@ pub fn call(
             }
             _ => Err(type_err("matrixCompMult requires two equal matrices")),
         },
-        ("lessThan", [a, b]) => relational(cx, a, b, |x, y| x < y),
-        ("lessThanEqual", [a, b]) => relational(cx, a, b, |x, y| x <= y),
-        ("greaterThan", [a, b]) => relational(cx, a, b, |x, y| x > y),
-        ("greaterThanEqual", [a, b]) => relational(cx, a, b, |x, y| x >= y),
-        ("equal", [a, b]) => match (a, b) {
+        (B::LessThan, [a, b]) => relational(cx, a, b, |x, y| x < y),
+        (B::LessThanEqual, [a, b]) => relational(cx, a, b, |x, y| x <= y),
+        (B::GreaterThan, [a, b]) => relational(cx, a, b, |x, y| x > y),
+        (B::GreaterThanEqual, [a, b]) => relational(cx, a, b, |x, y| x >= y),
+        (B::Equal, [a, b]) => match (a, b) {
             (Value::BVec2(x), Value::BVec2(y)) => Ok(Value::BVec2([x[0] == y[0], x[1] == y[1]])),
             (Value::BVec3(x), Value::BVec3(y)) => {
                 Ok(Value::BVec3([x[0] == y[0], x[1] == y[1], x[2] == y[2]]))
@@ -718,7 +791,7 @@ pub fn call(
             ])),
             _ => relational(cx, a, b, |x, y| x == y),
         },
-        ("notEqual", [a, b]) => match (a, b) {
+        (B::NotEqual, [a, b]) => match (a, b) {
             (Value::BVec2(x), Value::BVec2(y)) => Ok(Value::BVec2([x[0] != y[0], x[1] != y[1]])),
             (Value::BVec3(x), Value::BVec3(y)) => {
                 Ok(Value::BVec3([x[0] != y[0], x[1] != y[1], x[2] != y[2]]))
@@ -731,9 +804,9 @@ pub fn call(
             ])),
             _ => relational(cx, a, b, |x, y| x != y),
         },
-        ("any", [v]) => bvec_comps(v).map(|b| Value::Bool(b.iter().any(|&x| x))),
-        ("all", [v]) => bvec_comps(v).map(|b| Value::Bool(b.iter().all(|&x| x))),
-        ("not", [v]) => bvec_comps(v).map(|b| {
+        (B::Any, [v]) => bvec_comps(v).map(|b| Value::Bool(b.iter().any(|&x| x))),
+        (B::All, [v]) => bvec_comps(v).map(|b| Value::Bool(b.iter().all(|&x| x))),
+        (B::Not, [v]) => bvec_comps(v).map(|b| {
             let inv: Vec<bool> = b.iter().map(|&x| !x).collect();
             match inv.len() {
                 2 => Value::BVec2([inv[0], inv[1]]),
@@ -741,16 +814,16 @@ pub fn call(
                 _ => Value::BVec4([inv[0], inv[1], inv[2], inv[3]]),
             }
         }),
-        ("texture2D", [Value::Sampler(unit), Value::Vec2(coord)]) => {
+        (B::Texture2D, [Value::Sampler(unit), Value::Vec2(coord)]) => {
             cx.profile.tex_fetches += 1;
             Ok(Value::Vec4(cx.textures.sample(*unit, *coord)))
         }
-        ("texture2D", [Value::Sampler(unit), Value::Vec2(coord), Value::Float(_bias)]) => {
+        (B::Texture2D, [Value::Sampler(unit), Value::Vec2(coord), Value::Float(_bias)]) => {
             // No mipmaps in this subset: the bias argument is ignored.
             cx.profile.tex_fetches += 1;
             Ok(Value::Vec4(cx.textures.sample(*unit, *coord)))
         }
-        ("texture2DProj", [Value::Sampler(unit), v]) => match v {
+        (B::Texture2DProj, [Value::Sampler(unit), v]) => match v {
             Value::Vec3(c) => {
                 cx.profile.tex_fetches += 1;
                 cx.profile.alu_ops += 2;
@@ -767,36 +840,18 @@ pub fn call(
             }
             _ => Err(type_err("texture2DProj requires vec3 or vec4 coord")),
         },
-        _ => return constructor(name, args, cx),
+        _ => return constructor(id, args, cx),
     };
     Some(r)
 }
 
-/// Evaluates a type constructor, or returns `None` if `name` is not one.
+/// Evaluates a type constructor, or returns `None` if `id` is not one.
 fn constructor(
-    name: &str,
+    id: BuiltinId,
     args: &[Value],
     cx: &mut BuiltinCx<'_>,
 ) -> Option<Result<Value, RuntimeError>> {
-    let target = match name {
-        "float" => Type::Float,
-        "int" => Type::Int,
-        "bool" => Type::Bool,
-        "vec2" => Type::Vec2,
-        "vec3" => Type::Vec3,
-        "vec4" => Type::Vec4,
-        "ivec2" => Type::IVec2,
-        "ivec3" => Type::IVec3,
-        "ivec4" => Type::IVec4,
-        "bvec2" => Type::BVec2,
-        "bvec3" => Type::BVec3,
-        "bvec4" => Type::BVec4,
-        "mat2" => Type::Mat2,
-        "mat3" => Type::Mat3,
-        "mat4" => Type::Mat4,
-        _ => return None,
-    };
-    Some(build(target, args, cx))
+    Some(build(id.constructs()?, args, cx))
 }
 
 fn build(target: Type, args: &[Value], cx: &mut BuiltinCx<'_>) -> Result<Value, RuntimeError> {
@@ -959,14 +1014,13 @@ mod tests {
     use super::*;
     use crate::exec::NoTextures;
 
-    /// Pins `is_builtin_name` to the dynamic dispatch table: every name
-    /// it accepts must be dispatchable by `call` for at least one probe
-    /// argument list, and names it rejects must never dispatch. (The
-    /// bytecode lowerer relies on this agreement for out-parameter
-    /// copy-back; `SpmdVm`'s call dispatch additionally hard-errors on
-    /// drift.)
+    /// Pins the name table to the dispatch table: every [`BuiltinId`]
+    /// round-trips through its name and dispatches in [`call`] for at
+    /// least one probe argument list, and other names resolve to no id.
+    /// (The bytecode lowerer relies on this: a call whose name has no id
+    /// can never be intercepted by the builtin layer.)
     #[test]
-    fn is_builtin_name_matches_call_dispatch() {
+    fn every_builtin_id_round_trips_and_dispatches() {
         let probes: [&[Value]; 8] = [
             &[Value::Float(0.5)],
             &[Value::Float(0.5), Value::Float(0.25)],
@@ -981,7 +1035,7 @@ mod tests {
                 Value::Float(0.5),
             ],
         ];
-        let dispatches = |name: &str| {
+        let dispatches = |id: BuiltinId| {
             probes.iter().any(|args| {
                 let mut profile = OpProfile::new();
                 let mut cx = BuiltinCx {
@@ -989,81 +1043,16 @@ mod tests {
                     profile: &mut profile,
                     textures: &NoTextures,
                 };
-                call(name, args, &mut cx).is_some()
+                call(id, args, &mut cx).is_some()
             })
         };
-        let builtin_names = [
-            "radians",
-            "degrees",
-            "sin",
-            "cos",
-            "tan",
-            "asin",
-            "acos",
-            "atan",
-            "pow",
-            "exp",
-            "log",
-            "exp2",
-            "log2",
-            "sqrt",
-            "inversesqrt",
-            "abs",
-            "sign",
-            "floor",
-            "ceil",
-            "fract",
-            "mod",
-            "min",
-            "max",
-            "clamp",
-            "mix",
-            "step",
-            "smoothstep",
-            "length",
-            "distance",
-            "dot",
-            "cross",
-            "normalize",
-            "faceforward",
-            "reflect",
-            "refract",
-            "matrixCompMult",
-            "lessThan",
-            "lessThanEqual",
-            "greaterThan",
-            "greaterThanEqual",
-            "equal",
-            "notEqual",
-            "any",
-            "all",
-            "not",
-            "texture2D",
-            "texture2DProj",
-            "float",
-            "int",
-            "bool",
-            "vec2",
-            "vec3",
-            "vec4",
-            "ivec2",
-            "ivec3",
-            "ivec4",
-            "bvec2",
-            "bvec3",
-            "bvec4",
-            "mat2",
-            "mat3",
-            "mat4",
-        ];
-        for name in builtin_names {
+        assert_eq!(BuiltinId::ALL.len(), 62);
+        for &id in BuiltinId::ALL {
+            assert_eq!(BuiltinId::from_name(id.name()), Some(id));
             assert!(
-                is_builtin_name(name),
-                "`{name}` missing from is_builtin_name"
-            );
-            assert!(
-                dispatches(name),
-                "`{name}` claimed builtin but no probe dispatched — extend the probes"
+                dispatches(id),
+                "`{}` claimed builtin but no probe dispatched — extend the probes",
+                id.name()
             );
         }
         for name in [
@@ -1074,10 +1063,10 @@ mod tests {
             "gpes_pack_float",
             "nosuch",
         ] {
-            assert!(!is_builtin_name(name), "`{name}` wrongly claimed builtin");
-            assert!(
-                !dispatches(name),
-                "`{name}` dispatched but is_builtin_name is false"
+            assert_eq!(
+                BuiltinId::from_name(name),
+                None,
+                "`{name}` wrongly claimed builtin"
             );
         }
     }
@@ -1089,8 +1078,9 @@ mod tests {
             profile: &mut profile,
             textures: &NoTextures,
         };
-        call(name, args, &mut cx)
-            .unwrap_or_else(|| panic!("{name} is not a builtin"))
+        let id = BuiltinId::from_name(name).unwrap_or_else(|| panic!("{name} is not a builtin"));
+        call(id, args, &mut cx)
+            .unwrap_or_else(|| panic!("{name} has no such overload"))
             .unwrap_or_else(|e| panic!("{name} failed: {e}"))
     }
 
@@ -1106,6 +1096,65 @@ mod tests {
             cx_eval("mod", &[Value::Float(-1.0), Value::Float(4.0)]),
             Value::Float(3.0)
         );
+    }
+
+    /// `floor_f32` and `ceil_f32` against the std (libm) versions, bit
+    /// for bit: the edge classes, then every 4093rd bit pattern of the
+    /// whole `u32` space (an odd stride, so every exponent and both signs
+    /// are visited with varied mantissas). Signalling NaNs compare up to
+    /// the quiet bit, because std is not bit-stable there itself: LLVM's
+    /// constant folding of `f32::floor` quiets them, the runtime `floorf`
+    /// passes them through.
+    #[test]
+    fn floor_helper_is_bit_identical_to_std() {
+        let same = |a: f32, b: f32| {
+            let quiet = |v: f32| v.to_bits() | if v.is_nan() { 0x0040_0000 } else { 0 };
+            quiet(a) == quiet(b)
+        };
+        let check = |x: f32| {
+            assert!(same(floor_f32(x), x.floor()), "floor({x:e})");
+            assert!(same(ceil_f32(x), x.ceil()), "ceil({x:e})");
+            assert!(same(fract_f32(x), x - x.floor()), "fract({x:e})");
+        };
+        let two23 = 8_388_608.0f32;
+        for x in [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            0.999_999_94,
+            -0.999_999_94,
+            1.0,
+            -1.0,
+            two23 - 1.0,
+            two23 - 0.5,
+            two23,
+            two23 + 1.0,
+            -(two23 - 1.0),
+            -(two23 - 0.5),
+            -two23,
+            -(two23 + 1.0),
+            2.0 * two23 + 2.0,
+            f32::MAX,
+            -f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0xffc0_1234),
+        ] {
+            check(x);
+        }
+        let mut bits = 0u64;
+        while bits <= u64::from(u32::MAX) {
+            check(f32::from_bits(bits as u32));
+            bits += 4093;
+        }
     }
 
     #[test]
@@ -1241,7 +1290,7 @@ mod tests {
             profile: &mut profile,
             textures: &NoTextures,
         };
-        call("exp2", &[Value::Vec2([1.0, 2.0])], &mut cx)
+        call(BuiltinId::Exp2, &[Value::Vec2([1.0, 2.0])], &mut cx)
             .expect("builtin")
             .expect("ok");
         assert_eq!(profile.sfu_ops, 2);
@@ -1257,7 +1306,7 @@ mod tests {
             textures: &NoTextures,
         };
         let exact = 10.0f32.log2();
-        let v = call("log2", &[Value::Float(10.0)], &mut cx)
+        let v = call(BuiltinId::Log2, &[Value::Float(10.0)], &mut cx)
             .expect("builtin")
             .expect("ok");
         let got = v.as_f32().expect("float");

@@ -10,10 +10,14 @@
 //! The lowering is deliberately semantics-preserving to the point of
 //! being boring: evaluation order, profile counting points, rounding and
 //! error messages all mirror `interp.rs` exactly, so the VM can be
-//! differentially tested against the tree-walker bit for bit.
+//! differentially tested against the tree-walker bit for bit. What it
+//! does decide once per shader, so the VM need not per batch: each call's
+//! callee (`Insn::CallBuiltin` / `Insn::CallUser` where the AST fixes
+//! it), and which operand pushes fold into the `Binary` that consumes
+//! them (`fold_operands`).
 
 use crate::ast::*;
-use crate::builtins;
+use crate::builtins::BuiltinId;
 use crate::sema::{CompiledShader, ShaderKind};
 use crate::span::Span;
 use crate::swizzle::swizzle_indices;
@@ -108,6 +112,32 @@ pub(crate) enum Insn {
     Not,
     /// Non-short-circuit binary operator (arith/relational/`^^`).
     Binary(BinOp),
+    /// `Binary(op)` whose right operand is `consts[c]`, read in place: a
+    /// folded `Const(c); Binary(op)`.
+    BinaryConst {
+        /// Operator.
+        op: BinOp,
+        /// Constant-pool index of the right operand.
+        c: u32,
+    },
+    /// `Binary(op)` whose right operand is frame slot `s`, read in
+    /// place: a folded `LoadLocal(s); Binary(op)`.
+    BinaryLocal {
+        /// Operator.
+        op: BinOp,
+        /// Frame slot of the right operand.
+        s: u32,
+    },
+    /// Push `frame[s] op consts[c]`: a folded
+    /// `LoadLocal(s); Const(c); Binary(op)`.
+    LocalBinaryConst {
+        /// Operator.
+        op: BinOp,
+        /// Frame slot of the left operand.
+        s: u32,
+        /// Constant-pool index of the right operand.
+        c: u32,
+    },
     /// Count one taken branch (emitted where the interpreter counts).
     Branch,
     /// Unconditional jump.
@@ -116,13 +146,35 @@ pub(crate) enum Insn {
     JumpIfFalse(u32),
     /// Pop a bool; jump if true.
     JumpIfTrue(u32),
-    /// Call `names[name]` with `argc` stacked arguments: builtins and
-    /// constructors first, then the user overloads in `candidates`.
-    /// Pushes `out`/`inout` parameter results (in parameter order) below
-    /// the return value when `pushes_outs`.
+    /// Call builtin or constructor `id` with `argc` stacked arguments. No
+    /// user function of that name takes `argc` arguments, so the callee
+    /// is decided at lowering.
+    CallBuiltin {
+        /// The builtin.
+        id: BuiltinId,
+        /// Argument count.
+        argc: u8,
+    },
+    /// Call user function `functions[func]`: the only user function of
+    /// its name and arity, and the name is no builtin's, so sema's check
+    /// already fixed it as the callee. Pushes `out`/`inout` parameter
+    /// results (in parameter order) below the return value when
+    /// `pushes_outs`.
+    CallUser {
+        /// Function-table index.
+        func: u32,
+        /// Whether the call site expects out-parameter values pushed.
+        pushes_outs: bool,
+    },
+    /// A call whose callee depends on the argument types, which the AST
+    /// does not record: same-arity user overloads, or a user function
+    /// named like a builtin. Tries `builtin` first, then the user
+    /// overloads in `candidates` by runtime argument types.
     Call {
-        /// Interned callee name.
+        /// Interned callee name (for the `Unbound` error).
         name: u32,
+        /// The builtin of that name, if any.
+        builtin: Option<BuiltinId>,
         /// Argument count.
         argc: u8,
         /// Function-table indices of same-name/same-arity user functions.
@@ -171,6 +223,16 @@ pub(crate) enum Insn {
     ErrNoReturn(u32),
     /// End the invocation (main / initialiser chunk).
     Halt,
+}
+
+impl Insn {
+    /// A jump's target instruction; `None` for every other instruction.
+    fn jump_target(&mut self) -> Option<&mut u32> {
+        match self {
+            Insn::Jump(t) | Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => Some(t),
+            _ => None,
+        }
+    }
 }
 
 /// A compiled instruction sequence plus the frame space it needs.
@@ -537,7 +599,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     fn finish(self) -> u32 {
         let idx = self.lo.chunks.len() as u32;
         self.lo.chunks.push(Chunk {
-            code: self.code,
+            code: fold_operands(self.code),
             frame_size: self.frame_size,
         });
         idx
@@ -553,10 +615,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            Insn::Jump(t) | Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => *t = target,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        *self.code[at].jump_target().expect("patching a non-jump") = target;
     }
 
     // ---- slots & scopes --------------------------------------------------
@@ -1066,7 +1125,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         for a in args {
             self.expr(a)?;
         }
-        let name_idx = self.lo.intern(name);
         let candidates: Box<[u32]> = self
             .lo
             .fn_candidates
@@ -1099,18 +1157,29 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         }
         let out_mask = out_mask.unwrap_or_default();
         let has_outs = out_mask.iter().any(|&b| b);
-        if has_outs && builtins::is_builtin_name(name) {
+        let builtin = BuiltinId::from_name(name);
+        if has_outs && builtin.is_some() {
             return Err(err(format!(
                 "`{name}` shadows a builtin and takes out parameters"
             )));
         }
 
-        self.emit(Insn::Call {
-            name: name_idx,
-            argc: args.len() as u8,
-            candidates,
-            pushes_outs: has_outs,
-        });
+        let argc = args.len() as u8;
+        let insn = match (builtin, &*candidates) {
+            (Some(id), []) => Insn::CallBuiltin { id, argc },
+            (None, &[func]) => Insn::CallUser {
+                func,
+                pushes_outs: has_outs,
+            },
+            _ => Insn::Call {
+                name: self.lo.intern(name),
+                builtin,
+                argc,
+                candidates,
+                pushes_outs: has_outs,
+            },
+        };
+        self.emit(insn);
         if !has_outs {
             return Ok(());
         }
@@ -1137,6 +1206,45 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         self.next_slot -= (t_outs.len() + 1) as u32;
         Ok(())
     }
+}
+
+/// Folds operand pushes into the `Binary` that consumes them, so the VM
+/// reads a constant or local in place instead of copying it onto the
+/// stack first: `Const; Binary` → [`Insn::BinaryConst`],
+/// `LoadLocal; Binary` → [`Insn::BinaryLocal`] and
+/// `LoadLocal; Const; Binary` → [`Insn::LocalBinaryConst`]. A sequence
+/// is folded only when no jump lands inside it: at a jump target (the
+/// join of a `?:` or `&&` whose result is a right operand) the arriving
+/// context has pushed its own operand. Jump targets are remapped to the
+/// shortened code. One linear walk per chunk.
+fn fold_operands(mut code: Vec<Insn>) -> Vec<Insn> {
+    let mut landed = vec![false; code.len() + 1];
+    for t in code.iter_mut().filter_map(Insn::jump_target) {
+        landed[*t as usize] = true;
+    }
+    let mut out = Vec::with_capacity(code.len());
+    let mut remap = vec![0u32; code.len() + 1];
+    let mut i = 0;
+    while i < code.len() {
+        // The instruction `k` past `i`, unless a jump lands on it.
+        let at = |k: usize| code.get(i + k).filter(|_| !landed[i + k]);
+        let (folded, len) = match (&code[i], at(1), at(2)) {
+            (&Insn::LoadLocal(s), Some(&Insn::Const(c)), Some(&Insn::Binary(op))) => {
+                (Insn::LocalBinaryConst { op, s, c }, 3)
+            }
+            (&Insn::Const(c), Some(&Insn::Binary(op)), _) => (Insn::BinaryConst { op, c }, 2),
+            (&Insn::LoadLocal(s), Some(&Insn::Binary(op)), _) => (Insn::BinaryLocal { op, s }, 2),
+            (insn, ..) => (insn.clone(), 1),
+        };
+        remap[i..i + len].fill(out.len() as u32);
+        out.push(folded);
+        i += len;
+    }
+    remap[code.len()] = out.len() as u32;
+    for t in out.iter_mut().filter_map(Insn::jump_target) {
+        *t = remap[*t as usize];
+    }
+    out
 }
 
 fn compound_op(op: AssignOp) -> Option<BinOp> {
@@ -1229,6 +1337,72 @@ mod tests {
         let main = &exe.chunks[exe.main_chunk as usize];
         // Two slots in the first block, one (reused) in the second.
         assert!(main.frame_size <= 2, "frame_size = {}", main.frame_size);
+    }
+
+    /// Operand pushes fold into their `Binary`, except where a jump
+    /// lands on the `Binary` (the join of a `?:` on the right), and
+    /// calls resolve to their callee where the AST fixes it.
+    #[test]
+    fn lowering_folds_operands_and_resolves_calls() {
+        let exe = lower_src(&format!(
+            "{P}uniform float u;\n\
+             float twice(float v) {{ return v * 2.0; }}\n\
+             void main() {{
+                float x = u + 0.5;
+                float y = x * (u > 1.0 ? 1.0 : 2.0) - x;
+                gl_FragColor = vec4(twice(y), floor(x), 0.0, 1.0);
+             }}"
+        ));
+        let main = &exe.chunks[exe.main_chunk as usize].code;
+        let count = |f: fn(&Insn) -> bool| main.iter().filter(|i| f(i)).count();
+        // `u + 0.5` (global operand, then a constant) and `… - x`.
+        assert_eq!(
+            count(|i| matches!(i, Insn::BinaryConst { op: BinOp::Add, .. })),
+            1
+        );
+        assert_eq!(
+            count(|i| matches!(i, Insn::BinaryLocal { op: BinOp::Sub, .. })),
+            1
+        );
+        // The `*` is the `?:` join, so its right operand stays pushed.
+        assert_eq!(count(|i| matches!(i, Insn::Binary(BinOp::Mul))), 1);
+        assert_eq!(count(|i| matches!(i, Insn::CallUser { .. })), 1);
+        assert_eq!(
+            count(|i| matches!(
+                i,
+                Insn::CallBuiltin {
+                    id: BuiltinId::Floor,
+                    argc: 1
+                }
+            )),
+            1
+        );
+        assert_eq!(count(|i| matches!(i, Insn::Call { .. })), 0);
+        // Same-arity overloads, and a user overload of a builtin name,
+        // need argument types: the generic call.
+        let overloads = lower_src(&format!(
+            "{P}uniform float u;\n\
+             float f(float v) {{ return v; }}\n\
+             float f(vec2 v) {{ return v.x; }}\n\
+             float floor(int v) {{ return float(v); }}\n\
+             void main() {{ gl_FragColor = vec4(f(u) + f(vec2(u)) + floor(int(u))); }}"
+        ));
+        let main = &overloads.chunks[overloads.main_chunk as usize].code;
+        assert_eq!(
+            main.iter()
+                .filter(|i| matches!(i, Insn::Call { .. }))
+                .count(),
+            3
+        );
+        let twice = &exe.chunks[exe.functions[0].chunk as usize].code;
+        assert!(matches!(
+            twice[0],
+            Insn::LocalBinaryConst {
+                op: BinOp::Mul,
+                s: 0,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -59,6 +59,18 @@ fn sfu_interpolation_noise(bits: u32) -> f32 {
 }
 
 impl FloatModel {
+    /// Whether [`FloatModel::round_sfu`] (with `sfu`) or
+    /// [`FloatModel::round_alu`] returns every value unchanged, so a
+    /// rounding pass can be skipped.
+    #[inline]
+    pub(crate) fn is_exact(self, sfu: bool) -> bool {
+        match self {
+            FloatModel::Exact => true,
+            FloatModel::Vc4Sfu => !sfu,
+            FloatModel::Mediump16 => false,
+        }
+    }
+
     /// Rounds a basic-arithmetic result (`+ - * /`).
     #[inline]
     pub fn round_alu(self, v: f32) -> f32 {

@@ -566,7 +566,9 @@ impl<'a> Interpreter<'a> {
                 profile: &mut self.profile,
                 textures: self.textures,
             };
-            if let Some(result) = builtins::call(name, &values, &mut cx) {
+            if let Some(result) = builtins::BuiltinId::from_name(name)
+                .and_then(|id| builtins::call(id, &values, &mut cx))
+            {
                 return result;
             }
         }

@@ -57,23 +57,48 @@
 //! because retired lanes' outputs (`gl_FragColor`, `gl_Position`) are
 //! read after the batch.
 //!
+//! # What lowering decides
+//!
+//! The VM makes no decision the lowerer could make once per shader:
+//!
+//! * **Calls are resolved.** A call lowers to `CallBuiltin { id }` (a
+//!   [`builtins::BuiltinId`] that [`builtins::call`] and the SoA fast
+//!   paths switch on) or `CallUser { func }`. Only the two shapes whose
+//!   callee depends on argument types, which the AST does not record —
+//!   same-arity user overloads, and a user function named like a
+//!   builtin — keep the generic `Call` that tries the builtin, then picks
+//!   an overload by runtime argument types.
+//! * **Operands are read in place.** A `Const; Binary`,
+//!   `LoadLocal; Binary` or `LoadLocal; Const; Binary` run folds into
+//!   one instruction that reads the constant or local where it lives
+//!   (constants are splatted across the lanes once, when the VM is
+//!   built), unless a jump lands inside the run: at the join of a `?:` or
+//!   `&&` whose value is a right operand, the arriving context has pushed
+//!   its own operand. Where no typed fast path applies, a folded
+//!   instruction pushes its operand and runs the generic `Binary`, so
+//!   every result and error is the unfused sequence's.
+//!
 //! # Bit-identity with the tree-walker
 //!
 //! Every fast path reproduces the tree-walking
 //! [`crate::interp::Interpreter`]'s arithmetic exactly — same operation
-//! order, same [`FloatModel`] rounding calls, same [`OpProfile`] counter
-//! increments — and anything outside the fast paths runs the very same
-//! `ops` / `builtins` code one lane at a time. There is no
-//! re-association, no fused math, and no shared mutable value state, so
-//! results, profiles and runtime errors are bit-identical per lane. When
+//! order, same [`FloatModel`] rounding calls, same [`OpProfile`] counts
+//! — and anything outside the fast paths runs the very same `ops` /
+//! `builtins` code one lane at a time. There is no re-association, no
+//! fused math, and no shared mutable value state, so results and runtime
+//! errors are bit-identical per lane. The profile is one [`OpProfile`]
+//! for the whole VM: an instruction adds its per-lane count times the
+//! number of lanes it ran on, so the total equals the sum of sequential
+//! runs without a per-lane bump. When
 //! *any* lane traps, the whole batch is replayed lane-by-lane in lane
 //! order (a single-lane run through this machinery is exactly a
 //! sequential run): earlier lanes finish with exact outputs and the first
 //! erroring lane in lane order defines the reported error, so error
-//! semantics match running the invocations one after another.
+//! semantics match running the invocations one after another. The
+//! replay starts from a copy of the profile taken before the batch.
 
 use crate::ast::{BinOp, ParamQual};
-use crate::builtins::{self, BuiltinCx};
+use crate::builtins::{self, BuiltinCx, BuiltinId};
 use crate::compile::{Executable, Insn, PathStep, SlotRef};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
@@ -123,7 +148,6 @@ struct Frame {
 
 /// One schedulable execution context: a subgroup of lanes in lockstep at
 /// a shared program position.
-#[derive(Clone)]
 struct Ctx {
     mask: u8,
     chunk: u32,
@@ -143,23 +167,33 @@ fn same_point(a: &Ctx, b: &Ctx) -> bool {
 }
 
 /// Merges every pending context at `cur`'s exact position into `cur`,
+/// keeping the merged contexts' frame stacks in `spare`. Returns whether
+/// any context merged.
+fn merge_caught_up(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Frame>>) -> bool {
+    let before = pending.len();
+    let mut i = 0;
+    while i < pending.len() {
+        if same_point(&pending[i], cur) {
+            debug_assert_eq!(pending[i].sp, cur.sp);
+            debug_assert_eq!(pending[i].frame_base, cur.frame_base);
+            let merged = pending.swap_remove(i);
+            cur.mask |= merged.mask;
+            spare.push(merged.frames);
+        } else {
+            i += 1;
+        }
+    }
+    pending.len() != before
+}
+
+/// Merges every pending context at `cur`'s exact position into `cur`,
 /// then repeatedly swaps `cur` with the furthest-behind pending context
 /// of the same frame class so stragglers catch up (yielding `if`/`else`
 /// reconvergence at the join point). Pure scheduling: any interleaving
 /// of contexts is semantically correct.
-fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>) {
+fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Frame>>) {
     loop {
-        let mut i = 0;
-        while i < pending.len() {
-            if same_point(&pending[i], cur) {
-                debug_assert_eq!(pending[i].sp, cur.sp);
-                debug_assert_eq!(pending[i].frame_base, cur.frame_base);
-                cur.mask |= pending[i].mask;
-                pending.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        merge_caught_up(cur, pending, spare);
         let mut behind: Option<usize> = None;
         for (j, p) in pending.iter().enumerate() {
             if p.chunk == cur.chunk && p.pc < cur.pc && p.frames == cur.frames {
@@ -193,7 +227,6 @@ macro_rules! for_lanes {
 /// small-vector cases unboxed and contiguous; [`Slot::Boxed`] is the
 /// exact fallback for every other value shape (and for slots whose
 /// lanes diverge in type under masked writes).
-#[derive(Clone)]
 enum Slot {
     F([f32; MAX_LANES]),
     I([i32; MAX_LANES]),
@@ -204,7 +237,68 @@ enum Slot {
     Boxed(Box<[Value; MAX_LANES]>),
 }
 
+impl Clone for Slot {
+    fn clone(&self) -> Slot {
+        match self {
+            Slot::F(x) => Slot::F(*x),
+            Slot::I(x) => Slot::I(*x),
+            Slot::B(x) => Slot::B(*x),
+            Slot::V2(x) => Slot::V2(*x),
+            Slot::V3(x) => Slot::V3(*x),
+            Slot::V4(x) => Slot::V4(*x),
+            Slot::Boxed(b) => Slot::Boxed(b.clone()),
+        }
+    }
+
+    /// Copies only the variant's lanes when the variants agree (the
+    /// common case: a slot overwritten with a value of the same type),
+    /// rather than rebuilding the whole enum; a boxed slot keeps its
+    /// allocation.
+    fn clone_from(&mut self, src: &Slot) {
+        match (self, src) {
+            (Slot::F(d), Slot::F(s)) => *d = *s,
+            (Slot::I(d), Slot::I(s)) => *d = *s,
+            (Slot::B(d), Slot::B(s)) => *d = *s,
+            (Slot::V2(d), Slot::V2(s)) => *d = *s,
+            (Slot::V3(d), Slot::V3(s)) => *d = *s,
+            (Slot::V4(d), Slot::V4(s)) => *d = *s,
+            (Slot::Boxed(d), Slot::Boxed(s)) => d.clone_from(s),
+            // Re-typed: build the variant in place.
+            (d, Slot::F(x)) => *d = Slot::F(*x),
+            (d, Slot::I(x)) => *d = Slot::I(*x),
+            (d, Slot::B(x)) => *d = Slot::B(*x),
+            (d, Slot::V2(x)) => *d = Slot::V2(*x),
+            (d, Slot::V3(x)) => *d = Slot::V3(*x),
+            (d, Slot::V4(x)) => *d = Slot::V4(*x),
+            (d, Slot::Boxed(b)) => *d = Slot::Boxed(b.clone()),
+        }
+    }
+}
+
 impl Slot {
+    /// A float or vecN slot's components, lane-major, with the count per
+    /// lane; `None` for every other shape.
+    fn floats(&self) -> Option<(&[f32], usize)> {
+        match self {
+            Slot::F(x) => Some((x, 1)),
+            Slot::V2(x) => Some((x.as_flattened(), 2)),
+            Slot::V3(x) => Some((x.as_flattened(), 3)),
+            Slot::V4(x) => Some((x.as_flattened(), 4)),
+            _ => None,
+        }
+    }
+
+    /// [`Slot::floats`], mutably.
+    fn floats_mut(&mut self) -> Option<(&mut [f32], usize)> {
+        match self {
+            Slot::F(x) => Some((x, 1)),
+            Slot::V2(x) => Some((x.as_flattened_mut(), 2)),
+            Slot::V3(x) => Some((x.as_flattened_mut(), 3)),
+            Slot::V4(x) => Some((x.as_flattened_mut(), 4)),
+            _ => None,
+        }
+    }
+
     /// A slot with `v` in every lane.
     fn splat(v: &Value) -> Slot {
         match v {
@@ -327,13 +421,13 @@ impl Slot {
 }
 
 /// Moves `src` (a slot the running context is done with) into `dst`:
-/// a swap when the running context owns both, a wholesale copy when it
-/// owns only `dst` (`src` is still live for a deferred context), a
-/// masked copy otherwise.
+/// a wholesale copy when the running context owns `dst` (a swap instead
+/// when it owns a boxed `src` too, so the box moves rather than clones),
+/// a masked copy otherwise.
 fn move_slot(dst: &mut Slot, src: &mut Slot, mask: u8, dst_owned: bool, src_owned: bool) {
     if !dst_owned {
         dst.copy_masked_from(src, mask);
-    } else if src_owned {
+    } else if src_owned && matches!(src, Slot::Boxed(_)) {
         std::mem::swap(dst, src);
     } else {
         dst.clone_from(src);
@@ -378,6 +472,8 @@ pub struct SpmdVm<'a> {
     lanes: usize,
     /// Global slot values, one SoA slot per global.
     globals: Vec<Slot>,
+    /// The constant pool, each constant splatted across the lanes once.
+    consts: Vec<Slot>,
     /// (slot, initial value) for plain mutable globals.
     reset_list: Vec<(u32, Value)>,
     /// Operand stack, one SoA slot per depth, indexed by the context's
@@ -387,14 +483,26 @@ pub struct SpmdVm<'a> {
     locals: Vec<Slot>,
     /// Loop iteration counter stacks, per lane.
     loop_counters: Vec<Vec<u64>>,
-    /// Per-lane op profiles, accumulated across batches (excludes the
-    /// global-initialiser cost held in `init_profile`).
-    profiles: Vec<OpProfile>,
+    /// Profile of every lane of every batch so far (excludes the
+    /// global-initialiser cost held in `init_profile`). Counts are
+    /// per-lane sums, so each instruction adds its per-lane count times
+    /// the number of lanes it ran on.
+    profile: OpProfile,
     /// Cost of running the global initialisers, counted once per VM —
     /// exactly like the interpreter counts its global initialisers once.
     init_profile: OpProfile,
     /// Reusable per-lane argument buffer for generic builtin dispatch.
     arg_buf: Vec<Value>,
+    /// Deferred contexts of the running batch; kept between batches so
+    /// a divergence allocates nothing in steady state.
+    pending: Vec<Ctx>,
+    /// Frame stacks of retired contexts, reused by the next context that
+    /// needs one (a divergence copies the running context's stack into
+    /// a spare one).
+    spare_frames: Vec<Vec<Frame>>,
+    /// `gl_FragColor` and `gl_FragData`, resolved once.
+    frag_color_slot: Option<u32>,
+    frag_data_slot: Option<u32>,
     discarded: [bool; MAX_LANES],
     wrote_frag_color: [bool; MAX_LANES],
     wrote_frag_data: [bool; MAX_LANES],
@@ -430,13 +538,18 @@ impl<'a> SpmdVm<'a> {
                 .iter()
                 .map(|g| Slot::splat(&Value::zero_of(&g.ty)))
                 .collect(),
+            consts: exe.consts.iter().map(Slot::splat).collect(),
             reset_list: Vec::new(),
             stack: Vec::new(),
             locals: Vec::new(),
             loop_counters: vec![Vec::new(); lanes],
-            profiles: vec![OpProfile::new(); lanes],
+            profile: OpProfile::new(),
             init_profile: OpProfile::new(),
             arg_buf: Vec::new(),
+            pending: Vec::new(),
+            spare_frames: Vec::new(),
+            frag_color_slot: exe.global_slot("gl_FragColor"),
+            frag_data_slot: exe.global_slot("gl_FragData"),
             discarded: [false; MAX_LANES],
             wrote_frag_color: [false; MAX_LANES],
             wrote_frag_data: [false; MAX_LANES],
@@ -446,7 +559,7 @@ impl<'a> SpmdVm<'a> {
         // A single-lane run through the SPMD engine is exactly a scalar
         // run; use it for chunk 0 on lane 0, then broadcast.
         vm.exec(1, 0)?;
-        vm.init_profile = std::mem::take(&mut vm.profiles[0]);
+        vm.init_profile = std::mem::take(&mut vm.profile);
         for slot in &mut vm.globals {
             let v = slot.get(0);
             *slot = Slot::splat(&v);
@@ -506,7 +619,12 @@ impl<'a> SpmdVm<'a> {
     pub fn global(&self, lane: usize, name: &str) -> Option<Value> {
         self.exe
             .global_slot(name)
-            .map(|slot| self.globals[slot as usize].get(lane))
+            .map(|slot| self.global_at(lane, slot))
+    }
+
+    /// Reads a lane's global by pre-resolved slot (per-vertex outputs).
+    pub fn global_at(&self, lane: usize, slot: u32) -> Value {
+        self.globals[slot as usize].get(lane)
     }
 
     /// Whether `lane` executed `discard` in the last batch.
@@ -531,20 +649,18 @@ impl<'a> SpmdVm<'a> {
     /// whether the shader used `gl_FragColor` or `gl_FragData[0]`.
     pub fn frag_color(&self, lane: usize) -> Option<[f32; 4]> {
         if self.wrote_frag_data[lane] {
-            match self.global(lane, "gl_FragData") {
-                Some(Value::Array(elems)) => elems.first().and_then(Value::as_vec4),
+            // `gl_FragData` is an array, so its slot is boxed: read the
+            // element in place instead of cloning the array.
+            match &self.globals[self.frag_data_slot? as usize] {
+                Slot::Boxed(b) => match &b[lane] {
+                    Value::Array(elems) => elems.first().and_then(Value::as_vec4),
+                    _ => None,
+                },
                 _ => None,
             }
         } else {
-            self.global(lane, "gl_FragColor").and_then(|v| v.as_vec4())
+            self.global_at(lane, self.frag_color_slot?).as_vec4()
         }
-    }
-
-    /// One lane's accumulated profile (excluding the shared
-    /// global-initialiser cost; add [`SpmdVm::init_profile`] to compare
-    /// against a sequential run's total).
-    pub fn lane_profile(&self, lane: usize) -> OpProfile {
-        self.profiles[lane]
     }
 
     /// The global-initialiser profile, counted once per VM.
@@ -557,9 +673,7 @@ impl<'a> SpmdVm<'a> {
     /// running the same invocations sequentially.
     pub fn profile(&self) -> OpProfile {
         let mut total = self.init_profile;
-        for p in &self.profiles {
-            total.merge(p);
-        }
+        total.merge(&self.profile);
         total
     }
 
@@ -568,9 +682,7 @@ impl<'a> SpmdVm<'a> {
     pub fn take_profile(&mut self) -> OpProfile {
         let total = self.profile();
         self.init_profile = OpProfile::new();
-        for p in &mut self.profiles {
-            *p = OpProfile::new();
-        }
+        self.profile = OpProfile::new();
         total
     }
 
@@ -595,7 +707,7 @@ impl<'a> SpmdVm<'a> {
     pub fn run_batch(&mut self, active: usize) -> Result<(), BatchError> {
         assert!(active >= 1 && active <= self.lanes, "bad batch width");
         let mask = ((1u16 << active) - 1) as u8;
-        let snapshot: Vec<OpProfile> = self.profiles[..active].to_vec();
+        let snapshot = self.profile;
         for lane in 0..active {
             self.begin_invocation(lane);
         }
@@ -609,7 +721,7 @@ impl<'a> SpmdVm<'a> {
                 // Lockstep state is torn mid-instruction; discard it and
                 // replay each lane alone, which is exactly scalar.
                 self.replays += 1;
-                self.profiles[..active].clone_from_slice(&snapshot);
+                self.profile = snapshot;
                 for lane in 0..active {
                     self.begin_invocation(lane);
                     match self.exec(1 << lane, self.exe.main_chunk) {
@@ -632,7 +744,7 @@ impl<'a> SpmdVm<'a> {
         for (slot, value) in &self.reset_list {
             self.globals[*slot as usize].set(lane, value.clone());
         }
-        self.profiles[lane].invocations += 1;
+        self.profile.invocations += 1;
     }
 
     /// Grows the operand stack to at least `need` slots.
@@ -649,195 +761,9 @@ impl<'a> SpmdVm<'a> {
         }
     }
 
-    /// Applies a binary operator to the slots at `sp-2`/`sp-1` via the
-    /// typed fast paths, writing the result to `sp-2` (wholesale when the
-    /// running context `owned` it). Returns `false` (with no state
-    /// mutated) when the operand shapes need the generic per-lane path.
-    fn binary_fast(&mut self, op: BinOp, sp: usize, mask: u8, owned: bool) -> bool {
-        use BinOp::*;
-        let model = self.model;
-        let is_arith = matches!(op, Add | Sub | Mul | Div);
-        let fop = move |x: f32, y: f32| match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            Div => x / y,
-            _ => 0.0,
-        };
-        let (lo, hi) = self.stack.split_at_mut(sp - 1);
-        let a = &mut lo[sp - 2];
-        let b = &hi[0];
-        macro_rules! bump_alu {
-            ($n:expr) => {
-                for_lanes!(mask, l => { self.profiles[l].alu_ops += $n; })
-            };
-        }
-        macro_rules! vec_vec {
-            ($x:ident, $y:ident, $n:expr) => {{
-                if !is_arith {
-                    return false;
-                }
-                if owned {
-                    for i in 0..MAX_LANES {
-                        for c in 0..$n {
-                            $x[i][c] = model.round_alu(fop($x[i][c], $y[i][c]));
-                        }
-                    }
-                } else {
-                    for_lanes!(mask, l => {
-                        for c in 0..$n {
-                            $x[l][c] = model.round_alu(fop($x[l][c], $y[l][c]));
-                        }
-                    });
-                }
-                bump_alu!($n);
-                true
-            }};
-        }
-        macro_rules! vec_scalar {
-            ($x:ident, $y:ident, $n:expr) => {{
-                if !is_arith {
-                    return false;
-                }
-                if owned {
-                    for i in 0..MAX_LANES {
-                        for c in 0..$n {
-                            $x[i][c] = model.round_alu(fop($x[i][c], $y[i]));
-                        }
-                    }
-                } else {
-                    for_lanes!(mask, l => {
-                        for c in 0..$n {
-                            $x[l][c] = model.round_alu(fop($x[l][c], $y[l]));
-                        }
-                    });
-                }
-                bump_alu!($n);
-                true
-            }};
-        }
-        match (&mut *a, b) {
-            (Slot::F(x), Slot::F(y)) => {
-                if is_arith {
-                    if owned {
-                        for i in 0..MAX_LANES {
-                            x[i] = model.round_alu(fop(x[i], y[i]));
-                        }
-                    } else {
-                        for_lanes!(mask, l => { x[l] = model.round_alu(fop(x[l], y[l])); });
-                    }
-                    bump_alu!(1);
-                    return true;
-                }
-                match op {
-                    Lt | Le | Gt | Ge | Eq | Ne => {
-                        let mut r = [false; MAX_LANES];
-                        for_lanes!(mask, l => {
-                            r[l] = match op {
-                                Lt => x[l] < y[l],
-                                Le => x[l] <= y[l],
-                                Gt => x[l] > y[l],
-                                Ge => x[l] >= y[l],
-                                Eq => x[l] == y[l],
-                                _ => x[l] != y[l],
-                            };
-                        });
-                        bump_alu!(1);
-                        if owned {
-                            *a = Slot::B(r);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
-                        }
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            (Slot::I(x), Slot::I(y)) => {
-                if is_arith {
-                    let g = move |x: i32, y: i32| match op {
-                        Add => x.wrapping_add(y),
-                        Sub => x.wrapping_sub(y),
-                        Mul => x.wrapping_mul(y),
-                        _ => {
-                            if y == 0 {
-                                0
-                            } else {
-                                x.wrapping_div(y)
-                            }
-                        }
-                    };
-                    if owned {
-                        for i in 0..MAX_LANES {
-                            x[i] = g(x[i], y[i]);
-                        }
-                    } else {
-                        for_lanes!(mask, l => { x[l] = g(x[l], y[l]); });
-                    }
-                    bump_alu!(1);
-                    return true;
-                }
-                match op {
-                    Lt | Le | Gt | Ge | Eq | Ne => {
-                        let mut r = [false; MAX_LANES];
-                        for_lanes!(mask, l => {
-                            r[l] = match op {
-                                Lt => x[l] < y[l],
-                                Le => x[l] <= y[l],
-                                Gt => x[l] > y[l],
-                                Ge => x[l] >= y[l],
-                                Eq => x[l] == y[l],
-                                _ => x[l] != y[l],
-                            };
-                        });
-                        bump_alu!(1);
-                        if owned {
-                            *a = Slot::B(r);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
-                        }
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            (Slot::B(x), Slot::B(y)) => match op {
-                And => {
-                    for_lanes!(mask, l => { x[l] = x[l] && y[l]; });
-                    true
-                }
-                Or => {
-                    for_lanes!(mask, l => { x[l] = x[l] || y[l]; });
-                    true
-                }
-                Xor => {
-                    for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
-                    true
-                }
-                Eq => {
-                    for_lanes!(mask, l => { x[l] = x[l] == y[l]; });
-                    bump_alu!(1);
-                    true
-                }
-                Ne => {
-                    for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
-                    bump_alu!(1);
-                    true
-                }
-                _ => false,
-            },
-            (Slot::V2(x), Slot::V2(y)) => vec_vec!(x, y, 2),
-            (Slot::V3(x), Slot::V3(y)) => vec_vec!(x, y, 3),
-            (Slot::V4(x), Slot::V4(y)) => vec_vec!(x, y, 4),
-            (Slot::V2(x), Slot::F(y)) => vec_scalar!(x, y, 2),
-            (Slot::V3(x), Slot::F(y)) => vec_scalar!(x, y, 3),
-            (Slot::V4(x), Slot::F(y)) => vec_scalar!(x, y, 4),
-            _ => false,
-        }
-    }
-
-    /// Generic per-lane binary operator: materialises both operands and
-    /// applies the interpreter's [`ops::apply_binary`] exactly.
+    /// Generic per-lane binary operator: materialises both operands (the
+    /// slots at `sp-2`/`sp-1`) and applies the interpreter's
+    /// [`ops::apply_binary`] exactly, writing the result to `sp-2`.
     fn binary_generic(
         &mut self,
         op: BinOp,
@@ -849,281 +775,187 @@ impl<'a> SpmdVm<'a> {
         for_lanes!(mask, l => {
             let bv = self.stack[sp - 1].get(l);
             let av = self.stack[sp - 2].get(l);
-            out[l] = ops::apply_binary(self.model, &mut self.profiles[l], op, av, bv)?;
+            out[l] = ops::apply_binary(self.model, &mut self.profile, op, av, bv)?;
         });
         self.stack[sp - 2].put_lanes(&mut out, mask, owned);
         Ok(())
     }
 
+    /// Applies `op` to stack slot `a` and the right operand `b` (a
+    /// constant or a local, read in place), writing to `a`. Where no
+    /// fast path applies, `b` is pushed at `a + 1` and the generic path
+    /// runs, exactly like the unfused `push; Binary`.
+    fn binary_operand(
+        &mut self,
+        op: BinOp,
+        a: usize,
+        b: Operand,
+        mask: u8,
+        sfl: usize,
+    ) -> Result<(), RuntimeError> {
+        let owned = a >= sfl;
+        let rhs = match b {
+            Operand::Const(c) => &self.consts[c as usize],
+            Operand::Local(s) => &self.locals[s],
+        };
+        if binary_fast(
+            self.model,
+            &mut self.profile,
+            op,
+            &mut self.stack[a],
+            rhs,
+            mask,
+            owned,
+        ) {
+            return Ok(());
+        }
+        self.ensure_stack(a + 2);
+        let (stack, rhs) = match b {
+            Operand::Const(c) => (&mut self.stack, &self.consts[c as usize]),
+            Operand::Local(s) => (&mut self.stack, &self.locals[s]),
+        };
+        stack[a + 1].write_from(rhs, mask, a + 1 >= sfl);
+        self.binary_generic(op, a + 2, mask, owned)
+    }
+
     /// SoA fast paths for the hot builtins and constructors, replicating
     /// [`crate::builtins::call`]'s values, rounding and profile counts
     /// exactly; the result goes to stack slot `s`, wholesale when the
-    /// running context `owned` it. Returns `false` (with no state mutated) when the call
-    /// must take the generic per-lane path — including every case where
-    /// the scalar builtin would error.
-    #[allow(clippy::type_complexity)] // fn-pointer dispatch tables
-    fn fast_builtin(&mut self, name: &str, s: usize, argc: usize, mask: u8, owned: bool) -> bool {
+    /// running context `owned` it. Returns `false` (with no state
+    /// mutated) when the call must take the generic per-lane path —
+    /// including every case where the scalar builtin would error.
+    fn fast_builtin(
+        &mut self,
+        id: BuiltinId,
+        s: usize,
+        argc: usize,
+        mask: u8,
+        owned: bool,
+    ) -> bool {
         use std::f32::consts::PI;
+        use BuiltinId as B;
         let model = self.model;
 
-        // Component-wise unary genType builtins.
-        if argc == 1 {
-            let m1: Option<(fn(f32) -> f32, bool)> = match name {
-                "radians" => Some((|v| v * (PI / 180.0), false)),
-                "degrees" => Some((|v| v * (180.0 / PI), false)),
-                "sin" => Some((f32::sin, true)),
-                "cos" => Some((f32::cos, true)),
-                "tan" => Some((f32::tan, true)),
-                "asin" => Some((f32::asin, true)),
-                "acos" => Some((f32::acos, true)),
-                "atan" => Some((f32::atan, true)),
-                "exp" => Some((f32::exp, true)),
-                "log" => Some((f32::ln, true)),
-                "exp2" => Some((builtins::exp2_f32, true)),
-                "log2" => Some((f32::log2, true)),
-                "sqrt" => Some((f32::sqrt, true)),
-                "inversesqrt" => Some((|v| 1.0 / v.sqrt(), true)),
-                "abs" => Some((f32::abs, false)),
-                "sign" => Some((
-                    |v| {
-                        if v > 0.0 {
-                            1.0
-                        } else if v < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    },
-                    false,
-                )),
-                "floor" => Some((f32::floor, false)),
-                "ceil" => Some((f32::ceil, false)),
-                "fract" => Some((|v| v - v.floor(), false)),
-                _ => None,
-            };
-            if let Some((f, sfu)) = m1 {
-                let round = move |v: f32| {
-                    if sfu {
-                        model.round_sfu(v)
-                    } else {
-                        model.round_alu(v)
-                    }
+        // Component-wise genType builtins: `f` per component, then the
+        // ALU or SFU rounding, one op per component. A scalar second
+        // operand broadcasts, matching `builtins::map2`.
+        macro_rules! map1 {
+            ($sfu:expr, $f:expr) => {{
+                let Some((x, n)) = self.stack[s].floats_mut() else {
+                    return false;
                 };
-                macro_rules! m1_vec {
-                    ($x:ident, $n:expr) => {{
-                        if owned {
-                            for i in 0..MAX_LANES {
-                                for c in 0..$n {
-                                    $x[i][c] = round(f($x[i][c]));
-                                }
-                            }
-                        } else {
-                            for_lanes!(mask, l => {
-                                for c in 0..$n {
-                                    $x[l][c] = round(f($x[l][c]));
-                                }
-                            });
-                        }
-                        for_lanes!(mask, l => {
-                            if sfu {
-                                self.profiles[l].sfu_ops += $n;
-                            } else {
-                                self.profiles[l].alu_ops += $n;
-                            }
-                        });
-                        true
-                    }};
+                map_lanes(x, n, mask, owned, $f);
+                round_lanes(model, $sfu, x, n, mask, owned);
+                count_ops(&mut self.profile, $sfu, n as u64, mask);
+                return true;
+            }};
+        }
+        macro_rules! map2 {
+            ($sfu:expr, $f:expr) => {{
+                let (lo, hi) = self.stack.split_at_mut(s + 1);
+                let (Some((x, n)), Some((y, m))) = (lo[s].floats_mut(), hi[0].floats()) else {
+                    return false;
+                };
+                if m != n && m != 1 {
+                    return false;
                 }
-                return match &mut self.stack[s] {
-                    Slot::F(x) => {
-                        if owned {
-                            for v in x.iter_mut() {
-                                *v = round(f(*v));
-                            }
-                        } else {
-                            for_lanes!(mask, l => { x[l] = round(f(x[l])); });
-                        }
-                        for_lanes!(mask, l => {
-                            if sfu {
-                                self.profiles[l].sfu_ops += 1;
-                            } else {
-                                self.profiles[l].alu_ops += 1;
-                            }
-                        });
-                        true
+                zip_lanes(x, n, y, m, mask, owned, $f);
+                round_lanes(model, $sfu, x, n, mask, owned);
+                count_ops(&mut self.profile, $sfu, n as u64, mask);
+                return true;
+            }};
+        }
+        if argc == 1 {
+            match id {
+                B::Radians => map1!(false, |v: f32| v * (PI / 180.0)),
+                B::Degrees => map1!(false, |v: f32| v * (180.0 / PI)),
+                B::Sin => map1!(true, f32::sin),
+                B::Cos => map1!(true, f32::cos),
+                B::Tan => map1!(true, f32::tan),
+                B::Asin => map1!(true, f32::asin),
+                B::Acos => map1!(true, f32::acos),
+                B::Atan => map1!(true, f32::atan),
+                B::Exp => map1!(true, f32::exp),
+                B::Log => map1!(true, f32::ln),
+                B::Exp2 => map1!(true, builtins::exp2_f32),
+                B::Log2 => map1!(true, f32::log2),
+                B::Sqrt => map1!(true, f32::sqrt),
+                B::InverseSqrt => map1!(true, |v: f32| 1.0 / v.sqrt()),
+                B::Abs => map1!(false, f32::abs),
+                B::Sign => map1!(false, |v: f32| {
+                    if v > 0.0 {
+                        1.0
+                    } else if v < 0.0 {
+                        -1.0
+                    } else {
+                        0.0
                     }
-                    Slot::V2(x) => m1_vec!(x, 2),
-                    Slot::V3(x) => m1_vec!(x, 3),
-                    Slot::V4(x) => m1_vec!(x, 4),
-                    _ => false,
-                };
+                }),
+                B::Floor => map1!(false, builtins::floor_f32),
+                B::Ceil => map1!(false, builtins::ceil_f32),
+                B::Fract => map1!(false, builtins::fract_f32),
+                _ => {}
             }
         }
 
-        // Component-wise binary genType builtins (scalar second operand
-        // broadcasts, matching `builtins::map2`).
         if argc == 2 {
-            let m2: Option<(fn(f32, f32) -> f32, bool)> = match name {
-                "mod" => Some((builtins::glsl_mod, false)),
-                "min" => Some((f32::min, false)),
-                "max" => Some((f32::max, false)),
-                "pow" => Some((f32::powf, true)),
-                "atan" => Some((f32::atan2, true)),
-                _ => None,
-            };
-            if let Some((f, sfu)) = m2 {
-                let round = move |v: f32| {
-                    if sfu {
-                        model.round_sfu(v)
-                    } else {
-                        model.round_alu(v)
-                    }
-                };
-                let (lo, hi) = self.stack.split_at_mut(s + 1);
-                let a = &mut lo[s];
-                let b = &hi[0];
-                macro_rules! m2_bump {
-                    ($n:expr) => {
-                        for_lanes!(mask, l => {
-                            if sfu {
-                                self.profiles[l].sfu_ops += $n;
-                            } else {
-                                self.profiles[l].alu_ops += $n;
-                            }
-                        })
-                    };
-                }
-                macro_rules! m2_vec_vec {
-                    ($x:ident, $y:ident, $n:expr) => {{
-                        if owned {
-                            for i in 0..MAX_LANES {
-                                for c in 0..$n {
-                                    $x[i][c] = round(f($x[i][c], $y[i][c]));
-                                }
-                            }
-                        } else {
-                            for_lanes!(mask, l => {
-                                for c in 0..$n {
-                                    $x[l][c] = round(f($x[l][c], $y[l][c]));
-                                }
-                            });
-                        }
-                        m2_bump!($n);
-                        true
-                    }};
-                }
-                macro_rules! m2_vec_scalar {
-                    ($x:ident, $y:ident, $n:expr) => {{
-                        if owned {
-                            for i in 0..MAX_LANES {
-                                for c in 0..$n {
-                                    $x[i][c] = round(f($x[i][c], $y[i]));
-                                }
-                            }
-                        } else {
-                            for_lanes!(mask, l => {
-                                for c in 0..$n {
-                                    $x[l][c] = round(f($x[l][c], $y[l]));
-                                }
-                            });
-                        }
-                        m2_bump!($n);
-                        true
-                    }};
-                }
-                return match (&mut *a, b) {
-                    (Slot::F(x), Slot::F(y)) => {
-                        if owned {
-                            for i in 0..MAX_LANES {
-                                x[i] = round(f(x[i], y[i]));
-                            }
-                        } else {
-                            for_lanes!(mask, l => { x[l] = round(f(x[l], y[l])); });
-                        }
-                        m2_bump!(1);
-                        true
-                    }
-                    (Slot::V2(x), Slot::V2(y)) => m2_vec_vec!(x, y, 2),
-                    (Slot::V3(x), Slot::V3(y)) => m2_vec_vec!(x, y, 3),
-                    (Slot::V4(x), Slot::V4(y)) => m2_vec_vec!(x, y, 4),
-                    (Slot::V2(x), Slot::F(y)) => m2_vec_scalar!(x, y, 2),
-                    (Slot::V3(x), Slot::F(y)) => m2_vec_scalar!(x, y, 3),
-                    (Slot::V4(x), Slot::F(y)) => m2_vec_scalar!(x, y, 4),
-                    _ => false,
-                };
+            match id {
+                B::Mod => map2!(false, builtins::glsl_mod),
+                B::Min => map2!(false, f32::min),
+                B::Max => map2!(false, f32::max),
+                B::Pow => map2!(true, f32::powf),
+                B::Atan => map2!(true, f32::atan2),
+                _ => {}
             }
 
             // step(edge, x): no rounding, alu += x's component count.
-            if name == "step" {
-                let (lo, hi) = self.stack.split_at_mut(s + 1);
-                let a = &mut lo[s];
-                let b = &hi[0];
-                macro_rules! step_vec {
-                    ($x:ident, $n:expr, $edge:expr) => {{
-                        let mut out = [[0.0f32; 4]; MAX_LANES];
-                        for_lanes!(mask, l => {
-                            for c in 0..$n {
-                                let edge = $edge(l, c);
-                                out[l][c] = if $x[l][c] < edge { 0.0 } else { 1.0 };
-                            }
-                            self.profiles[l].alu_ops += $n;
-                        });
-                        self.write_vec_result(s, $n, &out, mask, owned);
-                        true
-                    }};
-                }
-                return match (&mut *a, b) {
-                    (Slot::F(e), Slot::F(x)) => {
-                        for_lanes!(mask, l => {
-                            e[l] = if x[l] < e[l] { 0.0 } else { 1.0 };
-                            self.profiles[l].alu_ops += 1;
-                        });
-                        true
-                    }
-                    (Slot::F(e), Slot::V2(x)) => step_vec!(x, 2, |l: usize, _c: usize| e[l]),
-                    (Slot::F(e), Slot::V3(x)) => step_vec!(x, 3, |l: usize, _c: usize| e[l]),
-                    (Slot::F(e), Slot::V4(x)) => step_vec!(x, 4, |l: usize, _c: usize| e[l]),
-                    (Slot::V2(e), Slot::V2(x)) => step_vec!(x, 2, |l: usize, c: usize| e[l][c]),
-                    (Slot::V3(e), Slot::V3(x)) => step_vec!(x, 3, |l: usize, c: usize| e[l][c]),
-                    (Slot::V4(e), Slot::V4(x)) => step_vec!(x, 4, |l: usize, c: usize| e[l][c]),
-                    _ => false,
+            if id == B::Step {
+                let (Some((e, m)), Some((x, n))) =
+                    (self.stack[s].floats(), self.stack[s + 1].floats())
+                else {
+                    return false;
                 };
+                if m != n && m != 1 {
+                    return false;
+                }
+                let mut out = [[0.0f32; 4]; MAX_LANES];
+                for (l, o) in out.iter_mut().enumerate() {
+                    for (c, v) in o[..n].iter_mut().enumerate() {
+                        *v = if x[l * n + c] < lane_comp(e, m, l, c) {
+                            0.0
+                        } else {
+                            1.0
+                        };
+                    }
+                }
+                count_ops(&mut self.profile, false, n as u64, mask);
+                self.write_vec_result(s, n, &out, mask, owned);
+                return true;
             }
 
             // dot(a, b): chained rounding, alu += 2n.
-            if name == "dot" {
-                let (lo, hi) = self.stack.split_at_mut(s + 1);
-                let a = &mut lo[s];
-                let b = &hi[0];
-                macro_rules! dot_vec {
-                    ($x:ident, $y:ident, $n:expr) => {{
-                        let mut out = [0.0f32; MAX_LANES];
-                        for_lanes!(mask, l => {
-                            let mut acc = 0.0f32;
-                            for c in 0..$n {
-                                acc = model.round_alu(acc + model.round_alu($x[l][c] * $y[l][c]));
-                            }
-                            out[l] = acc;
-                            self.profiles[l].alu_ops += 2 * $n;
-                        });
-                        if owned {
-                            *a = Slot::F(out);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Float(out[l])); });
-                        }
-                        true
-                    }};
-                }
-                return match (&mut *a, b) {
-                    (Slot::V2(x), Slot::V2(y)) => dot_vec!(x, y, 2),
-                    (Slot::V3(x), Slot::V3(y)) => dot_vec!(x, y, 3),
-                    (Slot::V4(x), Slot::V4(y)) => dot_vec!(x, y, 4),
-                    _ => false,
+            if id == B::Dot {
+                let (Some((x, n)), Some((y, m))) =
+                    (self.stack[s].floats(), self.stack[s + 1].floats())
+                else {
+                    return false;
                 };
+                if m != n {
+                    return false;
+                }
+                let mut out = [[0.0f32; 4]; MAX_LANES];
+                for (o, (xs, ys)) in out.iter_mut().zip(x.chunks_exact(n).zip(y.chunks_exact(n))) {
+                    o[0] = xs.iter().zip(ys).fold(0.0f32, |acc, (&p, &q)| {
+                        model.round_alu(acc + model.round_alu(p * q))
+                    });
+                }
+                count_ops(&mut self.profile, false, 2 * n as u64, mask);
+                self.write_vec_result(s, 1, &out, mask, owned);
+                return true;
             }
 
             // texture2D(sampler, vec2): one fetch per lane.
-            if name == "texture2D" {
+            if id == B::Texture2D {
                 let (sampler, coord) = (&self.stack[s], &self.stack[s + 1]);
                 let (Slot::Boxed(units), Slot::V2(coords)) = (sampler, coord) else {
                     return false;
@@ -1139,117 +971,69 @@ impl<'a> SpmdVm<'a> {
                 for_lanes!(mask, l => {
                     let Value::Sampler(unit) = units[l] else { unreachable!() };
                     out[l] = self.textures.sample(unit, coords[l]);
-                    self.profiles[l].tex_fetches += 1;
                 });
+                self.profile.tex_fetches += lane_count(mask);
                 self.write_vec_result(s, 4, &out, mask, owned);
                 return true;
             }
         }
 
-        // clamp / mix on genTypes: alu += 2n, one rounding per component.
-        if argc == 3 && (name == "clamp" || name == "mix") {
-            let f: fn(f32, f32, f32) -> f32 = if name == "clamp" {
+        // clamp / mix on genTypes: alu += 2n, one rounding per component;
+        // scalar bounds (clamp) or a scalar weight (mix) broadcast.
+        if argc == 3 && matches!(id, B::Clamp | B::Mix) {
+            let f: fn(f32, f32, f32) -> f32 = if id == B::Clamp {
                 |v, lo, hi| v.max(lo).min(hi)
             } else {
                 |p, q, t| p * (1.0 - t) + q * t
             };
-            macro_rules! m3_get {
-                ($slot:expr, $l:ident, $c:ident, $n:expr) => {
-                    match $slot {
-                        Slot::F(x) => x[$l],
-                        Slot::V2(x) if $n == 2 => x[$l][$c],
-                        Slot::V3(x) if $n == 3 => x[$l][$c],
-                        Slot::V4(x) if $n == 4 => x[$l][$c],
-                        _ => unreachable!(),
-                    }
-                };
-            }
-            let compatible = |slot: &Slot, n: usize| {
-                matches!(
-                    (slot, n),
-                    (Slot::F(_), _) | (Slot::V2(_), 2) | (Slot::V3(_), 3) | (Slot::V4(_), 4)
-                )
+            let (Some((x, n)), Some((p, pn)), Some((q, qn))) = (
+                self.stack[s].floats(),
+                self.stack[s + 1].floats(),
+                self.stack[s + 2].floats(),
+            ) else {
+                return false;
             };
-            let n = match &self.stack[s] {
-                Slot::F(_) => 1,
-                Slot::V2(_) => 2,
-                Slot::V3(_) => 3,
-                Slot::V4(_) => 4,
-                _ => return false,
-            };
-            if !compatible(&self.stack[s + 1], n) || !compatible(&self.stack[s + 2], n) {
+            if (pn != n && pn != 1) || (qn != n && qn != 1) {
                 return false;
             }
             let mut out = [[0.0f32; 4]; MAX_LANES];
-            for_lanes!(mask, l => {
-                for c in 0..n {
-                    let x = m3_get!(&self.stack[s], l, c, n);
-                    let b = m3_get!(&self.stack[s + 1], l, c, n);
-                    let cc = m3_get!(&self.stack[s + 2], l, c, n);
-                    out[l][c] = model.round_alu(f(x, b, cc));
+            for (l, o) in out.iter_mut().enumerate() {
+                for (c, v) in o[..n].iter_mut().enumerate() {
+                    let (b, cc) = (lane_comp(p, pn, l, c), lane_comp(q, qn, l, c));
+                    *v = model.round_alu(f(x[l * n + c], b, cc));
                 }
-                self.profiles[l].alu_ops += 2 * n as u64;
-            });
-            if n == 1 {
-                let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                if owned {
-                    self.stack[s] = Slot::F(r);
-                } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(r[l])); });
-                }
-            } else {
-                self.write_vec_result(s, n, &out, mask, owned);
             }
+            count_ops(&mut self.profile, false, 2 * n as u64, mask);
+            self.write_vec_result(s, n, &out, mask, owned);
             return true;
         }
 
         // float()/int() scalar conversions and vecN constructors.
-        match name {
-            "float" | "int" if argc == 1 => {
-                let to_int = name == "int";
-                let mut out = [0.0f32; MAX_LANES];
-                let comps = match &self.stack[s] {
-                    Slot::F(x) => {
-                        for_lanes!(mask, l => { out[l] = x[l]; });
-                        1u64
-                    }
-                    Slot::I(x) => {
-                        for_lanes!(mask, l => { out[l] = x[l] as f32; });
-                        1
-                    }
-                    Slot::V2(x) => {
-                        for_lanes!(mask, l => { out[l] = x[l][0]; });
-                        2
-                    }
-                    Slot::V3(x) => {
-                        for_lanes!(mask, l => { out[l] = x[l][0]; });
-                        3
-                    }
-                    Slot::V4(x) => {
-                        for_lanes!(mask, l => { out[l] = x[l][0]; });
-                        4
-                    }
-                    _ => return false,
+        match id {
+            B::Float | B::Int if argc == 1 => {
+                // The first component, one op per source component.
+                let (first, comps): ([f32; MAX_LANES], usize) = match &self.stack[s] {
+                    Slot::I(x) => (x.map(|v| v as f32), 1),
+                    slot => match slot.floats() {
+                        Some((x, n)) => (std::array::from_fn(|l| x[l * n]), n),
+                        None => return false,
+                    },
                 };
-                for_lanes!(mask, l => { self.profiles[l].alu_ops += comps; });
-                if to_int {
-                    let r: [i32; MAX_LANES] = std::array::from_fn(|l| out[l] as i32);
-                    if owned {
-                        self.stack[s] = Slot::I(r);
-                    } else {
-                        for_lanes!(mask, l => { self.stack[s].set(l, Value::Int(r[l])); });
-                    }
+                count_ops(&mut self.profile, false, comps as u64, mask);
+                if id == B::Float {
+                    let out = first.map(|v| [v; 4]);
+                    self.write_vec_result(s, 1, &out, mask, owned);
                 } else if owned {
-                    self.stack[s] = Slot::F(out);
+                    self.stack[s] = Slot::I(first.map(|v| v as i32));
                 } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(out[l])); });
+                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Int(first[l] as i32)); });
                 }
                 true
             }
-            "vec2" | "vec3" | "vec4" => {
-                let dim = match name {
-                    "vec2" => 2usize,
-                    "vec3" => 3,
+            B::Vec2 | B::Vec3 | B::Vec4 => {
+                let dim = match id {
+                    B::Vec2 => 2usize,
+                    B::Vec3 => 3,
                     _ => 4,
                 };
                 let mut total = 0usize;
@@ -1268,42 +1052,37 @@ impl<'a> SpmdVm<'a> {
                 if !(total == dim || total == 1 || (total > dim && argc == 1)) {
                     return false;
                 }
+                // Gather argument by argument across all lanes (dead
+                // lanes hold valid values of the same shape); components
+                // past the fourth are truncated away.
                 let mut out = [[0.0f32; 4]; MAX_LANES];
-                for_lanes!(mask, l => {
-                    let mut buf = [0.0f32; 16];
-                    let mut k = 0usize;
-                    for arg in 0..argc {
-                        match &self.stack[s + arg] {
-                            Slot::F(x) => {
-                                buf[k] = x[l];
-                                k += 1;
+                let mut k = 0usize;
+                for arg in 0..argc {
+                    macro_rules! gather {
+                        ($n:expr, $get:expr) => {{
+                            for c in 0..($n).min(4 - k.min(4)) {
+                                for (l, o) in out.iter_mut().enumerate() {
+                                    o[k + c] = $get(l, c);
+                                }
                             }
-                            Slot::I(x) => {
-                                buf[k] = x[l] as f32;
-                                k += 1;
-                            }
-                            Slot::V2(x) => {
-                                buf[k..k + 2].copy_from_slice(&x[l]);
-                                k += 2;
-                            }
-                            Slot::V3(x) => {
-                                buf[k..k + 3].copy_from_slice(&x[l]);
-                                k += 3;
-                            }
-                            Slot::V4(x) => {
-                                buf[k..k + 4].copy_from_slice(&x[l]);
-                                k += 4;
-                            }
-                            _ => unreachable!(),
-                        }
+                            k += $n;
+                        }};
                     }
-                    if total == 1 {
-                        out[l] = [buf[0]; 4];
-                    } else {
-                        out[l][..dim].copy_from_slice(&buf[..dim]);
+                    match &self.stack[s + arg] {
+                        Slot::F(x) => gather!(1, |l: usize, _| x[l]),
+                        Slot::I(x) => gather!(1, |l: usize, _| x[l] as f32),
+                        Slot::V2(x) => gather!(2, |l: usize, c: usize| x[l][c]),
+                        Slot::V3(x) => gather!(3, |l: usize, c: usize| x[l][c]),
+                        Slot::V4(x) => gather!(4, |l: usize, c: usize| x[l][c]),
+                        _ => unreachable!(),
                     }
-                    self.profiles[l].alu_ops += total as u64;
-                });
+                }
+                if total == 1 {
+                    for o in &mut out {
+                        *o = [o[0]; 4];
+                    }
+                }
+                count_ops(&mut self.profile, false, total as u64, mask);
                 self.write_vec_result(s, dim, &out, mask, owned);
                 true
             }
@@ -1311,9 +1090,9 @@ impl<'a> SpmdVm<'a> {
         }
     }
 
-    /// Writes an `n`-component float vector result (per lane, padded to
-    /// 4 components) into stack slot `s`: wholesale when `owned`, else
-    /// into the `mask` lanes.
+    /// Writes an `n`-component float result (per lane, padded to 4
+    /// components; `n == 1` is a `float`) into stack slot `s`: wholesale
+    /// when `owned`, else into the `mask` lanes.
     fn write_vec_result(
         &mut self,
         s: usize,
@@ -1322,56 +1101,160 @@ impl<'a> SpmdVm<'a> {
         mask: u8,
         owned: bool,
     ) {
-        match n {
-            2 => {
-                if owned {
-                    self.stack[s] = Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]]));
-                } else {
-                    for_lanes!(mask, l => {
-                        self.stack[s].set(l, Value::Vec2([out[l][0], out[l][1]]));
-                    });
-                }
+        let lane = |l: usize| match n {
+            1 => Value::Float(out[l][0]),
+            2 => Value::Vec2([out[l][0], out[l][1]]),
+            3 => Value::Vec3([out[l][0], out[l][1], out[l][2]]),
+            _ => Value::Vec4(out[l]),
+        };
+        if !owned {
+            for_lanes!(mask, l => { self.stack[s].set(l, lane(l)); });
+            return;
+        }
+        self.stack[s] = match n {
+            1 => Slot::F(std::array::from_fn(|l| out[l][0])),
+            2 => Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]])),
+            3 => Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]])),
+            _ => Slot::V4(*out),
+        };
+    }
+
+    /// Runs builtin `id` on the `argc` argument slots at `s`, leaving the
+    /// result in slot `s` (wholesale when the running context `owned`
+    /// it): the SoA fast path when one applies, else [`builtins::call`]
+    /// lane by lane on each lane's materialised arguments. `Ok(false)`,
+    /// with nothing mutated, when no overload of `id` takes these
+    /// arguments — the types are uniform across lanes, so the first lane
+    /// decides for all.
+    fn call_builtin(
+        &mut self,
+        id: BuiltinId,
+        s: usize,
+        argc: usize,
+        mask: u8,
+        owned: bool,
+    ) -> Result<bool, RuntimeError> {
+        if self.fast_builtin(id, s, argc, mask, owned) {
+            return Ok(true);
+        }
+        let mut out = lane_values();
+        for_lanes!(mask, lane => {
+            self.arg_buf.clear();
+            for k in 0..argc {
+                let v = self.stack[s + k].get(lane);
+                self.arg_buf.push(v);
             }
-            3 => {
-                if owned {
-                    self.stack[s] =
-                        Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]]));
-                } else {
-                    for_lanes!(mask, l => {
-                        self.stack[s].set(l, Value::Vec3([out[l][0], out[l][1], out[l][2]]));
-                    });
-                }
+            let mut cx = BuiltinCx {
+                model: self.model,
+                profile: &mut self.profile,
+                textures: self.textures,
+            };
+            match builtins::call(id, &self.arg_buf, &mut cx) {
+                Some(r) => out[lane] = r?,
+                None => return Ok(false),
             }
-            _ => {
-                if owned {
-                    self.stack[s] = Slot::V4(std::array::from_fn(|l| out[l]));
-                } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Vec4(out[l])); });
+        });
+        self.stack[s].put_lanes(&mut out, mask, owned);
+        Ok(true)
+    }
+
+    /// Enters user function `fi` for the running context: moves the
+    /// arguments at `args_start..` into the callee's frame and pushes the
+    /// caller's return state.
+    fn enter_call(
+        &mut self,
+        cur: &mut Ctx,
+        fi: u32,
+        args_start: usize,
+        pushes_outs: bool,
+        (sfl, lfl): (usize, usize),
+    ) -> Result<(), RuntimeError> {
+        if cur.frames.len() as u32 >= self.limits.max_call_depth {
+            return Err(RuntimeError::CallDepth {
+                limit: self.limits.max_call_depth,
+            });
+        }
+        let exe = self.exe;
+        let func = &exe.functions[fi as usize];
+        let callee_base = cur.frame_end;
+        let callee_end = callee_base + exe.chunks[func.chunk as usize].frame_size as usize;
+        self.ensure_locals(callee_end);
+        let counters_base = self.loop_counters[cur.mask.trailing_zeros() as usize].len();
+        self.profile.calls += lane_count(cur.mask);
+        for (i, (ty, qual)) in func.params.iter().enumerate() {
+            let dst = callee_base + i;
+            match qual {
+                ParamQual::In | ParamQual::InOut => move_slot(
+                    &mut self.locals[dst],
+                    &mut self.stack[args_start + i],
+                    cur.mask,
+                    dst >= lfl,
+                    args_start + i >= sfl,
+                ),
+                ParamQual::Out => {
+                    let z = Value::zero_of(ty);
+                    if dst >= lfl {
+                        self.locals[dst] = Slot::splat(&z);
+                    } else {
+                        for_lanes!(cur.mask, lane => {
+                            self.locals[dst].set(lane, z.clone());
+                        });
+                    }
                 }
             }
         }
+        cur.frames.push(Frame {
+            ret_chunk: cur.chunk,
+            ret_pc: cur.pc + 1,
+            frame_base: cur.frame_base,
+            frame_end: cur.frame_end,
+            callee_base,
+            func: fi,
+            pushes_outs,
+            counters_base,
+        });
+        cur.chunk = func.chunk;
+        cur.pc = 0;
+        cur.sp = args_start;
+        cur.frame_base = callee_base;
+        cur.frame_end = callee_end;
+        Ok(())
     }
 
     /// Runs `chunk` to completion for the lanes in `mask`, scheduling
     /// divergent contexts as described in the module docs. On error the
     /// per-lane state is torn (the caller replays); a single-lane call
-    /// is exact scalar execution.
-    // `slot >= floor` spells the ownership rule for every slot, `sp - 1`
-    // included.
-    #[allow(clippy::int_plus_one)]
+    /// is exact scalar execution. The pending list and every frame stack
+    /// are VM-owned buffers, so a batch allocates nothing once they
+    /// have grown.
     fn exec(&mut self, mask: u8, start_chunk: u32) -> Result<(), RuntimeError> {
-        let exe = self.exe;
+        let mut pending = std::mem::take(&mut self.pending);
+        let mut frames = self.spare_frames.pop().unwrap_or_default();
+        frames.clear();
         let mut cur = Ctx {
             mask,
             chunk: start_chunk,
             pc: 0,
             sp: 0,
             frame_base: 0,
-            frame_end: exe.chunks[start_chunk as usize].frame_size as usize,
-            frames: Vec::new(),
+            frame_end: self.exe.chunks[start_chunk as usize].frame_size as usize,
+            frames,
         };
         self.ensure_locals(cur.frame_end);
-        let mut pending: Vec<Ctx> = Vec::new();
+        let result = self.run(&mut cur, &mut pending);
+        self.spare_frames.push(cur.frames);
+        self.spare_frames
+            .extend(pending.drain(..).map(|ctx| ctx.frames));
+        self.pending = pending;
+        result
+    }
+
+    /// The instruction loop of [`SpmdVm::exec`].
+    // `slot >= floor` spells the ownership rule for every slot, `sp - 1`
+    // included.
+    #[allow(clippy::int_plus_one)]
+    fn run(&mut self, cur: &mut Ctx, pending: &mut Vec<Ctx>) -> Result<(), RuntimeError> {
+        let exe = self.exe;
         // Ownership floors of `pending` (see `floors`): a write at or
         // above them goes wholesale, below them it is masked. Globals are
         // always written masked — see the module docs. Every change to
@@ -1380,7 +1263,18 @@ impl<'a> SpmdVm<'a> {
 
         macro_rules! refloor {
             () => {
-                (sfl, lfl) = floors(&pending)
+                (sfl, lfl) = floors(pending)
+            };
+        }
+
+        // After a jump or return lands: let pending contexts merge or
+        // catch up (nothing to do in uniform flow).
+        macro_rules! land {
+            () => {
+                if !pending.is_empty() {
+                    reschedule(cur, pending, &mut self.spare_frames);
+                    refloor!();
+                }
             };
         }
 
@@ -1388,7 +1282,8 @@ impl<'a> SpmdVm<'a> {
             () => {{
                 match pending.pop() {
                     Some(p) => {
-                        cur = p;
+                        let done = std::mem::replace(cur, p);
+                        self.spare_frames.push(done.frames);
                         refloor!();
                         continue;
                     }
@@ -1399,21 +1294,8 @@ impl<'a> SpmdVm<'a> {
 
         loop {
             // Merge any pending context that has caught up to `cur`.
-            if !pending.is_empty() {
-                let before = pending.len();
-                let mut i = 0;
-                while i < pending.len() {
-                    if same_point(&pending[i], &cur) {
-                        debug_assert_eq!(pending[i].sp, cur.sp);
-                        cur.mask |= pending[i].mask;
-                        pending.swap_remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if pending.len() != before {
-                    refloor!();
-                }
+            if !pending.is_empty() && merge_caught_up(cur, pending, &mut self.spare_frames) {
+                refloor!();
             }
             let code = &exe.chunks[cur.chunk as usize].code;
             if cur.pc >= code.len() {
@@ -1426,14 +1308,8 @@ impl<'a> SpmdVm<'a> {
             match &code[cur.pc] {
                 Insn::Const(i) => {
                     self.ensure_stack(cur.sp + 1);
-                    let v = &exe.consts[*i as usize];
-                    if cur.sp >= sfl {
-                        self.stack[cur.sp] = Slot::splat(v);
-                    } else {
-                        for_lanes!(cur.mask, lane => {
-                            self.stack[cur.sp].set(lane, v.clone());
-                        });
-                    }
+                    let (stack, consts) = (&mut self.stack, &self.consts);
+                    stack[cur.sp].write_from(&consts[*i as usize], cur.mask, cur.sp >= sfl);
                     cur.sp += 1;
                 }
                 Insn::LoadGlobal(s) => {
@@ -1539,21 +1415,33 @@ impl<'a> SpmdVm<'a> {
                     }
                 },
                 Insn::Binary(op) => {
-                    let owned = cur.sp - 2 >= sfl;
-                    if !self.binary_fast(*op, cur.sp, cur.mask, owned) {
-                        self.binary_generic(*op, cur.sp, cur.mask, owned)?;
+                    let sp = cur.sp;
+                    let owned = sp - 2 >= sfl;
+                    let (lo, hi) = self.stack.split_at_mut(sp - 1);
+                    let (a, b) = (&mut lo[sp - 2], &hi[0]);
+                    if !binary_fast(self.model, &mut self.profile, *op, a, b, cur.mask, owned) {
+                        self.binary_generic(*op, sp, cur.mask, owned)?;
                     }
                     cur.sp -= 1;
                 }
-                Insn::Branch => {
-                    for_lanes!(cur.mask, lane => {
-                        self.profiles[lane].branches += 1;
-                    });
+                Insn::BinaryConst { op, c } => {
+                    self.binary_operand(*op, cur.sp - 1, Operand::Const(*c), cur.mask, sfl)?;
                 }
+                Insn::BinaryLocal { op, s } => {
+                    let b = Operand::Local(fb + *s as usize);
+                    self.binary_operand(*op, cur.sp - 1, b, cur.mask, sfl)?;
+                }
+                Insn::LocalBinaryConst { op, s, c } => {
+                    self.ensure_stack(cur.sp + 1);
+                    let (stack, locals) = (&mut self.stack, &self.locals);
+                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, cur.sp >= sfl);
+                    self.binary_operand(*op, cur.sp, Operand::Const(*c), cur.mask, sfl)?;
+                    cur.sp += 1;
+                }
+                Insn::Branch => self.profile.branches += lane_count(cur.mask),
                 Insn::Jump(t) => {
                     cur.pc = *t as usize;
-                    reschedule(&mut cur, &mut pending);
-                    refloor!();
+                    land!();
                     continue;
                 }
                 Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => {
@@ -1563,13 +1451,12 @@ impl<'a> SpmdVm<'a> {
                     let mut stay: u8 = 0;
                     match &self.stack[cur.sp] {
                         Slot::B(x) => {
-                            for_lanes!(cur.mask, lane => {
-                                if x[lane] == jump_on {
-                                    go |= 1 << lane;
-                                } else {
-                                    stay |= 1 << lane;
-                                }
-                            });
+                            let taken = x
+                                .iter()
+                                .enumerate()
+                                .fold(0u8, |m, (lane, &b)| m | u8::from(b == jump_on) << lane);
+                            go = taken & cur.mask;
+                            stay = !taken & cur.mask;
                         }
                         slot => {
                             for_lanes!(cur.mask, lane => {
@@ -1589,11 +1476,12 @@ impl<'a> SpmdVm<'a> {
                         cur.pc += 1;
                     } else if stay == 0 {
                         cur.pc = *t as usize;
-                        reschedule(&mut cur, &mut pending);
-                        refloor!();
+                        land!();
                     } else {
                         // Divergence: defer the jumping subgroup, keep
                         // walking the fall-through side.
+                        let mut frames = self.spare_frames.pop().unwrap_or_default();
+                        frames.clone_from(&cur.frames);
                         pending.push(Ctx {
                             mask: go,
                             chunk: cur.chunk,
@@ -1601,7 +1489,7 @@ impl<'a> SpmdVm<'a> {
                             sp: cur.sp,
                             frame_base: cur.frame_base,
                             frame_end: cur.frame_end,
-                            frames: cur.frames.clone(),
+                            frames,
                         });
                         cur.mask = stay;
                         cur.pc += 1;
@@ -1622,7 +1510,7 @@ impl<'a> SpmdVm<'a> {
                                 x[lane] = model.round_alu(x[lane] + d);
                             });
                         }
-                        for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
+                        count_ops(&mut self.profile, false, 1, cur.mask);
                     }
                     Slot::I(x) => {
                         let d: i32 = if *inc { 1 } else { -1 };
@@ -1633,7 +1521,7 @@ impl<'a> SpmdVm<'a> {
                         } else {
                             for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_add(d); });
                         }
-                        for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
+                        count_ops(&mut self.profile, false, 1, cur.mask);
                     }
                     _ => {
                         for_lanes!(cur.mask, lane => {
@@ -1643,13 +1531,8 @@ impl<'a> SpmdVm<'a> {
                                 _ => Value::Float(1.0),
                             };
                             let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                            let new = ops::apply_binary(
-                                self.model,
-                                &mut self.profiles[lane],
-                                op,
-                                old,
-                                one,
-                            )?;
+                            let new =
+                                ops::apply_binary(self.model, &mut self.profile, op, old, one)?;
                             self.stack[cur.sp - 1].set(lane, new);
                         });
                     }
@@ -1669,13 +1552,15 @@ impl<'a> SpmdVm<'a> {
                     };
                     if src_n != 0 && sel.iter().all(|&i| i < src_n) {
                         let mut out = [[0.0f32; 4]; MAX_LANES];
+                        // Every lane: dead lanes hold valid vectors, and
+                        // the write below honours the mask.
                         macro_rules! gather {
                             ($x:ident) => {
-                                for_lanes!(cur.mask, lane => {
+                                for (o, v) in out.iter_mut().zip($x.iter()) {
                                     for (k, &si) in sel.iter().enumerate() {
-                                        out[lane][k] = $x[lane][si];
+                                        o[k] = v[si];
                                     }
-                                })
+                                }
                             };
                         }
                         match &self.stack[cur.sp - 1] {
@@ -1684,18 +1569,7 @@ impl<'a> SpmdVm<'a> {
                             Slot::V4(x) => gather!(x),
                             _ => unreachable!(),
                         }
-                        if sel.len() == 1 {
-                            let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                            if owned {
-                                self.stack[cur.sp - 1] = Slot::F(r);
-                            } else {
-                                for_lanes!(cur.mask, lane => {
-                                    self.stack[cur.sp - 1].set(lane, Value::Float(r[lane]));
-                                });
-                            }
-                        } else {
-                            self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, owned);
-                        }
+                        self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, owned);
                     } else {
                         let mut out = lane_values();
                         for_lanes!(cur.mask, lane => {
@@ -1811,12 +1685,12 @@ impl<'a> SpmdVm<'a> {
                     });
                 }
                 Insn::LoopIter { span } => {
+                    self.profile.branches += lane_count(cur.mask);
                     for_lanes!(cur.mask, lane => {
                         let counter = self.loop_counters[lane]
                             .last_mut()
                             .expect("loop counter underflow");
                         *counter += 1;
-                        self.profiles[lane].branches += 1;
                         if *counter > self.limits.max_loop_iterations {
                             return Err(RuntimeError::LoopLimit {
                                 limit: self.limits.max_loop_iterations,
@@ -1895,8 +1769,7 @@ impl<'a> SpmdVm<'a> {
                         cur.pc = frame.ret_pc;
                         cur.frame_base = frame.frame_base;
                         cur.frame_end = frame.frame_end;
-                        reschedule(&mut cur, &mut pending);
-                        refloor!();
+                        land!();
                         continue;
                     }
                 },
@@ -1910,76 +1783,42 @@ impl<'a> SpmdVm<'a> {
                     debug_assert!(cur.frames.is_empty());
                     next_ctx!();
                 }
+                Insn::CallBuiltin { id, argc } => {
+                    let args_start = cur.sp - *argc as usize;
+                    let owned = args_start >= sfl;
+                    if !self.call_builtin(*id, args_start, *argc as usize, cur.mask, owned)? {
+                        return Err(RuntimeError::Unbound {
+                            name: id.name().into(),
+                        });
+                    }
+                    cur.sp = args_start + 1;
+                }
+                Insn::CallUser { func, pushes_outs } => {
+                    let argc = exe.functions[*func as usize].params.len();
+                    let args_start = cur.sp - argc;
+                    self.enter_call(cur, *func, args_start, *pushes_outs, (sfl, lfl))?;
+                    continue;
+                }
                 Insn::Call {
                     name,
+                    builtin,
                     argc,
                     candidates,
                     pushes_outs,
                 } => {
                     let argc = *argc as usize;
                     let args_start = cur.sp - argc;
-                    let name_s = &exe.names[*name as usize];
-
-                    // SoA fast paths for the hot builtins (argument slot
-                    // variants are shared by all lanes, so one dispatch
-                    // covers the batch). Skipped when the lowerer
-                    // expects out-param copy-back so the drift error
-                    // below still fires.
-                    let owned = args_start >= sfl;
-                    if !*pushes_outs && self.fast_builtin(name_s, args_start, argc, cur.mask, owned)
-                    {
-                        cur.sp = args_start + 1;
-                        cur.pc += 1;
-                        continue;
-                    }
-
-                    // Builtins and constructors next (they cannot be
-                    // shadowed) — per lane, on the lane's own
-                    // materialised arguments and profile. Builtin-ness
-                    // is decided by name and argument types, which are
-                    // uniform across lanes.
-                    let mut is_builtin = false;
-                    let mut out = lane_values();
-                    for_lanes!(cur.mask, lane => {
-                        self.arg_buf.clear();
-                        for k in 0..argc {
-                            let v = self.stack[args_start + k].get(lane);
-                            self.arg_buf.push(v);
+                    // Builtins and constructors first (they cannot be
+                    // shadowed); whether one takes these arguments is
+                    // decided by their types, which all lanes share.
+                    if let Some(id) = builtin {
+                        let owned = args_start >= sfl;
+                        if self.call_builtin(*id, args_start, argc, cur.mask, owned)? {
+                            cur.sp = args_start + 1;
+                            cur.pc += 1;
+                            continue;
                         }
-                        let result = {
-                            let mut cx = BuiltinCx {
-                                model: self.model,
-                                profile: &mut self.profiles[lane],
-                                textures: self.textures,
-                            };
-                            builtins::call(name_s, &self.arg_buf, &mut cx)
-                        };
-                        match result {
-                            Some(r) => {
-                                if *pushes_outs {
-                                    return Err(RuntimeError::Type {
-                                        message: format!(
-                                            "builtin `{name_s}` intercepted a call lowered with \
-                                             out-parameter copy-back (builtin table drift)"
-                                        ),
-                                    });
-                                }
-                                out[lane] = r?;
-                                is_builtin = true;
-                            }
-                            None => {
-                                debug_assert!(!is_builtin, "builtin dispatch diverged across lanes");
-                                break;
-                            }
-                        }
-                    });
-                    if is_builtin {
-                        self.stack[args_start].put_lanes(&mut out, cur.mask, owned);
-                        cur.sp = args_start + 1;
-                        cur.pc += 1;
-                        continue;
                     }
-
                     // User-defined function by exact argument types
                     // (static, so the first lane's types stand for all).
                     let first = cur.mask.trailing_zeros() as usize;
@@ -2000,61 +1839,9 @@ impl<'a> SpmdVm<'a> {
                                     .all(|((ty, _), v)| ops::value_matches_type(v, ty))
                         })
                         .ok_or_else(|| RuntimeError::Unbound {
-                            name: name_s.clone(),
+                            name: exe.names[*name as usize].clone(),
                         })?;
-                    if cur.frames.len() as u32 >= self.limits.max_call_depth {
-                        return Err(RuntimeError::CallDepth {
-                            limit: self.limits.max_call_depth,
-                        });
-                    }
-                    let func = &exe.functions[fi as usize];
-                    let callee_base = cur.frame_end;
-                    let callee_end =
-                        callee_base + exe.chunks[func.chunk as usize].frame_size as usize;
-                    self.ensure_locals(callee_end);
-                    let counters_base = self.loop_counters[first].len();
-                    for_lanes!(cur.mask, lane => {
-                        self.profiles[lane].calls += 1;
-                    });
-                    for (i, (ty, qual)) in func.params.iter().enumerate() {
-                        match qual {
-                            ParamQual::In | ParamQual::InOut => {
-                                let dst = callee_base + i;
-                                move_slot(
-                                    &mut self.locals[dst],
-                                    &mut self.stack[args_start + i],
-                                    cur.mask,
-                                    dst >= lfl,
-                                    args_start + i >= sfl,
-                                );
-                            }
-                            ParamQual::Out => {
-                                let z = Value::zero_of(ty);
-                                if callee_base + i >= lfl {
-                                    self.locals[callee_base + i] = Slot::splat(&z);
-                                } else {
-                                    for_lanes!(cur.mask, lane => {
-                                        self.locals[callee_base + i].set(lane, z.clone());
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    cur.frames.push(Frame {
-                        ret_chunk: cur.chunk,
-                        ret_pc: cur.pc + 1,
-                        frame_base: cur.frame_base,
-                        frame_end: cur.frame_end,
-                        callee_base,
-                        func: fi,
-                        pushes_outs: *pushes_outs,
-                        counters_base,
-                    });
-                    cur.chunk = func.chunk;
-                    cur.pc = 0;
-                    cur.sp = args_start;
-                    cur.frame_base = callee_base;
-                    cur.frame_end = callee_end;
+                    self.enter_call(cur, fi, args_start, *pushes_outs, (sfl, lfl))?;
                     continue;
                 }
             }
@@ -2062,6 +1849,254 @@ impl<'a> SpmdVm<'a> {
         }
     }
 }
+
+/// A `Binary` right operand read in place (see [`Insn::BinaryConst`] and
+/// [`Insn::BinaryLocal`]).
+#[derive(Clone, Copy)]
+enum Operand {
+    /// Constant-pool index.
+    Const(u32),
+    /// Absolute locals-arena index.
+    Local(usize),
+}
+
+/// Component `c` of lane `l` in a lane-major buffer of `k` components
+/// per lane; a one-component (`float`) buffer broadcasts.
+fn lane_comp(v: &[f32], k: usize, l: usize, c: usize) -> f32 {
+    v[l * k + c.min(k - 1)]
+}
+
+/// The number of lanes in each mask. The baseline x86-64 target has no
+/// `popcnt`, so `count_ones` is a dozen instructions; the VM counts lanes
+/// on nearly every instruction.
+const LANE_COUNT: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = (i as u8).count_ones() as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The number of lanes in `mask`.
+fn lane_count(mask: u8) -> u64 {
+    u64::from(LANE_COUNT[mask as usize])
+}
+
+/// Counts `n` per-lane ALU (or, with `sfu`, SFU) operations on each of
+/// the `mask` lanes: one profile bump per instruction, not per lane.
+fn count_ops(profile: &mut OpProfile, sfu: bool, n: u64, mask: u8) {
+    let total = n * lane_count(mask);
+    if sfu {
+        profile.sfu_ops += total;
+    } else {
+        profile.alu_ops += total;
+    }
+}
+
+/// Applies a binary operator to `a` (a stack slot) and `b` via the typed
+/// fast paths, writing the result to `a` (wholesale when the running
+/// context `owned` it) and counting into `profile`. Returns `false`
+/// (with no state mutated) when the operand shapes need the generic
+/// per-lane path.
+fn binary_fast(
+    model: FloatModel,
+    profile: &mut OpProfile,
+    op: BinOp,
+    a: &mut Slot,
+    b: &Slot,
+    mask: u8,
+    owned: bool,
+) -> bool {
+    use BinOp::*;
+    // Float arithmetic, component-wise; a scalar right operand
+    // broadcasts over a vector left one.
+    if matches!(op, Add | Sub | Mul | Div) {
+        if let (Some((x, n)), Some((y, m))) = (a.floats_mut(), b.floats()) {
+            if m != n && m != 1 {
+                return false;
+            }
+            match op {
+                Add => zip_lanes(x, n, y, m, mask, owned, |p, q| p + q),
+                Sub => zip_lanes(x, n, y, m, mask, owned, |p, q| p - q),
+                Mul => zip_lanes(x, n, y, m, mask, owned, |p, q| p * q),
+                _ => zip_lanes(x, n, y, m, mask, owned, |p, q| p / q),
+            }
+            round_lanes(model, false, x, n, mask, owned);
+            count_ops(profile, false, n as u64, mask);
+            return true;
+        }
+    }
+    macro_rules! bump_alu {
+        ($n:expr) => {
+            count_ops(profile, false, $n, mask)
+        };
+    }
+    match (&mut *a, b) {
+        (Slot::F(x), Slot::F(y)) => {
+            let Some(r) = compare_lanes(op, x, y) else {
+                return false;
+            };
+            bump_alu!(1);
+            write_bools(a, r, mask, owned);
+            true
+        }
+        (Slot::I(x), Slot::I(y)) => {
+            if matches!(op, Add | Sub | Mul | Div) {
+                let g = move |x: i32, y: i32| match op {
+                    Add => x.wrapping_add(y),
+                    Sub => x.wrapping_sub(y),
+                    Mul => x.wrapping_mul(y),
+                    _ => {
+                        if y == 0 {
+                            0
+                        } else {
+                            x.wrapping_div(y)
+                        }
+                    }
+                };
+                if owned {
+                    for i in 0..MAX_LANES {
+                        x[i] = g(x[i], y[i]);
+                    }
+                } else {
+                    for_lanes!(mask, l => { x[l] = g(x[l], y[l]); });
+                }
+                bump_alu!(1);
+                return true;
+            }
+            let Some(r) = compare_lanes(op, x, y) else {
+                return false;
+            };
+            bump_alu!(1);
+            write_bools(a, r, mask, owned);
+            true
+        }
+        (Slot::B(x), Slot::B(y)) => match op {
+            And => {
+                for_lanes!(mask, l => { x[l] = x[l] && y[l]; });
+                true
+            }
+            Or => {
+                for_lanes!(mask, l => { x[l] = x[l] || y[l]; });
+                true
+            }
+            Xor => {
+                for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
+                true
+            }
+            Eq => {
+                for_lanes!(mask, l => { x[l] = x[l] == y[l]; });
+                bump_alu!(1);
+                true
+            }
+            Ne => {
+                for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
+                bump_alu!(1);
+                true
+            }
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// A relational `op` on every lane (dead lanes compare the values they
+/// hold, harmlessly), with the operator matched once outside the lane
+/// loop; `None` for any other operator.
+fn compare_lanes<T: PartialOrd>(
+    op: BinOp,
+    x: &[T; MAX_LANES],
+    y: &[T; MAX_LANES],
+) -> Option<[bool; MAX_LANES]> {
+    use std::array::from_fn;
+    Some(match op {
+        BinOp::Lt => from_fn(|l| x[l] < y[l]),
+        BinOp::Le => from_fn(|l| x[l] <= y[l]),
+        BinOp::Gt => from_fn(|l| x[l] > y[l]),
+        BinOp::Ge => from_fn(|l| x[l] >= y[l]),
+        BinOp::Eq => from_fn(|l| x[l] == y[l]),
+        BinOp::Ne => from_fn(|l| x[l] != y[l]),
+        _ => return None,
+    })
+}
+
+/// Writes per-lane bools to `a`: wholesale when the running context
+/// `owned` it, else into the `mask` lanes.
+fn write_bools(a: &mut Slot, r: [bool; MAX_LANES], mask: u8, owned: bool) {
+    if owned {
+        *a = Slot::B(r);
+    } else {
+        for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
+    }
+}
+
+/// `a = f(a)` per component over the lanes a write covers: all of them
+/// when the running context `owned` the slot, else the `mask` lanes.
+/// `a` is lane-major with `n` components per lane.
+#[inline(always)]
+fn map_lanes(a: &mut [f32], n: usize, mask: u8, owned: bool, f: impl Fn(f32) -> f32) {
+    if owned {
+        for x in a {
+            *x = f(*x);
+        }
+    } else {
+        for_lanes!(mask, l => {
+            for x in &mut a[l * n..(l + 1) * n] {
+                *x = f(*x);
+            }
+        });
+    }
+}
+
+/// Applies the float model's SFU (`sfu`) or ALU rounding to the lanes
+/// a write covers (see [`map_lanes`]); rounding per component after the
+/// operation is what the scalar paths do, one value at a time. Nothing
+/// to do where the model keeps every value.
+fn round_lanes(model: FloatModel, sfu: bool, a: &mut [f32], n: usize, mask: u8, owned: bool) {
+    if model.is_exact(sfu) {
+        return;
+    }
+    if sfu {
+        map_lanes(a, n, mask, owned, |v| model.round_sfu(v));
+    } else {
+        map_lanes(a, n, mask, owned, |v| model.round_alu(v));
+    }
+}
+
+/// `a = f(a, b)` per component over the lanes a write covers (see
+/// [`map_lanes`]); `b` has `m` components per lane, either `n` or one
+/// that broadcasts across the lane's components.
+#[inline(always)]
+fn zip_lanes(
+    a: &mut [f32],
+    n: usize,
+    b: &[f32],
+    m: usize,
+    mask: u8,
+    owned: bool,
+    f: impl Fn(f32, f32) -> f32,
+) {
+    if owned && m == n {
+        for (x, &y) in a.iter_mut().zip(b) {
+            *x = f(*x, y);
+        }
+    } else if owned {
+        for (xs, &y) in a.chunks_exact_mut(n).zip(b) {
+            for x in xs {
+                *x = f(*x, y);
+            }
+        }
+    } else {
+        for_lanes!(mask, l => {
+            for (c, x) in a[l * n..(l + 1) * n].iter_mut().enumerate() {
+                *x = f(*x, b[l * m + c.min(m - 1)]);
+            }
+        });
+    }
+}
+
 /// Writes `value` through `path` into `root`, using the shared
 /// swizzle/index mutators so behaviour matches the interpreter's
 /// `assign_to`/`modify` recursion. Every per-lane store takes exactly
@@ -2159,6 +2194,65 @@ mod tests {
             }
             assert_eq!(spmd.profile(), oracle.profile(), "profiles for {src}");
         }
+    }
+
+    /// [`assert_lanes_match`] that also requires the batch to box no
+    /// slot.
+    fn assert_lanes_match_unboxed(src: &str, inputs: &[f32]) {
+        let boxed = SpmdVm::boxings();
+        assert_lanes_match(src, inputs);
+        assert_eq!(SpmdVm::boxings() - boxed, 0, "slots boxed running {src}");
+    }
+
+    /// A divergent `?:` whose join is the right operand of a binary
+    /// operator: the `Const` of the else arm sits right before the
+    /// `Binary`, but the `Binary` is a jump target, so the pair must not
+    /// fold (the then arm's lanes arrive with their operand already
+    /// pushed). The same for a short-circuit `&&` join.
+    #[test]
+    fn fold_stops_at_a_join_on_the_right_operand() {
+        assert_lanes_match_unboxed(
+            &format!(
+                "{P}uniform float u_in;\n\
+                 void main() {{
+                    float x = u_in + 0.5;
+                    float a = x * (u_in > 2.0 ? 1.0 : 2.0);
+                    float b = x - (u_in < 1.0 ? x : 0.25);
+                    bool c = u_in > 0.5 && x < 4.0;
+                    gl_FragColor = vec4(a, b, c ? 1.0 : 0.0, x * (c ? a : 3.0));
+                 }}"
+            ),
+            &[0.25, 3.75, 1.5, 6.0, 2.5, 0.75, 4.0, 0.0],
+        );
+    }
+
+    /// Folded operands read while a sibling context is parked deeper in
+    /// a callee (a divergent `if` with an early `return`): the returning
+    /// lanes run the caller's folded `* 2.0` and `- kv` on a stack slot
+    /// below the parked context's floor, so they must take the masked
+    /// path and leave the parked lanes' values alone. Every slot those
+    /// lanes write keeps its type, so nothing boxes.
+    #[test]
+    fn folded_operand_below_an_ownership_floor() {
+        assert_lanes_match_unboxed(
+            &format!(
+                "{P}uniform float u_in;\n\
+                 vec4 g(float v) {{
+                    if (v > 2.0) {{ return vec4(v * 0.5); }}
+                    float w = v + 1.0;
+                    w = w * 1.5 - 0.25;
+                    return vec4(w * w, w, 1.0, v);
+                 }}
+                 void main() {{
+                    float k = u_in + 0.25;
+                    vec4 kv = vec4(k);
+                    vec4 y = vec4(0.0);
+                    y = (vec4(u_in) + g(u_in)) * 2.0 - kv;
+                    gl_FragColor = y * k;
+                 }}"
+            ),
+            &[0.25, 3.75, 1.5, 6.0, 2.5, 0.75, 4.0, 0.0],
+        );
     }
 
     /// The f32 codec library a kernel links (paper §IV; quarter-texel
