@@ -23,10 +23,15 @@
 //! checked, held as a [`Weak`] reference. A source that is admitted again
 //! while its shader is alive — held by a registration, or by a program a
 //! worker still caches — skips the front end, and a program miss whose
-//! fragment source is in the table compiles only the vertex shader and
-//! links the admitted shader ([`Program::link_checked`]). The table keeps
-//! nothing alive by itself, so it needs no capacity bound: dead entries
-//! are pruned on every insert.
+//! fragment source is in the table links the admitted shader
+//! ([`Program::link_checked`]) without compiling it again. The table keeps
+//! nothing alive by itself, so it needs no capacity bound: an insert
+//! that finds the table at twice the live size its last sweep left
+//! sweeps out the dead entries, so sweeping costs O(1) per insert.
+//!
+//! Every kernel links the same pass-through vertex shader, so the cache
+//! also keeps the last vertex shader it compiled: a link compiles its
+//! fragment shader at most, and an admitted one not at all.
 //!
 //! This is the CNNdroid / TFLite-delegate amortisation argument applied
 //! across contexts and threads instead of across iterations.
@@ -35,7 +40,7 @@ use crate::error::ComputeError;
 use crate::serve::metrics::lock_recover;
 use gpes_gles2::{GlError, Limits, Program};
 use gpes_glsl::admission::{self, AdmissionDiagnostic};
-use gpes_glsl::{compile, compile_strict, CompiledShader, ShaderKind};
+use gpes_glsl::{compile, compile_strict, CompileError, CompiledShader, ShaderKind};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
 
@@ -159,14 +164,45 @@ impl<K: std::hash::Hash + Eq + Clone, V> FifoCache<K, V> {
 struct Inner {
     /// `vs \0 fs` source → linked program.
     cache: FifoCache<String, Arc<Program>>,
+    /// The last vertex shader a link compiled: its source, whether it was
+    /// compiled strictly, and the checked shader.
+    vertex: Option<(String, bool, Arc<CompiledShader>)>,
     stats: SharedCacheStats,
 }
+
+impl Inner {
+    /// The checked vertex shader `vs`, compiled only when it is not the
+    /// one the last link used.
+    fn vertex(&mut self, vs: &str, strict: bool) -> Result<Arc<CompiledShader>, GlError> {
+        if let Some((source, was_strict, shader)) = &self.vertex {
+            if source == vs && *was_strict == strict {
+                return Ok(Arc::clone(shader));
+            }
+        }
+        let shader = Arc::new(front_end(strict)(ShaderKind::Vertex, vs)?);
+        self.vertex = Some((vs.to_owned(), strict, Arc::clone(&shader)));
+        Ok(shader)
+    }
+}
+
+fn front_end(strict: bool) -> fn(ShaderKind, &str) -> Result<CompiledShader, CompileError> {
+    if strict {
+        compile_strict
+    } else {
+        compile
+    }
+}
+
+/// Table size below which an insert never sweeps the admission table.
+const ADMITTED_SWEEP_FLOOR: usize = 32;
 
 /// The admission table: exact fragment source → the shader its strict
 /// admission produced, for as long as something else holds that shader.
 #[derive(Default)]
 struct Admitted {
     shaders: HashMap<String, Weak<CompiledShader>>,
+    /// Table size at which the next insert sweeps out dead entries.
+    sweep_at: usize,
     admissions: u64,
     hits: u64,
 }
@@ -174,6 +210,18 @@ struct Admitted {
 impl Admitted {
     fn live(&self, fs: &str) -> Option<Arc<CompiledShader>> {
         self.shaders.get(fs).and_then(Weak::upgrade)
+    }
+
+    /// Records `shader` as `source`'s admission. The table is swept when
+    /// it has doubled since the last sweep, so it stays within twice its
+    /// live entries (or the floor) at O(1) amortised cost per insert.
+    fn insert(&mut self, source: &str, shader: &Arc<CompiledShader>) {
+        if self.shaders.len() >= self.sweep_at {
+            self.shaders.retain(|_, shader| shader.strong_count() > 0);
+            self.sweep_at = (2 * self.shaders.len()).max(ADMITTED_SWEEP_FLOOR);
+        }
+        self.shaders
+            .insert(source.to_owned(), Arc::downgrade(shader));
     }
 }
 
@@ -225,6 +273,7 @@ impl SharedProgramCache {
         SharedProgramCache {
             inner: Mutex::new(Inner {
                 cache: FifoCache::new(capacity),
+                vertex: None,
                 stats: SharedCacheStats::default(),
             }),
             admitted: Mutex::new(Admitted::default()),
@@ -242,9 +291,10 @@ impl SharedProgramCache {
     /// driver, where the same source might not link at all.
     ///
     /// A miss whose fragment source has a live admitted shader (see
-    /// [`SharedProgramCache::admit`]) compiles only `vs` and links that
-    /// shader: strict admission accepts a subset of what either front end
-    /// accepts, and yields the same checked shader.
+    /// [`SharedProgramCache::admit`]) links that shader: strict admission
+    /// accepts a subset of what either front end accepts, and yields the
+    /// same checked shader. `vs` is compiled only when the previous link
+    /// used another vertex shader (or strictness).
     ///
     /// # Errors
     ///
@@ -265,15 +315,13 @@ impl SharedProgramCache {
             return Ok(program);
         }
         inner.stats.misses += 1;
+        let vertex = inner.vertex(vs, strict)?;
         let admitted = lock_recover(&self.admitted).live(fs);
-        let program = Arc::new(match admitted {
-            Some(fragment) => {
-                let front_end = if strict { compile_strict } else { compile };
-                let vertex = front_end(ShaderKind::Vertex, vs).map_err(GlError::from)?;
-                Program::link_checked(Arc::new(vertex), fragment, limits)?
-            }
-            None => Program::link_with(vs, fs, limits, strict)?,
-        });
+        let fragment = match admitted {
+            Some(fragment) => fragment,
+            None => Arc::new(front_end(strict)(ShaderKind::Fragment, fs).map_err(GlError::from)?),
+        };
+        let program = Arc::new(Program::link_checked(vertex, fragment, limits)?);
         inner.stats.links += 1;
         // FIFO eviction past capacity: evicted entries still referenced
         // elsewhere stay alive through their `Arc`s; the cache just stops
@@ -305,13 +353,7 @@ impl SharedProgramCache {
             admitted.admissions += 1;
         }
         let shader = Arc::new(admission::admit(ShaderKind::Fragment, source)?);
-        let mut admitted = lock_recover(&self.admitted);
-        admitted
-            .shaders
-            .retain(|_, shader| shader.strong_count() > 0);
-        admitted
-            .shaders
-            .insert(source.to_owned(), Arc::downgrade(&shader));
+        lock_recover(&self.admitted).insert(source, &shader);
         Ok(shader)
     }
 
@@ -525,11 +567,33 @@ mod tests {
         drop((first, again));
         cache.admit(&fs("0.5")).expect("admits");
         assert_eq!(cache.stats().admissions, 5);
-        assert_eq!(
-            lock_recover(&cache.admitted).shaders.len(),
-            1,
-            "dead entries pruned"
-        );
+    }
+
+    #[test]
+    fn the_table_sweeps_dead_entries_once_it_doubles() {
+        let cache = SharedProgramCache::new();
+        let table_len = || lock_recover(&cache.admitted).shaders.len();
+        // Sources whose shaders are all dropped never hold more than the
+        // sweep floor.
+        for i in 0..200 {
+            cache.admit(&fs(&format!("{i}.0"))).expect("admits");
+            assert!(table_len() <= ADMITTED_SWEEP_FLOOR, "{}", table_len());
+        }
+        // Live entries survive every sweep, and dead ones stay within
+        // twice the live count.
+        let live: Vec<_> = (0..40)
+            .map(|i| cache.admit(&fs(&format!("0.{i}"))).expect("admits"))
+            .collect();
+        for i in 0..200 {
+            cache.admit(&fs(&format!("1{i}.0"))).expect("admits");
+            assert!(table_len() <= 2 * live.len() + 1, "{}", table_len());
+        }
+        let hits = cache.stats().admission_hits;
+        for (i, shader) in live.iter().enumerate() {
+            let again = cache.admit(&fs(&format!("0.{i}"))).expect("admits");
+            assert!(Arc::ptr_eq(shader, &again));
+        }
+        assert_eq!(cache.stats().admission_hits, hits + live.len() as u64);
     }
 
     #[test]

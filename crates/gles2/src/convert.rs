@@ -8,6 +8,8 @@
 //! the paper's δ-correction assumes flooring. [`StoreRounding`] lets both
 //! behaviours be simulated (ablation A2).
 
+use gpes_glsl::builtins::floor_f32;
+
 /// How the framebuffer converts a clamped float to a byte (eq. (2)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreRounding {
@@ -30,8 +32,8 @@ pub fn float_to_texel(f: f32, rounding: StoreRounding) -> u8 {
     // NaN clamps to 0 (GL clamps to [0,1] and NaN comparisons are false).
     let clamped = if f.is_nan() { 0.0 } else { f.clamp(0.0, 1.0) };
     let scaled = match rounding {
-        StoreRounding::Floor => (clamped * 255.0).floor(),
-        StoreRounding::Nearest => (clamped * 255.0 + 0.5).floor(),
+        StoreRounding::Floor => floor_f32(clamped * 255.0),
+        StoreRounding::Nearest => floor_f32(clamped * 255.0 + 0.5),
     };
     scaled.min(255.0) as u8
 }

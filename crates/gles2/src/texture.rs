@@ -7,6 +7,7 @@
 
 use crate::convert::texel_to_float;
 use crate::error::GlError;
+use gpes_glsl::builtins::floor_f32;
 
 /// Texel storage formats available in core OpenGL ES 2.0 (byte-based only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -270,9 +271,9 @@ impl Texture {
     fn wrap_coord(coord: f32, mode: Wrap) -> f32 {
         match mode {
             Wrap::ClampToEdge => coord.clamp(0.0, 1.0),
-            Wrap::Repeat => coord - coord.floor(),
+            Wrap::Repeat => coord - floor_f32(coord),
             Wrap::MirroredRepeat => {
-                let t = (coord * 0.5).fract().abs() * 2.0;
+                let t = trunc_fract(coord * 0.5).abs() * 2.0;
                 let t = if coord < 0.0 { 2.0 - t } else { t };
                 if t > 1.0 {
                     2.0 - t
@@ -293,15 +294,15 @@ impl Texture {
         let v = Self::wrap_coord(coord[1], self.wrap_t);
         match self.mag_filter {
             Filter::Nearest => {
-                let x = ((u * self.width as f32).floor() as i64).min(self.width as i64 - 1);
-                let y = ((v * self.height as f32).floor() as i64).min(self.height as i64 - 1);
+                let x = (floor_f32(u * self.width as f32) as i64).min(self.width as i64 - 1);
+                let y = (floor_f32(v * self.height as f32) as i64).min(self.height as i64 - 1);
                 self.texel(x, y)
             }
             Filter::Linear => {
                 let fx = u * self.width as f32 - 0.5;
                 let fy = v * self.height as f32 - 0.5;
-                let x0 = fx.floor();
-                let y0 = fy.floor();
+                let x0 = floor_f32(fx);
+                let y0 = floor_f32(fy);
                 let tx = fx - x0;
                 let ty = fy - y0;
                 let (x0, y0) = (x0 as i64, y0 as i64);
@@ -327,9 +328,82 @@ impl Default for Texture {
     }
 }
 
+/// `x − trunc(x)` (Rust's `f32::fract`, not GLSL's `fract`), on the inline
+/// [`floor_f32`] rather than an out-of-line `truncf` call.
+fn trunc_fract(x: f32) -> f32 {
+    x - floor_f32(x.abs()).copysign(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::{float_to_texel, StoreRounding};
+
+    /// Edge classes for the floors: signed zeros, denormals, the normal
+    /// range's ends, halves, the 2²³ boundary where every float is
+    /// integral, infinities and NaN, plus a sweep of ordinary values.
+    fn float_edges() -> Vec<f32> {
+        let mut edges = vec![
+            0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            0.5,
+            0.999_999_94,
+            1.0,
+            1.5,
+            254.999_98,
+            255.0,
+            8_388_607.0,
+            8_388_607.5,
+            8_388_608.0,
+            8_388_609.0,
+            16_777_216.0,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        edges.extend((0..2000).map(|i| i as f32 * 0.013_7 - 3.1));
+        let negated: Vec<f32> = edges.iter().map(|&x| -x).collect();
+        edges.extend(negated);
+        edges
+    }
+
+    /// Each expression that moved from `f32::floor`/`f32::fract` to the
+    /// inline helpers gives the same bits as before on every edge class.
+    #[test]
+    fn inline_floors_are_bit_identical_to_std() {
+        for x in float_edges() {
+            let same = |new: f32, old: f32, what: &str| {
+                assert_eq!(new.to_bits(), old.to_bits(), "{what} at {x:e}");
+            };
+            same(
+                Texture::wrap_coord(x, Wrap::Repeat),
+                x - x.floor(),
+                "repeat wrap",
+            );
+            same(trunc_fract(x), x.fract(), "trunc fract");
+            let t = (x * 0.5).fract().abs() * 2.0;
+            let t = if x < 0.0 { 2.0 - t } else { t };
+            same(
+                Texture::wrap_coord(x, Wrap::MirroredRepeat),
+                if t > 1.0 { 2.0 - t } else { t },
+                "mirrored wrap",
+            );
+            for scale in [1.0, 7.0, 4096.0] {
+                assert_eq!(floor_f32(x * scale) as i64, (x * scale).floor() as i64);
+            }
+            same(floor_f32(x - 0.5), (x - 0.5).floor(), "linear filter");
+            for rounding in [StoreRounding::Floor, StoreRounding::Nearest] {
+                let clamped = if x.is_nan() { 0.0 } else { x.clamp(0.0, 1.0) };
+                let old = match rounding {
+                    StoreRounding::Floor => (clamped * 255.0).floor(),
+                    StoreRounding::Nearest => (clamped * 255.0 + 0.5).floor(),
+                };
+                assert_eq!(float_to_texel(x, rounding), old.min(255.0) as u8, "{x:e}");
+            }
+        }
+    }
 
     fn checker2x2() -> Texture {
         let mut t = Texture::new();

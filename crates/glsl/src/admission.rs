@@ -7,8 +7,9 @@
 //! and surfaced as typed errors without string-matching diagnostics.
 //!
 //! [`admit`] runs the exact same front end as [`crate::compile_strict`]
-//! — preprocess → parse → Appendix-A strict check → semantic analysis —
-//! but tags every failure with the [`AdmissionStage`] that produced it.
+//! — preprocess → parse → Appendix-A strict check → semantic analysis,
+//! one function ([`front_end`]) behind all three entry points — but tags
+//! every failure with the [`AdmissionStage`] that produced it.
 //! The stages run in rejection-cheapest order: a source that does not
 //! parse never reaches the (more expensive) semantic checker, and a
 //! shader a strict mobile driver would refuse is rejected before sema,
@@ -82,12 +83,27 @@ impl std::fmt::Display for AdmissionDiagnostic {
 
 impl std::error::Error for AdmissionDiagnostic {}
 
-fn reject(stage: AdmissionStage, err: CompileError) -> AdmissionDiagnostic {
-    AdmissionDiagnostic {
-        stage,
-        message: err.message,
-        line: err.span.line,
+/// The front end behind [`crate::compile`], [`crate::compile_strict`]
+/// and [`admit`]: preprocess → parse → (when `strict`) Appendix A →
+/// semantic analysis. A failure carries the stage that refused the
+/// source.
+pub(crate) fn front_end(
+    kind: ShaderKind,
+    source: &str,
+    strict: bool,
+) -> Result<CompiledShader, (AdmissionStage, CompileError)> {
+    let preprocessed = preprocessor::preprocess(source).map_err(|e| (AdmissionStage::Parse, e))?;
+    let unit = parser::parse(&preprocessed.source).map_err(|e| {
+        let stage = match e.phase {
+            Phase::Preprocess | Phase::Lex | Phase::Parse => AdmissionStage::Parse,
+            Phase::Check => AdmissionStage::Sema,
+        };
+        (stage, e)
+    })?;
+    if strict {
+        strict::check_appendix_a(&unit).map_err(|e| (AdmissionStage::Strict, e))?;
     }
+    sema::check(kind, unit).map_err(|e| (AdmissionStage::Sema, e))
 }
 
 /// Runs the full strict-mode admission pipeline over `source`.
@@ -104,17 +120,11 @@ fn reject(stage: AdmissionStage, err: CompileError) -> AdmissionDiagnostic {
 /// [`strict::check_appendix_a`] failures → [`AdmissionStage::Strict`];
 /// [`sema::check`] failures → [`AdmissionStage::Sema`].
 pub fn admit(kind: ShaderKind, source: &str) -> Result<CompiledShader, AdmissionDiagnostic> {
-    let preprocessed =
-        preprocessor::preprocess(source).map_err(|e| reject(AdmissionStage::Parse, e))?;
-    let unit = parser::parse(&preprocessed.source).map_err(|e| {
-        let stage = match e.phase {
-            Phase::Preprocess | Phase::Lex | Phase::Parse => AdmissionStage::Parse,
-            Phase::Check => AdmissionStage::Sema,
-        };
-        reject(stage, e)
-    })?;
-    strict::check_appendix_a(&unit).map_err(|e| reject(AdmissionStage::Strict, e))?;
-    sema::check(kind, unit).map_err(|e| reject(AdmissionStage::Sema, e))
+    front_end(kind, source, true).map_err(|(stage, err)| AdmissionDiagnostic {
+        stage,
+        message: err.message,
+        line: err.span.line,
+    })
 }
 
 #[cfg(test)]

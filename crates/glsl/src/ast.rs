@@ -5,6 +5,12 @@
 
 use crate::span::Span;
 use crate::types::{Precision, Type};
+use std::sync::Arc;
+
+/// An identifier's spelling. The lexer interns each distinct spelling of
+/// a source once, so every occurrence shares one allocation and copying
+/// a name (into a scope, a signature, a table) is a reference count.
+pub type Name = Arc<str>;
 
 /// Binary operators (note: no `%` or bitwise operators in ES 1.00).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +117,9 @@ pub enum ExprKind {
     /// Bool literal.
     BoolLit(bool),
     /// Variable reference.
-    Ident(String),
-    /// `a <op> b`
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Ident(Name),
+    /// `a <op> b`; both operands share one allocation.
+    Binary(BinOp, Box<[Expr; 2]>),
     /// `<op> a` / `a <op>` for inc/dec
     Unary(UnOp, Box<Expr>),
     /// `lhs <op>= rhs`
@@ -122,9 +128,9 @@ pub enum ExprKind {
     Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
     /// Function call or constructor: `name(args…)`. Constructors use the
     /// type name (`vec4`, `mat3`, `float`, …).
-    Call(String, Vec<Expr>),
+    Call(Name, Vec<Expr>),
     /// `base.field` — swizzle (`.xyz`) on vectors.
-    Field(Box<Expr>, String),
+    Field(Box<Expr>, Name),
     /// `base[index]`
     Index(Box<Expr>, Box<Expr>),
     /// `a, b` sequence (value of `b`).
@@ -222,7 +228,7 @@ pub enum Storage {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Declarator {
     /// Declared name.
-    pub name: String,
+    pub name: Name,
     /// Resolved type (array suffix already applied).
     pub ty: Type,
     /// Optional initialiser.
@@ -257,7 +263,7 @@ pub enum ParamQual {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name (may be empty in prototypes).
-    pub name: String,
+    pub name: Name,
     /// Parameter type.
     pub ty: Type,
     /// in/out/inout.
@@ -268,7 +274,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
-    pub name: String,
+    pub name: Name,
     /// Return type.
     pub ret: Type,
     /// Parameters.

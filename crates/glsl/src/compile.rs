@@ -3,8 +3,8 @@
 //! The tree-walking interpreter resolves every variable by string
 //! comparison over a scope stack and re-walks the AST for every fragment.
 //! This module performs all of that work **once per shader**: a resolver
-//! pass interns names, assigns every global, parameter and local a numeric
-//! slot, and flattens the statement tree into a compact instruction
+//! pass assigns every global, parameter and local a numeric slot, and
+//! flattens the statement tree into a compact instruction
 //! sequence (`Insn`) executed by [`crate::spmd::SpmdVm`].
 //!
 //! The lowering is deliberately semantics-preserving to the point of
@@ -14,7 +14,10 @@
 //! does decide once per shader, so the VM need not per batch: each call's
 //! callee (`Insn::CallBuiltin` / `Insn::CallUser` where the AST fixes
 //! it), and which operand pushes fold into the `Binary` that consumes
-//! them (`fold_operands`).
+//! them (`fold_operands`). Only the functions reachable from `main` and
+//! the global initialisers are lowered — a generated kernel carries a
+//! codec library it mostly does not call — while sema has checked them
+//! all.
 
 use crate::ast::*;
 use crate::builtins::BuiltinId;
@@ -168,10 +171,12 @@ pub(crate) enum Insn {
     },
     /// A call whose callee depends on the argument types, which the AST
     /// does not record: same-arity user overloads, or a user function
-    /// named like a builtin. Tries `builtin` first, then the user
-    /// overloads in `candidates` by runtime argument types.
+    /// named like a builtin. Tries `builtin` first, if it takes these
+    /// argument types, then the user overloads in `candidates` by
+    /// runtime argument types.
     Call {
-        /// Interned callee name (for the `Unbound` error).
+        /// Callee name, an index into [`Executable::names`] (for the
+        /// `Unbound` error).
         name: u32,
         /// The builtin of that name, if any.
         builtin: Option<BuiltinId>,
@@ -218,8 +223,8 @@ pub(crate) enum Insn {
     ErrBreakInFunction,
     /// Return from a user function; the return value is on the stack.
     Ret,
-    /// Non-void function fell off its end (runtime error citing the
-    /// interned function name).
+    /// Non-void function `functions[i]` fell off its end (runtime error
+    /// citing its name).
     ErrNoReturn(u32),
     /// End the invocation (main / initialiser chunk).
     Halt,
@@ -247,8 +252,8 @@ pub(crate) struct Chunk {
 /// A lowered user-defined function.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FuncDef {
-    /// Interned name.
-    pub name: u32,
+    /// Source name.
+    pub name: Name,
     /// Parameter types and qualifiers, in order (types drive overload
     /// dispatch exactly like the interpreter's runtime-type match).
     pub params: Vec<(Type, ParamQual)>,
@@ -256,15 +261,6 @@ pub(crate) struct FuncDef {
     pub ret: Type,
     /// Body chunk index.
     pub chunk: u32,
-}
-
-/// A global variable's metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GlobalDef {
-    /// Source name.
-    pub name: String,
-    /// Declared type.
-    pub ty: Type,
 }
 
 /// A checked shader lowered to slot-addressed bytecode, ready to be
@@ -277,12 +273,12 @@ pub struct Executable {
     pub(crate) kind: ShaderKind,
     /// Constant pool.
     pub(crate) consts: Vec<Value>,
-    /// Interned names (callees, error messages).
-    pub(crate) names: Vec<String>,
-    /// Global slot metadata, in slot order.
-    pub(crate) globals: Vec<GlobalDef>,
-    /// Name → global slot (last declaration wins, like the scope scan).
-    pub(crate) global_index: HashMap<String, u32>,
+    /// Callee names of [`Insn::Call`]s (error messages).
+    pub(crate) names: Vec<Name>,
+    /// Global slot types, in slot order.
+    pub(crate) globals: Vec<Type>,
+    /// Name → global slot.
+    pub(crate) global_index: HashMap<Name, u32>,
     /// Global slots holding plain mutable globals, re-initialised per
     /// invocation.
     pub(crate) reset_slots: Vec<u32>,
@@ -290,7 +286,8 @@ pub struct Executable {
     pub(crate) chunks: Vec<Chunk>,
     /// Index of the `main` chunk.
     pub(crate) main_chunk: u32,
-    /// Lowered user functions.
+    /// Lowered user functions: those reachable from `main` or a global
+    /// initialiser, in the order lowering reached them.
     pub(crate) functions: Vec<FuncDef>,
 }
 
@@ -344,33 +341,64 @@ pub fn lower_shared(shader: &CompiledShader) -> Result<std::sync::Arc<Executable
     lower(shader).map(std::sync::Arc::new)
 }
 
-/// Builtin globals per stage, mirroring `Interpreter::init_globals`.
-pub(crate) fn builtin_globals(kind: ShaderKind) -> Vec<(&'static str, Type)> {
+/// Builtin globals per stage: name, type, and whether the shader may
+/// write it. Sema, the lowerer and the interpreter all declare them in
+/// this order.
+pub(crate) fn builtin_globals(kind: ShaderKind) -> Vec<(&'static str, Type, bool)> {
     match kind {
-        ShaderKind::Vertex => vec![("gl_Position", Type::Vec4), ("gl_PointSize", Type::Float)],
+        ShaderKind::Vertex => vec![
+            ("gl_Position", Type::Vec4, true),
+            ("gl_PointSize", Type::Float, true),
+        ],
         ShaderKind::Fragment => vec![
-            ("gl_FragColor", Type::Vec4),
-            ("gl_FragData", Type::Array(Box::new(Type::Vec4), 1)),
-            ("gl_FragCoord", Type::Vec4),
-            ("gl_FrontFacing", Type::Bool),
-            ("gl_PointCoord", Type::Vec2),
+            ("gl_FragColor", Type::Vec4, true),
+            // ES 2 guarantees only a single draw buffer: this is the
+            // paper's limitation #8 made concrete in the type system.
+            ("gl_FragData", Type::Array(Box::new(Type::Vec4), 1), true),
+            ("gl_FragCoord", Type::Vec4, false),
+            ("gl_FrontFacing", Type::Bool, false),
+            ("gl_PointCoord", Type::Vec2, false),
         ],
     }
+}
+
+/// A scalar constant's identity in the pool: floats by bit pattern, so
+/// `0.0` and `-0.0` stay apart.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ConstKey {
+    Float(u32),
+    Int(i32),
+    Bool(bool),
+}
+
+/// A user function definition and, once a call has reached it, its index
+/// in the function table.
+struct Def<'a> {
+    ast: &'a Function,
+    index: Option<u32>,
 }
 
 struct Lowerer<'a> {
     shader: &'a CompiledShader,
     consts: Vec<Value>,
-    interner: crate::intern::Interner,
-    globals: Vec<GlobalDef>,
-    global_index: HashMap<String, u32>,
+    /// Pool index of each scalar constant (other values are not shared).
+    const_index: HashMap<ConstKey, u32>,
+    names: Vec<Name>,
+    globals: Vec<Type>,
+    global_index: HashMap<Name, u32>,
     reset_slots: Vec<u32>,
     chunks: Vec<Chunk>,
     functions: Vec<FuncDef>,
-    /// name → function-table indices, in definition order.
-    fn_candidates: HashMap<String, Vec<u32>>,
-    /// AST bodies pending compilation, parallel to `functions`.
-    fn_bodies: Vec<&'a Function>,
+    /// name → definitions, in source order.
+    defs: HashMap<&'a str, Vec<Def<'a>>>,
+    /// Reached functions whose bodies are not lowered yet.
+    pending: Vec<(u32, &'a Function)>,
+    /// The code buffer every chunk is compiled in (chunks are compiled
+    /// one at a time), so a chunk's code is allocated once, at its size.
+    code_buffer: Vec<Insn>,
+    /// Jump-target marks and index remap, reused by every chunk's
+    /// [`fold_operands`].
+    fold_buffers: (Vec<bool>, Vec<u32>),
 }
 
 impl<'a> Lowerer<'a> {
@@ -378,108 +406,106 @@ impl<'a> Lowerer<'a> {
         Lowerer {
             shader,
             consts: Vec::new(),
-            interner: crate::intern::Interner::new(),
+            const_index: HashMap::new(),
+            names: Vec::new(),
             globals: Vec::new(),
             global_index: HashMap::new(),
             reset_slots: Vec::new(),
             chunks: Vec::new(),
             functions: Vec::new(),
-            fn_candidates: HashMap::new(),
-            fn_bodies: Vec::new(),
+            defs: HashMap::new(),
+            pending: Vec::new(),
+            code_buffer: Vec::new(),
+            fold_buffers: (Vec::new(), Vec::new()),
         }
-    }
-
-    fn intern(&mut self, name: &str) -> u32 {
-        self.interner.intern(name)
     }
 
     fn add_const(&mut self, v: Value) -> u32 {
-        // Dedup by exact bit equality for the common scalar cases.
-        for (i, existing) in self.consts.iter().enumerate() {
-            let same = match (existing, &v) {
-                (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-                (Value::Int(a), Value::Int(b)) => a == b,
-                (Value::Bool(a), Value::Bool(b)) => a == b,
-                _ => false,
-            };
-            if same {
-                return i as u32;
-            }
+        let key = match v {
+            Value::Float(f) => Some(ConstKey::Float(f.to_bits())),
+            Value::Int(i) => Some(ConstKey::Int(i)),
+            Value::Bool(b) => Some(ConstKey::Bool(b)),
+            _ => None,
+        };
+        let next = self.consts.len() as u32;
+        let index = match key {
+            Some(key) => *self.const_index.entry(key).or_insert(next),
+            None => next,
+        };
+        if index == next {
+            self.consts.push(v);
         }
-        self.consts.push(v);
-        (self.consts.len() - 1) as u32
+        index
+    }
+
+    /// The function-table index of `name`'s `k`-th definition, queueing
+    /// its body for lowering the first time a call reaches it.
+    fn reach(&mut self, name: &str, k: usize) -> u32 {
+        let def = &mut self.defs.get_mut(name).expect("a defined name")[k];
+        if let Some(index) = def.index {
+            return index;
+        }
+        let f = def.ast;
+        let index = self.functions.len() as u32;
+        def.index = Some(index);
+        self.functions.push(FuncDef {
+            name: Name::clone(&f.name),
+            params: f.params.iter().map(|p| (p.ty.clone(), p.qual)).collect(),
+            ret: f.ret.clone(),
+            chunk: 0, // set when the body is lowered
+        });
+        self.pending.push((index, f));
+        index
     }
 
     fn lower(mut self) -> Result<Executable, LowerError> {
         // Globals: stage builtins first (same order as the interpreter),
         // then declared globals in item order.
-        for (name, ty) in builtin_globals(self.shader.kind) {
-            let slot = self.globals.len() as u32;
-            self.globals.push(GlobalDef {
-                name: (*name).to_owned(),
-                ty: ty.clone(),
-            });
-            self.global_index.insert((*name).to_owned(), slot);
+        for (name, ty, _) in builtin_globals(self.shader.kind) {
+            self.global_index
+                .insert(Name::from(name), self.globals.len() as u32);
+            self.globals.push(ty);
         }
         for item in &self.shader.unit.items {
-            if let Item::Var(decl) = item {
-                for var in &decl.vars {
-                    let slot = self.globals.len() as u32;
-                    self.globals.push(GlobalDef {
-                        name: var.name.clone(),
-                        ty: var.ty.clone(),
-                    });
-                    self.global_index.insert(var.name.clone(), slot);
-                    if decl.storage == Storage::None {
-                        self.reset_slots.push(slot);
+            match item {
+                Item::Var(decl) => {
+                    for var in &decl.vars {
+                        let slot = self.globals.len() as u32;
+                        self.globals.push(var.ty.clone());
+                        self.global_index.insert(Name::clone(&var.name), slot);
+                        if decl.storage == Storage::None {
+                            self.reset_slots.push(slot);
+                        }
                     }
                 }
+                Item::Function(f) => self.defs.entry(&f.name).or_default().push(Def {
+                    ast: f,
+                    index: None,
+                }),
+                _ => {}
             }
         }
 
-        // Function headers (bodies may call functions defined later).
-        for item in &self.shader.unit.items {
-            if let Item::Function(f) = item {
-                let idx = self.functions.len() as u32;
-                let name = self.intern(&f.name);
-                self.functions.push(FuncDef {
-                    name,
-                    params: f.params.iter().map(|p| (p.ty.clone(), p.qual)).collect(),
-                    ret: f.ret.clone(),
-                    chunk: 0, // patched below
-                });
-                self.fn_candidates
-                    .entry(f.name.clone())
-                    .or_default()
-                    .push(idx);
-                self.fn_bodies.push(f);
-            }
-        }
-
-        // Chunk 0: global initialisers.
+        // Chunk 0: global initialisers; then main. Only the functions
+        // their calls reach are lowered (sema checked every one).
         let init_chunk = self.lower_init_chunk()?;
         debug_assert_eq!(init_chunk, 0);
-
-        // Function bodies.
-        for fi in 0..self.fn_bodies.len() {
-            let f = self.fn_bodies[fi];
-            let chunk = self.lower_function(f)?;
-            self.functions[fi].chunk = chunk;
-        }
-
-        // main().
         let main = self
-            .fn_bodies
-            .iter()
-            .find(|f| f.name == "main" && f.params.is_empty())
-            .copied()
+            .defs
+            .get("main")
+            .and_then(|defs| defs.iter().find(|d| d.ast.params.is_empty()))
+            .map(|d| d.ast)
             .ok_or_else(|| err("no main() function"))?;
         let main_chunk = self.lower_main(main)?;
+        while let Some((index, f)) = self.pending.pop() {
+            let chunk = self.lower_function(f, index)?;
+            self.functions[index as usize].chunk = chunk;
+        }
 
         Ok(Executable {
             kind: self.shader.kind,
             consts: self.consts,
-            names: self.interner.into_names(),
+            names: self.names,
             globals: self.globals,
             global_index: self.global_index,
             reset_slots: self.reset_slots,
@@ -504,7 +530,7 @@ impl<'a> Lowerer<'a> {
                         let c = cc.lo.add_const(Value::zero_of(&var.ty));
                         cc.emit(Insn::Const(c));
                     }
-                    let slot = cc.lo.global_index[&var.name];
+                    let slot = cc.lo.global_index[&*var.name];
                     cc.emit(Insn::StoreGlobalPop(slot));
                 }
             }
@@ -513,12 +539,11 @@ impl<'a> Lowerer<'a> {
         Ok(cc.finish())
     }
 
-    fn lower_function(&mut self, f: &Function) -> Result<u32, LowerError> {
-        let name_idx = self.intern(&f.name);
+    fn lower_function(&mut self, f: &'a Function, index: u32) -> Result<u32, LowerError> {
         let ret_void = f.ret == Type::Void;
         let mut cc = ChunkCompiler::new(self, CompileCx::Function);
         cc.ret_void = ret_void;
-        cc.fn_name = name_idx;
+        cc.func = index;
         cc.push_scope();
         for p in &f.params {
             let slot = cc.alloc_slot();
@@ -533,13 +558,13 @@ impl<'a> Lowerer<'a> {
             cc.emit(Insn::Const(dummy));
             cc.emit(Insn::Ret);
         } else {
-            cc.emit(Insn::ErrNoReturn(name_idx));
+            cc.emit(Insn::ErrNoReturn(index));
         }
         cc.pop_scope();
         Ok(cc.finish())
     }
 
-    fn lower_main(&mut self, main: &Function) -> Result<u32, LowerError> {
+    fn lower_main(&mut self, main: &'a Function) -> Result<u32, LowerError> {
         let mut cc = ChunkCompiler::new(self, CompileCx::Main);
         cc.push_scope();
         for stmt in &main.body {
@@ -571,37 +596,44 @@ struct ChunkCompiler<'l, 'a> {
     lo: &'l mut Lowerer<'a>,
     cx: CompileCx,
     code: Vec<Insn>,
-    scopes: Vec<Vec<(String, u32)>>,
+    /// Locals in scope with their slots, outermost first.
+    locals: Vec<(&'a str, u32)>,
+    /// Where each open scope starts in `locals`.
+    scope_starts: Vec<usize>,
     next_slot: u32,
     frame_size: u32,
     loops: Vec<LoopCtx>,
     /// Whether the enclosing function returns `void` (Function chunks).
     ret_void: bool,
-    /// Interned name of the enclosing function (Function chunks).
-    fn_name: u32,
+    /// Function-table index of the enclosing function (Function chunks).
+    func: u32,
 }
 
 impl<'l, 'a> ChunkCompiler<'l, 'a> {
     fn new(lo: &'l mut Lowerer<'a>, cx: CompileCx) -> Self {
+        let code = std::mem::take(&mut lo.code_buffer);
         ChunkCompiler {
             lo,
             cx,
-            code: Vec::new(),
-            scopes: Vec::new(),
+            code,
+            locals: Vec::new(),
+            scope_starts: Vec::new(),
             next_slot: 0,
             frame_size: 0,
             loops: Vec::new(),
             ret_void: true,
-            fn_name: 0,
+            func: 0,
         }
     }
 
-    fn finish(self) -> u32 {
+    fn finish(mut self) -> u32 {
+        fold_operands(&mut self.code, &mut self.lo.fold_buffers);
         let idx = self.lo.chunks.len() as u32;
         self.lo.chunks.push(Chunk {
-            code: fold_operands(self.code),
+            code: self.code.drain(..).collect(),
             frame_size: self.frame_size,
         });
+        self.lo.code_buffer = self.code;
         idx
     }
 
@@ -627,38 +659,34 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         s
     }
 
-    fn declare(&mut self, name: &str, slot: u32) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack non-empty")
-            .push((name.to_owned(), slot));
+    fn declare(&mut self, name: &'a str, slot: u32) {
+        self.locals.push((name, slot));
     }
 
     fn push_scope(&mut self) {
-        self.scopes.push(Vec::new());
+        self.scope_starts.push(self.locals.len());
     }
 
     fn pop_scope(&mut self) {
-        let scope = self.scopes.pop().expect("scope to pop");
+        let start = self.scope_starts.pop().expect("scope to pop");
         // Slots of this scope become reusable.
-        self.next_slot -= scope.len() as u32;
+        self.next_slot -= (self.locals.len() - start) as u32;
+        self.locals.truncate(start);
     }
 
     /// Resolves a name exactly like the interpreter's scope scan:
     /// innermost scope first, later declarations shadow earlier ones,
     /// then globals.
     fn resolve(&self, name: &str) -> Option<SlotRef> {
-        for scope in self.scopes.iter().rev() {
-            if let Some((_, slot)) = scope.iter().rev().find(|(n, _)| n == name) {
-                return Some(SlotRef::Local(*slot));
-            }
+        if let Some(&(_, slot)) = self.locals.iter().rev().find(|(n, _)| *n == name) {
+            return Some(SlotRef::Local(slot));
         }
         self.lo.global_index.get(name).copied().map(SlotRef::Global)
     }
 
     // ---- statements ------------------------------------------------------
 
-    fn stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, stmt: &'a Stmt) -> Result<(), LowerError> {
         match &stmt.kind {
             StmtKind::Expr(e) => self.expr_stmt(e),
             StmtKind::Decl(decl) => {
@@ -810,8 +838,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                                 // `return;` in a non-void function ends
                                 // it without a value — same runtime error
                                 // as falling off the end.
-                                let name = self.fn_name;
-                                self.emit(Insn::ErrNoReturn(name));
+                                let func = self.func;
+                                self.emit(Insn::ErrNoReturn(func));
                             }
                         }
                     }
@@ -868,7 +896,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         }
     }
 
-    fn scoped_stmt(&mut self, stmt: &Stmt) -> Result<(), LowerError> {
+    fn scoped_stmt(&mut self, stmt: &'a Stmt) -> Result<(), LowerError> {
         self.push_scope();
         self.stmt(stmt)?;
         self.pop_scope();
@@ -877,7 +905,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
 
     /// An expression evaluated for effect only: assignments and inc/dec
     /// skip the result duplication, everything else evaluates then pops.
-    fn expr_stmt(&mut self, e: &Expr) -> Result<(), LowerError> {
+    fn expr_stmt(&mut self, e: &'a Expr) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::Assign(..)
             | ExprKind::Unary(UnOp::PreInc, _)
@@ -898,12 +926,12 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
 
     // ---- expressions -----------------------------------------------------
 
-    fn expr(&mut self, e: &Expr) -> Result<(), LowerError> {
+    fn expr(&mut self, e: &'a Expr) -> Result<(), LowerError> {
         self.expr_value(e, true)
     }
 
     /// Compiles `e`; leaves its value on the stack iff `for_value`.
-    fn expr_value(&mut self, e: &Expr, for_value: bool) -> Result<(), LowerError> {
+    fn expr_value(&mut self, e: &'a Expr, for_value: bool) -> Result<(), LowerError> {
         match &e.kind {
             ExprKind::FloatLit(v) => {
                 let c = self.lo.add_const(Value::Float(*v));
@@ -932,7 +960,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 self.discard_if(!for_value);
                 Ok(())
             }
-            ExprKind::Binary(op, a, b) => {
+            ExprKind::Binary(op, operands) => {
+                let [a, b] = &**operands;
                 match op {
                     BinOp::And => {
                         self.expr(a)?;
@@ -1069,7 +1098,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
 
     /// Emits the index-expression evaluations and the `Store` for an
     /// lvalue; expects the value to store on top of the stack on entry.
-    fn store_lvalue(&mut self, lhs: &Expr) -> Result<(), LowerError> {
+    fn store_lvalue(&mut self, lhs: &'a Expr) -> Result<(), LowerError> {
         let (root_name, path) = flatten_lvalue(lhs)?;
         let root = self
             .resolve(root_name)
@@ -1112,8 +1141,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     }
 
     /// Compiles a call expression, including static out-parameter
-    /// copy-back.
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(), LowerError> {
+    /// copy-back. The callee candidates are the user functions of that
+    /// name and arity; each is reached (and so lowered) here.
+    fn call(&mut self, name: &'a Name, args: &'a [Expr]) -> Result<(), LowerError> {
         if args.len() > u8::MAX as usize {
             // `Insn::Call` carries an 8-bit arity; fall back to the
             // interpreter rather than truncating.
@@ -1125,38 +1155,31 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         for a in args {
             self.expr(a)?;
         }
-        let candidates: Box<[u32]> = self
-            .lo
-            .fn_candidates
-            .get(name)
-            .map(|v| {
-                v.iter()
-                    .copied()
-                    .filter(|&fi| self.lo.functions[fi as usize].params.len() == args.len())
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        // Determine the static out-parameter mask.
-        let mut out_mask: Option<Vec<bool>> = None;
-        for &fi in candidates.iter() {
-            let mask: Vec<bool> = self.lo.functions[fi as usize]
-                .params
-                .iter()
-                .map(|(_, q)| matches!(q, ParamQual::Out | ParamQual::InOut))
-                .collect();
-            match &out_mask {
-                None => out_mask = Some(mask),
-                Some(existing) if *existing == mask => {}
-                Some(_) => {
-                    return Err(err(format!(
-                        "overloads of `{name}` disagree on out parameters"
-                    )))
-                }
+        let argc = args.len();
+        let defs: &[Def<'a>] = self.lo.defs.get(&**name).map_or(&[], Vec::as_slice);
+        let candidates = defs
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.ast.params.len() == argc);
+        // Every overload that may be picked must agree on which
+        // parameters are copied back.
+        let is_out = |p: &Param| matches!(p.qual, ParamQual::Out | ParamQual::InOut);
+        let first = candidates.clone().next().map(|(_, d)| d.ast);
+        if let Some(first) = first {
+            if candidates.clone().any(|(_, d)| {
+                !d.ast
+                    .params
+                    .iter()
+                    .map(is_out)
+                    .eq(first.params.iter().map(is_out))
+            }) {
+                return Err(err(format!(
+                    "overloads of `{name}` disagree on out parameters"
+                )));
             }
         }
-        let out_mask = out_mask.unwrap_or_default();
-        let has_outs = out_mask.iter().any(|&b| b);
+        let out_params = first.map_or(&[][..], |f| f.params.as_slice());
+        let has_outs = out_params.iter().any(is_out);
         let builtin = BuiltinId::from_name(name);
         if has_outs && builtin.is_some() {
             return Err(err(format!(
@@ -1164,20 +1187,28 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             )));
         }
 
-        let argc = args.len() as u8;
-        let insn = match (builtin, &*candidates) {
-            (Some(id), []) => Insn::CallBuiltin { id, argc },
-            (None, &[func]) => Insn::CallUser {
-                func,
-                pushes_outs: has_outs,
-            },
-            _ => Insn::Call {
-                name: self.lo.intern(name),
-                builtin,
-                argc,
-                candidates,
-                pushes_outs: has_outs,
-            },
+        let argc = argc as u8;
+        let insn = match (builtin, candidates.clone().count()) {
+            (Some(id), 0) => Insn::CallBuiltin { id, argc },
+            (None, 1) => {
+                let (k, _) = candidates.clone().next().expect("one candidate");
+                Insn::CallUser {
+                    func: self.lo.reach(name, k),
+                    pushes_outs: has_outs,
+                }
+            }
+            _ => {
+                let ks: Vec<usize> = candidates.map(|(k, _)| k).collect();
+                let candidates = ks.into_iter().map(|k| self.lo.reach(name, k)).collect();
+                self.lo.names.push(Name::clone(name));
+                Insn::Call {
+                    name: (self.lo.names.len() - 1) as u32,
+                    builtin,
+                    argc,
+                    candidates,
+                    pushes_outs: has_outs,
+                }
+            }
         };
         self.emit(insn);
         if !has_outs {
@@ -1186,10 +1217,10 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
 
         // Stack now: [out_0, …, out_{m-1}, ret]. Stash into temporaries,
         // then copy back in parameter order (like the interpreter).
-        let out_args: Vec<usize> = out_mask
+        let out_args: Vec<usize> = out_params
             .iter()
             .enumerate()
-            .filter_map(|(i, &o)| o.then_some(i))
+            .filter_map(|(i, p)| is_out(p).then_some(i))
             .collect();
         let t_ret = self.alloc_slot();
         let t_outs: Vec<u32> = out_args.iter().map(|_| self.alloc_slot()).collect();
@@ -1216,35 +1247,47 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
 /// is folded only when no jump lands inside it: at a jump target (the
 /// join of a `?:` or `&&` whose result is a right operand) the arriving
 /// context has pushed its own operand. Jump targets are remapped to the
-/// shortened code. One linear walk per chunk.
-fn fold_operands(mut code: Vec<Insn>) -> Vec<Insn> {
-    let mut landed = vec![false; code.len() + 1];
+/// shortened code. One linear walk per chunk, in place; `buffers` holds
+/// the jump-target marks and the index remap between chunks.
+fn fold_operands(code: &mut Vec<Insn>, buffers: &mut (Vec<bool>, Vec<u32>)) {
+    let (landed, remap) = buffers;
+    landed.clear();
+    landed.resize(code.len() + 1, false);
     for t in code.iter_mut().filter_map(Insn::jump_target) {
         landed[*t as usize] = true;
     }
-    let mut out = Vec::with_capacity(code.len());
-    let mut remap = vec![0u32; code.len() + 1];
+    remap.clear();
+    remap.resize(code.len() + 1, 0);
+    // Folded instructions are written at `w`, never past the read
+    // position `i`.
+    let mut w = 0;
     let mut i = 0;
     while i < code.len() {
         // The instruction `k` past `i`, unless a jump lands on it.
         let at = |k: usize| code.get(i + k).filter(|_| !landed[i + k]);
         let (folded, len) = match (&code[i], at(1), at(2)) {
             (&Insn::LoadLocal(s), Some(&Insn::Const(c)), Some(&Insn::Binary(op))) => {
-                (Insn::LocalBinaryConst { op, s, c }, 3)
+                (Some(Insn::LocalBinaryConst { op, s, c }), 3)
             }
-            (&Insn::Const(c), Some(&Insn::Binary(op)), _) => (Insn::BinaryConst { op, c }, 2),
-            (&Insn::LoadLocal(s), Some(&Insn::Binary(op)), _) => (Insn::BinaryLocal { op, s }, 2),
-            (insn, ..) => (insn.clone(), 1),
+            (&Insn::Const(c), Some(&Insn::Binary(op)), _) => (Some(Insn::BinaryConst { op, c }), 2),
+            (&Insn::LoadLocal(s), Some(&Insn::Binary(op)), _) => {
+                (Some(Insn::BinaryLocal { op, s }), 2)
+            }
+            _ => (None, 1),
         };
-        remap[i..i + len].fill(out.len() as u32);
-        out.push(folded);
+        remap[i..i + len].fill(w as u32);
+        match folded {
+            Some(insn) => code[w] = insn,
+            None => code.swap(w, i),
+        }
+        w += 1;
         i += len;
     }
-    remap[code.len()] = out.len() as u32;
-    for t in out.iter_mut().filter_map(Insn::jump_target) {
+    remap[code.len()] = w as u32;
+    code.truncate(w);
+    for t in code.iter_mut().filter_map(Insn::jump_target) {
         *t = remap[*t as usize];
     }
-    out
 }
 
 fn compound_op(op: AssignOp) -> Option<BinOp> {
@@ -1403,6 +1446,31 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Lowering reaches functions through calls from `main` and the
+    /// global initialisers only; a function nothing calls is not lowered,
+    /// so a shape the lowerer rejects there no longer sends the whole
+    /// shader to the tree-walker.
+    #[test]
+    fn only_reachable_functions_are_lowered() {
+        let exe = lower_src(&format!(
+            "{P}uniform float u;\n\
+             float leaf(float v) {{ return v * 2.0; }}\n\
+             float used(float v) {{ return leaf(v) + 1.0; }}\n\
+             float init_only(float v) {{ return v - 1.0; }}\n\
+             float dead(float v) {{ return leaf(v); }}\n\
+             float g = init_only(3.0);\n\
+             void f(out float a) {{ a = 1.0; }}\n\
+             void f(int a) {{ }}\n\
+             void unused() {{ float x; f(x); }}\n\
+             void main() {{ gl_FragColor = vec4(used(u) + g); }}"
+        ));
+        let mut names: Vec<&str> = exe.functions.iter().map(|f| &*f.name).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["init_only", "leaf", "used"]);
+        // Init, main and one chunk per reached function.
+        assert_eq!(exe.chunks.len(), 2 + names.len());
     }
 
     #[test]

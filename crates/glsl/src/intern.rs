@@ -1,18 +1,12 @@
-//! Name interning shared by the bytecode resolver and the tree-walking
-//! interpreter.
-//!
-//! The resolver ([`crate::compile`]) has always mapped identifiers to
-//! numeric ids while lowering to slot-addressed bytecode; the interpreter
-//! now reuses the same structure for its scope stack, so variable
+//! Name interning for the tree-walking interpreter's scope stack: variable
 //! resolution inside the oracle is one hash followed by integer
 //! comparisons instead of repeated string compares per scope level.
 
 use std::collections::HashMap;
 
-/// A string-to-`u32` interner with stable ids and name recovery.
+/// A string-to-`u32` interner with stable ids.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Interner {
-    names: Vec<String>,
     index: HashMap<String, u32>,
 }
 
@@ -27,8 +21,7 @@ impl Interner {
         if let Some(&i) = self.index.get(name) {
             return i;
         }
-        let i = self.names.len() as u32;
-        self.names.push(name.to_owned());
+        let i = self.index.len() as u32;
         self.index.insert(name.to_owned(), i);
         i
     }
@@ -37,11 +30,6 @@ impl Interner {
     pub fn get(&self, name: &str) -> Option<u32> {
         self.index.get(name).copied()
     }
-
-    /// Consumes the interner into its name table (id-indexed).
-    pub fn into_names(self) -> Vec<String> {
-        self.names
-    }
 }
 
 #[cfg(test)]
@@ -49,7 +37,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_are_stable_and_recoverable() {
+    fn ids_are_stable() {
         let mut i = Interner::new();
         let a = i.intern("alpha");
         let b = i.intern("beta");
@@ -57,6 +45,5 @@ mod tests {
         assert_eq!(i.intern("alpha"), a);
         assert_eq!(i.get("alpha"), Some(a));
         assert_eq!(i.get("gamma"), None);
-        assert_eq!(i.into_names(), vec!["alpha".to_owned(), "beta".to_owned()]);
     }
 }

@@ -110,7 +110,7 @@ impl<'a> Interpreter<'a> {
     fn init_globals(&mut self) -> Result<(), RuntimeError> {
         // Stage builtins — the single table shared with the bytecode
         // lowerer, so both executors agree on what exists.
-        for (name, ty) in crate::compile::builtin_globals(self.shader.kind) {
+        for (name, ty, _) in crate::compile::builtin_globals(self.shader.kind) {
             let id = self.names.intern(name);
             self.scopes[0].push((id, Value::zero_of(&ty)));
         }
@@ -422,11 +422,17 @@ impl<'a> Interpreter<'a> {
             ExprKind::FloatLit(v) => Ok(Value::Float(*v)),
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
             ExprKind::BoolLit(v) => Ok(Value::Bool(*v)),
-            ExprKind::Ident(name) => self
-                .lookup(name)
-                .cloned()
-                .ok_or_else(|| RuntimeError::Unbound { name: name.clone() }),
-            ExprKind::Binary(op, a, b) => self.eval_binary(*op, a, b),
+            ExprKind::Ident(name) => {
+                self.lookup(name)
+                    .cloned()
+                    .ok_or_else(|| RuntimeError::Unbound {
+                        name: name.to_string(),
+                    })
+            }
+            ExprKind::Binary(op, operands) => {
+                let [a, b] = &**operands;
+                self.eval_binary(*op, a, b)
+            }
             ExprKind::Unary(op, inner) => self.eval_unary(*op, inner),
             ExprKind::Assign(op, lhs, rhs) => {
                 let rhs_value = self.eval(rhs)?;
@@ -559,14 +565,18 @@ impl<'a> Interpreter<'a> {
         for a in args {
             values.push(self.eval(a)?);
         }
-        // Builtins and constructors first (they cannot be shadowed).
+        // Builtins and constructors first (they cannot be shadowed), where
+        // one takes these argument types: a user function may overload
+        // the name with others.
         {
+            let overloaded = self.functions.contains_key(name);
             let mut cx = BuiltinCx {
                 model: self.model,
                 profile: &mut self.profile,
                 textures: self.textures,
             };
             if let Some(result) = builtins::BuiltinId::from_name(name)
+                .filter(|&id| !overloaded || builtins::takes(id, &values))
                 .and_then(|id| builtins::call(id, &values, &mut cx))
             {
                 return result;
@@ -649,7 +659,7 @@ impl<'a> Interpreter<'a> {
     fn assign_to(&mut self, lhs: &Expr, value: Value) -> Result<(), RuntimeError> {
         match &lhs.kind {
             ExprKind::Ident(name) => {
-                if name == "gl_FragColor" {
+                if &**name == "gl_FragColor" {
                     self.wrote_frag_color = true;
                 }
                 if let Some(id) = self.names.get(name) {
@@ -660,7 +670,9 @@ impl<'a> Interpreter<'a> {
                         }
                     }
                 }
-                Err(RuntimeError::Unbound { name: name.clone() })
+                Err(RuntimeError::Unbound {
+                    name: name.to_string(),
+                })
             }
             ExprKind::Field(base, field) => {
                 let idx = swizzle_indices(field).ok_or_else(|| RuntimeError::Type {
@@ -670,7 +682,7 @@ impl<'a> Interpreter<'a> {
             }
             ExprKind::Index(base, index) => {
                 if let ExprKind::Ident(n) = &base.kind {
-                    if n == "gl_FragData" {
+                    if &**n == "gl_FragData" {
                         self.wrote_frag_data = true;
                     }
                 }
@@ -691,10 +703,10 @@ impl<'a> Interpreter<'a> {
     ) -> Result<(), RuntimeError> {
         match &e.kind {
             ExprKind::Ident(name) => {
-                if name == "gl_FragColor" {
+                if &**name == "gl_FragColor" {
                     self.wrote_frag_color = true;
                 }
-                if name == "gl_FragData" {
+                if &**name == "gl_FragData" {
                     self.wrote_frag_data = true;
                 }
                 // Find the slot without holding the borrow across `f`.
@@ -705,7 +717,9 @@ impl<'a> Interpreter<'a> {
                         }
                     }
                 }
-                Err(RuntimeError::Unbound { name: name.clone() })
+                Err(RuntimeError::Unbound {
+                    name: name.to_string(),
+                })
             }
             ExprKind::Index(base, index) => {
                 let i = self.eval_index(index)?;

@@ -7,13 +7,21 @@
 //!   here with a dedicated message. The paper's numeric transformations
 //!   exist precisely because shaders cannot use them.
 //! * Reserved words (`goto`, `union`, `double`, …) are rejected.
-//! * `#`-directives: `#version 100` and `#extension` lines are accepted and
-//!   ignored; anything else is an error (we implement no preprocessor — the
-//!   framework's code generator never emits one).
+//! * `#`-directives: the [`crate::preprocessor`] runs first and blanks
+//!   every directive line, so none reaches the lexer through the
+//!   compile pipeline. Lexing source directly, `#version 100`,
+//!   `#extension` and `#pragma` lines are accepted and ignored; anything
+//!   else is an error.
+//! * Each distinct word is looked up in the keyword table, and each
+//!   distinct identifier allocated, once per source; later occurrences
+//!   reuse the token the first one produced, so an identifier's tokens
+//!   and AST nodes share one [`Name`].
 
+use crate::ast::Name;
 use crate::error::CompileError;
 use crate::span::Span;
-use crate::token::{Keyword, Token, TokenKind, RESERVED_WORDS};
+use crate::token::{classify_word, Token, TokenKind, Word};
+use std::collections::HashMap;
 
 /// Tokenises an entire source string.
 ///
@@ -26,21 +34,28 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, CompileError> {
 }
 
 struct Lexer<'s> {
+    text: &'s str,
     src: &'s [u8],
     pos: usize,
     line: u32,
     col: u32,
     tokens: Vec<Token>,
+    /// The token each word read so far produced (keyword, boolean
+    /// literal or identifier).
+    words: HashMap<&'s str, TokenKind>,
 }
 
 impl<'s> Lexer<'s> {
     fn new(source: &'s str) -> Self {
         Lexer {
+            text: source,
             src: source.as_bytes(),
             pos: 0,
             line: 1,
             col: 1,
-            tokens: Vec::new(),
+            // Generated kernels average about four bytes per token.
+            tokens: Vec::with_capacity(source.len() / 4 + 1),
+            words: HashMap::new(),
         }
     }
 
@@ -108,8 +123,14 @@ impl<'s> Lexer<'s> {
     fn skip_trivia(&mut self) -> Result<(), CompileError> {
         loop {
             match self.peek() {
-                b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.bump();
+                b' ' | b'\t' | b'\r' => {
+                    self.pos += 1;
+                    self.col += 1;
+                }
+                b'\n' => {
+                    self.pos += 1;
+                    self.line += 1;
+                    self.col = 1;
                 }
                 b'/' if self.peek2() == b'/' => {
                     while self.pos < self.src.len() && self.peek() != b'\n' {
@@ -138,30 +159,41 @@ impl<'s> Lexer<'s> {
     }
 
     fn word(&mut self, start: usize, line: u32, col: u32) -> Result<(), CompileError> {
-        while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii word");
+        let len = self.src[start..]
+            .iter()
+            .take_while(|&&b| b.is_ascii_alphanumeric() || b == b'_')
+            .count();
+        // A word holds no newline: only the column moves.
+        self.pos += len;
+        self.col += len as u32;
+        let text = &self.text[start..self.pos];
         let span = self.span_from(start, line, col);
-        if text == "true" {
-            self.push(TokenKind::BoolLit(true), span);
-        } else if text == "false" {
-            self.push(TokenKind::BoolLit(false), span);
-        } else if let Some(kw) = Keyword::from_word(text) {
-            self.push(TokenKind::Keyword(kw), span);
-        } else if RESERVED_WORDS.contains(&text) {
-            return Err(CompileError::lex(
-                format!("`{text}` is a reserved word in GLSL ES 1.00"),
-                span,
-            ));
-        } else if text.starts_with("gl_") || !text.contains("__") {
-            self.push(TokenKind::Ident(text.to_owned()), span);
-        } else {
-            return Err(CompileError::lex(
-                format!("identifier `{text}` contains `__`, reserved in GLSL ES 1.00"),
-                span,
-            ));
+        if let Some(kind) = self.words.get(text) {
+            let kind = kind.clone();
+            self.push(kind, span);
+            return Ok(());
         }
+        let kind = match classify_word(text) {
+            Some(Word::Keyword(kw)) => TokenKind::Keyword(kw),
+            Some(Word::Bool(b)) => TokenKind::BoolLit(b),
+            Some(Word::Reserved) => {
+                return Err(CompileError::lex(
+                    format!("`{text}` is a reserved word in GLSL ES 1.00"),
+                    span,
+                ))
+            }
+            None if text.starts_with("gl_") || !text.contains("__") => {
+                TokenKind::Ident(Name::from(text))
+            }
+            None => {
+                return Err(CompileError::lex(
+                    format!("identifier `{text}` contains `__`, reserved in GLSL ES 1.00"),
+                    span,
+                ))
+            }
+        };
+        self.words.insert(text, kind.clone());
+        self.push(kind, span);
         Ok(())
     }
 
@@ -417,6 +449,7 @@ fn reserved_op(op: &str, span: Span) -> CompileError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::token::Keyword;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         tokenize(src)

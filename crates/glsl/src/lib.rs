@@ -92,9 +92,7 @@ pub use value::Value;
 /// assert!(err.message.contains("reserved"));
 /// ```
 pub fn compile(kind: ShaderKind, source: &str) -> Result<CompiledShader, CompileError> {
-    let preprocessed = preprocessor::preprocess(source)?;
-    let unit = parser::parse(&preprocessed.source)?;
-    sema::check(kind, unit)
+    admission::front_end(kind, source, false).map_err(|(_, err)| err)
 }
 
 /// Compiles a shader and additionally enforces the GLSL ES 1.00
@@ -106,10 +104,7 @@ pub fn compile(kind: ShaderKind, source: &str) -> Result<CompiledShader, Compile
 /// All [`compile()`] errors, plus Appendix-A violations (`while` loops,
 /// non-constant loop bounds, loop-index mutation in the body, …).
 pub fn compile_strict(kind: ShaderKind, source: &str) -> Result<CompiledShader, CompileError> {
-    let preprocessed = preprocessor::preprocess(source)?;
-    let unit = parser::parse(&preprocessed.source)?;
-    strict::check_appendix_a(&unit)?;
-    sema::check(kind, unit)
+    admission::front_end(kind, source, true).map_err(|(_, err)| err)
 }
 
 #[cfg(test)]

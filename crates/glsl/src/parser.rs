@@ -32,6 +32,9 @@ pub fn parse(source: &str) -> Result<TranslationUnit, CompileError> {
 
 struct Parser {
     toks: Vec<Token>,
+    /// Each constructor callee's name, made on its first call, indexed
+    /// by keyword.
+    constructors: [Option<Name>; Keyword::ALL.len()],
     pos: usize,
     /// Open nesting levels around the current position.
     depth: usize,
@@ -44,6 +47,7 @@ impl Parser {
     fn new(toks: Vec<Token>) -> Self {
         Parser {
             toks,
+            constructors: std::array::from_fn(|_| None),
             pos: 0,
             depth: 0,
             height: 0,
@@ -92,12 +96,10 @@ impl Parser {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let kind = self.toks[self.pos.min(self.toks.len() - 1)].kind.clone();
+    fn bump(&mut self) {
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
-        kind
     }
 
     fn accept(&mut self, kind: &TokenKind) -> bool {
@@ -122,12 +124,23 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
+    /// Moves the identifier out of the token at the cursor and steps past
+    /// it: the parser never reads a consumed token's kind again.
+    fn take_ident(&mut self) -> Name {
+        let at = self.pos.min(self.toks.len() - 1);
+        let kind = std::mem::replace(&mut self.toks[at].kind, TokenKind::Eof);
+        self.bump();
+        match kind {
+            TokenKind::Ident(name) => name,
+            other => unreachable!("take_ident at {other}"),
+        }
+    }
+
+    fn expect_ident(&mut self) -> Result<(Name, Span), CompileError> {
+        match self.peek() {
+            TokenKind::Ident(_) => {
                 let sp = self.span();
-                self.bump();
-                Ok((name, sp))
+                Ok((self.take_ident(), sp))
             }
             other => Err(CompileError::parse(
                 format!("expected identifier, found {other}"),
@@ -214,7 +227,8 @@ impl Parser {
             ExprKind::IntLit(v) => Ok(*v as i64),
             ExprKind::Unary(UnOp::Neg, inner) => Ok(-self.const_int(inner)?),
             ExprKind::Unary(UnOp::Plus, inner) => self.const_int(inner),
-            ExprKind::Binary(op, a, b) => {
+            ExprKind::Binary(op, operands) => {
+                let [a, b] = &**operands;
                 let (a, b) = (self.const_int(a)?, self.const_int(b)?);
                 Ok(match op {
                     BinOp::Add => a + b,
@@ -382,7 +396,7 @@ impl Parser {
                 let ty = self.array_suffix(base)?;
                 (name, ty)
             } else {
-                (String::new(), base)
+                (Name::from(""), base)
             };
             params.push(Param { name, ty, qual });
             if !self.accept(&TokenKind::Comma) {
@@ -729,11 +743,7 @@ impl Parser {
         let rhs = self.binary_expr(level + 1)?;
         let span = lhs.span.to(rhs.span);
         let below = below.max(self.height);
-        self.node(
-            ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            span,
-            below,
-        )
+        self.node(ExprKind::Binary(op, Box::new([lhs, rhs])), span, below)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
@@ -782,7 +792,9 @@ impl Parser {
     /// Applies the postfix operator at the cursor to `expr`.
     fn postfix_op(&mut self, expr: Expr) -> Result<Expr, CompileError> {
         let below = self.height;
-        match self.bump() {
+        let op = self.peek().clone();
+        self.bump();
+        match op {
             TokenKind::LBracket => {
                 let index = self.expression()?;
                 let end = self.expect(&TokenKind::RBracket)?;
@@ -861,31 +873,25 @@ impl Parser {
     /// A literal, a variable, or a call with its arguments.
     fn primary_leaf(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        let callee = match self.peek().clone() {
-            TokenKind::FloatLit(v) => {
-                self.bump();
-                return self.node(ExprKind::FloatLit(v), span, 0);
-            }
-            TokenKind::IntLit(v) => {
-                self.bump();
-                return self.node(ExprKind::IntLit(v), span, 0);
-            }
-            TokenKind::BoolLit(v) => {
-                self.bump();
-                return self.node(ExprKind::BoolLit(v), span, 0);
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if !matches!(self.peek(), TokenKind::LParen) {
-                    return self.node(ExprKind::Ident(name), span, 0);
+        let leaf = match self.peek() {
+            TokenKind::FloatLit(v) => ExprKind::FloatLit(*v),
+            TokenKind::IntLit(v) => ExprKind::IntLit(*v),
+            TokenKind::BoolLit(v) => ExprKind::BoolLit(*v),
+            TokenKind::Ident(_) => {
+                let name = self.take_ident();
+                if matches!(self.peek(), TokenKind::LParen) {
+                    return self.call(name, span);
                 }
-                name
+                return self.node(ExprKind::Ident(name), span, 0);
             }
             // Type constructors: vec4(...), float(...), mat3(...)
-            TokenKind::Keyword(kw) => match self.peek_type() {
+            &TokenKind::Keyword(kw) => match self.peek_type() {
                 Some(ty) if ty != Type::Void && ty != Type::Sampler2D => {
                     self.bump();
-                    ty.glsl_name()
+                    let callee = Name::clone(
+                        self.constructors[kw as usize].get_or_insert_with(|| kw.as_str().into()),
+                    );
+                    return self.call(callee, span);
                 }
                 _ => {
                     return Err(CompileError::parse(
@@ -901,10 +907,11 @@ impl Parser {
                 ))
             }
         };
-        self.call(callee, span)
+        self.bump();
+        self.node(leaf, span, 0)
     }
 
-    fn call(&mut self, callee: String, span: Span) -> Result<Expr, CompileError> {
+    fn call(&mut self, callee: Name, span: Span) -> Result<Expr, CompileError> {
         let args = self.call_args()?;
         let end = self.prev_span();
         let below = self.height;
@@ -938,7 +945,7 @@ mod tests {
         );
         assert_eq!(unit.items.len(), 2);
         let f = only_fn(&unit);
-        assert_eq!(f.name, "main");
+        assert_eq!(&*f.name, "main");
         assert_eq!(f.ret, Type::Void);
         assert!(f.params.is_empty());
         assert_eq!(f.body.len(), 1);
@@ -1024,7 +1031,7 @@ mod tests {
             .items
             .iter()
             .find_map(|i| match i {
-                Item::Function(f) if f.name == "split" => Some(f),
+                Item::Function(f) if &*f.name == "split" => Some(f),
                 _ => None,
             })
             .expect("split fn");
@@ -1098,8 +1105,8 @@ mod tests {
         let f = only_fn(&unit);
         if let StmtKind::Decl(d) = &f.body[0].kind {
             let init = d.vars[0].init.as_ref().expect("init");
-            if let ExprKind::Binary(BinOp::Add, _, rhs) = &init.kind {
-                assert!(matches!(rhs.kind, ExprKind::Binary(BinOp::Mul, _, _)));
+            if let ExprKind::Binary(BinOp::Add, operands) = &init.kind {
+                assert!(matches!(operands[1].kind, ExprKind::Binary(BinOp::Mul, _)));
             } else {
                 panic!("expected + at top");
             }

@@ -21,6 +21,7 @@
 
 use crate::error::CompileError;
 use crate::span::Span;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// How a shader requested an extension (`#extension name : behaviour`).
@@ -264,7 +265,12 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
             }
             out.push('\n'); // keep line numbering
         } else if active {
-            let expanded = expand_line(line, &macros, line_no)?;
+            // A line naming no macro expands to itself: copy it through.
+            let expanded = if names_a_macro(line, &macros) {
+                Cow::Owned(expand_line(line, &macros, line_no)?)
+            } else {
+                Cow::Borrowed(line)
+            };
             if !expanded.trim().is_empty() {
                 emitted_code = true;
             }
@@ -291,33 +297,76 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
 
 /// Replaces comments with spaces, preserving newlines (so line numbers in
 /// later diagnostics stay correct). GLSL ES 1.00 has no line
-/// continuations, so this is purely character-level.
+/// continuations, so this is purely character-level: a line comment is
+/// dropped up to its newline, and a block comment becomes one space plus
+/// the newlines it spans (an unterminated one runs to the end of the
+/// source, its last character unexamined). Every delimiter is ASCII, so
+/// the text between comments is found by byte search and copied whole.
 fn strip_comments(source: &str) -> String {
+    let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
-    let bytes: Vec<char> = source.chars().collect();
+    // Start of the text not yet copied.
+    let mut copied = 0;
+    let mut i = 0;
+    while let Some(n) = source[i..].find('/') {
+        i += n;
+        match bytes.get(i + 1) {
+            Some(b'/') => {
+                out.push_str(&source[copied..i]);
+                i = source[i..].find('\n').map_or(bytes.len(), |n| i + n);
+            }
+            Some(b'*') => {
+                out.push_str(&source[copied..i]);
+                out.push(' ');
+                let body = i + 2;
+                let (end, next) = match source[body..].find("*/") {
+                    Some(n) => (body + n, body + n + 2),
+                    None => (body.max(bytes.len() - 1), bytes.len()),
+                };
+                let lines = bytes[body..end].iter().filter(|&&b| b == b'\n').count();
+                out.extend(std::iter::repeat_n('\n', lines));
+                i = next;
+            }
+            _ => {
+                i += 1;
+                continue;
+            }
+        }
+        copied = i;
+    }
+    out.push_str(&source[copied..]);
+    out
+}
+
+/// Whether expanding `line` could change it: it names a defined macro
+/// or a built-in one. Identifiers are split exactly as [`expand_str`]
+/// splits them, over bytes (an identifier is ASCII). With no macro
+/// defined, only a line holding `GL_ES` or `__` (which every built-in
+/// macro's name does) can.
+fn names_a_macro(line: &str, macros: &HashMap<String, Macro>) -> bool {
+    if macros.is_empty() && !line.contains("GL_ES") && !line.contains("__") {
+        return false;
+    }
+    let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i];
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == '/' {
-            while i < bytes.len() && bytes[i] != '\n' {
-                i += 1;
-            }
-        } else if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == '*' {
-            out.push(' ');
-            i += 2;
-            while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                if bytes[i] == '\n' {
-                    out.push('\n');
-                }
-                i += 1;
-            }
-            i = (i + 2).min(bytes.len());
-        } else {
-            out.push(c);
+        if !(bytes[i].is_ascii_alphabetic() || bytes[i] == b'_') {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
             i += 1;
         }
+        if is_defined(macros, &line[start..i]) {
+            return true;
+        }
     }
-    out
+    false
+}
+
+fn is_builtin_macro(name: &str) -> bool {
+    matches!(name, "GL_ES" | "__VERSION__" | "__LINE__" | "__FILE__")
 }
 
 fn split_ident(s: &str) -> (&str, &str) {
@@ -336,7 +385,7 @@ fn split_ident(s: &str) -> (&str, &str) {
 }
 
 fn is_defined(macros: &HashMap<String, Macro>, name: &str) -> bool {
-    matches!(name, "GL_ES" | "__VERSION__" | "__LINE__" | "__FILE__") || macros.contains_key(name)
+    is_builtin_macro(name) || macros.contains_key(name)
 }
 
 fn parse_define(args: &str, line: u32) -> Result<(String, Macro), CompileError> {
@@ -1003,6 +1052,42 @@ mod tests {
         let out = pp("/* multi\nline */ float y;\n");
         assert_eq!(out.source.lines().count(), 2);
         assert!(out.source.contains("float y;"));
+    }
+
+    #[test]
+    fn every_output_line_is_newline_terminated() {
+        for (src, out) in [
+            ("", ""),
+            ("\n", "\n"),
+            ("float x;", "float x;\n"),
+            ("a\n\nb\n", "a\n\nb\n"),
+            ("a // c\nb /* c */", "a \nb  \n"),
+            // `\r\n` line ends are normalised by the line walk.
+            ("a\r\nb", "a\nb\n"),
+        ] {
+            assert_eq!(pp(src).source, out, "{src:?}");
+        }
+    }
+
+    #[test]
+    fn comment_stripping_edge_cases() {
+        for (src, stripped) in [
+            ("a/", "a/"),
+            ("/", "/"),
+            ("//x", ""),
+            ("x//y\nz", "x\nz"),
+            ("/**/", " "),
+            ("/*/ */x", " x"),
+            ("a/*b*/c/*d\ne*/f", "a c \nf"),
+            ("é/*ü\n*/ö", "é \nö"),
+            ("l1\r\n// c\r\nl3", "l1\r\n\nl3"),
+            // Unterminated: runs to the end, its last character unexamined.
+            ("a/*x\ny", "a \n"),
+            ("a/*x\n", "a "),
+            ("a/*", "a "),
+        ] {
+            assert_eq!(strip_comments(src), stripped, "{src:?}");
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::ast::*;
 use crate::builtins;
+use crate::compile::builtin_globals;
 use crate::error::CompileError;
 use crate::span::Span;
 use crate::swizzle::{swizzle_indices, writable};
@@ -75,90 +76,70 @@ impl ShaderInterface {
 /// default float precision in fragment shaders, writes to read-only
 /// builtins, `discard` outside fragment shaders, and so on.
 pub fn check(kind: ShaderKind, unit: TranslationUnit) -> Result<CompiledShader, CompileError> {
-    let mut checker = Checker::new(kind);
-    checker.collect_functions(&unit)?;
-    checker.check_unit(&unit)?;
+    let interface = {
+        let mut checker = Checker::new(kind);
+        checker.collect_functions(&unit)?;
+        checker.check_unit(&unit)?;
+        checker.interface
+    };
     Ok(CompiledShader {
         kind,
         unit,
-        interface: checker.interface,
+        interface,
     })
 }
 
+/// A variable in scope. Names borrow from the checked unit (or are the
+/// stage builtins' static spellings), so declaring one copies nothing.
 #[derive(Debug, Clone)]
-struct Sym {
-    name: String,
+struct Sym<'a> {
+    name: &'a str,
     ty: Type,
     mutable: bool,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct FnSig {
-    params: Vec<Param>,
-    ret: Type,
+/// One user overload, borrowed from its definition or prototype.
+#[derive(Debug, Clone, Copy)]
+struct FnSig<'a> {
+    params: &'a [Param],
+    ret: &'a Type,
     defined: bool,
 }
 
-struct Checker {
+impl FnSig<'_> {
+    /// Whether the overload takes exactly `types`.
+    fn takes(&self, types: &[Type]) -> bool {
+        self.params.len() == types.len() && self.params.iter().zip(types).all(|(p, t)| p.ty == *t)
+    }
+}
+
+struct Checker<'a> {
     kind: ShaderKind,
-    scopes: Vec<Vec<Sym>>,
-    functions: HashMap<String, Vec<FnSig>>,
+    /// Every variable in scope, outermost first: a lookup scans from the
+    /// back, so inner and later declarations shadow earlier ones.
+    syms: Vec<Sym<'a>>,
+    /// Where each open scope starts in `syms`; scope 0 holds the globals.
+    scope_starts: Vec<usize>,
+    functions: HashMap<&'a str, Vec<FnSig<'a>>>,
+    /// Argument types of the calls being checked, innermost call last.
+    arg_types: Vec<Type>,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
     has_float_precision_default: bool,
 }
 
-impl Checker {
+impl<'a> Checker<'a> {
     fn new(kind: ShaderKind) -> Self {
-        let mut globals = Vec::new();
-        match kind {
-            ShaderKind::Vertex => {
-                globals.push(Sym {
-                    name: "gl_Position".into(),
-                    ty: Type::Vec4,
-                    mutable: true,
-                });
-                globals.push(Sym {
-                    name: "gl_PointSize".into(),
-                    ty: Type::Float,
-                    mutable: true,
-                });
-            }
-            ShaderKind::Fragment => {
-                globals.push(Sym {
-                    name: "gl_FragColor".into(),
-                    ty: Type::Vec4,
-                    mutable: true,
-                });
-                // ES 2 guarantees only a single draw buffer: this is the
-                // paper's limitation #8 made concrete in the type system.
-                globals.push(Sym {
-                    name: "gl_FragData".into(),
-                    ty: Type::Array(Box::new(Type::Vec4), 1),
-                    mutable: true,
-                });
-                globals.push(Sym {
-                    name: "gl_FragCoord".into(),
-                    ty: Type::Vec4,
-                    mutable: false,
-                });
-                globals.push(Sym {
-                    name: "gl_FrontFacing".into(),
-                    ty: Type::Bool,
-                    mutable: false,
-                });
-                globals.push(Sym {
-                    name: "gl_PointCoord".into(),
-                    ty: Type::Vec2,
-                    mutable: false,
-                });
-            }
-        }
         Checker {
             kind,
-            scopes: vec![globals],
+            syms: builtin_globals(kind)
+                .into_iter()
+                .map(|(name, ty, mutable)| Sym { name, ty, mutable })
+                .collect(),
+            scope_starts: vec![0],
             functions: HashMap::new(),
+            arg_types: Vec::new(),
             interface: ShaderInterface::default(),
             current_ret: Type::Void,
             loop_depth: 0,
@@ -166,51 +147,56 @@ impl Checker {
         }
     }
 
-    fn lookup(&self, name: &str) -> Option<&Sym> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|scope| scope.iter().rev().find(|s| s.name == name))
+    fn lookup(&self, name: &str) -> Option<&Sym<'a>> {
+        self.syms.iter().rev().find(|s| s.name == name)
     }
 
-    fn declare(&mut self, sym: Sym, span: Span) -> Result<(), CompileError> {
-        let scope = self.scopes.last_mut().expect("scope stack non-empty");
-        if scope.iter().any(|s| s.name == sym.name) {
+    fn declare(&mut self, sym: Sym<'a>, span: Span) -> Result<(), CompileError> {
+        let scope = *self.scope_starts.last().expect("scope stack non-empty");
+        if self.syms[scope..].iter().any(|s| s.name == sym.name) {
             return Err(CompileError::check(
                 format!("`{}` is already declared in this scope", sym.name),
                 span,
             ));
         }
-        scope.push(sym);
+        self.syms.push(sym);
         Ok(())
     }
 
-    fn collect_functions(&mut self, unit: &TranslationUnit) -> Result<(), CompileError> {
+    fn push_scope(&mut self) {
+        self.scope_starts.push(self.syms.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let start = self.scope_starts.pop().expect("scope to pop");
+        self.syms.truncate(start);
+    }
+
+    fn collect_functions(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
+        let mut param_types = Vec::new();
         for item in &unit.items {
             let (f, defined) = match item {
                 Item::Function(f) => (f, true),
                 Item::Prototype(f) => (f, false),
                 _ => continue,
             };
-            if builtins::signature(&f.name, &param_types(&f.params)).is_some()
-                || is_constructor_name(&f.name)
+            param_types.clear();
+            param_types.extend(f.params.iter().map(|p| p.ty.clone()));
+            if builtins::signature(&f.name, &param_types).is_some() || is_constructor_name(&f.name)
             {
                 return Err(CompileError::check(
                     format!("cannot redefine builtin function `{}`", f.name),
                     f.span,
                 ));
             }
-            let overloads = self.functions.entry(f.name.clone()).or_default();
+            let overloads = self.functions.entry(&f.name).or_default();
             let sig = FnSig {
-                params: f.params.clone(),
-                ret: f.ret.clone(),
+                params: &f.params,
+                ret: &f.ret,
                 defined,
             };
-            if let Some(existing) = overloads
-                .iter_mut()
-                .find(|s| param_types(&s.params) == param_types(&f.params))
-            {
-                if existing.ret != f.ret {
+            if let Some(existing) = overloads.iter_mut().find(|s| s.takes(&param_types)) {
+                if *existing.ret != f.ret {
                     return Err(CompileError::check(
                         format!("`{}` redeclared with a different return type", f.name),
                         f.span,
@@ -230,7 +216,7 @@ impl Checker {
         Ok(())
     }
 
-    fn check_unit(&mut self, unit: &TranslationUnit) -> Result<(), CompileError> {
+    fn check_unit(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
         for item in &unit.items {
             match item {
                 Item::Precision(p) => {
@@ -247,7 +233,7 @@ impl Checker {
             Some(sigs)
                 if sigs
                     .iter()
-                    .any(|s| s.defined && s.ret == Type::Void && s.params.is_empty()) => {}
+                    .any(|s| s.defined && *s.ret == Type::Void && s.params.is_empty()) => {}
             _ => {
                 return Err(CompileError::check(
                     "shader must define `void main()`",
@@ -258,7 +244,7 @@ impl Checker {
         Ok(())
     }
 
-    fn check_global(&mut self, decl: &VarDecl) -> Result<(), CompileError> {
+    fn check_global(&mut self, decl: &'a VarDecl) -> Result<(), CompileError> {
         for var in &decl.vars {
             match decl.storage {
                 Storage::Attribute => {
@@ -282,7 +268,7 @@ impl Checker {
                     }
                     self.interface
                         .attributes
-                        .push((var.name.clone(), var.ty.clone()));
+                        .push((var.name.to_string(), var.ty.clone()));
                 }
                 Storage::Uniform => {
                     if var.init.is_some() {
@@ -293,7 +279,7 @@ impl Checker {
                     }
                     self.interface
                         .uniforms
-                        .push((var.name.clone(), var.ty.clone()));
+                        .push((var.name.to_string(), var.ty.clone()));
                 }
                 Storage::Varying => {
                     let elem = match &var.ty {
@@ -317,7 +303,7 @@ impl Checker {
                     }
                     self.interface
                         .varyings
-                        .push((var.name.clone(), var.ty.clone()));
+                        .push((var.name.to_string(), var.ty.clone()));
                 }
                 Storage::Const => {
                     let init = var.init.as_ref().ok_or_else(|| {
@@ -368,7 +354,7 @@ impl Checker {
             }
             self.declare(
                 Sym {
-                    name: var.name.clone(),
+                    name: &var.name,
                     ty: var.ty.clone(),
                     mutable,
                 },
@@ -390,9 +376,9 @@ impl Checker {
         }
     }
 
-    fn check_function(&mut self, f: &Function) -> Result<(), CompileError> {
+    fn check_function(&mut self, f: &'a Function) -> Result<(), CompileError> {
         self.current_ret = f.ret.clone();
-        self.scopes.push(Vec::new());
+        self.push_scope();
         for p in &f.params {
             if p.name.is_empty() {
                 continue;
@@ -402,7 +388,7 @@ impl Checker {
             }
             self.declare(
                 Sym {
-                    name: p.name.clone(),
+                    name: &p.name,
                     ty: p.ty.clone(),
                     mutable: true,
                 },
@@ -412,11 +398,11 @@ impl Checker {
         for stmt in &f.body {
             self.check_stmt(stmt)?;
         }
-        self.scopes.pop();
+        self.pop_scope();
         Ok(())
     }
 
-    fn check_stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
+    fn check_stmt(&mut self, stmt: &'a Stmt) -> Result<(), CompileError> {
         match &stmt.kind {
             StmtKind::Expr(e) => {
                 self.check_expr(e)?;
@@ -454,7 +440,7 @@ impl Checker {
                     }
                     self.declare(
                         Sym {
-                            name: var.name.clone(),
+                            name: &var.name,
                             ty: var.ty.clone(),
                             mutable: decl.storage != Storage::Const,
                         },
@@ -475,7 +461,7 @@ impl Checker {
                 step,
                 body,
             } => {
-                self.scopes.push(Vec::new());
+                self.push_scope();
                 if let Some(init) = init {
                     self.check_stmt(init)?;
                 }
@@ -488,7 +474,7 @@ impl Checker {
                 self.loop_depth += 1;
                 let r = self.check_stmt(body);
                 self.loop_depth -= 1;
-                self.scopes.pop();
+                self.pop_scope();
                 r?;
             }
             StmtKind::While(cond, body) => {
@@ -537,7 +523,7 @@ impl Checker {
                 }
             }
             StmtKind::Block(stmts) => {
-                self.scopes.push(Vec::new());
+                self.push_scope();
                 let mut result = Ok(());
                 for s in stmts {
                     result = self.check_stmt(s);
@@ -545,7 +531,7 @@ impl Checker {
                         break;
                     }
                 }
-                self.scopes.pop();
+                self.pop_scope();
                 result?;
             }
             StmtKind::Empty => {}
@@ -557,9 +543,9 @@ impl Checker {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<R, CompileError>,
     ) -> Result<R, CompileError> {
-        self.scopes.push(Vec::new());
+        self.push_scope();
         let r = f(self);
-        self.scopes.pop();
+        self.pop_scope();
         r
     }
 
@@ -587,7 +573,10 @@ impl Checker {
                 .lookup(name)
                 .map(|s| s.ty.clone())
                 .ok_or_else(|| CompileError::check(format!("`{name}` is not declared"), span)),
-            ExprKind::Binary(op, a, b) => self.check_binary(*op, a, b, span),
+            ExprKind::Binary(op, operands) => {
+                let [a, b] = &**operands;
+                self.check_binary(*op, a, b, span)
+            }
             ExprKind::Unary(op, inner) => self.check_unary(*op, inner, span),
             ExprKind::Assign(op, lhs, rhs) => self.check_assign(*op, lhs, rhs, span),
             ExprKind::Ternary(cond, yes, no) => self.check_ternary(cond, yes, no, span),
@@ -709,39 +698,52 @@ impl Checker {
     }
 
     fn check_call(&mut self, name: &str, args: &[Expr], span: Span) -> Result<Type, CompileError> {
-        let mut arg_types = Vec::with_capacity(args.len());
+        // The argument types go on a stack shared by nested calls, so a
+        // call allocates nothing of its own.
+        let base = self.arg_types.len();
         for a in args {
-            arg_types.push(self.check_expr(a)?);
+            let ty = self.check_expr(a)?;
+            self.arg_types.push(ty);
         }
-        if let Some(ret) = builtins::signature(name, &arg_types) {
+        let result = self.resolve_call(name, args, base, span);
+        self.arg_types.truncate(base);
+        result
+    }
+
+    /// The result type of calling `name` on `args`, whose types are
+    /// `self.arg_types[base..]`.
+    fn resolve_call(
+        &mut self,
+        name: &str,
+        args: &[Expr],
+        base: usize,
+        span: Span,
+    ) -> Result<Type, CompileError> {
+        let arg_types = &self.arg_types[base..];
+        if let Some(ret) = builtins::signature(name, arg_types) {
             return Ok(ret);
         }
         if let Some(overloads) = self.functions.get(name) {
-            if let Some(sig) = overloads
-                .iter()
-                .find(|s| param_types(&s.params) == arg_types)
-            {
+            if let Some(sig) = overloads.iter().find(|s| s.takes(arg_types)).copied() {
                 // out/inout arguments must be lvalues.
-                let quals: Vec<ParamQual> = sig.params.iter().map(|p| p.qual).collect();
-                let ret = sig.ret.clone();
-                for (arg, qual) in args.iter().zip(quals) {
-                    if matches!(qual, ParamQual::Out | ParamQual::InOut) {
+                for (arg, p) in args.iter().zip(sig.params) {
+                    if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
                         self.check_assignable(arg)?;
                     }
                 }
-                return Ok(ret);
+                return Ok(sig.ret.clone());
             }
             return Err(CompileError::check(
                 format!(
                     "no overload of `{name}` matches argument types ({})",
-                    type_list(&arg_types)
+                    type_list(arg_types)
                 ),
                 span,
             ));
         }
         if is_constructor_name(name) {
             return Err(CompileError::check(
-                format!("invalid constructor `{name}({})`", type_list(&arg_types)),
+                format!("invalid constructor `{name}({})`", type_list(arg_types)),
                 span,
             ));
         }
@@ -832,10 +834,6 @@ impl Checker {
             _ => Err(CompileError::check("expression is not an lvalue", e.span)),
         }
     }
-}
-
-fn param_types(params: &[Param]) -> Vec<Type> {
-    params.iter().map(|p| p.ty.clone()).collect()
 }
 
 fn type_list(types: &[Type]) -> String {

@@ -536,7 +536,7 @@ impl<'a> SpmdVm<'a> {
             globals: exe
                 .globals
                 .iter()
-                .map(|g| Slot::splat(&Value::zero_of(&g.ty)))
+                .map(|ty| Slot::splat(&Value::zero_of(ty)))
                 .collect(),
             consts: exe.consts.iter().map(Slot::splat).collect(),
             reset_list: Vec::new(),
@@ -1773,8 +1773,8 @@ impl<'a> SpmdVm<'a> {
                         continue;
                     }
                 },
-                Insn::ErrNoReturn(name) => {
-                    let name = &exe.names[*name as usize];
+                Insn::ErrNoReturn(func) => {
+                    let name = &exe.functions[*func as usize].name;
                     return Err(RuntimeError::Type {
                         message: format!("function `{name}` ended without returning a value"),
                     });
@@ -1808,25 +1808,25 @@ impl<'a> SpmdVm<'a> {
                 } => {
                     let argc = *argc as usize;
                     let args_start = cur.sp - argc;
-                    // Builtins and constructors first (they cannot be
-                    // shadowed); whether one takes these arguments is
-                    // decided by their types, which all lanes share.
-                    if let Some(id) = builtin {
-                        let owned = args_start >= sfl;
-                        if self.call_builtin(*id, args_start, argc, cur.mask, owned)? {
-                            cur.sp = args_start + 1;
-                            cur.pc += 1;
-                            continue;
-                        }
-                    }
-                    // User-defined function by exact argument types
-                    // (static, so the first lane's types stand for all).
+                    // The callee is decided by the argument types, which
+                    // are static: the first lane's stand for all.
                     let first = cur.mask.trailing_zeros() as usize;
                     self.arg_buf.clear();
                     for k in 0..argc {
                         let v = self.stack[args_start + k].get(first);
                         self.arg_buf.push(v);
                     }
+                    // Builtins and constructors first (they cannot be
+                    // shadowed), where one takes these argument types.
+                    if let Some(id) = builtin.filter(|&id| builtins::takes(id, &self.arg_buf)) {
+                        let owned = args_start >= sfl;
+                        if self.call_builtin(id, args_start, argc, cur.mask, owned)? {
+                            cur.sp = args_start + 1;
+                            cur.pc += 1;
+                            continue;
+                        }
+                    }
+                    // User-defined function by exact argument types.
                     let fi = candidates
                         .iter()
                         .copied()
@@ -1839,7 +1839,7 @@ impl<'a> SpmdVm<'a> {
                                     .all(|((ty, _), v)| ops::value_matches_type(v, ty))
                         })
                         .ok_or_else(|| RuntimeError::Unbound {
-                            name: exe.names[*name as usize].clone(),
+                            name: exe.names[*name as usize].to_string(),
                         })?;
                     self.enter_call(cur, fi, args_start, *pushes_outs, (sfl, lfl))?;
                     continue;

@@ -70,7 +70,7 @@ fn check_stmt(stmt: &Stmt) -> Result<(), CompileError> {
             body,
         } => {
             let index = check_for_header(init.as_deref(), cond.as_ref(), step.as_ref(), stmt.span)?;
-            check_index_not_written(body, &index)?;
+            check_index_not_written(body, index)?;
             check_stmt(body)
         }
         StmtKind::If(_, then, otherwise) => {
@@ -92,18 +92,18 @@ fn check_stmt(stmt: &Stmt) -> Result<(), CompileError> {
 
 /// Validates the `for (init; cond; step)` header and returns the index
 /// variable name.
-fn check_for_header(
-    init: Option<&Stmt>,
+fn check_for_header<'a>(
+    init: Option<&'a Stmt>,
     cond: Option<&Expr>,
     step: Option<&Expr>,
     span: Span,
-) -> Result<String, CompileError> {
+) -> Result<&'a str, CompileError> {
     // init: `type index = constant-expression`
     let index = match init.map(|s| &s.kind) {
         Some(StmtKind::Decl(decl)) if decl.vars.len() == 1 => {
             let d = &decl.vars[0];
             match &d.init {
-                Some(e) if is_const_expr(e) => d.name.clone(),
+                Some(e) if is_const_expr(e) => &*d.name,
                 Some(_) => {
                     return Err(CompileError::check(
                         "appendix A: loop index must be initialised with a constant expression",
@@ -130,13 +130,13 @@ fn check_for_header(
     match cond.map(|e| &e.kind) {
         Some(ExprKind::Binary(
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne,
-            lhs,
-            rhs,
+            operands,
         )) => {
+            let [lhs, rhs] = &**operands;
             let index_on_left =
-                matches!(&lhs.kind, ExprKind::Ident(n) if *n == index) && is_const_expr(rhs);
+                matches!(&lhs.kind, ExprKind::Ident(n) if **n == *index) && is_const_expr(rhs);
             let index_on_right =
-                matches!(&rhs.kind, ExprKind::Ident(n) if *n == index) && is_const_expr(lhs);
+                matches!(&rhs.kind, ExprKind::Ident(n) if **n == *index) && is_const_expr(lhs);
             if !index_on_left && !index_on_right {
                 return Err(CompileError::check(
                     "appendix A: loop condition must compare the index with a constant expression",
@@ -157,9 +157,9 @@ fn check_for_header(
         Some(ExprKind::Unary(
             UnOp::PreInc | UnOp::PostInc | UnOp::PreDec | UnOp::PostDec,
             inner,
-        )) => matches!(&inner.kind, ExprKind::Ident(n) if *n == index),
+        )) => matches!(&inner.kind, ExprKind::Ident(n) if **n == *index),
         Some(ExprKind::Assign(AssignOp::AddAssign | AssignOp::SubAssign, lhs, rhs)) => {
-            matches!(&lhs.kind, ExprKind::Ident(n) if *n == index) && is_const_expr(rhs)
+            matches!(&lhs.kind, ExprKind::Ident(n) if **n == *index) && is_const_expr(rhs)
         }
         _ => false,
     };
@@ -178,12 +178,12 @@ fn is_const_expr(e: &Expr) -> bool {
     match &e.kind {
         ExprKind::FloatLit(_) | ExprKind::IntLit(_) | ExprKind::BoolLit(_) => true,
         ExprKind::Unary(UnOp::Neg | UnOp::Plus, inner) => is_const_expr(inner),
-        ExprKind::Binary(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, a, b) => {
-            is_const_expr(a) && is_const_expr(b)
+        ExprKind::Binary(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, operands) => {
+            operands.iter().all(is_const_expr)
         }
         // Constructors of constants (e.g. `float(4)`) count.
         ExprKind::Call(name, args) => {
-            matches!(name.as_str(), "float" | "int") && args.iter().all(is_const_expr)
+            matches!(&**name, "float" | "int") && args.iter().all(is_const_expr)
         }
         _ => false,
     }
@@ -267,7 +267,12 @@ fn check_expr_no_write(e: &Expr, index: &str) -> Result<(), CompileError> {
             check_expr_no_write(inner, index)
         }
         ExprKind::Unary(_, inner) => check_expr_no_write(inner, index),
-        ExprKind::Binary(_, a, b) | ExprKind::Comma(a, b) => {
+        ExprKind::Binary(_, operands) => {
+            let [a, b] = &**operands;
+            check_expr_no_write(a, index)?;
+            check_expr_no_write(b, index)
+        }
+        ExprKind::Comma(a, b) => {
             check_expr_no_write(a, index)?;
             check_expr_no_write(b, index)
         }
@@ -289,7 +294,7 @@ fn check_expr_no_write(e: &Expr, index: &str) -> Result<(), CompileError> {
 
 fn expr_targets(e: &Expr, index: &str) -> bool {
     match &e.kind {
-        ExprKind::Ident(n) => n == index,
+        ExprKind::Ident(n) => &**n == index,
         ExprKind::Field(base, _) | ExprKind::Index(base, _) => expr_targets(base, index),
         _ => false,
     }

@@ -1,7 +1,12 @@
 //! Token definitions for the GLSL ES 1.00 lexer.
 
+use crate::ast::Name;
 use crate::span::Span;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+use std::sync::OnceLock;
 
 /// A lexical token with its source span.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +27,7 @@ pub struct Token {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// Identifier (not a keyword).
-    Ident(String),
+    Ident(Name),
     /// Floating point literal, e.g. `1.0`, `.5`, `2e-3`.
     FloatLit(f32),
     /// Integer literal, e.g. `42`, `0x1F`, `017`.
@@ -198,51 +203,56 @@ pub enum Keyword {
 }
 
 impl Keyword {
+    /// Every keyword, in declaration order.
+    pub const ALL: [Keyword; 40] = [
+        Keyword::Attribute,
+        Keyword::Const,
+        Keyword::Uniform,
+        Keyword::Varying,
+        Keyword::In,
+        Keyword::Out,
+        Keyword::Inout,
+        Keyword::Precision,
+        Keyword::Highp,
+        Keyword::Mediump,
+        Keyword::Lowp,
+        Keyword::Invariant,
+        Keyword::If,
+        Keyword::Else,
+        Keyword::For,
+        Keyword::While,
+        Keyword::Do,
+        Keyword::Return,
+        Keyword::Break,
+        Keyword::Continue,
+        Keyword::Discard,
+        Keyword::Void,
+        Keyword::Float,
+        Keyword::Int,
+        Keyword::Bool,
+        Keyword::Vec2,
+        Keyword::Vec3,
+        Keyword::Vec4,
+        Keyword::Ivec2,
+        Keyword::Ivec3,
+        Keyword::Ivec4,
+        Keyword::Bvec2,
+        Keyword::Bvec3,
+        Keyword::Bvec4,
+        Keyword::Mat2,
+        Keyword::Mat3,
+        Keyword::Mat4,
+        Keyword::Sampler2D,
+        Keyword::SamplerCube,
+        Keyword::Struct,
+    ];
+
     /// Looks a word up in the keyword table.
     pub fn from_word(word: &str) -> Option<Keyword> {
-        Some(match word {
-            "attribute" => Keyword::Attribute,
-            "const" => Keyword::Const,
-            "uniform" => Keyword::Uniform,
-            "varying" => Keyword::Varying,
-            "in" => Keyword::In,
-            "out" => Keyword::Out,
-            "inout" => Keyword::Inout,
-            "precision" => Keyword::Precision,
-            "highp" => Keyword::Highp,
-            "mediump" => Keyword::Mediump,
-            "lowp" => Keyword::Lowp,
-            "invariant" => Keyword::Invariant,
-            "if" => Keyword::If,
-            "else" => Keyword::Else,
-            "for" => Keyword::For,
-            "while" => Keyword::While,
-            "do" => Keyword::Do,
-            "return" => Keyword::Return,
-            "break" => Keyword::Break,
-            "continue" => Keyword::Continue,
-            "discard" => Keyword::Discard,
-            "void" => Keyword::Void,
-            "float" => Keyword::Float,
-            "int" => Keyword::Int,
-            "bool" => Keyword::Bool,
-            "vec2" => Keyword::Vec2,
-            "vec3" => Keyword::Vec3,
-            "vec4" => Keyword::Vec4,
-            "ivec2" => Keyword::Ivec2,
-            "ivec3" => Keyword::Ivec3,
-            "ivec4" => Keyword::Ivec4,
-            "bvec2" => Keyword::Bvec2,
-            "bvec3" => Keyword::Bvec3,
-            "bvec4" => Keyword::Bvec4,
-            "mat2" => Keyword::Mat2,
-            "mat3" => Keyword::Mat3,
-            "mat4" => Keyword::Mat4,
-            "sampler2D" => Keyword::Sampler2D,
-            "samplerCube" => Keyword::SamplerCube,
-            "struct" => Keyword::Struct,
-            _ => return None,
-        })
+        match classify_word(word) {
+            Some(Word::Keyword(kw)) => Some(kw),
+            _ => None,
+        }
     }
 
     /// The source spelling of the keyword.
@@ -296,6 +306,36 @@ impl fmt::Display for Keyword {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
+}
+
+/// What a word the lexer reads is, when it is not an identifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Word {
+    /// A keyword.
+    Keyword(Keyword),
+    /// `true` or `false`.
+    Bool(bool),
+    /// One of [`RESERVED_WORDS`].
+    Reserved,
+}
+
+/// Classifies `word` with one hash lookup in a table built once from
+/// [`Keyword::ALL`], the boolean literals and [`RESERVED_WORDS`];
+/// `None` means an identifier.
+pub(crate) fn classify_word(word: &str) -> Option<Word> {
+    type Table = HashMap<&'static str, Word, BuildHasherDefault<DefaultHasher>>;
+    static WORDS: OnceLock<Table> = OnceLock::new();
+    WORDS
+        .get_or_init(|| {
+            let keywords = Keyword::ALL
+                .iter()
+                .map(|&kw| (kw.as_str(), Word::Keyword(kw)));
+            let reserved = RESERVED_WORDS.iter().map(|&w| (w, Word::Reserved));
+            let bools = [("true", Word::Bool(true)), ("false", Word::Bool(false))];
+            keywords.chain(reserved).chain(bools).collect()
+        })
+        .get(word)
+        .copied()
 }
 
 /// Words reserved by GLSL ES 1.00 that this implementation (like a
@@ -362,6 +402,17 @@ mod tests {
             let kw = Keyword::from_word(word).expect("keyword should be recognised");
             assert_eq!(kw.as_str(), word);
         }
+    }
+
+    #[test]
+    fn every_keyword_spelling_round_trips() {
+        for kw in Keyword::ALL {
+            assert_eq!(Keyword::from_word(kw.as_str()), Some(kw));
+        }
+        assert_eq!(classify_word("true"), Some(Word::Bool(true)));
+        assert_eq!(classify_word("false"), Some(Word::Bool(false)));
+        assert_eq!(classify_word("goto"), Some(Word::Reserved));
+        assert_eq!(classify_word("gpes_pack_byte"), None);
     }
 
     #[test]

@@ -534,3 +534,57 @@ fn vm_matches_interpreter_on_fixed_seeds() {
         check_program(seed);
     }
 }
+
+/// Calls whose callee only the argument types decide run the right
+/// function on every executor. A user function may overload a builtin's
+/// name with parameter types no builtin overload takes: sema accepts
+/// `float floor(int)`, so `floor(int(u))` must run it instead of
+/// trapping in the builtin `floor`, while `floor(u)` stays the builtin.
+/// And each same-arity user overload (`g(float)`, `g(vec2)`) must be
+/// lowered and picked by type.
+#[test]
+fn overloads_picked_by_argument_types_run_on_every_executor() {
+    let src = "precision highp float;\nuniform float u;\n\
+               float floor(int v) { return float(v) + 0.25; }\n\
+               float g(float v) { return v * 2.0; }\n\
+               float g(vec2 v) { return v.x - v.y; }\n\
+               void main() {\n\
+                 gl_FragColor = vec4(floor(int(u)), floor(u), g(u), g(vec2(u, 0.5)));\n\
+               }";
+    let shader = compile(ShaderKind::Fragment, src).expect("compiles");
+    let exe = lower(&shader).expect("lowers");
+    let tex = NoTextures;
+    let u = |lane: usize| lane as f32 * 1.5 - 4.75;
+    let expect = |u: f32| [(u as i32) as f32 + 0.25, u.floor(), u * 2.0, u - 0.5];
+    for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
+        let mut oracle = Interpreter::with_model(&shader, &tex, model).expect("interp");
+        oracle.set_global("u", Value::Float(2.75)).expect("uniform");
+        oracle
+            .run_main()
+            .expect("the tree-walker runs the user overload");
+        assert_eq!(oracle.frag_color(), Some(expect(2.75)), "{model:?}");
+        let mut one = SpmdVm::with_model(&exe, &tex, model, 1).expect("vm");
+        one.set_global("u", Value::Float(2.75)).expect("uniform");
+        one.run_batch(1).expect("SPMD-1 runs the user overload");
+        assert_eq!(one.frag_color(0), oracle.frag_color(), "{model:?}");
+        assert_eq!(one.profile(), oracle.profile(), "{model:?}");
+
+        let mut oracle = Interpreter::with_model(&shader, &tex, model).expect("interp");
+        let mut eight = SpmdVm::with_model(&exe, &tex, model, 8).expect("vm");
+        let slot = eight.global_slot("u").expect("slot");
+        for lane in 0..8 {
+            eight.set_lane_slot(lane, slot, Value::Float(u(lane)));
+        }
+        eight.run_batch(8).expect("SPMD-8 runs the user overload");
+        for lane in 0..8 {
+            oracle
+                .set_global("u", Value::Float(u(lane)))
+                .expect("uniform");
+            oracle.run_main().expect("tree-walker");
+            let color = oracle.frag_color();
+            assert_eq!(color, Some(expect(u(lane))), "{model:?} lane {lane}");
+            assert_eq!(eight.frag_color(lane), color, "{model:?} lane {lane}");
+        }
+        assert_eq!(eight.profile(), oracle.profile(), "{model:?}");
+    }
+}
