@@ -1,10 +1,11 @@
 //! `reproduce` — regenerates every table and figure of the paper's
-//! evaluation section on the simulated platform.
+//! evaluation section on the simulated platform, and diffs two runs.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p gpes-bench --bin reproduce -- [SECTION ...|all] [--json PATH]
+//! cargo run --release -p gpes-bench --bin reproduce -- --diff FRESH.json [BASE.json]
 //! ```
 //!
 //! Each section is timed. The gated sections (a9–a16) hold their
@@ -12,8 +13,14 @@
 //! and the run exits 1 (2 on an unknown section). `--json PATH` writes a
 //! `gpes-bench/1` document with host info, per-section timing, every
 //! record and every violation.
+//!
+//! `--diff` prints the markdown `record::diff` of two such documents;
+//! BASE defaults to the newest `BENCH_<n>.json` in the working directory
+//! whose schema is `gpes-bench/1`. It exits 0 whatever drifted.
 
-use gpes_bench::record::{document, Record, Report, SectionRun, Value};
+use gpes_bench::record::{
+    diff, document, read_document, Document, ReadError, Record, Report, SectionRun, Value,
+};
 use gpes_bench::{ablations, e1, e2, figures};
 use std::error::Error;
 use std::time::Instant;
@@ -111,16 +118,14 @@ fn run_a1() -> Outcome {
 }
 
 fn run_a3() -> Outcome {
-    heading("A3: fragment dispatch parallelism (simulator host throughput)");
-    let rows = ablations::a3_dispatch(1 << 16)?;
-    for row in &rows {
-        println!("{}", row.format());
-    }
+    heading("A3: fragment dispatch parallelism and small draws (simulator host throughput)");
+    let outcome = gated(&ablations::a3_dispatch(1 << 16)?);
     println!(
-        "each row is the median of {} timed runs after a warm-up",
+        "each rate is the median (min, max) of {} timed runs after a warm-up;",
         ablations::TIMED_RUNS
     );
-    Ok((rows.records(), Vec::new()))
+    println!("the small draws show the per-draw cost band threads add under Auto");
+    outcome
 }
 
 fn run_a4() -> Outcome {
@@ -267,10 +272,10 @@ fn run_a15() -> Outcome {
     println!("context's stack or locals depth are masked, so the sign-mixed");
     println!("and same-sign sum rows read alike. Every row is bit-identical to");
     println!(
-        "the tree-walking oracle and reads the median of {} timed runs",
+        "the tree-walking oracle and reads the median (min, max) of {} timed",
         ablations::TIMED_RUNS
     );
-    println!("after a warm-up; the mix speedups are taken against one-lane");
+    println!("runs after a warm-up; the mix speedups are taken against one-lane");
     println!("batches. The codec rows compare the old per-value encode/decode");
     println!("loops with the single-pass slice paths the buffers now call.");
     outcome
@@ -317,14 +322,15 @@ const SECTIONS: [(&str, Run); 19] = [
 fn usage(problem: &str) -> ! {
     let names: Vec<_> = SECTIONS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "{problem}; usage: reproduce [SECTION ...] [--json PATH] with SECTION one of {}|all",
+        "{problem}; usage: reproduce [SECTION ...] [--json PATH] with SECTION one of {}|all, \
+         or reproduce --diff FRESH.json [BASE.json]",
         names.join("|")
     );
     std::process::exit(2);
 }
 
 /// The recording host: effective cores, source revision, platform.
-fn host() -> Vec<(&'static str, Value)> {
+fn host() -> Vec<(String, Value)> {
     let git_rev = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -337,16 +343,70 @@ fn host() -> Vec<(&'static str, Value)> {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let platform = format!("{}-{}", std::env::consts::OS, std::env::consts::ARCH);
     vec![
-        ("cpus", cpus.into()),
-        ("git_rev", git_rev.into()),
-        ("platform", platform.into()),
+        ("cpus".into(), cpus.into()),
+        ("git_rev".into(), git_rev.into()),
+        ("platform".into(), platform.into()),
     ]
+}
+
+/// The text of the file at `path`, or an error naming it.
+fn read_text(path: &str) -> Result<String, Box<dyn Error>> {
+    std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}").into())
+}
+
+/// The newest `BENCH_<n>.json` in the working directory whose schema is
+/// `gpes-bench/1`, read.
+fn newest_baseline() -> Result<Option<(String, Document)>, Box<dyn Error>> {
+    let mut numbered = Vec::new();
+    for entry in std::fs::read_dir(".")? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let n = name
+            .strip_prefix("BENCH_")
+            .and_then(|r| r.strip_suffix(".json"));
+        if let Some(n) = n.and_then(|n| n.parse::<u64>().ok()) {
+            numbered.push((n, name));
+        }
+    }
+    numbered.sort();
+    for (_, path) in numbered.into_iter().rev() {
+        match read_document(&read_text(&path)?) {
+            Ok(doc) => return Ok(Some((path, doc))),
+            Err(ReadError::Schema(_)) => continue,
+            Err(e) => return Err(format!("{path}: {e}").into()),
+        }
+    }
+    Ok(None)
+}
+
+/// `reproduce --diff FRESH [BASE]`: prints the markdown diff.
+fn run_diff(fresh: &str, base: Option<&str>) -> Result<(), Box<dyn Error>> {
+    let read = |path: &str| -> Result<_, Box<dyn Error>> {
+        read_document(&read_text(path)?).map_err(|e| format!("{path}: {e}").into())
+    };
+    let fresh = read(fresh)?;
+    let base = match base {
+        Some(path) => Some((path.to_owned(), read(path)?)),
+        None => newest_baseline()?,
+    };
+    let base = base.as_ref().map(|(path, doc)| (path.as_str(), doc));
+    println!("{}", diff(&fresh, base));
+    Ok(())
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut json = None;
     let mut wanted = Vec::new();
     let mut args = std::env::args().skip(1);
+    let first = args.next();
+    if first.as_deref() == Some("--diff") {
+        let paths: Vec<String> = args.collect();
+        return match paths.as_slice() {
+            [fresh] => run_diff(fresh, None),
+            [fresh, base] => run_diff(fresh, Some(base)),
+            _ => usage("--diff needs FRESH.json and at most one BASE.json"),
+        };
+    }
+    let mut args = first.into_iter().chain(args);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = Some(args.next().unwrap_or_else(|| usage("--json needs a PATH"))),
@@ -368,7 +428,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let start = Instant::now();
         let (records, violations) = run()?;
         runs.push(SectionRun {
-            name,
+            name: name.to_owned(),
             host_seconds: start.elapsed().as_secs_f64(),
             records,
             violations,

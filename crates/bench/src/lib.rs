@@ -8,13 +8,15 @@
 //! * [`figures`] — Figure 1 (pipeline trace) and Figure 2 (byte layout),
 //! * [`ablations`] — A1–A16, the design-choice ablations and the gated
 //!   serving sections,
-//! * [`record`] — results as data: records, contracts, the JSON document.
+//! * [`record`] — results as data: records, contracts, the JSON
+//!   document, its reader and the diff of two documents.
 //!
-//! The `reproduce` binary prints them all, and exits 1 when a gated
-//! section breaks its contract:
+//! The `reproduce` binary prints them all, exits 1 when a gated section
+//! breaks its contract, and diffs a run against a baseline:
 //!
 //! ```text
 //! cargo run --release -p gpes-bench --bin reproduce -- all --json BENCH.json
+//! cargo run --release -p gpes-bench --bin reproduce -- --diff BENCH.json
 //! ```
 
 #![warn(missing_docs)]
