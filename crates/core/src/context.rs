@@ -104,10 +104,10 @@ pub(crate) type ProgramRef = Arc<ProgramId>;
 
 /// A kernel's bindings after validation against its signature and merging
 /// with the build-time defaults: what one dispatch actually uses.
-struct ResolvedDispatch {
-    layout: ArrayLayout,
+pub(crate) struct ResolvedDispatch {
+    pub(crate) layout: ArrayLayout,
     /// Parallel to the kernel's input list (texture-unit order).
-    inputs: Vec<(TextureId, ArrayLayout)>,
+    pub(crate) inputs: Vec<(TextureId, ArrayLayout)>,
 }
 
 /// A GPGPU compute context over OpenGL ES 2 (the paper's framework).
@@ -686,7 +686,7 @@ impl ComputeContext {
     /// nothing may rely on values persisting inside the GL program. The
     /// kernel's declared defaults go first, then each `overrides` slice in
     /// order (later wins).
-    fn dispatch_resolved(
+    pub(crate) fn dispatch_resolved(
         &mut self,
         kernel: &Kernel,
         resolved: &ResolvedDispatch,
@@ -773,8 +773,8 @@ impl ComputeContext {
     /// Acquires an RGBA8 render target shaped like `layout` — from the
     /// recycling pool when possible — attaches it to the scratch FBO and
     /// leaves that FBO bound. Returns the texture and whether it was
-    /// pooled.
-    pub(crate) fn acquire_render_target(
+    /// pooled. A target that fails to set up is deleted.
+    fn acquire_render_target(
         &mut self,
         layout: ArrayLayout,
     ) -> Result<(TextureId, bool), ComputeError> {
@@ -784,34 +784,74 @@ impl ComputeContext {
         // through the raw `gl()` hatch must clear themselves). Sampler
         // parameters are re-asserted in case the caller changed them on
         // the recycled texture.
-        if let Some(id) = self.pooled_texture(TexFormat::Rgba8, layout.width, layout.height) {
+        let pooled = self.pooled_texture(TexFormat::Rgba8, layout.width, layout.height);
+        let target = pooled.unwrap_or_else(|| {
+            self.stats.textures_created += 1;
+            self.gl.create_texture()
+        });
+        let set_up = (|| -> Result<(), gpes_gles2::GlError> {
+            if pooled.is_none() {
+                self.gl
+                    .tex_storage(target, TexFormat::Rgba8, layout.width, layout.height)?;
+            }
             self.gl
-                .set_texture_filter(id, Filter::Nearest, Filter::Nearest)?;
+                .set_texture_filter(target, Filter::Nearest, Filter::Nearest)?;
             self.gl
-                .set_texture_wrap(id, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
-            self.gl.framebuffer_texture(self.scratch_fbo, id)?;
-            self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
-            return Ok((id, true));
+                .set_texture_wrap(target, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+            self.gl.framebuffer_texture(self.scratch_fbo, target)?;
+            self.gl.bind_framebuffer(Some(self.scratch_fbo))
+        })();
+        if let Err(e) = set_up {
+            self.gl.delete_texture(target);
+            return Err(e.into());
         }
-        let target = self.gl.create_texture();
-        self.stats.textures_created += 1;
-        self.gl
-            .tex_storage(target, TexFormat::Rgba8, layout.width, layout.height)?;
-        self.gl
-            .set_texture_filter(target, Filter::Nearest, Filter::Nearest)?;
-        self.gl
-            .set_texture_wrap(target, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
-        self.gl.framebuffer_texture(self.scratch_fbo, target)?;
-        self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
-        Ok((target, false))
+        Ok((target, pooled.is_some()))
     }
 
-    /// Attaches an already-owned texture as the render target (used by the
-    /// pipeline's in-place fast path) and leaves the scratch FBO bound.
-    pub(crate) fn attach_render_target(&mut self, target: TextureId) -> Result<(), ComputeError> {
-        self.gl.framebuffer_texture(self.scratch_fbo, target)?;
-        self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
-        Ok(())
+    /// Renders one pass into a texture and returns it: into `target`
+    /// when given (the pipeline's in-place fast path; the caller owns
+    /// it), else into a render target acquired from the pool. `draw`
+    /// issues the draw with the scratch FBO bound and learns whether the
+    /// target was reused. The FBO is always unbound afterwards, and a
+    /// failed draw hands an acquired target back to the pool, so no error
+    /// path leaks a texture.
+    pub(crate) fn render_to_texture(
+        &mut self,
+        layout: ArrayLayout,
+        target: Option<TextureId>,
+        draw: impl FnOnce(&mut ComputeContext, bool) -> Result<(), ComputeError>,
+    ) -> Result<TextureId, ComputeError> {
+        let (texture, reused) = match target {
+            Some(texture) => {
+                self.gl.framebuffer_texture(self.scratch_fbo, texture)?;
+                self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
+                (texture, true)
+            }
+            None => self.acquire_render_target(layout)?,
+        };
+        let drawn = draw(self, reused);
+        let unbound = self.gl.bind_framebuffer(None);
+        if let Err(e) = drawn.and(unbound.map_err(ComputeError::from)) {
+            if target.is_none() {
+                self.recycle_texture(texture);
+            }
+            return Err(e);
+        }
+        Ok(texture)
+    }
+
+    /// Draws `kernel` under resolved bindings into a pooled render
+    /// target ([`ComputeContext::render_to_texture`]).
+    fn draw_to_texture(
+        &mut self,
+        kernel: &Kernel,
+        resolved: &ResolvedDispatch,
+        uniforms: &[(String, Value)],
+    ) -> Result<TextureId, ComputeError> {
+        self.render_to_texture(resolved.layout, None, |cc, pooled| {
+            cc.dispatch_resolved(kernel, resolved, &[uniforms], false, pooled)
+                .map(drop)
+        })
     }
 
     /// Runs a kernel into a render-to-texture target under explicit
@@ -836,11 +876,7 @@ impl ComputeContext {
             )));
         }
         let resolved = self.resolve_bindings(kernel, bindings)?;
-        let (target, pooled) = self.acquire_render_target(resolved.layout)?;
-        let result =
-            self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], false, pooled);
-        self.gl.bind_framebuffer(None)?;
-        result?;
+        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
         Ok(GpuArray::new(target, resolved.layout))
     }
 
@@ -938,11 +974,7 @@ impl ComputeContext {
             )));
         }
         let resolved = self.resolve_bindings(kernel, bindings)?;
-        let (target, pooled) = self.acquire_render_target(resolved.layout)?;
-        let result =
-            self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], false, pooled);
-        self.gl.bind_framebuffer(None)?;
-        result?;
+        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
         Ok(GpuTexels::new(target, resolved.layout))
     }
 
@@ -996,23 +1028,6 @@ impl ComputeContext {
     /// As [`ComputeContext::run_and_read_texels_with`].
     pub fn run_and_read_texels(&mut self, kernel: &Kernel) -> Result<Vec<u8>, ComputeError> {
         self.run_and_read_texels_with(kernel, &Bindings::new())
-    }
-
-    /// Pipeline entry point: dispatch under pre-resolved pieces. The
-    /// uniform `overrides` slices apply after the kernel defaults, in
-    /// order (the pipeline passes its static overrides, then the
-    /// per-iteration values). Returns the draw stats.
-    pub(crate) fn dispatch_for_pipeline(
-        &mut self,
-        kernel: &Kernel,
-        inputs: Vec<(TextureId, ArrayLayout)>,
-        layout: ArrayLayout,
-        overrides: &[&[(String, Value)]],
-        to_screen: bool,
-        reused_target: bool,
-    ) -> Result<DrawStats, ComputeError> {
-        let resolved = ResolvedDispatch { layout, inputs };
-        self.dispatch_resolved(kernel, &resolved, overrides, to_screen, reused_target)
     }
 
     /// Reads a texel buffer back as RGBA bytes through the FBO path.
@@ -1194,11 +1209,7 @@ impl ComputeContext {
             }
         };
         let resolved = self.resolve_bindings(kernel, bindings)?;
-        let (target, pooled) = self.acquire_render_target(resolved.layout)?;
-        let result =
-            self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], false, pooled);
-        self.gl.bind_framebuffer(None)?;
-        result?;
+        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
         Ok(AnyGpuArray {
             texture: target,
             layout: resolved.layout,

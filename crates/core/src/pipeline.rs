@@ -22,6 +22,7 @@
 use crate::addressing::ArrayLayout;
 use crate::buffer::{GpuArray, GpuMatrix, GpuScalar, GpuTexels};
 use crate::codec::ScalarType;
+use crate::context::ResolvedDispatch;
 use crate::error::ComputeError;
 use crate::kernel::{check_uniform, unbound_input, InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::ComputeContext;
@@ -364,6 +365,7 @@ impl<K> PipelineBuilder<K> {
                 iteration_cap: None,
                 until: None,
                 ping_pongs: Vec::new(),
+                retire: None,
             },
         }
     }
@@ -443,14 +445,37 @@ impl<K> PipelineBuilder<K> {
         self
     }
 
-    /// The declared plan, once it passes the one wiring check.
-    pub(crate) fn checked(self) -> Result<Pipeline<K>, ComputeError>
+    /// The declared plan, once it passes the one wiring check, with its
+    /// liveness plan.
+    pub(crate) fn checked(mut self) -> Result<Pipeline<K>, ComputeError>
     where
         K: PassKernel,
     {
         check_wiring(&self.dag)?;
+        self.dag.retire = liveness(&self.dag);
         Ok(self.dag)
     }
+}
+
+/// The liveness plan of a one-iteration plan (iterations `None` or 1, no
+/// `until`, no ping-pong): for each pass, the buffers it is the last to
+/// read or write. `None` for a looping plan, where a buffer's last use
+/// depends on the iteration.
+fn liveness<K>(dag: &Pipeline<K>) -> Option<Vec<Vec<String>>> {
+    if dag.iterations.unwrap_or(1) != 1 || dag.until.is_some() || !dag.ping_pongs.is_empty() {
+        return None;
+    }
+    let mut seen = HashSet::new();
+    let mut retire = vec![Vec::new(); dag.passes.len()];
+    for (p, pass) in dag.passes.iter().enumerate().rev() {
+        let written = pass.write.iter().map(|(name, _)| name);
+        for name in pass.reads.iter().map(|(_, buffer)| buffer).chain(written) {
+            if seen.insert(name.as_str()) {
+                retire[p].push(name.clone());
+            }
+        }
+    }
+    Some(retire)
 }
 
 /// The one wiring check, over kernel signatures only — so a
@@ -669,6 +694,8 @@ pub struct Pipeline<K = Kernel> {
     pub(crate) iteration_cap: Option<usize>,
     pub(crate) until: Option<UntilFn>,
     pub(crate) ping_pongs: Vec<(String, String)>,
+    /// The liveness plan ([`liveness`]), computed once at build.
+    pub(crate) retire: Option<Vec<Vec<String>>>,
 }
 
 impl<K: PassKernel> fmt::Debug for Pipeline<K> {
@@ -721,6 +748,7 @@ impl<K> Pipeline<K> {
             iteration_cap: self.iteration_cap,
             until: self.until.clone(),
             ping_pongs: self.ping_pongs.clone(),
+            retire: self.retire.clone(),
         })
     }
 }
@@ -740,7 +768,7 @@ impl Pipeline {
     /// Runtime wiring errors (a declared source left unseeded),
     /// per-iteration uniform type mismatches, and GL/shader errors.
     pub fn run(&self, cc: &mut ComputeContext) -> Result<PipelineRun, ComputeError> {
-        let (buffers, _) = self.run_internal(cc, None, &[])?;
+        let (buffers, _) = self.run_internal(cc, None, &[], None)?;
         Ok(PipelineRun { buffers })
     }
 
@@ -760,7 +788,22 @@ impl Pipeline {
         cc: &mut ComputeContext,
         seeds: &[SourceSeed],
     ) -> Result<PipelineRun, ComputeError> {
-        let (buffers, _) = self.run_internal(cc, None, seeds)?;
+        let (buffers, _) = self.run_internal(cc, None, seeds, None)?;
+        Ok(PipelineRun { buffers })
+    }
+
+    /// [`Pipeline::run_seeded`] for a caller that reads only `reads`: a
+    /// one-iteration plan recycles every other pipeline-owned buffer
+    /// right after its last use, so a long chain holds only its live
+    /// intermediates. A looping plan keeps every buffer, as `run_seeded`
+    /// does.
+    pub(crate) fn run_for_reads(
+        &self,
+        cc: &mut ComputeContext,
+        seeds: &[SourceSeed],
+        reads: &[String],
+    ) -> Result<PipelineRun, ComputeError> {
+        let (buffers, _) = self.run_internal(cc, None, seeds, Some(reads))?;
         Ok(PipelineRun { buffers })
     }
 
@@ -777,7 +820,7 @@ impl Pipeline {
         buffer: &str,
     ) -> Result<Vec<T>, ComputeError> {
         let screen_target = self.screen_routable::<T>(cc, buffer);
-        let (buffers, screen) = self.run_internal(cc, screen_target.as_deref(), seeds)?;
+        let (buffers, screen) = self.run_internal(cc, screen_target.as_deref(), seeds, None)?;
         if let Some((bytes, layout)) = screen {
             PipelineRun { buffers }.finish(cc);
             return Ok(T::decode_framebuffer(&bytes, layout.len));
@@ -891,17 +934,38 @@ impl Pipeline {
         (layout.width <= sw && layout.height <= sh).then(|| buffer.to_owned())
     }
 
-    /// The run loop. `screen_buffer` names the buffer whose final write
+    /// One run. `screen_buffer` names the buffer whose final write
     /// should go to the default framebuffer instead of a texture; the
-    /// read-back bytes are returned alongside the buffer map.
+    /// read-back bytes are returned alongside the buffer map. With
+    /// `reads`, the liveness plan retires every other buffer at its last
+    /// use. A failed run recycles every texture it allocated.
     #[allow(clippy::type_complexity)]
     fn run_internal(
         &self,
         cc: &mut ComputeContext,
         screen_buffer: Option<&str>,
         seeds: &[SourceSeed],
+        reads: Option<&[String]>,
     ) -> Result<(Vec<(String, BufferState)>, Option<(Vec<u8>, ArrayLayout)>), ComputeError> {
         let mut bufs = self.seeded_buffers(seeds)?;
+        let screen = self
+            .run_loop(cc, screen_buffer, reads, &mut bufs)
+            .inspect_err(|_| {
+                for (_, b) in bufs.drain().filter(|(_, b)| b.owned) {
+                    cc.recycle_texture(b.texture);
+                }
+            })?;
+        Ok((bufs.into_iter().collect(), screen))
+    }
+
+    /// The iteration loop of [`Pipeline::run_internal`] over `bufs`.
+    fn run_loop(
+        &self,
+        cc: &mut ComputeContext,
+        screen_buffer: Option<&str>,
+        reads: Option<&[String]>,
+        bufs: &mut HashMap<String, BufferState>,
+    ) -> Result<Option<(Vec<u8>, ArrayLayout)>, ComputeError> {
         let fixed_total = if self.until.is_none() {
             Some(self.iterations.unwrap_or(1))
         } else {
@@ -911,6 +975,7 @@ impl Pipeline {
             .iterations
             .or(self.iteration_cap)
             .unwrap_or(MAX_OPEN_ITERATIONS);
+        let retire = self.retire.as_ref().zip(reads);
         let mut screen: Option<(Vec<u8>, ArrayLayout)> = None;
         let mut completed = 0usize;
         let mut stopped = false;
@@ -921,9 +986,16 @@ impl Pipeline {
                     && pi + 1 == self.passes.len()
                     && screen_buffer.is_some()
                     && pass.write.as_ref().map(|(n, _)| n.as_str()) == screen_buffer;
-                let bytes = self.run_pass(cc, pass, completed, &mut bufs, to_screen)?;
+                let bytes = self.run_pass(cc, pass, completed, bufs, to_screen)?;
                 if let Some(b) = bytes {
                     screen = Some(b);
+                }
+                if let Some((retire, reads)) = retire {
+                    for name in retire[pi].iter().filter(|name| !reads.contains(name)) {
+                        if let Some(b) = bufs.remove(name).filter(|b| b.owned) {
+                            cc.recycle_texture(b.texture);
+                        }
+                    }
                 }
             }
             for (front, back) in &self.ping_pongs {
@@ -952,7 +1024,7 @@ impl Pipeline {
                 cap,
             });
         }
-        Ok((bufs.into_iter().collect(), screen))
+        Ok(screen)
     }
 
     /// Executes one pass of one iteration.
@@ -999,55 +1071,43 @@ impl Pipeline {
             dynamic.push((name.clone(), value));
         }
         let overrides: [&[(String, Value)]; 2] = [&pass.uniforms, &dynamic];
+        let resolved = ResolvedDispatch { layout, inputs };
 
         if to_screen {
-            cc.dispatch_for_pipeline(kernel, inputs, layout, &overrides, true, false)?;
+            cc.dispatch_resolved(kernel, &resolved, &overrides, true, false)?;
             let bytes = cc.gl().read_pixels(0, 0, layout.width, layout.height)?;
             return Ok(Some((bytes, layout)));
         }
 
-        let out_kind = BufKind::of_output(kernel.output_kind());
         // In-place fast path: overwrite the buffer's own texture when the
         // pipeline owns it, the dimensions match and this pass does not
         // sample it (no GL feedback loop).
-        let in_place = bufs.get(write_name.as_str()).is_some_and(|b| {
-            b.owned
-                && b.layout.width == layout.width
-                && b.layout.height == layout.height
-                && !inputs.iter().any(|&(t, _)| t == b.texture)
-        });
-        let result = if in_place {
-            let texture = bufs[write_name.as_str()].texture;
-            cc.attach_render_target(texture)?;
-            let drawn = cc.dispatch_for_pipeline(kernel, inputs, layout, &overrides, false, true);
-            cc.gl().bind_framebuffer(None)?;
-            drawn?;
-            let slot = bufs.get_mut(write_name.as_str()).expect("checked above");
-            slot.layout = layout;
-            slot.kind = out_kind;
-            None
-        } else {
-            let (target, pooled) = cc.acquire_render_target(layout)?;
-            let drawn = cc.dispatch_for_pipeline(kernel, inputs, layout, &overrides, false, pooled);
-            cc.gl().bind_framebuffer(None)?;
-            drawn?;
-            let old = bufs.insert(
-                write_name.clone(),
-                BufferState {
-                    texture: target,
-                    layout,
-                    kind: out_kind,
-                    owned: true,
-                },
-            );
-            if let Some(old) = old {
-                if old.owned {
-                    cc.recycle_texture(old.texture);
-                }
-            }
-            None
-        };
-        Ok(result)
+        let in_place = bufs
+            .get(write_name.as_str())
+            .filter(|b| {
+                b.owned
+                    && b.layout.width == layout.width
+                    && b.layout.height == layout.height
+                    && !resolved.inputs.iter().any(|&(t, _)| t == b.texture)
+            })
+            .map(|b| b.texture);
+        let target = cc.render_to_texture(layout, in_place, |cc, reused| {
+            cc.dispatch_resolved(kernel, &resolved, &overrides, false, reused)
+                .map(drop)
+        })?;
+        let old = bufs.insert(
+            write_name.clone(),
+            BufferState {
+                texture: target,
+                layout,
+                kind: BufKind::of_output(kernel.output_kind()),
+                owned: true,
+            },
+        );
+        if let Some(old) = old.filter(|old| old.owned && old.texture != target) {
+            cc.recycle_texture(old.texture);
+        }
+        Ok(None)
     }
 }
 

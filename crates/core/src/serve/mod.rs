@@ -16,17 +16,17 @@
 //!   no matter which worker sees it first ([`CachePolicy::PerContext`]
 //!   exists for the `a10` ablation that measures what N× relinking
 //!   costs);
-//! * workers run two kinds of task. A [`Submission`] is a multi-kernel
-//!   DAG that runs on one worker without per-step queue round-trips; its
-//!   intermediates stay on the GPU and each is recycled once its last
-//!   reader has dispatched. A [`Job`] (one f32 kernel dispatch) is
-//!   lowered at submit time into a one-step submission. A
-//!   [`PipelineJob`] is a whole retained multi-pass [`crate::Pipeline`]
-//!   described by a context-free [`PipelineSpec`]: iteration loops,
-//!   ping-pong pairs, per-iteration uniforms and `until` predicates run
-//!   entirely on one worker, with the built pipeline cached per worker
-//!   by spec hash. Typed (quantized) kernels are served as pipelines; a
-//!   typed single kernel is a one-pass spec;
+//! * workers have one executor, the core [`crate::Pipeline`] planner. A
+//!   [`PipelineJob`] is a whole retained multi-pass pipeline described
+//!   by a context-free [`PipelineSpec`]: iteration loops, ping-pong
+//!   pairs, per-iteration uniforms and `until` predicates run entirely
+//!   on one worker, with the built pipeline cached per worker by spec
+//!   hash. A [`Submission`] is a multi-kernel DAG, lowered at submit time
+//!   onto a one-iteration pipeline that each run builds afresh; a [`Job`]
+//!   (one f32 kernel dispatch) is a one-step submission. Intermediates
+//!   stay on the GPU, and in a one-iteration plan each is recycled after
+//!   its last reader. Typed (quantized) kernels are served as pipelines;
+//!   a typed single kernel is a one-pass spec;
 //! * constant inputs can be made **resident** ([`ResidentInput`]): each
 //!   worker uploads them once and every later job — kernel, DAG or
 //!   pipeline — reuses the on-GPU texture, with capacity evictions
@@ -112,10 +112,8 @@ use crate::context::{ComputeContext, ContextStats};
 use crate::error::ComputeError;
 use crate::kernel::{InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::pipeline::{
-    BufKind, Pass, PassKernel, Pipeline, PipelineBuilder, Readback, Signature, SourceSeed,
-    SourceShape,
+    BufKind, Pass, PassKernel, Pipeline, PipelineBuilder, Signature, SourceSeed, SourceShape,
 };
-use crate::Bindings;
 use gpes_gles2::{Dispatch, ExecMode, FaultPlan, Limits};
 use gpes_glsl::Value;
 use metrics::{lock_recover, wait_recover, EngineMetrics};

@@ -451,61 +451,76 @@ pub enum CachePolicy {
     PerContext,
 }
 
-/// Where a submission's result goes: the [`BatchResult`] handle of
-/// [`Engine::submit_batch`], or — for a [`Job`] lowered into a one-step
-/// submission — the `Vec<f32>` handle of [`Engine::submit`], filled from
-/// that step's readback.
+/// Where a task's readbacks go. The worker's one executor returns
+/// `(buffer, tensor)` pairs; the sink converts them into the handle's
+/// type: the `Vec<f32>` of [`Engine::submit`] (a [`Job`]'s one step), the
+/// [`BatchResult`] of [`Engine::submit_batch`] (given the step count and
+/// the step each pair belongs to), or the [`PipelineResult`] of
+/// [`Engine::submit_pipeline`].
 #[derive(Clone)]
 pub(crate) enum BatchSink {
-    Batch(Arc<HandleState<BatchResult>>),
     Job(Arc<HandleState<Vec<f32>>>),
+    Batch(Arc<HandleState<BatchResult>>, usize, Vec<usize>),
+    Pipeline(Arc<HandleState<PipelineResult>>),
+}
+
+/// A submission's readback as `f32`: submissions are f32-only, checked at
+/// submit.
+fn f32_output(data: TensorData) -> Result<Vec<f32>, ComputeError> {
+    match data {
+        TensorData::F32(host) => Ok(host),
+        other => Err(ComputeError::EngineInternal {
+            message: format!("f32 submission read back {:?} data", other.scalar()),
+        }),
+    }
 }
 
 impl BatchSink {
     fn control(&self) -> &TaskControl {
         match self {
-            BatchSink::Batch(handle) => &handle.control,
             BatchSink::Job(handle) => &handle.control,
+            BatchSink::Batch(handle, ..) => &handle.control,
+            BatchSink::Pipeline(handle) => &handle.control,
         }
     }
 
-    pub(crate) fn fulfil(self, result: Result<BatchResult, ComputeError>) {
+    pub(crate) fn fulfil(self, result: Result<Vec<(String, TensorData)>, ComputeError>) {
         match self {
-            BatchSink::Batch(handle) => fulfil(&handle, result),
             BatchSink::Job(handle) => {
-                let result = result.and_then(|batch| {
-                    batch.outputs.into_iter().next().flatten().ok_or_else(|| {
-                        ComputeError::EngineInternal {
-                            message: "one-step submission returned no readback".into(),
-                        }
-                    })
+                let result = result.and_then(|outputs| match outputs.into_iter().next() {
+                    Some((_, data)) => f32_output(data),
+                    None => Err(ComputeError::EngineInternal {
+                        message: "one-step submission returned no readback".into(),
+                    }),
                 });
                 fulfil(&handle, result);
+            }
+            BatchSink::Batch(handle, steps, read) => {
+                let result = result.and_then(|outputs| {
+                    let mut per_step = vec![None; steps];
+                    for (step, (_, data)) in read.into_iter().zip(outputs) {
+                        per_step[step] = Some(f32_output(data)?);
+                    }
+                    Ok(BatchResult { outputs: per_step })
+                });
+                fulfil(&handle, result);
+            }
+            BatchSink::Pipeline(handle) => {
+                fulfil(&handle, result.map(|outputs| PipelineResult { outputs }));
             }
         }
     }
 }
 
-pub(crate) enum Task {
-    Batch(Submission, BatchSink),
-    Pipeline(PipelineJob, Arc<HandleState<PipelineResult>>),
+/// One queued unit of work and the handle its readbacks go to.
+pub(crate) struct Task {
+    pub(crate) work: Work,
+    pub(crate) sink: BatchSink,
 }
 
 impl Task {
     pub(crate) fn control(&self) -> &TaskControl {
-        match self {
-            Task::Batch(_, sink) => sink.control(),
-            Task::Pipeline(_, handle) => &handle.control,
-        }
-    }
-
-    /// The per-job [`RetryPolicy`] override, if the submission carried
-    /// one.
-    pub(crate) fn retry_override(&self) -> Option<RetryPolicy> {
-        match self {
-            Task::Batch(submission, _) => submission.retry,
-            Task::Pipeline(job, _) => job.retry,
-        }
+        self.sink.control()
     }
 
     /// Fulfils the task's handle with `error` — used when no worker will
@@ -516,29 +531,15 @@ impl Task {
             return;
         }
         EngineMetrics::bump(&metrics.aborted);
-        self.fail(error);
+        self.sink.fulfil(Err(error));
     }
 
     /// Fulfils an already-claimed task with
     /// [`ComputeError::DeadlineExceeded`] — the worker shed it at dequeue
     /// without touching the GPU.
     pub(crate) fn shed(self, queued_ms: u64) {
-        self.fail(ComputeError::DeadlineExceeded { queued_ms });
-    }
-
-    fn fail(self, error: ComputeError) {
-        match self {
-            Task::Batch(_, sink) => sink.fulfil(Err(error)),
-            Task::Pipeline(_, handle) => fulfil(&handle, Err(error)),
-        }
-    }
-
-    /// The tenant the submission was tagged with, if any.
-    pub(crate) fn tenant(&self) -> Option<&TenantId> {
-        match self {
-            Task::Batch(submission, _) => submission.tenant.as_ref(),
-            Task::Pipeline(job, _) => job.tenant.as_ref(),
-        }
+        self.sink
+            .fulfil(Err(ComputeError::DeadlineExceeded { queued_ms }));
     }
 }
 
@@ -1029,17 +1030,18 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Validation errors (input arity, typed specs) and admission errors
+    /// Validation errors (input arity, typed specs, unknown or mistyped
+    /// uniforms) and admission errors
     /// ([`ComputeError::QueueFull`], [`ComputeError::EngineShutdown`])
     /// surface here; execution errors surface on the handle.
     pub fn submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        self.enqueue_submission(job.into_submission(), BatchSink::Job, true)
+        self.enqueue_submission(job.into_submission(), |h, _, _| BatchSink::Job(h), true)
     }
 
     /// Non-blocking [`Engine::submit`]: a full queue rejects with
     /// [`ComputeError::QueueFull`] immediately.
     pub fn try_submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        self.enqueue_submission(job.into_submission(), BatchSink::Job, false)
+        self.enqueue_submission(job.into_submission(), |h, _, _| BatchSink::Job(h), false)
     }
 
     /// Enqueues a multi-kernel DAG as one unit of work. Blocks up to the
@@ -1048,9 +1050,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Validation errors (arity, forward references, bad readback marks)
-    /// and admission errors surface here; execution errors surface on
-    /// the handle.
+    /// Validation errors (arity, forward references, unknown or mistyped
+    /// uniforms, bad readback marks) and admission errors surface here;
+    /// execution errors surface on the handle.
     pub fn submit_batch(
         &self,
         submission: Submission,
@@ -1067,19 +1069,17 @@ impl Engine {
         self.enqueue_submission(submission, BatchSink::Batch, false)
     }
 
-    /// Validates and enqueues a submission whose result `sink` routes to
-    /// a handle of type `T`.
+    /// Lowers and enqueues a submission whose result `sink` routes to a
+    /// handle of type `T`, given the step count and the read steps.
     fn enqueue_submission<T>(
         &self,
         submission: Submission,
-        sink: fn(Arc<HandleState<T>>) -> BatchSink,
+        sink: fn(Arc<HandleState<T>>, usize, Vec<usize>) -> BatchSink,
         blocking: bool,
     ) -> Result<JobHandle<T>, ComputeError> {
-        submission.validate()?;
-        let deadline = submission.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Batch(submission, sink(state)), deadline, blocking)?;
-        Ok(handle)
+        let steps = submission.len();
+        let (work, read) = submission.lower()?;
+        self.enqueue_work(work, |handle| sink(handle, steps, read), blocking)
     }
 
     /// Enqueues a whole retained pipeline as one job: the worker builds
@@ -1098,11 +1098,7 @@ impl Engine {
         &self,
         job: PipelineJob,
     ) -> Result<JobHandle<PipelineResult>, ComputeError> {
-        job.validate()?;
-        let deadline = job.deadline;
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Pipeline(job, state), deadline, true)?;
-        Ok(handle)
+        self.enqueue_work(job.into_work()?, BatchSink::Pipeline, true)
     }
 
     /// Non-blocking [`Engine::submit_pipeline`]: a full queue rejects
@@ -1111,10 +1107,25 @@ impl Engine {
         &self,
         job: PipelineJob,
     ) -> Result<JobHandle<PipelineResult>, ComputeError> {
-        job.validate()?;
-        let deadline = job.deadline;
+        self.enqueue_work(job.into_work()?, BatchSink::Pipeline, false)
+    }
+
+    /// Enqueues checked work whose readbacks `sink` routes to a fresh
+    /// handle of type `T`.
+    fn enqueue_work<T>(
+        &self,
+        work: Work,
+        sink: impl FnOnce(Arc<HandleState<T>>) -> BatchSink,
+        blocking: bool,
+    ) -> Result<JobHandle<T>, ComputeError> {
         let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(Task::Pipeline(job, state), deadline, false)?;
+        self.enqueue(
+            Task {
+                work,
+                sink: sink(state),
+            },
+            blocking,
+        )?;
         Ok(handle)
     }
 
@@ -1123,16 +1134,12 @@ impl Engine {
     /// `rejected` — so the snapshot's balance identity covers admission
     /// failures too. A blocking submit parks on the `space` condvar
     /// until a worker frees a slot or the submit timeout expires.
-    fn enqueue(
-        &self,
-        task: Task,
-        deadline: Option<Instant>,
-        blocking: bool,
-    ) -> Result<(), ComputeError> {
+    fn enqueue(&self, task: Task, blocking: bool) -> Result<(), ComputeError> {
         let shared = &self.shared;
         let metrics = &shared.metrics;
         EngineMetrics::bump(&metrics.submitted);
-        let tenant = task.tenant().cloned();
+        let tenant = task.work.tenant.clone();
+        let deadline = task.work.deadline;
         let reject = |error: ComputeError| {
             EngineMetrics::bump(&metrics.rejected);
             if let Some(tenant) = &tenant {

@@ -569,10 +569,14 @@ pub(crate) struct Step {
 /// executed back-to-back on a single worker. Later steps read earlier
 /// steps' outputs directly from GPU memory ([`StepInput::Step`]), so a
 /// k-kernel chain costs one queue round-trip instead of k, and no
-/// intermediate ever crosses the host boundary. The worker recycles each
-/// step's uploads once the step has dispatched, and each unread step
-/// output once its last reader has, so a long chain holds only its live
-/// intermediates and a warm worker allocates no textures for it.
+/// intermediate ever crosses the host boundary. The engine lowers it at
+/// submit time onto a one-iteration [`Pipeline`] plan — one pass per
+/// step, one seeded source per host-data or resident input — so wiring
+/// errors (forward references, unknown or mistyped uniforms) are refused
+/// at submit. The worker runs that plan with its liveness plan: each
+/// unread step output is recycled once its last reader has dispatched,
+/// so a long chain holds only its live intermediates and a warm worker
+/// allocates no textures for it.
 #[derive(Default)]
 pub struct Submission {
     pub(crate) steps: Vec<Step>,
@@ -647,58 +651,90 @@ impl Submission {
         self.steps.is_empty()
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ComputeError> {
-        if self.steps.is_empty() {
+    /// Lowers the submission onto the one-iteration [`Pipeline`] plan a
+    /// worker runs: step `i` becomes a pass writing buffer `step i`, each
+    /// `Data`/`Resident` input occurrence its own seeded source (uploaded
+    /// once per run, as a direct caller would), each `Step(j)` input a
+    /// read of `step j`, and the step's uniforms pass uniforms. The one
+    /// wiring check refuses forward references and unknown or mistyped
+    /// uniforms here, on the caller's thread. Returns the work and, per
+    /// read buffer, the step it holds.
+    pub(crate) fn lower(self) -> Result<(Work, Vec<usize>), ComputeError> {
+        let n = self.steps.len();
+        if n == 0 {
             return Err(bad_job("submission has no steps".into()));
         }
-        for (i, step) in self.steps.iter().enumerate() {
-            if step.inputs.len() != step.kernel.inputs.len() {
-                return Err(bad_job(format!(
-                    "step {i} (`{}`) supplies {} inputs, spec declares {}",
-                    step.kernel.name,
-                    step.inputs.len(),
-                    step.kernel.inputs.len()
-                )));
-            }
+        let read = if self.read.is_empty() {
+            vec![n - 1]
+        } else {
+            self.read
+        };
+        if let Some(r) = read.iter().find(|&&r| r >= n) {
+            return Err(bad_job(format!("readback of nonexistent step {r}")));
+        }
+        let step_buffer = |i: usize| format!("step {i}");
+        let mut plan = PipelineBuilder::named("submission".into());
+        let mut sources = Vec::new();
+        for (i, step) in self.steps.into_iter().enumerate() {
+            let spec = &step.kernel;
             // The DAG path moves Vec<f32> end to end; typed tensor chains
             // are what PipelineSpec is for.
-            if !step.kernel.is_all_f32() {
+            if !spec.is_all_f32() {
                 return Err(bad_job(format!(
                     "step {i} (`{}`) declares typed tensors; submissions are f32-only — \
                      express quantized chains as a PipelineSpec",
-                    step.kernel.name
+                    spec.name
                 )));
             }
-            for input in &step.inputs {
-                match input {
+            if step.inputs.len() != spec.inputs.len() {
+                return Err(bad_job(format!(
+                    "step {i} (`{}`) supplies {} inputs, spec declares {}",
+                    spec.name,
+                    step.inputs.len(),
+                    spec.inputs.len()
+                )));
+            }
+            let output = spec.output.ok_or_else(|| {
+                bad_job(format!("kernel spec `{}` declares no output", spec.name))
+            })?;
+            let mut pass = Pass::new(spec);
+            for (k, ((input, _), source)) in spec.inputs.iter().zip(step.inputs).enumerate() {
+                let seed = match source {
                     StepInput::Step(j) => {
-                        if *j >= i {
-                            return Err(bad_job(format!(
-                                "step {i} reads step {j}: steps may only read earlier steps"
-                            )));
-                        }
+                        pass = pass.read(input, &step_buffer(j));
+                        continue;
                     }
+                    StepInput::Data(data) => JobInput::Data(data),
                     StepInput::Resident(r) => {
-                        r.check_live(&format!("step {i} (`{}`)", step.kernel.name))?;
+                        r.check_live(&format!("step {i} (`{}`)", spec.name))?;
                         if r.scalar() != ScalarType::F32 {
                             return Err(bad_job(format!(
                                 "step {i} (`{}`) binds a {:?} resident input; submissions \
                                  are f32-only",
-                                step.kernel.name,
+                                spec.name,
                                 r.scalar()
                             )));
                         }
+                        JobInput::Resident(r)
                     }
-                    StepInput::Data(_) => {}
-                }
+                };
+                let name = format!("step {i} input {k}");
+                plan = plan.declared_source(&name, ScalarType::F32, SourceShape::Linear(None));
+                pass = pass.read(input, &name);
+                sources.push(seed);
             }
+            pass.uniforms = step.uniforms;
+            plan = plan.pass(pass.write(&step_buffer(i), output));
         }
-        for &r in &self.read {
-            if r >= self.steps.len() {
-                return Err(bad_job(format!("readback of nonexistent step {r}")));
-            }
-        }
-        Ok(())
+        let work = Work {
+            plan: Plan::Lowered(plan.checked()?),
+            sources,
+            reads: read.iter().map(|&r| step_buffer(r)).collect(),
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
+        };
+        Ok((work, read))
     }
 }
 
@@ -1076,7 +1112,9 @@ impl PipelineJob {
         self
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ComputeError> {
+    /// Validates the job against its spec (source arity, kinds, lengths
+    /// and liveness; read buffers) and hands it over as worker [`Work`].
+    pub(crate) fn into_work(self) -> Result<Work, ComputeError> {
         let spec = &self.spec;
         let sources = &spec.pipeline.sources;
         if self.sources.len() != sources.len() {
@@ -1129,8 +1167,37 @@ impl PipelineJob {
                 )));
             }
         }
-        Ok(())
+        Ok(Work {
+            plan: Plan::Spec(self.spec),
+            sources: self.sources,
+            reads: self.reads,
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
+        })
     }
+}
+
+/// What a worker executes for one task: a checked plan, the data seeding
+/// its declared sources (positionally), and the buffers read back. A
+/// [`PipelineJob`] is one as submitted; a [`Submission`] — and so a
+/// [`Job`] — is lowered into one at submit time.
+pub(crate) struct Work {
+    pub(crate) plan: Plan,
+    pub(crate) sources: Vec<JobInput>,
+    pub(crate) reads: Vec<String>,
+    pub(crate) deadline: Option<Instant>,
+    pub(crate) retry: Option<RetryPolicy>,
+    pub(crate) tenant: Option<TenantId>,
+}
+
+/// Where a task's built [`Pipeline`] comes from.
+pub(crate) enum Plan {
+    /// A [`PipelineSpec`]: built once per worker, cached by fingerprint.
+    Spec(Arc<PipelineSpec>),
+    /// A lowered [`Submission`]: built on every run and never cached, so a
+    /// served [`Job`] does a direct dispatch's one program-cache lookup.
+    Lowered(Pipeline<Arc<KernelSpec>>),
 }
 
 /// Results of a [`PipelineJob`]: one [`TensorData`] per buffer marked

@@ -93,31 +93,18 @@ pub(crate) fn retire_worker(shared: &EngineShared) {
 /// A pending fulfilment: the task's result, held until after the worker
 /// has published its stats so a caller returning from `wait()` observes
 /// stats that already include its job.
-pub(crate) enum Completed {
-    Batch(BatchSink, Result<BatchResult, ComputeError>),
-    Pipeline(
-        Arc<HandleState<PipelineResult>>,
-        Result<PipelineResult, ComputeError>,
-    ),
+pub(crate) struct Completed {
+    sink: BatchSink,
+    result: Result<Vec<(String, TensorData)>, ComputeError>,
 }
 
 impl Completed {
-    fn is_err(&self) -> bool {
-        self.error().is_some()
-    }
-
     fn error(&self) -> Option<&ComputeError> {
-        match self {
-            Completed::Batch(_, result) => result.as_ref().err(),
-            Completed::Pipeline(_, result) => result.as_ref().err(),
-        }
+        self.result.as_ref().err()
     }
 
     fn fulfil(self) {
-        match self {
-            Completed::Batch(sink, result) => sink.fulfil(result),
-            Completed::Pipeline(handle, result) => fulfil(&handle, result),
-        }
+        self.sink.fulfil(self.result);
     }
 }
 
@@ -277,18 +264,14 @@ pub(crate) fn requeue_transient(shared: &EngineShared, queued: QueuedTask) -> Op
 pub(crate) fn run_task(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
-    payload: &Task,
+    task: &Task,
 ) -> (Completed, bool) {
-    match payload {
-        Task::Batch(submission, sink) => {
-            let (result, panicked) = run_shielded(cc, |cc| run_submission(cc, state, submission));
-            (Completed::Batch(sink.clone(), result), panicked)
-        }
-        Task::Pipeline(job, handle) => {
-            let (result, panicked) = run_shielded(cc, |cc| run_pipeline(cc, state, job));
-            (Completed::Pipeline(Arc::clone(handle), result), panicked)
-        }
-    }
+    let (result, panicked) = run_shielded(cc, |cc| execute(cc, state, &task.work));
+    let completed = Completed {
+        sink: task.sink.clone(),
+        result,
+    };
+    (completed, panicked)
 }
 
 pub(crate) fn worker_main(
@@ -345,7 +328,7 @@ pub(crate) fn worker_main(
                 continue;
             }
         }
-        let policy = queued.payload.retry_override().unwrap_or(config.retry);
+        let policy = queued.payload.work.retry.unwrap_or(config.retry);
         let started = Instant::now();
         // Execute, self-healing around transient failures: a lost context
         // is rebuilt and the job replayed in place; other transient
@@ -431,7 +414,7 @@ pub(crate) fn worker_main(
         faults_published = publish_faults(&shared.metrics, faults_published, cc.faults_injected());
         lock_recover(&shared.metrics.service_latency).record(started.elapsed());
         EngineMetrics::bump(&shared.metrics.completed);
-        if completed.is_err() {
+        if completed.error().is_some() {
             EngineMetrics::bump(&shared.metrics.failed);
         }
         // Release the tenant's in-flight slot before fulfilment, so a
@@ -442,229 +425,78 @@ pub(crate) fn worker_main(
     }
 }
 
-/// Executes a whole retained pipeline as one job: cache-hit (or build)
-/// the pipeline for the spec, seed every declared source from the job,
-/// run all iterations on-GPU, read back the marked buffers, retire every
-/// per-job texture into the pool.
-pub(crate) fn run_pipeline(
+/// The worker's one executor. Seeds every declared source of the task's
+/// plan (uploading fresh data, binding residents), runs the built
+/// pipeline — cached per worker for a [`PipelineSpec`], built on every run
+/// for a lowered [`Submission`] — retiring a one-iteration plan's
+/// intermediates at last use, reads the marked buffers back, finishes the
+/// run and recycles the uploads. A lowered [`Job`] therefore does exactly
+/// what a direct caller would: upload, build, dispatch, read back,
+/// recycle.
+pub(crate) fn execute(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
-    job: &PipelineJob,
-) -> Result<PipelineResult, ComputeError> {
-    state.pipeline_for(cc, &job.spec)?;
-    let mut seeds = Vec::with_capacity(job.sources.len());
-    let mut uploads: Vec<AnyGpuArray> = Vec::new();
-    let mut failure = None;
-    for (decl, input) in job.spec.pipeline.sources.iter().zip(&job.sources) {
-        let resolved = match input {
-            JobInput::Data(data) => {
-                let uploaded = match decl.shape {
-                    SourceShape::Linear(_) => cc.upload(data.as_slice()).map(|a| a.erase()),
-                    SourceShape::Grid { rows, cols } => cc
-                        .upload_matrix(rows, cols, data.as_slice())
-                        .map(|m| m.as_array().erase()),
-                };
-                match uploaded {
-                    Ok(array) => {
-                        uploads.push(array);
-                        array
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
+    work: &Work,
+) -> Result<Vec<(String, TensorData)>, ComputeError> {
+    let mut uploads = Vec::new();
+    let result = seed(cc, state, work, &mut uploads).and_then(|seeds| {
+        let built;
+        let pipeline = match &work.plan {
+            Plan::Spec(spec) => &state.pipeline_for(cc, spec)?.pipeline,
+            Plan::Lowered(plan) => {
+                built = plan.map_kernels(|spec| spec.build_declared(cc))?;
+                &built
             }
-            JobInput::Tensor(tensor) => {
-                let uploaded = match decl.shape {
-                    SourceShape::Linear(_) => cc.upload_any(tensor),
-                    SourceShape::Grid { rows, cols } => cc.upload_any_matrix(rows, cols, tensor),
-                };
-                match uploaded {
-                    Ok(array) => {
-                        uploads.push(array);
-                        array
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            JobInput::Resident(resident) => match state.resident_array(cc, resident, decl.shape) {
-                Ok(array) => array,
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            },
         };
-        seeds.push(SourceSeed::any(decl.name.clone(), &resolved));
-    }
-    let result = match failure {
-        Some(e) => Err(e),
-        None => {
-            let served = state
-                .pipelines
-                .get(&job.spec.fingerprint())
-                .expect("built by pipeline_for above");
-            served.pipeline.run_seeded(cc, &seeds).and_then(|run| {
-                let mut outputs = Vec::with_capacity(job.reads.len());
-                let mut read_failure = None;
-                for buffer in &job.reads {
-                    match run.read_any(cc, buffer) {
-                        Ok(data) => outputs.push((buffer.clone(), data)),
-                        Err(e) => {
-                            read_failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                run.finish(cc);
-                match read_failure {
-                    Some(e) => Err(e),
-                    None => Ok(PipelineResult { outputs }),
-                }
-            })
-        }
-    };
+        let run = pipeline.run_for_reads(cc, &seeds, &work.reads)?;
+        let outputs = work
+            .reads
+            .iter()
+            .map(|buffer| Ok((buffer.clone(), run.read_any(cc, buffer)?)))
+            .collect();
+        run.finish(cc);
+        outputs
+    });
     for array in uploads {
         cc.recycle_any(array);
     }
     result
 }
 
-/// Executes a submission's steps in order on one worker, keeping step
-/// outputs on the GPU for later steps and reading back only marked steps.
-/// Textures are retired at last use: each step's uploads once it has
-/// dispatched, each unmarked output once its last reader has. A one-step
-/// submission (a lowered [`Job`]) therefore does exactly what a direct
-/// caller would: upload, build, dispatch, recycle the uploads, read back,
-/// recycle the output.
-pub(crate) fn run_submission(
+/// Resolves the work's sources to seeds for its declared sources:
+/// uploads host data (recording each upload in `uploads` for the caller
+/// to recycle) under the declared shape, and binds residents.
+fn seed(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
-    submission: &Submission,
-) -> Result<BatchResult, ComputeError> {
-    let n = submission.steps.len();
-    let read: Vec<usize> = if submission.read.is_empty() {
-        vec![n - 1]
-    } else {
-        submission.read.clone()
-    };
-    // The last step reading each output; `n` keeps a marked output alive
-    // until readback, and an output nobody reads dies with its own step.
-    let mut last_use: Vec<usize> = (0..n).collect();
-    for (i, step) in submission.steps.iter().enumerate() {
-        for &j in step_reads(step) {
-            last_use[j] = i;
-        }
-    }
-    for &r in &read {
-        last_use[r] = n;
-    }
-    let mut live: Vec<Option<AnyGpuArray>> = vec![None; n];
-    let mut result = Ok(());
-    for (i, step) in submission.steps.iter().enumerate() {
-        let mut uploads = Vec::new();
-        let dispatched = step_arrays(cc, state, step, &live, &mut uploads)
-            .and_then(|arrays| dispatch_spec(cc, &step.kernel, &arrays, &step.uniforms));
-        for array in uploads {
-            cc.recycle_any(array);
-        }
-        match dispatched {
-            Ok(out) => live[i] = Some(out),
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        }
-        // Retire every output this step was the last reader of, and its
-        // own output if nothing reads it.
-        for &j in step_reads(step).chain([&i]) {
-            if last_use[j] == i {
-                if let Some(array) = live[j].take() {
-                    cc.recycle_any(array);
-                }
-            }
-        }
-    }
-    let mut outputs: Vec<Option<Vec<f32>>> = vec![None; n];
-    let result = result.and_then(|()| {
-        for &r in &read {
-            let array =
-                live[r].ok_or_else(|| bad_job(format!("readback of unexecuted step {r}")))?;
-            // Submission validation admits only all-f32 specs, so every
-            // step readback is an f32 tensor.
-            match cc.read_array_any(&array, Readback::DirectFbo)? {
-                TensorData::F32(host) => outputs[r] = Some(host),
-                other => {
-                    return Err(bad_job(format!(
-                        "step {r} produced {:?} output in an f32 submission",
-                        other.scalar()
-                    )))
-                }
-            }
-        }
-        Ok(BatchResult { outputs })
-    });
-    for array in live.into_iter().flatten() {
-        cc.recycle_any(array);
-    }
-    result
-}
-
-/// The earlier steps whose outputs `step` reads.
-fn step_reads(step: &Step) -> impl Iterator<Item = &usize> {
-    step.inputs.iter().filter_map(|input| match input {
-        StepInput::Step(j) => Some(j),
-        _ => None,
-    })
-}
-
-/// Resolves a step's inputs to arrays: uploads host data (recording each
-/// upload in `uploads` for the caller to recycle), takes earlier outputs
-/// from `live`, and resolves residents on the worker.
-fn step_arrays(
-    cc: &mut ComputeContext,
-    state: &mut WorkerState,
-    step: &Step,
-    live: &[Option<AnyGpuArray>],
+    work: &Work,
     uploads: &mut Vec<AnyGpuArray>,
-) -> Result<Vec<AnyGpuArray>, ComputeError> {
-    let mut arrays = Vec::with_capacity(step.inputs.len());
-    for input in &step.inputs {
-        arrays.push(match input {
-            StepInput::Data(data) => {
-                let array = cc.upload(data.as_slice())?.erase();
-                uploads.push(array);
-                array
+) -> Result<Vec<SourceSeed>, ComputeError> {
+    let declared = match &work.plan {
+        Plan::Spec(spec) => &spec.pipeline.sources,
+        Plan::Lowered(plan) => &plan.sources,
+    };
+    let mut seeds = Vec::with_capacity(declared.len());
+    for (decl, input) in declared.iter().zip(&work.sources) {
+        let uploaded = match (input, decl.shape) {
+            (JobInput::Resident(resident), shape) => {
+                let array = state.resident_array(cc, resident, shape)?;
+                seeds.push(SourceSeed::any(decl.name.clone(), &array));
+                continue;
             }
-            StepInput::Step(j) => live[*j]
-                .ok_or_else(|| bad_job(format!("step reads step {j}, which holds no output")))?,
-            StepInput::Resident(resident) => {
-                state.resident_array(cc, resident, SourceShape::Linear(None))?
+            (JobInput::Data(data), SourceShape::Linear(_)) => {
+                cc.upload(data.as_slice()).map(|a| a.erase())
             }
-        });
+            (JobInput::Data(data), SourceShape::Grid { rows, cols }) => cc
+                .upload_matrix(rows, cols, data.as_slice())
+                .map(|m| m.as_array().erase()),
+            (JobInput::Tensor(tensor), SourceShape::Linear(_)) => cc.upload_any(tensor),
+            (JobInput::Tensor(tensor), SourceShape::Grid { rows, cols }) => {
+                cc.upload_any_matrix(rows, cols, tensor)
+            }
+        }?;
+        uploads.push(uploaded);
+        seeds.push(SourceSeed::any(decl.name.clone(), &uploaded));
     }
-    Ok(arrays)
-}
-
-/// Builds the spec's kernel over `arrays` and dispatches it once with the
-/// given uniform overrides. The output array carries the spec's declared
-/// output scalar.
-pub(crate) fn dispatch_spec(
-    cc: &mut ComputeContext,
-    spec: &KernelSpec,
-    arrays: &[AnyGpuArray],
-    uniforms: &[(String, Value)],
-) -> Result<AnyGpuArray, ComputeError> {
-    // Arity and scalar agreement are validated inside
-    // `KernelSpec::build_any`.
-    let kernel = spec.build_any(cc, arrays)?;
-    let mut bindings = Bindings::new();
-    for (name, value) in uniforms {
-        bindings.set_uniform(name, value.clone());
-    }
-    cc.run_to_array_any_with(&kernel, &bindings)
+    Ok(seeds)
 }

@@ -346,17 +346,17 @@ impl VertexKernel {
                 T::SCALAR
             )));
         }
-        let (target, pooled) = cc.acquire_render_target(self.layout)?;
-        // The POINTS draw writes only `len` texels, not the full target:
-        // a recycled texture must be cleared so padding texels read as
-        // deterministic zeros, exactly like a fresh tex_storage target.
-        if pooled {
-            cc.gl().set_clear_color([0.0, 0.0, 0.0, 0.0]);
-            cc.gl().clear()?;
-        }
-        let result = self.dispatch(cc);
-        cc.gl().bind_framebuffer(None)?;
-        result?;
+        let target = cc.render_to_texture(self.layout, None, |cc, pooled| {
+            // The POINTS draw writes only `len` texels, not the full
+            // target: a recycled texture must be cleared so padding
+            // texels read as deterministic zeros, exactly like a fresh
+            // tex_storage target.
+            if pooled {
+                cc.gl().set_clear_color([0.0, 0.0, 0.0, 0.0]);
+                cc.gl().clear()?;
+            }
+            self.dispatch(cc)
+        })?;
         Ok(crate::GpuArray::new(target, self.layout))
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! [`admit`] runs the exact same front end as [`crate::compile_strict`]
 //! — preprocess → parse → Appendix-A strict check → semantic analysis,
-//! one function ([`front_end`]) behind all three entry points — but tags
+//! one function (`front_end`) behind all three entry points — but tags
 //! every failure with the [`AdmissionStage`] that produced it.
 //! The stages run in rejection-cheapest order: a source that does not
 //! parse never reaches the (more expensive) semantic checker, and a

@@ -693,3 +693,66 @@ fn spec_build_creates_no_textures_and_transfers_nothing() {
         .expect("run");
     assert_eq!(out, vec![2, 4, 8, 16]);
 }
+
+/// A two-pass `x → y → z` pipeline over a doubling kernel.
+fn two_pass_builder(cc: &mut ComputeContext, x: &GpuArray<f32>) -> gpes::core::PipelineBuilder {
+    let k = Kernel::builder("double")
+        .input("x", x)
+        .output(ScalarType::F32, 4)
+        .body("return fetch_x(idx) * 2.0;")
+        .build(cc)
+        .expect("kernel");
+    Pipeline::builder("two_pass")
+        .source("x", x)
+        .pass(Pass::new(&k).read("x", "x").write_len("y", 4))
+        .pass(Pass::new(&k).read("x", "y").write_len("z", 4))
+}
+
+#[test]
+fn a_run_failing_its_iteration_cap_gives_its_textures_back() {
+    // An `until` that never fires exhausts the cap on every run; each
+    // failed run must recycle the buffers it owned, so repeated runs
+    // create no textures after the first.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let x = cc.upload(&[1.0f32, 2.0, 3.0, 4.0]).expect("x");
+    let pipe = two_pass_builder(&mut cc, &x)
+        .until(|_| false)
+        .iteration_cap(3)
+        .build()
+        .expect("pipeline");
+    let mut created = Vec::new();
+    for _ in 0..5 {
+        match pipe.run(&mut cc) {
+            Err(ComputeError::IterationCap { cap: 3, .. }) => {}
+            other => panic!("expected IterationCap, got {other:?}"),
+        }
+        created.push(cc.stats().textures_created);
+    }
+    assert!(
+        created.iter().all(|&c| c == created[0]),
+        "textures created after each failed run: {created:?}"
+    );
+}
+
+#[test]
+fn run_seeded_keeps_a_read_intermediate_readable() {
+    // The serving worker retires a one-iteration plan's intermediates at
+    // last use; the public runs keep every buffer, so `y` — already read
+    // by the second pass — is still readable afterwards.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let x = cc.upload(&[1.0f32, 2.0, 3.0, 4.0]).expect("x");
+    let pipe = two_pass_builder(&mut cc, &x).build().expect("pipeline");
+    let seed = cc.upload(&[0.5f32, 1.0, 1.5, 2.0]).expect("seed");
+    let run = pipe
+        .run_seeded(&mut cc, &[SourceSeed::array("x", &seed)])
+        .expect("run");
+    assert_eq!(
+        run.read::<f32>(&mut cc, "y").expect("y"),
+        vec![1.0, 2.0, 3.0, 4.0]
+    );
+    assert_eq!(
+        run.read::<f32>(&mut cc, "z").expect("z"),
+        vec![2.0, 4.0, 6.0, 8.0]
+    );
+    run.finish(&mut cc);
+}

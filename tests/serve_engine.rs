@@ -379,6 +379,75 @@ fn dag_steps_free_intermediates_at_last_use() {
 }
 
 #[test]
+fn served_chain_pipeline_frees_intermediates_at_last_use() {
+    // `dag_steps_free_intermediates_at_last_use` as a one-iteration
+    // PipelineSpec: pass i adds buffers s(i-1) and s(i-2), a middle
+    // buffer and the last one are read back. The worker runs it under
+    // the pipeline's liveness plan, so each intermediate is recycled
+    // after its last reader and a warm wave allocates nothing; kept
+    // until the run finishes, the 20 outputs would overflow the pool's
+    // per-shape bucket every wave.
+    const PASSES: usize = 20;
+    const MIDDLE: usize = 9;
+    let n = 256;
+    let add = Arc::new(
+        KernelSpec::new("add")
+            .input("x")
+            .input("y")
+            .output(n)
+            .body("return fetch_x(idx) + fetch_y(idx);"),
+    );
+    let a: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
+    let b = vec![1.0f32; n];
+    let mut chain = vec![b.clone(), a.clone()];
+    let mut names = vec!["b".to_owned(), "a".to_owned()];
+    let mut builder = PipelineSpec::builder("chain")
+        .source_len("b", n)
+        .source_len("a", n);
+    for i in 0..PASSES {
+        let next = chain[i + 1]
+            .iter()
+            .zip(&chain[i])
+            .map(|(x, y)| x + y)
+            .collect();
+        chain.push(next);
+        names.push(format!("s{i}"));
+        builder = builder.pass(
+            PassSpec::new(&add)
+                .read("x", &names[i + 1])
+                .read("y", &names[i])
+                .write_len(&names[i + 2], n),
+        );
+    }
+    let spec = Arc::new(builder.build().expect("spec"));
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let wave = || {
+        let job = PipelineJob::new(&spec)
+            .source(b.clone())
+            .source(a.clone())
+            .read(&names[MIDDLE + 2])
+            .read(&names[PASSES + 1]);
+        let result = engine
+            .submit_pipeline(job)
+            .expect("submit")
+            .wait()
+            .expect("run");
+        for i in [MIDDLE, PASSES - 1] {
+            assert_eq!(
+                result.output(&names[i + 2]).expect("read"),
+                chain[i + 2].as_slice()
+            );
+        }
+    };
+    let textures = || engine.worker_stats()[0].textures_created;
+    wave();
+    wave();
+    let before = textures();
+    wave();
+    assert_eq!(textures() - before, 0, "a warm wave creates no textures");
+}
+
+#[test]
 fn submission_validation_rejects_bad_dags() {
     let engine = Engine::builder().build().expect("engine");
     let spec = gain_spec(8);
@@ -398,6 +467,13 @@ fn submission_validation_rejects_bad_dags() {
 
     // Arity mismatch on a single job.
     assert!(engine.submit(Job::new(&spec)).is_err());
+
+    // A uniform the kernel does not declare is refused at submit.
+    let ghost = Job::new(&spec).data(vec![0.0; 8]).uniform_f32("ghost", 1.0);
+    match engine.submit(ghost) {
+        Err(ComputeError::BadKernel { message }) => assert!(message.contains("ghost"), "{message}"),
+        other => panic!("expected BadKernel at submit, got {:?}", other.map(|_| ())),
+    }
 
     // Execution errors surface on the handle, not at submit.
     let broken = Arc::new(
