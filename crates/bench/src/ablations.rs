@@ -1445,7 +1445,7 @@ struct A11Workload {
 }
 
 fn a11_workloads() -> Result<Vec<A11Workload>, ComputeError> {
-    use gpes_core::serve::StepInput;
+    use gpes_core::serve::JobInput;
     use gpes_core::Submission;
     use gpes_kernels::{fft, reduce, srad};
     use std::sync::Arc;
@@ -1487,8 +1487,8 @@ fn a11_workloads() -> Result<Vec<A11Workload>, ComputeError> {
                     let inputs = |prev: &Option<(gpes_core::StepHandle, gpes_core::StepHandle)>| {
                         match prev {
                             None => vec![
-                                StepInput::Data(Arc::clone(&re_s)),
-                                StepInput::Data(Arc::clone(&im_s)),
+                                JobInput::Data(Arc::clone(&re_s)),
+                                JobInput::Data(Arc::clone(&im_s)),
                             ],
                             Some((r, i)) => vec![(*r).into(), (*i).into()],
                         }
@@ -1543,7 +1543,7 @@ fn a11_workloads() -> Result<Vec<A11Workload>, ComputeError> {
                 let mut j: Option<gpes_core::StepHandle> = None;
                 for _ in 0..iterations {
                     let j_input = |j: &Option<gpes_core::StepHandle>| match j {
-                        None => StepInput::Data(Arc::clone(&img_s)),
+                        None => JobInput::Data(Arc::clone(&img_s)),
                         Some(h) => (*h).into(),
                     };
                     let c = sub.step(&kc, vec![j_input(&j)], vec![]);
@@ -1582,7 +1582,7 @@ fn a11_workloads() -> Result<Vec<A11Workload>, ComputeError> {
                 while len > 1 {
                     let spec = Arc::new(reduce::fold_spec(len, reduce::ReduceOp::Sum));
                     let input = match prev {
-                        None => StepInput::Data(Arc::clone(&values_s)),
+                        None => JobInput::Data(Arc::clone(&values_s)),
                         Some(h) => h.into(),
                     };
                     prev = Some(sub.step(&spec, vec![input], vec![]));
@@ -1621,6 +1621,8 @@ fn drain_queue(engine: &Engine) {
 
 /// The last wave [`serve_until_steady`] served.
 struct SteadyWave {
+    /// Waves served, the steady one included.
+    waves: usize,
     /// Wall-clock of the wave, milliseconds.
     host_ms: f64,
     /// Programs linked process-wide over every wave.
@@ -1634,10 +1636,11 @@ struct SteadyWave {
 }
 
 /// Serves convergence-checked waves: repeats `wave` until a full wave
-/// links no program and creates no GL object (a `(0, 0)` [`gl_counters`]
-/// delta). A mode that churns every wave (or leaks) never gets there; the
-/// last wave's nonzero delta is reported after `MAX_WAVES` and the gate
-/// fails it.
+/// links no program, and every worker drew in it (its pool served or
+/// created a texture) while none created a GL object — so no worker is
+/// still cold when the wave ends. A mode that churns every wave (or
+/// leaks) never gets there; the last wave's nonzero delta is reported
+/// after `MAX_WAVES` and the gate fails it.
 fn serve_until_steady(
     engine: &Engine,
     mut wave: impl FnMut(&Engine) -> Result<bool, ComputeError>,
@@ -1646,18 +1649,24 @@ fn serve_until_steady(
     let mut identical = true;
     let mut elapsed = std::time::Duration::ZERO;
     let mut delta = (0, 0);
-    for _ in 0..MAX_WAVES {
-        let before = gl_counters(engine);
+    let mut waves = 0;
+    while waves < MAX_WAVES {
+        waves += 1;
+        let before = (gl_counters(engine), engine.worker_stats());
         let start = Instant::now();
         identical &= wave(engine)?;
         elapsed = start.elapsed();
-        let after = gl_counters(engine);
-        delta = (after.0 - before.0, after.1 - before.1);
-        if delta == (0, 0) {
+        let after = (gl_counters(engine), engine.worker_stats());
+        delta = (after.0 .0 - before.0 .0, after.0 .1 - before.0 .1);
+        let every_worker_drew = after.1.iter().zip(&before.1).all(|(a, b)| {
+            a.texture_pool_hits + a.textures_created > b.texture_pool_hits + b.textures_created
+        });
+        if delta == (0, 0) && every_worker_drew {
             break;
         }
     }
     Ok(SteadyWave {
+        waves,
         host_ms: elapsed.as_secs_f64() * 1e3,
         links: engine.programs_linked(),
         post_warmup_links: delta.0,
@@ -1730,7 +1739,7 @@ pub fn a11_pipeline_serving() -> Result<Vec<A11Row>, ComputeError> {
                         for read in &workload.reads {
                             job = job.read(read);
                         }
-                        engine.submit_pipeline(job)
+                        engine.submit(job)
                     })
                     .collect::<Result<_, _>>()?;
                 let mut identical = true;
@@ -1754,7 +1763,7 @@ pub fn a11_pipeline_serving() -> Result<Vec<A11Row>, ComputeError> {
                 let handles: Vec<_> = (0..WAVE_JOBS)
                     .map(|_| {
                         let (sub, reads) = (workload.build_submission)();
-                        engine.submit_batch(sub).map(|h| (h, reads))
+                        engine.submit(sub).map(|h| (h, reads))
                     })
                     .collect::<Result<_, _>>()?;
                 let mut identical = true;
@@ -2354,7 +2363,9 @@ pub struct A14TenantRow {
     pub rejected: u64,
     /// Tenant-scoped cache evictions.
     pub evicted: u64,
-    /// Jobs accepted into the queue for this tenant.
+    /// Jobs accepted into the queue for this tenant after warm-up: the
+    /// measured phase only, so the count does not depend on how many
+    /// warm-up waves the engine needed.
     pub jobs: u64,
     /// Completed outputs that did NOT match the tenant's direct
     /// reference bit-for-bit (gate: 0).
@@ -2379,6 +2390,9 @@ pub struct A14Report {
     pub queue_capacity: usize,
     /// Steady-phase jobs per well-behaved tenant.
     pub wave_jobs: usize,
+    /// Warm-up waves served before the steady phase (advisory: it
+    /// depends on which worker picks up which job).
+    pub warmup_waves: usize,
     /// Jobs the noisy tenant got admitted (its quota paces it).
     pub noisy_jobs: u64,
     /// The noisy tenant's in-flight quota.
@@ -2436,7 +2450,8 @@ impl Report for A14Report {
             .exact("capacity", self.queue_capacity)
             .exact("tenants", self.rows.len())
             .exact("wave_jobs", self.wave_jobs)
-            .exact("noisy_quota", self.noisy_quota);
+            .exact("noisy_quota", self.noisy_quota)
+            .advisory("warmup_waves", self.warmup_waves);
         let tenants = self.rows.iter().map(|row| {
             Record::new("a14")
                 .key("row", "tenant")
@@ -2544,14 +2559,14 @@ impl Report for A14Report {
             );
             let (admitted, rejected, jobs_ok) = match name.as_str() {
                 "mallory" => (0, self.invalid_total, true),
-                "noisy" => (1, self.quota_rejections, row.jobs >= self.noisy_jobs),
-                _ => (1, 0, row.jobs > 0),
+                "noisy" => (1, self.quota_rejections, row.jobs == self.noisy_jobs),
+                _ => (1, 0, row.jobs == self.wave_jobs as u64),
             };
             require!(
                 v,
                 row.admitted == admitted && row.rejected == rejected && jobs_ok,
                 "a14: tenant {name} ledger admitted {} rejected {} jobs {}, contract is \
-                 admitted {admitted} rejected {rejected}",
+                 admitted {admitted} rejected {rejected} and every measured job counted",
                 row.admitted,
                 row.rejected,
                 row.jobs
@@ -2687,7 +2702,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     // to pull every kernel through every worker before the watermark.
     let mut wrong = vec![0u64; WELL_BEHAVED.len()];
     let mut noisy_wrong = 0u64;
-    serve_until_steady(&engine, |engine| {
+    let warmup = serve_until_steady(&engine, |engine| {
         for (i, kernel) in kernels.iter().enumerate() {
             let handles: Vec<_> = (0..WORKERS * 2)
                 .map(|_| engine.submit(kernel.job().data(x.clone())))
@@ -2714,6 +2729,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
         Ok(true)
     })?;
     let warm = gl_counters(&engine);
+    let warm_tenants = engine.snapshot().tenants;
 
     // Steady phase: the noisy tenant floods from its own thread while
     // the well-behaved tenants serve their waves and the malformed
@@ -2795,6 +2811,10 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
             .position(|(name, _)| *name == tenant)
             .map_or(0, |i| wrong[i])
     };
+    let warm_jobs = |tenant: &str| {
+        let warm = warm_tenants.iter().find(|c| c.tenant == tenant);
+        warm.map_or(0, |c| c.jobs)
+    };
     let rows: Vec<A14TenantRow> = snapshot
         .tenants
         .iter()
@@ -2803,7 +2823,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
             admitted: c.admitted,
             rejected: c.rejected,
             evicted: c.evicted,
-            jobs: c.jobs,
+            jobs: c.jobs - warm_jobs(&c.tenant),
             wrong: wrong_of(&c.tenant),
         })
         .collect();
@@ -2814,6 +2834,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
         workers: WORKERS,
         queue_capacity: CAPACITY,
         wave_jobs,
+        warmup_waves: warmup.waves,
         noisy_jobs,
         noisy_quota: NOISY_QUOTA,
         invalid_total,
@@ -3499,7 +3520,7 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
             let wave = serve_until_steady(&engine, |engine| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|i| {
-                        engine.submit_pipeline(
+                        engine.submit(
                             PipelineJob::new(&spec)
                                 .source_tensor_shared(&image_tensors[i % IMAGES])
                                 .source_resident(&r1)
@@ -3647,6 +3668,12 @@ mod tests {
                 |r| r.post_warmup_gl_objects = 1,
                 |r| r.rows[0].wrong = 1,
                 |r| r.rows[0].admitted = 2,
+                // Jobs counted from before the steady phase.
+                |r| r.rows[0].jobs += 4,
+                |r| {
+                    let noisy = r.rows.iter_mut().find(|t| t.tenant == "noisy");
+                    noisy.expect("noisy row").jobs += 4;
+                },
                 |r| r.rows.retain(|t| t.tenant != "mallory"),
                 |r| r.snapshot.tenants[0].in_flight = 1,
             ],

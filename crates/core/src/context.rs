@@ -393,17 +393,21 @@ impl ComputeContext {
         self.note_host_transfer(T::SCALAR);
         let texels = T::encode_texels(data, layout.texel_count());
         let texture = self.alloc_texture(T::tex_format(), layout.width, layout.height);
-        self.gl.tex_image_2d(
-            texture,
-            T::tex_format(),
-            layout.width,
-            layout.height,
-            &texels,
-        )?;
-        self.gl
-            .set_texture_filter(texture, Filter::Nearest, Filter::Nearest)?;
-        self.gl
-            .set_texture_wrap(texture, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+        let set_up = (|| -> Result<(), gpes_gles2::GlError> {
+            let (width, height) = (layout.width, layout.height);
+            self.gl
+                .tex_image_2d(texture, T::tex_format(), width, height, &texels)?;
+            self.gl
+                .set_texture_filter(texture, Filter::Nearest, Filter::Nearest)?;
+            self.gl
+                .set_texture_wrap(texture, Wrap::ClampToEdge, Wrap::ClampToEdge)
+        })();
+        if let Err(e) = set_up {
+            // Back to the pool: a texture the failed image left without
+            // storage goes to the blank bucket `blank_texture` draws on.
+            self.recycle_texture(texture);
+            return Err(e.into());
+        }
         Ok(texture)
     }
 
@@ -759,15 +763,20 @@ impl ComputeContext {
 
     /// A texture object for `width × height` texels of `format`:
     /// recycled when the pool has one (the caller re-images or overdraws
-    /// it), fresh otherwise.
+    /// it), blank otherwise.
     fn alloc_texture(&mut self, format: TexFormat, width: u32, height: u32) -> TextureId {
-        match self.pooled_texture(format, width, height) {
-            Some(id) => id,
-            None => {
+        self.pooled_texture(format, width, height)
+            .unwrap_or_else(|| self.blank_texture())
+    }
+
+    /// A texture object without storage: one a failed upload gave back
+    /// (recycled storage-less, it pools as `Rgba8` 0×0), else a new one.
+    fn blank_texture(&mut self) -> TextureId {
+        self.pooled_texture(TexFormat::Rgba8, 0, 0)
+            .unwrap_or_else(|| {
                 self.stats.textures_created += 1;
                 self.gl.create_texture()
-            }
-        }
+            })
     }
 
     /// Acquires an RGBA8 render target shaped like `layout` — from the
@@ -785,10 +794,7 @@ impl ComputeContext {
         // parameters are re-asserted in case the caller changed them on
         // the recycled texture.
         let pooled = self.pooled_texture(TexFormat::Rgba8, layout.width, layout.height);
-        let target = pooled.unwrap_or_else(|| {
-            self.stats.textures_created += 1;
-            self.gl.create_texture()
-        });
+        let target = pooled.unwrap_or_else(|| self.blank_texture());
         let set_up = (|| -> Result<(), gpes_gles2::GlError> {
             if pooled.is_none() {
                 self.gl

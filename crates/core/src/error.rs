@@ -87,8 +87,8 @@ pub enum ComputeError {
         /// The cap that was exhausted.
         cap: usize,
     },
-    /// The engine's bounded admission queue was full: a `try_submit*`
-    /// found no slot, or a blocking `submit*` timed out waiting for one.
+    /// The engine's bounded admission queue was full: a `try_submit`
+    /// found no slot, or a blocking `submit` timed out waiting for one.
     /// The typed backpressure signal — callers shed load or retry, the
     /// engine never buffers unboundedly.
     QueueFull {

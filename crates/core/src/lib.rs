@@ -68,7 +68,7 @@ pub use pipeline::{
 pub use serve::{
     BatchResult, CachePolicy, CompletionSet, Engine, EngineSnapshot, Job, JobHandle, JobInput,
     KernelRegistry, KernelSpec, LatencyHistogram, PassSpec, PipelineJob, PipelineResult,
-    PipelineSpec, RegisteredKernel, ResidentInput, ResidentStats, RetryPolicy, ServedPipeline,
-    StepHandle, Submission, TenantCounters, TenantId, TenantQuotas,
+    PipelineSpec, RegisteredKernel, Request, ResidentInput, ResidentStats, RetryPolicy,
+    ServedPipeline, StepHandle, Submission, TenantCounters, TenantId, TenantQuotas,
 };
 pub use vertex_compute::{VertexKernel, VertexKernelBuilder};

@@ -139,7 +139,8 @@ pub(crate) struct Signature<'a> {
     pub(crate) name: &'a str,
     /// `(input, encoding, has a default texture)` in texture-unit order.
     pub(crate) inputs: Vec<(&'a str, InputEncoding, bool)>,
-    pub(crate) output: OutputKind,
+    /// `None` for a kernel spec that declares no output.
+    pub(crate) output: Option<OutputKind>,
     pub(crate) uniforms: &'a [(String, Value)],
 }
 
@@ -157,7 +158,7 @@ impl PassKernel for Kernel {
                 .iter()
                 .map(|i| (i.name.as_str(), i.encoding, i.default.is_some()))
                 .collect(),
-            output: self.output_kind,
+            output: Some(self.output_kind),
             uniforms: &self.uniforms,
         }
     }
@@ -351,7 +352,7 @@ impl SourceSeed {
 /// ping-pong pairs are declared the same way, and both `build`s run one
 /// wiring check.
 pub struct PipelineBuilder<K = Kernel> {
-    dag: Pipeline<K>,
+    pub(crate) dag: Pipeline<K>,
 }
 
 impl<K> PipelineBuilder<K> {
@@ -502,13 +503,19 @@ fn check_wiring<K: PassKernel>(dag: &Pipeline<K>) -> Result<(), ComputeError> {
     // hold ONE kind — seeding or rewriting it with a different element
     // kind would let a later read decode garbage.
     for (pass, sig) in dag.passes.iter().zip(&signatures) {
+        let output = sig.output.ok_or_else(|| {
+            ComputeError::bad_kernel(format!(
+                "kernel `{}` (pass of `{}`) declares no output",
+                sig.name, dag.name
+            ))
+        })?;
         let (write_name, _) = pass.write.as_ref().ok_or_else(|| {
             ComputeError::bad_kernel(format!(
                 "pass `{}` of pipeline `{}` writes no buffer",
                 sig.name, dag.name
             ))
         })?;
-        let kind = BufKind::of_output(sig.output);
+        let kind = BufKind::of_output(output);
         match kinds.get(write_name.as_str()) {
             None => {
                 kinds.insert(write_name, kind);

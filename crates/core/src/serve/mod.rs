@@ -16,17 +16,20 @@
 //!   no matter which worker sees it first ([`CachePolicy::PerContext`]
 //!   exists for the `a10` ablation that measures what N× relinking
 //!   costs);
-//! * workers have one executor, the core [`crate::Pipeline`] planner. A
-//!   [`PipelineJob`] is a whole retained multi-pass pipeline described
-//!   by a context-free [`PipelineSpec`]: iteration loops, ping-pong
-//!   pairs, per-iteration uniforms and `until` predicates run entirely
-//!   on one worker, with the built pipeline cached per worker by spec
-//!   hash. A [`Submission`] is a multi-kernel DAG, lowered at submit time
-//!   onto a one-iteration pipeline that each run builds afresh; a [`Job`]
-//!   (one f32 kernel dispatch) is a one-step submission. Intermediates
-//!   stay on the GPU, and in a one-iteration plan each is recycled after
-//!   its last reader. Typed (quantized) kernels are served as pipelines;
-//!   a typed single kernel is a one-pass spec;
+//! * there is one request path. [`Engine::submit`] (blocking) and
+//!   [`Engine::try_submit`] take any [`Request`] and return a
+//!   [`JobHandle`] typed by it. A [`PipelineJob`] runs a whole retained
+//!   multi-pass [`PipelineSpec`] (iteration loops, ping-pong pairs,
+//!   per-iteration uniforms, `until` predicates) on one worker, the built
+//!   pipeline cached per worker by spec hash; its handle yields a
+//!   [`PipelineResult`]. A [`Submission`] is a multi-kernel DAG whose
+//!   steps build its own one-iteration pipeline, built afresh on each run;
+//!   u8/i16 steps chain like f32 ones and its handle yields a
+//!   [`BatchResult`]. A [`Job`] is the one-step submission with a
+//!   `Vec<f32>` result. All three build one checked plan at submit, and
+//!   workers run it on one executor, the core [`crate::Pipeline`]
+//!   planner: intermediates stay on the GPU, and in a one-iteration plan
+//!   each is recycled after its last reader;
 //! * constant inputs can be made **resident** ([`ResidentInput`]): each
 //!   worker uploads them once and every later job — kernel, DAG or
 //!   pipeline — reuses the on-GPU texture, with capacity evictions
@@ -39,11 +42,10 @@
 //!   repopulated lazily) and the in-flight job replayed — callers see
 //!   success or a typed permanent error, never a stale-handle panic;
 //! * admission is **bounded**: the queue holds at most
-//!   [`EngineBuilder::queue_capacity`] tasks. `try_submit*` rejects
-//!   immediately with [`ComputeError::QueueFull`]; the blocking
-//!   `submit*` family waits up to [`EngineBuilder::submit_timeout`] for
-//!   a slot and then rejects the same way — no submission path ever
-//!   blocks indefinitely;
+//!   [`EngineBuilder::queue_capacity`] tasks. `try_submit` rejects
+//!   immediately with [`ComputeError::QueueFull`]; the blocking `submit`
+//!   waits up to [`EngineBuilder::submit_timeout`] for a slot and then
+//!   rejects the same way — no submission ever blocks indefinitely;
 //! * jobs may carry a **deadline** ([`Job::deadline`] /
 //!   [`Submission::deadline`] / [`PipelineJob::deadline`]): a worker
 //!   checks it at dequeue and sheds expired work with
@@ -112,7 +114,8 @@ use crate::context::{ComputeContext, ContextStats};
 use crate::error::ComputeError;
 use crate::kernel::{InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::pipeline::{
-    BufKind, Pass, PassKernel, Pipeline, PipelineBuilder, Signature, SourceSeed, SourceShape,
+    BufKind, Pass, PassKernel, Pipeline, PipelineBuilder, Signature, Source, SourceSeed,
+    SourceShape,
 };
 use gpes_gles2::{Dispatch, ExecMode, FaultPlan, Limits};
 use gpes_glsl::Value;

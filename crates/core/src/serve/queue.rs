@@ -451,83 +451,37 @@ pub enum CachePolicy {
     PerContext,
 }
 
-/// Where a task's readbacks go. The worker's one executor returns
+/// Where a task's readbacks go: the handle of the request's
+/// [`Request::Output`] type. The worker's one executor returns
 /// `(buffer, tensor)` pairs; the sink converts them into the handle's
-/// type: the `Vec<f32>` of [`Engine::submit`] (a [`Job`]'s one step), the
-/// [`BatchResult`] of [`Engine::submit_batch`] (given the step count and
-/// the step each pair belongs to), or the [`PipelineResult`] of
-/// [`Engine::submit_pipeline`].
-#[derive(Clone)]
-pub(crate) enum BatchSink {
-    Job(Arc<HandleState<Vec<f32>>>),
-    Batch(Arc<HandleState<BatchResult>>, usize, Vec<usize>),
-    Pipeline(Arc<HandleState<PipelineResult>>),
+/// value and fulfils it.
+pub(crate) trait Sink: Send + Sync {
+    fn control(&self) -> &TaskControl;
+    fn fulfil(&self, result: Result<Vec<(String, TensorData)>, ComputeError>);
 }
 
-/// A submission's readback as `f32`: submissions are f32-only, checked at
-/// submit.
-fn f32_output(data: TensorData) -> Result<Vec<f32>, ComputeError> {
-    match data {
-        TensorData::F32(host) => Ok(host),
-        other => Err(ComputeError::EngineInternal {
-            message: format!("f32 submission read back {:?} data", other.scalar()),
-        }),
-    }
-}
-
-impl BatchSink {
+impl<T: sealed::Output> Sink for HandleState<T> {
     fn control(&self) -> &TaskControl {
-        match self {
-            BatchSink::Job(handle) => &handle.control,
-            BatchSink::Batch(handle, ..) => &handle.control,
-            BatchSink::Pipeline(handle) => &handle.control,
-        }
+        &self.control
     }
 
-    pub(crate) fn fulfil(self, result: Result<Vec<(String, TensorData)>, ComputeError>) {
-        match self {
-            BatchSink::Job(handle) => {
-                let result = result.and_then(|outputs| match outputs.into_iter().next() {
-                    Some((_, data)) => f32_output(data),
-                    None => Err(ComputeError::EngineInternal {
-                        message: "one-step submission returned no readback".into(),
-                    }),
-                });
-                fulfil(&handle, result);
-            }
-            BatchSink::Batch(handle, steps, read) => {
-                let result = result.and_then(|outputs| {
-                    let mut per_step = vec![None; steps];
-                    for (step, (_, data)) in read.into_iter().zip(outputs) {
-                        per_step[step] = Some(f32_output(data)?);
-                    }
-                    Ok(BatchResult { outputs: per_step })
-                });
-                fulfil(&handle, result);
-            }
-            BatchSink::Pipeline(handle) => {
-                fulfil(&handle, result.map(|outputs| PipelineResult { outputs }));
-            }
-        }
+    fn fulfil(&self, result: Result<Vec<(String, TensorData)>, ComputeError>) {
+        fulfil(self, result.and_then(T::from_reads));
     }
 }
 
 /// One queued unit of work and the handle its readbacks go to.
 pub(crate) struct Task {
     pub(crate) work: Work,
-    pub(crate) sink: BatchSink,
+    pub(crate) sink: Arc<dyn Sink>,
 }
 
 impl Task {
-    pub(crate) fn control(&self) -> &TaskControl {
-        self.sink.control()
-    }
-
     /// Fulfils the task's handle with `error` — used when no worker will
     /// ever execute it (shutdown, dead pool), so `wait()` cannot hang.
     /// No-op for a task its handle already cancelled.
     pub(crate) fn abort(self, error: ComputeError, metrics: &EngineMetrics) {
-        if !self.control().claim() {
+        if !self.sink.control().claim() {
             return;
         }
         EngineMetrics::bump(&metrics.aborted);
@@ -573,7 +527,7 @@ pub(crate) struct EngineShared {
     pub(crate) queue: Mutex<QueueState>,
     /// Workers sleep here waiting for tasks.
     pub(crate) cv: Condvar,
-    /// Blocking `submit*` callers sleep here waiting for a queue slot.
+    /// Blocking `submit` callers sleep here waiting for a queue slot.
     pub(crate) space: Condvar,
     /// The admission bound on `queue.tasks`.
     pub(crate) capacity: usize,
@@ -587,7 +541,7 @@ pub(crate) struct EngineShared {
 /// enough that a runaway producer cannot exhaust memory.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
-/// Default time a blocking `submit*` waits for a queue slot before
+/// Default time a blocking `submit` waits for a queue slot before
 /// giving up with [`ComputeError::QueueFull`].
 pub const DEFAULT_SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -714,15 +668,15 @@ impl EngineBuilder {
 
     /// Bounds the admission queue (default
     /// [`DEFAULT_QUEUE_CAPACITY`], minimum 1). Once `capacity` tasks are
-    /// queued, `try_submit*` rejects with [`ComputeError::QueueFull`]
-    /// immediately and blocking `submit*` waits up to the
+    /// queued, `try_submit` rejects with [`ComputeError::QueueFull`]
+    /// immediately and blocking `submit` waits up to the
     /// [`EngineBuilder::submit_timeout`] for a slot.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
     }
 
-    /// How long a blocking `submit*` waits for a queue slot before
+    /// How long a blocking `submit` waits for a queue slot before
     /// giving up with [`ComputeError::QueueFull`] (default
     /// [`DEFAULT_SUBMIT_TIMEOUT`]).
     pub fn submit_timeout(mut self, timeout: Duration) -> Self {
@@ -871,9 +825,11 @@ impl EngineBuilder {
     }
 }
 
-/// The serving engine: a queue of [`Job`]s/[`Submission`]s drained by a
-/// pool of worker compute contexts behind one shared program cache. See
-/// the [module docs](crate::serve) for the architecture.
+/// The serving engine: a queue of requests — [`Job`]s, [`Submission`]s
+/// and [`PipelineJob`]s, each enqueued through one [`Engine::submit`] or
+/// [`Engine::try_submit`] — drained by a pool of worker compute contexts
+/// behind one shared program cache. See the [module docs](crate::serve)
+/// for the architecture.
 pub struct Engine {
     pub(crate) shared: Arc<EngineShared>,
     pub(crate) workers: Vec<JoinHandle<()>>,
@@ -1022,119 +978,57 @@ impl Engine {
         }
     }
 
-    /// Enqueues a single-kernel job, lowered into a one-step
-    /// [`Submission`]. Blocks up to the configured
-    /// [`EngineBuilder::submit_timeout`] when the queue is full, then
-    /// gives up with [`ComputeError::QueueFull`]; use
-    /// [`Engine::try_submit`] to never block.
+    /// Enqueues a request — a [`Job`], a [`Submission`] or a
+    /// [`PipelineJob`] — as one unit of work, returning a handle typed by
+    /// the request: `Vec<f32>`, [`BatchResult`] or [`PipelineResult`].
+    /// Blocks up to the configured [`EngineBuilder::submit_timeout`] when
+    /// the queue is full, then gives up with [`ComputeError::QueueFull`];
+    /// use [`Engine::try_submit`] to never block.
     ///
     /// # Errors
     ///
-    /// Validation errors (input arity, typed specs, unknown or mistyped
-    /// uniforms) and admission errors
-    /// ([`ComputeError::QueueFull`], [`ComputeError::EngineShutdown`])
-    /// surface here; execution errors surface on the handle.
-    pub fn submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        self.enqueue_submission(job.into_submission(), |h, _, _| BatchSink::Job(h), true)
+    /// Validation errors (wiring: input arity, forward references,
+    /// unknown or mistyped uniforms, a spec without an output; sources:
+    /// arity, kinds, lengths, evicted residents; unknown read buffers; a
+    /// [`Job`] whose kernel packs a typed output) and admission errors
+    /// ([`ComputeError::QueueFull`], [`ComputeError::EngineShutdown`],
+    /// [`ComputeError::QuotaExceeded`]) surface here; execution errors —
+    /// including [`ComputeError::IterationCap`] for an `until` predicate
+    /// that never fires — surface on the handle.
+    pub fn submit<R: Request>(&self, request: R) -> Result<JobHandle<R::Output>, ComputeError> {
+        self.enqueue(request, true)
     }
 
     /// Non-blocking [`Engine::submit`]: a full queue rejects with
     /// [`ComputeError::QueueFull`] immediately.
-    pub fn try_submit(&self, job: Job) -> Result<JobHandle<Vec<f32>>, ComputeError> {
-        self.enqueue_submission(job.into_submission(), |h, _, _| BatchSink::Job(h), false)
+    pub fn try_submit<R: Request>(&self, request: R) -> Result<JobHandle<R::Output>, ComputeError> {
+        self.enqueue(request, false)
     }
 
-    /// Enqueues a multi-kernel DAG as one unit of work. Blocks up to the
-    /// configured [`EngineBuilder::submit_timeout`] when the queue is
-    /// full; use [`Engine::try_submit_batch`] to never block.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors (arity, forward references, unknown or mistyped
-    /// uniforms, bad readback marks) and admission errors surface here;
-    /// execution errors surface on the handle.
-    pub fn submit_batch(
-        &self,
-        submission: Submission,
-    ) -> Result<JobHandle<BatchResult>, ComputeError> {
-        self.enqueue_submission(submission, BatchSink::Batch, true)
-    }
-
-    /// Non-blocking [`Engine::submit_batch`]: a full queue rejects with
-    /// [`ComputeError::QueueFull`] immediately.
-    pub fn try_submit_batch(
-        &self,
-        submission: Submission,
-    ) -> Result<JobHandle<BatchResult>, ComputeError> {
-        self.enqueue_submission(submission, BatchSink::Batch, false)
-    }
-
-    /// Lowers and enqueues a submission whose result `sink` routes to a
-    /// handle of type `T`, given the step count and the read steps.
-    fn enqueue_submission<T>(
-        &self,
-        submission: Submission,
-        sink: fn(Arc<HandleState<T>>, usize, Vec<usize>) -> BatchSink,
-        blocking: bool,
-    ) -> Result<JobHandle<T>, ComputeError> {
-        let steps = submission.len();
-        let (work, read) = submission.lower()?;
-        self.enqueue_work(work, |handle| sink(handle, steps, read), blocking)
-    }
-
-    /// Enqueues a whole retained pipeline as one job: the worker builds
-    /// (or cache-hits) the pipeline for the job's [`PipelineSpec`], seeds
-    /// it with the job's sources, runs every iteration on-GPU and reads
-    /// back the marked buffers. Steady state links no programs and
-    /// creates no GL objects — the `a11` CI gate's contract.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors (source arity/lengths, evicted residents,
-    /// unknown read buffers) surface here; execution errors — including
-    /// [`ComputeError::IterationCap`] for an `until` predicate that never
-    /// fires — surface on the handle.
+    /// [`Engine::submit`] for a [`PipelineJob`]. Kept as a forward
+    /// because the servebench harness calls it by name.
     pub fn submit_pipeline(
         &self,
         job: PipelineJob,
     ) -> Result<JobHandle<PipelineResult>, ComputeError> {
-        self.enqueue_work(job.into_work()?, BatchSink::Pipeline, true)
+        self.submit(job)
     }
 
-    /// Non-blocking [`Engine::submit_pipeline`]: a full queue rejects
-    /// with [`ComputeError::QueueFull`] immediately.
-    pub fn try_submit_pipeline(
-        &self,
-        job: PipelineJob,
-    ) -> Result<JobHandle<PipelineResult>, ComputeError> {
-        self.enqueue_work(job.into_work()?, BatchSink::Pipeline, false)
-    }
-
-    /// Enqueues checked work whose readbacks `sink` routes to a fresh
-    /// handle of type `T`.
-    fn enqueue_work<T>(
-        &self,
-        work: Work,
-        sink: impl FnOnce(Arc<HandleState<T>>) -> BatchSink,
-        blocking: bool,
-    ) -> Result<JobHandle<T>, ComputeError> {
-        let (handle, state) = JobHandle::new(&self.shared.metrics);
-        self.enqueue(
-            Task {
-                work,
-                sink: sink(state),
-            },
-            blocking,
-        )?;
-        Ok(handle)
-    }
-
-    /// Admission: every path counts toward `submitted`, and every
-    /// refusal (full queue, shutdown, dead pool) counts toward
+    /// Checks the request into `Work` (a refused request is never
+    /// counted), then admits it: every admission counts toward
+    /// `submitted`, and every refusal (full queue, shutdown, dead pool,
+    /// tenant quota) counts toward
     /// `rejected` — so the snapshot's balance identity covers admission
     /// failures too. A blocking submit parks on the `space` condvar
     /// until a worker frees a slot or the submit timeout expires.
-    fn enqueue(&self, task: Task, blocking: bool) -> Result<(), ComputeError> {
+    fn enqueue<R: Request>(
+        &self,
+        request: R,
+        blocking: bool,
+    ) -> Result<JobHandle<R::Output>, ComputeError> {
+        let work = sealed::Request::into_work(request)?;
+        let (handle, state) = JobHandle::new(&self.shared.metrics);
+        let task = Task { work, sink: state };
         let shared = &self.shared;
         let metrics = &shared.metrics;
         EngineMetrics::bump(&metrics.submitted);
@@ -1182,7 +1076,7 @@ impl Engine {
                 if let Some(tenant) = &tenant {
                     shared.tenants.note_job(tenant);
                 }
-                return Ok(());
+                return Ok(handle);
             }
             if !blocking {
                 return reject(ComputeError::QueueFull {

@@ -143,10 +143,10 @@ pub struct TenantQuotas {
     /// single resident larger than the whole budget is refused with
     /// [`ComputeError::QuotaExceeded`].
     pub max_resident_bytes: usize,
-    /// Jobs the tenant may have queued or running at once. The
-    /// `submit*`/`try_submit*` families reject tenant-tagged work past
-    /// this with [`ComputeError::QuotaExceeded`] before it enters the
-    /// queue.
+    /// Jobs the tenant may have queued or running at once.
+    /// [`Engine::submit`] and [`Engine::try_submit`] reject tenant-tagged
+    /// work past this with [`ComputeError::QuotaExceeded`] before it
+    /// enters the queue.
     pub max_in_flight: usize,
 }
 

@@ -45,9 +45,8 @@ impl KernelSpec {
     }
 
     /// Declares an array input of an explicit scalar type — how quantized
-    /// tensors enter a kernel. Typed kernels are served as passes of a
-    /// [`PipelineSpec`], whose jobs supply data of exactly this type
-    /// ([`PipelineJob::source_tensor`]).
+    /// tensors enter a kernel. Requests supply data of exactly this type
+    /// ([`JobInput::Tensor`], [`PipelineJob::source_tensor`]).
     pub fn input_typed(mut self, name: impl Into<String>, scalar: ScalarType) -> Self {
         self.inputs.push((name.into(), scalar));
         self
@@ -122,13 +121,6 @@ impl KernelSpec {
     /// The kernel's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Whether every input and the output are `f32` — the only shape the
-    /// (f32-wired) [`Submission`] DAG path, and so a [`Job`], accepts.
-    pub(crate) fn is_all_f32(&self) -> bool {
-        self.output_scalar == ScalarType::F32
-            && self.inputs.iter().all(|(_, s)| *s == ScalarType::F32)
     }
 
     /// Builds the kernel against `arrays` (parallel to the declared
@@ -236,7 +228,7 @@ impl PassKernel for Arc<KernelSpec> {
                 .iter()
                 .map(|(name, scalar)| (name.as_str(), InputEncoding::Scalar(*scalar), false))
                 .collect(),
-            output: OutputKind::Scalar(self.output_scalar),
+            output: self.output.map(|_| OutputKind::Scalar(self.output_scalar)),
             uniforms: &self.uniforms,
         }
     }
@@ -326,16 +318,6 @@ impl ResidentInput {
     pub fn is_evicted(&self) -> bool {
         self.inner.evicted.load(Ordering::Acquire)
     }
-
-    fn check_live(&self, what: &str) -> Result<(), ComputeError> {
-        if self.is_evicted() {
-            return Err(bad_job(format!(
-                "{what} references an evicted ResidentInput (id {})",
-                self.inner.id
-            )));
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for ResidentInput {
@@ -377,9 +359,10 @@ impl ResidentStats {
     }
 }
 
-/// One source of a [`PipelineJob`]: fresh host data uploaded when the
-/// job runs (and recycled after), or a reference to a per-worker
-/// [`ResidentInput`].
+/// One input of a [`Job`] or a [`Submission`] step, or one source of a
+/// [`PipelineJob`]: fresh host data uploaded when the work runs (and
+/// recycled after), a per-worker [`ResidentInput`], or — in a submission
+/// step only — the on-GPU output of an earlier step.
 #[derive(Debug, Clone)]
 pub enum JobInput {
     /// `f32` host data uploaded per request. `Arc`-held so fan-out jobs
@@ -390,54 +373,18 @@ pub enum JobInput {
     Tensor(Arc<TensorData>),
     /// An input resident on the worker across requests.
     Resident(ResidentInput),
-}
-
-impl JobInput {
-    fn len(&self) -> usize {
-        match self {
-            JobInput::Data(d) => d.len(),
-            JobInput::Tensor(t) => t.len(),
-            JobInput::Resident(r) => r.len(),
-        }
-    }
-
-    fn scalar(&self) -> ScalarType {
-        match self {
-            JobInput::Data(_) => ScalarType::F32,
-            JobInput::Tensor(t) => t.scalar(),
-            JobInput::Resident(r) => r.scalar(),
-        }
-    }
-
-    fn check_live(&self, what: &str) -> Result<(), ComputeError> {
-        match self {
-            JobInput::Data(_) | JobInput::Tensor(_) => Ok(()),
-            JobInput::Resident(r) => r.check_live(what),
-        }
-    }
+    /// The output of step `i` of the same [`Submission`] (it must precede
+    /// the step reading it); it stays on the GPU — no readback/re-upload
+    /// between steps. Prefer wiring through a [`StepHandle`]
+    /// (`handle.into()`) over raw indices.
+    Step(usize),
 }
 
 // ---- jobs and submissions ------------------------------------------------
 
-/// One input of a [`Submission`] step: fresh host data, the on-GPU
-/// output of an earlier step in the same submission, or a per-worker
-/// resident input.
-#[derive(Debug, Clone)]
-pub enum StepInput {
-    /// Host data uploaded when the step runs. `Arc`-held so fan-out
-    /// submissions can share one buffer without copying.
-    Data(Arc<Vec<f32>>),
-    /// The output array of step `i` (must precede this step); it stays on
-    /// the GPU — no readback/re-upload between steps. Prefer wiring
-    /// through a [`StepHandle`] (`handle.into()`) over raw indices.
-    Step(usize),
-    /// An input resident on the worker across requests.
-    Resident(ResidentInput),
-}
-
 /// A typed reference to a step appended to a [`Submission`] — returned by
 /// [`Submission::step`] so DAG wiring never hand-counts indices: pass it
-/// to later steps via `handle.into()` ([`StepInput`]) and to
+/// to later steps via `handle.into()` ([`JobInput::Step`]) and to
 /// [`Submission::read`] / [`BatchResult::output`] directly. Handles are
 /// only meaningful for the submission that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,22 +395,28 @@ impl StepHandle {
     pub fn index(self) -> usize {
         self.0
     }
-}
 
-impl From<StepHandle> for StepInput {
-    fn from(handle: StepHandle) -> StepInput {
-        StepInput::Step(handle.0)
+    /// The plan buffer the step writes.
+    fn buffer(self) -> String {
+        format!("step {}", self.0)
     }
 }
 
-/// A single f32 kernel dispatch: spec + positional input data + optional
-/// dispatch-time uniform overrides. Result type: `Vec<f32>`. The engine
-/// serves it as a one-step [`Submission`] whose step is read back; a
-/// typed single kernel is a one-pass [`PipelineSpec`].
+impl From<StepHandle> for JobInput {
+    fn from(handle: StepHandle) -> JobInput {
+        JobInput::Step(handle.0)
+    }
+}
+
+/// A single kernel dispatch with an `f32` output: spec + positional
+/// input data + optional dispatch-time uniform overrides. Result type:
+/// `Vec<f32>`. A job is the one-step [`Submission`], read back; a kernel
+/// that packs a typed output is refused at submit (its readback is no
+/// `Vec<f32>`) — send it as a submission step instead.
 #[derive(Debug, Clone)]
 pub struct Job {
     pub(crate) kernel: Arc<KernelSpec>,
-    pub(crate) inputs: Vec<StepInput>,
+    pub(crate) inputs: Vec<JobInput>,
     pub(crate) uniforms: Vec<(String, Value)>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) retry: Option<RetryPolicy>,
@@ -515,20 +468,20 @@ impl Job {
 
     /// Appends `f32` host data for the next declared input.
     pub fn data(mut self, data: Vec<f32>) -> Job {
-        self.inputs.push(StepInput::Data(Arc::new(data)));
+        self.inputs.push(JobInput::Data(Arc::new(data)));
         self
     }
 
     /// Appends shared `f32` host data for the next declared input.
     pub fn data_shared(mut self, data: &Arc<Vec<f32>>) -> Job {
-        self.inputs.push(StepInput::Data(Arc::clone(data)));
+        self.inputs.push(JobInput::Data(Arc::clone(data)));
         self
     }
 
     /// Binds a per-worker [`ResidentInput`] to the next declared input —
     /// no upload happens on workers that already hold it.
     pub fn resident(mut self, input: &ResidentInput) -> Job {
-        self.inputs.push(StepInput::Resident(input.clone()));
+        self.inputs.push(JobInput::Resident(input.clone()));
         self
     }
 
@@ -542,48 +495,41 @@ impl Job {
     pub fn uniform_f32(self, name: impl Into<String>, value: f32) -> Job {
         self.uniform(name, Value::Float(value))
     }
-
-    /// Lowers the job into the one-step submission the worker runs.
-    pub(crate) fn into_submission(self) -> Submission {
-        Submission {
-            steps: vec![Step {
-                kernel: self.kernel,
-                inputs: self.inputs,
-                uniforms: self.uniforms,
-            }],
-            read: Vec::new(),
-            deadline: self.deadline,
-            retry: self.retry,
-            tenant: self.tenant,
-        }
-    }
-}
-
-pub(crate) struct Step {
-    pub(crate) kernel: Arc<KernelSpec>,
-    pub(crate) inputs: Vec<StepInput>,
-    pub(crate) uniforms: Vec<(String, Value)>,
 }
 
 /// A batched multi-kernel DAG: several dispatches submitted as one unit,
 /// executed back-to-back on a single worker. Later steps read earlier
-/// steps' outputs directly from GPU memory ([`StepInput::Step`]), so a
+/// steps' outputs directly from GPU memory ([`JobInput::Step`]), so a
 /// k-kernel chain costs one queue round-trip instead of k, and no
-/// intermediate ever crosses the host boundary. The engine lowers it at
-/// submit time onto a one-iteration [`Pipeline`] plan — one pass per
-/// step, one seeded source per host-data or resident input — so wiring
-/// errors (forward references, unknown or mistyped uniforms) are refused
-/// at submit. The worker runs that plan with its liveness plan: each
-/// unread step output is recycled once its last reader has dispatched,
-/// so a long chain holds only its live intermediates and a warm worker
+/// intermediate ever crosses the host boundary. Each [`Submission::step`]
+/// adds a pass to the submission's own one-iteration [`Pipeline`] plan,
+/// its host-data and resident inputs declared as sources of the kernel
+/// input's own scalar, so typed (u8/i16) chains are served like f32 ones.
+/// The plan's wiring check and the one source check run at submit, on the
+/// caller's thread. The worker runs the plan with its liveness plan: each
+/// unread step output is recycled once its last reader has dispatched, so
+/// a long chain holds only its live intermediates and a warm worker
 /// allocates no textures for it.
-#[derive(Default)]
 pub struct Submission {
-    pub(crate) steps: Vec<Step>,
-    pub(crate) read: Vec<usize>,
+    pub(crate) plan: PipelineSpecBuilder,
+    pub(crate) sources: Vec<JobInput>,
+    pub(crate) reads: Vec<String>,
     pub(crate) deadline: Option<Instant>,
     pub(crate) retry: Option<RetryPolicy>,
     pub(crate) tenant: Option<TenantId>,
+}
+
+impl Default for Submission {
+    fn default() -> Submission {
+        Submission {
+            plan: PipelineBuilder::named("submission".into()),
+            sources: Vec::new(),
+            reads: Vec::new(),
+            deadline: None,
+            retry: None,
+            tenant: None,
+        }
+    }
 }
 
 impl Submission {
@@ -616,145 +562,87 @@ impl Submission {
         self.tenant = Some(tenant.into());
     }
 
-    /// Appends a step and returns its [`StepHandle`] — later steps wire
-    /// to it with `handle.into()`, readbacks with
-    /// [`Submission::read`]`(handle)`, so no index is ever hand-counted.
+    /// Appends a step — `inputs` positional over the kernel's declared
+    /// inputs — and returns its [`StepHandle`]: later steps wire to it
+    /// with `handle.into()`, readbacks with [`Submission::read`]`(handle)`,
+    /// so no index is ever hand-counted. Every data or resident input
+    /// becomes its own seeded source (uploaded once per run, as a direct
+    /// caller would); an input past the declared ones names an input the
+    /// kernel lacks and is refused at submit.
     pub fn step(
         &mut self,
         kernel: &Arc<KernelSpec>,
-        inputs: Vec<StepInput>,
+        inputs: Vec<JobInput>,
         uniforms: Vec<(String, Value)>,
     ) -> StepHandle {
-        self.steps.push(Step {
-            kernel: Arc::clone(kernel),
-            inputs,
-            uniforms,
-        });
-        StepHandle(self.steps.len() - 1)
+        let step = StepHandle(self.len());
+        let mut pass = Pass::new(kernel);
+        for (k, input) in inputs.into_iter().enumerate() {
+            let (name, scalar) = kernel
+                .inputs
+                .get(k)
+                .cloned()
+                .unwrap_or_else(|| (format!("#{k}"), ScalarType::F32));
+            let buffer = match input {
+                JobInput::Step(j) => StepHandle(j).buffer(),
+                seed => {
+                    let buffer = format!("{} input {k}", step.buffer());
+                    self.plan.dag.sources.push(Source {
+                        name: buffer.clone(),
+                        kind: BufKind::Scalar(scalar),
+                        texture: None,
+                        shape: SourceShape::Linear(None),
+                    });
+                    self.sources.push(seed);
+                    buffer
+                }
+            };
+            pass = pass.read(&name, &buffer);
+        }
+        pass.uniforms = uniforms;
+        if let Some(shape) = kernel.output {
+            pass = pass.write(&step.buffer(), shape);
+        }
+        self.plan.dag.passes.push(pass);
+        step
     }
 
     /// Marks a step for readback; its result appears in the
     /// [`BatchResult`]. When no step is marked, the final step is read.
     pub fn read(&mut self, step: StepHandle) {
-        if !self.read.contains(&step.0) {
-            self.read.push(step.0);
+        let buffer = step.buffer();
+        if !self.reads.contains(&buffer) {
+            self.reads.push(buffer);
         }
     }
 
     /// Number of steps queued so far.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.plan.dag.passes.len()
     }
 
     /// Whether the submission has no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Lowers the submission onto the one-iteration [`Pipeline`] plan a
-    /// worker runs: step `i` becomes a pass writing buffer `step i`, each
-    /// `Data`/`Resident` input occurrence its own seeded source (uploaded
-    /// once per run, as a direct caller would), each `Step(j)` input a
-    /// read of `step j`, and the step's uniforms pass uniforms. The one
-    /// wiring check refuses forward references and unknown or mistyped
-    /// uniforms here, on the caller's thread. Returns the work and, per
-    /// read buffer, the step it holds.
-    pub(crate) fn lower(self) -> Result<(Work, Vec<usize>), ComputeError> {
-        let n = self.steps.len();
-        if n == 0 {
-            return Err(bad_job("submission has no steps".into()));
-        }
-        let read = if self.read.is_empty() {
-            vec![n - 1]
-        } else {
-            self.read
-        };
-        if let Some(r) = read.iter().find(|&&r| r >= n) {
-            return Err(bad_job(format!("readback of nonexistent step {r}")));
-        }
-        let step_buffer = |i: usize| format!("step {i}");
-        let mut plan = PipelineBuilder::named("submission".into());
-        let mut sources = Vec::new();
-        for (i, step) in self.steps.into_iter().enumerate() {
-            let spec = &step.kernel;
-            // The DAG path moves Vec<f32> end to end; typed tensor chains
-            // are what PipelineSpec is for.
-            if !spec.is_all_f32() {
-                return Err(bad_job(format!(
-                    "step {i} (`{}`) declares typed tensors; submissions are f32-only — \
-                     express quantized chains as a PipelineSpec",
-                    spec.name
-                )));
-            }
-            if step.inputs.len() != spec.inputs.len() {
-                return Err(bad_job(format!(
-                    "step {i} (`{}`) supplies {} inputs, spec declares {}",
-                    spec.name,
-                    step.inputs.len(),
-                    spec.inputs.len()
-                )));
-            }
-            let output = spec.output.ok_or_else(|| {
-                bad_job(format!("kernel spec `{}` declares no output", spec.name))
-            })?;
-            let mut pass = Pass::new(spec);
-            for (k, ((input, _), source)) in spec.inputs.iter().zip(step.inputs).enumerate() {
-                let seed = match source {
-                    StepInput::Step(j) => {
-                        pass = pass.read(input, &step_buffer(j));
-                        continue;
-                    }
-                    StepInput::Data(data) => JobInput::Data(data),
-                    StepInput::Resident(r) => {
-                        r.check_live(&format!("step {i} (`{}`)", spec.name))?;
-                        if r.scalar() != ScalarType::F32 {
-                            return Err(bad_job(format!(
-                                "step {i} (`{}`) binds a {:?} resident input; submissions \
-                                 are f32-only",
-                                spec.name,
-                                r.scalar()
-                            )));
-                        }
-                        JobInput::Resident(r)
-                    }
-                };
-                let name = format!("step {i} input {k}");
-                plan = plan.declared_source(&name, ScalarType::F32, SourceShape::Linear(None));
-                pass = pass.read(input, &name);
-                sources.push(seed);
-            }
-            pass.uniforms = step.uniforms;
-            plan = plan.pass(pass.write(&step_buffer(i), output));
-        }
-        let work = Work {
-            plan: Plan::Lowered(plan.checked()?),
-            sources,
-            reads: read.iter().map(|&r| step_buffer(r)).collect(),
-            deadline: self.deadline,
-            retry: self.retry,
-            tenant: self.tenant,
-        };
-        Ok((work, read))
+        self.len() == 0
     }
 }
 
-/// Results of a [`Submission`]: one `Vec<f32>` per step marked for
-/// readback (`None` for unread steps).
+/// Results of a [`Submission`]: the readback of each step marked with
+/// [`Submission::read`], in the step's declared scalar type.
 #[derive(Debug, Clone)]
-pub struct BatchResult {
-    pub(crate) outputs: Vec<Option<Vec<f32>>>,
-}
+pub struct BatchResult(PipelineResult);
 
 impl BatchResult {
-    /// The readback of a step, if it was marked with
-    /// [`Submission::read`].
+    /// The readback of an `f32` step, if it was marked (`None` for
+    /// unmarked steps *and* for typed ones — read those with
+    /// [`BatchResult::tensor`]).
     pub fn output(&self, step: StepHandle) -> Option<&[f32]> {
-        self.outputs.get(step.0).and_then(|o| o.as_deref())
+        self.tensor(step).and_then(|t| t.as_f32())
     }
 
-    /// Consumes the result into per-step optional outputs.
-    pub fn into_outputs(self) -> Vec<Option<Vec<f32>>> {
-        self.outputs
+    /// The typed readback of a step, if it was marked.
+    pub fn tensor(&self, step: StepHandle) -> Option<&TensorData> {
+        self.0.tensor(&step.buffer())
     }
 }
 
@@ -823,12 +711,6 @@ impl PipelineBuilder<Arc<KernelSpec>> {
     /// kernel input has no default, so each must be read exactly once.
     pub fn build(self) -> Result<PipelineSpec, ComputeError> {
         let mut pipeline = self.checked()?;
-        if let Some(pass) = pipeline.passes.iter().find(|p| p.kernel.output.is_none()) {
-            return Err(bad_job(format!(
-                "kernel spec `{}` (pass of `{}`) declares no output",
-                pass.kernel.name, pipeline.name
-            )));
-        }
         let fingerprint = spec_fingerprint(&pipeline);
         if pipeline.until.is_some() && pipeline.iterations.is_none() {
             pipeline
@@ -900,7 +782,7 @@ fn spec_fingerprint(p: &Pipeline<Arc<KernelSpec>>) -> u64 {
 /// multi-pass kernels).
 ///
 /// Specs are immutable once built; wrap them in [`Arc`] and submit them
-/// through [`Engine::submit_pipeline`]. Each worker builds the pipeline
+/// through [`Engine::submit`]. Each worker builds the pipeline
 /// once (all programs through the shared cache) and caches it by
 /// [`PipelineSpec::fingerprint`], so steady-state serving links zero
 /// programs and creates zero GL objects.
@@ -928,7 +810,7 @@ fn spec_fingerprint(p: &Pipeline<Arc<KernelSpec>>) -> u64 {
 /// let job = PipelineJob::new(&spec)
 ///     .source(vec![1.0, 2.0, 3.0, 4.0])
 ///     .read("x");
-/// let result = engine.submit_pipeline(job)?.wait()?;
+/// let result = engine.submit(job)?.wait()?;
 /// assert_eq!(result.output("x").unwrap(), &[32.0, 64.0, 96.0, 128.0]);
 /// # Ok(())
 /// # }
@@ -971,16 +853,6 @@ impl PipelineSpec {
     /// The declared source names, in positional order.
     pub fn source_names(&self) -> impl Iterator<Item = &str> {
         self.pipeline.sources.iter().map(|s| s.name.as_str())
-    }
-
-    /// The buffer names a job may mark for readback.
-    fn has_buffer(&self, name: &str) -> bool {
-        self.source_names().any(|s| s == name)
-            || self
-                .pipeline
-                .passes
-                .iter()
-                .any(|p| p.write.as_ref().is_some_and(|(w, _)| w == name))
     }
 
     /// Builds the retained pipeline on `cc`: each pass kernel from its
@@ -1111,93 +983,231 @@ impl PipelineJob {
         }
         self
     }
+}
 
-    /// Validates the job against its spec (source arity, kinds, lengths
-    /// and liveness; read buffers) and hands it over as worker [`Work`].
-    pub(crate) fn into_work(self) -> Result<Work, ComputeError> {
-        let spec = &self.spec;
-        let sources = &spec.pipeline.sources;
-        if self.sources.len() != sources.len() {
+impl Work {
+    /// The one source check, for every request: source arity, kind,
+    /// length and resident liveness against the plan's declared sources,
+    /// then the read marks against its buffers.
+    fn checked(self) -> Result<Work, ComputeError> {
+        let plan = self.plan.declared();
+        let name = plan.name();
+        if self.sources.len() != plan.sources.len() {
             return Err(bad_job(format!(
-                "pipeline job for `{}` supplies {} sources, spec declares {}",
-                spec.name(),
+                "`{name}` is given {} sources, declares {}",
                 self.sources.len(),
-                sources.len()
+                plan.sources.len()
             )));
         }
-        for (decl, input) in sources.iter().zip(&self.sources) {
-            input.check_live(&format!("pipeline job for `{}`", spec.name()))?;
-            if decl.kind != BufKind::Scalar(input.scalar()) {
+        for (decl, input) in plan.sources.iter().zip(&self.sources) {
+            let (scalar, len) = match input {
+                JobInput::Data(data) => (ScalarType::F32, data.len()),
+                JobInput::Tensor(tensor) => (tensor.scalar(), tensor.len()),
+                JobInput::Resident(r) if r.is_evicted() => {
+                    let id = r.inner.id;
+                    return Err(bad_job(format!(
+                        "`{name}` references an evicted ResidentInput (id {id})"
+                    )));
+                }
+                JobInput::Resident(r) => (r.scalar(), r.len()),
+                JobInput::Step(j) => {
+                    let source = &decl.name;
+                    return Err(bad_job(format!(
+                        "source `{source}` of `{name}` is step {j}"
+                    )));
+                }
+            };
+            if decl.kind != BufKind::Scalar(scalar) {
                 return Err(bad_job(format!(
-                    "source `{}` of pipeline `{}` holds {:?}, supplied {:?} data",
-                    decl.name,
-                    spec.name(),
-                    decl.kind,
-                    input.scalar()
+                    "source `{}` of `{name}` holds {:?}, supplied {scalar:?} data",
+                    decl.name, decl.kind
                 )));
             }
             let want = match decl.shape {
-                SourceShape::Linear(None) => None,
-                SourceShape::Linear(Some(len)) => Some(len),
+                SourceShape::Linear(want) => want,
                 SourceShape::Grid { rows, cols } => Some(rows as usize * cols as usize),
             };
-            if let Some(want) = want {
-                if input.len() != want {
-                    return Err(bad_job(format!(
-                        "source `{}` of pipeline `{}` wants {want} elements, job \
-                         supplies {}",
-                        decl.name,
-                        spec.name(),
-                        input.len()
-                    )));
-                }
+            if let Some(want) = want.filter(|&want| want != len) {
+                return Err(bad_job(format!(
+                    "source `{}` of `{name}` wants {want} elements, supplied {len}",
+                    decl.name
+                )));
             }
         }
         if self.reads.is_empty() {
             return Err(bad_job(format!(
-                "pipeline job for `{}` reads no buffers; mark at least one with .read()",
-                spec.name()
+                "`{name}` reads no buffers; mark at least one with .read()"
             )));
         }
+        let written = |buffer: &str| {
+            plan.passes
+                .iter()
+                .any(|p| p.write.as_ref().is_some_and(|(w, _)| w == buffer))
+        };
         for buffer in &self.reads {
-            if !spec.has_buffer(buffer) {
+            if !plan.sources.iter().any(|s| &s.name == buffer) && !written(buffer) {
                 return Err(bad_job(format!(
-                    "pipeline `{}` has no buffer `{buffer}` to read",
-                    spec.name()
+                    "`{name}` has no buffer `{buffer}` to read"
                 )));
             }
         }
-        Ok(Work {
-            plan: Plan::Spec(self.spec),
-            sources: self.sources,
-            reads: self.reads,
-            deadline: self.deadline,
-            retry: self.retry,
-            tenant: self.tenant,
-        })
+        Ok(self)
     }
-}
-
-/// What a worker executes for one task: a checked plan, the data seeding
-/// its declared sources (positionally), and the buffers read back. A
-/// [`PipelineJob`] is one as submitted; a [`Submission`] — and so a
-/// [`Job`] — is lowered into one at submit time.
-pub(crate) struct Work {
-    pub(crate) plan: Plan,
-    pub(crate) sources: Vec<JobInput>,
-    pub(crate) reads: Vec<String>,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) tenant: Option<TenantId>,
 }
 
 /// Where a task's built [`Pipeline`] comes from.
 pub(crate) enum Plan {
     /// A [`PipelineSpec`]: built once per worker, cached by fingerprint.
     Spec(Arc<PipelineSpec>),
-    /// A lowered [`Submission`]: built on every run and never cached, so a
-    /// served [`Job`] does a direct dispatch's one program-cache lookup.
-    Lowered(Pipeline<Arc<KernelSpec>>),
+    /// A [`Submission`]'s (or [`Job`]'s) own plan: built on every run and
+    /// never cached, so a served [`Job`] does a direct dispatch's one
+    /// program-cache lookup.
+    Submission(Pipeline<Arc<KernelSpec>>),
+}
+
+impl Plan {
+    /// The declared plan: its sources, passes and wiring.
+    pub(crate) fn declared(&self) -> &Pipeline<Arc<KernelSpec>> {
+        match self {
+            Plan::Spec(spec) => &spec.pipeline,
+            Plan::Submission(plan) => plan,
+        }
+    }
+}
+
+pub(crate) use sealed::Work;
+
+/// Crate-private items [`Request`] names: `pub` only so the sealed trait
+/// can name them, unreachable outside the crate.
+pub(crate) mod sealed {
+    use super::*;
+
+    /// What a worker executes for one task: a checked plan, the data
+    /// seeding its declared sources (positionally), and the buffers read
+    /// back. Every [`Request`] builds one at submit.
+    pub struct Work {
+        pub(crate) plan: Plan,
+        pub(crate) sources: Vec<JobInput>,
+        pub(crate) reads: Vec<String>,
+        pub(crate) deadline: Option<Instant>,
+        pub(crate) retry: Option<RetryPolicy>,
+        pub(crate) tenant: Option<TenantId>,
+    }
+
+    /// The crate-private half of [`super::Request`]: how a request
+    /// becomes checked [`Work`].
+    pub trait Request {
+        fn into_work(self) -> Result<Work, ComputeError>;
+    }
+
+    /// The crate-private half of a request's output: how the worker's
+    /// `(buffer, tensor)` readbacks become the handle's value.
+    pub trait Output: Send + 'static {
+        fn from_reads(reads: Vec<(String, TensorData)>) -> Result<Self, ComputeError>
+        where
+            Self: Sized;
+    }
+}
+
+/// A request [`Engine::submit`] and [`Engine::try_submit`] accept: a
+/// [`Job`], a [`Submission`] or a [`PipelineJob`]. Each builds one checked
+/// worker plan; `Output` is what its [`JobHandle`] yields. Sealed.
+pub trait Request: sealed::Request {
+    /// The handle's value: `Vec<f32>`, [`BatchResult`] or
+    /// [`PipelineResult`].
+    type Output: sealed::Output;
+}
+
+impl Request for Job {
+    type Output = Vec<f32>;
+}
+
+impl sealed::Request for Job {
+    fn into_work(self) -> Result<Work, ComputeError> {
+        if self.kernel.output_scalar != ScalarType::F32 {
+            return Err(bad_job(format!(
+                "job kernel `{}` packs {:?} output, but a Job's handle holds Vec<f32>; \
+                 submit it as a Submission step",
+                self.kernel.name, self.kernel.output_scalar
+            )));
+        }
+        let mut submission = Submission {
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
+            ..Submission::new()
+        };
+        submission.step(&self.kernel, self.inputs, self.uniforms);
+        sealed::Request::into_work(submission)
+    }
+}
+
+impl Request for Submission {
+    type Output = BatchResult;
+}
+
+impl sealed::Request for Submission {
+    /// Checks the plan's wiring (an empty submission has no passes; a
+    /// spec without an output is refused through its signature), then
+    /// the sources. Unmarked, the final step is read.
+    fn into_work(self) -> Result<Work, ComputeError> {
+        let plan = self.plan.checked()?;
+        let reads = if self.reads.is_empty() {
+            vec![StepHandle(plan.passes.len() - 1).buffer()]
+        } else {
+            self.reads
+        };
+        Work {
+            plan: Plan::Submission(plan),
+            sources: self.sources,
+            reads,
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
+        }
+        .checked()
+    }
+}
+
+impl Request for PipelineJob {
+    type Output = PipelineResult;
+}
+
+impl sealed::Request for PipelineJob {
+    fn into_work(self) -> Result<Work, ComputeError> {
+        Work {
+            plan: Plan::Spec(self.spec),
+            sources: self.sources,
+            reads: self.reads,
+            deadline: self.deadline,
+            retry: self.retry,
+            tenant: self.tenant,
+        }
+        .checked()
+    }
+}
+
+impl sealed::Output for Vec<f32> {
+    fn from_reads(reads: Vec<(String, TensorData)>) -> Result<Vec<f32>, ComputeError> {
+        match reads.into_iter().next() {
+            Some((_, TensorData::F32(host))) => Ok(host),
+            _ => Err(ComputeError::EngineInternal {
+                message: "a job read back no f32 output".into(),
+            }),
+        }
+    }
+}
+
+impl sealed::Output for BatchResult {
+    fn from_reads(reads: Vec<(String, TensorData)>) -> Result<BatchResult, ComputeError> {
+        Ok(BatchResult(PipelineResult { outputs: reads }))
+    }
+}
+
+impl sealed::Output for PipelineResult {
+    fn from_reads(reads: Vec<(String, TensorData)>) -> Result<PipelineResult, ComputeError> {
+        Ok(PipelineResult { outputs: reads })
+    }
 }
 
 /// Results of a [`PipelineJob`]: one [`TensorData`] per buffer marked

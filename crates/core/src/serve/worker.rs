@@ -90,24 +90,6 @@ pub(crate) fn retire_worker(shared: &EngineShared) {
     }
 }
 
-/// A pending fulfilment: the task's result, held until after the worker
-/// has published its stats so a caller returning from `wait()` observes
-/// stats that already include its job.
-pub(crate) struct Completed {
-    sink: BatchSink,
-    result: Result<Vec<(String, TensorData)>, ComputeError>,
-}
-
-impl Completed {
-    fn error(&self) -> Option<&ComputeError> {
-        self.result.as_ref().err()
-    }
-
-    fn fulfil(self) {
-        self.sink.fulfil(self.result);
-    }
-}
-
 /// Built pipelines a worker caches across requests, keyed by
 /// [`PipelineSpec::fingerprint`]; beyond the cap the oldest entry is
 /// dropped (it owns no textures; the programs stay in the
@@ -247,7 +229,7 @@ pub(crate) fn requeue_transient(shared: &EngineShared, queued: QueuedTask) -> Op
     if queue.shutdown || queue.live_workers == 0 || queue.tasks.len() >= shared.capacity {
         return Some(queued);
     }
-    queued.payload.control().requeue();
+    queued.payload.sink.control().requeue();
     queue.tasks.push_back(QueuedTask {
         enqueued_at: Instant::now(),
         ..queued
@@ -256,22 +238,6 @@ pub(crate) fn requeue_transient(shared: &EngineShared, queued: QueuedTask) -> Op
     drop(queue);
     shared.cv.notify_one();
     None
-}
-
-/// Runs one task by reference (so a transient failure can re-run or
-/// requeue the same payload), pairing the shielded result with its
-/// handle.
-pub(crate) fn run_task(
-    cc: &mut ComputeContext,
-    state: &mut WorkerState,
-    task: &Task,
-) -> (Completed, bool) {
-    let (result, panicked) = run_shielded(cc, |cc| execute(cc, state, &task.work));
-    let completed = Completed {
-        sink: task.sink.clone(),
-        result,
-    };
-    (completed, panicked)
 }
 
 pub(crate) fn worker_main(
@@ -314,7 +280,7 @@ pub(crate) fn worker_main(
         lock_recover(&shared.metrics.queue_latency).record(queue_latency);
         // Claim the task: losing means the handle cancelled it (and
         // fulfilled itself) — discard the payload untouched.
-        if !queued.payload.control().claim() {
+        if !queued.payload.sink.control().claim() {
             continue;
         }
         // Deadline shed: expired work never touches the GPU. Requeued
@@ -334,8 +300,13 @@ pub(crate) fn worker_main(
         // is rebuilt and the job replayed in place; other transient
         // failures go back to the queue (or, if the queue is unavailable,
         // retry in place); permanent outcomes break out for fulfilment.
-        let completed = loop {
-            let (completed, panicked) = run_task(&mut cc, &mut state, &queued.payload);
+        // The result is held until after the worker has published its
+        // stats, so a caller returning from `wait()` observes stats that
+        // already include its job. Running the task by reference lets a
+        // transient failure re-run or requeue the same payload.
+        let result = loop {
+            let (result, panicked) =
+                run_shielded(&mut cc, |cc| execute(cc, &mut state, &queued.payload.work));
             if panicked || cc.context_lost() {
                 // Fresh context, same wiring; the worker state dies with
                 // the context — its cached pipelines and resident
@@ -366,7 +337,7 @@ pub(crate) fn worker_main(
                         EngineMetrics::bump(&shared.metrics.completed);
                         EngineMetrics::bump(&shared.metrics.failed);
                         drop(queued.tenant_permit.take());
-                        completed.fulfil();
+                        queued.payload.sink.fulfil(result);
                         retire_worker(&shared);
                         return;
                     }
@@ -375,10 +346,10 @@ pub(crate) fn worker_main(
             if panicked {
                 // Panics are never retried: the typed internal error
                 // surfaces (from the already-rebuilt context).
-                break completed;
+                break result;
             }
-            match completed.error() {
-                Some(e) if e.is_transient() && queued.attempt + 1 < policy.attempts() => {
+            match &result {
+                Err(e) if e.is_transient() && queued.attempt + 1 < policy.attempts() => {
                     queued.attempt += 1;
                     EngineMetrics::bump(&shared.metrics.retried);
                     if !policy.backoff.is_zero() {
@@ -400,7 +371,7 @@ pub(crate) fn worker_main(
                         }
                     }
                 }
-                _ => break completed,
+                _ => break result,
             }
         };
         // Reclaim residencies whose handles were evicted since the last
@@ -414,25 +385,24 @@ pub(crate) fn worker_main(
         faults_published = publish_faults(&shared.metrics, faults_published, cc.faults_injected());
         lock_recover(&shared.metrics.service_latency).record(started.elapsed());
         EngineMetrics::bump(&shared.metrics.completed);
-        if completed.error().is_some() {
+        if result.is_err() {
             EngineMetrics::bump(&shared.metrics.failed);
         }
         // Release the tenant's in-flight slot before fulfilment, so a
         // caller resuming from `wait()` can immediately resubmit without
         // tripping its own quota.
         drop(queued.tenant_permit.take());
-        completed.fulfil();
+        queued.payload.sink.fulfil(result);
     }
 }
 
 /// The worker's one executor. Seeds every declared source of the task's
 /// plan (uploading fresh data, binding residents), runs the built
 /// pipeline — cached per worker for a [`PipelineSpec`], built on every run
-/// for a lowered [`Submission`] — retiring a one-iteration plan's
+/// for a [`Submission`]'s own plan — retiring a one-iteration plan's
 /// intermediates at last use, reads the marked buffers back, finishes the
-/// run and recycles the uploads. A lowered [`Job`] therefore does exactly
-/// what a direct caller would: upload, build, dispatch, read back,
-/// recycle.
+/// run and recycles the uploads. A [`Job`] therefore does exactly what a
+/// direct caller would: upload, build, dispatch, read back, recycle.
 pub(crate) fn execute(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
@@ -443,7 +413,7 @@ pub(crate) fn execute(
         let built;
         let pipeline = match &work.plan {
             Plan::Spec(spec) => &state.pipeline_for(cc, spec)?.pipeline,
-            Plan::Lowered(plan) => {
+            Plan::Submission(plan) => {
                 built = plan.map_kernels(|spec| spec.build_declared(cc))?;
                 &built
             }
@@ -472,10 +442,7 @@ fn seed(
     work: &Work,
     uploads: &mut Vec<AnyGpuArray>,
 ) -> Result<Vec<SourceSeed>, ComputeError> {
-    let declared = match &work.plan {
-        Plan::Spec(spec) => &spec.pipeline.sources,
-        Plan::Lowered(plan) => &plan.sources,
-    };
+    let declared = &work.plan.declared().sources;
     let mut seeds = Vec::with_capacity(declared.len());
     for (decl, input) in declared.iter().zip(&work.sources) {
         let uploaded = match (input, decl.shape) {
@@ -493,6 +460,10 @@ fn seed(
             (JobInput::Tensor(tensor), SourceShape::Linear(_)) => cc.upload_any(tensor),
             (JobInput::Tensor(tensor), SourceShape::Grid { rows, cols }) => {
                 cc.upload_any_matrix(rows, cols, tensor)
+            }
+            // Refused by the source check at submit.
+            (JobInput::Step(j), _) => {
+                Err(bad_job(format!("source `{}` names step {j}", decl.name)))
             }
         }?;
         uploads.push(uploaded);

@@ -129,7 +129,7 @@ pub fn stage_spec(n: usize, direction: Direction, emit_re: bool) -> KernelSpec {
 /// Context-free spec of the whole retained transform, mirroring
 /// [`run_gpu`]'s wiring (two stage kernels, explicit `re`/`im` ping-pong
 /// pairs, stage width as a per-iteration uniform). Submit through
-/// [`gpes_core::Engine::submit_pipeline`] with sources `re`, `im` (length
+/// [`gpes_core::Engine::submit`] with sources `re`, `im` (length
 /// `n` each) and read buffers `re`, `im`; outputs are bit-identical to
 /// [`run_gpu`].
 ///

@@ -106,7 +106,7 @@ pub fn fold_spec(n: usize, op: ReduceOp) -> KernelSpec {
 /// Context-free spec of the whole retained reduction tree, mirroring
 /// [`gpu_reduce`]'s wiring (one fold kernel, per-level output shapes and
 /// `n_live` values). Submit through
-/// [`gpes_core::Engine::submit_pipeline`] with one linear source `x` of
+/// [`gpes_core::Engine::submit`] with one linear source `x` of
 /// `n` elements and read buffer `x` (one element); the result is
 /// bit-identical to [`gpu_reduce`]. `n == 1` degenerates to zero
 /// iterations: the seed is read back unchanged.

@@ -136,7 +136,7 @@ pub fn update_spec(rows: u32, cols: u32, params: SradParams) -> KernelSpec {
 
 /// Context-free spec of the whole retained diffusion loop, mirroring
 /// [`run_gpu`]'s wiring (coeff then update per iteration, `j` updated in
-/// place). Submit through [`gpes_core::Engine::submit_pipeline`] with one
+/// place). Submit through [`gpes_core::Engine::submit`] with one
 /// grid source `j` of `rows × cols` elements and read buffer `j`;
 /// outputs are bit-identical to [`run_gpu`].
 ///

@@ -1,9 +1,11 @@
 //! Serving-engine demo: a pool of worker contexts drains a queue of
-//! compute requests behind one process-wide program cache.
+//! compute requests behind one process-wide program cache. One
+//! `Engine::submit` takes every request — a `Job`, a `Submission` DAG or
+//! a `PipelineJob` — and hands back a handle typed by it.
 //!
 //! Run with `cargo run --example serving_engine`.
 
-use gpes::core::serve::StepInput;
+use gpes::core::serve::JobInput;
 use gpes::glsl::Value;
 use gpes::prelude::*;
 use std::sync::Arc;
@@ -55,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         REQUESTS as f64 / elapsed.as_secs_f64(),
     );
 
-    // A batched DAG: blur → gain chained on the GPU, one queue trip.
+    // A batched DAG: blur → gain chained on the GPU, one queue trip; the
+    // same `submit` returns a `BatchResult` handle for it.
     let blur = Arc::new(
         KernelSpec::new("blur3")
             .input("x")
@@ -76,18 +79,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .body("return fetch_x(idx) * gain;"),
     );
     let mut sub = Submission::new();
-    let s0 = sub.step(&blur, vec![StepInput::Data(Arc::clone(&x))], vec![]);
+    let s0 = sub.step(&blur, vec![JobInput::Data(Arc::clone(&x))], vec![]);
     let s1 = sub.step(
         &gain,
         vec![s0.into()],
         vec![("gain".to_owned(), Value::Float(2.0))],
     );
     sub.read(s1);
-    let batch = engine.submit_batch(sub)?.wait()?;
+    let batch = engine.submit(sub)?.wait()?;
     println!(
         "batch DAG blur→gain done; output[1] = {}",
         batch.output(s1).expect("marked step")[1]
     );
+
+    // Steps may be typed: a u8 tensor through a u8 kernel stays bytes
+    // on the way in, between steps and on the way back.
+    let brighten = Arc::new(
+        KernelSpec::new("brighten")
+            .input_typed("x", ScalarType::U8)
+            .output_typed(ScalarType::U8, 4)
+            .body("return min(fetch_x(idx) + 100.0, 255.0);"),
+    );
+    let mut sub = Submission::new();
+    let pixels = Arc::new(TensorData::U8(vec![0, 50, 100, 200]));
+    let lit = sub.step(&brighten, vec![JobInput::Tensor(pixels)], vec![]);
+    let twice = sub.step(&brighten, vec![lit.into()], vec![]);
+    let bytes = engine.submit(sub)?.wait()?;
+    let bytes = bytes.tensor(twice).expect("final step is read");
+    assert_eq!(bytes, &TensorData::U8(vec![200, 250, 255, 255]));
+    println!("u8 DAG brighten→brighten done; bytes = {bytes:?}");
 
     // A whole retained pipeline as one job: x ← blur(x) four times, all
     // iterations on the worker's GPU, the built pipeline cached by spec
@@ -106,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let job = PipelineJob::new(&smooth)
             .source_resident(&resident_x)
             .read("x");
-        let result = engine.submit_pipeline(job)?.wait()?;
+        let result = engine.submit(job)?.wait()?;
         println!(
             "pipeline wave {wave}: smooth4 output[1] = {}",
             result.output("x").expect("marked buffer")[1]
@@ -123,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "programs linked process-wide: {} (over {} dispatches on {} workers)",
         engine.programs_linked(),
-        REQUESTS + 2,
+        REQUESTS + 4,
         engine.workers(),
     );
 

@@ -509,7 +509,7 @@ fn panic_rebuild_reuploads_residents() {
             .expect("spec"),
     );
     let err = engine
-        .submit_pipeline(PipelineJob::new(&panicking).source(x.clone()).read("x"))
+        .submit(PipelineJob::new(&panicking).source(x.clone()).read("x"))
         .expect("admitted")
         .wait()
         .unwrap_err();
@@ -552,12 +552,12 @@ fn batch_and_pipeline_jobs_heal_transient_faults_too() {
     let mut submission = Submission::new();
     let step = submission.step(
         &gain,
-        vec![gpes::core::serve::StepInput::Data(Arc::new(x.clone()))],
+        vec![gpes::core::serve::JobInput::Data(Arc::new(x.clone()))],
         vec![],
     );
     submission.read(step);
     let result = engine
-        .submit_batch(submission)
+        .submit(submission)
         .expect("admitted")
         .wait()
         .expect("healed batch");
@@ -596,6 +596,27 @@ fn a_failed_draw_gives_its_render_target_back() {
 }
 
 #[test]
+fn a_failed_upload_gives_its_texture_back() {
+    // An upload whose image fails must return the texture it took: five
+    // failed uploads and one clean one create one texture between them,
+    // not one each.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let x = ramp(16, 1.0);
+    let mut created = Vec::new();
+    for _ in 0..5 {
+        cc.install_fault_plan(FaultPlan::new(3).fail_next(FaultSite::TextureUpload, 1));
+        let err = cc.upload(&x).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        created.push(cc.stats().textures_created);
+    }
+    let array = cc.upload(&x).expect("clean upload");
+    created.push(cc.stats().textures_created);
+    assert_eq!(created, vec![1; 6], "textures created after each upload");
+    let read = cc.read_array(&array, Readback::DirectFbo).expect("read");
+    assert_eq!(read, x);
+}
+
+#[test]
 fn a_submission_failing_mid_dag_gives_its_textures_back() {
     // A four-step chain under a seeded framebuffer-check fault rate, with
     // retries off: some waves fail part-way through the chain, after
@@ -621,11 +642,11 @@ fn a_submission_failing_mid_dag_gives_its_textures_back() {
     let wave = || {
         let mut submission = Submission::new();
         submission.retry_policy(RetryPolicy::none());
-        let mut prev = gpes::core::serve::StepInput::Data(Arc::clone(&x));
+        let mut prev = gpes::core::serve::JobInput::Data(Arc::clone(&x));
         for _ in 0..4 {
             prev = submission.step(&gain, vec![prev], vec![]).into();
         }
-        engine.submit_batch(submission).expect("admitted").wait()
+        engine.submit(submission).expect("admitted").wait()
     };
     let stats = || engine.worker_stats()[0];
     let (mut warm, mut failed_mid_dag) = (false, 0);

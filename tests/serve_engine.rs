@@ -6,7 +6,7 @@
 //! `until` predicates that never fire surface `IterationCap` (not a
 //! hang), and evicted `ResidentInput`s fail validation.
 
-use gpes::core::serve::StepInput;
+use gpes::core::serve::JobInput;
 use gpes::core::{SharedCacheStats, PROGRAM_CACHE_CAP};
 use gpes::glsl::Value;
 use gpes::kernels::{data, fft, reduce, srad};
@@ -219,7 +219,7 @@ fn batch_dag_matches_chained_direct_dispatch_bitwise() {
     let mut sub = Submission::new();
     let b = sub.step(
         &blur_spec(n),
-        vec![StepInput::Data(Arc::new(input.clone()))],
+        vec![JobInput::Data(Arc::new(input.clone()))],
         vec![],
     );
     let g = sub.step(
@@ -228,11 +228,7 @@ fn batch_dag_matches_chained_direct_dispatch_bitwise() {
         vec![("gain".to_owned(), Value::Float(gain))],
     );
     sub.read(g);
-    let result = engine
-        .submit_batch(sub)
-        .expect("submit")
-        .wait()
-        .expect("batch");
+    let result = engine.submit(sub).expect("submit").wait().expect("batch");
     assert_eq!(result.output(g).expect("read output"), direct.as_slice());
     assert!(result.output(b).is_none(), "unmarked step is not read back");
 }
@@ -309,6 +305,118 @@ fn served_job_does_the_counted_work_of_a_direct_dispatch() {
 }
 
 #[test]
+fn job_submission_and_pipeline_job_are_one_request() {
+    // The same one-kernel work sent as a `Job`, a one-step `Submission`
+    // and a one-pass `PipelineJob`: bit-identical outputs, and on a warm
+    // worker the same links, texture creations and pool hits per request.
+    let n = 300;
+    let spec = saxpy_spec(n);
+    let (x, y) = (Arc::new(ramp(n, 0.5)), Arc::new(ramp(n, 0.25)));
+    let pipe = Arc::new(
+        PipelineSpec::builder("saxpy")
+            .source("x")
+            .source("y")
+            .pass(
+                PassSpec::new(&spec)
+                    .read("x", "x")
+                    .read("y", "y")
+                    .write_len("out", n),
+            )
+            .build()
+            .expect("spec"),
+    );
+    let engine = Engine::builder().workers(1).build().expect("engine");
+    let job = || {
+        let job = Job::new(&spec).data_shared(&x).data_shared(&y);
+        engine.submit(job).expect("job").wait().expect("job")
+    };
+    let submission = || {
+        let mut sub = Submission::new();
+        let inputs = vec![
+            JobInput::Data(Arc::clone(&x)),
+            JobInput::Data(Arc::clone(&y)),
+        ];
+        let step = sub.step(&spec, inputs, vec![]);
+        let result = engine.submit(sub).expect("submission").wait();
+        result
+            .expect("submission")
+            .output(step)
+            .expect("read")
+            .to_vec()
+    };
+    let pipeline = || {
+        let job = PipelineJob::new(&pipe)
+            .source_shared(&x)
+            .source_shared(&y)
+            .read("out");
+        let result = engine.submit(job).expect("pipeline").wait();
+        result
+            .expect("pipeline")
+            .output("out")
+            .expect("read")
+            .to_vec()
+    };
+    let runs: [&dyn Fn() -> Vec<f32>; 3] = [&job, &submission, &pipeline];
+    let warm: Vec<Vec<f32>> = runs.iter().map(|run| run()).collect();
+    assert_eq!(warm[0], warm[1], "job and submission outputs differ");
+    assert_eq!(warm[0], warm[2], "job and pipeline outputs differ");
+    let deltas: Vec<(u64, u64, u64)> = runs
+        .iter()
+        .map(|run| {
+            let before = engine.worker_stats()[0];
+            assert_eq!(run(), warm[0]);
+            let d = stats_delta(&engine.worker_stats()[0], &before);
+            (d.programs_linked, d.textures_created, d.texture_pool_hits)
+        })
+        .collect();
+    assert_eq!(deltas, vec![(0, 0, 3); 3], "(links, created, pool hits)");
+}
+
+#[test]
+fn typed_submission_chain_matches_the_pipeline_spec() {
+    // A two-step u8 chain sent as a `Submission` reads back the bytes the
+    // same chain declared as a `PipelineSpec` does.
+    let n = 64;
+    let inc = Arc::new(
+        KernelSpec::new("u8_inc")
+            .input_typed("x", ScalarType::U8)
+            .output_typed(ScalarType::U8, n)
+            .body("return fetch_x(idx) + 3.0;"),
+    );
+    let half = Arc::new(
+        KernelSpec::new("u8_half")
+            .input_typed("x", ScalarType::U8)
+            .output_typed(ScalarType::U8, n)
+            .body("return floor(fetch_x(idx) * 0.5);"),
+    );
+    let bytes: Vec<u8> = (0..n).map(|i| (i * 3) as u8).collect();
+    let x = Arc::new(TensorData::U8(bytes));
+    let engine = Engine::builder().workers(1).build().expect("engine");
+
+    let mut sub = Submission::new();
+    let a = sub.step(&inc, vec![JobInput::Tensor(Arc::clone(&x))], vec![]);
+    let b = sub.step(&half, vec![a.into()], vec![]);
+    sub.read(b);
+    let served = engine.submit(sub).expect("submit").wait().expect("chain");
+
+    let spec = Arc::new(
+        PipelineSpec::builder("u8_chain")
+            .source_typed("x", ScalarType::U8)
+            .pass(PassSpec::new(&inc).read("x", "x").write_len("a", n))
+            .pass(PassSpec::new(&half).read("x", "a").write_len("b", n))
+            .build()
+            .expect("spec"),
+    );
+    let job = PipelineJob::new(&spec).source_tensor_shared(&x).read("b");
+    let reference = engine.submit(job).expect("submit").wait().expect("spec");
+
+    let chained = served.tensor(b).expect("read b");
+    assert!(matches!(chained, TensorData::U8(_)), "{chained:?}");
+    assert_eq!(Some(chained), reference.tensor("b"));
+    assert_eq!(served.output(b), None, "a u8 readback is no f32 output");
+}
+
+#[test]
 fn dag_steps_free_intermediates_at_last_use() {
     // A 20-step same-shape chain where step i reads steps i-1 and i-2,
     // with a middle step and the last one read back. Outputs are exact
@@ -339,9 +447,9 @@ fn dag_steps_free_intermediates_at_last_use() {
     let engine = Engine::builder().workers(1).build().expect("engine");
     let wave = || {
         let mut sub = Submission::new();
-        let mut chain_inputs: Vec<StepInput> = vec![
-            StepInput::Data(Arc::clone(&b)),
-            StepInput::Data(Arc::clone(&a)),
+        let mut chain_inputs: Vec<JobInput> = vec![
+            JobInput::Data(Arc::clone(&b)),
+            JobInput::Data(Arc::clone(&a)),
         ];
         let mut handles = Vec::new();
         for i in 0..STEPS {
@@ -355,11 +463,7 @@ fn dag_steps_free_intermediates_at_last_use() {
         }
         sub.read(handles[MIDDLE]);
         sub.read(handles[STEPS - 1]);
-        let result = engine
-            .submit_batch(sub)
-            .expect("submit")
-            .wait()
-            .expect("batch");
+        let result = engine.submit(sub).expect("submit").wait().expect("batch");
         for (i, h) in handles.iter().enumerate() {
             match result.output(*h) {
                 Some(out) => {
@@ -427,11 +531,7 @@ fn served_chain_pipeline_frees_intermediates_at_last_use() {
             .source(a.clone())
             .read(&names[MIDDLE + 2])
             .read(&names[PASSES + 1]);
-        let result = engine
-            .submit_pipeline(job)
-            .expect("submit")
-            .wait()
-            .expect("run");
+        let result = engine.submit(job).expect("submit").wait().expect("run");
         for i in [MIDDLE, PASSES - 1] {
             assert_eq!(
                 result.output(&names[i + 2]).expect("read"),
@@ -454,19 +554,30 @@ fn submission_validation_rejects_bad_dags() {
 
     // Forward reference.
     let mut sub = Submission::new();
-    sub.step(&spec, vec![StepInput::Step(0)], vec![]);
-    assert!(engine.submit_batch(sub).is_err());
+    sub.step(&spec, vec![JobInput::Step(0)], vec![]);
+    assert!(engine.submit(sub).is_err());
 
     // Arity mismatch.
     let mut sub = Submission::new();
     sub.step(&spec, vec![], vec![]);
-    assert!(engine.submit_batch(sub).is_err());
+    assert!(engine.submit(sub).is_err());
 
     // Empty submission.
-    assert!(engine.submit_batch(Submission::new()).is_err());
+    assert!(engine.submit(Submission::new()).is_err());
 
-    // Arity mismatch on a single job.
+    // Arity mismatch on a single job: too few inputs, then too many.
     assert!(engine.submit(Job::new(&spec)).is_err());
+    let two = Job::new(&spec).data(vec![1.0; 8]).data(vec![1.0; 8]);
+    assert!(engine.submit(two).is_err());
+
+    // A job's handle holds Vec<f32>: a kernel packing u8 is refused.
+    let typed = Arc::new(
+        KernelSpec::new("typed")
+            .input("x")
+            .output_typed(ScalarType::U8, 8)
+            .body("return fetch_x(idx);"),
+    );
+    assert!(engine.submit(Job::new(&typed).data(vec![1.0; 8])).is_err());
 
     // A uniform the kernel does not declare is refused at submit.
     let ghost = Job::new(&spec).data(vec![0.0; 8]).uniform_f32("ghost", 1.0);
@@ -665,7 +776,7 @@ fn engine_served_fft_pipeline_is_bit_identical_to_direct_run() {
             .source(im.clone())
             .read("re")
             .read("im");
-        handles.push(engine.submit_pipeline(job).expect("submit"));
+        handles.push(engine.submit(job).expect("submit"));
     }
     for handle in handles {
         let result = handle.wait().expect("pipeline job");
@@ -699,8 +810,8 @@ fn engine_served_srad_and_reduce_match_direct_runs() {
     let reduce_job = PipelineJob::new(&reduce_spec)
         .source(values.clone())
         .read("x");
-    let h1 = engine.submit_pipeline(srad_job).expect("submit srad");
-    let h2 = engine.submit_pipeline(reduce_job).expect("submit reduce");
+    let h1 = engine.submit(srad_job).expect("submit srad");
+    let h2 = engine.submit(reduce_job).expect("submit reduce");
     assert_eq!(
         h1.wait().expect("srad").output("j").expect("j"),
         direct_srad.as_slice()
@@ -726,7 +837,7 @@ fn pipeline_serving_reaches_steady_state_with_zero_links_and_objects() {
         let handles: Vec<_> = (0..count)
             .map(|_| {
                 engine
-                    .submit_pipeline(PipelineJob::new(&spec).source_shared(&values).read("x"))
+                    .submit(PipelineJob::new(&spec).source_shared(&values).read("x"))
                     .expect("submit")
             })
             .collect();
@@ -764,20 +875,18 @@ fn pipeline_job_validation_rejects_bad_requests() {
     let engine = Engine::builder().build().expect("engine");
     let spec = Arc::new(reduce::pipeline_spec(16, reduce::ReduceOp::Sum).expect("spec"));
     // Source arity.
-    assert!(engine
-        .submit_pipeline(PipelineJob::new(&spec).read("x"))
-        .is_err());
+    assert!(engine.submit(PipelineJob::new(&spec).read("x")).is_err());
     // Declared source length.
     assert!(engine
-        .submit_pipeline(PipelineJob::new(&spec).source(vec![0.0; 5]).read("x"))
+        .submit(PipelineJob::new(&spec).source(vec![0.0; 5]).read("x"))
         .is_err());
     // No readback marked.
     assert!(engine
-        .submit_pipeline(PipelineJob::new(&spec).source(vec![0.0; 16]))
+        .submit(PipelineJob::new(&spec).source(vec![0.0; 16]))
         .is_err());
     // Unknown read buffer.
     assert!(engine
-        .submit_pipeline(PipelineJob::new(&spec).source(vec![0.0; 16]).read("nope"))
+        .submit(PipelineJob::new(&spec).source(vec![0.0; 16]).read("nope"))
         .is_err());
     // Malformed specs are rejected at spec build, on the caller's thread:
     // `tests/pipeline_api.rs` runs every malformed dag through both the
@@ -804,7 +913,7 @@ fn until_predicate_never_firing_is_a_typed_error_not_a_hang() {
     );
     let engine = Engine::builder().build().expect("engine");
     let handle = engine
-        .submit_pipeline(PipelineJob::new(&spec).source(vec![1.0; n]).read("x"))
+        .submit(PipelineJob::new(&spec).source(vec![1.0; n]).read("x"))
         .expect("submit");
     match handle.wait() {
         Err(ComputeError::IterationCap { pipeline, cap }) => {
@@ -878,11 +987,11 @@ fn resident_input_used_after_eviction_is_a_validation_error() {
         Ok(_) => panic!("evicted resident must fail validation"),
     }
     let mut sub = Submission::new();
-    sub.step(&spec, vec![StepInput::Resident(resident.clone())], vec![]);
-    assert!(engine.submit_batch(sub).is_err());
+    sub.step(&spec, vec![JobInput::Resident(resident.clone())], vec![]);
+    assert!(engine.submit(sub).is_err());
     let pipe = Arc::new(reduce::pipeline_spec(n, reduce::ReduceOp::Sum).expect("spec"));
     assert!(engine
-        .submit_pipeline(PipelineJob::new(&pipe).source_resident(&resident).read("x"))
+        .submit(PipelineJob::new(&pipe).source_resident(&resident).read("x"))
         .is_err());
     // The worker reclaims the evicted texture at its next task boundary
     // — it does not need to see the dead handle again.
@@ -950,7 +1059,7 @@ fn try_submit_rejects_with_queue_full_when_the_bound_is_hit() {
     let spec = slow_pipeline(n, 240);
     // Occupy the single worker, then flood: with capacity 1, the second
     // pending submission must be turned away while the worker is busy.
-    let busy = engine.submit_pipeline(slow_job(&spec, n)).expect("submit");
+    let busy = engine.submit(slow_job(&spec, n)).expect("submit");
     let gain = gain_spec(8);
     let mut accepted = Vec::new();
     let mut rejections = 0u64;
@@ -993,17 +1102,17 @@ fn expired_deadlines_are_shed_before_execution() {
     }
     // Batches and pipelines shed the same way.
     let mut sub = Submission::new();
-    let s = sub.step(&gain, vec![StepInput::Data(Arc::new(vec![1.0; 8]))], vec![]);
+    let s = sub.step(&gain, vec![JobInput::Data(Arc::new(vec![1.0; 8]))], vec![]);
     sub.read(s);
     sub.deadline(Instant::now() - Duration::from_millis(1));
     assert!(matches!(
-        engine.submit_batch(sub).expect("submit").wait(),
+        engine.submit(sub).expect("submit").wait(),
         Err(ComputeError::DeadlineExceeded { .. })
     ));
     let pipe = slow_pipeline(8, 2);
     assert!(matches!(
         engine
-            .submit_pipeline(slow_job(&pipe, 8).timeout(Duration::ZERO))
+            .submit(slow_job(&pipe, 8).timeout(Duration::ZERO))
             .expect("submit")
             .wait(),
         Err(ComputeError::DeadlineExceeded { .. })
@@ -1030,7 +1139,7 @@ fn cancel_revokes_queued_work_exactly_once() {
     let n = 512;
     let engine = Engine::builder().workers(1).build().expect("engine");
     let spec = slow_pipeline(n, 240);
-    let busy = engine.submit_pipeline(slow_job(&spec, n)).expect("submit");
+    let busy = engine.submit(slow_job(&spec, n)).expect("submit");
     let gain = gain_spec(8);
     let queued = engine
         .submit(Job::new(&gain).data(vec![3.0; 8]))
@@ -1065,7 +1174,7 @@ fn nonblocking_waits_poll_and_bound_without_losing_the_result() {
     let n = 512;
     let engine = Engine::builder().workers(1).build().expect("engine");
     let spec = slow_pipeline(n, 240);
-    let handle = engine.submit_pipeline(slow_job(&spec, n)).expect("submit");
+    let handle = engine.submit(slow_job(&spec, n)).expect("submit");
     assert!(handle.try_wait().is_none(), "job cannot be done instantly");
     assert!(!handle.is_finished());
     assert!(
@@ -1149,15 +1258,9 @@ fn unobserved_job_errors_surface_in_the_snapshot() {
             .expect("spec"),
     );
     // Drop the handle before the job fails: the late error is counted.
-    drop(
-        engine
-            .submit_pipeline(slow_job(&failing, n))
-            .expect("submit"),
-    );
+    drop(engine.submit(slow_job(&failing, n)).expect("submit"));
     // Drop the handle after the job failed: the stored error is counted.
-    let handle = engine
-        .submit_pipeline(slow_job(&failing, n))
-        .expect("submit");
+    let handle = engine.submit(slow_job(&failing, n)).expect("submit");
     // A marker job through the same single worker proves both failing
     // jobs are done (FIFO order).
     let gain = gain_spec(4);
@@ -1175,7 +1278,7 @@ fn unobserved_job_errors_surface_in_the_snapshot() {
     assert!(snap.counters_balanced());
     // An *observed* error is not double-counted.
     assert!(engine
-        .submit_pipeline(slow_job(&failing, n))
+        .submit(slow_job(&failing, n))
         .expect("submit")
         .wait()
         .is_err());
@@ -1191,7 +1294,7 @@ fn no_wait_hangs_across_shutdown_worker_panic_and_drop_orderings() {
     // with a typed error; nothing hangs.
     let engine = Engine::builder().workers(1).build().expect("engine");
     let spec = slow_pipeline(n, 240);
-    let busy = engine.submit_pipeline(slow_job(&spec, n)).expect("submit");
+    let busy = engine.submit(slow_job(&spec, n)).expect("submit");
     let queued: Vec<_> = (0..4)
         .map(|_| {
             engine
@@ -1238,7 +1341,7 @@ fn no_wait_hangs_across_shutdown_worker_panic_and_drop_orderings() {
             .expect("spec"),
     );
     match engine
-        .submit_pipeline(slow_job(&panicking, n))
+        .submit(slow_job(&panicking, n))
         .expect("submit")
         .wait()
     {
@@ -1261,7 +1364,7 @@ fn no_wait_hangs_across_shutdown_worker_panic_and_drop_orderings() {
     // (c) Dropping the engine with handles still held: every handle
     // resolves (result or typed abort) before the drop returns.
     let engine = Engine::builder().workers(1).build().expect("engine");
-    let busy = engine.submit_pipeline(slow_job(&spec, n)).expect("submit");
+    let busy = engine.submit(slow_job(&spec, n)).expect("submit");
     wait_queue_depth_at_most(&engine, 0);
     let tail = engine
         .submit(Job::new(&gain).data(vec![4.0; 8]))

@@ -1,6 +1,7 @@
 //! Stress test for the bounded serving front-end: several producer
 //! threads hammer a 2-worker engine with a queue capacity of 4, mixing
-//! `submit`/`try_submit`/`submit_batch`/`submit_pipeline`, expired
+//! blocking `submit` and non-blocking `try_submit` over all three
+//! request types (`Job`, `Submission`, `PipelineJob`), expired
 //! deadlines, and immediate cancellations. The contract under test is
 //! the outcome partition — every submission ends in exactly one of
 //! {result, `QueueFull`, `DeadlineExceeded`, `Cancelled`, shutdown
@@ -10,7 +11,7 @@
 //! Runs under both `GPES_TEST_DISPATCH=serial` and `=auto` in CI (the
 //! engine honours the env override for its workers' dispatch).
 
-use gpes::core::serve::StepInput;
+use gpes::core::serve::JobInput;
 use gpes::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,10 +139,9 @@ fn saturating_mixed_load_partitions_every_outcome_and_never_deadlocks() {
                         // Multi-step DAG.
                         2 => {
                             let mut sub = Submission::new();
-                            let s =
-                                sub.step(gain, vec![StepInput::Data(Arc::clone(input))], vec![]);
+                            let s = sub.step(gain, vec![JobInput::Data(Arc::clone(input))], vec![]);
                             sub.read(s);
-                            match engine.try_submit_batch(sub) {
+                            match engine.try_submit(sub) {
                                 Ok(h) => match bounded_wait(&h) {
                                     Ok(batch) => {
                                         assert_eq!(batch.output(s).expect("step"), expected_gain);
@@ -159,7 +159,7 @@ fn saturating_mixed_load_partitions_every_outcome_and_never_deadlocks() {
                             if i % 3 == 0 {
                                 job = job.deadline(Instant::now() - Duration::from_millis(1));
                             }
-                            match engine.try_submit_pipeline(job) {
+                            match engine.try_submit(job) {
                                 Ok(h) => match bounded_wait(&h) {
                                     Ok(out) => {
                                         assert_eq!(
