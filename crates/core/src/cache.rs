@@ -18,20 +18,24 @@
 //! most [`crate::PROGRAM_CACHE_CAP`] programs of its own, and deletes an
 //! evicted program from GL as soon as no kernel built on it is alive.
 //!
-//! Beside the programs sits an **admission table**: exact fragment
-//! source → the shader a strict admission ([`SharedProgramCache::admit`])
-//! checked, held as a [`Weak`] reference. A source that is admitted again
-//! while its shader is alive — held by a registration, or by a program a
-//! worker still caches — skips the front end, and a program miss whose
-//! fragment source is in the table links the admitted shader
-//! ([`Program::link_checked`]) without compiling it again. The table keeps
-//! nothing alive by itself, so it needs no capacity bound: an insert
-//! that finds the table at twice the live size its last sweep left
-//! sweeps out the dead entries, so sweeping costs O(1) per insert.
+//! Beside the programs sits an **admission table**: fragment source →
+//! the shader a strict admission ([`SharedProgramCache::admit`]) checked,
+//! held as a [`Weak`] reference. It is keyed by one keyed hash of the
+//! source per lookup and compares the bytes on a hit. A source that is
+//! admitted again while its shader is alive — held by a registration, or
+//! by a program a worker still caches — skips the front end, and a
+//! program miss whose fragment source is in the table links the admitted
+//! shader ([`Program::link_lowered`]) without compiling it again. The
+//! table keeps nothing alive by itself, so it needs no capacity bound: an
+//! insert that finds the table at twice the live size its last sweep
+//! left sweeps out the dead entries, so sweeping costs O(1) per insert.
 //!
 //! Every kernel links the same pass-through vertex shader, so the cache
-//! also keeps the last vertex shader it compiled: a link compiles its
-//! fragment shader at most, and an admitted one not at all.
+//! also keeps the last vertex shader it compiled, and its bytecode: a
+//! link compiles its fragment shader at most, and an admitted one not at
+//! all. A generated fragment source is checked after its codec prelude
+//! ([`crate::kernel::codec_prelude`]), so only the kernel's own lines go
+//! through the front end.
 //!
 //! This is the CNNdroid / TFLite-delegate amortisation argument applied
 //! across contexts and threads instead of across iterations.
@@ -40,8 +44,9 @@ use crate::error::ComputeError;
 use crate::serve::metrics::lock_recover;
 use gpes_gles2::{GlError, Limits, Program};
 use gpes_glsl::admission::{self, AdmissionDiagnostic};
-use gpes_glsl::{compile, compile_strict, CompileError, CompiledShader, ShaderKind};
+use gpes_glsl::{compile_after, CheckedPrelude, CompiledShader, Executable, ShaderKind};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Counters for a [`SharedProgramCache`] — the process-wide complement of
@@ -164,43 +169,75 @@ impl<K: std::hash::Hash + Eq + Clone, V> FifoCache<K, V> {
 struct Inner {
     /// `vs \0 fs` source → linked program.
     cache: FifoCache<String, Arc<Program>>,
-    /// The last vertex shader a link compiled: its source, whether it was
-    /// compiled strictly, and the checked shader.
-    vertex: Option<(String, bool, Arc<CompiledShader>)>,
+    /// The last vertex shader a link compiled.
+    vertex: Option<CachedVertex>,
     stats: SharedCacheStats,
 }
 
-impl Inner {
-    /// The checked vertex shader `vs`, compiled only when it is not the
-    /// one the last link used.
-    fn vertex(&mut self, vs: &str, strict: bool) -> Result<Arc<CompiledShader>, GlError> {
-        if let Some((source, was_strict, shader)) = &self.vertex {
-            if source == vs && *was_strict == strict {
-                return Ok(Arc::clone(shader));
-            }
-        }
-        let shader = Arc::new(front_end(strict)(ShaderKind::Vertex, vs)?);
-        self.vertex = Some((vs.to_owned(), strict, Arc::clone(&shader)));
-        Ok(shader)
-    }
+/// A vertex shader a link compiled: its source, whether it was compiled
+/// strictly, the checked shader and its bytecode.
+struct CachedVertex {
+    source: String,
+    strict: bool,
+    shader: Arc<CompiledShader>,
+    exe: Option<Arc<Executable>>,
 }
 
-fn front_end(strict: bool) -> fn(ShaderKind, &str) -> Result<CompiledShader, CompileError> {
-    if strict {
-        compile_strict
-    } else {
-        compile
+impl Inner {
+    /// The checked and lowered vertex shader `vs`, compiled and lowered
+    /// only when it is not the one the last link used.
+    fn vertex(
+        &mut self,
+        vs: &str,
+        strict: bool,
+    ) -> Result<(Arc<CompiledShader>, Option<Arc<Executable>>), GlError> {
+        if let Some(cached) = &self.vertex {
+            if cached.source == vs && cached.strict == strict {
+                return Ok((Arc::clone(&cached.shader), cached.exe.clone()));
+            }
+        }
+        let shader = Arc::new(compile_after(None, ShaderKind::Vertex, vs, strict)?);
+        let exe = gpes_glsl::lower_shared(&shader).ok();
+        self.vertex = Some(CachedVertex {
+            source: vs.to_owned(),
+            strict,
+            shader: Arc::clone(&shader),
+            exe: exe.clone(),
+        });
+        Ok((shader, exe))
     }
 }
 
 /// Table size below which an insert never sweeps the admission table.
 const ADMITTED_SWEEP_FLOOR: usize = 32;
 
-/// The admission table: exact fragment source → the shader its strict
+/// Hashes an admission-table key, already a keyed hash of the source, as
+/// itself.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("admission-table keys are u64s")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The admission table: fragment source → the shader its strict
 /// admission produced, for as long as something else holds that shader.
+/// Keyed by a keyed hash of the source ([`SharedProgramCache::source_key`])
+/// computed once per lookup; an entry keeps the source bytes, compared on
+/// a hit. Two sources with one key take turns in the entry.
 #[derive(Default)]
 struct Admitted {
-    shaders: HashMap<String, Weak<CompiledShader>>,
+    shaders: HashMap<u64, (Box<str>, Weak<CompiledShader>), BuildHasherDefault<KeyHasher>>,
     /// Table size at which the next insert sweeps out dead entries.
     sweep_at: usize,
     admissions: u64,
@@ -208,20 +245,24 @@ struct Admitted {
 }
 
 impl Admitted {
-    fn live(&self, fs: &str) -> Option<Arc<CompiledShader>> {
-        self.shaders.get(fs).and_then(Weak::upgrade)
+    fn live(&self, key: u64, fs: &str) -> Option<Arc<CompiledShader>> {
+        match self.shaders.get(&key) {
+            Some((source, shader)) if **source == *fs => shader.upgrade(),
+            _ => None,
+        }
     }
 
     /// Records `shader` as `source`'s admission. The table is swept when
     /// it has doubled since the last sweep, so it stays within twice its
     /// live entries (or the floor) at O(1) amortised cost per insert.
-    fn insert(&mut self, source: &str, shader: &Arc<CompiledShader>) {
+    fn insert(&mut self, key: u64, source: &str, shader: &Arc<CompiledShader>) {
         if self.shaders.len() >= self.sweep_at {
-            self.shaders.retain(|_, shader| shader.strong_count() > 0);
+            self.shaders
+                .retain(|_, (_, shader)| shader.strong_count() > 0);
             self.sweep_at = (2 * self.shaders.len()).max(ADMITTED_SWEEP_FLOOR);
         }
         self.shaders
-            .insert(source.to_owned(), Arc::downgrade(shader));
+            .insert(key, (source.into(), Arc::downgrade(shader)));
     }
 }
 
@@ -253,6 +294,9 @@ pub struct SharedProgramCache {
     inner: Mutex<Inner>,
     /// Its own lock, so admission never waits on a link.
     admitted: Mutex<Admitted>,
+    /// The admission table's hash keys: std's keyed SipHash, because
+    /// tenants choose the bytes.
+    source_keys: RandomState,
     capacity: usize,
 }
 
@@ -277,6 +321,7 @@ impl SharedProgramCache {
                 stats: SharedCacheStats::default(),
             }),
             admitted: Mutex::new(Admitted::default()),
+            source_keys: RandomState::new(),
             capacity: capacity.max(1),
         }
     }
@@ -293,8 +338,11 @@ impl SharedProgramCache {
     /// A miss whose fragment source has a live admitted shader (see
     /// [`SharedProgramCache::admit`]) links that shader: strict admission
     /// accepts a subset of what either front end accepts, and yields the
-    /// same checked shader. `vs` is compiled only when the previous link
-    /// used another vertex shader (or strictness).
+    /// same checked shader. Any other miss checks `fs` after `fs_prelude`
+    /// when it begins with the prelude's text
+    /// ([`gpes_glsl::compile_after`]). `vs` is compiled and lowered only
+    /// when the previous link used another vertex shader (or
+    /// strictness).
     ///
     /// # Errors
     ///
@@ -304,6 +352,7 @@ impl SharedProgramCache {
         &self,
         vs: &str,
         fs: &str,
+        fs_prelude: Option<&Arc<CheckedPrelude>>,
         limits: &Limits,
         strict: bool,
     ) -> Result<Arc<Program>, ComputeError> {
@@ -315,13 +364,16 @@ impl SharedProgramCache {
             return Ok(program);
         }
         inner.stats.misses += 1;
-        let vertex = inner.vertex(vs, strict)?;
-        let admitted = lock_recover(&self.admitted).live(fs);
+        let (vertex, vertex_exe) = inner.vertex(vs, strict)?;
+        let admitted = lock_recover(&self.admitted).live(self.source_key(fs), fs);
         let fragment = match admitted {
             Some(fragment) => fragment,
-            None => Arc::new(front_end(strict)(ShaderKind::Fragment, fs).map_err(GlError::from)?),
+            None => Arc::new(
+                compile_after(fs_prelude, ShaderKind::Fragment, fs, strict)
+                    .map_err(GlError::from)?,
+            ),
         };
-        let program = Arc::new(Program::link_checked(vertex, fragment, limits)?);
+        let program = Arc::new(Program::link_lowered(vertex, vertex_exe, fragment, limits)?);
         inner.stats.links += 1;
         // FIFO eviction past capacity: evicted entries still referenced
         // elsewhere stay alive through their `Arc`s; the cache just stops
@@ -331,30 +383,46 @@ impl SharedProgramCache {
     }
 
     /// Strictly admits fragment shader `source`
-    /// ([`gpes_glsl::admission::admit`]: preprocess → parse → Appendix A
-    /// → sema), or returns the shader an earlier admission of the same
-    /// bytes produced, if that shader is still alive. Only accepted
-    /// sources enter the table; a rejection runs the front end every
-    /// time. The table holds [`Weak`] references: keeping the returned
-    /// shader (or a program linked from it) alive is what lets the next
-    /// admission of `source` skip the front end.
+    /// ([`gpes_glsl::admission::admit_after`]: preprocess → parse →
+    /// Appendix A → sema, of only what follows `prelude`'s text when
+    /// `source` begins with it), or returns the shader an earlier
+    /// admission of the same bytes produced, if that shader is still
+    /// alive. The source is hashed once per call and copied only into a
+    /// new entry. Only accepted sources enter the table; a rejection runs
+    /// the front end every time. The table holds [`Weak`] references:
+    /// keeping the returned shader (or a program linked from it) alive is
+    /// what lets the next admission of `source` skip the front end.
     ///
     /// # Errors
     ///
     /// The stage-tagged [`AdmissionDiagnostic`] of the first stage that
     /// refused `source`.
-    pub fn admit(&self, source: &str) -> Result<Arc<CompiledShader>, AdmissionDiagnostic> {
+    pub fn admit(
+        &self,
+        source: &str,
+        prelude: Option<&Arc<CheckedPrelude>>,
+    ) -> Result<Arc<CompiledShader>, AdmissionDiagnostic> {
+        let key = self.source_key(source);
         {
             let mut admitted = lock_recover(&self.admitted);
-            if let Some(shader) = admitted.live(source) {
+            if let Some(shader) = admitted.live(key, source) {
                 admitted.hits += 1;
                 return Ok(shader);
             }
             admitted.admissions += 1;
         }
-        let shader = Arc::new(admission::admit(ShaderKind::Fragment, source)?);
-        lock_recover(&self.admitted).insert(source, &shader);
+        let shader = Arc::new(admission::admit_after(
+            prelude,
+            ShaderKind::Fragment,
+            source,
+        )?);
+        lock_recover(&self.admitted).insert(key, source, &shader);
         Ok(shader)
+    }
+
+    /// The admission table's key for `source`.
+    fn source_key(&self, source: &str) -> u64 {
+        self.source_keys.hash_one(source)
     }
 
     /// Snapshot of the link and admission counters.
@@ -437,10 +505,10 @@ mod tests {
         let cache = SharedProgramCache::new();
         let vs = geometry::passthrough_vertex_shader();
         let a = cache
-            .get_or_link(&vs, &fs("0.5"), &Limits::default(), false)
+            .get_or_link(&vs, &fs("0.5"), None, &Limits::default(), false)
             .expect("link");
         let b = cache
-            .get_or_link(&vs, &fs("0.5"), &Limits::default(), false)
+            .get_or_link(&vs, &fs("0.5"), None, &Limits::default(), false)
             .expect("hit");
         assert!(Arc::ptr_eq(&a, &b), "both handles share one program");
         let stats = cache.stats();
@@ -453,7 +521,7 @@ mod tests {
         let vs = geometry::passthrough_vertex_shader();
         let bad = "precision highp float;\nvoid main() { gl_FragColor = nonsense(); }\n";
         assert!(cache
-            .get_or_link(&vs, bad, &Limits::default(), false)
+            .get_or_link(&vs, bad, None, &Limits::default(), false)
             .is_err());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().links, 0);
@@ -473,11 +541,11 @@ mod tests {
                gl_FragColor = vec4(acc);\n\
              }";
         cache
-            .get_or_link(&vs, dynamic, &Limits::default(), false)
+            .get_or_link(&vs, dynamic, None, &Limits::default(), false)
             .expect("permissive link");
         assert!(
             cache
-                .get_or_link(&vs, dynamic, &Limits::default(), true)
+                .get_or_link(&vs, dynamic, None, &Limits::default(), true)
                 .is_err(),
             "strict lookup must revalidate, not hit the permissive entry"
         );
@@ -487,10 +555,10 @@ mod tests {
             ..Limits::default()
         };
         cache
-            .get_or_link(&vs, &fs("0.5"), &Limits::default(), false)
+            .get_or_link(&vs, &fs("0.5"), None, &Limits::default(), false)
             .expect("default limits");
         cache
-            .get_or_link(&vs, &fs("0.5"), &small, false)
+            .get_or_link(&vs, &fs("0.5"), None, &small, false)
             .expect("small limits");
         assert_eq!(cache.stats().links, 3);
         assert_eq!(cache.stats().hits, 0);
@@ -528,11 +596,11 @@ mod tests {
             // Reference: a plain context links from source.
             let (reference, source) = run_affine(None, strict);
             let cache = Arc::new(SharedProgramCache::new());
-            let admitted = cache.admit(&source).expect("admits");
+            let admitted = cache.admit(&source, None).expect("admits");
             let (served, _) = run_affine(Some(&cache), strict);
             assert_eq!(served, reference, "strict {strict}: output differs");
             let program = cache
-                .get_or_link(&vs, &source, &Limits::default(), strict)
+                .get_or_link(&vs, &source, None, &Limits::default(), strict)
                 .expect("hit");
             assert!(
                 Arc::ptr_eq(&program.fragment, &admitted),
@@ -549,23 +617,23 @@ mod tests {
         // Rejections are never stored: each attempt runs the front end.
         let bad = "precision highp float;\nvoid main() { gl_FragColor = vec4(nope); }\n";
         for _ in 0..2 {
-            let err = cache.admit(bad).unwrap_err();
+            let err = cache.admit(bad, None).unwrap_err();
             assert_eq!(err.stage, admission::AdmissionStage::Sema);
         }
         assert_eq!(cache.stats().admissions, 2);
         assert!(lock_recover(&cache.admitted).shaders.is_empty());
 
-        let first = cache.admit(&fs("0.5")).expect("admits");
-        let again = cache.admit(&fs("0.5")).expect("admits");
+        let first = cache.admit(&fs("0.5"), None).expect("admits");
+        let again = cache.admit(&fs("0.5"), None).expect("admits");
         assert!(Arc::ptr_eq(&first, &again));
         // One byte away is another source: the front end runs in full.
-        cache.admit(&fs("0.6")).expect("admits");
+        cache.admit(&fs("0.6"), None).expect("admits");
         let stats = cache.stats();
         assert_eq!((stats.admissions, stats.admission_hits), (4, 1));
         // The table keeps nothing alive: once every handle is gone the
         // next admission of the same bytes runs the front end again.
         drop((first, again));
-        cache.admit(&fs("0.5")).expect("admits");
+        cache.admit(&fs("0.5"), None).expect("admits");
         assert_eq!(cache.stats().admissions, 5);
     }
 
@@ -576,21 +644,21 @@ mod tests {
         // Sources whose shaders are all dropped never hold more than the
         // sweep floor.
         for i in 0..200 {
-            cache.admit(&fs(&format!("{i}.0"))).expect("admits");
+            cache.admit(&fs(&format!("{i}.0")), None).expect("admits");
             assert!(table_len() <= ADMITTED_SWEEP_FLOOR, "{}", table_len());
         }
         // Live entries survive every sweep, and dead ones stay within
         // twice the live count.
         let live: Vec<_> = (0..40)
-            .map(|i| cache.admit(&fs(&format!("0.{i}"))).expect("admits"))
+            .map(|i| cache.admit(&fs(&format!("0.{i}")), None).expect("admits"))
             .collect();
         for i in 0..200 {
-            cache.admit(&fs(&format!("1{i}.0"))).expect("admits");
+            cache.admit(&fs(&format!("1{i}.0")), None).expect("admits");
             assert!(table_len() <= 2 * live.len() + 1, "{}", table_len());
         }
         let hits = cache.stats().admission_hits;
         for (i, shader) in live.iter().enumerate() {
-            let again = cache.admit(&fs(&format!("0.{i}"))).expect("admits");
+            let again = cache.admit(&fs(&format!("0.{i}")), None).expect("admits");
             assert!(Arc::ptr_eq(shader, &again));
         }
         assert_eq!(cache.stats().admission_hits, hits + live.len() as u64);
@@ -601,9 +669,9 @@ mod tests {
         let cache = SharedProgramCache::new();
         let vs = geometry::passthrough_vertex_shader();
         let limits = Limits::default();
-        let shader = cache.admit(&fs("0.5")).expect("admits");
+        let shader = cache.admit(&fs("0.5"), None).expect("admits");
         cache
-            .get_or_link(&vs, &fs("0.5"), &limits, false)
+            .get_or_link(&vs, &fs("0.5"), None, &limits, false)
             .expect("link");
         // A thread panics while it holds both locks.
         std::thread::scope(|scope| {
@@ -615,13 +683,15 @@ mod tests {
             assert!(holder.join().is_err());
         });
         assert!(cache.inner.is_poisoned() && cache.admitted.is_poisoned());
-        let hit = cache.admit(&fs("0.5")).expect("admission after poisoning");
+        let hit = cache
+            .admit(&fs("0.5"), None)
+            .expect("admission after poisoning");
         assert!(Arc::ptr_eq(&hit, &shader));
         cache
-            .get_or_link(&vs, &fs("0.5"), &limits, false)
+            .get_or_link(&vs, &fs("0.5"), None, &limits, false)
             .expect("hit after poisoning");
         cache
-            .get_or_link(&vs, &fs("0.7"), &limits, false)
+            .get_or_link(&vs, &fs("0.7"), None, &limits, false)
             .expect("link after poisoning");
         assert!(cache.remove_key(&program_key(&vs, &fs("0.5"), &limits, false)));
         let stats = cache.stats();
@@ -635,19 +705,19 @@ mod tests {
         let vs = geometry::passthrough_vertex_shader();
         for body in ["0.1", "0.2", "0.3"] {
             cache
-                .get_or_link(&vs, &fs(body), &Limits::default(), false)
+                .get_or_link(&vs, &fs(body), None, &Limits::default(), false)
                 .expect("link");
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // The oldest ("0.1") was evicted: fetching it again relinks…
         cache
-            .get_or_link(&vs, &fs("0.1"), &Limits::default(), false)
+            .get_or_link(&vs, &fs("0.1"), None, &Limits::default(), false)
             .expect("relink");
         assert_eq!(cache.stats().links, 4);
         // …while the newest survivor ("0.3") still hits.
         cache
-            .get_or_link(&vs, &fs("0.3"), &Limits::default(), false)
+            .get_or_link(&vs, &fs("0.3"), None, &Limits::default(), false)
             .expect("hit");
         assert_eq!(cache.stats().hits, 1);
     }

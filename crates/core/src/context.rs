@@ -15,7 +15,7 @@ use gpes_gles2::{
     TexFormat, TextureId, Wrap,
 };
 use gpes_glsl::exec::FloatModel;
-use gpes_glsl::Value;
+use gpes_glsl::{CheckedPrelude, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -564,11 +564,13 @@ impl ComputeContext {
 
     // ---- kernel plumbing (used by KernelBuilder) ----------------------------
 
-    /// Compiles (or fetches from the cache) a program pair.
+    /// Compiles (or fetches from the cache) a program pair; a fragment
+    /// source that begins with `fs_prelude`'s text is checked after it.
     pub(crate) fn compile_program_cached(
         &mut self,
         vs: &str,
         fs: &str,
+        fs_prelude: Option<&Arc<CheckedPrelude>>,
     ) -> Result<ProgramRef, ComputeError> {
         let key = format!("{vs}\u{0}{fs}");
         if self.program_cache_enabled {
@@ -588,12 +590,12 @@ impl ComputeContext {
         let id = match shared {
             Some(shared) => {
                 let strict = self.gl.strict_shaders();
-                let program = shared.get_or_link(vs, fs, self.gl.limits(), strict)?;
+                let program = shared.get_or_link(vs, fs, fs_prelude, self.gl.limits(), strict)?;
                 self.stats.programs_adopted += 1;
                 self.gl.install_program((*program).clone())
             }
             None => {
-                let id = self.gl.create_program(vs, fs)?;
+                let id = self.gl.create_program_after(fs_prelude, vs, fs)?;
                 self.stats.programs_linked += 1;
                 id
             }
@@ -613,9 +615,10 @@ impl ComputeContext {
     pub(crate) fn compile_kernel_program(
         &mut self,
         fragment_source: &str,
+        prelude: &Arc<CheckedPrelude>,
     ) -> Result<ProgramRef, ComputeError> {
         let vs = geometry::passthrough_vertex_shader();
-        self.compile_program_cached(&vs, fragment_source)
+        self.compile_program_cached(&vs, fragment_source, Some(prelude))
     }
 
     /// Updates a *default* uniform declared at build time; alias of

@@ -8,7 +8,8 @@ use crate::context::ProgramRef;
 use crate::error::ComputeError;
 use crate::geometry;
 use gpes_gles2::TextureId;
-use gpes_glsl::Value;
+use gpes_glsl::{CheckedPrelude, ShaderKind, Value};
+use std::sync::{Arc, OnceLock};
 
 /// How the kernel's output domain is shaped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -345,10 +346,10 @@ impl KernelBuilder {
 
         let output_layout = shape.resolve(cc.max_texture_side())?;
 
-        let fragment_source = self.generate_fragment_source(cc, out_kind, &body);
+        let (fragment_source, prelude) = self.generate_fragment_source(cc, out_kind, &body);
         // The program cache makes this free when an identical shader was
         // already linked (same signature + body ⇒ same generated source).
-        let program = cc.compile_kernel_program(&fragment_source)?;
+        let program = cc.compile_kernel_program(&fragment_source, prelude)?;
         // Sampler/dims uniform names are dispatch-loop constants; build
         // them once here instead of `format!`-ing per dispatch.
         let input_uniform_names = self
@@ -373,7 +374,7 @@ impl KernelBuilder {
         cc: &crate::ComputeContext,
         out_kind: OutputKind,
         body: &str,
-    ) -> String {
+    ) -> (String, &'static Arc<CheckedPrelude>) {
         let inputs: Vec<(&str, InputEncoding)> = self
             .inputs
             .iter()
@@ -391,10 +392,41 @@ impl KernelBuilder {
     }
 }
 
+/// The fragment prelude every generated kernel begins with — the
+/// default float precision, the paper §IV codec library for `pack_bias`
+/// × `specials`, and `gpes_out_index` — strictly checked once per
+/// process, on first use of each of the six variants.
+///
+/// # Panics
+///
+/// If the generated prelude fails to check, which no variant does.
+pub fn codec_prelude(
+    pack_bias: crate::PackBias,
+    specials: crate::FloatSpecials,
+) -> &'static Arc<CheckedPrelude> {
+    static PRELUDES: [OnceLock<Arc<CheckedPrelude>>; 6] = [const { OnceLock::new() }; 6];
+    let bias = match pack_bias {
+        crate::PackBias::QuarterTexel => 0,
+        crate::PackBias::HalfTexel => 1,
+        crate::PackBias::PaperDelta => 2,
+    };
+    let flush = usize::from(specials == crate::FloatSpecials::Flush);
+    PRELUDES[2 * bias + flush].get_or_init(|| {
+        let mut text = String::from("precision highp float;\n");
+        text.push_str(&crate::codec::glsl_codec_library(pack_bias, specials));
+        text.push_str(addressing::glsl_out_index());
+        let prelude = CheckedPrelude::check(ShaderKind::Fragment, text)
+            .unwrap_or_else(|d| panic!("the codec prelude must check: {d}"));
+        Arc::new(prelude)
+    })
+}
+
 /// Generates a kernel's fragment shader from its signature alone — no
-/// live context needed. [`KernelBuilder::build`] routes through here, and
-/// so does the serving registry's admission path, so the source admission
-/// validates is byte-identical to the source a worker later compiles.
+/// live context needed — and reports the checked prelude it begins with
+/// ([`codec_prelude`]), so only the rest is checked per kernel.
+/// [`KernelBuilder::build`] routes through here, and so does the serving
+/// registry's admission path, so the source admission validates is
+/// byte-identical to the source a worker later compiles.
 pub(crate) fn generate_fragment_source(
     pack_bias: crate::PackBias,
     specials: crate::FloatSpecials,
@@ -403,11 +435,10 @@ pub(crate) fn generate_fragment_source(
     functions: &str,
     out_kind: OutputKind,
     body: &str,
-) -> String {
+) -> (String, &'static Arc<CheckedPrelude>) {
+    let prelude = codec_prelude(pack_bias, specials);
     let mut src = String::with_capacity(8192);
-    src.push_str("precision highp float;\n");
-    src.push_str(&crate::codec::glsl_codec_library(pack_bias, specials));
-    src.push_str(addressing::glsl_out_index());
+    src.push_str(prelude.text());
     for (name, encoding) in inputs {
         match encoding {
             InputEncoding::Scalar(scalar) => {
@@ -467,7 +498,7 @@ pub(crate) fn generate_fragment_source(
          \x20   gl_FragColor = {pack_expr};\n\
          }}\n"
     ));
-    src
+    (src, prelude)
 }
 
 pub(crate) fn is_valid_name(name: &str) -> bool {

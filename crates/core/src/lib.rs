@@ -60,7 +60,7 @@ pub use codec::{FloatSpecials, PackBias, ScalarType};
 pub use context::{ComputeContext, ContextStats, PROGRAM_CACHE_CAP};
 pub use error::{AdmissionStage, ComputeError, QuotaResource};
 pub use gpes_gles2::ExecMode;
-pub use kernel::{InputEncoding, Kernel, KernelBuilder, OutputKind, OutputShape};
+pub use kernel::{codec_prelude, InputEncoding, Kernel, KernelBuilder, OutputKind, OutputShape};
 pub use multi_output::{MultiOutputBuilder, MultiOutputKernel};
 pub use pipeline::{
     Pass, PassRecord, Pipeline, PipelineBuilder, PipelineRun, Readback, SourceSeed,

@@ -645,7 +645,7 @@ impl KernelRegistry {
             .iter()
             .map(|(name, scalar)| (name.as_str(), InputEncoding::Scalar(*scalar)))
             .collect();
-        let source = generate_fragment_source(
+        let (source, prelude) = generate_fragment_source(
             PackBias::default(),
             FloatSpecials::default(),
             &inputs,
@@ -655,8 +655,9 @@ impl KernelRegistry {
             &spec.body,
         );
         let admitted = match &self.cache {
-            Some(cache) => cache.admit(&source),
-            None => glsl_admission::admit(ShaderKind::Fragment, &source).map(Arc::new),
+            Some(cache) => cache.admit(&source, Some(prelude)),
+            None => glsl_admission::admit_after(Some(prelude), ShaderKind::Fragment, &source)
+                .map(Arc::new),
         };
         let shader = admitted.map_err(|diag| {
             let stage = match diag.stage {

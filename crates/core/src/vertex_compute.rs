@@ -170,7 +170,7 @@ impl VertexKernelBuilder {
         // Shared through the context's program cache: building the same
         // vertex kernel twice links one program. Uniform values are
         // applied at dispatch (they cannot live in a shared program).
-        let program = cc.compile_program_cached(&vs, &fs)?;
+        let program = cc.compile_program_cached(&vs, &fs, None)?;
 
         // Point positions: the NDC centre of each output texel.
         let mut positions = Vec::with_capacity(len * 2);

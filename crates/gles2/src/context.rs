@@ -13,9 +13,10 @@ use crate::raster::{
 };
 use crate::texture::{Filter, TexFormat, Texture, Wrap};
 use gpes_glsl::exec::{ExecLimits, FloatModel};
-use gpes_glsl::{Precision, ShaderKind, Value};
+use gpes_glsl::{CheckedPrelude, Precision, ShaderKind, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A software OpenGL ES 2.0 context.
 ///
@@ -513,8 +514,24 @@ impl Context {
     ///
     /// Compile or link diagnostics.
     pub fn create_program(&mut self, vs: &str, fs: &str) -> Result<ProgramId, GlError> {
+        self.create_program_after(None, vs, fs)
+    }
+
+    /// [`Context::create_program`], checking a fragment source that
+    /// begins with `fs_prelude`'s text after that prelude
+    /// ([`Program::link_with`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Context::create_program`].
+    pub fn create_program_after(
+        &mut self,
+        fs_prelude: Option<&Arc<CheckedPrelude>>,
+        vs: &str,
+        fs: &str,
+    ) -> Result<ProgramId, GlError> {
         self.fault_check(FaultSite::ProgramLink)?;
-        let program = Program::link_with(vs, fs, &self.limits, self.strict_shaders)?;
+        let program = Program::link_with(vs, fs, fs_prelude, &self.limits, self.strict_shaders)?;
         Ok(self.install_program(program))
     }
 

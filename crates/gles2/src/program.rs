@@ -2,7 +2,9 @@
 
 use crate::error::GlError;
 use crate::limits::Limits;
-use gpes_glsl::{compile, compile_strict, CompiledShader, Executable, ShaderKind, Type, Value};
+use gpes_glsl::{
+    compile_after, CheckedPrelude, CompiledShader, Executable, ShaderKind, Type, Value,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,11 +44,14 @@ impl Program {
     ///   written by the vertex shader, type conflicts, too many varying
     ///   vectors, uniform type conflicts between stages.
     pub fn link(vs_source: &str, fs_source: &str, limits: &Limits) -> Result<Program, GlError> {
-        Program::link_with(vs_source, fs_source, limits, false)
+        Program::link_with(vs_source, fs_source, None, limits, false)
     }
 
     /// Like [`Program::link`], with an optional GLSL ES Appendix A pass —
-    /// what a minimum-profile driver (e.g. VideoCore IV) enforces.
+    /// what a minimum-profile driver (e.g. VideoCore IV) enforces. A
+    /// fragment source that begins with `fs_prelude`'s text is checked
+    /// after that prelude ([`gpes_glsl::compile_after`]), with the same
+    /// result and errors.
     ///
     /// # Errors
     ///
@@ -54,12 +59,12 @@ impl Program {
     pub fn link_with(
         vs_source: &str,
         fs_source: &str,
+        fs_prelude: Option<&Arc<CheckedPrelude>>,
         limits: &Limits,
         strict: bool,
     ) -> Result<Program, GlError> {
-        let front_end = if strict { compile_strict } else { compile };
-        let vertex = front_end(ShaderKind::Vertex, vs_source)?;
-        let fragment = front_end(ShaderKind::Fragment, fs_source)?;
+        let vertex = compile_after(None, ShaderKind::Vertex, vs_source, strict)?;
+        let fragment = compile_after(fs_prelude, ShaderKind::Fragment, fs_source, strict)?;
         Program::link_checked(Arc::new(vertex), Arc::new(fragment), limits)
     }
 
@@ -74,6 +79,24 @@ impl Program {
     /// [`GlError::Link`] as [`Program::link`]; never [`GlError::Compile`].
     pub fn link_checked(
         vertex: Arc<CompiledShader>,
+        fragment: Arc<CompiledShader>,
+        limits: &Limits,
+    ) -> Result<Program, GlError> {
+        let vertex_exe = gpes_glsl::lower_shared(&vertex).ok();
+        Program::link_lowered(vertex, vertex_exe, fragment, limits)
+    }
+
+    /// [`Program::link_checked`] with the vertex stage already lowered
+    /// (`vertex_exe` is `vertex`'s bytecode, `None` when the lowerer
+    /// rejected it), so a caller linking many fragment shaders against
+    /// one vertex shader lowers it once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::link_checked`].
+    pub fn link_lowered(
+        vertex: Arc<CompiledShader>,
+        vertex_exe: Option<Arc<Executable>>,
         fragment: Arc<CompiledShader>,
         limits: &Limits,
     ) -> Result<Program, GlError> {
@@ -169,12 +192,11 @@ impl Program {
             });
         }
 
-        // Lower both stages to bytecode once per link — the analog of a
-        // driver compiling its internal representation at `glLinkProgram`
-        // instead of re-interpreting source per fragment. The handles are
-        // `Arc`s so a cloned (or cache-shared) `Program` reuses the same
-        // lowered code instead of re-lowering.
-        let vertex_exe = gpes_glsl::lower_shared(&vertex).ok();
+        // Lower the fragment stage to bytecode once per link — the analog
+        // of a driver compiling its internal representation at
+        // `glLinkProgram` instead of re-interpreting source per fragment.
+        // The handles are `Arc`s so a cloned (or cache-shared) `Program`
+        // reuses the same lowered code instead of re-lowering.
         let fragment_exe = gpes_glsl::lower_shared(&fragment).ok();
 
         Ok(Program {
@@ -297,6 +319,7 @@ fn varying_vector_cost(ty: &Type) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpes_glsl::compile;
 
     const VS: &str = "attribute vec2 a_pos;\nvarying vec2 v_uv;\n\
                       void main() { v_uv = a_pos; gl_Position = vec4(a_pos, 0.0, 1.0); }";

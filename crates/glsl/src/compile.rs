@@ -266,8 +266,8 @@ pub(crate) struct FuncDef {
 /// A checked shader lowered to slot-addressed bytecode, ready to be
 /// executed by [`crate::spmd::SpmdVm`]. Immutable and shareable across
 /// threads (each rasteriser band runs its own VM over the same
-/// `Executable`).
-#[derive(Debug, Clone)]
+/// `Executable`). Two lowerings of the same items compare equal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Executable {
     /// Stage.
     pub(crate) kind: ShaderKind,
@@ -466,7 +466,7 @@ impl<'a> Lowerer<'a> {
                 .insert(Name::from(name), self.globals.len() as u32);
             self.globals.push(ty);
         }
-        for item in &self.shader.unit.items {
+        for item in self.shader.items() {
             match item {
                 Item::Var(decl) => {
                     for var in &decl.vars {
@@ -521,7 +521,7 @@ impl<'a> Lowerer<'a> {
         // (and no AST cloning is needed).
         let shader = self.shader;
         let mut cc = ChunkCompiler::new(self, CompileCx::Init);
-        for item in &shader.unit.items {
+        for item in shader.items() {
             if let Item::Var(decl) = item {
                 for var in &decl.vars {
                     if let Some(init) = &var.init {

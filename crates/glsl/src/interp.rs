@@ -77,7 +77,7 @@ impl<'a> Interpreter<'a> {
         model: FloatModel,
     ) -> Result<Self, RuntimeError> {
         let mut functions: HashMap<&str, Vec<&Function>> = HashMap::new();
-        for item in &shader.unit.items {
+        for item in shader.items() {
             if let Item::Function(f) = item {
                 functions.entry(&f.name).or_default().push(f);
             }
@@ -117,7 +117,7 @@ impl<'a> Interpreter<'a> {
         // Copy the `&'a` shader reference out of `self` so the item walk
         // does not conflict with `eval`'s mutable borrow (no AST clone).
         let shader = self.shader;
-        for item in &shader.unit.items {
+        for item in shader.items() {
             if let Item::Var(decl) = item {
                 for var in &decl.vars {
                     let value = if let Some(init) = &var.init {

@@ -30,12 +30,24 @@ use std::collections::HashMap;
 /// Returns a [`CompileError`] for unknown characters, reserved operators or
 /// words, malformed numeric literals and unterminated block comments.
 pub fn tokenize(source: &str) -> Result<Vec<Token>, CompileError> {
-    Lexer::new(source).run()
+    tokenize_from(source, 0, 1)
+}
+
+/// Tokenises `source` as the part of a longer preprocessed source that
+/// starts at byte `start` on line `line`: spans count from there.
+pub(crate) fn tokenize_from(
+    source: &str,
+    start: u32,
+    line: u32,
+) -> Result<Vec<Token>, CompileError> {
+    Lexer::new(source, start, line).run()
 }
 
 struct Lexer<'s> {
     text: &'s str,
     src: &'s [u8],
+    /// Byte offset of `text` in the whole source, added to every span.
+    base: u32,
     pos: usize,
     line: u32,
     col: u32,
@@ -46,12 +58,13 @@ struct Lexer<'s> {
 }
 
 impl<'s> Lexer<'s> {
-    fn new(source: &'s str) -> Self {
+    fn new(source: &'s str, base: u32, line: u32) -> Self {
         Lexer {
             text: source,
             src: source.as_bytes(),
+            base,
             pos: 0,
-            line: 1,
+            line,
             col: 1,
             // Generated kernels average about four bytes per token.
             tokens: Vec::with_capacity(source.len() / 4 + 1),
@@ -80,11 +93,17 @@ impl<'s> Lexer<'s> {
     }
 
     fn here(&self) -> Span {
-        Span::new(self.pos as u32, self.pos as u32 + 1, self.line, self.col)
+        let at = self.base + self.pos as u32;
+        Span::new(at, at + 1, self.line, self.col)
     }
 
     fn span_from(&self, start: usize, line: u32, col: u32) -> Span {
-        Span::new(start as u32, self.pos as u32, line, col)
+        Span::new(
+            self.base + start as u32,
+            self.base + self.pos as u32,
+            line,
+            col,
+        )
     }
 
     fn push(&mut self, kind: TokenKind, span: Span) {

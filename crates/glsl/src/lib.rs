@@ -64,12 +64,13 @@ pub mod token;
 pub mod types;
 pub mod value;
 
-pub use admission::{admit, AdmissionDiagnostic, AdmissionStage};
+pub use admission::{admit, admit_after, AdmissionDiagnostic, AdmissionStage, CheckedPrelude};
 pub use compile::{lower, lower_shared, Executable, LowerError};
 pub use error::{CompileError, RuntimeError};
 pub use preprocessor::{preprocess, ExtensionBehavior, Preprocessed};
 pub use sema::{CompiledShader, ShaderInterface, ShaderKind};
 pub use spmd::{BatchError, SpmdVm, MAX_LANES};
+use std::sync::Arc;
 pub use strict::StrictProfile;
 pub use types::{Precision, Scalar, Type};
 pub use value::Value;
@@ -92,7 +93,7 @@ pub use value::Value;
 /// assert!(err.message.contains("reserved"));
 /// ```
 pub fn compile(kind: ShaderKind, source: &str) -> Result<CompiledShader, CompileError> {
-    admission::front_end(kind, source, false).map_err(|(_, err)| err)
+    compile_after(None, kind, source, false)
 }
 
 /// Compiles a shader and additionally enforces the GLSL ES 1.00
@@ -104,7 +105,24 @@ pub fn compile(kind: ShaderKind, source: &str) -> Result<CompiledShader, Compile
 /// All [`compile()`] errors, plus Appendix-A violations (`while` loops,
 /// non-constant loop bounds, loop-index mutation in the body, …).
 pub fn compile_strict(kind: ShaderKind, source: &str) -> Result<CompiledShader, CompileError> {
-    admission::front_end(kind, source, true).map_err(|(_, err)| err)
+    compile_after(None, kind, source, true)
+}
+
+/// [`compile()`] (or, when `strict`, [`compile_strict`]), checking only
+/// what follows `prelude`'s text when `source` begins with it and the
+/// prelude was checked for `kind` ([`CheckedPrelude`]). The shader and
+/// every error are those of checking the whole source.
+///
+/// # Errors
+///
+/// As [`compile()`] or [`compile_strict`].
+pub fn compile_after(
+    prelude: Option<&Arc<CheckedPrelude>>,
+    kind: ShaderKind,
+    source: &str,
+    strict: bool,
+) -> Result<CompiledShader, CompileError> {
+    admission::front_end(kind, prelude, source, strict).map_err(|(_, err)| err)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::ast::*;
 use crate::error::CompileError;
-use crate::lexer::tokenize;
+use crate::lexer::tokenize_from;
 use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
 use crate::types::{Precision, Type};
@@ -26,7 +26,17 @@ pub const MAX_NESTING: usize = 64;
 /// Returns the first lexical or syntactic error encountered, including
 /// nesting deeper than [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<TranslationUnit, CompileError> {
-    let tokens = tokenize(source)?;
+    parse_from(source, 0, 1)
+}
+
+/// Parses `source` as the part of a longer preprocessed source that
+/// starts at byte `start` on line `line`, after whole items.
+pub(crate) fn parse_from(
+    source: &str,
+    start: u32,
+    line: u32,
+) -> Result<TranslationUnit, CompileError> {
+    let tokens = tokenize_from(source, start, line)?;
     Parser::new(tokens).translation_unit()
 }
 

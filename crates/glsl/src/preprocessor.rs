@@ -84,18 +84,68 @@ const KNOWN_EXTENSIONS: &[&str] = &[
 /// unbalanced conditionals, `#error`, bad `#version` and `require` of an
 /// unknown extension.
 pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
-    let decommented = strip_comments(source);
-    let mut macros: HashMap<String, Macro> = HashMap::new();
-    let mut out = String::with_capacity(source.len());
-    let mut stack: Vec<CondFrame> = Vec::new();
-    let mut version: Option<u32> = None;
-    let mut extensions = Vec::new();
-    let mut warnings = Vec::new();
-    let mut emitted_code = false;
+    let mut state = State::default();
+    let source = state.run(source)?;
+    state.finish()?;
+    Ok(Preprocessed {
+        source,
+        version: state.version,
+        extensions: state.extensions,
+        warnings: state.warnings,
+    })
+}
 
-    for (line_no, line) in decommented.lines().enumerate() {
-        let line_no = line_no as u32 + 1;
+/// Where preprocessing has got to: the macros, open conditionals and
+/// lines read so far. Preprocessing a source in two runs over a prefix
+/// ending in a newline outside any comment, and then the rest, gives the
+/// same output, line numbers and diagnostics as one run over the whole.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct State {
+    macros: HashMap<String, Macro>,
+    stack: Vec<CondFrame>,
+    version: Option<u32>,
+    extensions: Vec<(String, ExtensionBehavior)>,
+    warnings: Vec<String>,
+    emitted_code: bool,
+    /// Lines read so far.
+    pub(crate) lines: u32,
+    /// Whether the last run ended inside an unterminated block comment.
+    pub(crate) in_comment: bool,
+}
+
+impl State {
+    /// Preprocesses the next piece of the source, numbering its lines on
+    /// from the ones already read, and returns its expansion.
+    pub(crate) fn run(&mut self, source: &str) -> Result<String, CompileError> {
+        let (decommented, in_comment) = strip_comments(source);
+        self.in_comment = in_comment;
+        let mut out = String::with_capacity(source.len());
+        let first_line = self.lines;
+        for (line_no, line) in decommented.lines().enumerate() {
+            let line_no = first_line + line_no as u32 + 1;
+            self.lines = line_no;
+            self.line(line, line_no, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// Ends the source: every conditional must be closed.
+    pub(crate) fn finish(&self) -> Result<(), CompileError> {
+        if self.stack.is_empty() {
+            Ok(())
+        } else {
+            Err(CompileError::preprocess(
+                "unterminated conditional (#if without #endif)",
+                Span::new(0, 0, self.lines, 1),
+            ))
+        }
+    }
+
+    /// Preprocesses one decommented line into `out`.
+    fn line(&mut self, line: &str, line_no: u32, out: &mut String) -> Result<(), CompileError> {
         let span = |col: u32| Span::new(0, 0, line_no, col);
+        let macros = &mut self.macros;
+        let stack = &mut self.stack;
         let active = stack.iter().all(|f| f.active);
         let trimmed = line.trim_start();
         if let Some(rest) = trimmed.strip_prefix('#') {
@@ -107,7 +157,7 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                 "" => {}
                 "version" => {
                     if active {
-                        if emitted_code || version.is_some() {
+                        if self.emitted_code || self.version.is_some() {
                             return Err(CompileError::preprocess(
                                 "#version must appear before anything else",
                                 span(1),
@@ -125,7 +175,7 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                                 span(1),
                             ));
                         }
-                        version = Some(v);
+                        self.version = Some(v);
                     }
                 }
                 "define" => {
@@ -157,7 +207,7 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                             span(1),
                         ));
                     }
-                    let defined = is_defined(&macros, name);
+                    let defined = is_defined(macros, name);
                     let cond = if directive == "ifdef" {
                         defined
                     } else {
@@ -171,7 +221,7 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                 }
                 "if" => {
                     let cond = if active {
-                        eval_condition(args, &macros, line_no)? != 0
+                        eval_condition(args, macros, line_no)? != 0
                     } else {
                         false
                     };
@@ -193,7 +243,7 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                     if frame.taken || !outer_active {
                         frame.active = false;
                     } else {
-                        let cond = eval_condition(args, &macros, line_no)? != 0;
+                        let cond = eval_condition(args, macros, line_no)? != 0;
                         frame.active = cond;
                         frame.taken = cond;
                     }
@@ -224,7 +274,8 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                 "pragma" => {
                     // Pragmas are implementation-defined; record and move on.
                     if active && !args.is_empty() {
-                        warnings.push(format!("line {line_no}: ignored #pragma {args}"));
+                        self.warnings
+                            .push(format!("line {line_no}: ignored #pragma {args}"));
                     }
                 }
                 "extension" => {
@@ -241,17 +292,18 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
                         if behavior == ExtensionBehavior::Enable
                             && !KNOWN_EXTENSIONS.contains(&name.as_str())
                         {
-                            warnings.push(format!(
+                            self.warnings.push(format!(
                                 "line {line_no}: extension `{name}` is not supported; ignored"
                             ));
                         }
-                        extensions.push((name, behavior));
+                        self.extensions.push((name, behavior));
                     }
                 }
                 "line" => {
                     // Accepted for conformance; spans are not remapped.
                     if active {
-                        warnings.push(format!("line {line_no}: #line accepted but not remapped"));
+                        self.warnings
+                            .push(format!("line {line_no}: #line accepted but not remapped"));
                     }
                 }
                 other => {
@@ -266,33 +318,21 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
             out.push('\n'); // keep line numbering
         } else if active {
             // A line naming no macro expands to itself: copy it through.
-            let expanded = if names_a_macro(line, &macros) {
-                Cow::Owned(expand_line(line, &macros, line_no)?)
+            let expanded = if names_a_macro(line, macros) {
+                Cow::Owned(expand_line(line, macros, line_no)?)
             } else {
                 Cow::Borrowed(line)
             };
             if !expanded.trim().is_empty() {
-                emitted_code = true;
+                self.emitted_code = true;
             }
             out.push_str(&expanded);
             out.push('\n');
         } else {
             out.push('\n');
         }
+        Ok(())
     }
-    if let Some(frame) = stack.last() {
-        let _ = frame;
-        return Err(CompileError::preprocess(
-            "unterminated conditional (#if without #endif)",
-            Span::new(0, 0, decommented.lines().count() as u32, 1),
-        ));
-    }
-    Ok(Preprocessed {
-        source: out,
-        version,
-        extensions,
-        warnings,
-    })
 }
 
 /// Replaces comments with spaces, preserving newlines (so line numbers in
@@ -302,12 +342,15 @@ pub fn preprocess(source: &str) -> Result<Preprocessed, CompileError> {
 /// the newlines it spans (an unterminated one runs to the end of the
 /// source, its last character unexamined). Every delimiter is ASCII, so
 /// the text between comments is found by byte search and copied whole.
-fn strip_comments(source: &str) -> String {
+/// Also says whether the source ended inside an unterminated block
+/// comment.
+fn strip_comments(source: &str) -> (String, bool) {
     let bytes = source.as_bytes();
     let mut out = String::with_capacity(source.len());
     // Start of the text not yet copied.
     let mut copied = 0;
     let mut i = 0;
+    let mut open = false;
     while let Some(n) = source[i..].find('/') {
         i += n;
         match bytes.get(i + 1) {
@@ -321,7 +364,10 @@ fn strip_comments(source: &str) -> String {
                 let body = i + 2;
                 let (end, next) = match source[body..].find("*/") {
                     Some(n) => (body + n, body + n + 2),
-                    None => (body.max(bytes.len() - 1), bytes.len()),
+                    None => {
+                        open = true;
+                        (body.max(bytes.len() - 1), bytes.len())
+                    }
                 };
                 let lines = bytes[body..end].iter().filter(|&&b| b == b'\n').count();
                 out.extend(std::iter::repeat_n('\n', lines));
@@ -335,7 +381,7 @@ fn strip_comments(source: &str) -> String {
         copied = i;
     }
     out.push_str(&source[copied..]);
-    out
+    (out, open)
 }
 
 /// Whether expanding `line` could change it: it names a defined macro
@@ -1086,7 +1132,7 @@ mod tests {
             ("a/*x\n", "a "),
             ("a/*", "a "),
         ] {
-            assert_eq!(strip_comments(src), stripped, "{src:?}");
+            assert_eq!(strip_comments(src).0, stripped, "{src:?}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Semantic analysis: symbol resolution, type checking and shader-interface
 //! extraction for the GLSL ES 1.00 subset.
 
+use crate::admission::CheckedPrelude;
 use crate::ast::*;
 use crate::builtins;
 use crate::compile::builtin_globals;
@@ -9,6 +10,7 @@ use crate::span::Span;
 use crate::swizzle::{swizzle_indices, writable};
 use crate::types::{Scalar, Type};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which pipeline stage a shader targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,14 +22,34 @@ pub enum ShaderKind {
 }
 
 /// A successfully checked shader, ready for interpretation or linking.
+///
+/// A shader whose source began with a [`CheckedPrelude`]'s text shares
+/// that prelude's items instead of owning a copy: its items are the
+/// prelude's followed by `unit`'s ([`CompiledShader::items`]).
 #[derive(Debug, Clone)]
 pub struct CompiledShader {
     /// Stage.
     pub kind: ShaderKind,
-    /// The checked syntax tree.
+    /// The checked prelude the source began with, if it was checked
+    /// after one.
+    pub prelude: Option<Arc<CheckedPrelude>>,
+    /// The checked syntax tree of the source after the prelude (of all
+    /// of it when there is none).
     pub unit: TranslationUnit,
-    /// Externally visible variables.
+    /// Externally visible variables, the prelude's first.
     pub interface: ShaderInterface,
+}
+
+impl CompiledShader {
+    /// Every item of the shader in source order: the prelude's, then
+    /// `unit`'s.
+    pub fn items(&self) -> impl Iterator<Item = &Item> {
+        let prelude = self
+            .prelude
+            .as_deref()
+            .map_or(&[][..], |p| &p.unit.items[..]);
+        prelude.iter().chain(&self.unit.items)
+    }
 }
 
 /// Uniforms, attributes and varyings declared by a shader.
@@ -76,17 +98,48 @@ impl ShaderInterface {
 /// default float precision in fragment shaders, writes to read-only
 /// builtins, `discard` outside fragment shaders, and so on.
 pub fn check(kind: ShaderKind, unit: TranslationUnit) -> Result<CompiledShader, CompileError> {
+    check_after(kind, None, unit)
+}
+
+/// [`check`] of the part of a source after `prelude`, from where checking
+/// the prelude left off: its globals, interface, function signatures and
+/// float precision default. A prelude checks alone, so what it declares
+/// cannot depend on what follows, and `unit` meets the same checks, in
+/// the same order, as it would after the prelude's items in one unit.
+pub(crate) fn check_after(
+    kind: ShaderKind,
+    prelude: Option<Arc<CheckedPrelude>>,
+    unit: TranslationUnit,
+) -> Result<CompiledShader, CompileError> {
     let interface = {
         let mut checker = Checker::new(kind);
+        if let Some(prelude) = &prelude {
+            checker.resume(prelude);
+        }
         checker.collect_functions(&unit)?;
-        checker.check_unit(&unit)?;
+        checker.check_items(&unit)?;
+        checker.require_main()?;
         checker.interface
     };
     Ok(CompiledShader {
         kind,
+        prelude,
         unit,
         interface,
     })
+}
+
+/// Checks `unit` as the start of a shader: every check of [`check`] but
+/// the one for `main`. Returns the interface it declares and whether a
+/// float precision default holds at its end.
+pub(crate) fn check_prelude(
+    kind: ShaderKind,
+    unit: &TranslationUnit,
+) -> Result<(ShaderInterface, bool), CompileError> {
+    let mut checker = Checker::new(kind);
+    checker.collect_functions(unit)?;
+    checker.check_items(unit)?;
+    Ok((checker.interface, checker.has_float_precision_default))
 }
 
 /// A variable in scope. Names borrow from the checked unit (or are the
@@ -216,7 +269,28 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn check_unit(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
+    /// Takes up where checking `prelude` left off: its functions and
+    /// globals declared, its interface and float precision default.
+    fn resume(&mut self, prelude: &'a CheckedPrelude) {
+        self.collect_functions(&prelude.unit)
+            .expect("a checked prelude's functions collect");
+        for item in &prelude.unit.items {
+            if let Item::Var(decl) = item {
+                let mutable = self.global_mutable(decl.storage);
+                for var in &decl.vars {
+                    self.syms.push(Sym {
+                        name: &var.name,
+                        ty: var.ty.clone(),
+                        mutable,
+                    });
+                }
+            }
+        }
+        self.interface = prelude.interface.clone();
+        self.has_float_precision_default = prelude.float_default;
+    }
+
+    fn check_items(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
         for item in &unit.items {
             match item {
                 Item::Precision(p) => {
@@ -229,6 +303,10 @@ impl<'a> Checker<'a> {
                 Item::Function(f) => self.check_function(f)?,
             }
         }
+        Ok(())
+    }
+
+    fn require_main(&self) -> Result<(), CompileError> {
         match self.functions.get("main") {
             Some(sigs)
                 if sigs
@@ -338,14 +416,7 @@ impl<'a> Checker<'a> {
                     }
                 }
             }
-            // Mutability: uniforms/attributes/consts are read-only
-            // everywhere; varyings are writable in the vertex stage and
-            // read-only in the fragment stage.
-            let mutable = match decl.storage {
-                Storage::None => true,
-                Storage::Varying => self.kind == ShaderKind::Vertex,
-                _ => false,
-            };
+            let mutable = self.global_mutable(decl.storage);
             if var.ty.scalar() == Some(Scalar::Float)
                 || var.ty.is_matrix()
                 || matches!(&var.ty, Type::Array(t, _) if t.scalar() == Some(Scalar::Float))
@@ -362,6 +433,17 @@ impl<'a> Checker<'a> {
             )?;
         }
         Ok(())
+    }
+
+    /// Whether a global of `storage` is writable: uniforms, attributes
+    /// and consts are read-only everywhere; varyings are writable in the
+    /// vertex stage and read-only in the fragment stage.
+    fn global_mutable(&self, storage: Storage) -> bool {
+        match storage {
+            Storage::None => true,
+            Storage::Varying => self.kind == ShaderKind::Vertex,
+            _ => false,
+        }
     }
 
     fn require_float_precision(&self, span: Span) -> Result<(), CompileError> {

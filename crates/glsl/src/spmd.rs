@@ -12,9 +12,11 @@
 //! explicit call-frame stack) is shared by every lane in the current
 //! execution *context*, so instruction decode is paid once per batch and
 //! the per-lane work for the common instructions is a tight loop over a
-//! small typed array instead of eight tagged-enum manipulations.
+//! small typed array instead of eight tagged-enum manipulations. A
+//! sampler slot holds its lanes' texture units, which `texture2D` reads
+//! in place.
 //!
-//! Slots whose lanes cannot be represented uniformly (samplers, arrays,
+//! Slots whose lanes cannot be represented uniformly (arrays,
 //! matrices, bvecs, or a masked write that changes a slot's type under
 //! the ownership rule below) degrade to `Slot::Boxed`, a boxed
 //! `[Value; 8]` that preserves exact per-lane values; every instruction
@@ -224,9 +226,10 @@ macro_rules! for_lanes {
 
 /// A struct-of-arrays lane register: one stack/locals/global slot's
 /// value for every lane. Typed variants keep the common scalar and
-/// small-vector cases unboxed and contiguous; [`Slot::Boxed`] is the
-/// exact fallback for every other value shape (and for slots whose
-/// lanes diverge in type under masked writes).
+/// small-vector cases unboxed and contiguous, and `S` a sampler's
+/// texture units; [`Slot::Boxed`] is the exact fallback for every other
+/// value shape (and for slots whose lanes diverge in type under masked
+/// writes).
 enum Slot {
     F([f32; MAX_LANES]),
     I([i32; MAX_LANES]),
@@ -234,6 +237,7 @@ enum Slot {
     V2([[f32; 2]; MAX_LANES]),
     V3([[f32; 3]; MAX_LANES]),
     V4([[f32; 4]; MAX_LANES]),
+    S([u32; MAX_LANES]),
     Boxed(Box<[Value; MAX_LANES]>),
 }
 
@@ -246,6 +250,7 @@ impl Clone for Slot {
             Slot::V2(x) => Slot::V2(*x),
             Slot::V3(x) => Slot::V3(*x),
             Slot::V4(x) => Slot::V4(*x),
+            Slot::S(x) => Slot::S(*x),
             Slot::Boxed(b) => Slot::Boxed(b.clone()),
         }
     }
@@ -262,6 +267,7 @@ impl Clone for Slot {
             (Slot::V2(d), Slot::V2(s)) => *d = *s,
             (Slot::V3(d), Slot::V3(s)) => *d = *s,
             (Slot::V4(d), Slot::V4(s)) => *d = *s,
+            (Slot::S(d), Slot::S(s)) => *d = *s,
             (Slot::Boxed(d), Slot::Boxed(s)) => d.clone_from(s),
             // Re-typed: build the variant in place.
             (d, Slot::F(x)) => *d = Slot::F(*x),
@@ -270,6 +276,7 @@ impl Clone for Slot {
             (d, Slot::V2(x)) => *d = Slot::V2(*x),
             (d, Slot::V3(x)) => *d = Slot::V3(*x),
             (d, Slot::V4(x)) => *d = Slot::V4(*x),
+            (d, Slot::S(x)) => *d = Slot::S(*x),
             (d, Slot::Boxed(b)) => *d = Slot::Boxed(b.clone()),
         }
     }
@@ -308,6 +315,7 @@ impl Slot {
             Value::Vec2(x) => Slot::V2([*x; MAX_LANES]),
             Value::Vec3(x) => Slot::V3([*x; MAX_LANES]),
             Value::Vec4(x) => Slot::V4([*x; MAX_LANES]),
+            Value::Sampler(x) => Slot::S([*x; MAX_LANES]),
             other => Slot::Boxed(Box::new(std::array::from_fn(|_| other.clone()))),
         }
     }
@@ -321,6 +329,7 @@ impl Slot {
             Slot::V2(x) => Value::Vec2(x[lane]),
             Slot::V3(x) => Value::Vec3(x[lane]),
             Slot::V4(x) => Value::Vec4(x[lane]),
+            Slot::S(x) => Value::Sampler(x[lane]),
             Slot::Boxed(b) => b[lane].clone(),
         }
     }
@@ -334,7 +343,8 @@ impl Slot {
             | (Slot::B(_), Value::Bool(_))
             | (Slot::V2(_), Value::Vec2(_))
             | (Slot::V3(_), Value::Vec3(_))
-            | (Slot::V4(_), Value::Vec4(_)) => true,
+            | (Slot::V4(_), Value::Vec4(_))
+            | (Slot::S(_), Value::Sampler(_)) => true,
             (Slot::Boxed(_), v) => !matches!(
                 v,
                 Value::Float(_)
@@ -343,6 +353,7 @@ impl Slot {
                     | Value::Vec2(_)
                     | Value::Vec3(_)
                     | Value::Vec4(_)
+                    | Value::Sampler(_)
             ),
             _ => false,
         }
@@ -369,6 +380,7 @@ impl Slot {
             (Slot::V2(x), Value::Vec2(v)) => x[lane] = v,
             (Slot::V3(x), Value::Vec3(v)) => x[lane] = v,
             (Slot::V4(x), Value::Vec4(v)) => x[lane] = v,
+            (Slot::S(x), Value::Sampler(v)) => x[lane] = v,
             (Slot::Boxed(b), v) => b[lane] = v,
             (slot, v) => {
                 slot.boxify();
@@ -404,6 +416,7 @@ impl Slot {
             (Slot::V2(d), Slot::V2(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::V3(d), Slot::V3(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::V4(d), Slot::V4(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
+            (Slot::S(d), Slot::S(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::Boxed(d), Slot::Boxed(s)) => for_lanes!(mask, l => { d[l] = s[l].clone(); }),
             (dst, src) => for_lanes!(mask, l => { dst.set(l, src.get(l)); }),
         }
@@ -957,20 +970,12 @@ impl<'a> SpmdVm<'a> {
             // texture2D(sampler, vec2): one fetch per lane.
             if id == B::Texture2D {
                 let (sampler, coord) = (&self.stack[s], &self.stack[s + 1]);
-                let (Slot::Boxed(units), Slot::V2(coords)) = (sampler, coord) else {
+                let (Slot::S(units), Slot::V2(coords)) = (sampler, coord) else {
                     return false;
                 };
-                let mut ok = true;
-                for_lanes!(mask, l => {
-                    ok &= matches!(units[l], Value::Sampler(_));
-                });
-                if !ok {
-                    return false;
-                }
                 let mut out = [[0.0f32; 4]; MAX_LANES];
                 for_lanes!(mask, l => {
-                    let Value::Sampler(unit) = units[l] else { unreachable!() };
-                    out[l] = self.textures.sample(unit, coords[l]);
+                    out[l] = self.textures.sample(units[l], coords[l]);
                 });
                 self.profile.tex_fetches += lane_count(mask);
                 self.write_vec_result(s, 4, &out, mask, owned);
