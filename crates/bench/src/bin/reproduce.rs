@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p gpes-bench --bin reproduce -- [SECTION ...|all] [--json PATH]
+//! cargo run --release -p gpes-bench --bin reproduce -- [SECTION ...|all] [--json PATH] [--repeat K]
 //! cargo run --release -p gpes-bench --bin reproduce -- --diff FRESH.json [BASE.json]
 //! ```
 //!
@@ -12,14 +12,20 @@
 //! contracts in their report's `violations()`; any violation is printed
 //! and the run exits 1 (2 on an unknown section). `--json PATH` writes a
 //! `gpes-bench/1` document with host info, per-section timing, every
-//! record and every violation.
+//! record and every violation (of the first run under `--repeat`).
+//!
+//! `--repeat K` runs the named sections K times and exits 1 if any exact
+//! field differs between runs, printing the record key, the field and
+//! each run's value: an exact field must read the same on every run of
+//! the same code for `--diff` to mean anything.
 //!
 //! `--diff` prints the markdown `record::diff` of two such documents;
 //! BASE defaults to the newest `BENCH_<n>.json` in the working directory
 //! whose schema is `gpes-bench/1`. It exits 0 whatever drifted.
 
 use gpes_bench::record::{
-    diff, document, read_document, Document, ReadError, Record, Report, SectionRun, Value,
+    diff, document, read_document, unrepeated, Document, ReadError, Record, Report, SectionRun,
+    Value,
 };
 use gpes_bench::{ablations, e1, e2, figures};
 use std::error::Error;
@@ -322,7 +328,8 @@ const SECTIONS: [(&str, Run); 19] = [
 fn usage(problem: &str) -> ! {
     let names: Vec<_> = SECTIONS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "{problem}; usage: reproduce [SECTION ...] [--json PATH] with SECTION one of {}|all, \
+        "{problem}; usage: reproduce [SECTION ...] [--json PATH] [--repeat K] with SECTION one \
+         of {}|all, \
          or reproduce --diff FRESH.json [BASE.json]",
         names.join("|")
     );
@@ -395,6 +402,7 @@ fn run_diff(fresh: &str, base: Option<&str>) -> Result<(), Box<dyn Error>> {
 
 fn main() -> Result<(), Box<dyn Error>> {
     let mut json = None;
+    let mut repeats = 1;
     let mut wanted = Vec::new();
     let mut args = std::env::args().skip(1);
     let first = args.next();
@@ -410,6 +418,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = Some(args.next().unwrap_or_else(|| usage("--json needs a PATH"))),
+            "--repeat" => {
+                let k = args.next().and_then(|k| k.parse::<usize>().ok());
+                repeats = k
+                    .filter(|&k| k > 0)
+                    .unwrap_or_else(|| usage("--repeat needs K > 0"));
+            }
             "a2" => wanted.push("a1"),
             "all" => wanted.extend(SECTIONS.map(|(name, _)| name)),
             name => match SECTIONS.iter().find(|(n, _)| *n == name) {
@@ -419,30 +433,58 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
     }
 
-    // Sections run once each, in `all` order; none named means all.
-    let mut runs = Vec::new();
-    for (name, run) in SECTIONS {
-        if !wanted.is_empty() && !wanted.contains(&name) {
-            continue;
+    // Sections run once each per repeat, in `all` order; none named
+    // means all.
+    let mut rounds = Vec::new();
+    for round in 1..=repeats {
+        if repeats > 1 {
+            println!("\n######## run {round} of {repeats} ########");
         }
-        let start = Instant::now();
-        let (records, violations) = run()?;
-        runs.push(SectionRun {
-            name: name.to_owned(),
-            host_seconds: start.elapsed().as_secs_f64(),
-            records,
-            violations,
-        });
+        let mut runs = Vec::new();
+        for (name, run) in SECTIONS {
+            if !wanted.is_empty() && !wanted.contains(&name) {
+                continue;
+            }
+            let start = Instant::now();
+            let (records, violations) = run()?;
+            runs.push(SectionRun {
+                name: name.to_owned(),
+                host_seconds: start.elapsed().as_secs_f64(),
+                records,
+                violations,
+            });
+        }
+        rounds.push(runs);
     }
     if let Some(path) = json {
-        std::fs::write(path, document(&host(), &runs))?;
+        std::fs::write(path, document(&host(), &rounds[0]))?;
     }
-    let violations: Vec<&String> = runs.iter().flat_map(|r| &r.violations).collect();
+    let records: Vec<Vec<Record>> = rounds
+        .iter()
+        .map(|runs| runs.iter().flat_map(|r| r.records.clone()).collect())
+        .collect();
+    let moved = unrepeated(&records);
+    if !moved.is_empty() {
+        eprintln!(
+            "\n{} exact field(s) differ across {repeats} runs:",
+            moved.len()
+        );
+        for line in &moved {
+            eprintln!("  - {line}");
+        }
+    }
+    let violations: Vec<&String> = rounds
+        .iter()
+        .flatten()
+        .flat_map(|r| &r.violations)
+        .collect();
     if !violations.is_empty() {
         eprintln!("\n{} contract violation(s):", violations.len());
-        for violation in violations {
+        for violation in &violations {
             eprintln!("  - {violation}");
         }
+    }
+    if !moved.is_empty() || !violations.is_empty() {
         std::process::exit(1);
     }
     Ok(())

@@ -588,6 +588,41 @@ pub fn diff(fresh: &Document, base: Option<(&str, &Document)>) -> String {
     )
 }
 
+/// Every exact field that differs between repeated runs of the same
+/// sections, one line each: the record's section and key, the field, and
+/// its value in each run (`no row` where a run lacks the record). Records
+/// match by section and key fields, as in [`diff`]. Empty when every
+/// exact field repeated.
+pub fn unrepeated(runs: &[Vec<Record>]) -> Vec<String> {
+    let mut rows: Vec<(String, Vec<(String, String)>)> = Vec::new();
+    for record in runs.iter().flatten() {
+        if !rows.contains(&ident(record)) {
+            rows.push(ident(record));
+        }
+    }
+    let mut lines = Vec::new();
+    for row in &rows {
+        let found: Vec<Option<&Record>> = runs
+            .iter()
+            .map(|run| run.iter().find(|r| ident(r) == *row))
+            .collect();
+        let exact = found.iter().flatten().flat_map(|r| r.group(Kind::Exact));
+        let names: BTreeSet<&str> = exact.map(|f| f.0).collect();
+        for name in names {
+            let values: Vec<String> = found
+                .iter()
+                .map(|r| r.map_or_else(|| "no row".to_owned(), |r| spell(r.get(Kind::Exact, name))))
+                .collect();
+            if values.iter().any(|v| *v != values[0]) {
+                let key = found.iter().flatten().next().map(|r| key_cell(r));
+                let (section, key) = (&row.0, key.unwrap_or_default());
+                lines.push(format!("{section} {key}: {name} = {}", values.join(", ")));
+            }
+        }
+    }
+    lines
+}
+
 /// A record's identity: its section and sorted key fields.
 fn ident(record: &Record) -> (String, Vec<(String, String)>) {
     let mut key: Vec<_> = record
@@ -644,6 +679,35 @@ mod tests {
             .advisory("nan", f64::NAN)
             .advisory("inf", f64::INFINITY)
             .advisory("x", 0.05)
+    }
+
+    #[test]
+    fn unrepeated_names_each_exact_field_that_moved_with_every_value() {
+        let row = |jobs: u64, ms: f64| {
+            Record::new("a14")
+                .key("tenant", "alpha")
+                .exact("jobs", jobs)
+                .exact("links", 1u64)
+                .advisory("ms", ms)
+        };
+        let other = Record::new("a14").key("tenant", "beta").exact("jobs", 8u64);
+        let same = vec![
+            vec![row(32, 1.0), other.clone()],
+            vec![row(32, 2.0), other.clone()],
+        ];
+        assert!(unrepeated(&same).is_empty(), "advisory fields may move");
+        let moved = vec![
+            vec![row(32, 1.0), other.clone()],
+            vec![row(36, 1.0), other.clone()],
+            vec![row(32, 1.0)],
+        ];
+        assert_eq!(
+            unrepeated(&moved),
+            vec![
+                "a14 tenant=alpha: jobs = 32, 36, 32".to_owned(),
+                "a14 tenant=beta: jobs = 8, 8, no row".to_owned(),
+            ]
+        );
     }
 
     #[test]

@@ -79,12 +79,12 @@ where
     for (chunk_no, chunk) in data.chunks(chunk_elems).enumerate() {
         let base = chunk_no * chunk_elems;
         let arr = cc.upload(chunk)?;
+        let _held = cc.own(arr.texture);
         // The builder runs per chunk, but identical generated sources hit
         // the context's program cache: one link serves every chunk.
         let kernel = build(cc, &arr, base)?;
         let mut part: Vec<T> = cc.run_and_read(&kernel)?;
         out.append(&mut part);
-        cc.recycle_array(arr);
     }
     Ok(out)
 }
@@ -126,12 +126,12 @@ where
     for (chunk_no, (ca, cb)) in a.chunks(chunk_elems).zip(b.chunks(chunk_elems)).enumerate() {
         let base = chunk_no * chunk_elems;
         let ga = cc.upload(ca)?;
+        let _held_a = cc.own(ga.texture);
         let gb = cc.upload(cb)?;
+        let _held_b = cc.own(gb.texture);
         let kernel = build(cc, &ga, &gb, base)?;
         let mut part: Vec<T> = cc.run_and_read(&kernel)?;
         out.append(&mut part);
-        cc.recycle_array(ga);
-        cc.recycle_array(gb);
     }
     Ok(out)
 }

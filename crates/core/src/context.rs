@@ -17,7 +17,7 @@ use gpes_gles2::{
 use gpes_glsl::exec::FloatModel;
 use gpes_glsl::{CheckedPrelude, Value};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Host-side object-churn counters for a [`ComputeContext`].
 ///
@@ -102,6 +102,43 @@ impl ContextStats {
 /// last kernel using it is dropped.
 pub(crate) type ProgramRef = Arc<ProgramId>;
 
+/// Textures whose [`OwnedTexture`] dropped, waiting for the issuing
+/// context's pool. Shared with the guards, so a context must stay `Send`.
+type Returns = Arc<Mutex<Vec<TextureId>>>;
+
+/// Core's hold on one texture its context issued: an upload, a draw
+/// target, a pipeline buffer or a worker's upload. Dropping the guard
+/// gives the texture back to that context's pool (through its return
+/// list, drained before the next acquire), so an error path needs no
+/// cleanup of its own; [`OwnedTexture::into_id`] hands it out instead.
+#[derive(Debug)]
+pub(crate) struct OwnedTexture {
+    id: TextureId,
+    /// `None` once handed out.
+    returns: Option<Returns>,
+}
+
+impl OwnedTexture {
+    pub(crate) fn id(&self) -> TextureId {
+        self.id
+    }
+
+    /// Hands the texture out of the guard: dropping it returns nothing.
+    pub(crate) fn into_id(mut self) -> TextureId {
+        self.returns = None;
+        self.id
+    }
+}
+
+impl Drop for OwnedTexture {
+    fn drop(&mut self) {
+        if let Some(returns) = &self.returns {
+            let mut returns = returns.lock().unwrap_or_else(PoisonError::into_inner);
+            returns.push(self.id);
+        }
+    }
+}
+
 /// A kernel's bindings after validation against its signature and merging
 /// with the build-time defaults: what one dispatch actually uses.
 pub(crate) struct ResolvedDispatch {
@@ -123,8 +160,9 @@ pub(crate) struct ResolvedDispatch {
 ///   identical kernel twice links one program. It holds at most
 ///   [`PROGRAM_CACHE_CAP`] programs; an evicted program is deleted once
 ///   no kernel refers to it any more;
-/// * a **render-target pool** — textures released with the `recycle_*`
-///   methods are reused by later render-to-texture dispatches of the same
+/// * a **texture pool** — textures released with the `recycle_*`
+///   methods, or by a dropped core texture guard, are reused by later
+///   uploads and render-to-texture dispatches of the same format and
 ///   dimensions.
 pub struct ComputeContext {
     gl: Context,
@@ -146,6 +184,7 @@ pub struct ComputeContext {
     target_pool: HashMap<(TexFormat, u32, u32), Vec<TextureId>>,
     /// Textures currently held across all pool buckets.
     pooled_textures: usize,
+    returns: Returns,
     stats: ContextStats,
 }
 
@@ -205,6 +244,7 @@ impl ComputeContext {
             shared_cache: None,
             target_pool: HashMap::new(),
             pooled_textures: 0,
+            returns: Returns::default(),
             stats: ContextStats::default(),
         })
     }
@@ -263,6 +303,7 @@ impl ComputeContext {
 
     /// Deletes every pooled render target.
     pub fn clear_target_pool(&mut self) {
+        self.reclaim();
         for (_, textures) in self.target_pool.drain() {
             for id in textures {
                 self.gl.delete_texture(id);
@@ -392,23 +433,28 @@ impl ComputeContext {
     ) -> Result<TextureId, ComputeError> {
         self.note_host_transfer(T::SCALAR);
         let texels = T::encode_texels(data, layout.texel_count());
-        let texture = self.alloc_texture(T::tex_format(), layout.width, layout.height);
-        let set_up = (|| -> Result<(), gpes_gles2::GlError> {
-            let (width, height) = (layout.width, layout.height);
-            self.gl
-                .tex_image_2d(texture, T::tex_format(), width, height, &texels)?;
-            self.gl
-                .set_texture_filter(texture, Filter::Nearest, Filter::Nearest)?;
-            self.gl
-                .set_texture_wrap(texture, Wrap::ClampToEdge, Wrap::ClampToEdge)
-        })();
-        if let Err(e) = set_up {
-            // Back to the pool: a texture the failed image left without
-            // storage goes to the blank bucket `blank_texture` draws on.
-            self.recycle_texture(texture);
-            return Err(e.into());
-        }
-        Ok(texture)
+        self.image_texture(T::tex_format(), layout, &texels)
+    }
+
+    /// The one upload sequence: a texture of `layout`'s size imaged with
+    /// `bytes`, nearest-filtered and clamped. On error the guard gives
+    /// the texture back (one the failed image left without storage goes
+    /// to the blank bucket `blank_texture` draws on).
+    fn image_texture(
+        &mut self,
+        format: TexFormat,
+        layout: ArrayLayout,
+        bytes: &[u8],
+    ) -> Result<TextureId, ComputeError> {
+        let (texture, _) = self.alloc_texture(format, layout);
+        let (width, height) = (layout.width, layout.height);
+        self.gl
+            .tex_image_2d(texture.id(), format, width, height, bytes)?;
+        self.gl
+            .set_texture_filter(texture.id(), Filter::Nearest, Filter::Nearest)?;
+        self.gl
+            .set_texture_wrap(texture.id(), Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+        Ok(texture.into_id())
     }
 
     /// Frees the texture behind an array.
@@ -520,13 +566,7 @@ impl ComputeContext {
             )));
         }
         let layout = ArrayLayout::grid(height, width, self.max_texture_side())?;
-        let texture = self.alloc_texture(TexFormat::Rgba8, width, height);
-        self.gl
-            .tex_image_2d(texture, TexFormat::Rgba8, width, height, bytes)?;
-        self.gl
-            .set_texture_filter(texture, Filter::Nearest, Filter::Nearest)?;
-        self.gl
-            .set_texture_wrap(texture, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+        let texture = self.image_texture(TexFormat::Rgba8, layout, bytes)?;
         Ok(GpuTexels::new(texture, layout))
     }
 
@@ -537,23 +577,9 @@ impl ComputeContext {
     /// Layout or GL errors (e.g. more texels than the texture limit).
     pub fn upload_texels_linear(&mut self, texels: &[[u8; 4]]) -> Result<GpuTexels, ComputeError> {
         let layout = ArrayLayout::for_len(texels.len(), self.max_texture_side())?;
-        let mut bytes = Vec::with_capacity(layout.texel_count() * 4);
-        for t in texels {
-            bytes.extend_from_slice(t);
-        }
+        let mut bytes = texels.concat();
         bytes.resize(layout.texel_count() * 4, 0);
-        let texture = self.alloc_texture(TexFormat::Rgba8, layout.width, layout.height);
-        self.gl.tex_image_2d(
-            texture,
-            TexFormat::Rgba8,
-            layout.width,
-            layout.height,
-            &bytes,
-        )?;
-        self.gl
-            .set_texture_filter(texture, Filter::Nearest, Filter::Nearest)?;
-        self.gl
-            .set_texture_wrap(texture, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+        let texture = self.image_texture(TexFormat::Rgba8, layout, &bytes)?;
         Ok(GpuTexels::new(texture, layout))
     }
 
@@ -764,12 +790,33 @@ impl ComputeContext {
         None
     }
 
-    /// A texture object for `width × height` texels of `format`:
-    /// recycled when the pool has one (the caller re-images or overdraws
-    /// it), blank otherwise.
-    fn alloc_texture(&mut self, format: TexFormat, width: u32, height: u32) -> TextureId {
-        self.pooled_texture(format, width, height)
-            .unwrap_or_else(|| self.blank_texture())
+    /// Holds `id`, a texture this context issued, in a guard that gives
+    /// it back to this context's pool when dropped.
+    pub(crate) fn own(&self, id: TextureId) -> OwnedTexture {
+        OwnedTexture {
+            id,
+            returns: Some(Arc::clone(&self.returns)),
+        }
+    }
+
+    /// Puts every texture whose guard dropped back into the pool, as an
+    /// explicit `recycle_*` would have.
+    pub(crate) fn reclaim(&mut self) {
+        let returns = Arc::clone(&self.returns);
+        let mut returned = returns.lock().unwrap_or_else(PoisonError::into_inner);
+        for id in returned.drain(..) {
+            self.recycle_texture(id);
+        }
+    }
+
+    /// A guarded texture object for `layout`'s texels of `format`, after
+    /// reclaiming dropped guards: recycled when the pool has one (`true`;
+    /// the caller re-images or overdraws it), blank otherwise.
+    fn alloc_texture(&mut self, format: TexFormat, layout: ArrayLayout) -> (OwnedTexture, bool) {
+        self.reclaim();
+        let pooled = self.pooled_texture(format, layout.width, layout.height);
+        let id = pooled.unwrap_or_else(|| self.blank_texture());
+        (self.own(id), pooled.is_some())
     }
 
     /// A texture object without storage: one a failed upload gave back
@@ -785,54 +832,47 @@ impl ComputeContext {
     /// Acquires an RGBA8 render target shaped like `layout` — from the
     /// recycling pool when possible — attaches it to the scratch FBO and
     /// leaves that FBO bound. Returns the texture and whether it was
-    /// pooled. A target that fails to set up is deleted.
+    /// pooled.
     fn acquire_render_target(
         &mut self,
         layout: ArrayLayout,
-    ) -> Result<(TextureId, bool), ComputeError> {
+    ) -> Result<(OwnedTexture, bool), ComputeError> {
         // Pooled textures are always RGBA8 with storage in place; kernel
         // dispatches draw a full-coverage quad that overwrites every
         // texel, so no clear is needed (callers driving scissored draws
         // through the raw `gl()` hatch must clear themselves). Sampler
         // parameters are re-asserted in case the caller changed them on
         // the recycled texture.
-        let pooled = self.pooled_texture(TexFormat::Rgba8, layout.width, layout.height);
-        let target = pooled.unwrap_or_else(|| self.blank_texture());
-        let set_up = (|| -> Result<(), gpes_gles2::GlError> {
-            if pooled.is_none() {
-                self.gl
-                    .tex_storage(target, TexFormat::Rgba8, layout.width, layout.height)?;
-            }
+        let (target, pooled) = self.alloc_texture(TexFormat::Rgba8, layout);
+        if !pooled {
             self.gl
-                .set_texture_filter(target, Filter::Nearest, Filter::Nearest)?;
-            self.gl
-                .set_texture_wrap(target, Wrap::ClampToEdge, Wrap::ClampToEdge)?;
-            self.gl.framebuffer_texture(self.scratch_fbo, target)?;
-            self.gl.bind_framebuffer(Some(self.scratch_fbo))
-        })();
-        if let Err(e) = set_up {
-            self.gl.delete_texture(target);
-            return Err(e.into());
+                .tex_storage(target.id(), TexFormat::Rgba8, layout.width, layout.height)?;
         }
-        Ok((target, pooled.is_some()))
+        self.gl
+            .set_texture_filter(target.id(), Filter::Nearest, Filter::Nearest)?;
+        self.gl
+            .set_texture_wrap(target.id(), Wrap::ClampToEdge, Wrap::ClampToEdge)?;
+        self.gl.framebuffer_texture(self.scratch_fbo, target.id())?;
+        self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
+        Ok((target, pooled))
     }
 
     /// Renders one pass into a texture and returns it: into `target`
-    /// when given (the pipeline's in-place fast path; the caller owns
-    /// it), else into a render target acquired from the pool. `draw`
-    /// issues the draw with the scratch FBO bound and learns whether the
-    /// target was reused. The FBO is always unbound afterwards, and a
-    /// failed draw hands an acquired target back to the pool, so no error
-    /// path leaks a texture.
+    /// when given (the pipeline's in-place fast path), else into a render
+    /// target acquired from the pool. `draw` issues the draw with the
+    /// scratch FBO bound and learns whether the target was reused. The
+    /// FBO is always unbound afterwards; on error the guard gives the
+    /// target back.
     pub(crate) fn render_to_texture(
         &mut self,
         layout: ArrayLayout,
-        target: Option<TextureId>,
+        target: Option<OwnedTexture>,
         draw: impl FnOnce(&mut ComputeContext, bool) -> Result<(), ComputeError>,
-    ) -> Result<TextureId, ComputeError> {
+    ) -> Result<OwnedTexture, ComputeError> {
         let (texture, reused) = match target {
             Some(texture) => {
-                self.gl.framebuffer_texture(self.scratch_fbo, texture)?;
+                self.gl
+                    .framebuffer_texture(self.scratch_fbo, texture.id())?;
                 self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
                 (texture, true)
             }
@@ -840,27 +880,24 @@ impl ComputeContext {
         };
         let drawn = draw(self, reused);
         let unbound = self.gl.bind_framebuffer(None);
-        if let Err(e) = drawn.and(unbound.map_err(ComputeError::from)) {
-            if target.is_none() {
-                self.recycle_texture(texture);
-            }
-            return Err(e);
-        }
+        drawn?;
+        unbound?;
         Ok(texture)
     }
 
-    /// Draws `kernel` under resolved bindings into a pooled render
-    /// target ([`ComputeContext::render_to_texture`]).
+    /// Draws `kernel` under `bindings` into a pooled render target
+    /// ([`ComputeContext::render_to_texture`]).
     fn draw_to_texture(
         &mut self,
         kernel: &Kernel,
-        resolved: &ResolvedDispatch,
-        uniforms: &[(String, Value)],
-    ) -> Result<TextureId, ComputeError> {
-        self.render_to_texture(resolved.layout, None, |cc, pooled| {
-            cc.dispatch_resolved(kernel, resolved, &[uniforms], false, pooled)
+        bindings: &Bindings,
+    ) -> Result<(TextureId, ArrayLayout), ComputeError> {
+        let resolved = self.resolve_bindings(kernel, bindings)?;
+        let target = self.render_to_texture(resolved.layout, None, |cc, pooled| {
+            cc.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], false, pooled)
                 .map(drop)
-        })
+        })?;
+        Ok((target.into_id(), resolved.layout))
     }
 
     /// Runs a kernel into a render-to-texture target under explicit
@@ -876,17 +913,9 @@ impl ComputeContext {
         kernel: &Kernel,
         bindings: &Bindings,
     ) -> Result<GpuArray<T>, ComputeError> {
-        if kernel.output_kind != OutputKind::Scalar(T::SCALAR) {
-            return Err(ComputeError::bad_kernel(format!(
-                "kernel `{}` outputs {:?}, requested {}",
-                kernel.name,
-                kernel.output_kind,
-                T::SCALAR
-            )));
-        }
-        let resolved = self.resolve_bindings(kernel, bindings)?;
-        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
-        Ok(GpuArray::new(target, resolved.layout))
+        check_output::<T>(kernel)?;
+        let (target, layout) = self.draw_to_texture(kernel, bindings)?;
+        Ok(GpuArray::new(target, layout))
     }
 
     /// Runs a kernel into a fresh texture (render-to-texture) under its
@@ -916,29 +945,39 @@ impl ComputeContext {
         kernel: &Kernel,
         bindings: &Bindings,
     ) -> Result<Vec<T>, ComputeError> {
-        if kernel.output_kind != OutputKind::Scalar(T::SCALAR) {
-            return Err(ComputeError::bad_kernel(format!(
-                "kernel `{}` outputs {:?}, requested {}",
-                kernel.name,
-                kernel.output_kind,
-                T::SCALAR
-            )));
-        }
+        check_output::<T>(kernel)?;
+        let (bytes, layout) = self.draw_to_screen(kernel, bindings)?;
+        self.note_host_transfer(T::SCALAR);
+        Ok(T::decode_framebuffer(&bytes, layout.len))
+    }
+
+    /// Draws `kernel` under `bindings` into the default framebuffer and
+    /// reads the output's texels back.
+    fn draw_to_screen(
+        &mut self,
+        kernel: &Kernel,
+        bindings: &Bindings,
+    ) -> Result<(Vec<u8>, ArrayLayout), ComputeError> {
         let resolved = self.resolve_bindings(kernel, bindings)?;
         let layout = resolved.layout;
+        self.check_fits_screen("kernel output", layout)?;
+        self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], true, false)?;
+        let bytes = self.gl.read_pixels(0, 0, layout.width, layout.height)?;
+        Ok((bytes, layout))
+    }
+
+    /// [`ComputeError::TooLarge`] unless `layout` fits the screen.
+    fn check_fits_screen(&self, what: &str, layout: ArrayLayout) -> Result<(), ComputeError> {
         let (sw, sh) = self.screen_size();
         if layout.width > sw || layout.height > sh {
             return Err(ComputeError::TooLarge {
                 what: format!(
-                    "kernel output {}x{} vs {}x{} screen",
-                    layout.width, layout.height, sw, sh
+                    "{what} {}x{} vs {sw}x{sh} screen",
+                    layout.width, layout.height
                 ),
             });
         }
-        self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], true, false)?;
-        let bytes = self.gl.read_pixels(0, 0, layout.width, layout.height)?;
-        self.note_host_transfer(T::SCALAR);
-        Ok(T::decode_framebuffer(&bytes, layout.len))
+        Ok(())
     }
 
     /// Default-bindings form of [`ComputeContext::run_and_read_with`].
@@ -982,9 +1021,8 @@ impl ComputeContext {
                 kernel.name
             )));
         }
-        let resolved = self.resolve_bindings(kernel, bindings)?;
-        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
-        Ok(GpuTexels::new(target, resolved.layout))
+        let (target, layout) = self.draw_to_texture(kernel, bindings)?;
+        Ok(GpuTexels::new(target, layout))
     }
 
     /// Default-bindings form of [`ComputeContext::run_to_texels_with`].
@@ -1014,19 +1052,7 @@ impl ComputeContext {
                 kernel.name
             )));
         }
-        let resolved = self.resolve_bindings(kernel, bindings)?;
-        let layout = resolved.layout;
-        let (sw, sh) = self.screen_size();
-        if layout.width > sw || layout.height > sh {
-            return Err(ComputeError::TooLarge {
-                what: format!(
-                    "kernel output {}x{} vs {}x{} screen",
-                    layout.width, layout.height, sw, sh
-                ),
-            });
-        }
-        self.dispatch_resolved(kernel, &resolved, &[&bindings.uniforms], true, false)?;
-        Ok(self.gl.read_pixels(0, 0, layout.width, layout.height)?)
+        Ok(self.draw_to_screen(kernel, bindings)?.0)
     }
 
     /// Default-bindings form of
@@ -1045,9 +1071,16 @@ impl ComputeContext {
     ///
     /// GL errors (e.g. a deleted backing texture).
     pub fn read_texels(&mut self, texels: &GpuTexels) -> Result<Vec<u8>, ComputeError> {
-        let layout = texels.layout;
-        self.gl
-            .framebuffer_texture(self.scratch_fbo, texels.texture)?;
+        self.read_through_fbo(texels.texture, texels.layout)
+    }
+
+    /// Reads a texture's texels through the scratch FBO.
+    fn read_through_fbo(
+        &mut self,
+        texture: TextureId,
+        layout: ArrayLayout,
+    ) -> Result<Vec<u8>, ComputeError> {
+        self.gl.framebuffer_texture(self.scratch_fbo, texture)?;
         self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
         let bytes = self.gl.read_pixels(0, 0, layout.width, layout.height);
         self.gl.bind_framebuffer(None)?;
@@ -1067,24 +1100,9 @@ impl ComputeContext {
     ) -> Result<Vec<T>, ComputeError> {
         let layout = array.layout;
         let bytes = match strategy {
-            Readback::DirectFbo => {
-                self.gl
-                    .framebuffer_texture(self.scratch_fbo, array.texture)?;
-                self.gl.bind_framebuffer(Some(self.scratch_fbo))?;
-                let bytes = self.gl.read_pixels(0, 0, layout.width, layout.height);
-                self.gl.bind_framebuffer(None)?;
-                bytes?
-            }
+            Readback::DirectFbo => self.read_through_fbo(array.texture, layout)?,
             Readback::CopyShader => {
-                let (sw, sh) = self.screen_size();
-                if layout.width > sw || layout.height > sh {
-                    return Err(ComputeError::TooLarge {
-                        what: format!(
-                            "array {}x{} vs {}x{} screen",
-                            layout.width, layout.height, sw, sh
-                        ),
-                    });
-                }
+                self.check_fits_screen("array", layout)?;
                 let copy = self.copy_program()?;
                 self.gl.bind_framebuffer(None)?;
                 self.gl.use_program(copy)?;
@@ -1217,11 +1235,10 @@ impl ComputeContext {
                 )))
             }
         };
-        let resolved = self.resolve_bindings(kernel, bindings)?;
-        let target = self.draw_to_texture(kernel, &resolved, &bindings.uniforms)?;
+        let (texture, layout) = self.draw_to_texture(kernel, bindings)?;
         Ok(AnyGpuArray {
-            texture: target,
-            layout: resolved.layout,
+            texture,
+            layout,
             scalar,
         })
     }
@@ -1280,6 +1297,19 @@ impl ComputeContext {
     pub fn pass_log(&self) -> &[PassRecord] {
         &self.pass_log
     }
+}
+
+/// `BadKernel` unless `kernel` outputs `T` scalars.
+fn check_output<T: GpuScalar>(kernel: &Kernel) -> Result<(), ComputeError> {
+    if kernel.output_kind != OutputKind::Scalar(T::SCALAR) {
+        return Err(ComputeError::bad_kernel(format!(
+            "kernel `{}` outputs {:?}, requested {}",
+            kernel.name,
+            kernel.output_kind,
+            T::SCALAR
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1506,6 +1536,38 @@ mod tests {
         assert_eq!(cc.pooled_textures, super::POOL_BUCKET_CAP);
         cc.clear_target_pool();
         assert_eq!(cc.pooled_textures, 0);
+    }
+
+    #[test]
+    fn contexts_and_their_guards_cross_threads() {
+        // Engine contexts are built on the caller's thread and moved into
+        // the workers, and guards hold the context's return list.
+        fn send<T: Send>() {}
+        send::<ComputeContext>();
+        send::<OwnedTexture>();
+    }
+
+    #[test]
+    fn a_guard_gives_its_texture_back_only_to_the_context_that_issued_it() {
+        let data = [1.0f32, 2.0, 3.0, 4.0];
+        let mut issuer = ComputeContext::new(8, 8).expect("context");
+        let mut other = ComputeContext::new(8, 8).expect("context");
+        let array = issuer.upload(&data).expect("upload");
+        drop(issuer.own(array.texture));
+        other.upload(&data).expect("upload");
+        assert_eq!(other.stats().texture_pool_hits, 0);
+        issuer.upload(&data).expect("upload");
+        assert_eq!(issuer.stats().texture_pool_hits, 1);
+        assert_eq!(issuer.stats().textures_recycled, 1);
+        // A guard that outlives its context, as one a replaced worker
+        // context issued, gives its texture to no later context.
+        let held = issuer.own(array.texture);
+        drop(issuer);
+        let mut fresh = ComputeContext::new(8, 8).expect("context");
+        drop(held);
+        fresh.upload(&data).expect("upload");
+        assert_eq!(fresh.stats().texture_pool_hits, 0);
+        assert_eq!(fresh.stats().textures_created, 1);
     }
 
     #[test]

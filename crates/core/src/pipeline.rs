@@ -22,7 +22,7 @@
 use crate::addressing::ArrayLayout;
 use crate::buffer::{GpuArray, GpuMatrix, GpuScalar, GpuTexels};
 use crate::codec::ScalarType;
-use crate::context::ResolvedDispatch;
+use crate::context::{OwnedTexture, ResolvedDispatch};
 use crate::error::ComputeError;
 use crate::kernel::{check_uniform, unbound_input, InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::ComputeContext;
@@ -122,14 +122,14 @@ pub(crate) struct Source {
 }
 
 /// One named buffer's current generation during (and after) a run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct BufferState {
     texture: TextureId,
     layout: ArrayLayout,
     kind: BufKind,
-    /// Whether the pipeline allocated this texture (and may recycle it).
-    /// Seed textures stay owned by the caller.
-    owned: bool,
+    /// The guard on `texture` when the pipeline allocated it: dropping
+    /// the state gives the texture back. Seed textures stay the caller's.
+    owned: Option<OwnedTexture>,
 }
 
 /// The context-free signature a pass's wiring is checked against: what
@@ -775,8 +775,7 @@ impl Pipeline {
     /// Runtime wiring errors (a declared source left unseeded),
     /// per-iteration uniform type mismatches, and GL/shader errors.
     pub fn run(&self, cc: &mut ComputeContext) -> Result<PipelineRun, ComputeError> {
-        let (buffers, _) = self.run_internal(cc, None, &[], None)?;
-        Ok(PipelineRun { buffers })
+        Ok(self.run_internal(cc, None, &[], None)?.0)
     }
 
     /// [`Pipeline::run`] with per-run source overrides: each seed
@@ -795,8 +794,7 @@ impl Pipeline {
         cc: &mut ComputeContext,
         seeds: &[SourceSeed],
     ) -> Result<PipelineRun, ComputeError> {
-        let (buffers, _) = self.run_internal(cc, None, seeds, None)?;
-        Ok(PipelineRun { buffers })
+        Ok(self.run_internal(cc, None, seeds, None)?.0)
     }
 
     /// [`Pipeline::run_seeded`] for a caller that reads only `reads`: a
@@ -810,8 +808,7 @@ impl Pipeline {
         seeds: &[SourceSeed],
         reads: &[String],
     ) -> Result<PipelineRun, ComputeError> {
-        let (buffers, _) = self.run_internal(cc, None, seeds, Some(reads))?;
-        Ok(PipelineRun { buffers })
+        Ok(self.run_internal(cc, None, seeds, Some(reads))?.0)
     }
 
     /// [`Pipeline::run_and_read`] with per-run source overrides; see
@@ -827,12 +824,11 @@ impl Pipeline {
         buffer: &str,
     ) -> Result<Vec<T>, ComputeError> {
         let screen_target = self.screen_routable::<T>(cc, buffer);
-        let (buffers, screen) = self.run_internal(cc, screen_target.as_deref(), seeds, None)?;
+        let (run, screen) = self.run_internal(cc, screen_target.as_deref(), seeds, None)?;
         if let Some((bytes, layout)) = screen {
-            PipelineRun { buffers }.finish(cc);
+            run.finish(cc);
             return Ok(T::decode_framebuffer(&bytes, layout.len));
         }
-        let run = PipelineRun { buffers };
         let out = run.read::<T>(cc, buffer);
         run.finish(cc);
         out
@@ -881,7 +877,7 @@ impl Pipeline {
                     texture,
                     layout,
                     kind: source.kind,
-                    owned: false,
+                    owned: None,
                 },
             );
         }
@@ -943,9 +939,9 @@ impl Pipeline {
 
     /// One run. `screen_buffer` names the buffer whose final write
     /// should go to the default framebuffer instead of a texture; the
-    /// read-back bytes are returned alongside the buffer map. With
-    /// `reads`, the liveness plan retires every other buffer at its last
-    /// use. A failed run recycles every texture it allocated.
+    /// read-back bytes are returned alongside the run. With `reads`, the
+    /// liveness plan retires every other buffer at its last use. On error
+    /// the dropped buffers give back every texture the run allocated.
     #[allow(clippy::type_complexity)]
     fn run_internal(
         &self,
@@ -953,26 +949,8 @@ impl Pipeline {
         screen_buffer: Option<&str>,
         seeds: &[SourceSeed],
         reads: Option<&[String]>,
-    ) -> Result<(Vec<(String, BufferState)>, Option<(Vec<u8>, ArrayLayout)>), ComputeError> {
+    ) -> Result<(PipelineRun, Option<(Vec<u8>, ArrayLayout)>), ComputeError> {
         let mut bufs = self.seeded_buffers(seeds)?;
-        let screen = self
-            .run_loop(cc, screen_buffer, reads, &mut bufs)
-            .inspect_err(|_| {
-                for (_, b) in bufs.drain().filter(|(_, b)| b.owned) {
-                    cc.recycle_texture(b.texture);
-                }
-            })?;
-        Ok((bufs.into_iter().collect(), screen))
-    }
-
-    /// The iteration loop of [`Pipeline::run_internal`] over `bufs`.
-    fn run_loop(
-        &self,
-        cc: &mut ComputeContext,
-        screen_buffer: Option<&str>,
-        reads: Option<&[String]>,
-        bufs: &mut HashMap<String, BufferState>,
-    ) -> Result<Option<(Vec<u8>, ArrayLayout)>, ComputeError> {
         let fixed_total = if self.until.is_none() {
             Some(self.iterations.unwrap_or(1))
         } else {
@@ -993,22 +971,19 @@ impl Pipeline {
                     && pi + 1 == self.passes.len()
                     && screen_buffer.is_some()
                     && pass.write.as_ref().map(|(n, _)| n.as_str()) == screen_buffer;
-                let bytes = self.run_pass(cc, pass, completed, bufs, to_screen)?;
+                let bytes = self.run_pass(cc, pass, completed, &mut bufs, to_screen)?;
                 if let Some(b) = bytes {
                     screen = Some(b);
                 }
                 if let Some((retire, reads)) = retire {
                     for name in retire[pi].iter().filter(|name| !reads.contains(name)) {
-                        if let Some(b) = bufs.remove(name).filter(|b| b.owned) {
-                            cc.recycle_texture(b.texture);
-                        }
+                        bufs.remove(name);
                     }
                 }
             }
-            for (front, back) in &self.ping_pongs {
-                if let (Some(&f), Some(&b)) = (bufs.get(front), bufs.get(back)) {
-                    bufs.insert(front.clone(), b);
-                    bufs.insert(back.clone(), f);
+            for (front, back) in self.ping_pongs.iter().filter(|(f, b)| f != b) {
+                if let [Some(f), Some(b)] = bufs.get_disjoint_mut([front, back]) {
+                    std::mem::swap(f, b);
                 }
             }
             completed += 1;
@@ -1031,7 +1006,8 @@ impl Pipeline {
                 cap,
             });
         }
-        Ok(screen)
+        let buffers = bufs.into_iter().collect();
+        Ok((PipelineRun { buffers }, screen))
     }
 
     /// Executes one pass of one iteration.
@@ -1088,41 +1064,39 @@ impl Pipeline {
 
         // In-place fast path: overwrite the buffer's own texture when the
         // pipeline owns it, the dimensions match and this pass does not
-        // sample it (no GL feedback loop).
+        // sample it (no GL feedback loop). The draw takes over its guard.
         let in_place = bufs
-            .get(write_name.as_str())
+            .get_mut(write_name.as_str())
             .filter(|b| {
-                b.owned
-                    && b.layout.width == layout.width
+                b.layout.width == layout.width
                     && b.layout.height == layout.height
                     && !resolved.inputs.iter().any(|&(t, _)| t == b.texture)
             })
-            .map(|b| b.texture);
+            .and_then(|b| b.owned.take());
         let target = cc.render_to_texture(layout, in_place, |cc, reused| {
             cc.dispatch_resolved(kernel, &resolved, &overrides, false, reused)
                 .map(drop)
         })?;
-        let old = bufs.insert(
+        // The previous generation, unless drawn over, goes back here.
+        bufs.insert(
             write_name.clone(),
             BufferState {
-                texture: target,
+                texture: target.id(),
                 layout,
                 kind: BufKind::of_output(kernel.output_kind()),
-                owned: true,
+                owned: Some(target),
             },
         );
-        if let Some(old) = old.filter(|old| old.owned && old.texture != target) {
-            cc.recycle_texture(old.texture);
-        }
         Ok(None)
     }
 }
 
-/// The buffers left behind by one [`Pipeline::run`]. Read what you need,
-/// then call [`PipelineRun::finish`] — dropping the run without it strands
-/// the owned textures outside the recycling pool.
+/// The buffers left behind by one [`Pipeline::run`]. Read what you need;
+/// dropping the run gives its textures back to the context's pool before
+/// the context's next acquire, and [`PipelineRun::finish`] gives them
+/// back at once.
 #[derive(Debug)]
-#[must_use = "read the buffers, then call `finish(cc)` to recycle them"]
+#[must_use = "a run holds its buffers until it is dropped or finished"]
 pub struct PipelineRun {
     buffers: Vec<(String, BufferState)>,
 }
@@ -1210,23 +1184,21 @@ impl PipelineRun {
                 T::SCALAR
             )));
         }
-        let slot = self
+        let (_, b) = self
             .buffers
             .iter_mut()
             .find(|(n, _)| n == name)
             .expect("checked by get");
-        slot.1.owned = false;
-        Ok(GpuArray::new(slot.1.texture, slot.1.layout))
+        let texture = b.owned.take().map_or(b.texture, OwnedTexture::into_id);
+        Ok(GpuArray::new(texture, b.layout))
     }
 
     /// Retires every pipeline-owned texture into the context's recycling
     /// pool, so the next run (of any same-shaped pipeline) allocates
     /// nothing.
     pub fn finish(self, cc: &mut ComputeContext) {
-        for (_, b) in self.buffers {
-            if b.owned {
-                cc.recycle_texture(b.texture);
-            }
+        for owned in self.buffers.into_iter().filter_map(|(_, b)| b.owned) {
+            cc.recycle_texture(owned.into_id());
         }
     }
 }

@@ -110,7 +110,7 @@ pub use spec::*;
 use crate::buffer::{AnyGpuArray, GpuArray, TensorData};
 use crate::cache::{FifoCache, SharedProgramCache};
 use crate::codec::ScalarType;
-use crate::context::{ComputeContext, ContextStats};
+use crate::context::{ComputeContext, ContextStats, OwnedTexture};
 use crate::error::ComputeError;
 use crate::kernel::{InputEncoding, Kernel, OutputKind, OutputShape};
 use crate::pipeline::{

@@ -307,6 +307,9 @@ pub(crate) fn worker_main(
         let result = loop {
             let (result, panicked) =
                 run_shielded(&mut cc, |cc| execute(cc, &mut state, &queued.payload.work));
+            // The attempt's dropped guards count as recycled by this
+            // context, as explicit `recycle_*` calls would have.
+            cc.reclaim();
             if panicked || cc.context_lost() {
                 // Fresh context, same wiring; the worker state dies with
                 // the context — its cached pipelines and resident
@@ -400,50 +403,45 @@ pub(crate) fn worker_main(
 /// plan (uploading fresh data, binding residents), runs the built
 /// pipeline — cached per worker for a [`PipelineSpec`], built on every run
 /// for a [`Submission`]'s own plan — retiring a one-iteration plan's
-/// intermediates at last use, reads the marked buffers back, finishes the
-/// run and recycles the uploads. A [`Job`] therefore does exactly what a
-/// direct caller would: upload, build, dispatch, read back, recycle.
+/// intermediates at last use, reads the marked buffers back and finishes
+/// the run; the uploads go back when their guards drop. A [`Job`]
+/// therefore does exactly what a direct caller would: upload, build,
+/// dispatch, read back, recycle.
 pub(crate) fn execute(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
     work: &Work,
 ) -> Result<Vec<(String, TensorData)>, ComputeError> {
-    let mut uploads = Vec::new();
-    let result = seed(cc, state, work, &mut uploads).and_then(|seeds| {
-        let built;
-        let pipeline = match &work.plan {
-            Plan::Spec(spec) => &state.pipeline_for(cc, spec)?.pipeline,
-            Plan::Submission(plan) => {
-                built = plan.map_kernels(|spec| spec.build_declared(cc))?;
-                &built
-            }
-        };
-        let run = pipeline.run_for_reads(cc, &seeds, &work.reads)?;
-        let outputs = work
-            .reads
-            .iter()
-            .map(|buffer| Ok((buffer.clone(), run.read_any(cc, buffer)?)))
-            .collect();
-        run.finish(cc);
-        outputs
-    });
-    for array in uploads {
-        cc.recycle_any(array);
-    }
-    result
+    let (seeds, _uploads) = seed(cc, state, work)?;
+    let built;
+    let pipeline = match &work.plan {
+        Plan::Spec(spec) => &state.pipeline_for(cc, spec)?.pipeline,
+        Plan::Submission(plan) => {
+            built = plan.map_kernels(|spec| spec.build_declared(cc))?;
+            &built
+        }
+    };
+    let run = pipeline.run_for_reads(cc, &seeds, &work.reads)?;
+    let outputs = work
+        .reads
+        .iter()
+        .map(|buffer| Ok((buffer.clone(), run.read_any(cc, buffer)?)))
+        .collect();
+    run.finish(cc);
+    outputs
 }
 
 /// Resolves the work's sources to seeds for its declared sources:
-/// uploads host data (recording each upload in `uploads` for the caller
-/// to recycle) under the declared shape, and binds residents.
+/// uploads host data under the declared shape, held in guards beside the
+/// seeds, and binds residents.
 fn seed(
     cc: &mut ComputeContext,
     state: &mut WorkerState,
     work: &Work,
-    uploads: &mut Vec<AnyGpuArray>,
-) -> Result<Vec<SourceSeed>, ComputeError> {
+) -> Result<(Vec<SourceSeed>, Vec<OwnedTexture>), ComputeError> {
     let declared = &work.plan.declared().sources;
     let mut seeds = Vec::with_capacity(declared.len());
+    let mut uploads = Vec::with_capacity(declared.len());
     for (decl, input) in declared.iter().zip(&work.sources) {
         let uploaded = match (input, decl.shape) {
             (JobInput::Resident(resident), shape) => {
@@ -466,8 +464,8 @@ fn seed(
                 Err(bad_job(format!("source `{}` names step {j}", decl.name)))
             }
         }?;
-        uploads.push(uploaded);
+        uploads.push(cc.own(uploaded.texture()));
         seeds.push(SourceSeed::any(decl.name.clone(), &uploaded));
     }
-    Ok(seeds)
+    Ok((seeds, uploads))
 }

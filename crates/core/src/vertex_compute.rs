@@ -357,7 +357,7 @@ impl VertexKernel {
             }
             self.dispatch(cc)
         })?;
-        Ok(crate::GpuArray::new(target, self.layout))
+        Ok(crate::GpuArray::new(target.into_id(), self.layout))
     }
 }
 

@@ -87,8 +87,8 @@ pub enum FaultOutcome {
 /// A seeded, deterministic schedule of driver faults.
 ///
 /// Configure per-site probabilistic rates ([`FaultPlan::rate`] /
-/// [`FaultPlan::rate_all`]), exact one-shot failures
-/// ([`FaultPlan::fail_next`]), and context loss — either probabilistic
+/// [`FaultPlan::rate_all`]), exact failures ([`FaultPlan::fail_next`],
+/// [`FaultPlan::fail_nth`]), and context loss — either probabilistic
 /// ([`FaultPlan::context_loss_rate`]) or at a fixed operation count
 /// ([`FaultPlan::lose_context_after`], one-shot). The plan carries its
 /// own PRNG (a splitmix64, hand-rolled so the simulator stays
@@ -101,6 +101,9 @@ pub struct FaultPlan {
     rng: u64,
     rates: [f64; 5],
     fail_next: [u64; 5],
+    fail_nth: [Option<u64>; 5],
+    /// Rolls seen so far at each site.
+    site_rolls: [u64; 5],
     loss_rate: f64,
     lose_after: Option<u64>,
     ops: u64,
@@ -117,6 +120,8 @@ impl FaultPlan {
             rng: seed,
             rates: [0.0; 5],
             fail_next: [0; 5],
+            fail_nth: [None; 5],
+            site_rolls: [0; 5],
             loss_rate: 0.0,
             lose_after: None,
             ops: 0,
@@ -151,6 +156,16 @@ impl FaultPlan {
         self
     }
 
+    /// Fails exactly the `k`-th roll at `site` (zero-based, counting that
+    /// site's rolls only) — the primitive for sweeping one fault across
+    /// every point of an operation sequence, where `fail_next` reaches
+    /// only the first rolls.
+    #[must_use]
+    pub fn fail_nth(mut self, site: FaultSite, k: u64) -> FaultPlan {
+        self.fail_nth[site.index()] = Some(k);
+        self
+    }
+
     /// Sets the probability (clamped to `0.0..=1.0`) that any roll loses
     /// the context.
     #[must_use]
@@ -178,6 +193,8 @@ impl FaultPlan {
             rng: seed,
             rates: self.rates,
             fail_next: self.fail_next,
+            fail_nth: self.fail_nth,
+            site_rolls: [0; 5],
             loss_rate: self.loss_rate,
             lose_after: self.lose_after,
             ops: 0,
@@ -211,6 +228,9 @@ impl FaultPlan {
     /// a synthetic operation sequence and assert determinism.
     pub fn roll(&mut self, site: FaultSite) -> FaultOutcome {
         self.ops += 1;
+        let idx = site.index();
+        let nth = self.site_rolls[idx];
+        self.site_rolls[idx] += 1;
         // Two draws per roll regardless of configuration, so the stream
         // a given roll sees depends only on how many rolls preceded it.
         let loss_draw = self.next_f64();
@@ -228,9 +248,8 @@ impl FaultPlan {
             self.context_losses += 1;
             return FaultOutcome::LoseContext;
         }
-        let idx = site.index();
-        if self.fail_next[idx] > 0 {
-            self.fail_next[idx] -= 1;
+        if self.fail_next[idx] > 0 || self.fail_nth[idx] == Some(nth) {
+            self.fail_next[idx] = self.fail_next[idx].saturating_sub(1);
             self.injected += 1;
             return FaultOutcome::Fault;
         }
@@ -289,6 +308,23 @@ mod tests {
         assert_eq!(plan.roll(FaultSite::Readback), FaultOutcome::Fault);
         assert_eq!(plan.roll(FaultSite::Readback), FaultOutcome::Pass);
         assert_eq!(plan.injected(), 2);
+    }
+
+    #[test]
+    fn fail_nth_fails_only_that_roll_of_its_site() {
+        let mut plan = FaultPlan::new(7).fail_nth(FaultSite::TextureUpload, 2);
+        let outcomes: Vec<FaultOutcome> = [0, 1, 0, 1, 1, 1]
+            .map(|i| plan.roll([FaultSite::Readback, FaultSite::TextureUpload][i]))
+            .into();
+        assert_eq!(outcomes[4], FaultOutcome::Fault);
+        assert_eq!(
+            outcomes
+                .iter()
+                .filter(|&&o| o == FaultOutcome::Pass)
+                .count(),
+            5
+        );
+        assert_eq!(plan.injected(), 1);
     }
 
     #[test]

@@ -242,6 +242,7 @@ fn preprocessor_error_directive_reaches_the_driver_log() {
 // `GPES_TEST_DISPATCH` leg CI selects — fault decisions are per-worker
 // and independent of the rasteriser dispatch.
 
+use gpes::core::serve::JobInput;
 use gpes::core::CachePolicy;
 use std::sync::Arc;
 
@@ -569,62 +570,228 @@ fn batch_and_pipeline_jobs_heal_transient_faults_too() {
     engine.shutdown();
 }
 
-#[test]
-fn a_failed_draw_gives_its_render_target_back() {
-    // A draw that fails its framebuffer check must return the render
-    // target it acquired to the pool: five failed dispatches create one
-    // target between them, not one each.
-    let mut cc = ComputeContext::new(16, 16).expect("context");
-    let x = cc.upload(&ramp(16, 1.0)).expect("x");
-    let k = Kernel::builder("faults_double")
-        .input("x", &x)
-        .output(ScalarType::F32, 16)
-        .body("return fetch_x(idx) * 2.0;")
-        .build(&mut cc)
-        .expect("kernel");
-    let mut created = Vec::new();
-    for _ in 0..5 {
-        cc.install_fault_plan(FaultPlan::new(3).fail_next(FaultSite::FramebufferCheck, 1));
-        let err = cc.run_to_array::<f32>(&k).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        created.push(cc.stats().textures_created);
+// ---- the fault-site sweep -------------------------------------------------
+//
+// Every error path gives back the textures it took. For each workload,
+// fault site and roll index k, a fresh context (or a one-worker engine
+// with retries off) fails exactly the k-th roll at that site and then runs
+// the same work clean. The failure must be the typed transient error, the
+// clean run must read back what clean runs read, and the pair must create
+// as many textures as two clean runs. k steps up until a run injects
+// nothing.
+
+/// A fresh context or engine for one sweep point.
+trait Rig {
+    fn with_plan(plan: FaultPlan) -> Self;
+    fn textures_created(&self) -> u64;
+    fn spmd_batches(&self) -> u64;
+    fn faults_injected(&self) -> u64;
+}
+
+impl Rig for ComputeContext {
+    fn with_plan(plan: FaultPlan) -> ComputeContext {
+        // An 8x8 screen splits the chunked row into several chunks.
+        let mut cc = ComputeContext::new(8, 8).expect("context");
+        cc.install_fault_plan(plan);
+        cc
     }
-    assert!(
-        created.iter().all(|&c| c == created[0]),
-        "textures created after each failed draw: {created:?}"
-    );
+    fn textures_created(&self) -> u64 {
+        self.stats().textures_created
+    }
+    fn spmd_batches(&self) -> u64 {
+        self.stats().spmd_batches
+    }
+    fn faults_injected(&self) -> u64 {
+        ComputeContext::faults_injected(self)
+    }
+}
+
+impl Rig for Engine {
+    fn with_plan(plan: FaultPlan) -> Engine {
+        // Per-context links, so the program-link site rolls on the worker.
+        Engine::builder()
+            .workers(1)
+            .cache_policy(CachePolicy::PerContext)
+            .retry_policy(RetryPolicy::none())
+            .fault_plan(plan)
+            .build()
+            .expect("engine")
+    }
+    fn textures_created(&self) -> u64 {
+        self.worker_stats()[0].textures_created
+    }
+    fn spmd_batches(&self) -> u64 {
+        self.worker_stats()[0].spmd_batches
+    }
+    fn faults_injected(&self) -> u64 {
+        self.snapshot().faults_injected
+    }
+}
+
+/// Sweeps one workload over every fault site and roll index; returns
+/// what a clean run reads back and how many faulted runs failed after the
+/// work had drawn.
+fn sweep<R: Rig, T: PartialEq + std::fmt::Debug>(
+    row: &str,
+    work: impl Fn(&mut R) -> Result<T, ComputeError>,
+) -> (T, usize) {
+    let mut clean = R::with_plan(FaultPlan::new(1));
+    let want = work(&mut clean).unwrap_or_else(|e| panic!("{row}: clean run: {e}"));
+    assert_eq!(work(&mut clean).expect("second clean run"), want, "{row}");
+    let created = clean.textures_created();
+    let mut failed_after_draw = 0;
+    for site in FaultSite::ALL {
+        for k in 0.. {
+            let at = format!("{row}: {site:?} roll {k}");
+            let mut rig = R::with_plan(FaultPlan::new(1).fail_nth(site, k));
+            let faulted = work(&mut rig);
+            if rig.faults_injected() == 0 {
+                assert_eq!(faulted.expect("nothing injected"), want, "{at}");
+                break;
+            }
+            let err = faulted
+                .err()
+                .unwrap_or_else(|| panic!("{at}: the fault was swallowed"));
+            assert!(err.is_transient(), "{at}: {err}");
+            failed_after_draw += usize::from(rig.spmd_batches() > 0);
+            let again = work(&mut rig).unwrap_or_else(|e| panic!("{at}: clean run: {e}"));
+            assert_eq!(again, want, "{at}: the clean run reads back");
+            assert_eq!(
+                rig.textures_created(),
+                created,
+                "{at}: faulted + clean created {} textures, clean + clean {created}",
+                rig.textures_created()
+            );
+        }
+    }
+    (want, failed_after_draw)
+}
+
+/// Runs `body` over fresh uploads of `inputs` and recycles them whatever
+/// it returns, as a caller holding public handles must.
+fn over_uploads<T>(
+    cc: &mut ComputeContext,
+    inputs: &[&[f32]],
+    body: impl FnOnce(&mut ComputeContext, &[GpuArray<f32>]) -> Result<T, ComputeError>,
+) -> Result<T, ComputeError> {
+    let mut arrays = Vec::new();
+    let uploaded = inputs.iter().try_for_each(|data| {
+        arrays.push(cc.upload(data)?);
+        Ok(())
+    });
+    let result = uploaded.and_then(|()| body(cc, &arrays));
+    for array in arrays {
+        cc.recycle_array(array);
+    }
+    result
 }
 
 #[test]
-fn a_failed_upload_gives_its_texture_back() {
-    // An upload whose image fails must return the texture it took: five
-    // failed uploads and one clean one create one texture between them,
-    // not one each.
-    let mut cc = ComputeContext::new(16, 16).expect("context");
-    let x = ramp(16, 1.0);
-    let mut created = Vec::new();
-    for _ in 0..5 {
-        cc.install_fault_plan(FaultPlan::new(3).fail_next(FaultSite::TextureUpload, 1));
-        let err = cc.upload(&x).unwrap_err();
-        assert!(err.is_transient(), "{err}");
-        created.push(cc.stats().textures_created);
-    }
-    let array = cc.upload(&x).expect("clean upload");
-    created.push(cc.stats().textures_created);
-    assert_eq!(created, vec![1; 6], "textures created after each upload");
-    let read = cc.read_array(&array, Readback::DirectFbo).expect("read");
+fn every_fault_site_gives_back_every_texture_it_took() {
+    let n = 16;
+    let x = ramp(n, 1.0);
+    let y = ramp(n, 0.5);
+    let texels: Vec<u8> = (0..4 * 6).map(|i| (i * 37 % 251) as u8).collect();
+
+    let (read, _) = sweep("upload", |cc: &mut ComputeContext| {
+        over_uploads(cc, &[&x], |cc, arrays| {
+            cc.read_array(&arrays[0], Readback::DirectFbo)
+        })
+    });
     assert_eq!(read, x);
-}
+    // Direct: upload → dispatch → read, as a served `Job` does.
+    sweep("direct job", |cc: &mut ComputeContext| {
+        over_uploads(cc, &[&x], |cc, arrays| {
+            let k = Kernel::builder("faults_double")
+                .input("x", &arrays[0])
+                .output(ScalarType::F32, n)
+                .body("return fetch_x(idx) * 2.0;")
+                .build(cc)?;
+            let out: GpuArray<f32> = cc.run_to_array(&k)?;
+            let read = cc.read_array(&out, Readback::DirectFbo);
+            cc.recycle_array(out);
+            read
+        })
+    });
+    let long = ramp(150, 0.25);
+    sweep("run_chunked2", |cc: &mut ComputeContext| {
+        gpes::core::chunked::run_chunked2(cc, &long, &long, |cc, a, b, base| {
+            Kernel::builder("faults_chunk_sum")
+                .input("a", a)
+                .input("b", b)
+                .uniform_f32("base", base as f32)
+                .output(ScalarType::F32, a.len())
+                .body("return fetch_a(idx) + fetch_b(idx) + base;")
+                .build(cc)
+        })
+    });
+    let read_back = |cc: &mut ComputeContext, t: GpuTexels| {
+        let read = cc.read_texels(&t);
+        cc.recycle_texels(t);
+        read
+    };
+    let (read, _) = sweep("upload_texels", |cc: &mut ComputeContext| {
+        let t = cc.upload_texels(3, 2, &texels)?;
+        read_back(cc, t)
+    });
+    assert_eq!(read, texels);
+    let linear: Vec<[u8; 4]> = texels.chunks(4).map(|c| c.try_into().unwrap()).collect();
+    let (read, _) = sweep("upload_texels_linear", |cc: &mut ComputeContext| {
+        let t = cc.upload_texels_linear(&linear)?;
+        read_back(cc, t)
+    });
+    assert_eq!(read[..texels.len()], texels[..]);
+    // Direct ping-pong pipeline read back buffer by buffer, FFT-style: a
+    // failed `read` drops the run, which gives its buffers back.
+    sweep("pipeline read", |cc: &mut ComputeContext| {
+        over_uploads(cc, &[&x, &y], |cc, arrays| {
+            let (re, im) = (&arrays[0], &arrays[1]);
+            let stage = |cc: &mut ComputeContext, name: &str, body: &str| {
+                Kernel::builder(name)
+                    .input("re", re)
+                    .input("im", im)
+                    .output(ScalarType::F32, n)
+                    .body(body)
+                    .build(cc)
+            };
+            let kre = stage(cc, "faults_re", "return fetch_re(idx) - fetch_im(idx);")?;
+            let kim = stage(
+                cc,
+                "faults_im",
+                "return fetch_re(idx) * 0.5 + fetch_im(idx);",
+            )?;
+            let pipeline = Pipeline::builder("faults_fft")
+                .source("re", re)
+                .source("im", im)
+                .pass(
+                    Pass::new(&kre)
+                        .read("re", "re")
+                        .read("im", "im")
+                        .write_len("re_next", n),
+                )
+                .pass(
+                    Pass::new(&kim)
+                        .read("re", "re")
+                        .read("im", "im")
+                        .write_len("im_next", n),
+                )
+                .ping_pong("re", "re_next")
+                .ping_pong("im", "im_next")
+                .iterations(3)
+                .build()?;
+            let run = pipeline.run(cc)?;
+            let out = (run.read::<f32>(cc, "re")?, run.read::<f32>(cc, "im")?);
+            run.finish(cc);
+            Ok(out)
+        })
+    });
 
-#[test]
-fn a_submission_failing_mid_dag_gives_its_textures_back() {
-    // A four-step chain under a seeded framebuffer-check fault rate, with
-    // retries off: some waves fail part-way through the chain, after
-    // earlier steps drew. Each failure surfaces as the typed transient
-    // error, and once one wave has warmed the worker's pool, no wave —
-    // failed or not — creates a texture: a failed run gives back its
-    // uploads, its live intermediates and the target of the failed draw.
-    let n = 64;
+    // Served: each request type, and a u8 tensor through a u8 kernel.
+    let saxpy = saxpy(n);
+    sweep("served job", |engine: &mut Engine| {
+        let job = Job::new(&saxpy).data(x.clone()).data(y.clone());
+        engine.submit(job)?.wait()
+    });
     let gain = Arc::new(
         KernelSpec::new("faults_gain")
             .input("x")
@@ -632,46 +799,51 @@ fn a_submission_failing_mid_dag_gives_its_textures_back() {
             .output(n)
             .body("return fetch_x(idx) * gain;"),
     );
-    let x = Arc::new(ramp(n, 1.0));
-    let engine = Engine::builder()
-        .workers(1)
-        .dispatch(Dispatch::Serial)
-        .fault_plan(FaultPlan::new(21).rate(FaultSite::FramebufferCheck, 0.2))
-        .build()
-        .expect("engine");
-    let wave = || {
+    let x_shared = Arc::new(x.clone());
+    let (_, drew) = sweep("submission", |engine: &mut Engine| {
         let mut submission = Submission::new();
-        submission.retry_policy(RetryPolicy::none());
-        let mut prev = gpes::core::serve::JobInput::Data(Arc::clone(&x));
+        let mut prev = JobInput::Data(Arc::clone(&x_shared));
+        let mut last = None;
         for _ in 0..4 {
-            prev = submission.step(&gain, vec![prev], vec![]).into();
+            let step = submission.step(&gain, vec![prev], vec![]);
+            prev = step.into();
+            last = Some(step);
         }
-        engine.submit(submission).expect("admitted").wait()
-    };
-    let stats = || engine.worker_stats()[0];
-    let (mut warm, mut failed_mid_dag) = (false, 0);
-    for round in 0..24 {
-        let before = stats();
-        let result = wave();
-        let after = stats();
-        let created = after.textures_created - before.textures_created;
-        match result {
-            Ok(_) => {
-                if warm {
-                    assert_eq!(created, 0, "round {round}: a warm wave creates no textures");
-                }
-                warm = true;
-            }
-            Err(err) => {
-                assert!(err.is_transient(), "round {round}: {err}");
-                if warm {
-                    assert_eq!(created, 0, "round {round}: a failed warm wave creates none");
-                }
-                if warm && after.spmd_batches > before.spmd_batches {
-                    failed_mid_dag += 1;
-                }
-            }
-        }
-    }
-    assert!(failed_mid_dag > 0, "no warm wave failed after a step drew");
+        let last = last.expect("four steps");
+        submission.read(last);
+        let result = engine.submit(submission)?.wait()?;
+        Ok(result.output(last).expect("marked step").to_vec())
+    });
+    assert!(drew > 0, "no faulted submission failed after a step drew");
+    let smooth = Arc::new(
+        PipelineSpec::builder("faults_ping_pong")
+            .source_len("x", n)
+            .pass(PassSpec::new(&gain).read("x", "x").write_len("x", n))
+            .iterations(3)
+            .build()
+            .expect("spec"),
+    );
+    sweep("pipeline job", |engine: &mut Engine| {
+        let job = PipelineJob::new(&smooth).source(x.clone()).read("x");
+        let result = engine.submit(job)?.wait()?;
+        Ok(result.output("x").expect("read buffer").to_vec())
+    });
+    let brighten = Arc::new(
+        KernelSpec::new("faults_brighten")
+            .input_typed("x", ScalarType::U8)
+            .output_typed(ScalarType::U8, 4)
+            .body("return min(fetch_x(idx) + 100.0, 255.0);"),
+    );
+    let pixels = Arc::new(TensorData::U8(vec![0, 50, 100, 200]));
+    sweep("u8 tensor", |engine: &mut Engine| {
+        let mut submission = Submission::new();
+        let lit = submission.step(
+            &brighten,
+            vec![JobInput::Tensor(Arc::clone(&pixels))],
+            vec![],
+        );
+        submission.read(lit);
+        let result = engine.submit(submission)?.wait()?;
+        Ok(result.tensor(lit).expect("marked step").clone())
+    });
 }
