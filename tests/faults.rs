@@ -570,6 +570,113 @@ fn batch_and_pipeline_jobs_heal_transient_faults_too() {
     engine.shutdown();
 }
 
+#[test]
+fn a_failed_draw_gives_its_render_target_back() {
+    // A draw that fails its framebuffer check must return the render
+    // target it acquired to the pool: five failed dispatches create one
+    // target between them, not one each.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let x = cc.upload(&ramp(16, 1.0)).expect("x");
+    let k = Kernel::builder("faults_double")
+        .input("x", &x)
+        .output(ScalarType::F32, 16)
+        .body("return fetch_x(idx) * 2.0;")
+        .build(&mut cc)
+        .expect("kernel");
+    let mut created = Vec::new();
+    for _ in 0..5 {
+        cc.install_fault_plan(FaultPlan::new(3).fail_next(FaultSite::FramebufferCheck, 1));
+        let err = cc.run_to_array::<f32>(&k).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        created.push(cc.stats().textures_created);
+    }
+    assert!(
+        created.iter().all(|&c| c == created[0]),
+        "textures created after each failed draw: {created:?}"
+    );
+}
+
+#[test]
+fn a_failed_upload_gives_its_texture_back() {
+    // An upload whose image fails must return the texture it took: five
+    // failed uploads and one clean one create one texture between them,
+    // not one each.
+    let mut cc = ComputeContext::new(16, 16).expect("context");
+    let x = ramp(16, 1.0);
+    let mut created = Vec::new();
+    for _ in 0..5 {
+        cc.install_fault_plan(FaultPlan::new(3).fail_next(FaultSite::TextureUpload, 1));
+        let err = cc.upload(&x).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        created.push(cc.stats().textures_created);
+    }
+    let array = cc.upload(&x).expect("clean upload");
+    created.push(cc.stats().textures_created);
+    assert_eq!(created, vec![1; 6], "textures created after each upload");
+    let read = cc.read_array(&array, Readback::DirectFbo).expect("read");
+    assert_eq!(read, x);
+}
+
+#[test]
+fn a_submission_failing_mid_dag_gives_its_textures_back() {
+    // A four-step chain under a seeded framebuffer-check fault rate, with
+    // retries off: some waves fail part-way through the chain, after
+    // earlier steps drew. Each failure surfaces as the typed transient
+    // error, and once one wave has warmed the worker's pool, no wave —
+    // failed or not — creates a texture: a failed run gives back its
+    // uploads, its live intermediates and the target of the failed draw.
+    let n = 64;
+    let gain = Arc::new(
+        KernelSpec::new("faults_gain")
+            .input("x")
+            .uniform_f32("gain", 3.0)
+            .output(n)
+            .body("return fetch_x(idx) * gain;"),
+    );
+    let x = Arc::new(ramp(n, 1.0));
+    let engine = Engine::builder()
+        .workers(1)
+        .dispatch(Dispatch::Serial)
+        .fault_plan(FaultPlan::new(21).rate(FaultSite::FramebufferCheck, 0.2))
+        .build()
+        .expect("engine");
+    let wave = || {
+        let mut submission = Submission::new();
+        submission.retry_policy(RetryPolicy::none());
+        let mut prev = gpes::core::serve::JobInput::Data(Arc::clone(&x));
+        for _ in 0..4 {
+            prev = submission.step(&gain, vec![prev], vec![]).into();
+        }
+        engine.submit(submission).expect("admitted").wait()
+    };
+    let stats = || engine.worker_stats()[0];
+    let (mut warm, mut failed_mid_dag) = (false, 0);
+    for round in 0..24 {
+        let before = stats();
+        let result = wave();
+        let after = stats();
+        let created = after.textures_created - before.textures_created;
+        match result {
+            Ok(_) => {
+                if warm {
+                    assert_eq!(created, 0, "round {round}: a warm wave creates no textures");
+                }
+                warm = true;
+            }
+            Err(err) => {
+                assert!(err.is_transient(), "round {round}: {err}");
+                if warm {
+                    assert_eq!(created, 0, "round {round}: a failed warm wave creates none");
+                }
+                if warm && after.spmd_batches > before.spmd_batches {
+                    failed_mid_dag += 1;
+                }
+            }
+        }
+    }
+    assert!(failed_mid_dag > 0, "no warm wave failed after a step drew");
+}
+
 // ---- the fault-site sweep -------------------------------------------------
 //
 // Every error path gives back the textures it took. For each workload,
