@@ -301,6 +301,19 @@ impl<'a> StageExec<'a> {
         }
     }
 
+    /// Stores one lane's float-based input from its components: straight
+    /// into the SPMD slot's lanes, with no [`Value`] built, when it holds
+    /// that many float components per lane (a float or vecN); otherwise
+    /// through [`StageExec::set_lane`] with the value `ty` rebuilds.
+    fn set_lane_floats(&mut self, lane: usize, slot: u32, name: &str, ty: &Type, comps: &[f32]) {
+        if let StageExec::Spmd(vm) = self {
+            if vm.set_lane_floats(lane, slot, comps) {
+                return;
+            }
+        }
+        self.set_lane(lane, slot, name, rebuild_varying(ty, comps));
+    }
+
     /// Runs `main()` on lanes `0..n`. On a trap, every lane below the
     /// reported one completed exactly as a sequential run would have.
     fn run_batch(&mut self, n: usize) -> Result<(), BatchError> {
@@ -944,15 +957,16 @@ impl<'a> FragmentBatch<'a> {
         let lane = self.n;
         let mut offset = 0usize;
         for ((name, ty, len), slot) in layout.names.iter().zip(&self.varying_slots) {
-            let value = rebuild_varying(ty, &comps[offset..offset + len]);
+            let comps = &comps[offset..offset + len];
             offset += len;
-            self.fs.set_lane(lane, *slot, name, value);
+            self.fs.set_lane_floats(lane, *slot, name, ty, comps);
         }
-        self.fs.set_lane(
+        self.fs.set_lane_floats(
             lane,
             self.fragcoord_slot,
             "gl_FragCoord",
-            Value::Vec4(frag_coord),
+            &Type::Vec4,
+            &frag_coord,
         );
         self.pixel_index[lane] = pixel_index;
         self.frag_z[lane] = frag_z;

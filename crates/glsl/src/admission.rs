@@ -126,6 +126,8 @@ pub struct CheckedPrelude {
     pub(crate) unit: TranslationUnit,
     /// The interface the prefix declares.
     pub(crate) interface: ShaderInterface,
+    /// The type of each of the prefix's expressions, by [`crate::ast::Expr::id`].
+    pub(crate) types: Vec<crate::types::Type>,
     /// Whether a default float precision holds at the prefix's end.
     pub(crate) float_default: bool,
     /// The preprocessor at the prefix's end.
@@ -158,13 +160,14 @@ impl CheckedPrelude {
         }
         let unit = parser::parse(&preprocessed).map_err(|e| diagnostic(parse_stage(e)))?;
         strict::check_appendix_a(&unit).map_err(|e| diagnostic((AdmissionStage::Strict, e)))?;
-        let (interface, float_default) =
+        let (interface, float_default, types) =
             sema::check_prelude(kind, &unit).map_err(|e| diagnostic((AdmissionStage::Sema, e)))?;
         Ok(CheckedPrelude {
             kind,
             text,
             unit,
             interface,
+            types,
             float_default,
             preprocessor,
             preprocessed_len: preprocessed.len() as u32,

@@ -105,6 +105,10 @@ pub struct Expr {
     pub kind: ExprKind,
     /// Source location.
     pub span: Span,
+    /// The node's number within its translation unit, `0..`
+    /// [`TranslationUnit::exprs`]: the index of its type in the checker's
+    /// side table (see [`crate::sema::CompiledShader`]).
+    pub id: u32,
 }
 
 /// Expression payloads.
@@ -139,8 +143,9 @@ pub enum ExprKind {
 
 impl Expr {
     /// Convenience constructor.
+    /// The node is numbered 0; the parser numbers the nodes it builds.
     pub fn new(kind: ExprKind, span: Span) -> Expr {
-        Expr { kind, span }
+        Expr { kind, span, id: 0 }
     }
 
     /// Whether the expression is a syntactic lvalue (assignability is
@@ -312,6 +317,8 @@ pub enum Item {
 pub struct TranslationUnit {
     /// Items in source order.
     pub items: Vec<Item>,
+    /// Number of expression nodes; their [`Expr::id`]s are `0..exprs`.
+    pub exprs: u32,
 }
 
 #[cfg(test)]

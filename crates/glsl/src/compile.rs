@@ -1,30 +1,45 @@
-//! Lowering checked shaders to slot-addressed bytecode.
+//! Lowering checked shaders to three-address, typed bytecode.
 //!
 //! The tree-walking interpreter resolves every variable by string
 //! comparison over a scope stack and re-walks the AST for every fragment.
 //! This module performs all of that work **once per shader**: a resolver
-//! pass assigns every global, parameter and local a numeric slot, and
-//! flattens the statement tree into a compact instruction
-//! sequence (`Insn`) executed by [`crate::spmd::SpmdVm`].
+//! pass assigns every global, parameter, local and expression temporary
+//! a numeric slot, and flattens the statement tree into a compact
+//! instruction sequence (`Insn`) executed by [`crate::spmd::SpmdVm`].
 //!
 //! The lowering is deliberately semantics-preserving to the point of
 //! being boring: evaluation order, profile counting points, rounding and
 //! error messages all mirror `interp.rs` exactly, so the VM can be
 //! differentially tested against the tree-walker bit for bit. What it
-//! does decide once per shader, so the VM need not per batch: each call's
-//! callee (`Insn::CallBuiltin` / `Insn::CallUser` where the AST fixes
-//! it), and which operand pushes fold into the `Binary` that consumes
-//! them (`fold_operands`). Only the functions reachable from `main` and
-//! the global initialisers are lowered — a generated kernel carries a
-//! codec library it mostly does not call — while sema has checked them
-//! all.
+//! decides once per shader, from the expression types the checker
+//! recorded, so the VM need not per batch:
+//!
+//! * **Where operands live.** An instruction names each operand in
+//!   place (`Opnd`): a frame slot, a constant, a global, or one
+//!   component of a global vector. Everything else is evaluated into a
+//!   frame slot at a static offset; temporaries are allocated
+//!   stack-like above the locals in scope, so the slots live at any
+//!   point are a prefix of the frame, recorded on every jump target.
+//! * **Operand shapes.** Arithmetic, comparisons, negation and builtins
+//!   carry the `Shape` of their operands.
+//! * **Callees.** A call resolves to the builtin that takes its argument
+//!   types, else to the user overload declared with exactly them; a user
+//!   call's arguments are evaluated straight into the callee's parameter
+//!   slots.
+//! * **Conditions.** `&&`, `||` and `!` in a condition become control
+//!   flow, a scalar comparison is the jump itself, and a `?:` whose arms
+//!   are read in place is a per-lane select.
+//!
+//! Only the functions reachable from `main` and the global initialisers
+//! are lowered — a generated kernel carries a codec library it mostly
+//! does not call — while sema has checked them all.
 
 use crate::ast::*;
-use crate::builtins::BuiltinId;
+use crate::builtins::{self, BuiltinId};
 use crate::sema::{CompiledShader, ShaderKind};
 use crate::span::Span;
 use crate::swizzle::swizzle_indices;
-use crate::types::Type;
+use crate::types::{Scalar, Type};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -32,9 +47,9 @@ use std::fmt;
 /// Why a checked shader could not be lowered to bytecode.
 ///
 /// Lowering is total for everything the semantic checker accepts except a
-/// few pathological shapes (e.g. same-name function overloads that
-/// disagree on `out` parameters); callers fall back to the tree-walking
-/// interpreter in that case.
+/// few pathological shapes (a builtin call with more than 255 arguments,
+/// an lvalue path with more than 8 indexed steps); callers fall back to
+/// the tree-walking interpreter in that case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LowerError {
     /// Human-readable description.
@@ -65,23 +80,106 @@ pub(crate) enum SlotRef {
     Local(u32),
 }
 
+/// Where an instruction reads an operand, in place: nothing is copied
+/// to a scratch location first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Opnd {
+    /// Frame slot: a parameter, local or expression temporary, as an
+    /// offset from the frame base.
+    Local(u32),
+    /// Constant-pool entry (splatted across the lanes once per VM).
+    Const(u32),
+    /// Global slot.
+    Global(u32),
+    /// Component `c` of a float-vector global, read as a `float`
+    /// (`u_dims.x`, `gl_FragCoord.y`).
+    GlobalComp(u32, u8),
+}
+
+/// The operand shape a typed instruction's lane loop is specialised on,
+/// fixed by the checker's expression types.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// `float` or `vecN` operands of one width `n` (1 for `float`).
+    F(u8),
+    /// A `vecN` left operand and a `float` right one that broadcasts.
+    VecScalar(u8),
+    /// A `float` left operand that broadcasts over a `vecN` right one.
+    ScalarVec(u8),
+    /// `int` operands.
+    I,
+    /// `bool` operands.
+    B,
+    /// Anything else (matrices, int and bool vectors, arrays, samplers):
+    /// per-lane values through the interpreter's own `ops` routines.
+    Any,
+}
+
+impl Shape {
+    /// The shape of a binary operator's operands `a` and `b`.
+    fn of(a: &Type, b: &Type) -> Shape {
+        match (float_width(a), float_width(b)) {
+            (Some(n), Some(m)) if n == m => Shape::F(n),
+            (Some(n), Some(1)) => Shape::VecScalar(n),
+            (Some(1), Some(m)) => Shape::ScalarVec(m),
+            _ => match (a, b) {
+                (Type::Int, Type::Int) => Shape::I,
+                (Type::Bool, Type::Bool) => Shape::B,
+                _ => Shape::Any,
+            },
+        }
+    }
+
+    /// The shape of a one-operand instruction on `a`.
+    fn unary(a: &Type) -> Shape {
+        Shape::of(a, a)
+    }
+}
+
+/// The component count of a `float` (1) or `vecN`; `None` for every
+/// other type.
+fn float_width(ty: &Type) -> Option<u8> {
+    match ty {
+        Type::Float => Some(1),
+        Type::Vec2 => Some(2),
+        Type::Vec3 => Some(3),
+        Type::Vec4 => Some(4),
+        _ => None,
+    }
+}
+
+/// A jump destination: the instruction, and how many frame slots are
+/// live there. A context deferred at `pc` reads no frame slot at or
+/// above `live`, so the running context owns those (see
+/// [`crate::spmd`]'s ownership rule).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Target {
+    /// Instruction index in the chunk.
+    pub pc: u32,
+    /// Frame slots live at `pc`.
+    pub live: u32,
+}
+
 /// One step of an lvalue path, walking outward from the root variable.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PathStep {
     /// `.xyz` — selector indices (first `len` entries valid).
     Swizzle { idx: [u8; 4], len: u8 },
-    /// `[i]` — the index value is taken from the operand stack.
+    /// `[i]` — the index value is the store's next index operand.
     Index,
 }
 
-/// A fully resolved store destination.
+/// A store through an accessor path (`v.xz = …`, `a[i] = …`).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StoreDef {
     /// Root variable.
     pub root: SlotRef,
-    /// Accessor path from the root (may be empty for plain assignment).
+    /// Accessor path from the root (never empty).
     pub path: Box<[PathStep]>,
-    /// Number of `Index` steps in `path` (operands popped by the store).
+    /// The index operands, one per `Index` step in path order, at
+    /// [`Executable::operands`]`[indices..]`.
+    pub indices: u32,
+    /// Number of `Index` steps in `path`.
     pub n_index: u8,
     /// Whether this store must set the `gl_FragColor`-written flag.
     pub wrote_color: bool,
@@ -89,121 +187,158 @@ pub(crate) struct StoreDef {
     pub wrote_data: bool,
 }
 
-/// One bytecode instruction.
+/// One three-address bytecode instruction. Every value instruction names
+/// its operands where they live ([`Opnd`]) and the frame slot its result
+/// goes to; the typed ones carry the [`Shape`] the checker gave their
+/// operands.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Insn {
-    /// Push constant `consts[i]`.
-    Const(u32),
-    /// Push a copy of global slot `i`.
-    LoadGlobal(u32),
-    /// Push a copy of frame slot `i`.
-    LoadLocal(u32),
-    /// Pop into frame slot `i` (declarations and temporaries only — no
-    /// output-flag bookkeeping).
-    StoreLocal(u32),
-    /// Pop into global slot `i` (global initialiser chunk only).
-    StoreGlobalPop(u32),
-    /// Duplicate the top of stack.
-    Dup,
-    /// Discard the top of stack.
-    Pop,
-    /// Swap the two topmost values.
-    Swap,
-    /// Unary negate.
-    Neg,
-    /// Logical not.
-    Not,
-    /// Non-short-circuit binary operator (arith/relational/`^^`).
-    Binary(BinOp),
-    /// `Binary(op)` whose right operand is `consts[c]`, read in place: a
-    /// folded `Const(c); Binary(op)`.
-    BinaryConst {
+    /// `frame[dst] = src`.
+    Move {
+        /// Destination frame slot.
+        dst: u32,
+        /// Source.
+        src: Opnd,
+    },
+    /// `frame[dst] = a op b`: a non-short-circuit binary operator
+    /// (arithmetic, relational, `^^`).
+    Binary {
         /// Operator.
         op: BinOp,
-        /// Constant-pool index of the right operand.
-        c: u32,
+        /// Operand shape.
+        shape: Shape,
+        /// Destination frame slot.
+        dst: u32,
+        /// Left operand.
+        a: Opnd,
+        /// Right operand.
+        b: Opnd,
     },
-    /// `Binary(op)` whose right operand is frame slot `s`, read in
-    /// place: a folded `LoadLocal(s); Binary(op)`.
-    BinaryLocal {
-        /// Operator.
-        op: BinOp,
-        /// Frame slot of the right operand.
-        s: u32,
+    /// `frame[dst] = -a`.
+    Neg {
+        /// Operand shape.
+        shape: Shape,
+        /// Destination frame slot.
+        dst: u32,
+        /// Operand.
+        a: Opnd,
     },
-    /// Push `frame[s] op consts[c]`: a folded
-    /// `LoadLocal(s); Const(c); Binary(op)`.
-    LocalBinaryConst {
-        /// Operator.
-        op: BinOp,
-        /// Frame slot of the left operand.
-        s: u32,
-        /// Constant-pool index of the right operand.
-        c: u32,
+    /// `frame[dst] = cond ? a : b` per lane: a `?:` whose arms are read
+    /// in place. Counts the `?:`'s branch.
+    Select {
+        /// Destination frame slot.
+        dst: u32,
+        /// The `bool` condition.
+        cond: Opnd,
+        /// Value where `cond` holds.
+        a: Opnd,
+        /// Value where it does not.
+        b: Opnd,
     },
-    /// Count one taken branch (emitted where the interpreter counts).
-    Branch,
-    /// Unconditional jump.
-    Jump(u32),
-    /// Pop a bool; jump if false. Errors on non-bool like `eval_bool`.
-    JumpIfFalse(u32),
-    /// Pop a bool; jump if true.
-    JumpIfTrue(u32),
-    /// Call builtin or constructor `id` with `argc` stacked arguments. No
-    /// user function of that name takes `argc` arguments, so the callee
-    /// is decided at lowering.
-    CallBuiltin {
-        /// The builtin.
-        id: BuiltinId,
-        /// Argument count.
-        argc: u8,
+    /// `frame[dst] = !a`.
+    Not {
+        /// Destination frame slot.
+        dst: u32,
+        /// Operand.
+        a: Opnd,
     },
-    /// Call user function `functions[func]`: the only user function of
-    /// its name and arity, and the name is no builtin's, so sema's check
-    /// already fixed it as the callee. Pushes `out`/`inout` parameter
-    /// results (in parameter order) below the return value when
-    /// `pushes_outs`.
-    CallUser {
-        /// Function-table index.
-        func: u32,
-        /// Whether the call site expects out-parameter values pushed.
-        pushes_outs: bool,
-    },
-    /// A call whose callee depends on the argument types, which the AST
-    /// does not record: same-arity user overloads, or a user function
-    /// named like a builtin. Tries `builtin` first, if it takes these
-    /// argument types, then the user overloads in `candidates` by
-    /// runtime argument types.
-    Call {
-        /// Callee name, an index into [`Executable::names`] (for the
-        /// `Unbound` error).
-        name: u32,
-        /// The builtin of that name, if any.
-        builtin: Option<BuiltinId>,
-        /// Argument count.
-        argc: u8,
-        /// Function-table indices of same-name/same-arity user functions.
-        candidates: Box<[u32]>,
-        /// Whether the call site expects out-parameter values pushed.
-        pushes_outs: bool,
-    },
-    /// Pop a value, add/subtract one (by its scalar category), push the
-    /// result — the shared half of `++`/`--`.
-    IncDec {
-        /// `true` for `++`.
-        inc: bool,
-    },
-    /// Pop a value, push the selected swizzle of it.
+    /// `frame[dst] = src.<idx>`.
     Swizzle {
+        /// Destination frame slot.
+        dst: u32,
+        /// The vector swizzled.
+        src: Opnd,
         /// Selector indices (first `len` valid).
         idx: [u8; 4],
         /// Selector length.
         len: u8,
     },
-    /// Pop index then base, push `base[index]`.
-    IndexOp,
-    /// Pop `n_index` index operands and one value; write through the path.
-    Store(Box<StoreDef>),
+    /// `frame[dst] = base[index]`.
+    Index {
+        /// Destination frame slot.
+        dst: u32,
+        /// The array, vector or matrix indexed.
+        base: Opnd,
+        /// The `int` index.
+        index: Opnd,
+    },
+    /// `frame[dst] = id(args…)`: a builtin function or constructor.
+    Builtin {
+        /// The builtin.
+        id: BuiltinId,
+        /// `Any` when an argument is no `float`, `vecN`, `int` or sampler
+        /// (no SoA fast path applies), else `F(n)` for a first argument
+        /// of `n` float components and `I` for any other.
+        shape: Shape,
+        /// Destination frame slot.
+        dst: u32,
+        /// The arguments, at [`Executable::operands`]`[args..]`.
+        args: u32,
+        /// Argument count.
+        argc: u8,
+    },
+    /// Call user function `functions[func]`. The arguments were written
+    /// to frame slots `base..`, which are the callee's parameter slots:
+    /// its frame starts there. Its return value goes to `frame[dst]`.
+    CallUser {
+        /// Function-table index.
+        func: u32,
+        /// First argument's frame slot: the callee's frame base.
+        base: u32,
+        /// Destination frame slot of the return value.
+        dst: u32,
+        /// Frame slots live when the call returns.
+        live: u32,
+    },
+    /// Return `value` from a user function to the caller's `dst`.
+    Ret(Opnd),
+    /// Store `src` into global `slot`, whole (masked: retired lanes'
+    /// outputs must survive).
+    StoreGlobal {
+        /// Global slot.
+        slot: u32,
+        /// Value stored.
+        src: Opnd,
+        /// Whether this stores `gl_FragColor`.
+        color: bool,
+    },
+    /// Store `src` through `stores[def]`'s accessor path.
+    Store {
+        /// Index into [`Executable::stores`].
+        def: u32,
+        /// Value stored.
+        src: Opnd,
+    },
+    /// Unconditional jump.
+    Jump(Target),
+    /// Jump to `to` where the scalar comparison `a op b` equals `on`.
+    JumpCmp {
+        /// Relational or equality operator.
+        op: BinOp,
+        /// Operand shape: `F(1)` or `I`.
+        shape: Shape,
+        /// Left operand.
+        a: Opnd,
+        /// Right operand.
+        b: Opnd,
+        /// The value that jumps.
+        on: bool,
+        /// Destination.
+        to: Target,
+        /// Count one taken branch first (an `if` or `?:` condition).
+        branch: bool,
+    },
+    /// Jump to `to` where the `bool` `cond` equals `on`.
+    JumpIf {
+        /// The condition.
+        cond: Opnd,
+        /// The value that jumps.
+        on: bool,
+        /// Destination.
+        to: Target,
+        /// Count one taken branch first (an `if` or `?:` condition).
+        branch: bool,
+    },
     /// Push a fresh loop-iteration counter.
     LoopEnter,
     /// Count one iteration: bump the counter, profile a branch, enforce
@@ -221,8 +356,6 @@ pub(crate) enum Insn {
     ErrDiscardInFunction,
     /// `break`/`continue` escaped a function body (runtime error).
     ErrBreakInFunction,
-    /// Return from a user function; the return value is on the stack.
-    Ret,
     /// Non-void function `functions[i]` fell off its end (runtime error
     /// citing its name).
     ErrNoReturn(u32),
@@ -231,10 +364,10 @@ pub(crate) enum Insn {
 }
 
 impl Insn {
-    /// A jump's target instruction; `None` for every other instruction.
-    fn jump_target(&mut self) -> Option<&mut u32> {
+    /// A jump's target; `None` for every other instruction.
+    fn jump_target(&mut self) -> Option<&mut Target> {
         match self {
-            Insn::Jump(t) | Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => Some(t),
+            Insn::Jump(t) | Insn::JumpIf { to: t, .. } | Insn::JumpCmp { to: t, .. } => Some(t),
             _ => None,
         }
     }
@@ -245,7 +378,8 @@ impl Insn {
 pub(crate) struct Chunk {
     /// Instructions.
     pub code: Vec<Insn>,
-    /// Number of frame slots (params + locals + temporaries).
+    /// Number of frame slots (params + locals + temporaries), not
+    /// counting the frames of the calls it makes.
     pub frame_size: u32,
 }
 
@@ -254,11 +388,11 @@ pub(crate) struct Chunk {
 pub(crate) struct FuncDef {
     /// Source name.
     pub name: Name,
-    /// Parameter types and qualifiers, in order (types drive overload
-    /// dispatch exactly like the interpreter's runtime-type match).
+    /// Parameter types and qualifiers, in order (`out` parameters start
+    /// at zero).
     pub params: Vec<(Type, ParamQual)>,
-    /// Declared return type.
-    pub ret: Type,
+    /// Whether a parameter is `out` (so a call zeroes it).
+    pub has_out: bool,
     /// Body chunk index.
     pub chunk: u32,
 }
@@ -273,8 +407,10 @@ pub struct Executable {
     pub(crate) kind: ShaderKind,
     /// Constant pool.
     pub(crate) consts: Vec<Value>,
-    /// Callee names of [`Insn::Call`]s (error messages).
-    pub(crate) names: Vec<Name>,
+    /// Builtin arguments and store indices, referenced by position.
+    pub(crate) operands: Vec<Opnd>,
+    /// Accessor-path stores.
+    pub(crate) stores: Vec<StoreDef>,
     /// Global slot types, in slot order.
     pub(crate) globals: Vec<Type>,
     /// Name → global slot.
@@ -371,10 +507,12 @@ enum ConstKey {
     Bool(bool),
 }
 
-/// A user function definition and, once a call has reached it, its index
-/// in the function table.
+/// A user function definition, the checker's type table for its
+/// expressions and, once a call has reached it, its index in the
+/// function table.
 struct Def<'a> {
     ast: &'a Function,
+    types: &'a [Type],
     index: Option<u32>,
 }
 
@@ -383,7 +521,8 @@ struct Lowerer<'a> {
     consts: Vec<Value>,
     /// Pool index of each scalar constant (other values are not shared).
     const_index: HashMap<ConstKey, u32>,
-    names: Vec<Name>,
+    operands: Vec<Opnd>,
+    stores: Vec<StoreDef>,
     globals: Vec<Type>,
     global_index: HashMap<Name, u32>,
     reset_slots: Vec<u32>,
@@ -392,13 +531,14 @@ struct Lowerer<'a> {
     /// name → definitions, in source order.
     defs: HashMap<&'a str, Vec<Def<'a>>>,
     /// Reached functions whose bodies are not lowered yet.
-    pending: Vec<(u32, &'a Function)>,
+    pending: Vec<(u32, &'a Function, &'a [Type])>,
     /// The code buffer every chunk is compiled in (chunks are compiled
     /// one at a time), so a chunk's code is allocated once, at its size.
     code_buffer: Vec<Insn>,
-    /// Jump-target marks and index remap, reused by every chunk's
-    /// [`fold_operands`].
-    fold_buffers: (Vec<bool>, Vec<u32>),
+    /// Argument types and operands of the calls being lowered, innermost
+    /// call last (a stack shared by nested calls).
+    arg_types: Vec<Type>,
+    arg_operands: Vec<Opnd>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -407,7 +547,8 @@ impl<'a> Lowerer<'a> {
             shader,
             consts: Vec::new(),
             const_index: HashMap::new(),
-            names: Vec::new(),
+            operands: Vec::new(),
+            stores: Vec::new(),
             globals: Vec::new(),
             global_index: HashMap::new(),
             reset_slots: Vec::new(),
@@ -416,8 +557,22 @@ impl<'a> Lowerer<'a> {
             defs: HashMap::new(),
             pending: Vec::new(),
             code_buffer: Vec::new(),
-            fold_buffers: (Vec::new(), Vec::new()),
+            arg_types: Vec::new(),
+            arg_operands: Vec::new(),
         }
+    }
+
+    /// Every item of the shader with the type table of its unit: the
+    /// prelude's items, then the shader's own.
+    fn items(&self) -> impl Iterator<Item = (&'a Item, &'a [Type])> {
+        let shader = self.shader;
+        let prelude = shader
+            .prelude
+            .as_deref()
+            .map_or((&[][..], &[][..]), |p| (&p.unit.items[..], &p.types[..]));
+        let own = &shader.types[..];
+        (prelude.0.iter().map(move |i| (i, prelude.1)))
+            .chain(shader.unit.items.iter().map(move |i| (i, own)))
     }
 
     fn add_const(&mut self, v: Value) -> u32 {
@@ -445,16 +600,16 @@ impl<'a> Lowerer<'a> {
         if let Some(index) = def.index {
             return index;
         }
-        let f = def.ast;
+        let (f, types) = (def.ast, def.types);
         let index = self.functions.len() as u32;
         def.index = Some(index);
         self.functions.push(FuncDef {
             name: Name::clone(&f.name),
             params: f.params.iter().map(|p| (p.ty.clone(), p.qual)).collect(),
-            ret: f.ret.clone(),
+            has_out: f.params.iter().any(|p| p.qual == ParamQual::Out),
             chunk: 0, // set when the body is lowered
         });
-        self.pending.push((index, f));
+        self.pending.push((index, f, types));
         index
     }
 
@@ -466,7 +621,7 @@ impl<'a> Lowerer<'a> {
                 .insert(Name::from(name), self.globals.len() as u32);
             self.globals.push(ty);
         }
-        for item in self.shader.items() {
+        for (item, types) in self.items() {
             match item {
                 Item::Var(decl) => {
                     for var in &decl.vars {
@@ -480,6 +635,7 @@ impl<'a> Lowerer<'a> {
                 }
                 Item::Function(f) => self.defs.entry(&f.name).or_default().push(Def {
                     ast: f,
+                    types,
                     index: None,
                 }),
                 _ => {}
@@ -490,22 +646,23 @@ impl<'a> Lowerer<'a> {
         // their calls reach are lowered (sema checked every one).
         let init_chunk = self.lower_init_chunk()?;
         debug_assert_eq!(init_chunk, 0);
-        let main = self
+        let (main, types) = self
             .defs
             .get("main")
             .and_then(|defs| defs.iter().find(|d| d.ast.params.is_empty()))
-            .map(|d| d.ast)
+            .map(|d| (d.ast, d.types))
             .ok_or_else(|| err("no main() function"))?;
-        let main_chunk = self.lower_main(main)?;
-        while let Some((index, f)) = self.pending.pop() {
-            let chunk = self.lower_function(f, index)?;
+        let main_chunk = self.lower_main(main, types)?;
+        while let Some((index, f, types)) = self.pending.pop() {
+            let chunk = self.lower_function(f, index, types)?;
             self.functions[index as usize].chunk = chunk;
         }
 
         Ok(Executable {
             kind: self.shader.kind,
             consts: self.consts,
-            names: self.names,
+            operands: self.operands,
+            stores: self.stores,
             globals: self.globals,
             global_index: self.global_index,
             reset_slots: self.reset_slots,
@@ -516,22 +673,22 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower_init_chunk(&mut self) -> Result<u32, LowerError> {
-        // Copy the shader reference out first: it lives for 'a, so the
-        // item walk does not conflict with the compiler's &mut borrow
-        // (and no AST cloning is needed).
-        let shader = self.shader;
-        let mut cc = ChunkCompiler::new(self, CompileCx::Init);
-        for item in shader.items() {
+        let mut cc = ChunkCompiler::new(self, CompileCx::Init, &[]);
+        for (item, types) in cc.lo.items() {
             if let Item::Var(decl) = item {
+                cc.types = types;
                 for var in &decl.vars {
-                    if let Some(init) = &var.init {
-                        cc.expr(init)?;
-                    } else {
-                        let c = cc.lo.add_const(Value::zero_of(&var.ty));
-                        cc.emit(Insn::Const(c));
-                    }
+                    let src = match &var.init {
+                        Some(init) => cc.operand(init)?,
+                        None => Opnd::Const(cc.lo.add_const(Value::zero_of(&var.ty))),
+                    };
                     let slot = cc.lo.global_index[&*var.name];
-                    cc.emit(Insn::StoreGlobalPop(slot));
+                    cc.emit(Insn::StoreGlobal {
+                        slot,
+                        src,
+                        color: false,
+                    });
+                    cc.next_slot = 0;
                 }
             }
         }
@@ -539,9 +696,14 @@ impl<'a> Lowerer<'a> {
         Ok(cc.finish())
     }
 
-    fn lower_function(&mut self, f: &'a Function, index: u32) -> Result<u32, LowerError> {
+    fn lower_function(
+        &mut self,
+        f: &'a Function,
+        index: u32,
+        types: &'a [Type],
+    ) -> Result<u32, LowerError> {
         let ret_void = f.ret == Type::Void;
-        let mut cc = ChunkCompiler::new(self, CompileCx::Function);
+        let mut cc = ChunkCompiler::new(self, CompileCx::Function, types);
         cc.ret_void = ret_void;
         cc.func = index;
         cc.push_scope();
@@ -555,8 +717,7 @@ impl<'a> Lowerer<'a> {
         // Fall-through return.
         if ret_void {
             let dummy = cc.lo.add_const(Value::Float(0.0));
-            cc.emit(Insn::Const(dummy));
-            cc.emit(Insn::Ret);
+            cc.emit(Insn::Ret(Opnd::Const(dummy)));
         } else {
             cc.emit(Insn::ErrNoReturn(index));
         }
@@ -564,8 +725,8 @@ impl<'a> Lowerer<'a> {
         Ok(cc.finish())
     }
 
-    fn lower_main(&mut self, main: &'a Function) -> Result<u32, LowerError> {
-        let mut cc = ChunkCompiler::new(self, CompileCx::Main);
+    fn lower_main(&mut self, main: &'a Function, types: &'a [Type]) -> Result<u32, LowerError> {
+        let mut cc = ChunkCompiler::new(self, CompileCx::Main, types);
         cc.push_scope();
         for stmt in &main.body {
             cc.stmt(stmt)?;
@@ -596,10 +757,14 @@ struct ChunkCompiler<'l, 'a> {
     lo: &'l mut Lowerer<'a>,
     cx: CompileCx,
     code: Vec<Insn>,
+    /// The checker's types of the expressions being lowered.
+    types: &'a [Type],
     /// Locals in scope with their slots, outermost first.
     locals: Vec<(&'a str, u32)>,
     /// Where each open scope starts in `locals`.
     scope_starts: Vec<usize>,
+    /// The first free frame slot: locals in scope and live temporaries
+    /// sit below it, stack-like.
     next_slot: u32,
     frame_size: u32,
     loops: Vec<LoopCtx>,
@@ -610,12 +775,13 @@ struct ChunkCompiler<'l, 'a> {
 }
 
 impl<'l, 'a> ChunkCompiler<'l, 'a> {
-    fn new(lo: &'l mut Lowerer<'a>, cx: CompileCx) -> Self {
+    fn new(lo: &'l mut Lowerer<'a>, cx: CompileCx, types: &'a [Type]) -> Self {
         let code = std::mem::take(&mut lo.code_buffer);
         ChunkCompiler {
             lo,
             cx,
             code,
+            types,
             locals: Vec::new(),
             scope_starts: Vec::new(),
             next_slot: 0,
@@ -627,7 +793,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     }
 
     fn finish(mut self) -> u32 {
-        fold_operands(&mut self.code, &mut self.lo.fold_buffers);
         let idx = self.lo.chunks.len() as u32;
         self.lo.chunks.push(Chunk {
             code: self.code.drain(..).collect(),
@@ -642,21 +807,35 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         self.code.len() - 1
     }
 
-    fn here(&self) -> u32 {
-        self.code.len() as u32
+    /// The next instruction as a jump target, with the slots live here.
+    fn here(&self) -> Target {
+        Target {
+            pc: self.code.len() as u32,
+            live: self.next_slot,
+        }
     }
 
-    fn patch(&mut self, at: usize, target: u32) {
+    fn patch(&mut self, at: usize, target: Target) {
         *self.code[at].jump_target().expect("patching a non-jump") = target;
+    }
+
+    /// The checker's type of `e`.
+    fn ty(&self, e: &Expr) -> &'a Type {
+        self.types.get(e.id as usize).unwrap_or(&Type::Void)
     }
 
     // ---- slots & scopes --------------------------------------------------
 
     fn alloc_slot(&mut self) -> u32 {
         let s = self.next_slot;
-        self.next_slot += 1;
-        self.frame_size = self.frame_size.max(self.next_slot);
+        self.claim(s);
         s
+    }
+
+    /// Keeps frame slots up to and including `slot` allocated.
+    fn claim(&mut self, slot: u32) {
+        self.next_slot = slot + 1;
+        self.frame_size = self.frame_size.max(self.next_slot);
     }
 
     fn declare(&mut self, name: &'a str, slot: u32) {
@@ -684,44 +863,51 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         self.lo.global_index.get(name).copied().map(SlotRef::Global)
     }
 
+    fn konst(&mut self, v: Value) -> Opnd {
+        Opnd::Const(self.lo.add_const(v))
+    }
+
     // ---- statements ------------------------------------------------------
 
     fn stmt(&mut self, stmt: &'a Stmt) -> Result<(), LowerError> {
         match &stmt.kind {
-            StmtKind::Expr(e) => self.expr_stmt(e),
+            StmtKind::Expr(e) => self.effect(e),
             StmtKind::Decl(decl) => {
                 for var in &decl.vars {
-                    if let Some(init) = &var.init {
-                        self.expr(init)?;
-                    } else {
-                        let c = self.lo.add_const(Value::zero_of(&var.ty));
-                        self.emit(Insn::Const(c));
+                    // The initialiser is evaluated into the next free
+                    // slot, and the name becomes visible only after (the
+                    // interpreter's push-after-eval).
+                    let slot = self.next_slot;
+                    match &var.init {
+                        Some(init) => self.expr_into(init, slot)?,
+                        None => {
+                            let zero = self.konst(Value::zero_of(&var.ty));
+                            self.emit(Insn::Move {
+                                dst: slot,
+                                src: zero,
+                            });
+                        }
                     }
-                    // Resolve the initialiser before the name becomes
-                    // visible (matches the interpreter's push-after-eval).
-                    let slot = self.alloc_slot();
+                    self.claim(slot);
                     self.declare(&var.name, slot);
-                    self.emit(Insn::StoreLocal(slot));
                 }
                 Ok(())
             }
             StmtKind::If(cond, then, els) => {
-                self.emit(Insn::Branch);
-                self.expr(cond)?;
-                let to_else = self.emit(Insn::JumpIfFalse(0));
+                let to_else = self.branch_unless(cond, true)?;
                 self.scoped_stmt(then)?;
                 match els {
                     Some(els) => {
-                        let to_end = self.emit(Insn::Jump(0));
+                        let to_end = self.emit(Insn::Jump(Target::default()));
                         let else_at = self.here();
-                        self.patch(to_else, else_at);
+                        self.patch_chain(to_else, else_at);
                         self.scoped_stmt(els)?;
                         let end = self.here();
                         self.patch(to_end, end);
                     }
                     None => {
                         let end = self.here();
-                        self.patch(to_else, end);
+                        self.patch_chain(to_else, end);
                     }
                 }
                 Ok(())
@@ -739,10 +925,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 self.emit(Insn::LoopEnter);
                 let top = self.here();
                 let cond_exit = match cond {
-                    Some(cond) => {
-                        self.expr(cond)?;
-                        Some(self.emit(Insn::JumpIfFalse(0)))
-                    }
+                    Some(cond) => Some(self.branch_unless(cond, false)?),
                     None => None,
                 };
                 self.emit(Insn::LoopIter { span: stmt.span });
@@ -753,19 +936,13 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 self.scoped_stmt(body)?;
                 let cont_at = self.here();
                 if let Some(step) = step {
-                    self.expr_stmt(step)?;
+                    self.effect(step)?;
                 }
                 self.emit(Insn::Jump(top));
                 let exit = self.here();
-                let ctx = self.loops.pop().expect("loop ctx");
-                for at in ctx.breaks {
-                    self.patch(at, exit);
-                }
-                for at in ctx.continues {
-                    self.patch(at, cont_at);
-                }
-                if let Some(at) = cond_exit {
-                    self.patch(at, exit);
+                self.close_loop(exit, cont_at);
+                if let Some(chain) = cond_exit {
+                    self.patch_chain(chain, exit);
                 }
                 self.emit(Insn::LoopExit);
                 self.pop_scope();
@@ -774,8 +951,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             StmtKind::While(cond, body) => {
                 self.emit(Insn::LoopEnter);
                 let top = self.here();
-                self.expr(cond)?;
-                let cond_exit = self.emit(Insn::JumpIfFalse(0));
+                let cond_exit = self.branch_unless(cond, false)?;
                 self.emit(Insn::LoopIter { span: stmt.span });
                 self.loops.push(LoopCtx {
                     breaks: Vec::new(),
@@ -784,14 +960,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 self.scoped_stmt(body)?;
                 self.emit(Insn::Jump(top));
                 let exit = self.here();
-                let ctx = self.loops.pop().expect("loop ctx");
-                for at in ctx.breaks {
-                    self.patch(at, exit);
-                }
-                for at in ctx.continues {
-                    self.patch(at, top);
-                }
-                self.patch(cond_exit, exit);
+                self.close_loop(exit, top);
+                self.patch_chain(cond_exit, exit);
                 self.emit(Insn::LoopExit);
                 Ok(())
             }
@@ -805,57 +975,46 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 });
                 self.scoped_stmt(body)?;
                 let cont_at = self.here();
-                self.expr(cond)?;
-                self.emit(Insn::JumpIfTrue(top));
+                let back = self.cond_jumps(cond, true, &mut false, NO_JUMP)?;
+                self.patch_chain(back, top);
                 let exit = self.here();
-                let ctx = self.loops.pop().expect("loop ctx");
-                for at in ctx.breaks {
-                    self.patch(at, exit);
-                }
-                for at in ctx.continues {
-                    self.patch(at, cont_at);
-                }
+                self.close_loop(exit, cont_at);
                 self.emit(Insn::LoopExit);
                 Ok(())
             }
             StmtKind::Return(value) => {
+                let mark = self.next_slot;
                 match self.cx {
-                    CompileCx::Function => {
-                        // `return;` in a non-void function reproduces the
-                        // interpreter's fall-off error; `return e;` pushes
-                        // the value.
-                        match value {
-                            Some(e) => {
-                                self.expr(e)?;
-                                self.emit(Insn::Ret);
-                            }
-                            None if self.ret_void => {
-                                let dummy = self.lo.add_const(Value::Float(0.0));
-                                self.emit(Insn::Const(dummy));
-                                self.emit(Insn::Ret);
-                            }
-                            None => {
-                                // `return;` in a non-void function ends
-                                // it without a value — same runtime error
-                                // as falling off the end.
-                                let func = self.func;
-                                self.emit(Insn::ErrNoReturn(func));
-                            }
+                    CompileCx::Function => match value {
+                        Some(e) => {
+                            let v = self.operand(e)?;
+                            self.emit(Insn::Ret(v));
                         }
-                    }
+                        None if self.ret_void => {
+                            let dummy = self.konst(Value::Float(0.0));
+                            self.emit(Insn::Ret(dummy));
+                        }
+                        None => {
+                            // `return;` in a non-void function ends it
+                            // without a value — same runtime error as
+                            // falling off the end.
+                            let func = self.func;
+                            self.emit(Insn::ErrNoReturn(func));
+                        }
+                    },
                     CompileCx::Main | CompileCx::Init => {
                         if let Some(e) = value {
-                            self.expr(e)?;
-                            self.emit(Insn::Pop);
+                            self.effect(e)?;
                         }
                         self.emit(Insn::Halt);
                     }
                 }
+                self.next_slot = mark;
                 Ok(())
             }
             StmtKind::Break => {
-                if let Some(_ctx) = self.loops.last() {
-                    let at = self.emit(Insn::Jump(0));
+                if self.loops.last().is_some() {
+                    let at = self.emit(Insn::Jump(Target::default()));
                     self.loops.last_mut().expect("loop").breaks.push(at);
                 } else if self.cx == CompileCx::Function {
                     self.emit(Insn::ErrBreakInFunction);
@@ -867,8 +1026,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 Ok(())
             }
             StmtKind::Continue => {
-                if let Some(_ctx) = self.loops.last() {
-                    let at = self.emit(Insn::Jump(0));
+                if self.loops.last().is_some() {
+                    let at = self.emit(Insn::Jump(Target::default()));
                     self.loops.last_mut().expect("loop").continues.push(at);
                 } else if self.cx == CompileCx::Function {
                     self.emit(Insn::ErrBreakInFunction);
@@ -903,391 +1062,695 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         Ok(())
     }
 
-    /// An expression evaluated for effect only: assignments and inc/dec
-    /// skip the result duplication, everything else evaluates then pops.
-    fn expr_stmt(&mut self, e: &'a Expr) -> Result<(), LowerError> {
-        match &e.kind {
-            ExprKind::Assign(..)
-            | ExprKind::Unary(UnOp::PreInc, _)
-            | ExprKind::Unary(UnOp::PreDec, _)
-            | ExprKind::Unary(UnOp::PostInc, _)
-            | ExprKind::Unary(UnOp::PostDec, _) => self.expr_value(e, false),
-            ExprKind::Comma(a, b) => {
-                self.expr_stmt(a)?;
-                self.expr_stmt(b)
+    /// Patches the innermost loop's `break`s to `exit` and `continue`s
+    /// to `cont` and closes it.
+    fn close_loop(&mut self, exit: Target, cont: Target) {
+        let ctx = self.loops.pop().expect("loop ctx");
+        for at in ctx.breaks {
+            self.patch(at, exit);
+        }
+        for at in ctx.continues {
+            self.patch(at, cont);
+        }
+    }
+
+    /// Evaluates a condition and emits the jumps taken where it is
+    /// false; returns their chain, to be patched. `branch` counts one taken
+    /// branch on the first of them, which every lane runs once (an `if`
+    /// or `?:`).
+    fn branch_unless(&mut self, cond: &'a Expr, branch: bool) -> Result<u32, LowerError> {
+        let mut branch = branch;
+        self.cond_jumps(cond, false, &mut branch, NO_JUMP)
+    }
+
+    /// Emits jumps taken where `cond` evaluates to `on`, to a label not
+    /// placed yet, and returns them chained onto `chain` (each unpatched
+    /// jump's target `pc` holds the next one; see [`Self::patch_chain`]).
+    /// `&&`, `||` and `!` become control flow and a scalar comparison is
+    /// a jump itself, so no `bool` is materialised for them.
+    fn cond_jumps(
+        &mut self,
+        cond: &'a Expr,
+        on: bool,
+        branch: &mut bool,
+        chain: u32,
+    ) -> Result<u32, LowerError> {
+        let mark = self.next_slot;
+        let to = Target { pc: chain, live: 0 };
+        let insn = match &cond.kind {
+            ExprKind::Binary(op @ (BinOp::And | BinOp::Or), operands) => {
+                // The value of `a` that decides the whole on its own.
+                let short = *op == BinOp::Or;
+                let [a, b] = &**operands;
+                if on == short {
+                    let chain = self.cond_jumps(a, on, branch, chain)?;
+                    return self.cond_jumps(b, on, branch, chain);
+                }
+                let skip = self.cond_jumps(a, short, branch, NO_JUMP)?;
+                let chain = self.cond_jumps(b, on, branch, chain)?;
+                let here = self.here();
+                self.patch_chain(skip, here);
+                return Ok(chain);
             }
-            _ => {
-                self.expr(e)?;
-                self.emit(Insn::Pop);
-                Ok(())
+            ExprKind::Unary(UnOp::Not, inner) => return self.cond_jumps(inner, !on, branch, chain),
+            ExprKind::Binary(
+                op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne),
+                operands,
+            ) if matches!(
+                Shape::of(self.ty(&operands[0]), self.ty(&operands[1])),
+                Shape::F(1) | Shape::I
+            ) =>
+            {
+                let [a, b] = &**operands;
+                let shape = Shape::of(self.ty(a), self.ty(b));
+                let a = self.operand_before(a, &[b])?;
+                let b = self.operand(b)?;
+                Insn::JumpCmp {
+                    op: *op,
+                    shape,
+                    a,
+                    b,
+                    on,
+                    to,
+                    branch: std::mem::take(branch),
+                }
             }
+            _ => Insn::JumpIf {
+                cond: self.operand(cond)?,
+                on,
+                to,
+                branch: std::mem::take(branch),
+            },
+        };
+        self.next_slot = mark;
+        Ok(self.emit(insn) as u32)
+    }
+
+    /// Points every jump of `chain` at `target`.
+    fn patch_chain(&mut self, mut chain: u32, target: Target) {
+        while chain != NO_JUMP {
+            let t = self.code[chain as usize]
+                .jump_target()
+                .expect("patching a non-jump");
+            chain = t.pc;
+            *t = target;
         }
     }
 
     // ---- expressions -----------------------------------------------------
 
-    fn expr(&mut self, e: &'a Expr) -> Result<(), LowerError> {
-        self.expr_value(e, true)
+    /// An expression evaluated for its effects only.
+    fn effect(&mut self, e: &'a Expr) -> Result<(), LowerError> {
+        let mark = self.next_slot;
+        match &e.kind {
+            ExprKind::FloatLit(_) | ExprKind::IntLit(_) | ExprKind::BoolLit(_) => {}
+            ExprKind::Ident(name) => {
+                self.resolve(name)
+                    .ok_or_else(|| err(format!("unbound identifier `{name}`")))?;
+            }
+            ExprKind::Assign(op, lhs, rhs) => {
+                self.assign(*op, lhs, rhs)?;
+            }
+            ExprKind::Unary(
+                op @ (UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec),
+                inner,
+            ) => {
+                self.inc_dec(*op, inner, false)?;
+            }
+            ExprKind::Comma(a, b) => {
+                self.effect(a)?;
+                self.effect(b)?;
+            }
+            _ => {
+                self.temp_of(e)?;
+            }
+        }
+        self.next_slot = mark;
+        Ok(())
     }
 
-    /// Compiles `e`; leaves its value on the stack iff `for_value`.
-    fn expr_value(&mut self, e: &'a Expr, for_value: bool) -> Result<(), LowerError> {
+    /// Evaluates `e` and returns where its value can be read. Constants,
+    /// variables and one component of a global vector are read in place;
+    /// anything else is evaluated into a fresh temporary, which stays
+    /// allocated until the caller resets `next_slot`.
+    fn operand(&mut self, e: &'a Expr) -> Result<Opnd, LowerError> {
         match &e.kind {
-            ExprKind::FloatLit(v) => {
-                let c = self.lo.add_const(Value::Float(*v));
-                self.emit(Insn::Const(c));
-                self.discard_if(!for_value);
-                Ok(())
+            ExprKind::FloatLit(v) => Ok(self.konst(Value::Float(*v))),
+            ExprKind::IntLit(v) => Ok(self.konst(Value::Int(*v))),
+            ExprKind::BoolLit(v) => Ok(self.konst(Value::Bool(*v))),
+            ExprKind::Ident(name) => match self.resolve(name) {
+                Some(SlotRef::Local(s)) => Ok(Opnd::Local(s)),
+                Some(SlotRef::Global(s)) => Ok(Opnd::Global(s)),
+                None => Err(err(format!("unbound identifier `{name}`"))),
+            },
+            // Negating a literal is exact and uncounted: a constant.
+            ExprKind::Unary(UnOp::Neg, inner) => match inner.kind {
+                ExprKind::FloatLit(v) => Ok(self.konst(Value::Float(-v))),
+                ExprKind::IntLit(v) => Ok(self.konst(Value::Int(v.wrapping_neg()))),
+                _ => self.temp_of(e),
+            },
+            ExprKind::Unary(UnOp::Plus, inner) => self.operand(inner),
+            ExprKind::Field(base, field) => {
+                if let (ExprKind::Ident(name), Some(_)) = (&base.kind, float_width(self.ty(base))) {
+                    if let (Some(SlotRef::Global(g)), ([c, ..], 1)) =
+                        (self.resolve(name), swizzle_of(field)?)
+                    {
+                        return Ok(Opnd::GlobalComp(g, c));
+                    }
+                }
+                self.temp_of(e)
             }
-            ExprKind::IntLit(v) => {
-                let c = self.lo.add_const(Value::Int(*v));
-                self.emit(Insn::Const(c));
-                self.discard_if(!for_value);
-                Ok(())
+            ExprKind::Assign(op, lhs, rhs) => self.assign(*op, lhs, rhs),
+            ExprKind::Unary(
+                op @ (UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec),
+                inner,
+            ) => self.inc_dec(*op, inner, true),
+            ExprKind::Comma(a, b) => {
+                self.effect(a)?;
+                self.operand(b)
             }
-            ExprKind::BoolLit(v) => {
-                let c = self.lo.add_const(Value::Bool(*v));
-                self.emit(Insn::Const(c));
-                self.discard_if(!for_value);
-                Ok(())
+            _ => self.temp_of(e),
+        }
+    }
+
+    /// Evaluates `e` into the next free slot, which stays allocated.
+    fn temp_of(&mut self, e: &'a Expr) -> Result<Opnd, LowerError> {
+        let t = self.next_slot;
+        self.expr_into(e, t)?;
+        self.claim(t);
+        Ok(Opnd::Local(t))
+    }
+
+    /// [`Self::operand`] of `e`, copied to a temporary when it is read in
+    /// place and `later` — evaluated before the reading instruction runs
+    /// — may write it.
+    fn operand_before(&mut self, e: &'a Expr, later: &[&'a Expr]) -> Result<Opnd, LowerError> {
+        let o = self.operand(e)?;
+        Ok(self.stable(o, later.iter().any(|l| self.has_effects(l))))
+    }
+
+    /// `o`, or a temporary copy of it when `copy` and it is read in place
+    /// from a variable (a temporary is read by its one consumer only).
+    fn stable(&mut self, o: Opnd, copy: bool) -> Opnd {
+        let locals_end = self.locals.last().map_or(0, |&(_, s)| s + 1);
+        let variable = match o {
+            Opnd::Const(_) => false,
+            Opnd::Local(s) => s < locals_end,
+            Opnd::Global(_) | Opnd::GlobalComp(..) => true,
+        };
+        if !copy || !variable {
+            return o;
+        }
+        let t = self.alloc_slot();
+        self.emit(Insn::Move { dst: t, src: o });
+        Opnd::Local(t)
+    }
+
+    /// Whether evaluating `e` may write a variable: an assignment, `++`,
+    /// `--` or a user function call anywhere inside it.
+    fn has_effects(&self, e: &Expr) -> bool {
+        match &e.kind {
+            ExprKind::FloatLit(_)
+            | ExprKind::IntLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Ident(_) => false,
+            ExprKind::Assign(..) => true,
+            ExprKind::Unary(op, inner) => {
+                matches!(
+                    op,
+                    UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec
+                ) || self.has_effects(inner)
             }
-            ExprKind::Ident(name) => {
-                match self.resolve(name) {
-                    Some(SlotRef::Local(s)) => self.emit(Insn::LoadLocal(s)),
-                    Some(SlotRef::Global(s)) => self.emit(Insn::LoadGlobal(s)),
-                    None => return Err(err(format!("unbound identifier `{name}`"))),
+            ExprKind::Binary(_, operands) => operands.iter().any(|o| self.has_effects(o)),
+            ExprKind::Ternary(c, a, b) => {
+                self.has_effects(c) || self.has_effects(a) || self.has_effects(b)
+            }
+            ExprKind::Call(name, args) => {
+                self.lo.defs.contains_key(&**name) || args.iter().any(|a| self.has_effects(a))
+            }
+            ExprKind::Field(base, _) => self.has_effects(base),
+            ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
+                self.has_effects(a) || self.has_effects(b)
+            }
+        }
+    }
+
+    /// Evaluates `e` into frame slot `dst`, which nothing reads by name
+    /// while `e` runs: a declaration's slot, an allocated temporary, a
+    /// variable whose every read in `e` precedes the one write to it, or
+    /// the next free slot, which the evaluation may use as scratch before
+    /// it writes the value (the caller claims it after).
+    fn expr_into(&mut self, e: &'a Expr, dst: u32) -> Result<(), LowerError> {
+        let mark = self.next_slot;
+        match &e.kind {
+            ExprKind::Binary(op @ (BinOp::And | BinOp::Or), operands) => {
+                // `a && b` is `a ? b : false`, `a || b` is `a ? true : b`;
+                // `dst` holds `a` for the lanes that jump, so `b` is
+                // evaluated above it.
+                let [a, b] = &**operands;
+                self.expr_into(a, dst)?;
+                let live = mark.max(dst + 1);
+                self.claim(live - 1);
+                let to_end = self.emit(Insn::JumpIf {
+                    cond: Opnd::Local(dst),
+                    on: *op == BinOp::Or,
+                    to: Target::default(),
+                    branch: false,
+                });
+                self.expr_into(b, dst)?;
+                let end = Target {
+                    pc: self.code.len() as u32,
+                    live,
                 };
-                self.discard_if(!for_value);
-                Ok(())
+                self.patch(to_end, end);
             }
             ExprKind::Binary(op, operands) => {
                 let [a, b] = &**operands;
-                match op {
-                    BinOp::And => {
-                        self.expr(a)?;
-                        let j1 = self.emit(Insn::JumpIfFalse(0));
-                        self.expr(b)?;
-                        let j2 = self.emit(Insn::JumpIfFalse(0));
-                        let t = self.lo.add_const(Value::Bool(true));
-                        self.emit(Insn::Const(t));
-                        let to_end = self.emit(Insn::Jump(0));
-                        let false_at = self.here();
-                        self.patch(j1, false_at);
-                        self.patch(j2, false_at);
-                        let f = self.lo.add_const(Value::Bool(false));
-                        self.emit(Insn::Const(f));
-                        let end = self.here();
-                        self.patch(to_end, end);
-                    }
-                    BinOp::Or => {
-                        self.expr(a)?;
-                        let j1 = self.emit(Insn::JumpIfTrue(0));
-                        self.expr(b)?;
-                        let j2 = self.emit(Insn::JumpIfTrue(0));
-                        let f = self.lo.add_const(Value::Bool(false));
-                        self.emit(Insn::Const(f));
-                        let to_end = self.emit(Insn::Jump(0));
-                        let true_at = self.here();
-                        self.patch(j1, true_at);
-                        self.patch(j2, true_at);
-                        let t = self.lo.add_const(Value::Bool(true));
-                        self.emit(Insn::Const(t));
-                        let end = self.here();
-                        self.patch(to_end, end);
-                    }
-                    _ => {
-                        self.expr(a)?;
-                        self.expr(b)?;
-                        self.emit(Insn::Binary(*op));
-                    }
-                }
-                self.discard_if(!for_value);
-                Ok(())
+                let shape = Shape::of(self.ty(a), self.ty(b));
+                let a = self.operand_before(a, &[b])?;
+                let b = self.operand(b)?;
+                self.emit(Insn::Binary {
+                    op: *op,
+                    shape,
+                    dst,
+                    a,
+                    b,
+                });
             }
-            ExprKind::Unary(op, inner) => {
-                match op {
-                    UnOp::Plus => {
-                        self.expr(inner)?;
-                        self.discard_if(!for_value);
-                    }
-                    UnOp::Neg => {
-                        self.expr(inner)?;
-                        self.emit(Insn::Neg);
-                        self.discard_if(!for_value);
-                    }
-                    UnOp::Not => {
-                        self.expr(inner)?;
-                        self.emit(Insn::Not);
-                        self.discard_if(!for_value);
-                    }
-                    UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
-                        let inc = matches!(op, UnOp::PreInc | UnOp::PostInc);
-                        let post = matches!(op, UnOp::PostInc | UnOp::PostDec);
-                        self.expr(inner)?; // old value (index exprs eval #1)
-                        if post && for_value {
-                            self.emit(Insn::Dup); // keep old as result
-                        }
-                        self.emit(Insn::IncDec { inc });
-                        if !post && for_value {
-                            self.emit(Insn::Dup); // keep new as result
-                        }
-                        self.store_lvalue(inner)?; // index exprs eval #2
-                    }
-                }
-                Ok(())
+            ExprKind::Unary(UnOp::Neg, inner) if !is_literal(inner) => {
+                let shape = Shape::unary(self.ty(inner));
+                let a = self.operand(inner)?;
+                self.emit(Insn::Neg { shape, dst, a });
             }
-            ExprKind::Assign(op, lhs, rhs) => {
-                self.expr(rhs)?;
-                if let Some(bin) = compound_op(*op) {
-                    self.expr(lhs)?; // current value (index exprs eval #1)
-                    self.emit(Insn::Swap);
-                    self.emit(Insn::Binary(bin));
-                }
-                if for_value {
-                    self.emit(Insn::Dup);
-                }
-                self.store_lvalue(lhs)?;
-                Ok(())
+            ExprKind::Unary(UnOp::Not, inner) => {
+                let a = self.operand(inner)?;
+                self.emit(Insn::Not { dst, a });
+            }
+            ExprKind::Unary(UnOp::Plus, inner) => self.expr_into(inner, dst)?,
+            ExprKind::Ternary(cond, yes, no) if is_leaf(yes) && is_leaf(no) => {
+                // Both arms are read in place and count nothing: pick per
+                // lane, without a branch.
+                let c = self.operand(cond)?;
+                let (a, b) = (self.operand(yes)?, self.operand(no)?);
+                self.emit(Insn::Select { dst, cond: c, a, b });
             }
             ExprKind::Ternary(cond, yes, no) => {
-                self.emit(Insn::Branch);
-                self.expr(cond)?;
-                let to_else = self.emit(Insn::JumpIfFalse(0));
-                self.expr(yes)?;
-                let to_end = self.emit(Insn::Jump(0));
+                // Where `dst` is the next free slot, it is not live at the
+                // else arm: the arm that runs first owns it.
+                let to_else = self.branch_unless(cond, true)?;
+                self.expr_into(yes, dst)?;
+                let to_end = self.emit(Insn::Jump(Target::default()));
                 let else_at = self.here();
-                self.patch(to_else, else_at);
-                self.expr(no)?;
-                let end = self.here();
+                self.patch_chain(to_else, else_at);
+                self.expr_into(no, dst)?;
+                let end = Target {
+                    pc: self.code.len() as u32,
+                    live: mark.max(dst + 1),
+                };
                 self.patch(to_end, end);
-                self.discard_if(!for_value);
-                Ok(())
             }
-            ExprKind::Call(name, args) => {
-                self.call(name, args)?;
-                self.discard_if(!for_value);
-                Ok(())
-            }
+            ExprKind::Call(name, args) => self.call(name, args, dst)?,
             ExprKind::Field(base, field) => {
-                self.expr(base)?;
+                let src = self.operand(base)?;
                 let (idx, len) = swizzle_of(field)?;
-                self.emit(Insn::Swizzle { idx, len });
-                self.discard_if(!for_value);
-                Ok(())
+                match src {
+                    Opnd::Global(g) if len == 1 && float_width(self.ty(base)).is_some() => {
+                        self.emit(Insn::Move {
+                            dst,
+                            src: Opnd::GlobalComp(g, idx[0]),
+                        });
+                    }
+                    src => {
+                        self.emit(Insn::Swizzle { dst, src, idx, len });
+                    }
+                }
             }
             ExprKind::Index(base, index) => {
-                self.expr(base)?;
-                self.expr(index)?;
-                self.emit(Insn::IndexOp);
-                self.discard_if(!for_value);
-                Ok(())
+                let base = self.operand_before(base, &[index])?;
+                let index = self.operand(index)?;
+                self.emit(Insn::Index { dst, base, index });
             }
             ExprKind::Comma(a, b) => {
-                self.expr(a)?;
-                self.emit(Insn::Pop);
-                self.expr_value(b, for_value)
+                self.effect(a)?;
+                self.expr_into(b, dst)?;
+            }
+            // Leaves, negated literals, assignments and `++`/`--`: their
+            // value has a place of its own.
+            _ => {
+                let src = self.operand(e)?;
+                if src != Opnd::Local(dst) {
+                    self.emit(Insn::Move { dst, src });
+                }
             }
         }
+        self.next_slot = mark;
+        Ok(())
     }
 
-    fn discard_if(&mut self, pop: bool) {
-        if pop {
-            self.emit(Insn::Pop);
+    /// `lhs op= rhs`, returning where the assigned value can be read.
+    /// Like the interpreter: `rhs` first, then (compound) the current
+    /// `lhs`, then the store, whose index expressions are evaluated
+    /// again.
+    fn assign(&mut self, op: AssignOp, lhs: &'a Expr, rhs: &'a Expr) -> Result<Opnd, LowerError> {
+        let bin = compound_op(op);
+        if let ExprKind::Ident(name) = &lhs.kind {
+            let root = self
+                .resolve(name)
+                .ok_or_else(|| err(format!("unbound assignment target `{name}`")))?;
+            match (root, bin) {
+                (SlotRef::Local(x), None) => {
+                    if writes_last(rhs) {
+                        self.expr_into(rhs, x)?;
+                    } else {
+                        let v = self.operand(rhs)?;
+                        if v != Opnd::Local(x) {
+                            self.emit(Insn::Move { dst: x, src: v });
+                        }
+                    }
+                    return Ok(Opnd::Local(x));
+                }
+                (SlotRef::Local(x), Some(op)) => {
+                    let shape = Shape::of(self.ty(lhs), self.ty(rhs));
+                    let b = self.operand(rhs)?;
+                    self.emit(Insn::Binary {
+                        op,
+                        shape,
+                        dst: x,
+                        a: Opnd::Local(x),
+                        b,
+                    });
+                    return Ok(Opnd::Local(x));
+                }
+                _ => {}
+            }
         }
+        let v = self.operand(rhs)?;
+        let v = self.stable(v, self.has_effects(lhs));
+        let v = match bin {
+            Some(op) => {
+                let shape = Shape::of(self.ty(lhs), self.ty(rhs));
+                let cur = self.alloc_slot();
+                self.expr_into(lhs, cur)?;
+                self.emit(Insn::Binary {
+                    op,
+                    shape,
+                    dst: cur,
+                    a: Opnd::Local(cur),
+                    b: v,
+                });
+                Opnd::Local(cur)
+            }
+            None => v,
+        };
+        self.store_lvalue(lhs, v)
     }
 
-    /// Emits the index-expression evaluations and the `Store` for an
-    /// lvalue; expects the value to store on top of the stack on entry.
-    fn store_lvalue(&mut self, lhs: &'a Expr) -> Result<(), LowerError> {
+    /// `++`/`--` on `inner`; returns where the expression's value (the
+    /// new one for a prefix, the old one for a postfix operator) can be
+    /// read when `want_value`.
+    fn inc_dec(&mut self, op: UnOp, inner: &'a Expr, want_value: bool) -> Result<Opnd, LowerError> {
+        let ty = self.ty(inner);
+        let one = match ty.scalar() {
+            Some(Scalar::Int) => self.konst(Value::Int(1)),
+            _ => self.konst(Value::Float(1.0)),
+        };
+        let one_ty = if ty.scalar() == Some(Scalar::Int) {
+            Type::Int
+        } else {
+            Type::Float
+        };
+        let shape = Shape::of(ty, &one_ty);
+        let bin = if matches!(op, UnOp::PreInc | UnOp::PostInc) {
+            BinOp::Add
+        } else {
+            BinOp::Sub
+        };
+        let post = matches!(op, UnOp::PostInc | UnOp::PostDec);
+        if let ExprKind::Ident(name) = &inner.kind {
+            if let Some(SlotRef::Local(x)) = self.resolve(name) {
+                let old = if post && want_value {
+                    self.stable(Opnd::Local(x), true)
+                } else {
+                    Opnd::Local(x)
+                };
+                self.emit(Insn::Binary {
+                    op: bin,
+                    shape,
+                    dst: x,
+                    a: Opnd::Local(x),
+                    b: one,
+                });
+                return Ok(if post { old } else { Opnd::Local(x) });
+            }
+        }
+        let old = self.alloc_slot();
+        self.expr_into(inner, old)?; // index expressions, evaluation #1
+        let new = self.alloc_slot();
+        self.emit(Insn::Binary {
+            op: bin,
+            shape,
+            dst: new,
+            a: Opnd::Local(old),
+            b: one,
+        });
+        self.store_lvalue(inner, Opnd::Local(new))?; // evaluation #2
+        Ok(Opnd::Local(if post { old } else { new }))
+    }
+
+    /// Evaluates an lvalue's index expressions and stores `src` through
+    /// it; returns where the stored value can be read.
+    fn store_lvalue(&mut self, lhs: &'a Expr, src: Opnd) -> Result<Opnd, LowerError> {
         let (root_name, path) = flatten_lvalue(lhs)?;
         let root = self
             .resolve(root_name)
             .ok_or_else(|| err(format!("unbound assignment target `{root_name}`")))?;
-        // Evaluate index expressions outermost-first, mirroring the
-        // interpreter's assign_to/modify recursion order.
-        let mut n_index = 0usize;
+        if path.is_empty() {
+            match root {
+                SlotRef::Local(x) => {
+                    if src != Opnd::Local(x) {
+                        self.emit(Insn::Move { dst: x, src });
+                    }
+                    return Ok(Opnd::Local(x));
+                }
+                SlotRef::Global(slot) => {
+                    self.emit(Insn::StoreGlobal {
+                        slot,
+                        src,
+                        color: root_name == "gl_FragColor",
+                    });
+                    return Ok(Opnd::Global(slot));
+                }
+            }
+        }
         let mut steps: Vec<PathStep> = Vec::with_capacity(path.len());
+        let mut index_exprs: Vec<&'a Expr> = Vec::new();
         for step in &path {
             match step {
                 LvStep::Swizzle(field) => {
                     let (idx, len) = swizzle_of(field)?;
                     steps.push(PathStep::Swizzle { idx, len });
                 }
-                LvStep::Index(_) => {
+                LvStep::Index(e) => {
                     steps.push(PathStep::Index);
-                    n_index += 1;
+                    index_exprs.push(e);
                 }
             }
         }
-        if n_index > 8 {
+        if index_exprs.len() > 8 {
             return Err(err("lvalue path nests more than 8 indexed accesses"));
         }
-        let n_index = n_index as u8;
-        for step in path.iter().rev() {
-            if let LvStep::Index(e) = step {
-                self.expr(e)?;
-            }
+        // Index expressions are evaluated outermost-first, mirroring the
+        // interpreter's assign_to/modify recursion order.
+        let mut indices = [Opnd::Const(0); 8];
+        for k in (0..index_exprs.len()).rev() {
+            indices[k] = self.operand_before(index_exprs[k], &index_exprs[..k])?;
         }
-        let wrote_color = root_name == "gl_FragColor";
-        let wrote_data = root_name == "gl_FragData" && !steps.is_empty();
-        self.emit(Insn::Store(Box::new(StoreDef {
+        let n_index = index_exprs.len();
+        let at = self.lo.operands.len() as u32;
+        self.lo.operands.extend_from_slice(&indices[..n_index]);
+        let def = self.lo.stores.len() as u32;
+        self.lo.stores.push(StoreDef {
             root,
             path: steps.into_boxed_slice(),
-            n_index,
-            wrote_color,
-            wrote_data,
-        })));
-        Ok(())
+            indices: at,
+            n_index: n_index as u8,
+            wrote_color: root_name == "gl_FragColor",
+            wrote_data: root_name == "gl_FragData",
+        });
+        self.emit(Insn::Store { def, src });
+        Ok(src)
     }
 
-    /// Compiles a call expression, including static out-parameter
-    /// copy-back. The callee candidates are the user functions of that
-    /// name and arity; each is reached (and so lowered) here.
-    fn call(&mut self, name: &'a Name, args: &'a [Expr]) -> Result<(), LowerError> {
+    /// Lowers a call whose value goes to `dst`. The callee is fixed by
+    /// the argument types the checker recorded: the builtin that takes
+    /// them, else the user overload declared with exactly them.
+    fn call(&mut self, name: &'a Name, args: &'a [Expr], dst: u32) -> Result<(), LowerError> {
+        let base = self.lo.arg_types.len();
+        for a in args {
+            let ty = self.ty(a).clone();
+            self.lo.arg_types.push(ty);
+        }
+        let builtin = BuiltinId::from_name(name)
+            .filter(|_| builtins::signature(name, &self.lo.arg_types[base..]).is_some());
+        let user = match builtin {
+            Some(_) => None,
+            None => {
+                let arg_types = &self.lo.arg_types[base..];
+                let k = self
+                    .lo
+                    .defs
+                    .get(&**name)
+                    .and_then(|defs| {
+                        defs.iter().position(|d| {
+                            d.ast.params.len() == arg_types.len()
+                                && d.ast.params.iter().zip(arg_types).all(|(p, t)| p.ty == *t)
+                        })
+                    })
+                    .ok_or_else(|| {
+                        err(format!("no definition of `{name}` takes these arguments"))
+                    })?;
+                Some(k)
+            }
+        };
+        // The SoA fast paths take float, int and sampler arguments.
+        let arg_types = &self.lo.arg_types[base..];
+        let shape = if arg_types
+            .iter()
+            .all(|t| float_width(t).is_some() || matches!(t, Type::Int | Type::Sampler2D))
+        {
+            arg_types
+                .first()
+                .and_then(float_width)
+                .map_or(Shape::I, Shape::F)
+        } else {
+            Shape::Any
+        };
+        self.lo.arg_types.truncate(base);
+        match (builtin, user) {
+            (Some(id), _) => self.call_builtin(id, shape, args, dst),
+            (None, Some(k)) => self.call_user(name, k, args, dst),
+            (None, None) => unreachable!("a call resolves to a builtin or a definition"),
+        }
+    }
+
+    fn call_builtin(
+        &mut self,
+        id: BuiltinId,
+        shape: Shape,
+        args: &'a [Expr],
+        dst: u32,
+    ) -> Result<(), LowerError> {
         if args.len() > u8::MAX as usize {
-            // `Insn::Call` carries an 8-bit arity; fall back to the
-            // interpreter rather than truncating.
             return Err(err(format!(
-                "call to `{name}` has more than {} arguments",
+                "call to `{}` has more than {} arguments",
+                id.name(),
                 u8::MAX
             )));
         }
-        for a in args {
-            self.expr(a)?;
+        let base = self.lo.arg_operands.len();
+        for (i, a) in args.iter().enumerate() {
+            let later = args[i + 1..].iter().any(|l| self.has_effects(l));
+            let o = self.operand(a)?;
+            let o = self.stable(o, later);
+            self.lo.arg_operands.push(o);
         }
-        let argc = args.len();
-        let defs: &[Def<'a>] = self.lo.defs.get(&**name).map_or(&[], Vec::as_slice);
-        let candidates = defs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.ast.params.len() == argc);
-        // Every overload that may be picked must agree on which
-        // parameters are copied back.
-        let is_out = |p: &Param| matches!(p.qual, ParamQual::Out | ParamQual::InOut);
-        let first = candidates.clone().next().map(|(_, d)| d.ast);
-        if let Some(first) = first {
-            if candidates.clone().any(|(_, d)| {
-                !d.ast
-                    .params
-                    .iter()
-                    .map(is_out)
-                    .eq(first.params.iter().map(is_out))
-            }) {
-                return Err(err(format!(
-                    "overloads of `{name}` disagree on out parameters"
-                )));
-            }
-        }
-        let out_params = first.map_or(&[][..], |f| f.params.as_slice());
-        let has_outs = out_params.iter().any(is_out);
-        let builtin = BuiltinId::from_name(name);
-        if has_outs && builtin.is_some() {
-            return Err(err(format!(
-                "`{name}` shadows a builtin and takes out parameters"
-            )));
-        }
+        let at = self.lo.operands.len() as u32;
+        let Lowerer {
+            operands,
+            arg_operands,
+            ..
+        } = &mut *self.lo;
+        operands.extend(arg_operands.drain(base..));
+        self.emit(Insn::Builtin {
+            id,
+            shape,
+            dst,
+            args: at,
+            argc: args.len() as u8,
+        });
+        Ok(())
+    }
 
-        let argc = argc as u8;
-        let insn = match (builtin, candidates.clone().count()) {
-            (Some(id), 0) => Insn::CallBuiltin { id, argc },
-            (None, 1) => {
-                let (k, _) = candidates.clone().next().expect("one candidate");
-                Insn::CallUser {
-                    func: self.lo.reach(name, k),
-                    pushes_outs: has_outs,
+    /// A user call: the arguments are evaluated straight into the
+    /// callee's parameter slots, at the top of the live frame; `out` and
+    /// `inout` parameters are stored back in parameter order after the
+    /// return, before the value is (as the interpreter does).
+    fn call_user(
+        &mut self,
+        name: &'a str,
+        k: usize,
+        args: &'a [Expr],
+        dst: u32,
+    ) -> Result<(), LowerError> {
+        let f = self.lo.defs[name][k].ast;
+        let func = self.lo.reach(name, k);
+        let has_outs = f
+            .params
+            .iter()
+            .any(|p| matches!(p.qual, ParamQual::Out | ParamQual::InOut));
+        // With out parameters, the value waits in a temporary of its own
+        // until they are stored back (one of them may be `dst`).
+        let ret = if has_outs { self.alloc_slot() } else { dst };
+        if ret >= self.next_slot {
+            self.claim(ret);
+        }
+        // Each argument is evaluated into the next free slot.
+        let base = self.next_slot;
+        for (i, a) in args.iter().enumerate() {
+            let slot = base + i as u32;
+            self.expr_into(a, slot)?;
+            self.claim(slot);
+        }
+        let live = self.next_slot;
+        self.emit(Insn::CallUser {
+            func,
+            base,
+            dst: ret,
+            live,
+        });
+        if has_outs {
+            for (i, (p, a)) in f.params.iter().zip(args).enumerate() {
+                if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
+                    self.store_lvalue(a, Opnd::Local(base + i as u32))?;
                 }
             }
-            _ => {
-                let ks: Vec<usize> = candidates.map(|(k, _)| k).collect();
-                let candidates = ks.into_iter().map(|k| self.lo.reach(name, k)).collect();
-                self.lo.names.push(Name::clone(name));
-                Insn::Call {
-                    name: (self.lo.names.len() - 1) as u32,
-                    builtin,
-                    argc,
-                    candidates,
-                    pushes_outs: has_outs,
-                }
-            }
-        };
-        self.emit(insn);
-        if !has_outs {
-            return Ok(());
+            self.emit(Insn::Move {
+                dst,
+                src: Opnd::Local(ret),
+            });
         }
-
-        // Stack now: [out_0, …, out_{m-1}, ret]. Stash into temporaries,
-        // then copy back in parameter order (like the interpreter).
-        let out_args: Vec<usize> = out_params
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| is_out(p).then_some(i))
-            .collect();
-        let t_ret = self.alloc_slot();
-        let t_outs: Vec<u32> = out_args.iter().map(|_| self.alloc_slot()).collect();
-        self.emit(Insn::StoreLocal(t_ret));
-        for &t in t_outs.iter().rev() {
-            self.emit(Insn::StoreLocal(t));
-        }
-        for (&arg_i, &t) in out_args.iter().zip(&t_outs) {
-            self.emit(Insn::LoadLocal(t));
-            self.store_lvalue(&args[arg_i])?;
-        }
-        self.emit(Insn::LoadLocal(t_ret));
-        // Temporaries are dead past this point; release the slots.
-        self.next_slot -= (t_outs.len() + 1) as u32;
         Ok(())
     }
 }
 
-/// Folds operand pushes into the `Binary` that consumes them, so the VM
-/// reads a constant or local in place instead of copying it onto the
-/// stack first: `Const; Binary` → [`Insn::BinaryConst`],
-/// `LoadLocal; Binary` → [`Insn::BinaryLocal`] and
-/// `LoadLocal; Const; Binary` → [`Insn::LocalBinaryConst`]. A sequence
-/// is folded only when no jump lands inside it: at a jump target (the
-/// join of a `?:` or `&&` whose result is a right operand) the arriving
-/// context has pushed its own operand. Jump targets are remapped to the
-/// shortened code. One linear walk per chunk, in place; `buffers` holds
-/// the jump-target marks and the index remap between chunks.
-fn fold_operands(code: &mut Vec<Insn>, buffers: &mut (Vec<bool>, Vec<u32>)) {
-    let (landed, remap) = buffers;
-    landed.clear();
-    landed.resize(code.len() + 1, false);
-    for t in code.iter_mut().filter_map(Insn::jump_target) {
-        landed[*t as usize] = true;
-    }
-    remap.clear();
-    remap.resize(code.len() + 1, 0);
-    // Folded instructions are written at `w`, never past the read
-    // position `i`.
-    let mut w = 0;
-    let mut i = 0;
-    while i < code.len() {
-        // The instruction `k` past `i`, unless a jump lands on it.
-        let at = |k: usize| code.get(i + k).filter(|_| !landed[i + k]);
-        let (folded, len) = match (&code[i], at(1), at(2)) {
-            (&Insn::LoadLocal(s), Some(&Insn::Const(c)), Some(&Insn::Binary(op))) => {
-                (Some(Insn::LocalBinaryConst { op, s, c }), 3)
-            }
-            (&Insn::Const(c), Some(&Insn::Binary(op)), _) => (Some(Insn::BinaryConst { op, c }), 2),
-            (&Insn::LoadLocal(s), Some(&Insn::Binary(op)), _) => {
-                (Some(Insn::BinaryLocal { op, s }), 2)
-            }
-            _ => (None, 1),
-        };
-        remap[i..i + len].fill(w as u32);
-        match folded {
-            Some(insn) => code[w] = insn,
-            None => code.swap(w, i),
+/// Whether `e`, evaluated into a variable's own slot, writes it only as
+/// its last step, after every read of it: no `?:`, `&&` or `||`, whose
+/// arms write the destination, at its root.
+fn writes_last(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Binary(op, _) => !matches!(op, BinOp::And | BinOp::Or),
+        ExprKind::Unary(UnOp::Neg | UnOp::Not, _) | ExprKind::Field(..) | ExprKind::Index(..) => {
+            true
         }
-        w += 1;
-        i += len;
+        ExprKind::Call(..) => true,
+        _ => false,
     }
-    remap[code.len()] = w as u32;
-    code.truncate(w);
-    for t in code.iter_mut().filter_map(Insn::jump_target) {
-        *t = remap[*t as usize];
+}
+
+/// Whether `e` is a constant or a variable: reading it counts nothing
+/// and cannot fail.
+fn is_leaf(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::FloatLit(_) | ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::Ident(_) => {
+            true
+        }
+        ExprKind::Unary(UnOp::Neg, inner) => is_literal(inner),
+        _ => false,
     }
+}
+
+fn is_literal(e: &Expr) -> bool {
+    matches!(e.kind, ExprKind::FloatLit(_) | ExprKind::IntLit(_))
 }
 
 fn compound_op(op: AssignOp) -> Option<BinOp> {
@@ -1309,6 +1772,9 @@ fn swizzle_of(field: &str) -> Result<([u8; 4], u8), LowerError> {
     }
     Ok((idx, indices.len() as u8))
 }
+
+/// The end of a chain of jumps to patch (see `ChunkCompiler::cond_jumps`).
+const NO_JUMP: u32 = u32::MAX;
 
 /// One accessor of an lvalue path (AST form, before index compilation).
 enum LvStep<'e> {
@@ -1378,51 +1844,114 @@ mod tests {
             }}"
         ));
         let main = &exe.chunks[exe.main_chunk as usize];
-        // Two slots in the first block, one (reused) in the second.
-        assert!(main.frame_size <= 2, "frame_size = {}", main.frame_size);
+        // Two locals and the constructor's temporary in the first block;
+        // the second reuses them.
+        assert!(main.frame_size <= 3, "frame_size = {}", main.frame_size);
     }
 
-    /// Operand pushes fold into their `Binary`, except where a jump
-    /// lands on the `Binary` (the join of a `?:` on the right), and
-    /// calls resolve to their callee where the AST fixes it.
+    /// Operands are read where they live — a constant, a global, one
+    /// component of a global, a frame slot — and every call resolves to
+    /// its callee by the checker's argument types, overloads and user
+    /// functions named like a builtin included.
     #[test]
-    fn lowering_folds_operands_and_resolves_calls() {
+    fn lowering_reads_operands_in_place_and_resolves_calls() {
         let exe = lower_src(&format!(
             "{P}uniform float u;\n\
              float twice(float v) {{ return v * 2.0; }}\n\
              void main() {{
                 float x = u + 0.5;
                 float y = x * (u > 1.0 ? 1.0 : 2.0) - x;
-                gl_FragColor = vec4(twice(y), floor(x), 0.0, 1.0);
+                gl_FragColor = vec4(twice(y), floor(x), gl_FragCoord.y, 1.0);
              }}"
         ));
         let main = &exe.chunks[exe.main_chunk as usize].code;
-        let count = |f: fn(&Insn) -> bool| main.iter().filter(|i| f(i)).count();
-        // `u + 0.5` (global operand, then a constant) and `… - x`.
+        let u = exe.global_slot("u").expect("u");
+        let coord = exe.global_slot("gl_FragCoord").expect("gl_FragCoord");
+        // `u + 0.5` is evaluated straight into `x`'s slot.
+        assert!(matches!(
+            main[0],
+            Insn::Binary {
+                op: BinOp::Add,
+                shape: Shape::F(1),
+                dst: 0,
+                a: Opnd::Global(g),
+                b: Opnd::Const(_),
+            } if g == u
+        ));
+        // The `?:`, whose arms are constants, is a per-lane select into
+        // the slot `y` will take, which the `*` reads; `- x` reads `x` in
+        // place.
+        assert!(main.iter().any(|i| matches!(
+            i,
+            Insn::Select {
+                dst: 1,
+                a: Opnd::Const(_),
+                b: Opnd::Const(_),
+                ..
+            }
+        )));
+        assert!(main.iter().any(|i| matches!(
+            i,
+            Insn::Binary {
+                op: BinOp::Mul,
+                a: Opnd::Local(0),
+                b: Opnd::Local(1),
+                ..
+            }
+        )));
+        assert!(main.iter().any(|i| matches!(
+            i,
+            Insn::Binary {
+                op: BinOp::Sub,
+                dst: 1,
+                b: Opnd::Local(0),
+                ..
+            }
+        )));
+        let count = |code: &[Insn], f: fn(&Insn) -> bool| code.iter().filter(|i| f(i)).count();
+        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 1);
         assert_eq!(
-            count(|i| matches!(i, Insn::BinaryConst { op: BinOp::Add, .. })),
-            1
-        );
-        assert_eq!(
-            count(|i| matches!(i, Insn::BinaryLocal { op: BinOp::Sub, .. })),
-            1
-        );
-        // The `*` is the `?:` join, so its right operand stays pushed.
-        assert_eq!(count(|i| matches!(i, Insn::Binary(BinOp::Mul))), 1);
-        assert_eq!(count(|i| matches!(i, Insn::CallUser { .. })), 1);
-        assert_eq!(
-            count(|i| matches!(
+            count(main, |i| matches!(
                 i,
-                Insn::CallBuiltin {
+                Insn::Builtin {
                     id: BuiltinId::Floor,
-                    argc: 1
+                    argc: 1,
+                    ..
                 }
             )),
             1
         );
-        assert_eq!(count(|i| matches!(i, Insn::Call { .. })), 0);
+        // `gl_FragCoord.y` is an operand of the `vec4` constructor.
+        let Some(&Insn::Builtin { args, argc, .. }) = main.iter().find(|i| {
+            matches!(
+                i,
+                Insn::Builtin {
+                    id: BuiltinId::Vec4,
+                    ..
+                }
+            )
+        }) else {
+            panic!("no vec4 constructor");
+        };
+        assert_eq!(argc, 4);
+        assert_eq!(exe.operands[args as usize + 2], Opnd::GlobalComp(coord, 1));
+        let twice = &exe.chunks[exe.functions[0].chunk as usize].code;
+        assert!(matches!(
+            twice[..],
+            [
+                Insn::Binary {
+                    op: BinOp::Mul,
+                    dst: 1,
+                    a: Opnd::Local(0),
+                    b: Opnd::Const(_),
+                    ..
+                },
+                Insn::Ret(Opnd::Local(1)),
+                ..
+            ]
+        ));
         // Same-arity overloads, and a user overload of a builtin name,
-        // need argument types: the generic call.
+        // resolve by argument types: no run-time pick is left.
         let overloads = lower_src(&format!(
             "{P}uniform float u;\n\
              float f(float v) {{ return v; }}\n\
@@ -1431,21 +1960,8 @@ mod tests {
              void main() {{ gl_FragColor = vec4(f(u) + f(vec2(u)) + floor(int(u))); }}"
         ));
         let main = &overloads.chunks[overloads.main_chunk as usize].code;
-        assert_eq!(
-            main.iter()
-                .filter(|i| matches!(i, Insn::Call { .. }))
-                .count(),
-            3
-        );
-        let twice = &exe.chunks[exe.functions[0].chunk as usize].code;
-        assert!(matches!(
-            twice[0],
-            Insn::LocalBinaryConst {
-                op: BinOp::Mul,
-                s: 0,
-                ..
-            }
-        ));
+        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 3);
+        assert_eq!(overloads.functions.len(), 3);
     }
 
     /// Lowering reaches functions through calls from `main` and the

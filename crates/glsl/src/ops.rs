@@ -707,38 +707,6 @@ pub(crate) fn index_modify(
     }
 }
 
-/// Whether `v`'s runtime type equals `ty` — equivalent to
-/// `v.ty() == *ty` without allocating for array types (used by
-/// function-overload dispatch on both executors).
-pub(crate) fn value_matches_type(v: &Value, ty: &Type) -> bool {
-    match (v, ty) {
-        (Value::Float(_), Type::Float)
-        | (Value::Int(_), Type::Int)
-        | (Value::Bool(_), Type::Bool)
-        | (Value::Vec2(_), Type::Vec2)
-        | (Value::Vec3(_), Type::Vec3)
-        | (Value::Vec4(_), Type::Vec4)
-        | (Value::IVec2(_), Type::IVec2)
-        | (Value::IVec3(_), Type::IVec3)
-        | (Value::IVec4(_), Type::IVec4)
-        | (Value::BVec2(_), Type::BVec2)
-        | (Value::BVec3(_), Type::BVec3)
-        | (Value::BVec4(_), Type::BVec4)
-        | (Value::Mat2(_), Type::Mat2)
-        | (Value::Mat3(_), Type::Mat3)
-        | (Value::Mat4(_), Type::Mat4)
-        | (Value::Sampler(_), Type::Sampler2D) => true,
-        (Value::Array(elems), Type::Array(elem, n)) => {
-            elems.len() == *n
-                && match elems.first() {
-                    Some(first) => value_matches_type(first, elem),
-                    None => **elem == Type::Float,
-                }
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,31 +724,6 @@ mod tests {
         .expect("add");
         assert_eq!(r, Value::Vec3([1.5, 2.5, 3.5]));
         assert_eq!(p.alu_ops, 3);
-    }
-
-    #[test]
-    fn value_matches_type_agrees_with_ty() {
-        let vals = [
-            Value::Float(1.0),
-            Value::IVec3([1, 2, 3]),
-            Value::Mat2([[0.0; 2]; 2]),
-            Value::Sampler(0),
-            Value::Array(vec![Value::Float(0.0); 3]),
-        ];
-        let tys = [
-            Type::Float,
-            Type::IVec3,
-            Type::Mat2,
-            Type::Sampler2D,
-            Type::Array(Box::new(Type::Float), 3),
-            Type::Array(Box::new(Type::Float), 4),
-            Type::Vec3,
-        ];
-        for v in &vals {
-            for t in &tys {
-                assert_eq!(value_matches_type(v, t), v.ty() == *t, "{v} vs {t}");
-            }
-        }
     }
 
     #[test]

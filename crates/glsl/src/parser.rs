@@ -51,6 +51,8 @@ struct Parser {
     /// Height of the expression the last expression rule returned (a
     /// leaf is 1).
     height: usize,
+    /// Expression nodes built so far.
+    exprs: u32,
 }
 
 impl Parser {
@@ -61,6 +63,7 @@ impl Parser {
             pos: 0,
             depth: 0,
             height: 0,
+            exprs: 0,
         }
     }
 
@@ -81,13 +84,16 @@ impl Parser {
     }
 
     /// Builds an expression node one level above `below`, the height of
-    /// its tallest child (0 for a leaf).
+    /// its tallest child (0 for a leaf), numbered after every node built
+    /// before it.
     fn node(&mut self, kind: ExprKind, span: Span, below: usize) -> Result<Expr, CompileError> {
         self.height = below + 1;
         if self.depth + self.height > MAX_NESTING {
             return Err(self.too_deep());
         }
-        Ok(Expr::new(kind, span))
+        let id = self.exprs;
+        self.exprs += 1;
+        Ok(Expr { kind, span, id })
     }
 
     fn peek(&self) -> &TokenKind {
@@ -296,6 +302,7 @@ impl Parser {
             }
             unit.items.push(self.item()?);
         }
+        unit.exprs = self.exprs;
         Ok(unit)
     }
 

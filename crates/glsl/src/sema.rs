@@ -38,6 +38,10 @@ pub struct CompiledShader {
     pub unit: TranslationUnit,
     /// Externally visible variables, the prelude's first.
     pub interface: ShaderInterface,
+    /// The type of each of `unit`'s expressions, indexed by [`Expr::id`]
+    /// (the prelude's are in [`CheckedPrelude`]'s own table): what the
+    /// lowerer picks typed instructions and callees by.
+    pub(crate) types: Vec<Type>,
 }
 
 impl CompiledShader {
@@ -111,35 +115,40 @@ pub(crate) fn check_after(
     prelude: Option<Arc<CheckedPrelude>>,
     unit: TranslationUnit,
 ) -> Result<CompiledShader, CompileError> {
-    let interface = {
-        let mut checker = Checker::new(kind);
+    let (interface, types) = {
+        let mut checker = Checker::new(kind, &unit);
         if let Some(prelude) = &prelude {
             checker.resume(prelude);
         }
         checker.collect_functions(&unit)?;
         checker.check_items(&unit)?;
         checker.require_main()?;
-        checker.interface
+        (checker.interface, checker.types)
     };
     Ok(CompiledShader {
         kind,
         prelude,
         unit,
         interface,
+        types,
     })
 }
 
 /// Checks `unit` as the start of a shader: every check of [`check`] but
-/// the one for `main`. Returns the interface it declares and whether a
-/// float precision default holds at its end.
+/// the one for `main`. Returns the interface it declares, whether a
+/// float precision default holds at its end and its expressions' types.
 pub(crate) fn check_prelude(
     kind: ShaderKind,
     unit: &TranslationUnit,
-) -> Result<(ShaderInterface, bool), CompileError> {
-    let mut checker = Checker::new(kind);
+) -> Result<(ShaderInterface, bool, Vec<Type>), CompileError> {
+    let mut checker = Checker::new(kind, unit);
     checker.collect_functions(unit)?;
     checker.check_items(unit)?;
-    Ok((checker.interface, checker.has_float_precision_default))
+    Ok((
+        checker.interface,
+        checker.has_float_precision_default,
+        checker.types,
+    ))
 }
 
 /// A variable in scope. Names borrow from the checked unit (or are the
@@ -176,6 +185,8 @@ struct Checker<'a> {
     functions: HashMap<&'a str, Vec<FnSig<'a>>>,
     /// Argument types of the calls being checked, innermost call last.
     arg_types: Vec<Type>,
+    /// Each checked expression's type, indexed by [`Expr::id`].
+    types: Vec<Type>,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
@@ -183,8 +194,9 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn new(kind: ShaderKind) -> Self {
+    fn new(kind: ShaderKind, unit: &TranslationUnit) -> Self {
         Checker {
+            types: vec![Type::Void; unit.exprs as usize],
             kind,
             syms: builtin_globals(kind)
                 .into_iter()
@@ -647,7 +659,7 @@ impl<'a> Checker<'a> {
         // frame, which a deeply nested expression repeats once per level,
         // stays small even in an unoptimised build.
         let span = e.span;
-        match &e.kind {
+        let ty = match &e.kind {
             ExprKind::FloatLit(_) => Ok(Type::Float),
             ExprKind::IntLit(_) => Ok(Type::Int),
             ExprKind::BoolLit(_) => Ok(Type::Bool),
@@ -669,7 +681,11 @@ impl<'a> Checker<'a> {
                 self.check_expr(a)?;
                 self.check_expr(b)
             }
+        }?;
+        if let Some(slot) = self.types.get_mut(e.id as usize) {
+            slot.clone_from(&ty);
         }
+        Ok(ty)
     }
 
     fn check_binary(

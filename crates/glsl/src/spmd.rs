@@ -6,15 +6,25 @@
 //! (§III-1 — kernels run "in the vertex or the fragment processing
 //! stage"). A one-lane batch is an exact sequential run. All
 //! *semantic* state is per-lane, but it is stored **struct-of-arrays**:
-//! each operand-stack slot, locals slot and global slot is one `Slot`
-//! holding the value of every lane side by side (`[f32; 8]`,
-//! `[[f32; 4]; 8]`, …). The bytecode walk (program counter plus an
-//! explicit call-frame stack) is shared by every lane in the current
-//! execution *context*, so instruction decode is paid once per batch and
-//! the per-lane work for the common instructions is a tight loop over a
-//! small typed array instead of eight tagged-enum manipulations. A
-//! sampler slot holds its lanes' texture units, which `texture2D` reads
-//! in place.
+//! each frame slot (parameter, local or expression temporary) and each
+//! global slot is one `Slot` holding the value of every lane side by
+//! side (`[f32; 8]`, `[[f32; 4]; 8]`, …). The bytecode walk (program
+//! counter plus an explicit call-frame stack) is shared by every lane in
+//! the current execution *context*, so instruction decode is paid once
+//! per batch and the per-lane work for the common instructions is a
+//! tight loop over a small typed array instead of eight tagged-enum
+//! manipulations. A sampler slot holds its lanes' texture units, which
+//! `texture2D` reads in place.
+//!
+//! The bytecode is three-address ([`crate::compile`](mod@crate::compile)): an instruction
+//! reads its operands where they live — a frame slot, a constant
+//! (splatted across the lanes once, when the VM is built), a global, or
+//! one component of a global vector — and writes its result to a frame
+//! slot. There is no operand stack. Arithmetic, comparisons, negation,
+//! swizzles and builtins carry the operand shape the checker gave them,
+//! so the common case runs one fixed-width lane loop over the operands'
+//! typed lanes; a slot that does not hold that shape (a boxed slot)
+//! takes the generic path.
 //!
 //! Slots whose lanes cannot be represented uniformly (arrays,
 //! matrices, bvecs, or a masked write that changes a slot's type under
@@ -26,11 +36,11 @@
 //! # Divergence model
 //!
 //! A context is `(lane mask, call frames, pc)`. When a data-dependent
-//! branch (`JumpIfFalse` / `JumpIfTrue`, which is what `if`, `?:`,
-//! short-circuit `&&`/`||` and loop conditions lower to) splits the
-//! active lanes, the jumping subgroup is deferred onto a pending stack
-//! and the fall-through subgroup keeps executing. Two contexts merge
-//! whenever they meet at the same `(call frames, pc)` — this is always
+//! branch (`JumpIf` / `JumpCmp`, which is what `if`, `?:`, short-circuit
+//! `&&`/`||` and loop conditions lower to) splits the active lanes, the
+//! jumping subgroup is deferred onto a pending stack and the
+//! fall-through subgroup keeps executing. Two contexts merge whenever
+//! they meet at the same `(call frames, pc)` — this is always
 //! semantically safe because every lane only ever executes instructions
 //! its own data dictates; the shared pc is pure scheduling. Reconvergence
 //! at the join point of structured `if`/`else` falls out of two rules:
@@ -39,46 +49,28 @@
 //! furthest-behind compatible pending context so laggards catch up.
 //! `discard` simply retires the lanes of the executing context.
 //!
-//! Writes to stack and locals slots follow an **ownership rule**. A
-//! deferred context's live state is exactly `stack[..sp]` and
-//! `locals[..frame_end]`: callee frames start at the caller's
-//! `frame_end`, and the operand stack is one array indexed by absolute
-//! `sp`. So the running context *owns* stack depth `d` when `d` is at
-//! least the largest `sp` of any pending context, and locals index `i`
-//! when `i` is at least the largest pending `frame_end` (both floors are
-//! 0 when nothing is pending — the uniform-flow case). Owned slots are
-//! written wholesale: re-typed, full-width loops that keep the hot paths
-//! branch-free and vectorisable, whatever clobbers the other lanes (they
-//! are retired, or the slot is dead for their context). Only a write
-//! below a floor is *masked*: the current context's lanes are touched
-//! and the other lanes' values preserved, falling back to `Slot::Boxed`
-//! when it changes the slot's type (e.g. a `Ret` into the caller while a
-//! sibling lane is still inside the callee). A diverged batch that only
-//! writes above the floors — the f32 codec's sign branch — therefore
-//! shades at uniform-flow speed. Globals are always written masked,
-//! because retired lanes' outputs (`gl_FragColor`, `gl_Position`) are
-//! read after the batch.
-//!
-//! # What lowering decides
-//!
-//! The VM makes no decision the lowerer could make once per shader:
-//!
-//! * **Calls are resolved.** A call lowers to `CallBuiltin { id }` (a
-//!   [`builtins::BuiltinId`] that [`builtins::call`] and the SoA fast
-//!   paths switch on) or `CallUser { func }`. Only the two shapes whose
-//!   callee depends on argument types, which the AST does not record —
-//!   same-arity user overloads, and a user function named like a
-//!   builtin — keep the generic `Call` that tries the builtin, then picks
-//!   an overload by runtime argument types.
-//! * **Operands are read in place.** A `Const; Binary`,
-//!   `LoadLocal; Binary` or `LoadLocal; Const; Binary` run folds into
-//!   one instruction that reads the constant or local where it lives
-//!   (constants are splatted across the lanes once, when the VM is
-//!   built), unless a jump lands inside the run: at the join of a `?:` or
-//!   `&&` whose value is a right operand, the arriving context has pushed
-//!   its own operand. Where no typed fast path applies, a folded
-//!   instruction pushes its operand and runs the generic `Binary`, so
-//!   every result and error is the unfused sequence's.
+//! Writes to frame slots follow an **ownership rule** with one floor.
+//! Frame slots are allocated stack-like, so the slots live at a program
+//! point are a prefix of its frame, whose length lowering records on
+//! every jump target and call; a callee's frame starts at its first
+//! argument's slot, above every slot its caller has live. A deferred
+//! context therefore reads only the frame slots below its `live` end —
+//! except the destination of each call it is inside, which that call's
+//! return writes before anything reads it. The running context *owns* a
+//! slot at or above the largest pending `live` end (the floor; 0 when
+//! nothing is pending — the uniform-flow case), and a slot below it that
+//! is such a call destination for every pending context that reaches
+//! it. Owned slots are written wholesale: re-typed, full-width loops
+//! that keep the hot paths branch-free and vectorisable, whatever
+//! clobbers the other lanes (they are retired, or the slot is dead for
+//! their context). Only a write to an unowned slot is *masked*: the
+//! current context's lanes are touched and the other lanes' values
+//! preserved, falling back to `Slot::Boxed` when it changes the slot's
+//! type. A diverged batch whose writes land on owned slots or keep their
+//! types — the f32 codec's sign branch — therefore shades at
+//! uniform-flow speed. Globals are always written masked, because
+//! retired lanes' outputs (`gl_FragColor`, `gl_Position`) are read after
+//! the batch.
 //!
 //! # Bit-identity with the tree-walker
 //!
@@ -91,7 +83,9 @@
 //! errors are bit-identical per lane. The profile is one [`OpProfile`]
 //! for the whole VM: an instruction adds its per-lane count times the
 //! number of lanes it ran on, so the total equals the sum of sequential
-//! runs without a per-lane bump. When
+//! runs without a per-lane bump. Counts stay tied to GLSL operations: a
+//! comparison fused into its jump counts the comparison, and an `if` or
+//! `?:` counts its branch on the first jump of its condition. When
 //! *any* lane traps, the whole batch is replayed lane-by-lane in lane
 //! order (a single-lane run through this machinery is exactly a
 //! sequential run): earlier lanes finish with exact outputs and the first
@@ -101,11 +95,10 @@
 
 use crate::ast::{BinOp, ParamQual};
 use crate::builtins::{self, BuiltinCx, BuiltinId};
-use crate::compile::{Executable, Insn, PathStep, SlotRef};
+use crate::compile::{Executable, Insn, Opnd, PathStep, Shape, SlotRef};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::ops;
-use crate::types::Scalar;
 use crate::value::Value;
 
 /// Maximum number of invocations one [`SpmdVm`] shades per batch.
@@ -133,16 +126,12 @@ struct Frame {
     ret_chunk: u32,
     /// Instruction to resume at in the caller.
     ret_pc: usize,
-    /// Caller's locals frame base.
+    /// Caller's frame base.
     frame_base: usize,
-    /// Caller's locals frame end (== callee's base).
-    frame_end: usize,
-    /// Callee's locals frame base.
-    callee_base: usize,
-    /// Index of the called function in `Executable::functions`.
-    func: u32,
-    /// Whether the call site expects out/inout copy-back pushes.
-    pushes_outs: bool,
+    /// Absolute frame slot the return value goes to.
+    ret_dst: usize,
+    /// The caller's live frame slots (absolute end) after the return.
+    ret_live: usize,
     /// Loop-counter stack depth at call entry (truncated on return,
     /// so a loop left by `return` cannot leak its counter).
     counters_base: usize,
@@ -154,16 +143,18 @@ struct Ctx {
     mask: u8,
     chunk: u32,
     pc: usize,
-    sp: usize,
     frame_base: usize,
-    frame_end: usize,
+    /// End (absolute) of the frame slots live at `pc`, set where the
+    /// context lands after a jump or a return: all a deferred context
+    /// can read, so its ownership floor.
+    live: usize,
     frames: Vec<Frame>,
 }
 
 /// Whether two contexts sit at the same program point (and therefore may
-/// merge). Operand-stack depth and loop depth are static properties of a
-/// program point in the structured bytecode, so equal position implies
-/// equal `sp` — asserted in debug builds.
+/// merge). The live frame slots are a static property of a program point
+/// in the structured bytecode, so equal position implies equal `live` —
+/// asserted in debug builds.
 fn same_point(a: &Ctx, b: &Ctx) -> bool {
     a.chunk == b.chunk && a.pc == b.pc && a.frames == b.frames
 }
@@ -176,7 +167,6 @@ fn merge_caught_up(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Fr
     let mut i = 0;
     while i < pending.len() {
         if same_point(&pending[i], cur) {
-            debug_assert_eq!(pending[i].sp, cur.sp);
             debug_assert_eq!(pending[i].frame_base, cur.frame_base);
             let merged = pending.swap_remove(i);
             cur.mask |= merged.mask;
@@ -212,6 +202,23 @@ fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Frame>>
     }
 }
 
+/// The ownership floor of the deferred contexts (see the module docs):
+/// the largest end of their live frame slots.
+fn floor(pending: &[Ctx]) -> usize {
+    pending.iter().fold(0, |f, p| f.max(p.live))
+}
+
+/// Whether the running context owns frame slot `s`: no deferred context
+/// reads it. Each one reads only the slots below its `live` end, except
+/// the destinations of the calls it is inside, which their return
+/// writes first.
+fn owns(s: usize, floor: usize, pending: &[Ctx]) -> bool {
+    s >= floor
+        || pending
+            .iter()
+            .all(|p| p.live <= s || p.frames.iter().any(|f| f.ret_dst == s))
+}
+
 /// Iterates the set bits of a lane mask.
 macro_rules! for_lanes {
     ($mask:expr, $lane:ident => $body:block) => {{
@@ -224,8 +231,8 @@ macro_rules! for_lanes {
     }};
 }
 
-/// A struct-of-arrays lane register: one stack/locals/global slot's
-/// value for every lane. Typed variants keep the common scalar and
+/// A struct-of-arrays lane register: one frame or global slot's value
+/// for every lane. Typed variants keep the common scalar and
 /// small-vector cases unboxed and contiguous, and `S` a sampler's
 /// texture units; [`Slot::Boxed`] is the exact fallback for every other
 /// value shape (and for slots whose lanes diverge in type under masked
@@ -270,14 +277,7 @@ impl Clone for Slot {
             (Slot::S(d), Slot::S(s)) => *d = *s,
             (Slot::Boxed(d), Slot::Boxed(s)) => d.clone_from(s),
             // Re-typed: build the variant in place.
-            (d, Slot::F(x)) => *d = Slot::F(*x),
-            (d, Slot::I(x)) => *d = Slot::I(*x),
-            (d, Slot::B(x)) => *d = Slot::B(*x),
-            (d, Slot::V2(x)) => *d = Slot::V2(*x),
-            (d, Slot::V3(x)) => *d = Slot::V3(*x),
-            (d, Slot::V4(x)) => *d = Slot::V4(*x),
-            (d, Slot::S(x)) => *d = Slot::S(*x),
-            (d, Slot::Boxed(b)) => *d = Slot::Boxed(b.clone()),
+            (d, s) => *d = s.clone(),
         }
     }
 }
@@ -303,6 +303,18 @@ impl Slot {
             Slot::V3(x) => Some((x.as_flattened_mut(), 3)),
             Slot::V4(x) => Some((x.as_flattened_mut(), 4)),
             _ => None,
+        }
+    }
+
+    /// An `n`-component float slot holding `v` (lane-major).
+    fn of_floats(n: usize, v: &Lanes) -> Slot {
+        match n {
+            1 => Slot::F(per_lane(|l| v[l])),
+            2 => Slot::V2(per_lane(|l| [v[2 * l], v[2 * l + 1]])),
+            3 => Slot::V3(per_lane(|l| [v[3 * l], v[3 * l + 1], v[3 * l + 2]])),
+            _ => Slot::V4(per_lane(|l| {
+                [v[4 * l], v[4 * l + 1], v[4 * l + 2], v[4 * l + 3]]
+            })),
         }
     }
 
@@ -394,9 +406,7 @@ impl Slot {
     /// Moves the `mask` lanes of per-lane results `vals` in. A slot the
     /// running context owns is first re-typed wholesale when its variant
     /// cannot hold the results (the other lanes are dead); an unowned
-    /// one is boxed by [`Slot::set`] so the other lanes survive. Generic
-    /// paths collect every lane's result before writing, because the
-    /// destination is usually also an operand that later lanes read.
+    /// one is boxed by [`Slot::set`] so the other lanes survive.
     fn put_lanes(&mut self, vals: &mut [Value; MAX_LANES], mask: u8, owned: bool) {
         let first = &vals[mask.trailing_zeros() as usize];
         if owned && !self.holds(first) {
@@ -405,6 +415,50 @@ impl Slot {
         for_lanes!(mask, l => {
             self.set(l, std::mem::replace(&mut vals[l], Value::Bool(false)));
         });
+    }
+
+    /// Writes `n`-component float lanes `v`: wholesale when the running
+    /// context `owned` the slot, else into the `mask` lanes.
+    fn put_floats(&mut self, n: usize, v: &Lanes, mask: u8, owned: bool) {
+        match self.floats_mut() {
+            Some((x, k)) if k == n && owned => copy_lanes(x, &v[..], n),
+            Some((x, k)) if k == n => for_lanes!(mask, l => {
+                x[l * n..(l + 1) * n].copy_from_slice(&v[l * n..(l + 1) * n]);
+            }),
+            _ if owned => *self = Slot::of_floats(n, v),
+            _ => for_lanes!(mask, l => { self.set(l, float_value(n, v, l)); }),
+        }
+    }
+
+    /// Writes `float` lanes, like [`Slot::put_floats`].
+    #[inline(always)]
+    fn put_f1(&mut self, v: [f32; MAX_LANES], mask: u8, owned: bool) {
+        match self {
+            Slot::F(x) if owned => *x = v,
+            Slot::F(x) => for_lanes!(mask, l => { x[l] = v[l]; }),
+            _ if owned => *self = Slot::F(v),
+            _ => for_lanes!(mask, l => { self.set(l, Value::Float(v[l])); }),
+        }
+    }
+
+    /// Writes `int` lanes, like [`Slot::put_floats`].
+    fn put_ints(&mut self, v: [i32; MAX_LANES], mask: u8, owned: bool) {
+        match self {
+            Slot::I(x) if owned => *x = v,
+            Slot::I(x) => for_lanes!(mask, l => { x[l] = v[l]; }),
+            _ if owned => *self = Slot::I(v),
+            _ => for_lanes!(mask, l => { self.set(l, Value::Int(v[l])); }),
+        }
+    }
+
+    /// Writes `bool` lanes, like [`Slot::put_floats`].
+    fn put_bools(&mut self, v: [bool; MAX_LANES], mask: u8, owned: bool) {
+        match self {
+            Slot::B(x) if owned => *x = v,
+            Slot::B(x) => for_lanes!(mask, l => { x[l] = v[l]; }),
+            _ if owned => *self = Slot::B(v),
+            _ => for_lanes!(mask, l => { self.set(l, Value::Bool(v[l])); }),
+        }
     }
 
     /// Copies `mask` lanes from `src`, preserving the rest.
@@ -433,26 +487,53 @@ impl Slot {
     }
 }
 
-/// Moves `src` (a slot the running context is done with) into `dst`:
-/// a wholesale copy when the running context owns `dst` (a swap instead
-/// when it owns a boxed `src` too, so the box moves rather than clones),
-/// a masked copy otherwise.
-fn move_slot(dst: &mut Slot, src: &mut Slot, mask: u8, dst_owned: bool, src_owned: bool) {
-    if !dst_owned {
-        dst.copy_masked_from(src, mask);
-    } else if src_owned && matches!(src, Slot::Boxed(_)) {
-        std::mem::swap(dst, src);
-    } else {
-        dst.clone_from(src);
+/// Lane-major float components of a float or vecN value of every lane:
+/// up to four per lane.
+type Lanes = [f32; 4 * MAX_LANES];
+
+/// Copies `n` float components per lane from `src` to `dst`, with a
+/// copy of fixed size for each `n` (no `memcpy` call).
+#[inline(always)]
+fn copy_lanes(dst: &mut [f32], src: &[f32], n: usize) {
+    match n {
+        1 => dst[..MAX_LANES].copy_from_slice(&src[..MAX_LANES]),
+        2 => dst[..2 * MAX_LANES].copy_from_slice(&src[..2 * MAX_LANES]),
+        3 => dst[..3 * MAX_LANES].copy_from_slice(&src[..3 * MAX_LANES]),
+        _ => dst[..4 * MAX_LANES].copy_from_slice(&src[..4 * MAX_LANES]),
     }
 }
 
-/// The stack and locals ownership floors of the deferred contexts (see
-/// the module docs): the largest pending `sp` and `frame_end`.
-fn floors(pending: &[Ctx]) -> (usize, usize) {
-    pending
-        .iter()
-        .fold((0, 0), |(s, l), p| (s.max(p.sp), l.max(p.frame_end)))
+/// Lane `l` of `n`-component float lanes `v` as a value.
+fn float_value(n: usize, v: &Lanes, l: usize) -> Value {
+    let c = &v[l * n..];
+    match n {
+        1 => Value::Float(c[0]),
+        2 => Value::Vec2([c[0], c[1]]),
+        3 => Value::Vec3([c[0], c[1], c[2]]),
+        _ => Value::Vec4([c[0], c[1], c[2], c[3]]),
+    }
+}
+
+/// Two distinct elements of `v`, the first mutably.
+fn pair_mut<T>(v: &mut [T], dst: usize, src: usize) -> (&mut T, &T) {
+    if dst < src {
+        let (lo, hi) = v.split_at_mut(src);
+        (&mut lo[dst], &hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(dst);
+        (&mut hi[0], &lo[src])
+    }
+}
+
+/// `[f(0), f(1), …]` over the lanes, as a plain loop the optimiser
+/// unrolls (`std::array::from_fn` and `map` are not always inlined).
+#[inline(always)]
+fn per_lane<T: Copy + Default>(f: impl Fn(usize) -> T) -> [T; MAX_LANES] {
+    let mut out = [T::default(); MAX_LANES];
+    for (l, o) in out.iter_mut().enumerate() {
+        *o = f(l);
+    }
+    out
 }
 
 /// A per-lane result buffer for the generic paths.
@@ -464,6 +545,9 @@ fn lane_values() -> [Value; MAX_LANES] {
 thread_local! {
     /// Typed slots this thread has boxed to keep a lane write's type.
     static BOXINGS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Instructions this thread's VMs have executed, one per context
+    /// that ran each.
+    static EXECUTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -472,6 +556,11 @@ impl SpmdVm<'_> {
     /// whose type the slot's variant could not hold.
     fn boxings() -> u64 {
         BOXINGS.with(|n| n.get())
+    }
+
+    /// Instructions executed on this thread so far.
+    fn executed() -> u64 {
+        EXECUTED.with(|n| n.get())
     }
 }
 
@@ -489,10 +578,8 @@ pub struct SpmdVm<'a> {
     consts: Vec<Slot>,
     /// (slot, initial value) for plain mutable globals.
     reset_list: Vec<(u32, Value)>,
-    /// Operand stack, one SoA slot per depth, indexed by the context's
-    /// shared `sp`.
-    stack: Vec<Slot>,
-    /// Locals frame arena, one SoA slot per local.
+    /// Frame arena, one SoA slot per parameter, local or temporary; a
+    /// callee's frame starts at its first argument's slot.
     locals: Vec<Slot>,
     /// Loop iteration counter stacks, per lane.
     loop_counters: Vec<Vec<u64>>,
@@ -553,7 +640,6 @@ impl<'a> SpmdVm<'a> {
                 .collect(),
             consts: exe.consts.iter().map(Slot::splat).collect(),
             reset_list: Vec::new(),
-            stack: Vec::new(),
             locals: Vec::new(),
             loop_counters: vec![Vec::new(); lanes],
             profile: OpProfile::new(),
@@ -622,6 +708,20 @@ impl<'a> SpmdVm<'a> {
         self.globals[slot as usize].set(lane, value);
     }
 
+    /// Sets a `float` or `vecN` global by pre-resolved slot on one lane
+    /// from its components, with no [`Value`] in between. Returns
+    /// `false`, with nothing written, when the slot does not hold that
+    /// many float components per lane (use [`SpmdVm::set_lane_slot`]).
+    pub fn set_lane_floats(&mut self, lane: usize, slot: u32, comps: &[f32]) -> bool {
+        match self.globals[slot as usize].floats_mut() {
+            Some((x, n)) if n == comps.len() => {
+                x[lane * n..(lane + 1) * n].copy_from_slice(comps);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Resolves a global name to its slot (see
     /// [`Executable::global_slot`]).
     pub fn global_slot(&self, name: &str) -> Option<u32> {
@@ -659,7 +759,8 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// The fragment colour `lane` produced in the last batch, honouring
-    /// whether the shader used `gl_FragColor` or `gl_FragData[0]`.
+    /// whether the shader used `gl_FragColor` or `gl_FragData[0]`. Read
+    /// in place: no [`Value`] is built for a typed `gl_FragColor`.
     pub fn frag_color(&self, lane: usize) -> Option<[f32; 4]> {
         if self.wrote_frag_data[lane] {
             // `gl_FragData` is an array, so its slot is boxed: read the
@@ -672,7 +773,10 @@ impl<'a> SpmdVm<'a> {
                 _ => None,
             }
         } else {
-            self.global_at(lane, self.frag_color_slot?).as_vec4()
+            match &self.globals[self.frag_color_slot? as usize] {
+                Slot::V4(x) => Some(x[lane]),
+                slot => slot.get(lane).as_vec4(),
+            }
         }
     }
 
@@ -760,125 +864,371 @@ impl<'a> SpmdVm<'a> {
         self.profile.invocations += 1;
     }
 
-    /// Grows the operand stack to at least `need` slots.
-    fn ensure_stack(&mut self, need: usize) {
-        if self.stack.len() < need {
-            self.stack.resize(need, Slot::B([false; MAX_LANES]));
-        }
-    }
-
-    /// Grows the locals arena to at least `need` slots.
+    /// Grows the frame arena to at least `need` slots.
     fn ensure_locals(&mut self, need: usize) {
         if self.locals.len() < need {
             self.locals.resize(need, Slot::F([0.0; MAX_LANES]));
         }
     }
 
-    /// Generic per-lane binary operator: materialises both operands (the
-    /// slots at `sp-2`/`sp-1`) and applies the interpreter's
-    /// [`ops::apply_binary`] exactly, writing the result to `sp-2`.
-    fn binary_generic(
+    /// The slot operand `o` reads, in a frame based at `fb` (for a
+    /// [`Opnd::GlobalComp`], the whole vector).
+    fn slot(&self, o: Opnd, fb: usize) -> &Slot {
+        match o {
+            Opnd::Local(s) => &self.locals[fb + s as usize],
+            Opnd::Const(c) => &self.consts[c as usize],
+            Opnd::Global(g) | Opnd::GlobalComp(g, _) => &self.globals[g as usize],
+        }
+    }
+
+    /// Operand `o`'s `float` lanes; `None` for any other slot.
+    #[inline(always)]
+    fn f1(&self, o: Opnd, fb: usize) -> Option<[f32; MAX_LANES]> {
+        match o {
+            Opnd::GlobalComp(g, c) => {
+                let c = c as usize;
+                match &self.globals[g as usize] {
+                    Slot::V2(x) if c < 2 => Some(per_lane(|l| x[l][c])),
+                    Slot::V3(x) if c < 3 => Some(per_lane(|l| x[l][c])),
+                    Slot::V4(x) => Some(per_lane(|l| x[l][c & 3])),
+                    _ => None,
+                }
+            }
+            _ => match self.slot(o, fb) {
+                Slot::F(x) => Some(*x),
+                _ => None,
+            },
+        }
+    }
+
+    /// Copies operand `o`'s float components into `out`, lane-major, and
+    /// returns how many each lane has; `None` when the slot holds no
+    /// float or vecN (a boxed slot takes the generic path).
+    #[inline(always)]
+    fn floats(&self, o: Opnd, fb: usize, out: &mut Lanes) -> Option<usize> {
+        let (x, n) = self.slot(o, fb).floats()?;
+        if let Opnd::GlobalComp(_, c) = o {
+            let c = c as usize;
+            if c >= n {
+                return None;
+            }
+            for (l, v) in out[..MAX_LANES].iter_mut().enumerate() {
+                *v = x[l * n + c];
+            }
+            return Some(1);
+        }
+        copy_lanes(&mut out[..], x, n);
+        Some(n)
+    }
+
+    /// [`SpmdVm::floats`] of exactly `n` components per lane.
+    #[inline(always)]
+    fn floats_n(&self, o: Opnd, fb: usize, n: usize, out: &mut Lanes) -> bool {
+        self.floats(o, fb, out) == Some(n)
+    }
+
+    /// Operand `o`'s `int` lanes; `None` for any other slot.
+    fn ints(&self, o: Opnd, fb: usize) -> Option<[i32; MAX_LANES]> {
+        match self.slot(o, fb) {
+            Slot::I(x) if !matches!(o, Opnd::GlobalComp(..)) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// Operand `o`'s `bool` lanes; `None` for any other slot.
+    fn bools(&self, o: Opnd, fb: usize) -> Option<[bool; MAX_LANES]> {
+        match self.slot(o, fb) {
+            Slot::B(x) if !matches!(o, Opnd::GlobalComp(..)) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// One lane's value of operand `o`, materialised (the generic paths).
+    fn value(&self, o: Opnd, fb: usize, lane: usize) -> Result<Value, RuntimeError> {
+        let v = self.slot(o, fb).get(lane);
+        match o {
+            Opnd::GlobalComp(_, c) => ops::swizzle_read(&v, &[c as usize]),
+            _ => Ok(v),
+        }
+    }
+
+    /// The generic path of a value instruction: `f` computes each
+    /// `mask` lane's result from materialised operands with the
+    /// interpreter's own routines, then the results go to frame slot
+    /// `dst` (absolute). Out of line, so the typed paths stay tight.
+    #[cold]
+    #[inline(never)]
+    fn lanewise(
         &mut self,
-        op: BinOp,
-        sp: usize,
+        dst: usize,
         mask: u8,
         owned: bool,
+        mut f: impl FnMut(&mut Self, usize) -> Result<Value, RuntimeError>,
     ) -> Result<(), RuntimeError> {
         let mut out = lane_values();
         for_lanes!(mask, l => {
-            let bv = self.stack[sp - 1].get(l);
-            let av = self.stack[sp - 2].get(l);
-            out[l] = ops::apply_binary(self.model, &mut self.profile, op, av, bv)?;
+            out[l] = f(self, l)?;
         });
-        self.stack[sp - 2].put_lanes(&mut out, mask, owned);
+        self.locals[dst].put_lanes(&mut out, mask, owned);
         Ok(())
     }
 
-    /// Applies `op` to stack slot `a` and the right operand `b` (a
-    /// constant or a local, read in place), writing to `a`. Where no
-    /// fast path applies, `b` is pushed at `a + 1` and the generic path
-    /// runs, exactly like the unfused `push; Binary`.
-    fn binary_operand(
+    /// `locals[dst] = src` for the running context.
+    fn copy_to(&mut self, dst: usize, src: Opnd, fb: usize, mask: u8, owned: bool) {
+        match src {
+            Opnd::Local(s) => {
+                let s = fb + s as usize;
+                if s != dst {
+                    let (d, s) = pair_mut(&mut self.locals, dst, s);
+                    d.write_from(s, mask, owned);
+                }
+            }
+            Opnd::Const(c) => self.locals[dst].write_from(&self.consts[c as usize], mask, owned),
+            Opnd::Global(g) => self.locals[dst].write_from(&self.globals[g as usize], mask, owned),
+            Opnd::GlobalComp(g, c) => {
+                let mut x = [0.0; 4 * MAX_LANES];
+                if self.floats_n(src, fb, 1, &mut x) {
+                    self.locals[dst].put_floats(1, &x, mask, owned);
+                } else {
+                    for_lanes!(mask, l => {
+                        let v = self.globals[g as usize].get(l);
+                        let v = ops::swizzle_read(&v, &[c as usize]).unwrap_or(v);
+                        self.locals[dst].set(l, v);
+                    });
+                }
+            }
+        }
+    }
+
+    /// `globals[slot] = src` on the running context's lanes (globals are
+    /// always written masked).
+    fn store_global(&mut self, slot: usize, src: Opnd, fb: usize, mask: u8) {
+        match src {
+            Opnd::Local(s) => {
+                self.globals[slot].copy_masked_from(&self.locals[fb + s as usize], mask)
+            }
+            Opnd::Const(c) => self.globals[slot].copy_masked_from(&self.consts[c as usize], mask),
+            Opnd::Global(g) if g as usize == slot => {}
+            Opnd::Global(g) => {
+                let (d, s) = pair_mut(&mut self.globals, slot, g as usize);
+                d.copy_masked_from(s, mask);
+            }
+            Opnd::GlobalComp(..) => {
+                for_lanes!(mask, l => {
+                    if let Ok(v) = self.value(src, fb, l) {
+                        self.globals[slot].set(l, v);
+                    }
+                });
+            }
+        }
+    }
+
+    /// `locals[dst] = cond ? a : b`, lane by lane.
+    fn select(
         &mut self,
-        op: BinOp,
-        a: usize,
-        b: Operand,
+        dst: usize,
+        cond: Opnd,
+        (a, b): (Opnd, Opnd),
+        fb: usize,
         mask: u8,
-        sfl: usize,
+        owned: bool,
     ) -> Result<(), RuntimeError> {
-        let owned = a >= sfl;
-        let rhs = match b {
-            Operand::Const(c) => &self.consts[c as usize],
-            Operand::Local(s) => &self.locals[s],
-        };
-        if binary_fast(
-            self.model,
-            &mut self.profile,
-            op,
-            &mut self.stack[a],
-            rhs,
-            mask,
-            owned,
-        ) {
+        if let (Some(c), Some(x), Some(y)) = (self.bools(cond, fb), self.f1(a, fb), self.f1(b, fb))
+        {
+            let v = per_lane(|l| if c[l] { x[l] } else { y[l] });
+            self.locals[dst].put_f1(v, mask, owned);
             return Ok(());
         }
-        self.ensure_stack(a + 2);
-        let (stack, rhs) = match b {
-            Operand::Const(c) => (&mut self.stack, &self.consts[c as usize]),
-            Operand::Local(s) => (&mut self.stack, &self.locals[s]),
-        };
-        stack[a + 1].write_from(rhs, mask, a + 1 >= sfl);
-        self.binary_generic(op, a + 2, mask, owned)
+        self.lanewise(dst, mask, owned, |vm, l| {
+            let c = vm
+                .value(cond, fb, l)?
+                .as_bool()
+                .ok_or_else(|| RuntimeError::Type {
+                    message: "condition did not evaluate to bool".into(),
+                })?;
+            vm.value(if c { a } else { b }, fb, l)
+        })
+    }
+
+    /// `dst = a op b` over the typed lanes `shape` names; `false`, with
+    /// nothing written, where a slot is not of that shape (the caller
+    /// takes the generic path). Counts exactly like
+    /// [`ops::apply_binary`].
+    #[allow(clippy::too_many_arguments)]
+    fn binary_fast(
+        &mut self,
+        op: BinOp,
+        shape: Shape,
+        dst: usize,
+        a: Opnd,
+        b: Opnd,
+        fb: usize,
+        mask: u8,
+        owned: bool,
+    ) -> bool {
+        use BinOp::*;
+        let arith = matches!(op, Add | Sub | Mul | Div);
+        if shape == Shape::F(1) {
+            let (Some(x), Some(y)) = (self.f1(a, fb), self.f1(b, fb)) else {
+                return false;
+            };
+            let r: [f32; MAX_LANES] = match op {
+                Add => per_lane(|l| x[l] + y[l]),
+                Sub => per_lane(|l| x[l] - y[l]),
+                Mul => per_lane(|l| x[l] * y[l]),
+                Div => per_lane(|l| x[l] / y[l]),
+                _ => {
+                    let Some(r) = compare_lanes(op, &x, &y) else {
+                        return false;
+                    };
+                    count_ops(&mut self.profile, false, 1, mask);
+                    self.locals[dst].put_bools(r, mask, owned);
+                    return true;
+                }
+            };
+            count_ops(&mut self.profile, false, 1, mask);
+            self.locals[dst].put_f1(round8(self.model, false, r), mask, owned);
+            return true;
+        }
+        match shape {
+            Shape::F(n) | Shape::VecScalar(n) | Shape::ScalarVec(n) if arith => {
+                let n = n as usize;
+                let (na, nb) = match shape {
+                    Shape::VecScalar(_) => (n, 1),
+                    Shape::ScalarVec(_) => (1, n),
+                    _ => (n, n),
+                };
+                let (mut x, mut y) = ([0.0; 4 * MAX_LANES], [0.0; 4 * MAX_LANES]);
+                if !(self.floats_n(a, fb, na, &mut x) && self.floats_n(b, fb, nb, &mut y)) {
+                    return false;
+                }
+                let mut out = [0.0; 4 * MAX_LANES];
+                match op {
+                    Add => zip_floats(&mut out, &x, na, &y, nb, n, |p, q| p + q),
+                    Sub => zip_floats(&mut out, &x, na, &y, nb, n, |p, q| p - q),
+                    Mul => zip_floats(&mut out, &x, na, &y, nb, n, |p, q| p * q),
+                    _ => zip_floats(&mut out, &x, na, &y, nb, n, |p, q| p / q),
+                }
+                round_lanes(self.model, false, &mut out[..n * MAX_LANES]);
+                count_ops(&mut self.profile, false, n as u64, mask);
+                self.locals[dst].put_floats(n, &out, mask, owned);
+                true
+            }
+            Shape::I => {
+                let (Some(x), Some(y)) = (self.ints(a, fb), self.ints(b, fb)) else {
+                    return false;
+                };
+                if arith {
+                    let r = per_lane(|l| match op {
+                        Add => x[l].wrapping_add(y[l]),
+                        Sub => x[l].wrapping_sub(y[l]),
+                        Mul => x[l].wrapping_mul(y[l]),
+                        _ if y[l] == 0 => 0,
+                        _ => x[l].wrapping_div(y[l]),
+                    });
+                    count_ops(&mut self.profile, false, 1, mask);
+                    self.locals[dst].put_ints(r, mask, owned);
+                    return true;
+                }
+                let Some(r) = compare_lanes(op, &x, &y) else {
+                    return false;
+                };
+                count_ops(&mut self.profile, false, 1, mask);
+                self.locals[dst].put_bools(r, mask, owned);
+                true
+            }
+            Shape::B => {
+                let (Some(x), Some(y)) = (self.bools(a, fb), self.bools(b, fb)) else {
+                    return false;
+                };
+                let r: [bool; MAX_LANES] = match op {
+                    Eq => per_lane(|l| x[l] == y[l]),
+                    Ne | Xor => per_lane(|l| x[l] != y[l]),
+                    _ => return false,
+                };
+                if op != Xor {
+                    count_ops(&mut self.profile, false, 1, mask);
+                }
+                self.locals[dst].put_bools(r, mask, owned);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// SoA fast paths for the hot builtins and constructors, replicating
     /// [`crate::builtins::call`]'s values, rounding and profile counts
-    /// exactly; the result goes to stack slot `s`, wholesale when the
+    /// exactly; the result goes to frame slot `dst`, wholesale when the
     /// running context `owned` it. Returns `false` (with no state
     /// mutated) when the call must take the generic per-lane path —
     /// including every case where the scalar builtin would error.
+    #[allow(clippy::too_many_arguments)]
     fn fast_builtin(
         &mut self,
         id: BuiltinId,
-        s: usize,
-        argc: usize,
+        args: &[Opnd],
+        dst: usize,
+        fb: usize,
         mask: u8,
         owned: bool,
     ) -> bool {
         use std::f32::consts::PI;
         use BuiltinId as B;
         let model = self.model;
+        let lanes = || [0.0f32; 4 * MAX_LANES];
 
         // Component-wise genType builtins: `f` per component, then the
         // ALU or SFU rounding, one op per component. A scalar second
         // operand broadcasts, matching `builtins::map2`.
         macro_rules! map1 {
             ($sfu:expr, $f:expr) => {{
-                let Some((x, n)) = self.stack[s].floats_mut() else {
+                let f = $f;
+                if let Some(v) = self.f1(args[0], fb) {
+                    count_ops(&mut self.profile, $sfu, 1, mask);
+                    let v = round8(model, $sfu, per_lane(|l| f(v[l])));
+                    self.locals[dst].put_f1(v, mask, owned);
+                    return true;
+                }
+                let mut x = lanes();
+                let Some(n) = self.floats(args[0], fb, &mut x) else {
                     return false;
                 };
-                map_lanes(x, n, mask, owned, $f);
-                round_lanes(model, $sfu, x, n, mask, owned);
+                for v in &mut x[..n * MAX_LANES] {
+                    *v = f(*v);
+                }
+                round_lanes(model, $sfu, &mut x[..n * MAX_LANES]);
                 count_ops(&mut self.profile, $sfu, n as u64, mask);
+                self.locals[dst].put_floats(n, &x, mask, owned);
                 return true;
             }};
         }
         macro_rules! map2 {
             ($sfu:expr, $f:expr) => {{
-                let (lo, hi) = self.stack.split_at_mut(s + 1);
-                let (Some((x, n)), Some((y, m))) = (lo[s].floats_mut(), hi[0].floats()) else {
+                let f = $f;
+                if let (Some(p), Some(q)) = (self.f1(args[0], fb), self.f1(args[1], fb)) {
+                    count_ops(&mut self.profile, $sfu, 1, mask);
+                    let v = round8(model, $sfu, per_lane(|l| f(p[l], q[l])));
+                    self.locals[dst].put_f1(v, mask, owned);
+                    return true;
+                }
+                let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
+                let (Some(n), Some(m)) = (
+                    self.floats(args[0], fb, &mut x),
+                    self.floats(args[1], fb, &mut y),
+                ) else {
                     return false;
                 };
                 if m != n && m != 1 {
                     return false;
                 }
-                zip_lanes(x, n, y, m, mask, owned, $f);
-                round_lanes(model, $sfu, x, n, mask, owned);
+                zip_floats(&mut z, &x, n, &y, m, n, f);
+                round_lanes(model, $sfu, &mut z[..n * MAX_LANES]);
                 count_ops(&mut self.profile, $sfu, n as u64, mask);
+                self.locals[dst].put_floats(n, &z, mask, owned);
                 return true;
             }};
         }
-        if argc == 1 {
+        if args.len() == 1 {
             match id {
                 B::Radians => map1!(false, |v: f32| v * (PI / 180.0)),
                 B::Degrees => map1!(false, |v: f32| v * (180.0 / PI)),
@@ -911,7 +1261,7 @@ impl<'a> SpmdVm<'a> {
             }
         }
 
-        if argc == 2 {
+        if args.len() == 2 {
             match id {
                 B::Mod => map2!(false, builtins::glsl_mod),
                 B::Min => map2!(false, f32::min),
@@ -923,115 +1273,125 @@ impl<'a> SpmdVm<'a> {
 
             // step(edge, x): no rounding, alu += x's component count.
             if id == B::Step {
-                let (Some((e, m)), Some((x, n))) =
-                    (self.stack[s].floats(), self.stack[s + 1].floats())
-                else {
+                let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
+                let (Some(m), Some(n)) = (
+                    self.floats(args[0], fb, &mut x),
+                    self.floats(args[1], fb, &mut y),
+                ) else {
                     return false;
                 };
                 if m != n && m != 1 {
                     return false;
                 }
-                let mut out = [[0.0f32; 4]; MAX_LANES];
-                for (l, o) in out.iter_mut().enumerate() {
-                    for (c, v) in o[..n].iter_mut().enumerate() {
-                        *v = if x[l * n + c] < lane_comp(e, m, l, c) {
-                            0.0
-                        } else {
-                            1.0
-                        };
-                    }
-                }
+                zip_floats(
+                    &mut z,
+                    &y,
+                    n,
+                    &x,
+                    m,
+                    n,
+                    |v, e| if v < e { 0.0 } else { 1.0 },
+                );
                 count_ops(&mut self.profile, false, n as u64, mask);
-                self.write_vec_result(s, n, &out, mask, owned);
+                self.locals[dst].put_floats(n, &z, mask, owned);
                 return true;
             }
 
             // dot(a, b): chained rounding, alu += 2n.
             if id == B::Dot {
-                let (Some((x, n)), Some((y, m))) =
-                    (self.stack[s].floats(), self.stack[s + 1].floats())
-                else {
+                let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
+                let (Some(n), Some(m)) = (
+                    self.floats(args[0], fb, &mut x),
+                    self.floats(args[1], fb, &mut y),
+                ) else {
                     return false;
                 };
                 if m != n {
                     return false;
                 }
-                let mut out = [[0.0f32; 4]; MAX_LANES];
-                for (o, (xs, ys)) in out.iter_mut().zip(x.chunks_exact(n).zip(y.chunks_exact(n))) {
-                    o[0] = xs.iter().zip(ys).fold(0.0f32, |acc, (&p, &q)| {
+                for (o, (xs, ys)) in z
+                    .iter_mut()
+                    .zip(x.chunks_exact(n).zip(y.chunks_exact(n)))
+                    .take(MAX_LANES)
+                {
+                    *o = xs.iter().zip(ys).fold(0.0f32, |acc, (&p, &q)| {
                         model.round_alu(acc + model.round_alu(p * q))
                     });
                 }
                 count_ops(&mut self.profile, false, 2 * n as u64, mask);
-                self.write_vec_result(s, 1, &out, mask, owned);
+                self.locals[dst].put_floats(1, &z, mask, owned);
                 return true;
             }
 
             // texture2D(sampler, vec2): one fetch per lane.
             if id == B::Texture2D {
-                let (sampler, coord) = (&self.stack[s], &self.stack[s + 1]);
-                let (Slot::S(units), Slot::V2(coords)) = (sampler, coord) else {
+                let Slot::S(units) = self.slot(args[0], fb) else {
                     return false;
                 };
-                let mut out = [[0.0f32; 4]; MAX_LANES];
+                let units = *units;
+                let (mut y, mut z) = (lanes(), lanes());
+                if !self.floats_n(args[1], fb, 2, &mut y) {
+                    return false;
+                }
                 for_lanes!(mask, l => {
-                    out[l] = self.textures.sample(units[l], coords[l]);
+                    let t = self.textures.sample(units[l], [y[2 * l], y[2 * l + 1]]);
+                    z[4 * l..4 * l + 4].copy_from_slice(&t);
                 });
                 self.profile.tex_fetches += lane_count(mask);
-                self.write_vec_result(s, 4, &out, mask, owned);
+                self.locals[dst].put_floats(4, &z, mask, owned);
                 return true;
             }
         }
 
         // clamp / mix on genTypes: alu += 2n, one rounding per component;
         // scalar bounds (clamp) or a scalar weight (mix) broadcast.
-        if argc == 3 && matches!(id, B::Clamp | B::Mix) {
+        if args.len() == 3 && matches!(id, B::Clamp | B::Mix) {
             let f: fn(f32, f32, f32) -> f32 = if id == B::Clamp {
                 |v, lo, hi| v.max(lo).min(hi)
             } else {
                 |p, q, t| p * (1.0 - t) + q * t
             };
-            let (Some((x, n)), Some((p, pn)), Some((q, qn))) = (
-                self.stack[s].floats(),
-                self.stack[s + 1].floats(),
-                self.stack[s + 2].floats(),
+            let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
+            let (Some(n), Some(pn), Some(qn)) = (
+                self.floats(args[0], fb, &mut x),
+                self.floats(args[1], fb, &mut y),
+                self.floats(args[2], fb, &mut z),
             ) else {
                 return false;
             };
             if (pn != n && pn != 1) || (qn != n && qn != 1) {
                 return false;
             }
-            let mut out = [[0.0f32; 4]; MAX_LANES];
-            for (l, o) in out.iter_mut().enumerate() {
-                for (c, v) in o[..n].iter_mut().enumerate() {
-                    let (b, cc) = (lane_comp(p, pn, l, c), lane_comp(q, qn, l, c));
-                    *v = model.round_alu(f(x[l * n + c], b, cc));
+            let mut out = [0.0f32; 4 * MAX_LANES];
+            for l in 0..MAX_LANES {
+                for c in 0..n {
+                    let (b, cc) = (lane_comp(&y, pn, l, c), lane_comp(&z, qn, l, c));
+                    out[l * n + c] = model.round_alu(f(x[l * n + c], b, cc));
                 }
             }
             count_ops(&mut self.profile, false, 2 * n as u64, mask);
-            self.write_vec_result(s, n, &out, mask, owned);
+            self.locals[dst].put_floats(n, &out, mask, owned);
             return true;
         }
 
         // float()/int() scalar conversions and vecN constructors.
         match id {
-            B::Float | B::Int if argc == 1 => {
+            B::Float | B::Int if args.len() == 1 => {
+                let mut x = lanes();
                 // The first component, one op per source component.
-                let (first, comps): ([f32; MAX_LANES], usize) = match &self.stack[s] {
-                    Slot::I(x) => (x.map(|v| v as f32), 1),
-                    slot => match slot.floats() {
-                        Some((x, n)) => (std::array::from_fn(|l| x[l * n]), n),
+                let (first, comps): ([f32; MAX_LANES], usize) = match self.ints(args[0], fb) {
+                    Some(x) => (per_lane(|l| x[l] as f32), 1),
+                    None => match self.floats(args[0], fb, &mut x) {
+                        Some(n) => (per_lane(|l| x[l * n]), n),
                         None => return false,
                     },
                 };
                 count_ops(&mut self.profile, false, comps as u64, mask);
                 if id == B::Float {
-                    let out = first.map(|v| [v; 4]);
-                    self.write_vec_result(s, 1, &out, mask, owned);
-                } else if owned {
-                    self.stack[s] = Slot::I(first.map(|v| v as i32));
+                    x[..MAX_LANES].copy_from_slice(&first);
+                    self.locals[dst].put_floats(1, &x, mask, owned);
                 } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Int(first[l] as i32)); });
+                    self.locals[dst].put_ints(per_lane(|l| first[l] as i32), mask, owned);
                 }
                 true
             }
@@ -1041,10 +1401,29 @@ impl<'a> SpmdVm<'a> {
                     B::Vec3 => 3,
                     _ => 4,
                 };
+                // One float per component: gather straight from the
+                // operands.
+                if args.len() == dim {
+                    let mut z = lanes();
+                    for (c, &arg) in args.iter().enumerate() {
+                        let Some(v) = self.f1(arg, fb) else {
+                            break;
+                        };
+                        for (l, &x) in v.iter().enumerate() {
+                            z[l * dim + c] = x;
+                        }
+                        if c + 1 == dim {
+                            count_ops(&mut self.profile, false, dim as u64, mask);
+                            self.locals[dst].put_floats(dim, &z, mask, owned);
+                            return true;
+                        }
+                    }
+                }
                 let mut total = 0usize;
-                for k in 0..argc {
-                    total += match &self.stack[s + k] {
+                for &arg in args {
+                    total += match self.slot(arg, fb) {
                         Slot::F(_) | Slot::I(_) => 1,
+                        _ if matches!(arg, Opnd::GlobalComp(..)) => 1,
                         Slot::V2(_) => 2,
                         Slot::V3(_) => 3,
                         Slot::V4(_) => 4,
@@ -1054,33 +1433,32 @@ impl<'a> SpmdVm<'a> {
                 // Mirrors `builtins::build`: exact fill, single-scalar
                 // splat, or single-argument truncation; anything else
                 // errors in a sequential run, so take the generic path.
-                if !(total == dim || total == 1 || (total > dim && argc == 1)) {
+                if !(total == dim || total == 1 || (total > dim && args.len() == 1)) {
                     return false;
                 }
                 // Gather argument by argument across all lanes (dead
                 // lanes hold valid values of the same shape); components
                 // past the fourth are truncated away.
                 let mut out = [[0.0f32; 4]; MAX_LANES];
+                let (mut x, mut z) = (lanes(), lanes());
                 let mut k = 0usize;
-                for arg in 0..argc {
-                    macro_rules! gather {
-                        ($n:expr, $get:expr) => {{
-                            for c in 0..($n).min(4 - k.min(4)) {
-                                for (l, o) in out.iter_mut().enumerate() {
-                                    o[k + c] = $get(l, c);
-                                }
-                            }
-                            k += $n;
-                        }};
+                for &arg in args {
+                    let n = match self.ints(arg, fb) {
+                        Some(v) => {
+                            x[..MAX_LANES].copy_from_slice(&per_lane(|l| v[l] as f32));
+                            1
+                        }
+                        None => match self.floats(arg, fb, &mut x) {
+                            Some(n) => n,
+                            None => return false,
+                        },
+                    };
+                    for c in 0..n.min(4 - k.min(4)) {
+                        for (l, o) in out.iter_mut().enumerate() {
+                            o[k + c] = x[l * n + c];
+                        }
                     }
-                    match &self.stack[s + arg] {
-                        Slot::F(x) => gather!(1, |l: usize, _| x[l]),
-                        Slot::I(x) => gather!(1, |l: usize, _| x[l] as f32),
-                        Slot::V2(x) => gather!(2, |l: usize, c: usize| x[l][c]),
-                        Slot::V3(x) => gather!(3, |l: usize, c: usize| x[l][c]),
-                        Slot::V4(x) => gather!(4, |l: usize, c: usize| x[l][c]),
-                        _ => unreachable!(),
-                    }
+                    k += n;
                 }
                 if total == 1 {
                     for o in &mut out {
@@ -1088,91 +1466,63 @@ impl<'a> SpmdVm<'a> {
                     }
                 }
                 count_ops(&mut self.profile, false, total as u64, mask);
-                self.write_vec_result(s, dim, &out, mask, owned);
+                for (l, o) in out.iter().enumerate() {
+                    z[l * dim..(l + 1) * dim].copy_from_slice(&o[..dim]);
+                }
+                self.locals[dst].put_floats(dim, &z, mask, owned);
                 true
             }
             _ => false,
         }
     }
 
-    /// Writes an `n`-component float result (per lane, padded to 4
-    /// components; `n == 1` is a `float`) into stack slot `s`: wholesale
-    /// when `owned`, else into the `mask` lanes.
-    fn write_vec_result(
-        &mut self,
-        s: usize,
-        n: usize,
-        out: &[[f32; 4]; MAX_LANES],
-        mask: u8,
-        owned: bool,
-    ) {
-        let lane = |l: usize| match n {
-            1 => Value::Float(out[l][0]),
-            2 => Value::Vec2([out[l][0], out[l][1]]),
-            3 => Value::Vec3([out[l][0], out[l][1], out[l][2]]),
-            _ => Value::Vec4(out[l]),
-        };
-        if !owned {
-            for_lanes!(mask, l => { self.stack[s].set(l, lane(l)); });
-            return;
-        }
-        self.stack[s] = match n {
-            1 => Slot::F(std::array::from_fn(|l| out[l][0])),
-            2 => Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]])),
-            3 => Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]])),
-            _ => Slot::V4(*out),
-        };
-    }
-
-    /// Runs builtin `id` on the `argc` argument slots at `s`, leaving the
-    /// result in slot `s` (wholesale when the running context `owned`
-    /// it): the SoA fast path when one applies, else [`builtins::call`]
-    /// lane by lane on each lane's materialised arguments. `Ok(false)`,
-    /// with nothing mutated, when no overload of `id` takes these
-    /// arguments — the types are uniform across lanes, so the first lane
-    /// decides for all.
+    /// Runs builtin `id` on `args`, leaving the result in frame slot
+    /// `dst`: the SoA fast path when one applies, else
+    /// [`builtins::call`] lane by lane on each lane's materialised
+    /// arguments.
+    #[allow(clippy::too_many_arguments)]
     fn call_builtin(
         &mut self,
         id: BuiltinId,
-        s: usize,
-        argc: usize,
+        shape: Shape,
+        args: &[Opnd],
+        dst: usize,
+        fb: usize,
         mask: u8,
         owned: bool,
-    ) -> Result<bool, RuntimeError> {
-        if self.fast_builtin(id, s, argc, mask, owned) {
-            return Ok(true);
+    ) -> Result<(), RuntimeError> {
+        if shape != Shape::Any && self.fast_builtin(id, args, dst, fb, mask, owned) {
+            return Ok(());
         }
-        let mut out = lane_values();
-        for_lanes!(mask, lane => {
-            self.arg_buf.clear();
-            for k in 0..argc {
-                let v = self.stack[s + k].get(lane);
-                self.arg_buf.push(v);
+        self.lanewise(dst, mask, owned, |vm, lane| {
+            vm.arg_buf.clear();
+            for &a in args {
+                let v = vm.value(a, fb, lane)?;
+                vm.arg_buf.push(v);
             }
             let mut cx = BuiltinCx {
-                model: self.model,
-                profile: &mut self.profile,
-                textures: self.textures,
+                model: vm.model,
+                profile: &mut vm.profile,
+                textures: vm.textures,
             };
-            match builtins::call(id, &self.arg_buf, &mut cx) {
-                Some(r) => out[lane] = r?,
-                None => return Ok(false),
-            }
-        });
-        self.stack[s].put_lanes(&mut out, mask, owned);
-        Ok(true)
+            builtins::call(id, &vm.arg_buf, &mut cx).unwrap_or_else(|| {
+                Err(RuntimeError::Unbound {
+                    name: id.name().into(),
+                })
+            })
+        })
     }
 
-    /// Enters user function `fi` for the running context: moves the
-    /// arguments at `args_start..` into the callee's frame and pushes the
-    /// caller's return state.
+    /// Enters user function `fi` for the running context, whose
+    /// arguments are already in the callee's parameter slots at frame
+    /// slot `base`: zeroes its `out` parameters and pushes the caller's
+    /// return state.
     fn enter_call(
         &mut self,
         cur: &mut Ctx,
         fi: u32,
-        args_start: usize,
-        pushes_outs: bool,
-        (sfl, lfl): (usize, usize),
+        (base, dst, live): (u32, u32, u32),
+        (floor, pending): (usize, &[Ctx]),
     ) -> Result<(), RuntimeError> {
         if cur.frames.len() as u32 >= self.limits.max_call_depth {
             return Err(RuntimeError::CallDepth {
@@ -1181,48 +1531,35 @@ impl<'a> SpmdVm<'a> {
         }
         let exe = self.exe;
         let func = &exe.functions[fi as usize];
-        let callee_base = cur.frame_end;
-        let callee_end = callee_base + exe.chunks[func.chunk as usize].frame_size as usize;
-        self.ensure_locals(callee_end);
+        let fb = cur.frame_base;
+        let callee_base = fb + base as usize;
+        self.ensure_locals(callee_base + exe.chunks[func.chunk as usize].frame_size as usize);
         let counters_base = self.loop_counters[cur.mask.trailing_zeros() as usize].len();
         self.profile.calls += lane_count(cur.mask);
-        for (i, (ty, qual)) in func.params.iter().enumerate() {
-            let dst = callee_base + i;
-            match qual {
-                ParamQual::In | ParamQual::InOut => move_slot(
-                    &mut self.locals[dst],
-                    &mut self.stack[args_start + i],
-                    cur.mask,
-                    dst >= lfl,
-                    args_start + i >= sfl,
-                ),
-                ParamQual::Out => {
-                    let z = Value::zero_of(ty);
-                    if dst >= lfl {
-                        self.locals[dst] = Slot::splat(&z);
-                    } else {
-                        for_lanes!(cur.mask, lane => {
-                            self.locals[dst].set(lane, z.clone());
-                        });
-                    }
+        for (i, (ty, qual)) in func.params.iter().enumerate().filter(|_| func.has_out) {
+            if *qual == ParamQual::Out {
+                let z = Value::zero_of(ty);
+                let dst = callee_base + i;
+                if owns(dst, floor, pending) {
+                    self.locals[dst] = Slot::splat(&z);
+                } else {
+                    for_lanes!(cur.mask, lane => {
+                        self.locals[dst].set(lane, z.clone());
+                    });
                 }
             }
         }
         cur.frames.push(Frame {
             ret_chunk: cur.chunk,
             ret_pc: cur.pc + 1,
-            frame_base: cur.frame_base,
-            frame_end: cur.frame_end,
-            callee_base,
-            func: fi,
-            pushes_outs,
+            frame_base: fb,
+            ret_dst: fb + dst as usize,
+            ret_live: fb + live as usize,
             counters_base,
         });
         cur.chunk = func.chunk;
         cur.pc = 0;
-        cur.sp = args_start;
         cur.frame_base = callee_base;
-        cur.frame_end = callee_end;
         Ok(())
     }
 
@@ -1236,16 +1573,16 @@ impl<'a> SpmdVm<'a> {
         let mut pending = std::mem::take(&mut self.pending);
         let mut frames = self.spare_frames.pop().unwrap_or_default();
         frames.clear();
+        let frame_size = self.exe.chunks[start_chunk as usize].frame_size as usize;
         let mut cur = Ctx {
             mask,
             chunk: start_chunk,
             pc: 0,
-            sp: 0,
             frame_base: 0,
-            frame_end: self.exe.chunks[start_chunk as usize].frame_size as usize,
+            live: frame_size,
             frames,
         };
-        self.ensure_locals(cur.frame_end);
+        self.ensure_locals(frame_size);
         let result = self.run(&mut cur, &mut pending);
         self.spare_frames.push(cur.frames);
         self.spare_frames
@@ -1255,20 +1592,17 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// The instruction loop of [`SpmdVm::exec`].
-    // `slot >= floor` spells the ownership rule for every slot, `sp - 1`
-    // included.
-    #[allow(clippy::int_plus_one)]
     fn run(&mut self, cur: &mut Ctx, pending: &mut Vec<Ctx>) -> Result<(), RuntimeError> {
         let exe = self.exe;
-        // Ownership floors of `pending` (see `floors`): a write at or
-        // above them goes wholesale, below them it is masked. Globals are
+        // Ownership floor of `pending` (see `floor`): a frame write at or
+        // above it goes wholesale, below it it is masked. Globals are
         // always written masked — see the module docs. Every change to
         // `pending` is followed by `refloor!`.
-        let (mut sfl, mut lfl) = (0usize, 0usize);
+        let mut fl = 0usize;
 
         macro_rules! refloor {
             () => {
-                (sfl, lfl) = floors(pending)
+                fl = floor(pending)
             };
         }
 
@@ -1297,177 +1631,274 @@ impl<'a> SpmdVm<'a> {
             }};
         }
 
+        // The lanes of `taken` jump to `to`: all, none, or — a divergence —
+        // the jumping subgroup is deferred and the fall-through side keeps
+        // walking.
+        macro_rules! jump {
+            ($taken:expr, $to:expr) => {{
+                let (go, stay) = ($taken & cur.mask, !$taken & cur.mask);
+                let fb = cur.frame_base;
+                if go == 0 {
+                    cur.pc += 1;
+                } else if stay == 0 {
+                    cur.pc = $to.pc as usize;
+                    cur.live = fb + $to.live as usize;
+                    land!();
+                } else {
+                    let mut frames = self.spare_frames.pop().unwrap_or_default();
+                    frames.clone_from(&cur.frames);
+                    pending.push(Ctx {
+                        mask: go,
+                        chunk: cur.chunk,
+                        pc: $to.pc as usize,
+                        frame_base: fb,
+                        live: fb + $to.live as usize,
+                        frames,
+                    });
+                    cur.mask = stay;
+                    cur.pc += 1;
+                    refloor!();
+                }
+                continue;
+            }};
+        }
+
         loop {
             // Merge any pending context that has caught up to `cur`.
             if !pending.is_empty() && merge_caught_up(cur, pending, &mut self.spare_frames) {
                 refloor!();
             }
-            let code = &exe.chunks[cur.chunk as usize].code;
+            let code = &exe.chunks[cur.chunk as usize].code[..];
             if cur.pc >= code.len() {
                 // Fell off the end: only the initialiser chunk and
                 // `main` do this (function chunks end in Ret/Err).
                 debug_assert!(cur.frames.is_empty());
                 next_ctx!();
             }
+            #[cfg(test)]
+            EXECUTED.with(|n| n.set(n.get() + 1));
             let fb = cur.frame_base;
+            let mask = cur.mask;
             match &code[cur.pc] {
-                Insn::Const(i) => {
-                    self.ensure_stack(cur.sp + 1);
-                    let (stack, consts) = (&mut self.stack, &self.consts);
-                    stack[cur.sp].write_from(&consts[*i as usize], cur.mask, cur.sp >= sfl);
-                    cur.sp += 1;
+                &Insn::Move { dst, src } => {
+                    let dst = fb + dst as usize;
+                    self.copy_to(dst, src, fb, mask, owns(dst, fl, pending));
                 }
-                Insn::LoadGlobal(s) => {
-                    self.ensure_stack(cur.sp + 1);
-                    // Globals and stack are disjoint fields; copy via
-                    // split borrow.
-                    let (stack, globals) = (&mut self.stack, &self.globals);
-                    stack[cur.sp].write_from(&globals[*s as usize], cur.mask, cur.sp >= sfl);
-                    cur.sp += 1;
-                }
-                Insn::LoadLocal(s) => {
-                    self.ensure_stack(cur.sp + 1);
-                    let (stack, locals) = (&mut self.stack, &self.locals);
-                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, cur.sp >= sfl);
-                    cur.sp += 1;
-                }
-                Insn::StoreLocal(s) => {
-                    cur.sp -= 1;
-                    let dst = fb + *s as usize;
-                    move_slot(
-                        &mut self.locals[dst],
-                        &mut self.stack[cur.sp],
-                        cur.mask,
-                        dst >= lfl,
-                        cur.sp >= sfl,
-                    );
-                }
-                Insn::StoreGlobalPop(s) => {
-                    cur.sp -= 1;
-                    // Always masked: retired lanes' outputs must survive.
-                    let (stack, globals) = (&self.stack, &mut self.globals);
-                    globals[*s as usize].copy_masked_from(&stack[cur.sp], cur.mask);
-                }
-                Insn::Dup => {
-                    self.ensure_stack(cur.sp + 1);
-                    let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                    hi[0].write_from(&lo[cur.sp - 1], cur.mask, cur.sp >= sfl);
-                    cur.sp += 1;
-                }
-                Insn::Pop => cur.sp -= 1,
-                Insn::Swap => {
-                    if cur.sp - 2 >= sfl {
-                        self.stack.swap(cur.sp - 1, cur.sp - 2);
-                    } else {
-                        let (lo, hi) = self.stack.split_at_mut(cur.sp - 1);
-                        let top = hi[0].clone();
-                        hi[0].write_from(&lo[cur.sp - 2], cur.mask, cur.sp - 1 >= sfl);
-                        lo[cur.sp - 2].copy_masked_from(&top, cur.mask);
+                &Insn::Binary {
+                    op,
+                    shape,
+                    dst,
+                    a,
+                    b,
+                } => {
+                    let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
+                    if !self.binary_fast(op, shape, dst, a, b, fb, mask, owned) {
+                        self.lanewise(dst, mask, owned, |vm, l| {
+                            let (av, bv) = (vm.value(a, fb, l)?, vm.value(b, fb, l)?);
+                            ops::apply_binary(vm.model, &mut vm.profile, op, av, bv)
+                        })?;
                     }
                 }
-                Insn::Neg => match &mut self.stack[cur.sp - 1] {
-                    Slot::F(x) => {
-                        if cur.sp - 1 >= sfl {
-                            for v in x.iter_mut() {
+                &Insn::Neg { shape, dst, a } => {
+                    let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
+                    let mut x = [0.0; 4 * MAX_LANES];
+                    let ints = match shape {
+                        Shape::I => self.ints(a, fb),
+                        _ => None,
+                    };
+                    match (shape, ints) {
+                        (Shape::F(n), _) if self.floats_n(a, fb, n as usize, &mut x) => {
+                            for v in &mut x {
                                 *v = -*v;
                             }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = -x[lane]; });
+                            self.locals[dst].put_floats(n as usize, &x, mask, owned);
                         }
-                    }
-                    Slot::I(x) => {
-                        if cur.sp - 1 >= sfl {
-                            for v in x.iter_mut() {
-                                *v = v.wrapping_neg();
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_neg(); });
+                        (_, Some(v)) => {
+                            self.locals[dst].put_ints(
+                                per_lane(|l| v[l].wrapping_neg()),
+                                mask,
+                                owned,
+                            );
                         }
+                        _ => self
+                            .lanewise(dst, mask, owned, |vm, l| ops::negate(vm.value(a, fb, l)?))?,
                     }
-                    Slot::V2(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    Slot::V3(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    Slot::V4(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    slot => {
-                        for_lanes!(cur.mask, lane => {
-                            let v = slot.get(lane);
-                            slot.set(lane, ops::negate(v)?);
-                        });
-                    }
-                },
-                Insn::Not => match &mut self.stack[cur.sp - 1] {
-                    Slot::B(x) => {
-                        if cur.sp - 1 >= sfl {
-                            for v in x.iter_mut() {
-                                *v = !*v;
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = !x[lane]; });
-                        }
-                    }
-                    slot => {
-                        for_lanes!(cur.mask, lane => {
-                            let b = slot.get(lane).as_bool().ok_or_else(|| RuntimeError::Type {
-                                message: "`!` requires bool".into(),
+                }
+                &Insn::Select { dst, cond, a, b } => {
+                    let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
+                    self.profile.branches += lane_count(mask);
+                    self.select(dst, cond, (a, b), fb, mask, owned)?;
+                }
+                &Insn::Not { dst, a } => {
+                    let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
+                    match self.bools(a, fb) {
+                        Some(v) => self.locals[dst].put_bools(per_lane(|l| !v[l]), mask, owned),
+                        None => self.lanewise(dst, mask, owned, |vm, l| {
+                            let b = vm.value(a, fb, l)?.as_bool().ok_or_else(|| {
+                                RuntimeError::Type {
+                                    message: "`!` requires bool".into(),
+                                }
                             })?;
-                            slot.set(lane, Value::Bool(!b));
-                        });
+                            Ok(Value::Bool(!b))
+                        })?,
+                    }
+                }
+                &Insn::Swizzle { dst, src, idx, len } => {
+                    let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
+                    let len = len as usize;
+                    let mut x = [0.0; 4 * MAX_LANES];
+                    match self.floats(src, fb, &mut x) {
+                        Some(n) if idx[..len].iter().all(|&i| (i as usize) < n) => {
+                            let mut out = [0.0; 4 * MAX_LANES];
+                            for l in 0..MAX_LANES {
+                                for (k, &i) in idx[..len].iter().enumerate() {
+                                    out[l * len + k] = x[l * n + i as usize];
+                                }
+                            }
+                            self.locals[dst].put_floats(len, &out, mask, owned);
+                        }
+                        _ => {
+                            let sel = idx.map(usize::from);
+                            self.lanewise(dst, mask, owned, |vm, l| {
+                                ops::swizzle_read(&vm.value(src, fb, l)?, &sel[..len])
+                            })?;
+                        }
+                    }
+                }
+                &Insn::Index { dst, base, index } => {
+                    let dst = fb + dst as usize;
+                    self.lanewise(dst, mask, owns(dst, fl, pending), |vm, l| {
+                        let i = lane_index(vm.value(index, fb, l)?)?;
+                        // Avoid cloning boxed aggregates (arrays) just to
+                        // read one element.
+                        match vm.slot(base, fb) {
+                            Slot::Boxed(b) if !matches!(base, Opnd::GlobalComp(..)) => {
+                                ops::index_read(&b[l], i)
+                            }
+                            _ => ops::index_read(&vm.value(base, fb, l)?, i),
+                        }
+                    })?;
+                }
+                &Insn::Builtin {
+                    id,
+                    shape,
+                    dst,
+                    args,
+                    argc,
+                } => {
+                    let dst = fb + dst as usize;
+                    let args = &exe.operands[args as usize..args as usize + argc as usize];
+                    self.call_builtin(id, shape, args, dst, fb, mask, owns(dst, fl, pending))?;
+                }
+                &Insn::CallUser {
+                    func,
+                    base,
+                    dst,
+                    live,
+                } => {
+                    self.enter_call(cur, func, (base, dst, live), (fl, pending))?;
+                    continue;
+                }
+                &Insn::Ret(value) => match cur.frames.pop() {
+                    None => next_ctx!(),
+                    Some(frame) => {
+                        // Every lane of a context is at the same loop
+                        // depth.
+                        if self.loop_counters[mask.trailing_zeros() as usize].len()
+                            > frame.counters_base
+                        {
+                            for_lanes!(mask, lane => {
+                                self.loop_counters[lane].truncate(frame.counters_base);
+                            });
+                        }
+                        let dst = frame.ret_dst;
+                        self.copy_to(dst, value, fb, mask, owns(dst, fl, pending));
+                        cur.chunk = frame.ret_chunk;
+                        cur.pc = frame.ret_pc;
+                        cur.frame_base = frame.frame_base;
+                        cur.live = frame.ret_live;
+                        land!();
+                        continue;
                     }
                 },
-                Insn::Binary(op) => {
-                    let sp = cur.sp;
-                    let owned = sp - 2 >= sfl;
-                    let (lo, hi) = self.stack.split_at_mut(sp - 1);
-                    let (a, b) = (&mut lo[sp - 2], &hi[0]);
-                    if !binary_fast(self.model, &mut self.profile, *op, a, b, cur.mask, owned) {
-                        self.binary_generic(*op, sp, cur.mask, owned)?;
+                &Insn::StoreGlobal { slot, src, color } => {
+                    if color {
+                        for_lanes!(mask, l => { self.wrote_frag_color[l] = true; });
                     }
-                    cur.sp -= 1;
+                    self.store_global(slot as usize, src, fb, mask);
                 }
-                Insn::BinaryConst { op, c } => {
-                    self.binary_operand(*op, cur.sp - 1, Operand::Const(*c), cur.mask, sfl)?;
-                }
-                Insn::BinaryLocal { op, s } => {
-                    let b = Operand::Local(fb + *s as usize);
-                    self.binary_operand(*op, cur.sp - 1, b, cur.mask, sfl)?;
-                }
-                Insn::LocalBinaryConst { op, s, c } => {
-                    self.ensure_stack(cur.sp + 1);
-                    let (stack, locals) = (&mut self.stack, &self.locals);
-                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, cur.sp >= sfl);
-                    self.binary_operand(*op, cur.sp, Operand::Const(*c), cur.mask, sfl)?;
-                    cur.sp += 1;
-                }
-                Insn::Branch => self.profile.branches += lane_count(cur.mask),
-                Insn::Jump(t) => {
-                    cur.pc = *t as usize;
+                &Insn::Store { def, src } => self.store_path(def, src, fb, mask)?,
+                &Insn::Jump(t) => {
+                    cur.pc = t.pc as usize;
+                    cur.live = fb + t.live as usize;
                     land!();
                     continue;
                 }
-                Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => {
-                    let jump_on = matches!(&code[cur.pc], Insn::JumpIfTrue(_));
-                    cur.sp -= 1;
-                    let mut go: u8 = 0;
-                    let mut stay: u8 = 0;
-                    match &self.stack[cur.sp] {
-                        Slot::B(x) => {
-                            let taken = x
-                                .iter()
+                &Insn::JumpCmp {
+                    op,
+                    shape,
+                    a,
+                    b,
+                    on,
+                    to,
+                    branch,
+                } => {
+                    if branch {
+                        self.profile.branches += lane_count(mask);
+                    }
+                    let r = match shape {
+                        Shape::I => match (self.ints(a, fb), self.ints(b, fb)) {
+                            (Some(x), Some(y)) => compare_lanes(op, &x, &y),
+                            _ => None,
+                        },
+                        _ => match (self.f1(a, fb), self.f1(b, fb)) {
+                            (Some(x), Some(y)) => compare_lanes(op, &x, &y),
+                            _ => None,
+                        },
+                    };
+                    let taken = match r {
+                        Some(r) => {
+                            count_ops(&mut self.profile, false, 1, mask);
+                            r.iter()
                                 .enumerate()
-                                .fold(0u8, |m, (lane, &b)| m | u8::from(b == jump_on) << lane);
-                            go = taken & cur.mask;
-                            stay = !taken & cur.mask;
+                                .fold(0u8, |m, (lane, &t)| m | u8::from(t == on) << lane)
                         }
-                        slot => {
-                            for_lanes!(cur.mask, lane => {
-                                match slot.get(lane).as_bool() {
-                                    Some(b) if b == jump_on => go |= 1 << lane,
-                                    Some(_) => stay |= 1 << lane,
+                        None => {
+                            let mut taken = 0u8;
+                            for_lanes!(mask, lane => {
+                                let (av, bv) = (self.value(a, fb, lane)?, self.value(b, fb, lane)?);
+                                let t = ops::apply_binary(self.model, &mut self.profile, op, av, bv)?;
+                                taken |= u8::from(t == Value::Bool(on)) << lane;
+                            });
+                            taken
+                        }
+                    };
+                    jump!(taken, to);
+                }
+                &Insn::JumpIf {
+                    cond,
+                    on,
+                    to,
+                    branch,
+                } => {
+                    if branch {
+                        self.profile.branches += lane_count(mask);
+                    }
+                    let taken = match self.bools(cond, fb) {
+                        Some(x) => x
+                            .iter()
+                            .enumerate()
+                            .fold(0u8, |m, (lane, &b)| m | u8::from(b == on) << lane),
+                        None => {
+                            let mut taken = 0u8;
+                            for_lanes!(mask, lane => {
+                                match self.value(cond, fb, lane)?.as_bool() {
+                                    Some(b) => taken |= u8::from(b == on) << lane,
                                     None => {
                                         return Err(RuntimeError::Type {
                                             message: "condition did not evaluate to bool".into(),
@@ -1475,223 +1906,19 @@ impl<'a> SpmdVm<'a> {
                                     }
                                 }
                             });
+                            taken
                         }
-                    }
-                    if go == 0 {
-                        cur.pc += 1;
-                    } else if stay == 0 {
-                        cur.pc = *t as usize;
-                        land!();
-                    } else {
-                        // Divergence: defer the jumping subgroup, keep
-                        // walking the fall-through side.
-                        let mut frames = self.spare_frames.pop().unwrap_or_default();
-                        frames.clone_from(&cur.frames);
-                        pending.push(Ctx {
-                            mask: go,
-                            chunk: cur.chunk,
-                            pc: *t as usize,
-                            sp: cur.sp,
-                            frame_base: cur.frame_base,
-                            frame_end: cur.frame_end,
-                            frames,
-                        });
-                        cur.mask = stay;
-                        cur.pc += 1;
-                        refloor!();
-                    }
-                    continue;
-                }
-                Insn::IncDec { inc } => match &mut self.stack[cur.sp - 1] {
-                    Slot::F(x) => {
-                        let model = self.model;
-                        let d = if *inc { 1.0f32 } else { -1.0 };
-                        if cur.sp - 1 >= sfl {
-                            for v in x.iter_mut() {
-                                *v = model.round_alu(*v + d);
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => {
-                                x[lane] = model.round_alu(x[lane] + d);
-                            });
-                        }
-                        count_ops(&mut self.profile, false, 1, cur.mask);
-                    }
-                    Slot::I(x) => {
-                        let d: i32 = if *inc { 1 } else { -1 };
-                        if cur.sp - 1 >= sfl {
-                            for v in x.iter_mut() {
-                                *v = v.wrapping_add(d);
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_add(d); });
-                        }
-                        count_ops(&mut self.profile, false, 1, cur.mask);
-                    }
-                    _ => {
-                        for_lanes!(cur.mask, lane => {
-                            let old = self.stack[cur.sp - 1].get(lane);
-                            let one = match old.ty().scalar() {
-                                Some(Scalar::Int) => Value::Int(1),
-                                _ => Value::Float(1.0),
-                            };
-                            let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                            let new =
-                                ops::apply_binary(self.model, &mut self.profile, op, old, one)?;
-                            self.stack[cur.sp - 1].set(lane, new);
-                        });
-                    }
-                },
-                Insn::Swizzle { idx, len } => {
-                    let mut indices = [0usize; 4];
-                    for (slot, &i) in indices.iter_mut().zip(idx.iter()) {
-                        *slot = i as usize;
-                    }
-                    let sel = &indices[..*len as usize];
-                    let owned = cur.sp - 1 >= sfl;
-                    let src_n = match &self.stack[cur.sp - 1] {
-                        Slot::V2(_) => 2,
-                        Slot::V3(_) => 3,
-                        Slot::V4(_) => 4,
-                        _ => 0,
                     };
-                    if src_n != 0 && sel.iter().all(|&i| i < src_n) {
-                        let mut out = [[0.0f32; 4]; MAX_LANES];
-                        // Every lane: dead lanes hold valid vectors, and
-                        // the write below honours the mask.
-                        macro_rules! gather {
-                            ($x:ident) => {
-                                for (o, v) in out.iter_mut().zip($x.iter()) {
-                                    for (k, &si) in sel.iter().enumerate() {
-                                        o[k] = v[si];
-                                    }
-                                }
-                            };
-                        }
-                        match &self.stack[cur.sp - 1] {
-                            Slot::V2(x) => gather!(x),
-                            Slot::V3(x) => gather!(x),
-                            Slot::V4(x) => gather!(x),
-                            _ => unreachable!(),
-                        }
-                        self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, owned);
-                    } else {
-                        let mut out = lane_values();
-                        for_lanes!(cur.mask, lane => {
-                            let v = self.stack[cur.sp - 1].get(lane);
-                            out[lane] = ops::swizzle_read(&v, sel)?;
-                        });
-                        self.stack[cur.sp - 1].put_lanes(&mut out, cur.mask, owned);
-                    }
-                }
-                Insn::IndexOp => {
-                    let mut out = lane_values();
-                    for_lanes!(cur.mask, lane => {
-                        let idx = match self.stack[cur.sp - 1].get(lane) {
-                            Value::Int(i) => i as i64,
-                            other => {
-                                return Err(RuntimeError::Type {
-                                    message: format!("index must be int, found {}", other.ty()),
-                                })
-                            }
-                        };
-                        // Avoid cloning boxed aggregates (arrays) just to
-                        // read one element.
-                        out[lane] = match &self.stack[cur.sp - 2] {
-                            Slot::Boxed(b) => ops::index_read(&b[lane], idx)?,
-                            slot => {
-                                let base = slot.get(lane);
-                                ops::index_read(&base, idx)?
-                            }
-                        };
-                    });
-                    self.stack[cur.sp - 2].put_lanes(&mut out, cur.mask, cur.sp - 2 >= sfl);
-                    cur.sp -= 1;
-                }
-                Insn::Store(def) => {
-                    let n = def.n_index as usize;
-                    if n == 0 && def.path.is_empty() {
-                        // Whole-slot store: the hot case (gl_FragColor,
-                        // plain variable writes).
-                        cur.sp -= 1;
-                        for_lanes!(cur.mask, lane => {
-                            if def.wrote_color {
-                                self.wrote_frag_color[lane] = true;
-                            }
-                            if def.wrote_data {
-                                self.wrote_frag_data[lane] = true;
-                            }
-                        });
-                        match def.root {
-                            SlotRef::Global(s) => {
-                                let (stack, globals) = (&self.stack, &mut self.globals);
-                                globals[s as usize].copy_masked_from(&stack[cur.sp], cur.mask);
-                            }
-                            SlotRef::Local(s) => {
-                                let dst = fb + s as usize;
-                                move_slot(
-                                    &mut self.locals[dst],
-                                    &mut self.stack[cur.sp],
-                                    cur.mask,
-                                    dst >= lfl,
-                                    cur.sp >= sfl,
-                                );
-                            }
-                        }
-                    } else {
-                        for_lanes!(cur.mask, lane => {
-                            // Index operands were pushed outermost-first,
-                            // so the first `Index` step's operand is on
-                            // top.
-                            let mut indices = [0i64; 8];
-                            for (k, slot) in indices.iter_mut().take(n).enumerate() {
-                                *slot = match self.stack[cur.sp - 1 - k].get(lane) {
-                                    Value::Int(i) => i as i64,
-                                    other => {
-                                        return Err(RuntimeError::Type {
-                                            message: format!(
-                                                "index must be int, found {}",
-                                                other.ty()
-                                            ),
-                                        })
-                                    }
-                                };
-                            }
-                            let value = self.stack[cur.sp - 1 - n].get(lane);
-                            if def.wrote_color {
-                                self.wrote_frag_color[lane] = true;
-                            }
-                            if def.wrote_data {
-                                self.wrote_frag_data[lane] = true;
-                            }
-                            let root_slot: &mut Slot = match def.root {
-                                SlotRef::Global(s) => &mut self.globals[s as usize],
-                                SlotRef::Local(s) => &mut self.locals[fb + s as usize],
-                            };
-                            // Mutate boxed aggregates in place; re-pack
-                            // typed slots through materialise/write-back.
-                            match root_slot {
-                                Slot::Boxed(b) => {
-                                    store_path(&mut b[lane], &def.path, &indices[..n], value)?;
-                                }
-                                slot => {
-                                    let mut root = slot.get(lane);
-                                    store_path(&mut root, &def.path, &indices[..n], value)?;
-                                    slot.set(lane, root);
-                                }
-                            }
-                        });
-                        cur.sp -= n + 1;
-                    }
+                    jump!(taken, to);
                 }
                 Insn::LoopEnter => {
-                    for_lanes!(cur.mask, lane => {
+                    for_lanes!(mask, lane => {
                         self.loop_counters[lane].push(0);
                     });
                 }
                 Insn::LoopIter { span } => {
-                    self.profile.branches += lane_count(cur.mask);
-                    for_lanes!(cur.mask, lane => {
+                    self.profile.branches += lane_count(mask);
+                    for_lanes!(mask, lane => {
                         let counter = self.loop_counters[lane]
                             .last_mut()
                             .expect("loop counter underflow");
@@ -1705,13 +1932,13 @@ impl<'a> SpmdVm<'a> {
                     });
                 }
                 Insn::LoopExit => {
-                    for_lanes!(cur.mask, lane => {
+                    for_lanes!(mask, lane => {
                         self.loop_counters[lane].pop();
                     });
                 }
                 Insn::Discard => {
                     debug_assert!(cur.frames.is_empty());
-                    for_lanes!(cur.mask, lane => {
+                    for_lanes!(mask, lane => {
                         self.discarded[lane] = true;
                     });
                     next_ctx!();
@@ -1726,58 +1953,6 @@ impl<'a> SpmdVm<'a> {
                         message: "break/continue escaped a function body".into(),
                     })
                 }
-                Insn::Ret => match cur.frames.pop() {
-                    None => next_ctx!(),
-                    Some(frame) => {
-                        for_lanes!(cur.mask, lane => {
-                            self.loop_counters[lane].truncate(frame.counters_base);
-                        });
-                        if frame.pushes_outs {
-                            let func = &exe.functions[frame.func as usize];
-                            let n_outs = func
-                                .params
-                                .iter()
-                                .filter(|(_, q)| matches!(q, ParamQual::Out | ParamQual::InOut))
-                                .count();
-                            self.ensure_stack(cur.sp + n_outs);
-                            if n_outs > 0 {
-                                // Return value moves above the copied-out
-                                // params: ret to sp-1+n_outs first (its
-                                // destination is never an out slot), then
-                                // outs to sp-1.. in parameter order.
-                                let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                                move_slot(
-                                    &mut hi[n_outs - 1],
-                                    &mut lo[cur.sp - 1],
-                                    cur.mask,
-                                    cur.sp - 1 + n_outs >= sfl,
-                                    cur.sp - 1 >= sfl,
-                                );
-                                let mut k = cur.sp - 1;
-                                for (i, (_, qual)) in func.params.iter().enumerate() {
-                                    if matches!(qual, ParamQual::Out | ParamQual::InOut) {
-                                        let src = frame.callee_base + i;
-                                        move_slot(
-                                            &mut self.stack[k],
-                                            &mut self.locals[src],
-                                            cur.mask,
-                                            k >= sfl,
-                                            src >= lfl,
-                                        );
-                                        k += 1;
-                                    }
-                                }
-                            }
-                            cur.sp += n_outs;
-                        }
-                        cur.chunk = frame.ret_chunk;
-                        cur.pc = frame.ret_pc;
-                        cur.frame_base = frame.frame_base;
-                        cur.frame_end = frame.frame_end;
-                        land!();
-                        continue;
-                    }
-                },
                 Insn::ErrNoReturn(func) => {
                     let name = &exe.functions[*func as usize].name;
                     return Err(RuntimeError::Type {
@@ -1788,81 +1963,60 @@ impl<'a> SpmdVm<'a> {
                     debug_assert!(cur.frames.is_empty());
                     next_ctx!();
                 }
-                Insn::CallBuiltin { id, argc } => {
-                    let args_start = cur.sp - *argc as usize;
-                    let owned = args_start >= sfl;
-                    if !self.call_builtin(*id, args_start, *argc as usize, cur.mask, owned)? {
-                        return Err(RuntimeError::Unbound {
-                            name: id.name().into(),
-                        });
-                    }
-                    cur.sp = args_start + 1;
-                }
-                Insn::CallUser { func, pushes_outs } => {
-                    let argc = exe.functions[*func as usize].params.len();
-                    let args_start = cur.sp - argc;
-                    self.enter_call(cur, *func, args_start, *pushes_outs, (sfl, lfl))?;
-                    continue;
-                }
-                Insn::Call {
-                    name,
-                    builtin,
-                    argc,
-                    candidates,
-                    pushes_outs,
-                } => {
-                    let argc = *argc as usize;
-                    let args_start = cur.sp - argc;
-                    // The callee is decided by the argument types, which
-                    // are static: the first lane's stand for all.
-                    let first = cur.mask.trailing_zeros() as usize;
-                    self.arg_buf.clear();
-                    for k in 0..argc {
-                        let v = self.stack[args_start + k].get(first);
-                        self.arg_buf.push(v);
-                    }
-                    // Builtins and constructors first (they cannot be
-                    // shadowed), where one takes these argument types.
-                    if let Some(id) = builtin.filter(|&id| builtins::takes(id, &self.arg_buf)) {
-                        let owned = args_start >= sfl;
-                        if self.call_builtin(id, args_start, argc, cur.mask, owned)? {
-                            cur.sp = args_start + 1;
-                            cur.pc += 1;
-                            continue;
-                        }
-                    }
-                    // User-defined function by exact argument types.
-                    let fi = candidates
-                        .iter()
-                        .copied()
-                        .find(|&fi| {
-                            let f = &exe.functions[fi as usize];
-                            f.params.len() == argc
-                                && f.params
-                                    .iter()
-                                    .zip(&self.arg_buf)
-                                    .all(|((ty, _), v)| ops::value_matches_type(v, ty))
-                        })
-                        .ok_or_else(|| RuntimeError::Unbound {
-                            name: exe.names[*name as usize].to_string(),
-                        })?;
-                    self.enter_call(cur, fi, args_start, *pushes_outs, (sfl, lfl))?;
-                    continue;
-                }
             }
             cur.pc += 1;
         }
     }
+
+    /// Stores `src` through `stores[def]`'s accessor path, lane by lane,
+    /// with the interpreter's own swizzle and index mutators.
+    fn store_path(&mut self, def: u32, src: Opnd, fb: usize, mask: u8) -> Result<(), RuntimeError> {
+        let exe = self.exe;
+        let def = &exe.stores[def as usize];
+        let n = def.n_index as usize;
+        let index_ops = &exe.operands[def.indices as usize..def.indices as usize + n];
+        for_lanes!(mask, lane => {
+            let mut indices = [0i64; 8];
+            for (slot, &o) in indices.iter_mut().zip(index_ops) {
+                *slot = lane_index(self.value(o, fb, lane)?)?;
+            }
+            let value = self.value(src, fb, lane)?;
+            if def.wrote_color {
+                self.wrote_frag_color[lane] = true;
+            }
+            if def.wrote_data {
+                self.wrote_frag_data[lane] = true;
+            }
+            let root_slot: &mut Slot = match def.root {
+                SlotRef::Global(s) => &mut self.globals[s as usize],
+                SlotRef::Local(s) => &mut self.locals[fb + s as usize],
+            };
+            // Mutate boxed aggregates in place; re-pack typed slots
+            // through materialise/write-back.
+            match root_slot {
+                Slot::Boxed(b) => {
+                    store_path(&mut b[lane], &def.path, &indices[..n], value)?;
+                }
+                slot => {
+                    let mut root = slot.get(lane);
+                    store_path(&mut root, &def.path, &indices[..n], value)?;
+                    slot.set(lane, root);
+                }
+            }
+        });
+        Ok(())
+    }
 }
 
-/// A `Binary` right operand read in place (see [`Insn::BinaryConst`] and
-/// [`Insn::BinaryLocal`]).
-#[derive(Clone, Copy)]
-enum Operand {
-    /// Constant-pool index.
-    Const(u32),
-    /// Absolute locals-arena index.
-    Local(usize),
+/// An index operand's value as an index, erroring like the interpreter
+/// on a non-`int`.
+fn lane_index(v: Value) -> Result<i64, RuntimeError> {
+    match v {
+        Value::Int(i) => Ok(i as i64),
+        other => Err(RuntimeError::Type {
+            message: format!("index must be int, found {}", other.ty()),
+        }),
+    }
 }
 
 /// Component `c` of lane `l` in a lane-major buffer of `k` components
@@ -1900,205 +2054,74 @@ fn count_ops(profile: &mut OpProfile, sfu: bool, n: u64, mask: u8) {
     }
 }
 
-/// Applies a binary operator to `a` (a stack slot) and `b` via the typed
-/// fast paths, writing the result to `a` (wholesale when the running
-/// context `owned` it) and counting into `profile`. Returns `false`
-/// (with no state mutated) when the operand shapes need the generic
-/// per-lane path.
-fn binary_fast(
-    model: FloatModel,
-    profile: &mut OpProfile,
-    op: BinOp,
-    a: &mut Slot,
-    b: &Slot,
-    mask: u8,
-    owned: bool,
-) -> bool {
-    use BinOp::*;
-    // Float arithmetic, component-wise; a scalar right operand
-    // broadcasts over a vector left one.
-    if matches!(op, Add | Sub | Mul | Div) {
-        if let (Some((x, n)), Some((y, m))) = (a.floats_mut(), b.floats()) {
-            if m != n && m != 1 {
-                return false;
-            }
-            match op {
-                Add => zip_lanes(x, n, y, m, mask, owned, |p, q| p + q),
-                Sub => zip_lanes(x, n, y, m, mask, owned, |p, q| p - q),
-                Mul => zip_lanes(x, n, y, m, mask, owned, |p, q| p * q),
-                _ => zip_lanes(x, n, y, m, mask, owned, |p, q| p / q),
-            }
-            round_lanes(model, false, x, n, mask, owned);
-            count_ops(profile, false, n as u64, mask);
-            return true;
-        }
-    }
-    macro_rules! bump_alu {
-        ($n:expr) => {
-            count_ops(profile, false, $n, mask)
-        };
-    }
-    match (&mut *a, b) {
-        (Slot::F(x), Slot::F(y)) => {
-            let Some(r) = compare_lanes(op, x, y) else {
-                return false;
-            };
-            bump_alu!(1);
-            write_bools(a, r, mask, owned);
-            true
-        }
-        (Slot::I(x), Slot::I(y)) => {
-            if matches!(op, Add | Sub | Mul | Div) {
-                let g = move |x: i32, y: i32| match op {
-                    Add => x.wrapping_add(y),
-                    Sub => x.wrapping_sub(y),
-                    Mul => x.wrapping_mul(y),
-                    _ => {
-                        if y == 0 {
-                            0
-                        } else {
-                            x.wrapping_div(y)
-                        }
-                    }
-                };
-                if owned {
-                    for i in 0..MAX_LANES {
-                        x[i] = g(x[i], y[i]);
-                    }
-                } else {
-                    for_lanes!(mask, l => { x[l] = g(x[l], y[l]); });
-                }
-                bump_alu!(1);
-                return true;
-            }
-            let Some(r) = compare_lanes(op, x, y) else {
-                return false;
-            };
-            bump_alu!(1);
-            write_bools(a, r, mask, owned);
-            true
-        }
-        (Slot::B(x), Slot::B(y)) => match op {
-            And => {
-                for_lanes!(mask, l => { x[l] = x[l] && y[l]; });
-                true
-            }
-            Or => {
-                for_lanes!(mask, l => { x[l] = x[l] || y[l]; });
-                true
-            }
-            Xor => {
-                for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
-                true
-            }
-            Eq => {
-                for_lanes!(mask, l => { x[l] = x[l] == y[l]; });
-                bump_alu!(1);
-                true
-            }
-            Ne => {
-                for_lanes!(mask, l => { x[l] = x[l] != y[l]; });
-                bump_alu!(1);
-                true
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
 /// A relational `op` on every lane (dead lanes compare the values they
 /// hold, harmlessly), with the operator matched once outside the lane
 /// loop; `None` for any other operator.
+#[inline(always)]
 fn compare_lanes<T: PartialOrd>(
     op: BinOp,
     x: &[T; MAX_LANES],
     y: &[T; MAX_LANES],
 ) -> Option<[bool; MAX_LANES]> {
-    use std::array::from_fn;
     Some(match op {
-        BinOp::Lt => from_fn(|l| x[l] < y[l]),
-        BinOp::Le => from_fn(|l| x[l] <= y[l]),
-        BinOp::Gt => from_fn(|l| x[l] > y[l]),
-        BinOp::Ge => from_fn(|l| x[l] >= y[l]),
-        BinOp::Eq => from_fn(|l| x[l] == y[l]),
-        BinOp::Ne => from_fn(|l| x[l] != y[l]),
+        BinOp::Lt => per_lane(|l| x[l] < y[l]),
+        BinOp::Le => per_lane(|l| x[l] <= y[l]),
+        BinOp::Gt => per_lane(|l| x[l] > y[l]),
+        BinOp::Ge => per_lane(|l| x[l] >= y[l]),
+        BinOp::Eq => per_lane(|l| x[l] == y[l]),
+        BinOp::Ne => per_lane(|l| x[l] != y[l]),
         _ => return None,
     })
 }
 
-/// Writes per-lane bools to `a`: wholesale when the running context
-/// `owned` it, else into the `mask` lanes.
-fn write_bools(a: &mut Slot, r: [bool; MAX_LANES], mask: u8, owned: bool) {
-    if owned {
-        *a = Slot::B(r);
-    } else {
-        for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
-    }
-}
-
-/// `a = f(a)` per component over the lanes a write covers: all of them
-/// when the running context `owned` the slot, else the `mask` lanes.
-/// `a` is lane-major with `n` components per lane.
+/// Applies the float model's SFU (`sfu`) or ALU rounding to every
+/// component; rounding per component after the operation is what the
+/// scalar paths do, one value at a time. Nothing to do where the model
+/// keeps every value.
 #[inline(always)]
-fn map_lanes(a: &mut [f32], n: usize, mask: u8, owned: bool, f: impl Fn(f32) -> f32) {
-    if owned {
-        for x in a {
-            *x = f(*x);
-        }
-    } else {
-        for_lanes!(mask, l => {
-            for x in &mut a[l * n..(l + 1) * n] {
-                *x = f(*x);
-            }
-        });
-    }
-}
-
-/// Applies the float model's SFU (`sfu`) or ALU rounding to the lanes
-/// a write covers (see [`map_lanes`]); rounding per component after the
-/// operation is what the scalar paths do, one value at a time. Nothing
-/// to do where the model keeps every value.
-fn round_lanes(model: FloatModel, sfu: bool, a: &mut [f32], n: usize, mask: u8, owned: bool) {
+fn round_lanes(model: FloatModel, sfu: bool, a: &mut [f32]) {
     if model.is_exact(sfu) {
         return;
     }
-    if sfu {
-        map_lanes(a, n, mask, owned, |v| model.round_sfu(v));
-    } else {
-        map_lanes(a, n, mask, owned, |v| model.round_alu(v));
+    for v in a {
+        *v = if sfu {
+            model.round_sfu(*v)
+        } else {
+            model.round_alu(*v)
+        };
     }
 }
 
-/// `a = f(a, b)` per component over the lanes a write covers (see
-/// [`map_lanes`]); `b` has `m` components per lane, either `n` or one
-/// that broadcasts across the lane's components.
+/// [`round_lanes`] of one `float` per lane.
 #[inline(always)]
-fn zip_lanes(
-    a: &mut [f32],
+fn round8(model: FloatModel, sfu: bool, mut v: [f32; MAX_LANES]) -> [f32; MAX_LANES] {
+    round_lanes(model, sfu, &mut v);
+    v
+}
+
+/// `out = f(a, b)` per component of `n`-component lanes, every lane:
+/// `a` has `na` and `b` `nb` components per lane, each either `n` or
+/// one that broadcasts across the lane's components.
+#[inline(always)]
+fn zip_floats(
+    out: &mut Lanes,
+    a: &Lanes,
+    na: usize,
+    b: &Lanes,
+    nb: usize,
     n: usize,
-    b: &[f32],
-    m: usize,
-    mask: u8,
-    owned: bool,
     f: impl Fn(f32, f32) -> f32,
 ) {
-    if owned && m == n {
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = f(*x, y);
-        }
-    } else if owned {
-        for (xs, &y) in a.chunks_exact_mut(n).zip(b) {
-            for x in xs {
-                *x = f(*x, y);
-            }
+    if na == nb {
+        for ((o, &x), &y) in out[..n * MAX_LANES].iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
         }
     } else {
-        for_lanes!(mask, l => {
-            for (c, x) in a[l * n..(l + 1) * n].iter_mut().enumerate() {
-                *x = f(*x, b[l * m + c.min(m - 1)]);
+        for l in 0..MAX_LANES {
+            for c in 0..n {
+                out[l * n + c] = f(lane_comp(a, na, l, c), lane_comp(b, nb, l, c));
             }
-        });
+        }
     }
 }
 
@@ -2209,13 +2232,13 @@ mod tests {
         assert_eq!(SpmdVm::boxings() - boxed, 0, "slots boxed running {src}");
     }
 
-    /// A divergent `?:` whose join is the right operand of a binary
-    /// operator: the `Const` of the else arm sits right before the
-    /// `Binary`, but the `Binary` is a jump target, so the pair must not
-    /// fold (the then arm's lanes arrive with their operand already
-    /// pushed). The same for a short-circuit `&&` join.
+    /// A divergent `?:` whose value is the right operand of a binary
+    /// operator: each arm writes the one slot the operator reads where
+    /// the lanes rejoin, while the left operand is read in place (the
+    /// arms of the last two are computed, so they branch; the others are
+    /// per-lane selects). The same for a short-circuit `&&` join.
     #[test]
-    fn fold_stops_at_a_join_on_the_right_operand() {
+    fn operands_meet_at_a_join_on_the_right_operand() {
         assert_lanes_match_unboxed(
             &format!(
                 "{P}uniform float u_in;\n\
@@ -2224,6 +2247,8 @@ mod tests {
                     float a = x * (u_in > 2.0 ? 1.0 : 2.0);
                     float b = x - (u_in < 1.0 ? x : 0.25);
                     bool c = u_in > 0.5 && x < 4.0;
+                    a += x * (u_in > 2.0 ? a * 0.5 : 2.0);
+                    b -= u_in - (c ? 0.25 : x - b);
                     gl_FragColor = vec4(a, b, c ? 1.0 : 0.0, x * (c ? a : 3.0));
                  }}"
             ),
@@ -2231,14 +2256,15 @@ mod tests {
         );
     }
 
-    /// Folded operands read while a sibling context is parked deeper in
-    /// a callee (a divergent `if` with an early `return`): the returning
-    /// lanes run the caller's folded `* 2.0` and `- kv` on a stack slot
-    /// below the parked context's floor, so they must take the masked
-    /// path and leave the parked lanes' values alone. Every slot those
-    /// lanes write keeps its type, so nothing boxes.
+    /// Operands read in place while a sibling context is parked deeper
+    /// in a callee (a divergent `if` with an early `return`): the
+    /// returning lanes write the call's destination, which the parked
+    /// lanes' own return writes first (so the running lanes own it), then
+    /// run the caller's `* 2.0` and `- kv` on frame slots the parked
+    /// context still reads, masked, leaving its lanes' values alone.
+    /// Every slot those lanes write keeps its type, so nothing boxes.
     #[test]
-    fn folded_operand_below_an_ownership_floor() {
+    fn operand_read_below_an_ownership_floor() {
         assert_lanes_match_unboxed(
             &format!(
                 "{P}uniform float u_in;\n\
@@ -2381,6 +2407,88 @@ mod tests {
             assert_eq!(spmd.profile(), oracle.profile(), "profiles under {model:?}");
         }
     }
+
+    /// The servebench tenant kernel's fragment shader (a one-line body
+    /// after the f32 codec library), as `gpes_core`'s `KernelSpec`
+    /// generates it; `gpes_core`'s `tenant_fixture` test keeps this copy
+    /// current.
+    const TENANT_KERNEL: &str = include_str!("../tests/data/tenant_kernel.frag");
+
+    /// One f32 per texel of a 16×16 texture, in the codec's byte layout.
+    struct F32Grid(Vec<f32>);
+
+    impl TextureAccess for F32Grid {
+        fn sample(&self, _unit: u32, coord: [f32; 2]) -> [f32; 4] {
+            let (col, row) = ((coord[0] * 16.0) as usize, (coord[1] * 16.0) as usize);
+            F32Row(vec![self.0[row * 16 + col]]).sample(0, [0.5, 0.5])
+        }
+    }
+
+    /// Instructions per 8-lane batch of the tenant kernel over ±25
+    /// inputs, whose f32 codec sign branch splits most batches. The
+    /// operand-stack bytecode this form replaced executed 231 per batch
+    /// (7 409 per 256-fragment draw); three-address instructions read
+    /// their operands in place. Every lane stays bit-identical to the
+    /// tree-walker and no slot is boxed.
+    #[test]
+    fn tenant_kernel_batches_stay_under_their_instruction_count() {
+        let shader = check_src(TENANT_KERNEL);
+        let exe = lower(&shader).expect("lower");
+        // ±25, sign-mixed: a small LCG stands in for the benchmark's
+        // random inputs.
+        let mut state = 0x2545_f491_u32;
+        let grid = F32Grid(
+            (0..256)
+                .map(|_| {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 8) as f32 / (1u32 << 24) as f32 * 50.0 - 25.0
+                })
+                .collect(),
+        );
+        let mut spmd = SpmdVm::with_model(&exe, &grid, FloatModel::Exact, MAX_LANES).expect("spmd");
+        let mut oracle =
+            Interpreter::with_model(&shader, &grid, FloatModel::Exact).expect("oracle");
+        let dims = Value::Vec2([16.0, 16.0]);
+        for (name, v) in [
+            ("u_x", Value::Sampler(0)),
+            ("u_x_dims", dims.clone()),
+            ("u_out_dims", dims),
+        ] {
+            spmd.set_global(name, v.clone()).expect("uniform");
+            oracle.set_global(name, v).expect("uniform");
+        }
+        let coord = exe.global_slot("gl_FragCoord").expect("gl_FragCoord");
+        let frag = |i: usize| Value::Vec4([(i % 16) as f32 + 0.5, (i / 16) as f32 + 0.5, 0.5, 1.0]);
+        let (executed, boxed) = (SpmdVm::executed(), SpmdVm::boxings());
+        for batch in 0..32 {
+            for lane in 0..MAX_LANES {
+                spmd.set_lane_slot(lane, coord, frag(batch * MAX_LANES + lane));
+            }
+            spmd.run_batch(MAX_LANES).expect("batch");
+            for lane in 0..MAX_LANES {
+                oracle
+                    .set_global("gl_FragCoord", frag(batch * MAX_LANES + lane))
+                    .expect("coord");
+                oracle.run_main().expect("oracle run");
+                assert_eq!(
+                    spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
+                    oracle.frag_color().map(|c| c.map(f32::to_bits)),
+                    "batch {batch} lane {lane}"
+                );
+            }
+        }
+        let per_batch = (SpmdVm::executed() - executed) / 32;
+        assert_eq!(SpmdVm::boxings() - boxed, 0, "slots boxed");
+        assert!(
+            per_batch <= INSNS_PER_TENANT_BATCH,
+            "{per_batch} instructions per batch, over {INSNS_PER_TENANT_BATCH}"
+        );
+        assert_eq!(spmd.profile(), oracle.profile());
+    }
+
+    /// Instructions per tenant batch, as measured by
+    /// `tenant_kernel_batches_stay_under_their_instruction_count`.
+    const INSNS_PER_TENANT_BATCH: u64 = 130;
 
     #[test]
     fn uniform_flow_matches() {

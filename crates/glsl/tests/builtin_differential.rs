@@ -439,3 +439,46 @@ fn builtins_under_divergence_match_the_tree_walker() {
         }
     }
 }
+
+/// Each place a three-address instruction reads an operand — a constant,
+/// a global, one component of a global, a frame slot — as the left
+/// operand of a binary operator whose right operand is the value of a
+/// divergent `?:`: half the batch reaches the operator from each arm.
+#[test]
+fn operands_at_a_join_match_the_tree_walker() {
+    let cases = [
+        ("constant", "r = 2.5 * (a0 > 0.75 ? floor(a0) : a0 + 1.0);"),
+        ("global", "r = a0 - (a0 > 0.75 ? fract(a0) : a0 * 2.0);"),
+        (
+            "global component",
+            "r = a1.y / (a0 > 0.75 ? a0 * a1.x : a1.x + 1.0);",
+        ),
+        (
+            "frame slot",
+            "float x = a0 * 0.5; r = x + (a0 > 0.75 ? exp2(x) : x - 1.0);",
+        ),
+        (
+            "vector frame slot",
+            "vec2 v = a1 * a0; r = (v * (a0 > 0.75 ? a1 + 0.5 : vec2(a0))).y;",
+        ),
+    ];
+    for (what, body) in cases {
+        let src = format!(
+            "precision highp float;\nuniform float a0;\nuniform vec2 a1;\nfloat r;\n\
+             void main() {{ {body} gl_FragColor = vec4(0.5); }}\n"
+        );
+        let ov = Overload {
+            name: "join",
+            args: vec![Type::Float, Type::Vec2],
+            ret: Type::Float,
+        };
+        for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
+            let (oracle, oracle_profile) = tree_walker(&ov, &src, model);
+            for lanes in [1usize, 8] {
+                let (got, profile) = spmd(&ov, &src, model, lanes);
+                assert_same(&ov, what, model, &oracle, &got);
+                assert_eq!(profile, oracle_profile, "{what} profile under {model:?}");
+            }
+        }
+    }
+}
