@@ -1637,10 +1637,11 @@ struct SteadyWave {
 
 /// Serves convergence-checked waves: repeats `wave` until a full wave
 /// links no program, and every worker drew in it (its pool served or
-/// created a texture) while none created a GL object — so no worker is
-/// still cold when the wave ends. A mode that churns every wave (or
-/// leaks) never gets there; the last wave's nonzero delta is reported
-/// after `MAX_WAVES` and the gate fails it.
+/// created a texture) while none created a GL object, and every worker
+/// holds every program linked so far (it has served every kernel) — so
+/// no worker is still cold when the wave ends. A mode that churns every
+/// wave (or leaks) never gets there; the last wave's nonzero delta is
+/// reported after `MAX_WAVES` and the gate fails it.
 fn serve_until_steady(
     engine: &Engine,
     mut wave: impl FnMut(&Engine) -> Result<bool, ComputeError>,
@@ -1661,7 +1662,15 @@ fn serve_until_steady(
         let every_worker_drew = after.1.iter().zip(&before.1).all(|(a, b)| {
             a.texture_pool_hits + a.textures_created > b.texture_pool_hits + b.textures_created
         });
-        if delta == (0, 0) && every_worker_drew {
+        // Programs link once process-wide; a worker that has served a
+        // kernel holds its program (linked or adopted, never deleted
+        // while the kernel is live).
+        let linked = engine.programs_linked();
+        let every_worker_holds_every_program = after
+            .1
+            .iter()
+            .all(|w| w.programs_linked + w.programs_adopted - w.programs_deleted >= linked);
+        if delta == (0, 0) && every_worker_drew && every_worker_holds_every_program {
             break;
         }
     }
@@ -2742,27 +2751,33 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
             let mut accepted = 0u64;
             let mut rejections = 0u64;
             let mut wrong = 0u64;
-            let drain =
-                |set: &mut CompletionSet<Vec<f32>>, wrong: &mut u64| -> Result<(), ComputeError> {
-                    if let Some((_token, result)) = set.wait_any() {
-                        if result? != noisy_reference {
-                            *wrong += 1;
-                        }
-                    }
-                    Ok(())
-                };
-            while (accepted as usize) < NOISY_TARGET || rejections == 0 {
-                match engine.try_submit(noisy_kernel.job().data(x.clone())) {
-                    Ok(handle) => {
-                        set.insert(handle);
-                        accepted += 1;
-                    }
-                    Err(ComputeError::QuotaExceeded { .. }) => {
-                        rejections += 1;
-                        drain(&mut set, &mut wrong)?;
-                    }
-                    Err(ComputeError::QueueFull { .. }) => drain(&mut set, &mut wrong)?,
+            let open = TenantQuotas::default().max_in_flight(NOISY_QUOTA);
+            let closed = TenantQuotas::default().max_in_flight(0);
+            while (accepted as usize) < NOISY_TARGET {
+                if set.len() < NOISY_QUOTA {
+                    // Fewer of its jobs are outstanding than its quota,
+                    // so fewer are in flight: admitted.
+                    set.insert(engine.submit(noisy_kernel.job().data(x.clone()))?);
+                    accepted += 1;
+                    continue;
+                }
+                // Its quota is full: one more try, refused. Workers may
+                // have finished an outstanding job meanwhile, so the try
+                // is made with the tenant's in-flight quota closed: the
+                // flood meets its quota once per refill, however fast
+                // the workers drain it.
+                registry.set_quotas("noisy", closed);
+                let refused = engine.try_submit(noisy_kernel.job().data(x.clone()));
+                registry.set_quotas("noisy", open);
+                match refused {
+                    Err(ComputeError::QuotaExceeded { .. }) => rejections += 1,
                     Err(e) => return Err(e),
+                    Ok(_) => unreachable!("a closed quota admits nothing"),
+                }
+                if let Some((_token, result)) = set.wait_any() {
+                    if result? != noisy_reference {
+                        wrong += 1;
+                    }
                 }
             }
             while let Some((_token, result)) = set.wait_any() {
@@ -2928,6 +2943,16 @@ const A15_SERVE_MODE: ExecMode = ExecMode::Spmd { lanes: 8 };
 /// [`A15_SERVE_MODE`] only: next to the sign-mixed row it shows what the
 /// f32 codec's sign branch costs a diverging lane batch. Not in the mix.
 const A15_SAME_SIGN_SUM: &str = "sum (fp, same sign)";
+/// servebench's tenant kernel (one f32 input through the f32 codec, a
+/// one-line body) on ±25 inputs, the request both tenant workloads
+/// shade: the VM layer their throughput moves with. Not in the mix.
+const A15_TENANT: &str = "tenant";
+/// The executors the tenant rows run under.
+const A15_TENANT_MODES: [ExecMode; 3] = [
+    ExecMode::TreeWalker,
+    ExecMode::Spmd { lanes: 1 },
+    ExecMode::Spmd { lanes: 8 },
+];
 /// One a15 VM row's measurement: output and counters after the warm-up
 /// run, and fragments/s.
 type VmRun = Result<((Vec<f32>, ContextStats), Spread), ComputeError>;
@@ -2977,7 +3002,11 @@ impl Report for A15Report {
         let ladder = A15_KERNELS
             .into_iter()
             .flat_map(|k| A15_MODES.map(|m| (k, m)));
-        for (kernel, mode) in ladder.chain([(A15_SAME_SIGN_SUM, A15_SERVE_MODE)]) {
+        let tenant = A15_TENANT_MODES.map(|m| (A15_TENANT, m));
+        for (kernel, mode) in ladder
+            .chain([(A15_SAME_SIGN_SUM, A15_SERVE_MODE)])
+            .chain(tenant)
+        {
             require!(
                 v,
                 self.vm.iter().any(|r| r.kernel == kernel && r.mode == mode),
@@ -3056,7 +3085,9 @@ impl Report for A15Report {
 
 /// Runs A15: a kernel mix (`sum (fp)` codec-heavy, `sgemm (fp)`
 /// loop-heavy) timed under `TreeWalker`, `Spmd{1}`, `Spmd{4}` and
-/// `Spmd{8}`, plus `sum (fp)` on sign-uniform inputs under `Spmd{8}`.
+/// `Spmd{8}`, plus `sum (fp)` on sign-uniform inputs under `Spmd{8}`
+/// and servebench's tenant kernel under `TreeWalker`, `Spmd{1}` and
+/// `Spmd{8}`.
 /// Each row is one warm-up run, whose output is checked bit-for-bit
 /// against a separate tree-walker oracle run and whose
 /// `spmd_batches`/`scalar_fallbacks` counters it reports, then the
@@ -3106,14 +3137,33 @@ pub fn a15_spmd(n: usize, jobs: usize, timed_runs: usize) -> Result<A15Report, C
         time_runs(&mut cc, &k, side * side)
     };
 
+    // servebench's `tenant_spec(5)` over its 256 ±25 inputs.
+    let tenant_x = data::random_f32(256, 506, 25.0);
+    let run_tenant = |mode: ExecMode| -> VmRun {
+        let mut cc = ComputeContext::new(16, 16)?;
+        cc.set_exec_mode(mode);
+        cc.set_dispatch(Dispatch::Serial);
+        let gx = cc.upload(&tenant_x)?;
+        let k = gpes_core::KernelSpec::new("tenant_5")
+            .input("x")
+            .output(tenant_x.len())
+            .body(format!(
+                "return fetch_x(idx) * {:?} + 0.0;",
+                1.0f32 + 5.0 / 4096.0
+            ))
+            .build(&mut cc, &[gx])?;
+        time_runs(&mut cc, &k, tenant_x.len())
+    };
+
     type KernelRun<'r> = &'r dyn Fn(ExecMode) -> VmRun;
     let mut vm = Vec::new();
     let sum_mixed = |mode| run_sum(mode, &a, &b);
     let sum_same_sign = |mode| run_sum(mode, &a_abs, &b_abs);
-    let kernels: [(&'static str, KernelRun, &[ExecMode]); 3] = [
+    let kernels: [(&'static str, KernelRun, &[ExecMode]); 4] = [
         (A15_KERNELS[0], &sum_mixed, &A15_MODES),
         (A15_SAME_SIGN_SUM, &sum_same_sign, &[A15_SERVE_MODE]),
         (A15_KERNELS[1], &run_gemm, &A15_MODES),
+        (A15_TENANT, &run_tenant, &A15_TENANT_MODES),
     ];
     for (kernel, run, modes) in kernels {
         let ((oracle, _), _) = run(ExecMode::TreeWalker)?;

@@ -107,19 +107,19 @@ pub fn forward_gpu(
             current_len * out_dim,
             "layer {i} weights must be in_dim x out_dim"
         );
-        let gw = cc.upload_matrix(current_len as u32, out_dim as u32, w)?;
-        let gb = cc.upload(b)?;
-        let k = build_layer(cc, &current, &gw, &gb, *act)?;
-        let next: GpuArray<f32> = cc.run_to_array(&k)?;
+        let next = crate::over_matrix(cc, (current_len, out_dim), w, |cc, gw| {
+            crate::over_array(cc, b, |cc, gb| {
+                let k = build_layer(cc, &current, gw, gb, *act)?;
+                cc.run_to_array::<f32>(&k)
+            })
+        });
         cc.recycle_array(current);
-        cc.recycle_matrix(gw);
-        cc.recycle_array(gb);
-        current = next;
+        current = next?;
         current_len = out_dim;
     }
-    let out = cc.read_array(&current, gpes_core::Readback::DirectFbo)?;
+    let out = cc.read_array(&current, gpes_core::Readback::DirectFbo);
     cc.recycle_array(current);
-    Ok(out)
+    out
 }
 
 /// CPU reference with identical accumulation order.

@@ -192,17 +192,28 @@ pub fn run_gpu(
             message: "re and im must have equal length".into(),
         });
     }
-    let gre = cc.upload(re)?;
-    let gim = cc.upload(im)?;
-    let kre = build_stage(cc, &gre, &gim, direction, true)?;
-    let kim = build_stage(cc, &gre, &gim, direction, false)?;
+    crate::over_array(cc, re, |cc, gre| {
+        crate::over_array(cc, im, |cc, gim| run_stages(cc, gre, gim, direction))
+    })
+}
+
+/// The butterfly stages over uploaded `(re, im)`, read back.
+fn run_stages(
+    cc: &mut ComputeContext,
+    gre: &GpuArray<f32>,
+    gim: &GpuArray<f32>,
+    direction: Direction,
+) -> Result<(Vec<f32>, Vec<f32>), ComputeError> {
+    let n = gre.len();
+    let kre = build_stage(cc, gre, gim, direction, true)?;
+    let kim = build_stage(cc, gre, gim, direction, false)?;
     let stages = n.trailing_zeros() as usize;
     // Explicit ping-pong pairs: both stage kernels read the old (re, im)
     // generation, so the swap must wait until the iteration ends.
     let half_of = |stage: usize| Value::Float((1usize << stage) as f32);
     let pipeline = Pipeline::builder("fft")
-        .source("re", &gre)
-        .source("im", &gim)
+        .source("re", gre)
+        .source("im", gim)
         .pass(
             Pass::new(&kre)
                 .read("re", "re")
@@ -225,8 +236,6 @@ pub fn run_gpu(
     let out_re = run.read::<f32>(cc, "re")?;
     let out_im = run.read::<f32>(cc, "im")?;
     run.finish(cc);
-    cc.recycle_array(gre);
-    cc.recycle_array(gim);
     Ok((out_re, out_im))
 }
 

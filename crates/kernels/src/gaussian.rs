@@ -91,15 +91,26 @@ pub fn solve_gpu(
         aug_data.extend_from_slice(&a[r * n..(r + 1) * n]);
         aug_data.push(b[r]);
     }
-    let aug = cc.upload_matrix(n as u32, n as u32 + 1, &aug_data)?;
+    let eliminated = crate::over_matrix(cc, (n, n + 1), &aug_data, |cc, aug| {
+        crate::over_array(cc, &vec![0.0f32; n], |cc, m0| eliminate(cc, n, aug, m0))
+    })?;
+    back_substitute(n, &eliminated)
+}
+
+/// Forward elimination of the uploaded augmented matrix, read back.
+fn eliminate(
+    cc: &mut ComputeContext,
+    n: usize,
+    aug: &GpuMatrix<f32>,
+    m0: &GpuArray<f32>,
+) -> Result<Vec<f32>, ComputeError> {
     // Both Fan kernels compile once; `kcol` advances as a per-iteration
     // uniform and the augmented matrix ping-pongs through the retained
     // pipeline (Fan1's multiplier column is reused in place).
-    let f1 = build_fan1(cc, &aug, 0)?;
-    let m0 = cc.upload(&vec![0.0f32; n])?;
-    let f2 = build_fan2(cc, &aug, &m0, 0)?;
+    let f1 = build_fan1(cc, aug, 0)?;
+    let f2 = build_fan2(cc, aug, m0, 0)?;
     let pipeline = Pipeline::builder("gaussian")
-        .source_matrix("aug", &aug)
+        .source_matrix("aug", aug)
         .pass(
             Pass::new(&f1)
                 .read("a", "aug")
@@ -115,10 +126,7 @@ pub fn solve_gpu(
         )
         .iterations(n - 1)
         .build()?;
-    let eliminated = pipeline.run_and_read::<f32>(cc, "aug")?;
-    cc.recycle_array(m0);
-    cc.recycle_matrix(aug);
-    back_substitute(n, &eliminated)
+    pipeline.run_and_read::<f32>(cc, "aug")
 }
 
 /// Host-side back substitution over the eliminated augmented matrix.

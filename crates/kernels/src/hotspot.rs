@@ -83,22 +83,21 @@ pub fn run_gpu(
             ),
         });
     }
-    let gt = cc.upload_matrix(rows as u32, cols as u32, t)?;
-    let gp = cc.upload_matrix(rows as u32, cols as u32, p)?;
-    let kernel = build(cc, &gt, &gp, params)?;
-    let pipeline = Pipeline::builder("hotspot")
-        .source_matrix("t", &gt)
-        .pass(
-            Pass::new(&kernel)
-                .read("t", "t")
-                .write_grid("t", rows as u32, cols as u32),
-        )
-        .iterations(steps)
-        .build()?;
-    let out = pipeline.run_and_read::<f32>(cc, "t")?;
-    cc.recycle_matrix(gt);
-    cc.recycle_matrix(gp);
-    Ok(out)
+    crate::over_matrix(cc, (rows, cols), t, |cc, gt| {
+        crate::over_matrix(cc, (rows, cols), p, |cc, gp| {
+            let kernel = build(cc, gt, gp, params)?;
+            let pipeline = Pipeline::builder("hotspot")
+                .source_matrix("t", gt)
+                .pass(
+                    Pass::new(&kernel)
+                        .read("t", "t")
+                        .write_grid("t", rows as u32, cols as u32),
+                )
+                .iterations(steps)
+                .build()?;
+            pipeline.run_and_read::<f32>(cc, "t")
+        })
+    })
 }
 
 /// CPU reference for `steps` Jacobi iterations ([`cpu_reference`]

@@ -73,13 +73,12 @@ pub fn run_gpu(
 ) -> Result<Vec<u8>, ComputeError> {
     let flat_p: Vec<f32> = points.iter().flat_map(|&(x, y)| [x, y]).collect();
     let flat_c: Vec<f32> = centroids.iter().flat_map(|&(x, y)| [x, y]).collect();
-    let gp = cc.upload_matrix(points.len() as u32, 2, &flat_p)?;
-    let gc = cc.upload_matrix(centroids.len() as u32, 2, &flat_c)?;
-    let kernel = build_assign(cc, &gp, &gc)?;
-    let out = cc.run_and_read(&kernel)?;
-    cc.recycle_matrix(gp);
-    cc.recycle_matrix(gc);
-    Ok(out)
+    crate::over_matrix(cc, (points.len(), 2), &flat_p, |cc, gp| {
+        crate::over_matrix(cc, (centroids.len(), 2), &flat_c, |cc, gc| {
+            let kernel = build_assign(cc, gp, gc)?;
+            cc.run_and_read(&kernel)
+        })
+    })
 }
 
 /// CPU reference with identical distance formula and tie-breaking

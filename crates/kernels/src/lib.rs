@@ -43,3 +43,32 @@ pub mod sgemm;
 pub mod srad;
 pub mod sum;
 pub mod transpose;
+
+use gpes_core::{ComputeContext, ComputeError, GpuArray, GpuMatrix};
+
+/// Uploads `data`, runs `body` on it and gives the upload back to `cc`'s
+/// texture pool whatever `body` returned: a failed run returns its input
+/// textures like a successful one.
+pub(crate) fn over_array<T>(
+    cc: &mut ComputeContext,
+    data: &[f32],
+    body: impl FnOnce(&mut ComputeContext, &GpuArray<f32>) -> Result<T, ComputeError>,
+) -> Result<T, ComputeError> {
+    let array = cc.upload(data)?;
+    let result = body(cc, &array);
+    cc.recycle_array(array);
+    result
+}
+
+/// [`over_array`] for a `rows` × `cols` matrix upload.
+pub(crate) fn over_matrix<T>(
+    cc: &mut ComputeContext,
+    (rows, cols): (usize, usize),
+    data: &[f32],
+    body: impl FnOnce(&mut ComputeContext, &GpuMatrix<f32>) -> Result<T, ComputeError>,
+) -> Result<T, ComputeError> {
+    let matrix = cc.upload_matrix(rows as u32, cols as u32, data)?;
+    let result = body(cc, &matrix);
+    cc.recycle_matrix(matrix);
+    result
+}

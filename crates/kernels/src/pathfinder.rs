@@ -72,23 +72,22 @@ pub fn run_gpu(
     wall: &[f32],
 ) -> Result<Vec<f32>, ComputeError> {
     assert_eq!(wall.len(), rows * cols, "wall must be rows x cols");
-    let gwall = cc.upload_matrix(rows as u32, cols as u32, wall)?;
-    let dp = cc.upload(&wall[..cols])?;
-    let kernel = build_step(cc, &gwall, &dp, 1)?;
-    let pipeline = Pipeline::builder("pathfinder")
-        .source("dp", &dp)
-        .pass(
-            Pass::new(&kernel)
-                .read("dp", "dp")
-                .write_len("dp", cols)
-                .uniform_per_iter("row_idx", |step| Value::Float((step + 1) as f32)),
-        )
-        .iterations(rows - 1)
-        .build()?;
-    let out = pipeline.run_and_read::<f32>(cc, "dp")?;
-    cc.recycle_array(dp);
-    cc.recycle_matrix(gwall);
-    Ok(out)
+    crate::over_matrix(cc, (rows, cols), wall, |cc, gwall| {
+        crate::over_array(cc, &wall[..cols], |cc, dp| {
+            let kernel = build_step(cc, gwall, dp, 1)?;
+            let pipeline = Pipeline::builder("pathfinder")
+                .source("dp", dp)
+                .pass(
+                    Pass::new(&kernel)
+                        .read("dp", "dp")
+                        .write_len("dp", cols)
+                        .uniform_per_iter("row_idx", |step| Value::Float((step + 1) as f32)),
+                )
+                .iterations(rows - 1)
+                .build()?;
+            pipeline.run_and_read::<f32>(cc, "dp")
+        })
+    })
 }
 
 /// CPU reference with identical neighbour clamping and operation order.

@@ -185,28 +185,28 @@ pub fn run_gpu(
     iterations: usize,
 ) -> Result<Vec<f32>, ComputeError> {
     assert_eq!(image.len(), rows * cols, "image must be rows x cols");
-    let j = cc.upload_matrix(rows as u32, cols as u32, image)?;
-    let kc = build_coeff(cc, &j, params)?;
-    // The coefficient default is a stand-in with the right shape; the
-    // pipeline rebinds `c` to the freshly computed field every iteration.
-    let ku = build_update(cc, &j, &j, params)?;
-    let pipeline = Pipeline::builder("srad")
-        .source_matrix("j", &j)
-        .pass(
-            Pass::new(&kc)
-                .read("j", "j")
-                .write_grid("c", rows as u32, cols as u32),
-        )
-        .pass(Pass::new(&ku).read("j", "j").read("c", "c").write_grid(
-            "j",
-            rows as u32,
-            cols as u32,
-        ))
-        .iterations(iterations)
-        .build()?;
-    let out = pipeline.run_and_read::<f32>(cc, "j")?;
-    cc.recycle_matrix(j);
-    Ok(out)
+    crate::over_matrix(cc, (rows, cols), image, |cc, j| {
+        let kc = build_coeff(cc, j, params)?;
+        // The coefficient default is a stand-in with the right shape; the
+        // pipeline rebinds `c` to the freshly computed field every
+        // iteration.
+        let ku = build_update(cc, j, j, params)?;
+        let pipeline = Pipeline::builder("srad")
+            .source_matrix("j", j)
+            .pass(
+                Pass::new(&kc)
+                    .read("j", "j")
+                    .write_grid("c", rows as u32, cols as u32),
+            )
+            .pass(Pass::new(&ku).read("j", "j").read("c", "c").write_grid(
+                "j",
+                rows as u32,
+                cols as u32,
+            ))
+            .iterations(iterations)
+            .build()?;
+        pipeline.run_and_read::<f32>(cc, "j")
+    })
 }
 
 /// CPU reference for `iterations` steps with identical clamping and

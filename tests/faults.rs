@@ -892,6 +892,15 @@ fn every_fault_site_gives_back_every_texture_it_took() {
             Ok(out)
         })
     });
+    // Bundled kernels that upload their own inputs: a failed run gives
+    // the uploads back like a successful one.
+    sweep("fft::run_gpu", |cc: &mut ComputeContext| {
+        gpes::kernels::fft::run_gpu(cc, &x, &y, gpes::kernels::fft::Direction::Forward)
+    });
+    sweep("hotspot::run_gpu", |cc: &mut ComputeContext| {
+        let params = gpes::kernels::hotspot::HotspotParams::default();
+        gpes::kernels::hotspot::run_gpu(cc, 4, 4, &x, &y, params, 2)
+    });
 
     // Served: each request type, and a u8 tensor through a u8 kernel.
     let saxpy = saxpy(n);
