@@ -212,6 +212,7 @@ fn floor(pending: &[Ctx]) -> usize {
 /// reads it. Each one reads only the slots below its `live` end, except
 /// the destinations of the calls it is inside, which their return
 /// writes first.
+#[inline(always)]
 fn owns(s: usize, floor: usize, pending: &[Ctx]) -> bool {
     s >= floor
         || pending
@@ -873,6 +874,7 @@ impl<'a> SpmdVm<'a> {
 
     /// The slot operand `o` reads, in a frame based at `fb` (for a
     /// [`Opnd::GlobalComp`], the whole vector).
+    #[inline(always)]
     fn slot(&self, o: Opnd, fb: usize) -> &Slot {
         match o {
             Opnd::Local(s) => &self.locals[fb + s as usize],
@@ -899,6 +901,54 @@ impl<'a> SpmdVm<'a> {
                 _ => None,
             },
         }
+    }
+
+    /// Component `c` of operand `o`'s float vector lanes; `None` for any
+    /// other slot.
+    #[inline(always)]
+    fn component(&self, o: Opnd, c: u8, fb: usize) -> Option<[f32; MAX_LANES]> {
+        let c = c as usize;
+        match (self.slot(o, fb), o) {
+            (_, Opnd::GlobalComp(..)) => None,
+            (Slot::V2(x), _) if c < 2 => Some(per_lane(|l| x[l][c])),
+            (Slot::V3(x), _) if c < 3 => Some(per_lane(|l| x[l][c])),
+            (Slot::V4(x), _) => Some(per_lane(|l| x[l][c & 3])),
+            _ => None,
+        }
+    }
+
+    /// The hot one-argument `float` builtins, inline: `false`, with
+    /// nothing written, for any other builtin or a slot that is not a
+    /// `float`.
+    #[inline(always)]
+    fn unary_f1(
+        &mut self,
+        id: BuiltinId,
+        arg: Opnd,
+        dst: usize,
+        fb: usize,
+        mask: u8,
+        owned: bool,
+    ) -> bool {
+        use BuiltinId as B;
+        if !matches!(id, B::Floor | B::Exp2 | B::Log2 | B::Abs | B::Fract) {
+            return false;
+        }
+        let Some(v) = self.f1(arg, fb) else {
+            return false;
+        };
+        // One loop per builtin, so each inlines its function.
+        let (r, sfu) = match id {
+            B::Floor => (per_lane(|l| builtins::floor_f32(v[l])), false),
+            B::Exp2 => (per_lane(|l| builtins::exp2_f32(v[l])), true),
+            B::Log2 => (per_lane(|l| v[l].log2()), true),
+            B::Abs => (per_lane(|l| v[l].abs()), false),
+            _ => (per_lane(|l| builtins::fract_f32(v[l])), false),
+        };
+        count_ops(&mut self.profile, sfu, 1, mask);
+        let r = round8(self.model, sfu, r);
+        self.locals[dst].put_f1(r, mask, owned);
+        true
     }
 
     /// Copies operand `o`'s float components into `out`, lane-major, and
@@ -1682,7 +1732,11 @@ impl<'a> SpmdVm<'a> {
             match &code[cur.pc] {
                 &Insn::Move { dst, src } => {
                     let dst = fb + dst as usize;
-                    self.copy_to(dst, src, fb, mask, owns(dst, fl, pending));
+                    let owned = owns(dst, fl, pending);
+                    match self.f1(src, fb) {
+                        Some(v) => self.locals[dst].put_f1(v, mask, owned),
+                        None => self.copy_to(dst, src, fb, mask, owned),
+                    }
                 }
                 &Insn::Binary {
                     op,
@@ -1750,6 +1804,13 @@ impl<'a> SpmdVm<'a> {
                 &Insn::Swizzle { dst, src, idx, len } => {
                     let dst = fb + dst as usize;
                     let owned = owns(dst, fl, pending);
+                    if len == 1 {
+                        if let Some(v) = self.component(src, idx[0], fb) {
+                            self.locals[dst].put_f1(v, mask, owned);
+                            cur.pc += 1;
+                            continue;
+                        }
+                    }
                     let len = len as usize;
                     let mut x = [0.0; 4 * MAX_LANES];
                     match self.floats(src, fb, &mut x) {
@@ -1792,8 +1853,11 @@ impl<'a> SpmdVm<'a> {
                     argc,
                 } => {
                     let dst = fb + dst as usize;
+                    let owned = owns(dst, fl, pending);
                     let args = &exe.operands[args as usize..args as usize + argc as usize];
-                    self.call_builtin(id, shape, args, dst, fb, mask, owns(dst, fl, pending))?;
+                    if !(shape == Shape::F(1) && argc == 1 && self.unary_f1(id, args[0], dst, fb, mask, owned)) {
+                        self.call_builtin(id, shape, args, dst, fb, mask, owned)?;
+                    }
                 }
                 &Insn::CallUser {
                     func,
@@ -1817,7 +1881,11 @@ impl<'a> SpmdVm<'a> {
                             });
                         }
                         let dst = frame.ret_dst;
-                        self.copy_to(dst, value, fb, mask, owns(dst, fl, pending));
+                        let owned = owns(dst, fl, pending);
+                        match self.f1(value, fb) {
+                            Some(v) => self.locals[dst].put_f1(v, mask, owned),
+                            None => self.copy_to(dst, value, fb, mask, owned),
+                        }
                         cur.chunk = frame.ret_chunk;
                         cur.pc = frame.ret_pc;
                         cur.frame_base = frame.frame_base;
