@@ -277,9 +277,12 @@ pub(crate) enum Insn {
         /// Argument count.
         argc: u8,
     },
-    /// Call user function `functions[func]`. The arguments were written
-    /// to frame slots `base..`, which are the callee's parameter slots:
-    /// its frame starts there. Its return value goes to `frame[dst]`.
+    /// Call user function `functions[func]`. Frame slots `base..` are
+    /// the callee's parameter slots: its frame starts there. Arguments
+    /// were evaluated into them, except those the call copies in from
+    /// [`Executable::operands`]`[args..]` (one operand per parameter; an
+    /// argument already in place is its own slot). The return value goes
+    /// to `frame[dst]`.
     CallUser {
         /// Function-table index.
         func: u32,
@@ -289,6 +292,8 @@ pub(crate) enum Insn {
         dst: u32,
         /// Frame slots live when the call returns.
         live: u32,
+        /// The arguments, one per parameter.
+        args: u32,
     },
     /// Return `value` from a user function to the caller's `dst`.
     Ret(Opnd),
@@ -1671,8 +1676,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         Ok(())
     }
 
-    /// A user call: the arguments are evaluated straight into the
-    /// callee's parameter slots, at the top of the live frame; `out` and
+    /// A user call: the arguments are evaluated (or, constants and
+    /// variables, copied by the call) straight into the callee's
+    /// parameter slots, at the top of the live frame; `out` and
     /// `inout` parameters are stored back in parameter order after the
     /// return, before the value is (as the interpreter does).
     fn call_user(
@@ -1694,19 +1700,43 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         if ret >= self.next_slot {
             self.claim(ret);
         }
-        // Each argument is evaluated into the next free slot.
+        if args.len() > u8::MAX as usize {
+            return Err(err(format!(
+                "call to `{name}` has more than {} arguments",
+                u8::MAX
+            )));
+        }
+        // Each argument is evaluated into the next free slot, except a
+        // constant or variable, which the call copies in itself.
         let base = self.next_slot;
+        let first = self.lo.arg_operands.len();
         for (i, a) in args.iter().enumerate() {
             let slot = base + i as u32;
-            self.expr_into(a, slot)?;
+            let o = if is_leaf(a) {
+                let later = args[i + 1..].iter().any(|l| self.has_effects(l));
+                let o = self.operand(a)?;
+                self.stable(o, later)
+            } else {
+                self.expr_into(a, slot)?;
+                Opnd::Local(slot)
+            };
             self.claim(slot);
+            self.lo.arg_operands.push(o);
         }
         let live = self.next_slot;
+        let at = self.lo.operands.len() as u32;
+        let Lowerer {
+            operands,
+            arg_operands,
+            ..
+        } = &mut *self.lo;
+        operands.extend(arg_operands.drain(first..));
         self.emit(Insn::CallUser {
             func,
             base,
             dst: ret,
             live,
+            args: at,
         });
         if has_outs {
             for (i, (p, a)) in f.params.iter().zip(args).enumerate() {

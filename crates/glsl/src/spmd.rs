@@ -1563,15 +1563,15 @@ impl<'a> SpmdVm<'a> {
         })
     }
 
-    /// Enters user function `fi` for the running context, whose
-    /// arguments are already in the callee's parameter slots at frame
-    /// slot `base`: zeroes its `out` parameters and pushes the caller's
+    /// Enters user function `fi` for the running context: copies `args`
+    /// the lowering left out into the callee's parameter slots at frame
+    /// slot `base`, zeroes its `out` parameters and pushes the caller's
     /// return state.
     fn enter_call(
         &mut self,
         cur: &mut Ctx,
         fi: u32,
-        (base, dst, live): (u32, u32, u32),
+        (base, dst, live, args): (u32, u32, u32, &[Opnd]),
         (floor, pending): (usize, &[Ctx]),
     ) -> Result<(), RuntimeError> {
         if cur.frames.len() as u32 >= self.limits.max_call_depth {
@@ -1586,6 +1586,16 @@ impl<'a> SpmdVm<'a> {
         self.ensure_locals(callee_base + exe.chunks[func.chunk as usize].frame_size as usize);
         let counters_base = self.loop_counters[cur.mask.trailing_zeros() as usize].len();
         self.profile.calls += lane_count(cur.mask);
+        for (i, &arg) in args.iter().enumerate() {
+            let param = callee_base + i;
+            if arg != Opnd::Local((base as usize + i) as u32) {
+                let owned = owns(param, floor, pending);
+                match self.f1(arg, fb) {
+                    Some(v) => self.locals[param].put_f1(v, cur.mask, owned),
+                    None => self.copy_to(param, arg, fb, cur.mask, owned),
+                }
+            }
+        }
         for (i, (ty, qual)) in func.params.iter().enumerate().filter(|_| func.has_out) {
             if *qual == ParamQual::Out {
                 let z = Value::zero_of(ty);
@@ -1855,7 +1865,10 @@ impl<'a> SpmdVm<'a> {
                     let dst = fb + dst as usize;
                     let owned = owns(dst, fl, pending);
                     let args = &exe.operands[args as usize..args as usize + argc as usize];
-                    if !(shape == Shape::F(1) && argc == 1 && self.unary_f1(id, args[0], dst, fb, mask, owned)) {
+                    if !(shape == Shape::F(1)
+                        && argc == 1
+                        && self.unary_f1(id, args[0], dst, fb, mask, owned))
+                    {
                         self.call_builtin(id, shape, args, dst, fb, mask, owned)?;
                     }
                 }
@@ -1864,8 +1877,11 @@ impl<'a> SpmdVm<'a> {
                     base,
                     dst,
                     live,
+                    args,
                 } => {
-                    self.enter_call(cur, func, (base, dst, live), (fl, pending))?;
+                    let argc = exe.functions[func as usize].params.len();
+                    let args = &exe.operands[args as usize..args as usize + argc];
+                    self.enter_call(cur, func, (base, dst, live, args), (fl, pending))?;
                     continue;
                 }
                 &Insn::Ret(value) => match cur.frames.pop() {
@@ -2556,7 +2572,7 @@ mod tests {
 
     /// Instructions per tenant batch, as measured by
     /// `tenant_kernel_batches_stay_under_their_instruction_count`.
-    const INSNS_PER_TENANT_BATCH: u64 = 130;
+    const INSNS_PER_TENANT_BATCH: u64 = 122;
 
     #[test]
     fn uniform_flow_matches() {
