@@ -1,22 +1,21 @@
 //! A global allocator that counts the allocations (and reallocations) of
-//! threads that opted in, so tests running beside the measured one do
-//! not disturb its count.
+//! threads that opted in, each thread on its own count, so tests running
+//! beside the measured one — measuring ones included — do not disturb
+//! its count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note() {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -41,9 +40,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `f` makes on this thread.
 pub fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     COUNTING.with(|c| c.set(true));
     let result = f();
     COUNTING.with(|c| c.set(false));
-    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (result, ALLOCATIONS.with(Cell::get) - before)
 }
