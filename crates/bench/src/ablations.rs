@@ -1631,6 +1631,9 @@ struct SteadyWave {
     post_warmup_links: u64,
     /// GL objects created during the wave.
     post_warmup_gl_objects: u64,
+    /// `f32` and quantized tensors that crossed the host boundary during
+    /// the wave, all workers.
+    host_transfers: (u64, u64),
     /// Whether every wave reported bit-identical outputs.
     identical: bool,
 }
@@ -1650,6 +1653,7 @@ fn serve_until_steady(
     let mut identical = true;
     let mut elapsed = std::time::Duration::ZERO;
     let mut delta = (0, 0);
+    let mut host_transfers = (0, 0);
     let mut waves = 0;
     while waves < MAX_WAVES {
         waves += 1;
@@ -1659,6 +1663,14 @@ fn serve_until_steady(
         elapsed = start.elapsed();
         let after = (gl_counters(engine), engine.worker_stats());
         delta = (after.0 .0 - before.0 .0, after.0 .1 - before.0 .1);
+        let transfers = |stats: &[ContextStats]| {
+            let sum = stats
+                .iter()
+                .fold(ContextStats::default(), |acc, s| acc.merged(s));
+            (sum.f32_host_transfers, sum.quantized_host_transfers)
+        };
+        let (now, then) = (transfers(&after.1), transfers(&before.1));
+        host_transfers = (now.0 - then.0, now.1 - then.1);
         let every_worker_drew = after.1.iter().zip(&before.1).all(|(a, b)| {
             a.texture_pool_hits + a.textures_created > b.texture_pool_hits + b.textures_created
         });
@@ -1680,6 +1692,7 @@ fn serve_until_steady(
         links: engine.programs_linked(),
         post_warmup_links: delta.0,
         post_warmup_gl_objects: delta.1,
+        host_transfers,
         identical,
     })
 }
@@ -2424,6 +2437,11 @@ pub struct A14Report {
     /// Typed in-flight quota rejections observed by the noisy tenant
     /// (gate: > 0).
     pub quota_rejections: u64,
+    /// Whether the noisy tenant's quota, as set, refused a try made with
+    /// its full quota of jobs outstanding (gate: true). The other
+    /// rejections are met at a closed quota. Not a record field: it is
+    /// the gate's own evidence.
+    pub open_quota_tripped: bool,
     /// Programs linked during the steady phase (gate: 0).
     pub post_warmup_links: u64,
     /// GL objects created during the steady phase (gate: 0).
@@ -2534,6 +2552,13 @@ impl Report for A14Report {
         );
         require!(
             v,
+            self.open_quota_tripped,
+            "a14: the noisy tenant's in-flight quota of {} admitted every try with that many \
+             jobs outstanding",
+            self.noisy_quota
+        );
+        require!(
+            v,
             s.counters_balanced() && s.completed > 0,
             "a14: outcome counters do not balance (tenant-tagged rejections must feed the same \
              global ledger) or nothing completed"
@@ -2600,10 +2625,11 @@ impl Report for A14Report {
 /// garbage that cannot parse, an undeclared identifier, an Appendix-A
 /// loop violation, and an output beyond the driver limits — each of
 /// which must surface as a typed admission error. `noisy` is capped at
-/// two in-flight jobs and floods `try_submit` from its own thread,
-/// concurrent with the well-behaved waves, until it has both landed its
-/// target of accepted jobs and observed at least one typed quota
-/// rejection. Links and GL objects are watermarked after warmup; the
+/// two in-flight jobs and floods from its own thread, concurrent with the
+/// well-behaved waves, until it has landed its target of accepted jobs:
+/// each time its quota is full it makes one more `try_submit`, the first
+/// against its quota as set and the rest against a closed quota, so each
+/// must come back a typed quota rejection. Links and GL objects are watermarked after warmup; the
 /// steady phase must create none.
 ///
 /// # Errors
@@ -2616,6 +2642,8 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     const CAPACITY: usize = 32;
     const NOISY_TARGET: usize = 48;
     const NOISY_QUOTA: usize = 2;
+    // Tries at the open quota before the flood gives up on tripping it.
+    const NOISY_OPEN_TRIES: usize = 8;
     const WELL_BEHAVED: [(&str, &str); 3] = [
         ("alpha", "return 2.0 * fetch_x(idx);"),
         ("beta", "return fetch_x(idx) + 0.5;"),
@@ -2744,13 +2772,16 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
     // the well-behaved tenants serve their waves and the malformed
     // tenant keeps hammering admission.
     let mut quota_rejections = 0u64;
+    let mut open_quota_tripped = false;
     let mut noisy_jobs = 0u64;
     std::thread::scope(|scope| -> Result<(), ComputeError> {
-        let noisy = scope.spawn(|| -> Result<(u64, u64, u64), ComputeError> {
+        let noisy = scope.spawn(|| -> Result<(u64, u64, bool, u64), ComputeError> {
             let mut set = CompletionSet::new();
             let mut accepted = 0u64;
             let mut rejections = 0u64;
             let mut wrong = 0u64;
+            let mut open_tries = 0;
+            let mut open_tripped = false;
             let open = TenantQuotas::default().max_in_flight(NOISY_QUOTA);
             let closed = TenantQuotas::default().max_in_flight(0);
             while (accepted as usize) < NOISY_TARGET {
@@ -2761,14 +2792,36 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
                     accepted += 1;
                     continue;
                 }
-                // Its quota is full: one more try, refused. Workers may
-                // have finished an outstanding job meanwhile, so the try
-                // is made with the tenant's in-flight quota closed: the
-                // flood meets its quota once per refill, however fast
-                // the workers drain it.
-                registry.set_quotas("noisy", closed);
-                let refused = engine.try_submit(noisy_kernel.job().data(x.clone()));
-                registry.set_quotas("noisy", open);
+                // Its quota is full: one more try, refused.
+                let refused = if !open_tripped && open_tries < NOISY_OPEN_TRIES {
+                    // The first is made against the quota as it stands,
+                    // and must trip it. A job that finished meanwhile
+                    // lets the try in; it is kept, counted as accepted,
+                    // and the try made again. Each one let in also adds
+                    // one try below, so the count stays put.
+                    open_tries += 1;
+                    match engine.try_submit(noisy_kernel.job().data(x.clone())) {
+                        Ok(handle) => {
+                            set.insert(handle);
+                            accepted += 1;
+                            continue;
+                        }
+                        refused => {
+                            open_tripped = true;
+                            refused
+                        }
+                    }
+                } else {
+                    // Later tries are made with the in-flight quota
+                    // closed, as workers may have finished an
+                    // outstanding job meanwhile: the flood meets its
+                    // quota once per refill, however fast the workers
+                    // drain it.
+                    registry.set_quotas("noisy", closed);
+                    let refused = engine.try_submit(noisy_kernel.job().data(x.clone()));
+                    registry.set_quotas("noisy", open);
+                    refused
+                };
                 match refused {
                     Err(ComputeError::QuotaExceeded { .. }) => rejections += 1,
                     Err(e) => return Err(e),
@@ -2785,7 +2838,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
                     wrong += 1;
                 }
             }
-            Ok((accepted, rejections, wrong))
+            Ok((accepted, rejections, open_tripped, wrong))
         });
         for wave in 0..wave_jobs {
             let handles: Vec<_> = kernels
@@ -2803,10 +2856,11 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
                 attempt_invalid(&mut invalid);
             }
         }
-        let (accepted, rejections, thread_wrong) =
+        let (accepted, rejections, tripped, thread_wrong) =
             noisy.join().expect("noisy flood thread must not panic")?;
         noisy_jobs = accepted;
         quota_rejections = rejections;
+        open_quota_tripped = tripped;
         noisy_wrong += thread_wrong;
         Ok(())
     })?;
@@ -2858,6 +2912,7 @@ pub fn a14_registry(n: usize, wave_jobs: usize) -> Result<A14Report, ComputeErro
         admissions: shared.admissions,
         admission_hits: shared.admission_hits,
         quota_rejections,
+        open_quota_tripped,
         post_warmup_links: after.0 - warm.0,
         post_warmup_gl_objects: after.1 - warm.1,
         snapshot,
@@ -2947,6 +3002,18 @@ const A15_SAME_SIGN_SUM: &str = "sum (fp, same sign)";
 /// one-line body) on ±25 inputs, the request both tenant workloads
 /// shade: the VM layer their throughput moves with. Not in the mix.
 const A15_TENANT: &str = "tenant";
+/// servebench's tenant kernel number `source`, as its `tenant_spec`
+/// registers it: the baked scale and offset make every number's
+/// generated source distinct. The a15 `tenant` rows shade number 5, and
+/// the glsl crate's instruction-count fixture is its fragment shader.
+pub fn tenant_spec(source: u64, n: usize) -> gpes_core::KernelSpec {
+    let scale = 1.0 + (source % 4096) as f32 / 4096.0;
+    let offset = (source / 4096) as f32;
+    gpes_core::KernelSpec::new(format!("tenant_{source}"))
+        .input("x")
+        .output(n)
+        .body(format!("return fetch_x(idx) * {scale:?} + {offset:?};"))
+}
 /// The executors the tenant rows run under.
 const A15_TENANT_MODES: [ExecMode; 3] = [
     ExecMode::TreeWalker,
@@ -3137,21 +3204,14 @@ pub fn a15_spmd(n: usize, jobs: usize, timed_runs: usize) -> Result<A15Report, C
         time_runs(&mut cc, &k, side * side)
     };
 
-    // servebench's `tenant_spec(5)` over its 256 ±25 inputs.
+    // servebench's tenant kernel 5 over its 256 ±25 inputs.
     let tenant_x = data::random_f32(256, 506, 25.0);
     let run_tenant = |mode: ExecMode| -> VmRun {
         let mut cc = ComputeContext::new(16, 16)?;
         cc.set_exec_mode(mode);
         cc.set_dispatch(Dispatch::Serial);
         let gx = cc.upload(&tenant_x)?;
-        let k = gpes_core::KernelSpec::new("tenant_5")
-            .input("x")
-            .output(tenant_x.len())
-            .body(format!(
-                "return fetch_x(idx) * {:?} + 0.0;",
-                1.0f32 + 5.0 / 4096.0
-            ))
-            .build(&mut cc, &[gx])?;
+        let k = tenant_spec(5, tenant_x.len()).build(&mut cc, &[gx])?;
         time_runs(&mut cc, &k, tenant_x.len())
     };
 
@@ -3338,10 +3398,13 @@ pub struct A16PathRow {
     pub post_warmup_links: u64,
     /// GL objects created after the warmup wave (must be 0).
     pub post_warmup_gl_objects: u64,
-    /// `f32` tensors that crossed the host boundary, all workers, whole
-    /// run (gate: 0 on the quantized path).
+    /// `f32` tensors that crossed the host boundary in the steady wave,
+    /// all workers (gate: 0 on the quantized path). Warm-up waves, whose
+    /// number depends on which worker picks up which job, and the
+    /// per-worker weight uploads they make are not counted.
     pub f32_transfers: u64,
-    /// Quantized (u8/i16) tensors that crossed the host boundary.
+    /// Quantized (u8/i16) tensors that crossed the host boundary in the
+    /// steady wave.
     pub quant_transfers: u64,
 }
 
@@ -3352,8 +3415,9 @@ pub struct A16PathRow {
 ///
 /// CI gates on the deterministic contracts: bit-identity to the host
 /// reference on every row, balanced counters, zero post-warmup
-/// links/objects, **zero f32 host transfers on the quantized rows** (and
-/// nonzero quantized transfers), nonzero f32 transfers on the f32 rows.
+/// links/objects, **zero f32 host transfers in the steady wave on the
+/// quantized rows** (and nonzero quantized transfers), nonzero f32
+/// transfers on the f32 rows.
 /// The images/s column is advisory on shared single-core CI hosts.
 #[derive(Debug, Clone)]
 pub struct A16Report {
@@ -3610,10 +3674,6 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
                 }
                 Ok(identical)
             })?;
-            let stats = engine
-                .worker_stats()
-                .iter()
-                .fold(gpes_core::ContextStats::default(), |acc, s| acc.merged(s));
             let snapshot = engine.snapshot();
             engine.shutdown();
             paths.push(A16PathRow {
@@ -3626,8 +3686,8 @@ pub fn a16_quant_cnn(jobs: usize) -> Result<A16Report, ComputeError> {
                 balanced: snapshot.counters_balanced(),
                 post_warmup_links: wave.post_warmup_links,
                 post_warmup_gl_objects: wave.post_warmup_gl_objects,
-                f32_transfers: stats.f32_host_transfers,
-                quant_transfers: stats.quantized_host_transfers,
+                f32_transfers: wave.host_transfers.0,
+                quant_transfers: wave.host_transfers.1,
             });
         }
     }
@@ -3714,6 +3774,7 @@ mod tests {
                     r.admission_hits = 3;
                 },
                 |r| r.quota_rejections = 0,
+                |r| r.open_quota_tripped = false,
                 |r| r.post_warmup_links = 1,
                 |r| r.post_warmup_gl_objects = 1,
                 |r| r.rows[0].wrong = 1,

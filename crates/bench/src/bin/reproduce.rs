@@ -295,7 +295,8 @@ fn run_a16() -> Outcome {
     println!("GPU-side: activations stay u8 textures between passes, weights");
     println!("are i16 ResidentInputs uploaded once per worker, and the scores");
     println!("come back as i16 — f32_transfers counts every f32 tensor that");
-    println!("crossed the host boundary and must read 0 on the quantized rows.");
+    println!("crossed the host boundary in the steady wave and must read 0 on");
+    println!("the quantized rows.");
     outcome
 }
 

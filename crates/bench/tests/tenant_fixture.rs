@@ -1,23 +1,17 @@
 //! The glsl crate's copy of the servebench tenant kernel's fragment
 //! shader (`crates/glsl/tests/data/tenant_kernel.frag`, which its SPMD
 //! instruction-count test shades) is what `KernelSpec` generates for
-//! that kernel.
+//! [`gpes_bench::ablations::tenant_spec`] number 5, the kernel the a15
+//! `tenant` rows shade.
 
-use gpes_core::serve::KernelSpec;
+use gpes_bench::ablations::tenant_spec;
 use gpes_core::ComputeContext;
 
 #[test]
 fn the_glsl_tenant_fixture_is_the_generated_source() {
     let mut cc = ComputeContext::new(16, 16).expect("context");
     let x = cc.upload(&[1.0f32; 256]).expect("upload");
-    // servebench's `tenant_spec(5)`: scale 1 + 5/4096, offset 0.
-    let scale = 1.0f32 + 5.0 / 4096.0;
-    let kernel = KernelSpec::new("tenant_5")
-        .input("x")
-        .output(256)
-        .body(format!("return fetch_x(idx) * {scale:?} + {:?};", 0.0f32))
-        .build(&mut cc, &[x])
-        .expect("build");
+    let kernel = tenant_spec(5, 256).build(&mut cc, &[x]).expect("build");
     assert_eq!(
         kernel.fragment_source(),
         include_str!("../../glsl/tests/data/tenant_kernel.frag"),

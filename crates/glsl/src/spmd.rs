@@ -2494,7 +2494,7 @@ mod tests {
 
     /// The servebench tenant kernel's fragment shader (a one-line body
     /// after the f32 codec library), as `gpes_core`'s `KernelSpec`
-    /// generates it; `gpes_core`'s `tenant_fixture` test keeps this copy
+    /// generates it; `gpes_bench`'s `tenant_fixture` test keeps this copy
     /// current.
     const TENANT_KERNEL: &str = include_str!("../tests/data/tenant_kernel.frag");
 
