@@ -510,13 +510,26 @@ pub(crate) fn draw(
     stats.triangles_in = tris.len() as u32;
 
     // ---- rasterisation + fragment stage -----------------------------------
+    // A serial draw builds its fragment stage once, for the first
+    // triangle that covers a pixel, and reuses it for the rest.
+    let mut serial = None;
     for tri in tris {
         let rasterized = raster_triangle(
-            program, &shaded, tri, &layout, bindings, target, config, &mut stats,
+            program,
+            &shaded,
+            tri,
+            &layout,
+            bindings,
+            target,
+            config,
+            (&mut stats, &mut serial),
         )?;
         if rasterized {
             stats.triangles_rasterized += 1;
         }
+    }
+    if let Some(batch) = serial {
+        stats.add_band(&batch.finish());
     }
     Ok(stats)
 }
@@ -683,16 +696,19 @@ struct BandStats {
     profile: OpProfile,
 }
 
+/// Rasterises one triangle: in one band on the draw's `serial` fragment
+/// stage (built on first use), or in bands on threads of their own, whose
+/// stats go to `stats`.
 #[allow(clippy::too_many_arguments)]
-fn raster_triangle(
-    program: &Program,
+fn raster_triangle<'a>(
+    program: &'a Program,
     shaded: &[ShadedVertex],
     tri: [usize; 3],
     layout: &VaryingLayout,
-    bindings: &Bindings<'_>,
+    bindings: &'a Bindings<'a>,
     target: &mut TargetImage<'_>,
     config: &RasterConfig,
-    stats: &mut DrawStats,
+    (stats, serial): (&mut DrawStats, &mut Option<FragmentBatch<'a>>),
 ) -> Result<bool, GlError> {
     let verts = [&shaded[tri[0]], &shaded[tri[1]], &shaded[tri[2]]];
     // No clipping in this subset: drop triangles behind the eye.
@@ -773,12 +789,16 @@ fn raster_triangle(
     let pixel = target.pixel;
 
     let band_results: Vec<Result<BandStats, GlError>> = if threads == 1 {
+        let batch = match serial {
+            Some(batch) => batch,
+            None => serial.insert(FragmentBatch::new(program, layout, bindings, config)?),
+        };
         let color = &mut *target.color;
         let depth = target.depth.as_deref_mut();
-        vec![raster_band(
-            program, layout, &setup, bindings, config, width, x0, x1, y0, y1, color, 0, depth,
-            pixel,
-        )]
+        raster_band(
+            batch, layout, &setup, config, width, x0, x1, y0, y1, color, 0, depth, pixel,
+        )?;
+        return Ok(true);
     } else {
         // Split the target rows y0..y1 into contiguous bands.
         let rows_per_band = rows.div_ceil(threads);
@@ -824,11 +844,15 @@ fn raster_triangle(
                 bands.iter().zip(color_slices).zip(depth_slices)
             {
                 let setup = &setup;
+                // The stage cannot cross threads (its texture access is
+                // not `Sync`): each band builds its own.
                 handles.push(scope.spawn(move || {
+                    let mut batch = FragmentBatch::new(program, layout, bindings, config)?;
                     raster_band(
-                        program, layout, setup, bindings, config, width, x0, x1, by0, by1,
-                        color_band, by0, depth_band, pixel,
-                    )
+                        &mut batch, layout, setup, config, width, x0, x1, by0, by1, color_band,
+                        by0, depth_band, pixel,
+                    )?;
+                    Ok(batch.finish())
                 }));
             }
             handles
@@ -881,10 +905,11 @@ fn store_pixel(
     }
 }
 
-/// The fragment stage of one band (or of one points draw). Accepted
-/// fragments become the lanes of the next batch; their depth and colour
-/// writes are deferred until the batch flushes. Batched pixels are
-/// unique — a band never revisits a pixel, and points flush per point
+/// The fragment stage of one band (of every triangle of a serial draw, or
+/// of one points draw). Accepted fragments become the lanes of the next
+/// batch; their depth and colour writes are deferred until the batch
+/// flushes. Batched pixels are unique — a band never revisits a pixel
+/// and flushes at each triangle's end, and points flush per point
 /// whenever depth is observable — so retiring at flush time is
 /// indistinguishable from writing each fragment as it is shaded.
 struct FragmentBatch<'a> {
@@ -903,7 +928,6 @@ impl<'a> FragmentBatch<'a> {
         layout: &VaryingLayout,
         bindings: &'a Bindings<'a>,
         config: &RasterConfig,
-        front_facing: bool,
     ) -> Result<Self, GlError> {
         let mut fs = StageExec::new(
             program.fragment_executable(),
@@ -911,12 +935,7 @@ impl<'a> FragmentBatch<'a> {
             bindings,
             config,
         )?;
-        let mut stats = BandStats::default();
-        if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !fs.is_spmd() {
-            stats.scalar_fallbacks += 1;
-        }
         apply_uniforms(&mut fs, program);
-        let _ = fs.set_global("gl_FrontFacing", Value::Bool(front_facing));
         // Pre-resolve per-fragment stores once: inside the raster loops
         // the SPMD path is a plain indexed slot write, no string
         // comparisons.
@@ -939,8 +958,20 @@ impl<'a> FragmentBatch<'a> {
             n: 0,
             pixel_index: [0; MAX_LANES],
             frag_z: [0.0; MAX_LANES],
-            stats,
+            stats: BandStats::default(),
         })
+    }
+
+    /// Starts a primitive: sets `gl_FrontFacing`, and counts a scalar
+    /// fallback where the SPMD VM was asked for but the shader did not
+    /// lower (once per band of each primitive).
+    fn begin(&mut self, config: &RasterConfig, front_facing: bool) {
+        if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !self.fs.is_spmd() {
+            self.stats.scalar_fallbacks += 1;
+        }
+        let _ = self
+            .fs
+            .set_global("gl_FrontFacing", Value::Bool(front_facing));
     }
 
     /// Stages one accepted fragment as the next lane: its varying
@@ -1042,7 +1073,8 @@ fn raster_points(
     config: &RasterConfig,
     stats: &mut DrawStats,
 ) -> Result<(), GlError> {
-    let mut batch = FragmentBatch::new(program, layout, bindings, config, true)?;
+    let mut batch = FragmentBatch::new(program, layout, bindings, config)?;
+    batch.begin(config, true);
     // A batch may only span points when no depth buffer is observable:
     // two points can cover the same pixel, and the second must see the
     // first's depth write. Pixels within one point are unique.
@@ -1124,14 +1156,13 @@ fn raster_points(
     Ok(())
 }
 
-/// Rasterises rows `y0..y1` of one triangle into a band buffer whose first
-/// row corresponds to target row `band_base`.
+/// Rasterises rows `y0..y1` of one triangle on `batch` into a band buffer
+/// whose first row corresponds to target row `band_base`.
 #[allow(clippy::too_many_arguments)]
 fn raster_band(
-    program: &Program,
+    batch: &mut FragmentBatch<'_>,
     layout: &VaryingLayout,
     setup: &TriangleSetup,
-    bindings: &Bindings<'_>,
     config: &RasterConfig,
     width: usize,
     x0: i32,
@@ -1142,9 +1173,8 @@ fn raster_band(
     band_base: i32,
     mut depth: Option<&mut [f32]>,
     pixel: PixelStore,
-) -> Result<BandStats, GlError> {
-    // Batches never span triangles or bands.
-    let mut batch = FragmentBatch::new(program, layout, bindings, config, setup.front_facing)?;
+) -> Result<(), GlError> {
+    batch.begin(config, setup.front_facing);
 
     let [ax, bx, cx] = setup.sx;
     let [ay, by, cy] = setup.sy;
@@ -1202,9 +1232,8 @@ fn raster_band(
         }
     }
     // Partial-band tail: fragments left over when the band ends before
-    // filling a full batch.
-    batch.flush(config, color, depth, pixel)?;
-    Ok(batch.finish())
+    // filling a full batch. Batches never span triangles or bands.
+    batch.flush(config, color, depth, pixel)
 }
 
 fn rebuild_varying(ty: &Type, comps: &[f32]) -> Value {

@@ -191,7 +191,7 @@ pub(crate) struct StoreDef {
 /// its operands where they live ([`Opnd`]) and the frame slot its result
 /// goes to; the typed ones carry the [`Shape`] the checker gave their
 /// operands.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Insn {
     /// `frame[dst] = src`.
     Move {
@@ -277,12 +277,22 @@ pub(crate) enum Insn {
         /// Argument count.
         argc: u8,
     },
-    /// Call user function `functions[func]`. Frame slots `base..` are
-    /// the callee's parameter slots: its frame starts there. Arguments
-    /// were evaluated into them, except those the call copies in from
-    /// [`Executable::operands`]`[args..]` (one operand per parameter; an
-    /// argument already in place is its own slot). The return value goes
-    /// to `frame[dst]`.
+    /// Enter `calls` spliced user calls for the running lanes: count
+    /// them, and trap where the innermost would nest past the call-depth
+    /// limit. `nest` is how many spliced calls that one sits inside in
+    /// its chunk; the chunk itself runs inside its frames' calls.
+    Enter {
+        /// Calls entered (entries with nothing between that can trap or
+        /// jump merge).
+        calls: u32,
+        /// Spliced calls around the innermost one.
+        nest: u32,
+    },
+    /// Call user function `functions[func]`, which runs as a chunk of its
+    /// own: a call back into a recursive cycle, or one past
+    /// [`MAX_CHUNK_LEN`]. Frame slots `base..` are the callee's parameter
+    /// slots, written before the call: its frame starts there. The return
+    /// value goes to `frame[dst]`.
     CallUser {
         /// Function-table index.
         func: u32,
@@ -292,11 +302,19 @@ pub(crate) enum Insn {
         dst: u32,
         /// Frame slots live when the call returns.
         live: u32,
-        /// The arguments, one per parameter.
-        args: u32,
+        /// Spliced calls this one sits inside, as for [`Insn::Enter`].
+        nest: u32,
     },
-    /// Return `value` from a user function to the caller's `dst`.
-    Ret(Opnd),
+    /// Return `value` from a user function to the caller's `dst`. Loops
+    /// the return leaves were exited first.
+    Ret {
+        /// The returned value.
+        value: Opnd,
+        /// The instruction before (past any `LoopExit`) computes `value`
+        /// and nothing jumps in between: a splice has that instruction
+        /// write the call's destination instead.
+        fused: bool,
+    },
     /// Store `src` into global `slot`, whole (masked: retired lanes'
     /// outputs must survive).
     StoreGlobal {
@@ -370,12 +388,149 @@ pub(crate) enum Insn {
 
 impl Insn {
     /// A jump's target; `None` for every other instruction.
+    fn target(&self) -> Option<Target> {
+        { *self }.jump_target().copied()
+    }
+
+    /// [`Self::target`], to patch.
     fn jump_target(&mut self) -> Option<&mut Target> {
         match self {
             Insn::Jump(t) | Insn::JumpIf { to: t, .. } | Insn::JumpCmp { to: t, .. } => Some(t),
             _ => None,
         }
     }
+
+    /// The frame slot a value instruction or call writes; `None` for
+    /// every other instruction.
+    fn dst(&self) -> Option<u32> {
+        { *self }.dst_mut().copied()
+    }
+
+    /// [`Self::dst`], to rewrite.
+    fn dst_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Insn::Move { dst, .. }
+            | Insn::Binary { dst, .. }
+            | Insn::Neg { dst, .. }
+            | Insn::Select { dst, .. }
+            | Insn::Not { dst, .. }
+            | Insn::Swizzle { dst, .. }
+            | Insn::Index { dst, .. }
+            | Insn::Builtin { dst, .. }
+            | Insn::CallUser { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    /// Whether the instruction can neither trap nor jump in checked code
+    /// (its only errors are operand type mismatches).
+    fn runs_through(&self) -> bool {
+        match self {
+            Insn::Move { .. }
+            | Insn::Binary { .. }
+            | Insn::Neg { .. }
+            | Insn::Select { .. }
+            | Insn::Not { .. }
+            | Insn::Swizzle { .. } => true,
+            Insn::Builtin { shape, .. } => matches!(shape, Shape::F(_)),
+            _ => false,
+        }
+    }
+
+    /// Whether control never reaches the next instruction from this one.
+    fn ends_flow(&self) -> bool {
+        matches!(
+            self,
+            Insn::Ret { .. }
+                | Insn::Jump(_)
+                | Insn::Discard
+                | Insn::ErrDiscardInFunction
+                | Insn::ErrBreakInFunction
+                | Insn::ErrNoReturn(_)
+                | Insn::Halt
+        )
+    }
+}
+
+// An instruction is at most four words: decode touches one cache line
+// per two instructions.
+const _: () = assert!(std::mem::size_of::<Insn>() <= 32);
+
+/// The most instructions a chunk grows to by splicing: a call whose
+/// callee would take it past this runs as [`Insn::CallUser`]. Shader
+/// sources come from tenants, and a call tree that doubles at each level
+/// would otherwise lower to code exponential in its depth.
+pub(crate) const MAX_CHUNK_LEN: usize = 4096;
+
+impl Chunk {
+    /// Merges each [`Insn::Enter`] into the entry before it where
+    /// nothing between can trap or jump and no jump lands between them:
+    /// the same lanes run both, and a depth trap at the merged entry is
+    /// the first trap either would raise. `landing` and `map` are
+    /// scratch buffers.
+    fn merge_entries(&mut self, landing: &mut Vec<bool>, map: &mut Vec<u32>) {
+        let entries = self.code.iter().filter(|i| matches!(i, Insn::Enter { .. }));
+        if entries.take(2).count() < 2 {
+            return;
+        }
+        let n = self.code.len();
+        landing.clear();
+        landing.resize(n + 1, false);
+        for t in self.code.iter().filter_map(Insn::target) {
+            landing[t.pc as usize] = true;
+        }
+        map.clear();
+        let (mut out, mut open) = (0, None);
+        for (i, &lands) in landing[..n].iter().enumerate() {
+            map.push(out as u32);
+            if lands {
+                open = None;
+            }
+            let insn = self.code[i];
+            match (&insn, open) {
+                (&Insn::Enter { calls, nest }, Some(e)) => {
+                    if let Insn::Enter {
+                        calls: c,
+                        nest: outer,
+                    } = &mut self.code[e]
+                    {
+                        *c += calls;
+                        *outer = (*outer).max(nest);
+                    }
+                    continue;
+                }
+                (Insn::Enter { .. }, None) => open = Some(out),
+                (insn, _) if !insn.runs_through() => open = None,
+                _ => {}
+            }
+            self.code[out] = insn;
+            out += 1;
+        }
+        map.push(out as u32);
+        self.code.truncate(out);
+        for insn in &mut self.code {
+            if let Some(t) = insn.jump_target() {
+                t.pc = map[t.pc as usize];
+            }
+        }
+        for s in &mut self.splices {
+            (s.start, s.end) = (map[s.start as usize], map[s.end as usize]);
+        }
+    }
+}
+
+/// A call spliced into a chunk: the code of its body, up to its exit, and
+/// the frame slot its returns write. A context stopped inside the body
+/// writes that slot before it reads it, so it does not hold the slot
+/// live (see [`crate::spmd`]'s ownership rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Splice {
+    /// First instruction of the body.
+    pub start: u32,
+    /// The exit: the instruction after the body.
+    pub end: u32,
+    /// The call's destination frame slot.
+    pub dst: u32,
 }
 
 /// A compiled instruction sequence plus the frame space it needs.
@@ -383,9 +538,12 @@ impl Insn {
 pub(crate) struct Chunk {
     /// Instructions.
     pub code: Vec<Insn>,
-    /// Number of frame slots (params + locals + temporaries), not
-    /// counting the frames of the calls it makes.
+    /// Number of frame slots (params + locals + temporaries and the
+    /// frames of the calls spliced in), not counting the frames of the
+    /// calls it makes.
     pub frame_size: u32,
+    /// The calls spliced into the chunk, nested ones included.
+    pub splices: Vec<Splice>,
 }
 
 /// A lowered user-defined function.
@@ -393,13 +551,9 @@ pub(crate) struct Chunk {
 pub(crate) struct FuncDef {
     /// Source name.
     pub name: Name,
-    /// Parameter types and qualifiers, in order (`out` parameters start
-    /// at zero).
-    pub params: Vec<(Type, ParamQual)>,
-    /// Whether a parameter is `out` (so a call zeroes it).
-    pub has_out: bool,
-    /// Body chunk index.
-    pub chunk: u32,
+    /// Body chunk index, where an [`Insn::CallUser`] calls the function;
+    /// `None` where every call to it was spliced.
+    pub chunk: Option<u32>,
 }
 
 /// A checked shader lowered to slot-addressed bytecode, ready to be
@@ -423,7 +577,8 @@ pub struct Executable {
     /// Global slots holding plain mutable globals, re-initialised per
     /// invocation.
     pub(crate) reset_slots: Vec<u32>,
-    /// All chunks; `chunks[0]` evaluates global initialisers.
+    /// All chunks: `chunks[0]` evaluates global initialisers, then
+    /// `main`, then the functions an [`Insn::CallUser`] calls.
     pub(crate) chunks: Vec<Chunk>,
     /// Index of the `main` chunk.
     pub(crate) main_chunk: u32,
@@ -513,7 +668,7 @@ enum ConstKey {
 }
 
 /// A user function definition, the checker's type table for its
-/// expressions and, once a call has reached it, its index in the
+/// expressions and, once lowering plans to reach it, its index in the
 /// function table.
 struct Def<'a> {
     ast: &'a Function,
@@ -529,14 +684,17 @@ struct Lowerer<'a> {
     operands: Vec<Opnd>,
     stores: Vec<StoreDef>,
     globals: Vec<Type>,
+    /// Per global slot: whether no instruction writes it (uniforms,
+    /// attributes, constants, fragment varyings, read-only builtins).
+    read_only: Vec<bool>,
     global_index: HashMap<Name, u32>,
     reset_slots: Vec<u32>,
-    chunks: Vec<Chunk>,
     functions: Vec<FuncDef>,
     /// name → definitions, in source order.
     defs: HashMap<&'a str, Vec<Def<'a>>>,
-    /// Reached functions whose bodies are not lowered yet.
-    pending: Vec<(u32, &'a Function, &'a [Type])>,
+    /// Lowered function bodies by function index, spliced at each call;
+    /// `None` while the function is still to be lowered.
+    bodies: Vec<Option<Chunk>>,
     /// The code buffer every chunk is compiled in (chunks are compiled
     /// one at a time), so a chunk's code is allocated once, at its size.
     code_buffer: Vec<Insn>,
@@ -544,6 +702,8 @@ struct Lowerer<'a> {
     /// call last (a stack shared by nested calls).
     arg_types: Vec<Type>,
     arg_operands: Vec<Opnd>,
+    /// Where each instruction of the body being spliced lands.
+    pc_map: Vec<u32>,
 }
 
 impl<'a> Lowerer<'a> {
@@ -555,15 +715,16 @@ impl<'a> Lowerer<'a> {
             operands: Vec::new(),
             stores: Vec::new(),
             globals: Vec::new(),
+            read_only: Vec::new(),
             global_index: HashMap::new(),
             reset_slots: Vec::new(),
-            chunks: Vec::new(),
             functions: Vec::new(),
             defs: HashMap::new(),
-            pending: Vec::new(),
+            bodies: Vec::new(),
             code_buffer: Vec::new(),
             arg_types: Vec::new(),
             arg_operands: Vec::new(),
+            pc_map: Vec::new(),
         }
     }
 
@@ -598,33 +759,33 @@ impl<'a> Lowerer<'a> {
         index
     }
 
-    /// The function-table index of `name`'s `k`-th definition, queueing
-    /// its body for lowering the first time a call reaches it.
-    fn reach(&mut self, name: &str, k: usize) -> u32 {
-        let def = &mut self.defs.get_mut(name).expect("a defined name")[k];
-        if let Some(index) = def.index {
-            return index;
-        }
-        let (f, types) = (def.ast, def.types);
-        let index = self.functions.len() as u32;
-        def.index = Some(index);
-        self.functions.push(FuncDef {
-            name: Name::clone(&f.name),
-            params: f.params.iter().map(|p| (p.ty.clone(), p.qual)).collect(),
-            has_out: f.params.iter().any(|p| p.qual == ParamQual::Out),
-            chunk: 0, // set when the body is lowered
-        });
-        self.pending.push((index, f, types));
-        index
+    /// The function-table index of `name`'s `k`-th definition, which
+    /// [`Self::plan`] reached.
+    fn index_of(&self, name: &str, k: usize) -> u32 {
+        self.defs[name][k].index.expect("a planned function")
+    }
+
+    /// The user definition of `name` a call with these argument types
+    /// runs: `None` where a builtin takes them (or nothing does).
+    fn user_callee(&self, name: &str, arg_types: &[Type]) -> Option<usize> {
+        let k = self.defs.get(name)?.iter().position(|d| {
+            d.ast.params.len() == arg_types.len()
+                && d.ast.params.iter().zip(arg_types).all(|(p, t)| p.ty == *t)
+        })?;
+        let builtin =
+            BuiltinId::from_name(name).is_some() && builtins::signature(name, arg_types).is_some();
+        (!builtin).then_some(k)
     }
 
     fn lower(mut self) -> Result<Executable, LowerError> {
         // Globals: stage builtins first (same order as the interpreter),
         // then declared globals in item order.
-        for (name, ty, _) in builtin_globals(self.shader.kind) {
+        let kind = self.shader.kind;
+        for (name, ty, writable) in builtin_globals(kind) {
             self.global_index
                 .insert(Name::from(name), self.globals.len() as u32);
             self.globals.push(ty);
+            self.read_only.push(!writable);
         }
         for (item, types) in self.items() {
             match item {
@@ -632,6 +793,11 @@ impl<'a> Lowerer<'a> {
                     for var in &decl.vars {
                         let slot = self.globals.len() as u32;
                         self.globals.push(var.ty.clone());
+                        self.read_only.push(match decl.storage {
+                            Storage::None => false,
+                            Storage::Varying => kind == ShaderKind::Fragment,
+                            Storage::Const | Storage::Attribute | Storage::Uniform => true,
+                        });
                         self.global_index.insert(Name::clone(&var.name), slot);
                         if decl.storage == Storage::None {
                             self.reset_slots.push(slot);
@@ -647,37 +813,214 @@ impl<'a> Lowerer<'a> {
             }
         }
 
-        // Chunk 0: global initialisers; then main. Only the functions
-        // their calls reach are lowered (sema checked every one).
-        let init_chunk = self.lower_init_chunk()?;
-        debug_assert_eq!(init_chunk, 0);
+        // Function bodies first, each after the ones it calls, then the
+        // global initialisers and main, which splice them. Only the
+        // functions their calls reach are lowered (sema checked every
+        // one).
         let (main, types) = self
             .defs
             .get("main")
             .and_then(|defs| defs.iter().find(|d| d.ast.params.is_empty()))
             .map(|d| (d.ast, d.types))
             .ok_or_else(|| err("no main() function"))?;
-        let main_chunk = self.lower_main(main, types)?;
-        while let Some((index, f, types)) = self.pending.pop() {
-            let chunk = self.lower_function(f, index, types)?;
-            self.functions[index as usize].chunk = chunk;
+        for (index, f, types) in self.plan(main, types) {
+            let body = self.lower_function(f, index, types)?;
+            self.bodies[index as usize] = Some(body);
+        }
+        let init = self.lower_init_chunk()?;
+        let main = self.lower_main(main, types)?;
+        let mut chunks = vec![init, main];
+        // A function keeps a chunk of its own only where a call to it was
+        // left to run time.
+        let mut i = 0;
+        while i < chunks.len() {
+            for pc in 0..chunks[i].code.len() {
+                if let Insn::CallUser { func, .. } = chunks[i].code[pc] {
+                    let f = &mut self.functions[func as usize];
+                    if f.chunk.is_none() {
+                        f.chunk = Some(chunks.len() as u32);
+                        let body = self.bodies[func as usize].take();
+                        chunks.push(body.expect("a lowered body"));
+                    }
+                }
+            }
+            i += 1;
+        }
+        let mut landing = Vec::new();
+        for chunk in &mut chunks {
+            chunk.merge_entries(&mut landing, &mut self.pc_map);
         }
 
         Ok(Executable {
-            kind: self.shader.kind,
+            kind,
             consts: self.consts,
             operands: self.operands,
             stores: self.stores,
             globals: self.globals,
             global_index: self.global_index,
             reset_slots: self.reset_slots,
-            chunks: self.chunks,
-            main_chunk,
+            chunks,
+            main_chunk: 1,
             functions: self.functions,
         })
     }
 
-    fn lower_init_chunk(&mut self) -> Result<u32, LowerError> {
+    /// Numbers the user functions the global initialisers and `main`
+    /// reach and returns them in lowering order: each after every
+    /// function it calls, except a call back into a function whose body
+    /// is still being walked — a recursive cycle, whose calls stay
+    /// [`Insn::CallUser`]. The walk keeps its own stack, so a long call
+    /// chain cannot overflow the thread's.
+    fn plan(
+        &mut self,
+        main: &'a Function,
+        main_types: &'a [Type],
+    ) -> Vec<(u32, &'a Function, &'a [Type])> {
+        let mut edges: Vec<(&'a str, usize)> = Vec::new();
+        for (item, types) in self.items() {
+            if let Item::Var(decl) = item {
+                for init in decl.vars.iter().filter_map(|v| v.init.as_ref()) {
+                    self.expr_calls(init, types, &mut edges);
+                }
+            }
+        }
+        for stmt in &main.body {
+            self.stmt_calls(stmt, main_types, &mut edges);
+        }
+        let roots = edges.len();
+        let mut next_root = 0;
+        let mut order = Vec::new();
+        // (function, its definition, next call edge, end of its edges)
+        let mut stack: Vec<(u32, &'a Function, &'a [Type], usize, usize)> = Vec::new();
+        loop {
+            let (name, k) = match stack.last_mut() {
+                Some((_, _, _, next, end)) if *next < *end => {
+                    *next += 1;
+                    edges[*next - 1]
+                }
+                Some(_) => {
+                    let (index, f, types, ..) = stack.pop().expect("a visited function");
+                    order.push((index, f, types));
+                    continue;
+                }
+                None if next_root < roots => {
+                    next_root += 1;
+                    edges[next_root - 1]
+                }
+                None => break,
+            };
+            let def = &mut self.defs.get_mut(name).expect("a defined name")[k];
+            if def.index.is_some() {
+                continue;
+            }
+            let (f, types) = (def.ast, def.types);
+            let index = self.functions.len() as u32;
+            def.index = Some(index);
+            self.functions.push(FuncDef {
+                name: Name::clone(&f.name),
+                chunk: None,
+            });
+            self.bodies.push(None);
+            let start = edges.len();
+            for stmt in &f.body {
+                self.stmt_calls(stmt, types, &mut edges);
+            }
+            stack.push((index, f, types, start, edges.len()));
+        }
+        order
+    }
+
+    /// Appends the user definition each call in `stmt` runs to `out`.
+    fn stmt_calls(&mut self, stmt: &'a Stmt, types: &'a [Type], out: &mut Vec<(&'a str, usize)>) {
+        match &stmt.kind {
+            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.expr_calls(e, types, out),
+            StmtKind::Decl(decl) => {
+                for init in decl.vars.iter().filter_map(|v| v.init.as_ref()) {
+                    self.expr_calls(init, types, out);
+                }
+            }
+            StmtKind::If(cond, then, els) => {
+                self.expr_calls(cond, types, out);
+                self.stmt_calls(then, types, out);
+                if let Some(els) = els {
+                    self.stmt_calls(els, types, out);
+                }
+            }
+            StmtKind::For {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                if let Some(init) = init {
+                    self.stmt_calls(init, types, out);
+                }
+                for e in cond.iter().chain(step) {
+                    self.expr_calls(e, types, out);
+                }
+                self.stmt_calls(body, types, out);
+            }
+            StmtKind::While(cond, body) | StmtKind::DoWhile(body, cond) => {
+                self.expr_calls(cond, types, out);
+                self.stmt_calls(body, types, out);
+            }
+            StmtKind::Block(stmts) => {
+                for s in stmts {
+                    self.stmt_calls(s, types, out);
+                }
+            }
+            StmtKind::Return(None)
+            | StmtKind::Break
+            | StmtKind::Continue
+            | StmtKind::Discard
+            | StmtKind::Empty => {}
+        }
+    }
+
+    /// Appends the user definition each call in `e` runs to `out`,
+    /// resolved like [`ChunkCompiler::call`] resolves it.
+    fn expr_calls(&mut self, e: &'a Expr, types: &'a [Type], out: &mut Vec<(&'a str, usize)>) {
+        match &e.kind {
+            ExprKind::FloatLit(_)
+            | ExprKind::IntLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Ident(_) => {}
+            ExprKind::Unary(_, a) | ExprKind::Field(a, _) => self.expr_calls(a, types, out),
+            ExprKind::Binary(_, operands) => {
+                for o in operands.iter() {
+                    self.expr_calls(o, types, out);
+                }
+            }
+            ExprKind::Assign(_, a, b) | ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
+                self.expr_calls(a, types, out);
+                self.expr_calls(b, types, out);
+            }
+            ExprKind::Ternary(c, a, b) => {
+                for x in [c, a, b] {
+                    self.expr_calls(x, types, out);
+                }
+            }
+            ExprKind::Call(name, args) => {
+                for a in args {
+                    self.expr_calls(a, types, out);
+                }
+                if !self.defs.contains_key(&**name) {
+                    return;
+                }
+                let base = self.arg_types.len();
+                for a in args {
+                    let ty = types.get(a.id as usize).unwrap_or(&Type::Void).clone();
+                    self.arg_types.push(ty);
+                }
+                if let Some(k) = self.user_callee(name, &self.arg_types[base..]) {
+                    out.push((name, k));
+                }
+                self.arg_types.truncate(base);
+            }
+        }
+    }
+
+    fn lower_init_chunk(&mut self) -> Result<Chunk, LowerError> {
         let mut cc = ChunkCompiler::new(self, CompileCx::Init, &[]);
         for (item, types) in cc.lo.items() {
             if let Item::Var(decl) = item {
@@ -706,7 +1049,7 @@ impl<'a> Lowerer<'a> {
         f: &'a Function,
         index: u32,
         types: &'a [Type],
-    ) -> Result<u32, LowerError> {
+    ) -> Result<Chunk, LowerError> {
         let ret_void = f.ret == Type::Void;
         let mut cc = ChunkCompiler::new(self, CompileCx::Function, types);
         cc.ret_void = ret_void;
@@ -719,18 +1062,23 @@ impl<'a> Lowerer<'a> {
         for stmt in &f.body {
             cc.stmt(stmt)?;
         }
-        // Fall-through return.
-        if ret_void {
-            let dummy = cc.lo.add_const(Value::Float(0.0));
-            cc.emit(Insn::Ret(Opnd::Const(dummy)));
-        } else {
+        // Fall-through return, where the end can be reached.
+        let reached =
+            cc.label == cc.code.len() as u32 || !cc.code.last().is_some_and(Insn::ends_flow);
+        if reached && ret_void {
+            let dummy = cc.konst(Value::Float(0.0));
+            cc.emit(Insn::Ret {
+                value: dummy,
+                fused: false,
+            });
+        } else if reached {
             cc.emit(Insn::ErrNoReturn(index));
         }
         cc.pop_scope();
         Ok(cc.finish())
     }
 
-    fn lower_main(&mut self, main: &'a Function, types: &'a [Type]) -> Result<u32, LowerError> {
+    fn lower_main(&mut self, main: &'a Function, types: &'a [Type]) -> Result<Chunk, LowerError> {
         let mut cc = ChunkCompiler::new(self, CompileCx::Main, types);
         cc.push_scope();
         for stmt in &main.body {
@@ -777,6 +1125,11 @@ struct ChunkCompiler<'l, 'a> {
     ret_void: bool,
     /// Function-table index of the enclosing function (Function chunks).
     func: u32,
+    /// The last instruction index made a jump target ([`NO_JUMP`] for
+    /// none): an instruction emitted there may be reached by a jump.
+    label: u32,
+    /// The calls spliced so far.
+    splices: Vec<Splice>,
 }
 
 impl<'l, 'a> ChunkCompiler<'l, 'a> {
@@ -794,17 +1147,19 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             loops: Vec::new(),
             ret_void: true,
             func: 0,
+            label: NO_JUMP,
+            splices: Vec::new(),
         }
     }
 
-    fn finish(mut self) -> u32 {
-        let idx = self.lo.chunks.len() as u32;
-        self.lo.chunks.push(Chunk {
+    fn finish(mut self) -> Chunk {
+        let chunk = Chunk {
             code: self.code.drain(..).collect(),
             frame_size: self.frame_size,
-        });
+            splices: self.splices,
+        };
         self.lo.code_buffer = self.code;
-        idx
+        chunk
     }
 
     fn emit(&mut self, insn: Insn) -> usize {
@@ -812,12 +1167,19 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         self.code.len() - 1
     }
 
-    /// The next instruction as a jump target, with the slots live here.
-    fn here(&self) -> Target {
+    /// The next instruction as a jump target, with `live` frame slots
+    /// live there.
+    fn label_here(&mut self, live: u32) -> Target {
+        self.label = self.code.len() as u32;
         Target {
-            pc: self.code.len() as u32,
-            live: self.next_slot,
+            pc: self.label,
+            live,
         }
+    }
+
+    /// The next instruction as a jump target, with the slots live here.
+    fn here(&mut self) -> Target {
+        self.label_here(self.next_slot)
     }
 
     fn patch(&mut self, at: usize, target: Target) {
@@ -992,12 +1354,20 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 match self.cx {
                     CompileCx::Function => match value {
                         Some(e) => {
-                            let v = self.operand(e)?;
-                            self.emit(Insn::Ret(v));
+                            let value = self.operand(e)?;
+                            let fused = matches!(value, Opnd::Local(t)
+                                if self.label != self.code.len() as u32
+                                    && self.code.last().and_then(Insn::dst) == Some(t));
+                            self.leave_loops();
+                            self.emit(Insn::Ret { value, fused });
                         }
                         None if self.ret_void => {
-                            let dummy = self.konst(Value::Float(0.0));
-                            self.emit(Insn::Ret(dummy));
+                            let value = self.konst(Value::Float(0.0));
+                            self.leave_loops();
+                            self.emit(Insn::Ret {
+                                value,
+                                fused: false,
+                            });
                         }
                         None => {
                             // `return;` in a non-void function ends it
@@ -1057,6 +1427,13 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 Ok(())
             }
             StmtKind::Empty => Ok(()),
+        }
+    }
+
+    /// Exits every loop a `return` leaves.
+    fn leave_loops(&mut self) {
+        for _ in 0..self.loops.len() {
+            self.emit(Insn::LoopExit);
         }
     }
 
@@ -1323,10 +1700,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                     branch: false,
                 });
                 self.expr_into(b, dst)?;
-                let end = Target {
-                    pc: self.code.len() as u32,
-                    live,
-                };
+                let end = self.label_here(live);
                 self.patch(to_end, end);
             }
             ExprKind::Binary(op, operands) => {
@@ -1368,10 +1742,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 let else_at = self.here();
                 self.patch_chain(to_else, else_at);
                 self.expr_into(no, dst)?;
-                let end = Target {
-                    pc: self.code.len() as u32,
-                    live: mark.max(dst + 1),
-                };
+                let end = self.label_here(mark.max(dst + 1));
                 self.patch(to_end, end);
             }
             ExprKind::Call(name, args) => self.call(name, args, dst)?,
@@ -1599,23 +1970,13 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             .filter(|_| builtins::signature(name, &self.lo.arg_types[base..]).is_some());
         let user = match builtin {
             Some(_) => None,
-            None => {
-                let arg_types = &self.lo.arg_types[base..];
-                let k = self
-                    .lo
-                    .defs
-                    .get(&**name)
-                    .and_then(|defs| {
-                        defs.iter().position(|d| {
-                            d.ast.params.len() == arg_types.len()
-                                && d.ast.params.iter().zip(arg_types).all(|(p, t)| p.ty == *t)
-                        })
-                    })
+            None => Some(
+                self.lo
+                    .user_callee(name, &self.lo.arg_types[base..])
                     .ok_or_else(|| {
                         err(format!("no definition of `{name}` takes these arguments"))
-                    })?;
-                Some(k)
-            }
+                    })?,
+            ),
         };
         // The SoA fast paths take float, int and sampler arguments.
         let arg_types = &self.lo.arg_types[base..];
@@ -1676,11 +2037,15 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         Ok(())
     }
 
-    /// A user call: the arguments are evaluated (or, constants and
-    /// variables, copied by the call) straight into the callee's
-    /// parameter slots, at the top of the live frame; `out` and
-    /// `inout` parameters are stored back in parameter order after the
-    /// return, before the value is (as the interpreter does).
+    /// A user call: the arguments are evaluated straight into the
+    /// callee's parameter slots, at the top of the live frame, then the
+    /// callee's body is spliced in; `out` and `inout` parameters are
+    /// stored back in parameter order after the return, before the value
+    /// is (as the interpreter does). An `in` parameter the body never
+    /// writes, whose argument is a constant, a caller frame slot or a
+    /// read-only global, is read where the argument lives. A call back
+    /// into a recursive cycle, or one that would grow the chunk past
+    /// [`MAX_CHUNK_LEN`], runs the callee's chunk instead.
     fn call_user(
         &mut self,
         name: &'a str,
@@ -1689,7 +2054,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         dst: u32,
     ) -> Result<(), LowerError> {
         let f = self.lo.defs[name][k].ast;
-        let func = self.lo.reach(name, k);
+        let func = self.lo.index_of(name, k);
         let has_outs = f
             .params
             .iter()
@@ -1707,7 +2072,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             )));
         }
         // Each argument is evaluated into the next free slot, except a
-        // constant or variable, which the call copies in itself.
+        // constant or variable, which may be read where it lives.
         let base = self.next_slot;
         let first = self.lo.arg_operands.len();
         for (i, a) in args.iter().enumerate() {
@@ -1724,20 +2089,49 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             self.lo.arg_operands.push(o);
         }
         let live = self.next_slot;
-        let at = self.lo.operands.len() as u32;
-        let Lowerer {
-            operands,
-            arg_operands,
-            ..
-        } = &mut *self.lo;
-        operands.extend(arg_operands.drain(first..));
-        self.emit(Insn::CallUser {
-            func,
-            base,
-            dst: ret,
-            live,
-            args: at,
-        });
+        let body = self.lo.bodies[func as usize]
+            .as_ref()
+            .filter(|b| self.code.len() + b.code.len() <= MAX_CHUNK_LEN);
+        let written = body.map_or([u64::MAX; 4], |b| written_params(b, &self.lo.stores));
+        let splice = body.is_some();
+        for (i, p) in f.params.iter().enumerate() {
+            let slot = base + i as u32;
+            let o = self.lo.arg_operands[first + i];
+            let in_place = splice
+                && p.qual == ParamQual::In
+                && written[i / 64] & 1 << (i % 64) == 0
+                && match o {
+                    Opnd::Const(_) => true,
+                    Opnd::Local(s) => s != ret,
+                    Opnd::Global(g) => self.lo.read_only[g as usize],
+                    Opnd::GlobalComp(..) => false,
+                };
+            if in_place {
+                continue;
+            }
+            let src = match p.qual {
+                ParamQual::Out => self.konst(Value::zero_of(&p.ty)),
+                ParamQual::In | ParamQual::InOut => o,
+            };
+            if src != Opnd::Local(slot) {
+                self.emit(Insn::Move { dst: slot, src });
+            }
+            self.lo.arg_operands[first + i] = Opnd::Local(slot);
+        }
+        if splice {
+            self.emit(Insn::Enter { calls: 1, nest: 0 });
+            let ret = (f.ret != Type::Void).then_some(ret);
+            self.splice(func, base, ret, if has_outs { live } else { base }, first);
+        } else {
+            self.emit(Insn::CallUser {
+                func,
+                base,
+                dst: ret,
+                live,
+                nest: 0,
+            });
+        }
+        self.lo.arg_operands.truncate(first);
         if has_outs {
             for (i, (p, a)) in f.params.iter().zip(args).enumerate() {
                 if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
@@ -1751,6 +2145,214 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         }
         Ok(())
     }
+
+    /// Copies function `func`'s lowered body to the end of the chunk, its
+    /// frame based at slot `base`. A parameter slot `i` reads
+    /// `arg_operands[params + i]` instead; each return writes `ret`
+    /// (nothing, for a `void` function) and leaves for the exit, where
+    /// `exit_live` slots are live.
+    fn splice(&mut self, func: u32, base: u32, ret: Option<u32>, exit_live: u32, params: usize) {
+        let Lowerer {
+            bodies,
+            operands,
+            stores,
+            arg_operands,
+            pc_map,
+            ..
+        } = &mut *self.lo;
+        let body = bodies[func as usize].as_ref().expect("a lowered body");
+        let params = &arg_operands[params..];
+        let opnd = |o: Opnd| match o {
+            Opnd::Local(s) if (s as usize) < params.len() => params[s as usize],
+            Opnd::Local(s) => Opnd::Local(s + base),
+            o => o,
+        };
+        let n = body.code.len();
+        pc_map.clear();
+        let mut pc = self.code.len() as u32;
+        for (p, insn) in body.code.iter().enumerate() {
+            pc_map.push(pc);
+            pc += match insn {
+                Insn::Ret { fused, .. } => {
+                    u32::from(ret.is_some() && !fused) + u32::from(p + 1 < n)
+                }
+                _ => 1,
+            };
+        }
+        let exit = pc;
+        pc_map.push(exit);
+        let start = self.code.len() as u32;
+        let target = |t: Target| {
+            let pc = pc_map[t.pc as usize];
+            Target {
+                pc,
+                live: if pc == exit { exit_live } else { t.live + base },
+            }
+        };
+        let mut copy = |at: u32, n: usize| {
+            let range = at as usize..at as usize + n;
+            if !operands[range.clone()]
+                .iter()
+                .any(|o| matches!(o, Opnd::Local(_)))
+            {
+                return at;
+            }
+            let copied = operands.len() as u32;
+            for k in range {
+                operands.push(opnd(operands[k]));
+            }
+            copied
+        };
+        for (p, &insn) in body.code.iter().enumerate() {
+            let mut insn = insn;
+            match &mut insn {
+                Insn::Ret { value, fused } => {
+                    if let Some(d) = ret {
+                        if *fused {
+                            let last = self.code.iter_mut().rev().find(|i| **i != Insn::LoopExit);
+                            *last
+                                .and_then(Insn::dst_mut)
+                                .expect("a fused return's value") = d;
+                        } else {
+                            self.code.push(Insn::Move {
+                                dst: d,
+                                src: opnd(*value),
+                            });
+                        }
+                    }
+                    if p + 1 < n {
+                        self.code.push(Insn::Jump(Target {
+                            pc: exit,
+                            live: exit_live,
+                        }));
+                    }
+                    continue;
+                }
+                Insn::Move { dst, src } => {
+                    *dst += base;
+                    *src = opnd(*src);
+                }
+                Insn::Binary { dst, a, b, .. } => {
+                    *dst += base;
+                    (*a, *b) = (opnd(*a), opnd(*b));
+                }
+                Insn::Neg { dst, a, .. } | Insn::Not { dst, a } => {
+                    *dst += base;
+                    *a = opnd(*a);
+                }
+                Insn::Select { dst, cond, a, b } => {
+                    *dst += base;
+                    (*cond, *a, *b) = (opnd(*cond), opnd(*a), opnd(*b));
+                }
+                Insn::Swizzle { dst, src, .. } => {
+                    *dst += base;
+                    *src = opnd(*src);
+                }
+                Insn::Index {
+                    dst,
+                    base: b,
+                    index,
+                } => {
+                    *dst += base;
+                    (*b, *index) = (opnd(*b), opnd(*index));
+                }
+                Insn::Builtin {
+                    dst, args, argc, ..
+                } => {
+                    *dst += base;
+                    *args = copy(*args, *argc as usize);
+                }
+                Insn::Enter { nest, .. } => *nest += 1,
+                Insn::CallUser {
+                    base: b,
+                    dst,
+                    live,
+                    nest,
+                    ..
+                } => {
+                    (*b, *dst, *live) = (*b + base, *dst + base, *live + base);
+                    *nest += 1;
+                }
+                Insn::StoreGlobal { src, .. } => *src = opnd(*src),
+                Insn::Store { def, src } => {
+                    let mut store = stores[*def as usize].clone();
+                    if let SlotRef::Local(r) = &mut store.root {
+                        *r += base;
+                    }
+                    store.indices = copy(store.indices, store.n_index as usize);
+                    *def = stores.len() as u32;
+                    stores.push(store);
+                    *src = opnd(*src);
+                }
+                Insn::Jump(t) => *t = target(*t),
+                Insn::JumpCmp { a, b, to, .. } => {
+                    (*a, *b) = (opnd(*a), opnd(*b));
+                    *to = target(*to);
+                }
+                Insn::JumpIf { cond, to, .. } => {
+                    *cond = opnd(*cond);
+                    *to = target(*to);
+                }
+                Insn::LoopEnter
+                | Insn::LoopIter { .. }
+                | Insn::LoopExit
+                | Insn::Discard
+                | Insn::ErrDiscardInFunction
+                | Insn::ErrBreakInFunction
+                | Insn::ErrNoReturn(_)
+                | Insn::Halt => {}
+            }
+            self.code.push(insn);
+        }
+        debug_assert_eq!(self.code.len() as u32, exit);
+        if self.code[start as usize..]
+            .iter()
+            .any(|i| i.target().is_some_and(|t| t.pc == exit))
+        {
+            self.label = exit;
+        }
+        for s in &body.splices {
+            self.splices.push(Splice {
+                start: pc_map[s.start as usize],
+                end: pc_map[s.end as usize],
+                dst: s.dst + base,
+            });
+        }
+        if let Some(dst) = ret {
+            self.splices.push(Splice {
+                start,
+                end: exit,
+                dst,
+            });
+        }
+        self.frame_size = self.frame_size.max(base + body.frame_size);
+    }
+}
+
+/// The parameter slots of a `params`-slot-or-more body that one of its
+/// instructions writes, as a bit set over the first 256 slots.
+fn written_params(body: &Chunk, stores: &[StoreDef]) -> [u64; 4] {
+    let mut written = [0u64; 4];
+    let mut mark = |s: u32| {
+        if s < 256 {
+            written[s as usize / 64] |= 1 << (s % 64);
+        }
+    };
+    for insn in &body.code {
+        match insn {
+            Insn::Store { def, .. } => {
+                if let SlotRef::Local(r) = stores[*def as usize].root {
+                    mark(r);
+                }
+            }
+            insn => {
+                if let Some(d) = insn.dst() {
+                    mark(d);
+                }
+            }
+        }
+    }
+    written
 }
 
 /// Whether `e`, evaluated into a variable's own slot, writes it only as
@@ -1879,10 +2481,26 @@ mod tests {
         assert!(main.frame_size <= 3, "frame_size = {}", main.frame_size);
     }
 
+    /// Calls a chunk enters by splicing, merged entries counted apart.
+    fn entered(code: &[Insn]) -> u32 {
+        code.iter()
+            .map(|i| match i {
+                Insn::Enter { calls, .. } => *calls,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    fn count(code: &[Insn], f: fn(&Insn) -> bool) -> usize {
+        code.iter().filter(|i| f(i)).count()
+    }
+
     /// Operands are read where they live — a constant, a global, one
     /// component of a global, a frame slot — and every call resolves to
     /// its callee by the checker's argument types, overloads and user
-    /// functions named like a builtin included.
+    /// functions named like a builtin included. A user call is spliced:
+    /// its body reads the caller's variable in place and its return
+    /// writes the call's destination, with no call or return left.
     #[test]
     fn lowering_reads_operands_in_place_and_resolves_calls() {
         let exe = lower_src(&format!(
@@ -1938,8 +2556,14 @@ mod tests {
                 ..
             }
         )));
-        let count = |code: &[Insn], f: fn(&Insn) -> bool| code.iter().filter(|i| f(i)).count();
-        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 1);
+        assert_eq!(
+            count(main, |i| matches!(
+                i,
+                Insn::CallUser { .. } | Insn::Ret { .. }
+            )),
+            0
+        );
+        assert_eq!(entered(main), 1);
         assert_eq!(
             count(main, |i| matches!(
                 i,
@@ -1965,21 +2589,22 @@ mod tests {
         };
         assert_eq!(argc, 4);
         assert_eq!(exe.operands[args as usize + 2], Opnd::GlobalComp(coord, 1));
-        let twice = &exe.chunks[exe.functions[0].chunk as usize].code;
-        assert!(matches!(
-            twice[..],
-            [
-                Insn::Binary {
-                    op: BinOp::Mul,
-                    dst: 1,
-                    a: Opnd::Local(0),
-                    b: Opnd::Const(_),
-                    ..
-                },
-                Insn::Ret(Opnd::Local(1)),
+        // `twice(y)`'s body reads `y` where it lives and writes the
+        // constructor's first argument; no function keeps a chunk.
+        let Opnd::Local(first) = exe.operands[args as usize] else {
+            panic!("the call's value is a frame slot");
+        };
+        assert!(main.iter().any(|i| matches!(
+            i,
+            Insn::Binary {
+                op: BinOp::Mul,
+                a: Opnd::Local(1),
+                b: Opnd::Const(_),
+                dst,
                 ..
-            ]
-        ));
+            } if *dst == first
+        )));
+        assert_eq!(exe.chunks.len(), 2);
         // Same-arity overloads, and a user overload of a builtin name,
         // resolve by argument types: no run-time pick is left.
         let overloads = lower_src(&format!(
@@ -1990,14 +2615,16 @@ mod tests {
              void main() {{ gl_FragColor = vec4(f(u) + f(vec2(u)) + floor(int(u))); }}"
         ));
         let main = &overloads.chunks[overloads.main_chunk as usize].code;
-        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 3);
+        assert_eq!(entered(main), 3);
+        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 0);
         assert_eq!(overloads.functions.len(), 3);
     }
 
     /// Lowering reaches functions through calls from `main` and the
     /// global initialisers only; a function nothing calls is not lowered,
     /// so a shape the lowerer rejects there no longer sends the whole
-    /// shader to the tree-walker.
+    /// shader to the tree-walker. The reached ones are spliced into the
+    /// initialiser and `main` chunks and keep no chunk of their own.
     #[test]
     fn only_reachable_functions_are_lowered() {
         let exe = lower_src(&format!(
@@ -2015,8 +2642,73 @@ mod tests {
         let mut names: Vec<&str> = exe.functions.iter().map(|f| &*f.name).collect();
         names.sort_unstable();
         assert_eq!(names, ["init_only", "leaf", "used"]);
-        // Init, main and one chunk per reached function.
-        assert_eq!(exe.chunks.len(), 2 + names.len());
+        assert!(exe.functions.iter().all(|f| f.chunk.is_none()));
+        // Init and main only.
+        assert_eq!(exe.chunks.len(), 2);
+        assert_eq!(entered(&exe.chunks[0].code), 1);
+        assert_eq!(entered(&exe.chunks[exe.main_chunk as usize].code), 2);
+    }
+
+    /// A call back into a recursive cycle runs the callee's chunk, which
+    /// the function keeps; everything else, the first call into the
+    /// cycle included, is spliced.
+    #[test]
+    fn recursive_calls_keep_their_chunk() {
+        let exe = lower_src(&format!(
+            "{P}uniform float u;\n\
+             float leaf(float v) {{ return v * 2.0; }}\n\
+             float r(float v) {{ return v > 1.0 ? r(v - 1.0) : leaf(v); }}\n\
+             void main() {{ gl_FragColor = vec4(r(u)); }}"
+        ));
+        let r = exe
+            .functions
+            .iter()
+            .position(|f| &*f.name == "r")
+            .expect("r") as u32;
+        let chunk = exe.functions[r as usize].chunk.expect("r keeps its chunk");
+        assert!(exe
+            .functions
+            .iter()
+            .all(|f| f.chunk.is_none() || &*f.name == "r"));
+        assert_eq!(exe.chunks.len(), 3);
+        for code in [
+            &exe.chunks[exe.main_chunk as usize].code,
+            &exe.chunks[chunk as usize].code,
+        ] {
+            assert_eq!(
+                count(code, |i| matches!(i, Insn::CallUser { .. })),
+                1,
+                "{code:?}"
+            );
+        }
+        let main = &exe.chunks[exe.main_chunk as usize].code;
+        assert!(main
+            .iter()
+            .any(|i| matches!(i, Insn::CallUser { func, nest: 1, .. } if *func == r)));
+        assert_eq!(entered(main), 2, "r and leaf");
+    }
+
+    /// A call tree that doubles at every level splices until a chunk
+    /// would pass [`MAX_CHUNK_LEN`], then calls: lowering stays linear
+    /// in the source.
+    #[test]
+    fn splicing_stops_at_the_chunk_cap() {
+        let mut src = format!("{P}uniform float u;\nfloat f0(float x) {{ return x + 1.0; }}\n");
+        for k in 1..=20 {
+            let j = k - 1;
+            src += &format!("float f{k}(float x) {{ return f{j}(x) + f{j}(x * 0.5); }}\n");
+        }
+        src += "void main() { gl_FragColor = vec4(f20(u)); }";
+        let exe = lower_src(&src);
+        for chunk in &exe.chunks {
+            // A splice stops at the cap; a body's own code may follow.
+            assert!(
+                chunk.code.len() <= MAX_CHUNK_LEN + 8,
+                "{}",
+                chunk.code.len()
+            );
+        }
+        assert!(exe.chunks.len() > 2, "the deep calls keep chunks");
     }
 
     #[test]

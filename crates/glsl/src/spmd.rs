@@ -56,7 +56,9 @@
 //! argument's slot, above every slot its caller has live. A deferred
 //! context therefore reads only the frame slots below its `live` end —
 //! except the destination of each call it is inside, which that call's
-//! return writes before anything reads it. The running context *owns* a
+//! return writes before anything reads it (a `Frame` records it for a
+//! `CallUser`; a chunk lists the body and destination of each call
+//! spliced into it). The running context *owns* a
 //! slot at or above the largest pending `live` end (the floor; 0 when
 //! nothing is pending — the uniform-flow case), and a slot below it that
 //! is such a call destination for every pending context that reaches
@@ -93,9 +95,9 @@
 //! semantics match running the invocations one after another. The
 //! replay starts from a copy of the profile taken before the batch.
 
-use crate::ast::{BinOp, ParamQual};
+use crate::ast::BinOp;
 use crate::builtins::{self, BuiltinCx, BuiltinId};
-use crate::compile::{Executable, Insn, Opnd, PathStep, Shape, SlotRef};
+use crate::compile::{Chunk, Executable, Insn, Opnd, PathStep, Shape, SlotRef};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::ops;
@@ -117,9 +119,10 @@ pub struct BatchError {
     pub error: RuntimeError,
 }
 
-/// Saved caller state for one active call, kept on the context's
-/// explicit frame stack (the SPMD engine never recurses natively, so a
-/// divergent subgroup can be suspended mid-call and resumed later).
+/// Saved caller state for one active [`Insn::CallUser`] call, kept on
+/// the context's explicit frame stack (the SPMD engine never recurses
+/// natively, so a divergent subgroup can be suspended mid-call and
+/// resumed later).
 #[derive(Clone, PartialEq)]
 struct Frame {
     /// Chunk to resume in the caller.
@@ -132,9 +135,9 @@ struct Frame {
     ret_dst: usize,
     /// The caller's live frame slots (absolute end) after the return.
     ret_live: usize,
-    /// Loop-counter stack depth at call entry (truncated on return,
-    /// so a loop left by `return` cannot leak its counter).
-    counters_base: usize,
+    /// User calls active in the callee's chunk: those of the frames
+    /// below, the spliced calls around this one, and this one.
+    depth: u32,
 }
 
 /// One schedulable execution context: a subgroup of lanes in lockstep at
@@ -210,14 +213,19 @@ fn floor(pending: &[Ctx]) -> usize {
 
 /// Whether the running context owns frame slot `s`: no deferred context
 /// reads it. Each one reads only the slots below its `live` end, except
-/// the destinations of the calls it is inside, which their return
-/// writes first.
+/// the destinations of the calls it is inside, spliced or not, which
+/// their return writes first.
 #[inline(always)]
-fn owns(s: usize, floor: usize, pending: &[Ctx]) -> bool {
+fn owns(s: usize, floor: usize, pending: &[Ctx], chunks: &[Chunk]) -> bool {
     s >= floor
-        || pending
-            .iter()
-            .all(|p| p.live <= s || p.frames.iter().any(|f| f.ret_dst == s))
+        || pending.iter().all(|p| {
+            p.live <= s
+                || p.frames.iter().any(|f| f.ret_dst == s)
+                || chunks[p.chunk as usize].splices.iter().any(|c| {
+                    (c.start as usize..c.end as usize).contains(&p.pc)
+                        && p.frame_base + c.dst as usize == s
+                })
+        })
 }
 
 /// Iterates the set bits of a lane mask.
@@ -1563,61 +1571,49 @@ impl<'a> SpmdVm<'a> {
         })
     }
 
-    /// Enters user function `fi` for the running context: copies `args`
-    /// the lowering left out into the callee's parameter slots at frame
-    /// slot `base`, zeroes its `out` parameters and pushes the caller's
-    /// return state.
-    fn enter_call(
-        &mut self,
-        cur: &mut Ctx,
-        fi: u32,
-        (base, dst, live, args): (u32, u32, u32, &[Opnd]),
-        (floor, pending): (usize, &[Ctx]),
-    ) -> Result<(), RuntimeError> {
-        if cur.frames.len() as u32 >= self.limits.max_call_depth {
+    /// User calls active at the running context's position, besides the
+    /// spliced calls around it: those its frames entered.
+    fn depth(cur: &Ctx) -> u32 {
+        cur.frames.last().map_or(0, |f| f.depth)
+    }
+
+    /// Raises the tree-walker's call-depth error where a call entered
+    /// inside `nest` spliced calls at `cur` would nest too deep.
+    fn check_depth(&self, cur: &Ctx, nest: u32) -> Result<(), RuntimeError> {
+        if Self::depth(cur) + nest >= self.limits.max_call_depth {
             return Err(RuntimeError::CallDepth {
                 limit: self.limits.max_call_depth,
             });
         }
+        Ok(())
+    }
+
+    /// Enters user function `fi`'s chunk for the running context: its
+    /// parameters are already in place at frame slot `base`; pushes the
+    /// caller's return state.
+    fn enter_call(
+        &mut self,
+        cur: &mut Ctx,
+        fi: u32,
+        (base, dst, live, nest): (u32, u32, u32, u32),
+    ) -> Result<(), RuntimeError> {
+        self.check_depth(cur, nest)?;
         let exe = self.exe;
-        let func = &exe.functions[fi as usize];
+        let chunk = exe.functions[fi as usize].chunk.expect("a called chunk");
         let fb = cur.frame_base;
         let callee_base = fb + base as usize;
-        self.ensure_locals(callee_base + exe.chunks[func.chunk as usize].frame_size as usize);
-        let counters_base = self.loop_counters[cur.mask.trailing_zeros() as usize].len();
+        self.ensure_locals(callee_base + exe.chunks[chunk as usize].frame_size as usize);
         self.profile.calls += lane_count(cur.mask);
-        for (i, &arg) in args.iter().enumerate() {
-            let param = callee_base + i;
-            if arg != Opnd::Local((base as usize + i) as u32) {
-                let owned = owns(param, floor, pending);
-                match self.f1(arg, fb) {
-                    Some(v) => self.locals[param].put_f1(v, cur.mask, owned),
-                    None => self.copy_to(param, arg, fb, cur.mask, owned),
-                }
-            }
-        }
-        for (i, (ty, qual)) in func.params.iter().enumerate().filter(|_| func.has_out) {
-            if *qual == ParamQual::Out {
-                let z = Value::zero_of(ty);
-                let dst = callee_base + i;
-                if owns(dst, floor, pending) {
-                    self.locals[dst] = Slot::splat(&z);
-                } else {
-                    for_lanes!(cur.mask, lane => {
-                        self.locals[dst].set(lane, z.clone());
-                    });
-                }
-            }
-        }
+        let depth = Self::depth(cur) + nest + 1;
         cur.frames.push(Frame {
             ret_chunk: cur.chunk,
             ret_pc: cur.pc + 1,
             frame_base: fb,
             ret_dst: fb + dst as usize,
             ret_live: fb + live as usize,
-            counters_base,
+            depth,
         });
-        cur.chunk = func.chunk;
+        cur.chunk = chunk;
         cur.pc = 0;
         cur.frame_base = callee_base;
         Ok(())
@@ -1663,6 +1659,12 @@ impl<'a> SpmdVm<'a> {
         macro_rules! refloor {
             () => {
                 fl = floor(pending)
+            };
+        }
+
+        macro_rules! owns {
+            ($s:expr) => {
+                owns($s, fl, pending, &exe.chunks)
             };
         }
 
@@ -1742,7 +1744,7 @@ impl<'a> SpmdVm<'a> {
             match &code[cur.pc] {
                 &Insn::Move { dst, src } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     match self.f1(src, fb) {
                         Some(v) => self.locals[dst].put_f1(v, mask, owned),
                         None => self.copy_to(dst, src, fb, mask, owned),
@@ -1756,7 +1758,7 @@ impl<'a> SpmdVm<'a> {
                     b,
                 } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     if !self.binary_fast(op, shape, dst, a, b, fb, mask, owned) {
                         self.lanewise(dst, mask, owned, |vm, l| {
                             let (av, bv) = (vm.value(a, fb, l)?, vm.value(b, fb, l)?);
@@ -1766,7 +1768,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 &Insn::Neg { shape, dst, a } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     let mut x = [0.0; 4 * MAX_LANES];
                     let ints = match shape {
                         Shape::I => self.ints(a, fb),
@@ -1792,13 +1794,13 @@ impl<'a> SpmdVm<'a> {
                 }
                 &Insn::Select { dst, cond, a, b } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     self.profile.branches += lane_count(mask);
                     self.select(dst, cond, (a, b), fb, mask, owned)?;
                 }
                 &Insn::Not { dst, a } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     match self.bools(a, fb) {
                         Some(v) => self.locals[dst].put_bools(per_lane(|l| !v[l]), mask, owned),
                         None => self.lanewise(dst, mask, owned, |vm, l| {
@@ -1813,7 +1815,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 &Insn::Swizzle { dst, src, idx, len } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     if len == 1 {
                         if let Some(v) = self.component(src, idx[0], fb) {
                             self.locals[dst].put_f1(v, mask, owned);
@@ -1843,7 +1845,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 &Insn::Index { dst, base, index } => {
                     let dst = fb + dst as usize;
-                    self.lanewise(dst, mask, owns(dst, fl, pending), |vm, l| {
+                    self.lanewise(dst, mask, owns!(dst), |vm, l| {
                         let i = lane_index(vm.value(index, fb, l)?)?;
                         // Avoid cloning boxed aggregates (arrays) just to
                         // read one element.
@@ -1863,7 +1865,7 @@ impl<'a> SpmdVm<'a> {
                     argc,
                 } => {
                     let dst = fb + dst as usize;
-                    let owned = owns(dst, fl, pending);
+                    let owned = owns!(dst);
                     let args = &exe.operands[args as usize..args as usize + argc as usize];
                     if !(shape == Shape::F(1)
                         && argc == 1
@@ -1872,32 +1874,25 @@ impl<'a> SpmdVm<'a> {
                         self.call_builtin(id, shape, args, dst, fb, mask, owned)?;
                     }
                 }
+                &Insn::Enter { calls, nest } => {
+                    self.check_depth(cur, nest)?;
+                    self.profile.calls += u64::from(calls) * lane_count(mask);
+                }
                 &Insn::CallUser {
                     func,
                     base,
                     dst,
                     live,
-                    args,
+                    nest,
                 } => {
-                    let argc = exe.functions[func as usize].params.len();
-                    let args = &exe.operands[args as usize..args as usize + argc];
-                    self.enter_call(cur, func, (base, dst, live, args), (fl, pending))?;
+                    self.enter_call(cur, func, (base, dst, live, nest))?;
                     continue;
                 }
-                &Insn::Ret(value) => match cur.frames.pop() {
+                &Insn::Ret { value, .. } => match cur.frames.pop() {
                     None => next_ctx!(),
                     Some(frame) => {
-                        // Every lane of a context is at the same loop
-                        // depth.
-                        if self.loop_counters[mask.trailing_zeros() as usize].len()
-                            > frame.counters_base
-                        {
-                            for_lanes!(mask, lane => {
-                                self.loop_counters[lane].truncate(frame.counters_base);
-                            });
-                        }
                         let dst = frame.ret_dst;
-                        let owned = owns(dst, fl, pending);
+                        let owned = owns!(dst);
                         match self.f1(value, fb) {
                             Some(v) => self.locals[dst].put_f1(v, mask, owned),
                             None => self.copy_to(dst, value, fb, mask, owned),
@@ -2340,13 +2335,13 @@ mod tests {
         );
     }
 
-    /// Operands read in place while a sibling context is parked deeper
-    /// in a callee (a divergent `if` with an early `return`): the
+    /// Operands read in place while a sibling context is parked inside a
+    /// spliced callee (a divergent `if` with an early `return`): the
     /// returning lanes write the call's destination, which the parked
-    /// lanes' own return writes first (so the running lanes own it), then
-    /// run the caller's `* 2.0` and `- kv` on frame slots the parked
-    /// context still reads, masked, leaving its lanes' values alone.
-    /// Every slot those lanes write keeps its type, so nothing boxes.
+    /// lanes' own return writes first (so the running lanes own it), and
+    /// wait at the call's exit; the parked lanes then write it masked,
+    /// and all run the caller's `* 2.0` and `- kv` together. Every slot
+    /// a masked write lands on keeps its type, so nothing boxes.
     #[test]
     fn operand_read_below_an_ownership_floor() {
         assert_lanes_match_unboxed(
@@ -2452,8 +2447,10 @@ mod tests {
     }
 
     /// The f32 codec branches on the sign, so a sign-mixed batch
-    /// diverges for most of the kernel. Its writes land on slots the
-    /// running context owns, so no slot is boxed, and every lane stays
+    /// diverges for most of the kernel; a zero or denormal lane also
+    /// returns early from `gpes_unpack_float` and `gpes_pack_float`.
+    /// Their writes land on slots the running context owns, or keep the
+    /// slot's type, so no slot is boxed, and every lane stays
     /// bit-identical to the tree-walker.
     #[test]
     fn sign_mixed_f32_codec_round_trip_boxes_no_slot() {
@@ -2461,8 +2458,13 @@ mod tests {
             "{P}uniform sampler2D u_tex;\nvarying vec2 v_uv;\n{F32_CODEC}\n\
              void main() {{ gl_FragColor = gpes_pack_float(gpes_unpack_float(texture2D(u_tex, v_uv))); }}"
         );
-        let row = F32Row(vec![1.5, -2.25, 3.0e-3, -0.125, 96.0, -7.5e5, 0.625, -1.0]);
-        let uv = |lane: usize| Value::Vec2([(lane as f32 + 0.5) / row.0.len() as f32, 0.5]);
+        // Two batches: the second holds zeros and denormals of both
+        // signs among normal lanes.
+        let row = F32Row(vec![
+            1.5, -2.25, 3.0e-3, -0.125, 96.0, -7.5e5, 0.625, -1.0, //
+            0.0, 2.5, 1.0e-40, -4.0, -0.0, 7.0e-3, -3.0e-39, 6.0e2,
+        ]);
+        let uv = |i: usize| Value::Vec2([(i as f32 + 0.5) / row.0.len() as f32, 0.5]);
         for model in [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16] {
             let shader = check_src(&src);
             let exe = lower(&shader).expect("lower");
@@ -2473,20 +2475,28 @@ mod tests {
                 .set_global("u_tex", Value::Sampler(0))
                 .expect("u_tex");
             let slot = exe.global_slot("v_uv").expect("v_uv slot");
-            for lane in 0..MAX_LANES {
-                spmd.set_lane_slot(lane, slot, uv(lane));
-            }
-            let boxed = SpmdVm::boxings();
-            spmd.run_batch(MAX_LANES).expect("batch");
-            assert_eq!(SpmdVm::boxings() - boxed, 0, "slots boxed under {model:?}");
-            for lane in 0..MAX_LANES {
-                oracle.set_global("v_uv", uv(lane)).expect("v_uv");
-                oracle.run_main().expect("oracle run");
+            for batch in 0..row.0.len() / MAX_LANES {
+                let texel = |lane: usize| batch * MAX_LANES + lane;
+                for lane in 0..MAX_LANES {
+                    spmd.set_lane_slot(lane, slot, uv(texel(lane)));
+                }
+                let boxed = SpmdVm::boxings();
+                spmd.run_batch(MAX_LANES).expect("batch");
                 assert_eq!(
-                    spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
-                    oracle.frag_color().map(|c| c.map(f32::to_bits)),
-                    "lane {lane} under {model:?}"
+                    SpmdVm::boxings() - boxed,
+                    0,
+                    "slots boxed in batch {batch} under {model:?}"
                 );
+                for lane in 0..MAX_LANES {
+                    oracle.set_global("v_uv", uv(texel(lane))).expect("v_uv");
+                    oracle.run_main().expect("oracle run");
+                    assert_eq!(
+                        spmd.frag_color(lane).map(|c| c.map(f32::to_bits)),
+                        oracle.frag_color().map(|c| c.map(f32::to_bits)),
+                        "texel {} under {model:?}",
+                        texel(lane)
+                    );
+                }
             }
             assert_eq!(spmd.profile(), oracle.profile(), "profiles under {model:?}");
         }
@@ -2510,14 +2520,21 @@ mod tests {
 
     /// Instructions per 8-lane batch of the tenant kernel over ±25
     /// inputs, whose f32 codec sign branch splits most batches. The
-    /// operand-stack bytecode this form replaced executed 231 per batch
-    /// (7 409 per 256-fragment draw); three-address instructions read
-    /// their operands in place. Every lane stays bit-identical to the
-    /// tree-walker and no slot is boxed.
+    /// operand-stack bytecode executed 231 per batch (7 409 per
+    /// 256-fragment draw); three-address instructions that read their
+    /// operands in place, 122; with its 13 user calls spliced into
+    /// `main`, no call or return is left to run. Every lane stays
+    /// bit-identical to the tree-walker and no slot is boxed.
     #[test]
     fn tenant_kernel_batches_stay_under_their_instruction_count() {
         let shader = check_src(TENANT_KERNEL);
         let exe = lower(&shader).expect("lower");
+        assert_eq!(exe.chunks.len(), 2, "initialisers and main only");
+        assert!(exe
+            .chunks
+            .iter()
+            .flat_map(|c| &c.code)
+            .all(|i| !matches!(i, Insn::CallUser { .. } | Insn::Ret { .. })));
         // ±25, sign-mixed: a small LCG stands in for the benchmark's
         // random inputs.
         let mut state = 0x2545_f491_u32;
@@ -2572,7 +2589,7 @@ mod tests {
 
     /// Instructions per tenant batch, as measured by
     /// `tenant_kernel_batches_stay_under_their_instruction_count`.
-    const INSNS_PER_TENANT_BATCH: u64 = 122;
+    const INSNS_PER_TENANT_BATCH: u64 = 101;
 
     #[test]
     fn uniform_flow_matches() {
