@@ -128,6 +128,8 @@ pub struct CheckedPrelude {
     pub(crate) interface: ShaderInterface,
     /// The type of each of the prefix's expressions, by [`crate::ast::Expr::id`].
     pub(crate) types: Vec<crate::types::Type>,
+    /// The prefix's user calls.
+    pub(crate) calls: crate::sema::Calls,
     /// Whether a default float precision holds at the prefix's end.
     pub(crate) float_default: bool,
     /// The preprocessor at the prefix's end.
@@ -160,7 +162,7 @@ impl CheckedPrelude {
         }
         let unit = parser::parse(&preprocessed).map_err(|e| diagnostic(parse_stage(e)))?;
         strict::check_appendix_a(&unit).map_err(|e| diagnostic((AdmissionStage::Strict, e)))?;
-        let (interface, float_default, types) =
+        let (interface, float_default, types, calls) =
             sema::check_prelude(kind, &unit).map_err(|e| diagnostic((AdmissionStage::Sema, e)))?;
         Ok(CheckedPrelude {
             kind,
@@ -168,6 +170,7 @@ impl CheckedPrelude {
             unit,
             interface,
             types,
+            calls,
             float_default,
             preprocessor,
             preprocessed_len: preprocessed.len() as u32,

@@ -22,10 +22,10 @@
 //!   point are a prefix of the frame, recorded on every jump target.
 //! * **Operand shapes.** Arithmetic, comparisons, negation and builtins
 //!   carry the `Shape` of their operands.
-//! * **Callees.** A call resolves to the builtin that takes its argument
-//!   types, else to the user overload declared with exactly them; a user
+//! * **Callees.** A call runs the user definition the checker resolved
+//!   it to, else the builtin that takes its argument types; a user
 //!   call's arguments are evaluated straight into the callee's parameter
-//!   slots.
+//!   slots, and its body is spliced in.
 //! * **Conditions.** `&&`, `||` and `!` in a condition become control
 //!   flow, a scalar comparison is the jump itself, and a `?:` whose arms
 //!   are read in place is a per-lane select.
@@ -36,7 +36,7 @@
 
 use crate::ast::*;
 use crate::builtins::{self, BuiltinId};
-use crate::sema::{CompiledShader, ShaderKind};
+use crate::sema::{Calls, CompiledShader, ShaderKind, NO_DEF};
 use crate::span::Span;
 use crate::swizzle::swizzle_indices;
 use crate::types::{Scalar, Type};
@@ -277,15 +277,11 @@ pub(crate) enum Insn {
         /// Argument count.
         argc: u8,
     },
-    /// Enter `calls` spliced user calls for the running lanes: count
-    /// them, and trap where the innermost would nest past the call-depth
-    /// limit. `nest` is how many spliced calls that one sits inside in
-    /// its chunk; the chunk itself runs inside its frames' calls.
+    /// Enter a spliced user call for the running lanes: count it, and
+    /// trap where it would nest past the call-depth limit. The chunk
+    /// itself runs inside its frames' calls.
     Enter {
-        /// Calls entered (entries with nothing between that can trap or
-        /// jump merge).
-        calls: u32,
-        /// Spliced calls around the innermost one.
+        /// Spliced calls this one sits inside in its chunk.
         nest: u32,
     },
     /// Call user function `functions[func]`, which runs as a chunk of its
@@ -377,8 +373,6 @@ pub(crate) enum Insn {
     /// `discard` reached inside a user function (runtime error, matching
     /// the interpreter).
     ErrDiscardInFunction,
-    /// `break`/`continue` escaped a function body (runtime error).
-    ErrBreakInFunction,
     /// Non-void function `functions[i]` fell off its end (runtime error
     /// citing its name).
     ErrNoReturn(u32),
@@ -422,21 +416,6 @@ impl Insn {
         }
     }
 
-    /// Whether the instruction can neither trap nor jump in checked code
-    /// (its only errors are operand type mismatches).
-    fn runs_through(&self) -> bool {
-        match self {
-            Insn::Move { .. }
-            | Insn::Binary { .. }
-            | Insn::Neg { .. }
-            | Insn::Select { .. }
-            | Insn::Not { .. }
-            | Insn::Swizzle { .. } => true,
-            Insn::Builtin { shape, .. } => matches!(shape, Shape::F(_)),
-            _ => false,
-        }
-    }
-
     /// Whether control never reaches the next instruction from this one.
     fn ends_flow(&self) -> bool {
         matches!(
@@ -445,7 +424,6 @@ impl Insn {
                 | Insn::Jump(_)
                 | Insn::Discard
                 | Insn::ErrDiscardInFunction
-                | Insn::ErrBreakInFunction
                 | Insn::ErrNoReturn(_)
                 | Insn::Halt
         )
@@ -462,62 +440,11 @@ const _: () = assert!(std::mem::size_of::<Insn>() <= 32);
 /// would otherwise lower to code exponential in its depth.
 pub(crate) const MAX_CHUNK_LEN: usize = 4096;
 
-impl Chunk {
-    /// Merges each [`Insn::Enter`] into the entry before it where
-    /// nothing between can trap or jump and no jump lands between them:
-    /// the same lanes run both, and a depth trap at the merged entry is
-    /// the first trap either would raise. `landing` and `map` are
-    /// scratch buffers.
-    fn merge_entries(&mut self, landing: &mut Vec<bool>, map: &mut Vec<u32>) {
-        let entries = self.code.iter().filter(|i| matches!(i, Insn::Enter { .. }));
-        if entries.take(2).count() < 2 {
-            return;
-        }
-        let n = self.code.len();
-        landing.clear();
-        landing.resize(n + 1, false);
-        for t in self.code.iter().filter_map(Insn::target) {
-            landing[t.pc as usize] = true;
-        }
-        map.clear();
-        let (mut out, mut open) = (0, None);
-        for (i, &lands) in landing[..n].iter().enumerate() {
-            map.push(out as u32);
-            if lands {
-                open = None;
-            }
-            let insn = self.code[i];
-            match (&insn, open) {
-                (&Insn::Enter { calls, nest }, Some(e)) => {
-                    if let Insn::Enter {
-                        calls: c,
-                        nest: outer,
-                    } = &mut self.code[e]
-                    {
-                        *c += calls;
-                        *outer = (*outer).max(nest);
-                    }
-                    continue;
-                }
-                (Insn::Enter { .. }, None) => open = Some(out),
-                (insn, _) if !insn.runs_through() => open = None,
-                _ => {}
-            }
-            self.code[out] = insn;
-            out += 1;
-        }
-        map.push(out as u32);
-        self.code.truncate(out);
-        for insn in &mut self.code {
-            if let Some(t) = insn.jump_target() {
-                t.pc = map[t.pc as usize];
-            }
-        }
-        for s in &mut self.splices {
-            (s.start, s.end) = (map[s.start as usize], map[s.end as usize]);
-        }
-    }
-}
+/// The most instructions splicing copies in one lowering, summed over
+/// every body and chunk: past it, calls run as [`Insn::CallUser`]. Each
+/// function body is lowered once and splices only what this leaves, so
+/// lowering a source makes code linear in its length plus this.
+pub(crate) const MAX_SPLICED: usize = 4 * MAX_CHUNK_LEN;
 
 /// A call spliced into a chunk: the code of its body, up to its exit, and
 /// the frame slot its returns write. A context stopped inside the body
@@ -667,12 +594,15 @@ enum ConstKey {
     Bool(bool),
 }
 
-/// A user function definition, the checker's type table for its
-/// expressions and, once lowering plans to reach it, its index in the
-/// function table.
+/// A user function definition, the checker's record of its unit (its
+/// expressions' types and callees), the calls it makes and, once
+/// lowering plans to reach it, its index in the function table.
 struct Def<'a> {
     ast: &'a Function,
     types: &'a [Type],
+    callees: &'a [u32],
+    /// Its calls, as the checker recorded them: `(this, callee overload)`.
+    calls: &'a [(u32, u32)],
     index: Option<u32>,
 }
 
@@ -690,11 +620,18 @@ struct Lowerer<'a> {
     global_index: HashMap<Name, u32>,
     reset_slots: Vec<u32>,
     functions: Vec<FuncDef>,
-    /// name → definitions, in source order.
-    defs: HashMap<&'a str, Vec<Def<'a>>>,
+    /// The function definitions, by the checker's definition number.
+    defs: Vec<Def<'a>>,
+    /// Each overload's definition number ([`Calls::defs`]).
+    overload_defs: &'a [u32],
     /// Lowered function bodies by function index, spliced at each call;
     /// `None` while the function is still to be lowered.
     bodies: Vec<Option<Chunk>>,
+    /// Per function index: the parameter slots its body writes, as a bit
+    /// set over the first 256.
+    written: Vec<[u64; 4]>,
+    /// Instructions spliced so far, against [`MAX_SPLICED`].
+    spliced: usize,
     /// The code buffer every chunk is compiled in (chunks are compiled
     /// one at a time), so a chunk's code is allocated once, at its size.
     code_buffer: Vec<Insn>,
@@ -719,8 +656,11 @@ impl<'a> Lowerer<'a> {
             global_index: HashMap::new(),
             reset_slots: Vec::new(),
             functions: Vec::new(),
-            defs: HashMap::new(),
+            defs: Vec::new(),
+            overload_defs: &shader.calls.defs,
             bodies: Vec::new(),
+            written: Vec::new(),
+            spliced: 0,
             code_buffer: Vec::new(),
             arg_types: Vec::new(),
             arg_operands: Vec::new(),
@@ -728,17 +668,20 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Every item of the shader with the type table of its unit: the
-    /// prelude's items, then the shader's own.
-    fn items(&self) -> impl Iterator<Item = (&'a Item, &'a [Type])> {
+    /// The shader's units with the checker's record of each: the
+    /// prelude, then the shader's own.
+    fn units(&self) -> impl Iterator<Item = (&'a TranslationUnit, &'a [Type], &'a Calls)> {
         let shader = self.shader;
-        let prelude = shader
-            .prelude
-            .as_deref()
-            .map_or((&[][..], &[][..]), |p| (&p.unit.items[..], &p.types[..]));
-        let own = &shader.types[..];
-        (prelude.0.iter().map(move |i| (i, prelude.1)))
-            .chain(shader.unit.items.iter().map(move |i| (i, own)))
+        let prelude = (shader.prelude.as_deref()).map(|p| (&p.unit, &p.types[..], &p.calls));
+        prelude
+            .into_iter()
+            .chain([(&shader.unit, &shader.types[..], &shader.calls)])
+    }
+
+    /// Every item of the shader with the checker's record of its unit.
+    fn items(&self) -> impl Iterator<Item = (&'a Item, &'a [Type], &'a Calls)> {
+        (self.units())
+            .flat_map(|(unit, types, calls)| unit.items.iter().map(move |i| (i, types, calls)))
     }
 
     fn add_const(&mut self, v: Value) -> u32 {
@@ -759,27 +702,19 @@ impl<'a> Lowerer<'a> {
         index
     }
 
-    /// The function-table index of `name`'s `k`-th definition, which
-    /// [`Self::plan`] reached.
-    fn index_of(&self, name: &str, k: usize) -> u32 {
-        self.defs[name][k].index.expect("a planned function")
+    /// The definition number of the user function the call `id` of a
+    /// unit with `callees` runs: `None` for a builtin or constructor
+    /// call, and for a call to a function declared but never defined.
+    fn callee_def(&self, callees: &[u32], id: u32) -> Option<u32> {
+        let overload = *callees.get(id as usize)?;
+        let def = *self.overload_defs.get(overload as usize)?;
+        (def != NO_DEF).then_some(def)
     }
 
-    /// The user definition of `name` a call with these argument types
-    /// runs: `None` where a builtin takes them (or nothing does).
-    fn user_callee(&self, name: &str, arg_types: &[Type]) -> Option<usize> {
-        let k = self.defs.get(name)?.iter().position(|d| {
-            d.ast.params.len() == arg_types.len()
-                && d.ast.params.iter().zip(arg_types).all(|(p, t)| p.ty == *t)
-        })?;
-        let builtin =
-            BuiltinId::from_name(name).is_some() && builtins::signature(name, arg_types).is_some();
-        (!builtin).then_some(k)
-    }
-
-    fn lower(mut self) -> Result<Executable, LowerError> {
+    fn lower(&mut self) -> Result<Executable, LowerError> {
         // Globals: stage builtins first (same order as the interpreter),
-        // then declared globals in item order.
+        // then declared globals in item order; definitions in item order,
+        // each with its calls, which the checker recorded contiguously.
         let kind = self.shader.kind;
         for (name, ty, writable) in builtin_globals(kind) {
             self.global_index
@@ -787,29 +722,42 @@ impl<'a> Lowerer<'a> {
             self.globals.push(ty);
             self.read_only.push(!writable);
         }
-        for (item, types) in self.items() {
-            match item {
-                Item::Var(decl) => {
-                    for var in &decl.vars {
-                        let slot = self.globals.len() as u32;
-                        self.globals.push(var.ty.clone());
-                        self.read_only.push(match decl.storage {
-                            Storage::None => false,
-                            Storage::Varying => kind == ShaderKind::Fragment,
-                            Storage::Const | Storage::Attribute | Storage::Uniform => true,
-                        });
-                        self.global_index.insert(Name::clone(&var.name), slot);
-                        if decl.storage == Storage::None {
-                            self.reset_slots.push(slot);
+        for (unit, types, calls) in self.units() {
+            let mut edges = &calls.edges[..];
+            for item in &unit.items {
+                match item {
+                    Item::Var(decl) => {
+                        for var in &decl.vars {
+                            let slot = self.globals.len() as u32;
+                            self.globals.push(var.ty.clone());
+                            self.read_only.push(match decl.storage {
+                                Storage::None => false,
+                                Storage::Varying => kind == ShaderKind::Fragment,
+                                Storage::Const | Storage::Attribute | Storage::Uniform => true,
+                            });
+                            self.global_index.insert(Name::clone(&var.name), slot);
+                            if decl.storage == Storage::None {
+                                self.reset_slots.push(slot);
+                            }
                         }
                     }
+                    Item::Function(f) => {
+                        // Past the initialisers' calls before it.
+                        let def = self.defs.len() as u32;
+                        let from =
+                            (edges.iter().position(|e| e.0 != NO_DEF)).unwrap_or(edges.len());
+                        let n = edges[from..].iter().take_while(|e| e.0 == def).count();
+                        self.defs.push(Def {
+                            ast: f,
+                            types,
+                            callees: &calls.callee,
+                            calls: &edges[from..from + n],
+                            index: None,
+                        });
+                        edges = &edges[from + n..];
+                    }
+                    _ => {}
                 }
-                Item::Function(f) => self.defs.entry(&f.name).or_default().push(Def {
-                    ast: f,
-                    types,
-                    index: None,
-                }),
-                _ => {}
             }
         }
 
@@ -817,18 +765,14 @@ impl<'a> Lowerer<'a> {
         // global initialisers and main, which splice them. Only the
         // functions their calls reach are lowered (sema checked every
         // one).
-        let (main, types) = self
-            .defs
-            .get("main")
-            .and_then(|defs| defs.iter().find(|d| d.ast.params.is_empty()))
-            .map(|d| (d.ast, d.types))
+        let main = (self.defs.iter())
+            .position(|d| &*d.ast.name == "main" && d.ast.params.is_empty())
             .ok_or_else(|| err("no main() function"))?;
-        for (index, f, types) in self.plan(main, types) {
-            let body = self.lower_function(f, index, types)?;
-            self.bodies[index as usize] = Some(body);
+        for def in self.plan(main) {
+            self.lower_function(def)?;
         }
         let init = self.lower_init_chunk()?;
-        let main = self.lower_main(main, types)?;
+        let main = self.lower_main(main)?;
         let mut chunks = vec![init, main];
         // A function keeps a chunk of its own only where a call to it was
         // left to run time.
@@ -846,185 +790,80 @@ impl<'a> Lowerer<'a> {
             }
             i += 1;
         }
-        let mut landing = Vec::new();
-        for chunk in &mut chunks {
-            chunk.merge_entries(&mut landing, &mut self.pc_map);
-        }
 
         Ok(Executable {
             kind,
-            consts: self.consts,
-            operands: self.operands,
-            stores: self.stores,
-            globals: self.globals,
-            global_index: self.global_index,
-            reset_slots: self.reset_slots,
+            consts: std::mem::take(&mut self.consts),
+            operands: std::mem::take(&mut self.operands),
+            stores: std::mem::take(&mut self.stores),
+            globals: std::mem::take(&mut self.globals),
+            global_index: std::mem::take(&mut self.global_index),
+            reset_slots: std::mem::take(&mut self.reset_slots),
             chunks,
             main_chunk: 1,
-            functions: self.functions,
+            functions: std::mem::take(&mut self.functions),
         })
     }
 
     /// Numbers the user functions the global initialisers and `main`
-    /// reach and returns them in lowering order: each after every
-    /// function it calls, except a call back into a function whose body
-    /// is still being walked — a recursive cycle, whose calls stay
-    /// [`Insn::CallUser`]. The walk keeps its own stack, so a long call
-    /// chain cannot overflow the thread's.
-    fn plan(
-        &mut self,
-        main: &'a Function,
-        main_types: &'a [Type],
-    ) -> Vec<(u32, &'a Function, &'a [Type])> {
-        let mut edges: Vec<(&'a str, usize)> = Vec::new();
-        for (item, types) in self.items() {
-            if let Item::Var(decl) = item {
-                for init in decl.vars.iter().filter_map(|v| v.init.as_ref()) {
-                    self.expr_calls(init, types, &mut edges);
-                }
-            }
+    /// (definition `main`) call and returns their definitions in lowering
+    /// order: each after every function it calls, except a call back
+    /// into a function whose calls are still being walked — a recursive
+    /// cycle, whose calls stay [`Insn::CallUser`]. The walk keeps its
+    /// own stack, so a long call chain cannot overflow the thread's.
+    fn plan(&mut self, main: usize) -> Vec<u32> {
+        let mut roots: Vec<u32> = Vec::new();
+        for (_, _, calls) in self.units() {
+            roots.extend(calls.edges.iter().filter(|e| e.0 == NO_DEF).map(|e| e.1));
         }
-        for stmt in &main.body {
-            self.stmt_calls(stmt, main_types, &mut edges);
-        }
-        let roots = edges.len();
-        let mut next_root = 0;
+        roots.extend(self.defs[main].calls.iter().map(|e| e.1));
         let mut order = Vec::new();
-        // (function, its definition, next call edge, end of its edges)
-        let mut stack: Vec<(u32, &'a Function, &'a [Type], usize, usize)> = Vec::new();
+        // (definition, its next call)
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        let mut roots = roots.into_iter();
         loop {
-            let (name, k) = match stack.last_mut() {
-                Some((_, _, _, next, end)) if *next < *end => {
-                    *next += 1;
-                    edges[*next - 1]
-                }
-                Some(_) => {
-                    let (index, f, types, ..) = stack.pop().expect("a visited function");
-                    order.push((index, f, types));
-                    continue;
-                }
-                None if next_root < roots => {
-                    next_root += 1;
-                    edges[next_root - 1]
-                }
-                None => break,
+            let overload = match stack.last_mut() {
+                Some((def, next)) => match self.defs[*def as usize].calls.get(*next) {
+                    Some(&(_, overload)) => {
+                        *next += 1;
+                        overload
+                    }
+                    None => {
+                        order.push(*def);
+                        stack.pop();
+                        continue;
+                    }
+                },
+                None => match roots.next() {
+                    Some(overload) => overload,
+                    None => break,
+                },
             };
-            let def = &mut self.defs.get_mut(name).expect("a defined name")[k];
-            if def.index.is_some() {
+            // A call to a function never defined fails when it is lowered.
+            let def = self.overload_defs[overload as usize];
+            let Some(d) = self.defs.get_mut(def as usize) else {
+                continue;
+            };
+            if d.index.is_some() {
                 continue;
             }
-            let (f, types) = (def.ast, def.types);
-            let index = self.functions.len() as u32;
-            def.index = Some(index);
+            d.index = Some(self.functions.len() as u32);
             self.functions.push(FuncDef {
-                name: Name::clone(&f.name),
+                name: Name::clone(&d.ast.name),
                 chunk: None,
             });
             self.bodies.push(None);
-            let start = edges.len();
-            for stmt in &f.body {
-                self.stmt_calls(stmt, types, &mut edges);
-            }
-            stack.push((index, f, types, start, edges.len()));
+            self.written.push([0; 4]);
+            stack.push((def, 0));
         }
         order
     }
 
-    /// Appends the user definition each call in `stmt` runs to `out`.
-    fn stmt_calls(&mut self, stmt: &'a Stmt, types: &'a [Type], out: &mut Vec<(&'a str, usize)>) {
-        match &stmt.kind {
-            StmtKind::Expr(e) | StmtKind::Return(Some(e)) => self.expr_calls(e, types, out),
-            StmtKind::Decl(decl) => {
-                for init in decl.vars.iter().filter_map(|v| v.init.as_ref()) {
-                    self.expr_calls(init, types, out);
-                }
-            }
-            StmtKind::If(cond, then, els) => {
-                self.expr_calls(cond, types, out);
-                self.stmt_calls(then, types, out);
-                if let Some(els) = els {
-                    self.stmt_calls(els, types, out);
-                }
-            }
-            StmtKind::For {
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                if let Some(init) = init {
-                    self.stmt_calls(init, types, out);
-                }
-                for e in cond.iter().chain(step) {
-                    self.expr_calls(e, types, out);
-                }
-                self.stmt_calls(body, types, out);
-            }
-            StmtKind::While(cond, body) | StmtKind::DoWhile(body, cond) => {
-                self.expr_calls(cond, types, out);
-                self.stmt_calls(body, types, out);
-            }
-            StmtKind::Block(stmts) => {
-                for s in stmts {
-                    self.stmt_calls(s, types, out);
-                }
-            }
-            StmtKind::Return(None)
-            | StmtKind::Break
-            | StmtKind::Continue
-            | StmtKind::Discard
-            | StmtKind::Empty => {}
-        }
-    }
-
-    /// Appends the user definition each call in `e` runs to `out`,
-    /// resolved like [`ChunkCompiler::call`] resolves it.
-    fn expr_calls(&mut self, e: &'a Expr, types: &'a [Type], out: &mut Vec<(&'a str, usize)>) {
-        match &e.kind {
-            ExprKind::FloatLit(_)
-            | ExprKind::IntLit(_)
-            | ExprKind::BoolLit(_)
-            | ExprKind::Ident(_) => {}
-            ExprKind::Unary(_, a) | ExprKind::Field(a, _) => self.expr_calls(a, types, out),
-            ExprKind::Binary(_, operands) => {
-                for o in operands.iter() {
-                    self.expr_calls(o, types, out);
-                }
-            }
-            ExprKind::Assign(_, a, b) | ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
-                self.expr_calls(a, types, out);
-                self.expr_calls(b, types, out);
-            }
-            ExprKind::Ternary(c, a, b) => {
-                for x in [c, a, b] {
-                    self.expr_calls(x, types, out);
-                }
-            }
-            ExprKind::Call(name, args) => {
-                for a in args {
-                    self.expr_calls(a, types, out);
-                }
-                if !self.defs.contains_key(&**name) {
-                    return;
-                }
-                let base = self.arg_types.len();
-                for a in args {
-                    let ty = types.get(a.id as usize).unwrap_or(&Type::Void).clone();
-                    self.arg_types.push(ty);
-                }
-                if let Some(k) = self.user_callee(name, &self.arg_types[base..]) {
-                    out.push((name, k));
-                }
-                self.arg_types.truncate(base);
-            }
-        }
-    }
-
     fn lower_init_chunk(&mut self) -> Result<Chunk, LowerError> {
-        let mut cc = ChunkCompiler::new(self, CompileCx::Init, &[]);
-        for (item, types) in cc.lo.items() {
+        let mut cc = ChunkCompiler::new(self, CompileCx::Init, &[], &[]);
+        for (item, types, calls) in cc.lo.items() {
             if let Item::Var(decl) = item {
-                cc.types = types;
+                (cc.types, cc.callees) = (types, &calls.callee);
                 for var in &decl.vars {
                     let src = match &var.init {
                         Some(init) => cc.operand(init)?,
@@ -1044,14 +883,19 @@ impl<'a> Lowerer<'a> {
         Ok(cc.finish())
     }
 
-    fn lower_function(
-        &mut self,
-        f: &'a Function,
-        index: u32,
-        types: &'a [Type],
-    ) -> Result<Chunk, LowerError> {
+    /// Lowers definition `def`'s body, spliced calls included, into
+    /// [`Self::bodies`].
+    fn lower_function(&mut self, def: u32) -> Result<(), LowerError> {
+        let Def {
+            ast: f,
+            types,
+            callees,
+            index,
+            ..
+        } = self.defs[def as usize];
+        let index = index.expect("a planned function");
         let ret_void = f.ret == Type::Void;
-        let mut cc = ChunkCompiler::new(self, CompileCx::Function, types);
+        let mut cc = ChunkCompiler::new(self, CompileCx::Function, types, callees);
         cc.ret_void = ret_void;
         cc.func = index;
         cc.push_scope();
@@ -1075,13 +919,22 @@ impl<'a> Lowerer<'a> {
             cc.emit(Insn::ErrNoReturn(index));
         }
         cc.pop_scope();
-        Ok(cc.finish())
+        let body = cc.finish();
+        self.written[index as usize] = written_params(&body, &self.stores);
+        self.bodies[index as usize] = Some(body);
+        Ok(())
     }
 
-    fn lower_main(&mut self, main: &'a Function, types: &'a [Type]) -> Result<Chunk, LowerError> {
-        let mut cc = ChunkCompiler::new(self, CompileCx::Main, types);
+    fn lower_main(&mut self, main: usize) -> Result<Chunk, LowerError> {
+        let Def {
+            ast,
+            types,
+            callees,
+            ..
+        } = self.defs[main];
+        let mut cc = ChunkCompiler::new(self, CompileCx::Main, types, callees);
         cc.push_scope();
-        for stmt in &main.body {
+        for stmt in &ast.body {
             cc.stmt(stmt)?;
         }
         cc.emit(Insn::Halt);
@@ -1112,6 +965,9 @@ struct ChunkCompiler<'l, 'a> {
     code: Vec<Insn>,
     /// The checker's types of the expressions being lowered.
     types: &'a [Type],
+    /// The checker's callees of the expressions being lowered
+    /// ([`Calls::callee`]).
+    callees: &'a [u32],
     /// Locals in scope with their slots, outermost first.
     locals: Vec<(&'a str, u32)>,
     /// Where each open scope starts in `locals`.
@@ -1133,13 +989,14 @@ struct ChunkCompiler<'l, 'a> {
 }
 
 impl<'l, 'a> ChunkCompiler<'l, 'a> {
-    fn new(lo: &'l mut Lowerer<'a>, cx: CompileCx, types: &'a [Type]) -> Self {
+    fn new(lo: &'l mut Lowerer<'a>, cx: CompileCx, types: &'a [Type], callees: &'a [u32]) -> Self {
         let code = std::mem::take(&mut lo.code_buffer);
         ChunkCompiler {
             lo,
             cx,
             code,
             types,
+            callees,
             locals: Vec::new(),
             scope_starts: Vec::new(),
             next_slot: 0,
@@ -1392,7 +1249,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                     let at = self.emit(Insn::Jump(Target::default()));
                     self.loops.last_mut().expect("loop").breaks.push(at);
                 } else if self.cx == CompileCx::Function {
-                    self.emit(Insn::ErrBreakInFunction);
+                    // Sema rejects it; the tree-walker reports it.
+                    return Err(err("break/continue outside of a loop"));
                 } else {
                     // Break at main's top level ends the invocation
                     // (matches the interpreter's Flow handling).
@@ -1405,7 +1263,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                     let at = self.emit(Insn::Jump(Target::default()));
                     self.loops.last_mut().expect("loop").continues.push(at);
                 } else if self.cx == CompileCx::Function {
-                    self.emit(Insn::ErrBreakInFunction);
+                    return Err(err("break/continue outside of a loop"));
                 } else {
                     self.emit(Insn::Halt);
                 }
@@ -1667,8 +1525,11 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             ExprKind::Ternary(c, a, b) => {
                 self.has_effects(c) || self.has_effects(a) || self.has_effects(b)
             }
-            ExprKind::Call(name, args) => {
-                self.lo.defs.contains_key(&**name) || args.iter().any(|a| self.has_effects(a))
+            ExprKind::Call(_, args) => {
+                self.callees
+                    .get(e.id as usize)
+                    .is_some_and(|&c| c != NO_DEF)
+                    || args.iter().any(|a| self.has_effects(a))
             }
             ExprKind::Field(base, _) => self.has_effects(base),
             ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
@@ -1745,7 +1606,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 let end = self.label_here(mark.max(dst + 1));
                 self.patch(to_end, end);
             }
-            ExprKind::Call(name, args) => self.call(name, args, dst)?,
+            ExprKind::Call(name, args) => self.call(e.id, name, args, dst)?,
             ExprKind::Field(base, field) => {
                 let src = self.operand(base)?;
                 let (idx, len) = swizzle_of(field)?;
@@ -1957,10 +1818,21 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         Ok(src)
     }
 
-    /// Lowers a call whose value goes to `dst`. The callee is fixed by
-    /// the argument types the checker recorded: the builtin that takes
-    /// them, else the user overload declared with exactly them.
-    fn call(&mut self, name: &'a Name, args: &'a [Expr], dst: u32) -> Result<(), LowerError> {
+    /// Lowers call `id`, whose value goes to `dst`, to the callee the
+    /// checker resolved: a user definition, else the builtin that takes
+    /// the argument types.
+    fn call(
+        &mut self,
+        id: u32,
+        name: &'a Name,
+        args: &'a [Expr],
+        dst: u32,
+    ) -> Result<(), LowerError> {
+        if self.callees.get(id as usize).is_some_and(|&c| c != NO_DEF) {
+            let def = (self.lo.callee_def(self.callees, id))
+                .ok_or_else(|| err(format!("no definition of `{name}` takes these arguments")))?;
+            return self.call_user(def, args, dst);
+        }
         let base = self.lo.arg_types.len();
         for a in args {
             let ty = self.ty(a).clone();
@@ -1968,16 +1840,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         }
         let builtin = BuiltinId::from_name(name)
             .filter(|_| builtins::signature(name, &self.lo.arg_types[base..]).is_some());
-        let user = match builtin {
-            Some(_) => None,
-            None => Some(
-                self.lo
-                    .user_callee(name, &self.lo.arg_types[base..])
-                    .ok_or_else(|| {
-                        err(format!("no definition of `{name}` takes these arguments"))
-                    })?,
-            ),
-        };
         // The SoA fast paths take float, int and sampler arguments.
         let arg_types = &self.lo.arg_types[base..];
         let shape = if arg_types
@@ -1992,11 +1854,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             Shape::Any
         };
         self.lo.arg_types.truncate(base);
-        match (builtin, user) {
-            (Some(id), _) => self.call_builtin(id, shape, args, dst),
-            (None, Some(k)) => self.call_user(name, k, args, dst),
-            (None, None) => unreachable!("a call resolves to a builtin or a definition"),
-        }
+        let id = builtin.ok_or_else(|| err(format!("`{name}` is no builtin")))?;
+        self.call_builtin(id, shape, args, dst)
     }
 
     fn call_builtin(
@@ -2045,16 +1904,11 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     /// writes, whose argument is a constant, a caller frame slot or a
     /// read-only global, is read where the argument lives. A call back
     /// into a recursive cycle, or one that would grow the chunk past
-    /// [`MAX_CHUNK_LEN`], runs the callee's chunk instead.
-    fn call_user(
-        &mut self,
-        name: &'a str,
-        k: usize,
-        args: &'a [Expr],
-        dst: u32,
-    ) -> Result<(), LowerError> {
-        let f = self.lo.defs[name][k].ast;
-        let func = self.lo.index_of(name, k);
+    /// [`MAX_CHUNK_LEN`] or the lowering's splices past [`MAX_SPLICED`],
+    /// runs the callee's chunk instead.
+    fn call_user(&mut self, def: u32, args: &'a [Expr], dst: u32) -> Result<(), LowerError> {
+        let Def { ast: f, index, .. } = self.lo.defs[def as usize];
+        let func = index.expect("a planned function");
         let has_outs = f
             .params
             .iter()
@@ -2067,7 +1921,8 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         }
         if args.len() > u8::MAX as usize {
             return Err(err(format!(
-                "call to `{name}` has more than {} arguments",
+                "call to `{}` has more than {} arguments",
+                f.name,
                 u8::MAX
             )));
         }
@@ -2089,11 +1944,11 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             self.lo.arg_operands.push(o);
         }
         let live = self.next_slot;
-        let body = self.lo.bodies[func as usize]
-            .as_ref()
-            .filter(|b| self.code.len() + b.code.len() <= MAX_CHUNK_LEN);
-        let written = body.map_or([u64::MAX; 4], |b| written_params(b, &self.lo.stores));
-        let splice = body.is_some();
+        let splice = self.lo.bodies[func as usize].as_ref().is_some_and(|b| {
+            self.code.len() + b.code.len() <= MAX_CHUNK_LEN
+                && self.lo.spliced + b.code.len() <= MAX_SPLICED
+        });
+        let written = self.lo.written[func as usize];
         for (i, p) in f.params.iter().enumerate() {
             let slot = base + i as u32;
             let o = self.lo.arg_operands[first + i];
@@ -2119,7 +1974,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             self.lo.arg_operands[first + i] = Opnd::Local(slot);
         }
         if splice {
-            self.emit(Insn::Enter { calls: 1, nest: 0 });
+            self.emit(Insn::Enter { nest: 0 });
             let ret = (f.ret != Type::Void).then_some(ret);
             self.splice(func, base, ret, if has_outs { live } else { base }, first);
         } else {
@@ -2158,9 +2013,11 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             stores,
             arg_operands,
             pc_map,
+            spliced,
             ..
         } = &mut *self.lo;
         let body = bodies[func as usize].as_ref().expect("a lowered body");
+        *spliced += body.code.len();
         let params = &arg_operands[params..];
         let opnd = |o: Opnd| match o {
             Opnd::Local(s) if (s as usize) < params.len() => params[s as usize],
@@ -2262,7 +2119,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                     *dst += base;
                     *args = copy(*args, *argc as usize);
                 }
-                Insn::Enter { nest, .. } => *nest += 1,
+                Insn::Enter { nest } => *nest += 1,
                 Insn::CallUser {
                     base: b,
                     dst,
@@ -2298,7 +2155,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 | Insn::LoopExit
                 | Insn::Discard
                 | Insn::ErrDiscardInFunction
-                | Insn::ErrBreakInFunction
                 | Insn::ErrNoReturn(_)
                 | Insn::Halt => {}
             }
@@ -2444,6 +2300,16 @@ mod tests {
         lower(&shader).expect("lower")
     }
 
+    /// Lowers `shader` and returns the instructions its function bodies
+    /// and chunks held in all, spliced copies included, and how many of
+    /// those splicing copied.
+    fn lower_counting(shader: &CompiledShader) -> (Executable, usize, usize) {
+        let mut lo = Lowerer::new(shader);
+        let exe = lo.lower().expect("lower");
+        let left: usize = lo.bodies.iter().flatten().map(|b| b.code.len()).sum();
+        (exe, left, lo.spliced)
+    }
+
     const P: &str = "precision highp float;\n";
 
     #[test]
@@ -2481,14 +2347,9 @@ mod tests {
         assert!(main.frame_size <= 3, "frame_size = {}", main.frame_size);
     }
 
-    /// Calls a chunk enters by splicing, merged entries counted apart.
-    fn entered(code: &[Insn]) -> u32 {
-        code.iter()
-            .map(|i| match i {
-                Insn::Enter { calls, .. } => *calls,
-                _ => 0,
-            })
-            .sum()
+    /// Calls a chunk enters by splicing.
+    fn entered(code: &[Insn]) -> usize {
+        count(code, |i| matches!(i, Insn::Enter { .. }))
     }
 
     fn count(code: &[Insn], f: fn(&Insn) -> bool) -> usize {
@@ -2649,6 +2510,35 @@ mod tests {
         assert_eq!(entered(&exe.chunks[exe.main_chunk as usize].code), 2);
     }
 
+    /// A prelude may call a function it only declares, which the source
+    /// after it defines: the checker records the call by overload, and
+    /// lowering splices the definition the whole shader has.
+    #[test]
+    fn a_prelude_call_reaches_the_definition_after_it() {
+        let text = format!(
+            "{P}float hook(float v);\n\
+             float twice_hook(float v) {{ return hook(v) * 2.0; }}\n"
+        );
+        let prelude = std::sync::Arc::new(
+            crate::CheckedPrelude::check(ShaderKind::Fragment, text.clone()).expect("prelude"),
+        );
+        let src = format!(
+            "{text}uniform float u;\n\
+             float hook(float v) {{ return v + 1.0; }}\n\
+             void main() {{ gl_FragColor = vec4(twice_hook(u)); }}"
+        );
+        let shader =
+            crate::admit_after(Some(&prelude), ShaderKind::Fragment, &src).expect("admits");
+        assert!(shader.prelude.is_some(), "checked after the prelude");
+        let exe = lower(&shader).expect("lower");
+        let main = &exe.chunks[exe.main_chunk as usize].code;
+        assert_eq!(entered(main), 2, "twice_hook and hook");
+        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 0);
+        assert!(main
+            .iter()
+            .any(|i| matches!(i, Insn::Binary { op: BinOp::Add, .. })));
+    }
+
     /// A call back into a recursive cycle runs the callee's chunk, which
     /// the function keeps; everything else, the first call into the
     /// cycle included, is spliced.
@@ -2709,6 +2599,36 @@ mod tests {
             );
         }
         assert!(exe.chunks.len() > 2, "the deep calls keep chunks");
+    }
+
+    /// A tenant picks the source, up to the admission limit of 16 KiB:
+    /// a call tree that doubles at each of about 350 levels splices
+    /// until [`MAX_SPLICED`] is spent, then calls, so every body and
+    /// chunk lowering makes holds code linear in the source.
+    #[test]
+    fn a_doubling_call_tree_at_the_source_limit_lowers_linearly() {
+        let mut src = format!("{P}uniform float u;\nfloat f0(float x) {{ return x + 1.0; }}\n");
+        let mut levels = 0;
+        loop {
+            let (k, j) = (levels + 1, levels);
+            let line = format!("float f{k}(float x){{return f{j}(x)+f{j}(x);}}\n");
+            let main = format!("void main(){{gl_FragColor=vec4(f{k}(u));}}");
+            if src.len() + line.len() + main.len() > 16 * 1024 {
+                src += &format!("void main(){{gl_FragColor=vec4(f{levels}(u));}}");
+                break;
+            }
+            src += &line;
+            levels = k;
+        }
+        assert!(levels > 300, "{levels} levels");
+        let shader = check(ShaderKind::Fragment, parse(&src).expect("parse")).expect("check");
+        let (exe, left, spliced) = lower_counting(&shader);
+        let total = exe.code_len() + left;
+        assert!(spliced <= MAX_SPLICED, "{spliced} spliced");
+        // Each body's own code is a few instructions per level.
+        let own = 16 * levels;
+        assert!(total <= own + MAX_SPLICED, "{total} instructions lowered");
+        assert!(exe.operands.len() + exe.stores.len() <= own + MAX_SPLICED);
     }
 
     #[test]

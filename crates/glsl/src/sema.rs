@@ -40,8 +40,33 @@ pub struct CompiledShader {
     pub interface: ShaderInterface,
     /// The type of each of `unit`'s expressions, indexed by [`Expr::id`]
     /// (the prelude's are in [`CheckedPrelude`]'s own table): what the
-    /// lowerer picks typed instructions and callees by.
+    /// lowerer picks typed instructions by.
     pub(crate) types: Vec<Type>,
+    /// The user calls of `unit` (the prelude's are in its own record).
+    pub(crate) calls: Calls,
+}
+
+/// No user function: the callee of an expression that is no user call,
+/// the definition of a function only declared, and the caller of a call
+/// in a global initialiser.
+pub(crate) const NO_DEF: u32 = u32::MAX;
+
+/// The user calls a checker resolved in one unit. Overloads are numbered
+/// as first declared and definitions in item order, the prelude's first
+/// in both; a prelude's call may run a function only the shader after it
+/// defines, so calls name the overload.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Calls {
+    /// The overload each expression calls, indexed by [`Expr::id`]
+    /// ([`NO_DEF`] for a builtin, a constructor or no call).
+    pub callee: Vec<u32>,
+    /// Every user call as `(caller definition, callee overload)`, in
+    /// checking order, so each caller's calls are contiguous; the caller
+    /// of a global initialiser's call is [`NO_DEF`].
+    pub edges: Vec<(u32, u32)>,
+    /// Each overload's definition, as of the unit's end ([`NO_DEF`]
+    /// where it has none).
+    pub defs: Vec<u32>,
 }
 
 impl CompiledShader {
@@ -115,7 +140,7 @@ pub(crate) fn check_after(
     prelude: Option<Arc<CheckedPrelude>>,
     unit: TranslationUnit,
 ) -> Result<CompiledShader, CompileError> {
-    let (interface, types) = {
+    let (interface, types, calls) = {
         let mut checker = Checker::new(kind, &unit);
         if let Some(prelude) = &prelude {
             checker.resume(prelude);
@@ -123,7 +148,8 @@ pub(crate) fn check_after(
         checker.collect_functions(&unit)?;
         checker.check_items(&unit)?;
         checker.require_main()?;
-        (checker.interface, checker.types)
+        checker.close_calls();
+        (checker.interface, checker.types, checker.calls)
     };
     Ok(CompiledShader {
         kind,
@@ -131,23 +157,27 @@ pub(crate) fn check_after(
         unit,
         interface,
         types,
+        calls,
     })
 }
 
 /// Checks `unit` as the start of a shader: every check of [`check`] but
 /// the one for `main`. Returns the interface it declares, whether a
-/// float precision default holds at its end and its expressions' types.
+/// float precision default holds at its end, its expressions' types and
+/// its user calls.
 pub(crate) fn check_prelude(
     kind: ShaderKind,
     unit: &TranslationUnit,
-) -> Result<(ShaderInterface, bool, Vec<Type>), CompileError> {
+) -> Result<(ShaderInterface, bool, Vec<Type>, Calls), CompileError> {
     let mut checker = Checker::new(kind, unit);
     checker.collect_functions(unit)?;
     checker.check_items(unit)?;
+    checker.close_calls();
     Ok((
         checker.interface,
         checker.has_float_precision_default,
         checker.types,
+        checker.calls,
     ))
 }
 
@@ -165,7 +195,10 @@ struct Sym<'a> {
 struct FnSig<'a> {
     params: &'a [Param],
     ret: &'a Type,
-    defined: bool,
+    /// Overload number.
+    sig: u32,
+    /// Definition number, [`NO_DEF`] while only declared.
+    def: u32,
 }
 
 impl FnSig<'_> {
@@ -187,6 +220,15 @@ struct Checker<'a> {
     arg_types: Vec<Type>,
     /// Each checked expression's type, indexed by [`Expr::id`].
     types: Vec<Type>,
+    /// The user calls checked so far.
+    calls: Calls,
+    /// Overloads and function definitions numbered so far.
+    sigs: u32,
+    defs: u32,
+    /// Number of the unit's first definition.
+    first_def: u32,
+    /// The definition being checked ([`NO_DEF`] in a global initialiser).
+    caller: u32,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
@@ -197,6 +239,15 @@ impl<'a> Checker<'a> {
     fn new(kind: ShaderKind, unit: &TranslationUnit) -> Self {
         Checker {
             types: vec![Type::Void; unit.exprs as usize],
+            calls: Calls {
+                callee: vec![NO_DEF; unit.exprs as usize],
+                edges: Vec::new(),
+                defs: Vec::new(),
+            },
+            sigs: 0,
+            defs: 0,
+            first_def: 0,
+            caller: NO_DEF,
             kind,
             syms: builtin_globals(kind)
                 .into_iter()
@@ -239,6 +290,7 @@ impl<'a> Checker<'a> {
 
     fn collect_functions(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
         let mut param_types = Vec::new();
+        self.first_def = self.defs;
         for item in &unit.items {
             let (f, defined) = match item {
                 Item::Function(f) => (f, true),
@@ -254,11 +306,18 @@ impl<'a> Checker<'a> {
                     f.span,
                 ));
             }
+            let def = if defined {
+                self.defs += 1;
+                self.defs - 1
+            } else {
+                NO_DEF
+            };
             let overloads = self.functions.entry(&f.name).or_default();
             let sig = FnSig {
                 params: &f.params,
                 ret: &f.ret,
-                defined,
+                sig: self.sigs,
+                def,
             };
             if let Some(existing) = overloads.iter_mut().find(|s| s.takes(&param_types)) {
                 if *existing.ret != f.ret {
@@ -267,18 +326,30 @@ impl<'a> Checker<'a> {
                         f.span,
                     ));
                 }
-                if existing.defined && defined {
+                if existing.def != NO_DEF && defined {
                     return Err(CompileError::check(
                         format!("function `{}` is defined twice", f.name),
                         f.span,
                     ));
                 }
-                existing.defined |= defined;
+                if defined {
+                    existing.def = def;
+                }
             } else {
                 overloads.push(sig);
+                self.sigs += 1;
             }
         }
         Ok(())
+    }
+
+    /// Records each overload's definition in [`Calls::defs`].
+    fn close_calls(&mut self) {
+        let defs = &mut self.calls.defs;
+        defs.resize(self.sigs as usize, NO_DEF);
+        for sig in self.functions.values().flatten() {
+            defs[sig.sig as usize] = sig.def;
+        }
     }
 
     /// Takes up where checking `prelude` left off: its functions and
@@ -303,6 +374,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_items(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
+        let mut def = self.first_def;
         for item in &unit.items {
             match item {
                 Item::Precision(p) => {
@@ -312,7 +384,12 @@ impl<'a> Checker<'a> {
                 }
                 Item::Var(decl) => self.check_global(decl)?,
                 Item::Prototype(_) => {}
-                Item::Function(f) => self.check_function(f)?,
+                Item::Function(f) => {
+                    self.caller = def;
+                    def += 1;
+                    self.check_function(f)?;
+                    self.caller = NO_DEF;
+                }
             }
         }
         Ok(())
@@ -323,7 +400,7 @@ impl<'a> Checker<'a> {
             Some(sigs)
                 if sigs
                     .iter()
-                    .any(|s| s.defined && *s.ret == Type::Void && s.params.is_empty()) => {}
+                    .any(|s| s.def != NO_DEF && *s.ret == Type::Void && s.params.is_empty()) => {}
             _ => {
                 return Err(CompileError::check(
                     "shader must define `void main()`",
@@ -674,7 +751,7 @@ impl<'a> Checker<'a> {
             ExprKind::Unary(op, inner) => self.check_unary(*op, inner, span),
             ExprKind::Assign(op, lhs, rhs) => self.check_assign(*op, lhs, rhs, span),
             ExprKind::Ternary(cond, yes, no) => self.check_ternary(cond, yes, no, span),
-            ExprKind::Call(name, args) => self.check_call(name, args, span),
+            ExprKind::Call(name, args) => self.check_call(e.id, name, args, span),
             ExprKind::Field(base, field) => self.check_field(base, field, span),
             ExprKind::Index(base, index) => self.check_index(base, index, span),
             ExprKind::Comma(a, b) => {
@@ -795,7 +872,13 @@ impl<'a> Checker<'a> {
         Ok(ty)
     }
 
-    fn check_call(&mut self, name: &str, args: &[Expr], span: Span) -> Result<Type, CompileError> {
+    fn check_call(
+        &mut self,
+        id: u32,
+        name: &str,
+        args: &[Expr],
+        span: Span,
+    ) -> Result<Type, CompileError> {
         // The argument types go on a stack shared by nested calls, so a
         // call allocates nothing of its own.
         let base = self.arg_types.len();
@@ -803,15 +886,16 @@ impl<'a> Checker<'a> {
             let ty = self.check_expr(a)?;
             self.arg_types.push(ty);
         }
-        let result = self.resolve_call(name, args, base, span);
+        let result = self.resolve_call(id, name, args, base, span);
         self.arg_types.truncate(base);
         result
     }
 
     /// The result type of calling `name` on `args`, whose types are
-    /// `self.arg_types[base..]`.
+    /// `self.arg_types[base..]`; records a user call's callee under `id`.
     fn resolve_call(
         &mut self,
+        id: u32,
         name: &str,
         args: &[Expr],
         base: usize,
@@ -829,6 +913,10 @@ impl<'a> Checker<'a> {
                         self.check_assignable(arg)?;
                     }
                 }
+                if let Some(callee) = self.calls.callee.get_mut(id as usize) {
+                    *callee = sig.sig;
+                }
+                self.calls.edges.push((self.caller, sig.sig));
                 return Ok(sig.ret.clone());
             }
             return Err(CompileError::check(

@@ -4,8 +4,9 @@
 //! **bit-identically** on the SPMD VM (one-lane and eight-lane batches)
 //! and the tree-walking interpreter under every float model: same colour
 //! bits, discard flags and `OpProfile` counts (`calls` included), and,
-//! where a lane traps, the same lane and runtime error (the profile of a
-//! trapped run is unspecified, as in `vm_differential`).
+//! where a lane traps, the same lane and runtime error (and, for
+//! one-lane batches, the same profile; an eight-lane run that traps
+//! leaves a torn profile, as in `vm_differential`).
 
 use gpes_glsl::exec::{ExecLimits, FloatModel, NoTextures};
 use gpes_glsl::interp::Interpreter;
@@ -77,9 +78,9 @@ fn differential(src: &str, inputs: &[f32], limits: ExecLimits) -> Option<(usize,
                     break;
                 }
             }
-            // A trap leaves the profile of a torn run: entries merged
-            // across calls that cannot trap count where they start.
-            if trapped.is_none() {
+            // A trap leaves the profile of a torn run, exact only where
+            // each lane runs alone.
+            if trapped.is_none() || lanes == 1 {
                 assert_eq!(
                     vm.profile(),
                     oracle.profile(),
