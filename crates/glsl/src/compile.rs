@@ -286,9 +286,9 @@ pub(crate) enum Insn {
     },
     /// Call user function `functions[func]`, which runs as a chunk of its
     /// own: a call back into a recursive cycle, or one past
-    /// [`MAX_CHUNK_LEN`]. Frame slots `base..` are the callee's parameter
-    /// slots, written before the call: its frame starts there. The return
-    /// value goes to `frame[dst]`.
+    /// [`MAX_CHUNK_LEN`] or [`MAX_SPLICED`]. Frame slots `base..` are the
+    /// callee's parameter slots, written before the call: its frame
+    /// starts there. The return value goes to `frame[dst]`.
     CallUser {
         /// Function-table index.
         func: u32,
@@ -2579,8 +2579,7 @@ mod tests {
     }
 
     /// A call tree that doubles at every level splices until a chunk
-    /// would pass [`MAX_CHUNK_LEN`], then calls: lowering stays linear
-    /// in the source.
+    /// would pass [`MAX_CHUNK_LEN`], then calls.
     #[test]
     fn splicing_stops_at_the_chunk_cap() {
         let mut src = format!("{P}uniform float u;\nfloat f0(float x) {{ return x + 1.0; }}\n");
