@@ -180,7 +180,7 @@ struct CachedVertex {
     source: String,
     strict: bool,
     shader: Arc<CompiledShader>,
-    exe: Option<Arc<Executable>>,
+    exe: Arc<Executable>,
 }
 
 impl Inner {
@@ -190,19 +190,19 @@ impl Inner {
         &mut self,
         vs: &str,
         strict: bool,
-    ) -> Result<(Arc<CompiledShader>, Option<Arc<Executable>>), GlError> {
+    ) -> Result<(Arc<CompiledShader>, Arc<Executable>), GlError> {
         if let Some(cached) = &self.vertex {
             if cached.source == vs && cached.strict == strict {
-                return Ok((Arc::clone(&cached.shader), cached.exe.clone()));
+                return Ok((Arc::clone(&cached.shader), Arc::clone(&cached.exe)));
             }
         }
         let shader = Arc::new(compile_after(None, ShaderKind::Vertex, vs, strict)?);
-        let exe = gpes_glsl::lower_shared(&shader).ok();
+        let exe = gpes_glsl::lower_shared(&shader)?;
         self.vertex = Some(CachedVertex {
             source: vs.to_owned(),
             strict,
             shader: Arc::clone(&shader),
-            exe: exe.clone(),
+            exe: Arc::clone(&exe),
         });
         Ok((shader, exe))
     }

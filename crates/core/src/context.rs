@@ -52,9 +52,7 @@ pub struct ContextStats {
     /// tree-walker; the CI gate asserts it is positive whenever
     /// [`ExecMode::Spmd`] is selected, proving the lane path really ran.
     pub spmd_batches: u64,
-    /// SPMD fragment batches replayed lane-by-lane after a lane trap,
-    /// plus bands that fell back to the tree-walker because the lowerer
-    /// rejected the fragment shader.
+    /// SPMD fragment batches replayed lane-by-lane after a lane trap.
     pub scalar_fallbacks: u64,
     /// Typed `f32` tensors that crossed the host↔GPU boundary (uploads
     /// and readbacks alike). A fully quantized serving path performs

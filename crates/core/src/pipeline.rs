@@ -735,6 +735,11 @@ impl<K> Pipeline<K> {
         &self.name
     }
 
+    /// The kernel of each pass, in pass order.
+    pub fn kernels(&self) -> impl Iterator<Item = &K> {
+        self.passes.iter().map(|pass| &pass.kernel)
+    }
+
     /// The same plan with every pass kernel replaced by `build(kernel)`:
     /// sources and wiring are cloned, closures shared, nothing re-checked
     /// (the wiring check reads only signatures, which `build` keeps).

@@ -107,14 +107,11 @@ fn one_cache_compiles_the_vertex_shader_once() {
         Arc::ptr_eq(&first.vertex, &second.vertex),
         "the second link compiled the vertex shader again"
     );
-    let (Some(first_vs), Some(second_vs)) = (
-        first.vertex_executable_shared(),
-        second.vertex_executable_shared(),
-    ) else {
-        panic!("the vertex shader did not lower");
-    };
     assert!(
-        Arc::ptr_eq(&first_vs, &second_vs),
+        Arc::ptr_eq(
+            &first.vertex_executable_shared(),
+            &second.vertex_executable_shared()
+        ),
         "the second link lowered the vertex shader again"
     );
     assert_eq!(cache.stats().links, 2);

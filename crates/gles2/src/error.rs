@@ -135,6 +135,16 @@ impl From<gpes_glsl::CompileError> for GlError {
     }
 }
 
+/// Lowering is total on checked shaders, so a failure to lower one is a
+/// front-end defect, which a link reports.
+impl From<gpes_glsl::LowerError> for GlError {
+    fn from(e: gpes_glsl::LowerError) -> Self {
+        GlError::Link {
+            message: e.to_string(),
+        }
+    }
+}
+
 impl From<gpes_glsl::RuntimeError> for GlError {
     fn from(e: gpes_glsl::RuntimeError) -> Self {
         GlError::ShaderTrap(e)

@@ -174,9 +174,7 @@ pub struct DrawStats {
     /// SPMD fragment batches dispatched (0 under the tree-walker — the
     /// CI gate asserts it is positive when [`ExecMode::Spmd`] ran).
     pub spmd_batches: u64,
-    /// SPMD fragment batches replayed lane-by-lane after a lane trap,
-    /// plus bands that fell back to the tree-walker because the lowerer
-    /// rejected the shader.
+    /// SPMD fragment batches replayed lane-by-lane after a lane trap.
     pub scalar_fallbacks: u64,
     /// Vertex-stage operation profile.
     pub vs_profile: OpProfile,
@@ -232,22 +230,21 @@ enum StageExec<'a> {
 }
 
 impl<'a> StageExec<'a> {
-    /// Instantiates the stage executor for `shader`, honouring
-    /// `config.exec_mode` (falling back to the tree-walker when the
-    /// lowerer rejected the shader).
+    /// Instantiates the stage executor for `shader`, lowered to `exe`,
+    /// honouring `config.exec_mode`.
     fn new(
-        exe: Option<&'a gpes_glsl::Executable>,
+        exe: &'a gpes_glsl::Executable,
         shader: &'a gpes_glsl::CompiledShader,
         bindings: &'a Bindings<'a>,
         config: &RasterConfig,
     ) -> Result<StageExec<'a>, GlError> {
-        let exec = match (config.exec_mode, exe) {
-            (ExecMode::Spmd { lanes }, Some(exe)) => {
+        let exec = match config.exec_mode {
+            ExecMode::Spmd { lanes } => {
                 let mut vm = SpmdVm::with_model(exe, bindings, config.float_model, lanes as usize)?;
                 vm.set_limits(config.exec_limits);
                 StageExec::Spmd(vm)
             }
-            _ => {
+            ExecMode::TreeWalker => {
                 let mut interp = Interpreter::with_model(shader, bindings, config.float_model)?;
                 interp.set_limits(config.exec_limits);
                 StageExec::Tree(interp)
@@ -962,13 +959,8 @@ impl<'a> FragmentBatch<'a> {
         })
     }
 
-    /// Starts a primitive: sets `gl_FrontFacing`, and counts a scalar
-    /// fallback where the SPMD VM was asked for but the shader did not
-    /// lower (once per band of each primitive).
-    fn begin(&mut self, config: &RasterConfig, front_facing: bool) {
-        if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !self.fs.is_spmd() {
-            self.stats.scalar_fallbacks += 1;
-        }
+    /// Starts a primitive: sets `gl_FrontFacing`.
+    fn begin(&mut self, front_facing: bool) {
         let _ = self
             .fs
             .set_global("gl_FrontFacing", Value::Bool(front_facing));
@@ -1074,7 +1066,7 @@ fn raster_points(
     stats: &mut DrawStats,
 ) -> Result<(), GlError> {
     let mut batch = FragmentBatch::new(program, layout, bindings, config)?;
-    batch.begin(config, true);
+    batch.begin(true);
     // A batch may only span points when no depth buffer is observable:
     // two points can cover the same pixel, and the second must see the
     // first's depth write. Pixels within one point are unique.
@@ -1174,7 +1166,7 @@ fn raster_band(
     mut depth: Option<&mut [f32]>,
     pixel: PixelStore,
 ) -> Result<(), GlError> {
-    batch.begin(config, setup.front_facing);
+    batch.begin(setup.front_facing);
 
     let [ax, bx, cx] = setup.sx;
     let [ay, by, cy] = setup.sy;

@@ -15,6 +15,16 @@
 //! shader a strict mobile driver would refuse is rejected before sema,
 //! exactly as the VideoCore-class drivers the paper targets behave.
 //!
+//! The sema stage ends with a walk over the calls `main` and the global
+//! initialisers reach. It refuses recursion (GLSL ES 1.00 §6.1), a call
+//! to a function never defined, and a call tree whose splicing would
+//! copy more than [`crate::sema::MAX_SPLICED_NODES`] syntax nodes, so
+//! that lowering, which inlines every call as a mobile driver does, is
+//! total and bounded on every admitted source. The walk follows a
+//! prelude's calls too: a cycle a source closes through a function its
+//! prelude only declares is refused after the prelude as it is in the
+//! whole source.
+//!
 //! Every generated kernel begins with the same few kilobytes: the
 //! paper's codec library. A [`CheckedPrelude`] is such a prefix, checked
 //! once; [`admit_after`] (and [`crate::compile_after`]) run the same
@@ -38,8 +48,9 @@
 //!        │   Arc<CompiledShader> { prelude: shared Arc, unit: tail }      │
 //!        │                 │ ──▶ table (weak ref) ◀───────────────────────┘
 //!        │                 ▼  held by the registration, then by the linked program
-//!   link: lower prelude items then tail items (reachable functions only),
-//!         Program::link_lowered(vs lowered once per cache, fs)
+//!   link: lower prelude items then tail items (reachable functions only,
+//!         every call spliced), Program::link_lowered(vs lowered once per
+//!         cache, fs)
 //! ```
 //!
 //! What is shared: the prelude's syntax tree, its interface and its

@@ -46,10 +46,12 @@ use std::fmt;
 
 /// Why a checked shader could not be lowered to bytecode.
 ///
-/// Lowering is total for everything the semantic checker accepts except a
-/// few pathological shapes (a builtin call with more than 255 arguments,
-/// an lvalue path with more than 8 indexed steps); callers fall back to
-/// the tree-walking interpreter in that case.
+/// Lowering is total on what the semantic checker accepts: the checker
+/// refuses recursion, calls to functions never defined, call trees past
+/// [`crate::sema::MAX_SPLICED_NODES`] and calls of more than 255
+/// arguments, and its types hold an lvalue path to three indexed steps.
+/// An error here is a front-end defect; a link reports it as a link
+/// error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LowerError {
     /// Human-readable description.
@@ -278,31 +280,15 @@ pub(crate) enum Insn {
         argc: u8,
     },
     /// Enter a spliced user call for the running lanes: count it, and
-    /// trap where it would nest past the call-depth limit. The chunk
-    /// itself runs inside its frames' calls.
+    /// trap where it would nest past the call-depth limit.
     Enter {
-        /// Spliced calls this one sits inside in its chunk.
+        /// Spliced calls this one sits inside.
         nest: u32,
     },
-    /// Call user function `functions[func]`, which runs as a chunk of its
-    /// own: a call back into a recursive cycle, or one past
-    /// [`MAX_CHUNK_LEN`] or [`MAX_SPLICED`]. Frame slots `base..` are the
-    /// callee's parameter slots, written before the call: its frame
-    /// starts there. The return value goes to `frame[dst]`.
-    CallUser {
-        /// Function-table index.
-        func: u32,
-        /// First argument's frame slot: the callee's frame base.
-        base: u32,
-        /// Destination frame slot of the return value.
-        dst: u32,
-        /// Frame slots live when the call returns.
-        live: u32,
-        /// Spliced calls this one sits inside, as for [`Insn::Enter`].
-        nest: u32,
-    },
-    /// Return `value` from a user function to the caller's `dst`. Loops
-    /// the return leaves were exited first.
+    /// Return `value` from a lowered function body. Loops the return
+    /// leaves were exited first. Every call splices the body, which turns
+    /// each return into a write of the call's destination and a jump to
+    /// its exit, so no [`Executable`] holds one.
     Ret {
         /// The returned value.
         value: Opnd,
@@ -410,8 +396,7 @@ impl Insn {
             | Insn::Not { dst, .. }
             | Insn::Swizzle { dst, .. }
             | Insn::Index { dst, .. }
-            | Insn::Builtin { dst, .. }
-            | Insn::CallUser { dst, .. } => Some(dst),
+            | Insn::Builtin { dst, .. } => Some(dst),
             _ => None,
         }
     }
@@ -434,18 +419,6 @@ impl Insn {
 // per two instructions.
 const _: () = assert!(std::mem::size_of::<Insn>() <= 32);
 
-/// The most instructions a chunk grows to by splicing: a call whose
-/// callee would take it past this runs as [`Insn::CallUser`]. Shader
-/// sources come from tenants, and a call tree that doubles at each level
-/// would otherwise lower to code exponential in its depth.
-pub(crate) const MAX_CHUNK_LEN: usize = 4096;
-
-/// The most instructions splicing copies in one lowering, summed over
-/// every body and chunk: past it, calls run as [`Insn::CallUser`]. Each
-/// function body is lowered once and splices only what this leaves, so
-/// lowering a source makes code linear in its length plus this.
-pub(crate) const MAX_SPLICED: usize = 4 * MAX_CHUNK_LEN;
-
 /// A call spliced into a chunk: the code of its body, up to its exit, and
 /// the frame slot its returns write. A context stopped inside the body
 /// writes that slot before it reads it, so it does not hold the slot
@@ -466,21 +439,10 @@ pub(crate) struct Chunk {
     /// Instructions.
     pub code: Vec<Insn>,
     /// Number of frame slots (params + locals + temporaries and the
-    /// frames of the calls spliced in), not counting the frames of the
-    /// calls it makes.
+    /// frames of the calls spliced in).
     pub frame_size: u32,
     /// The calls spliced into the chunk, nested ones included.
     pub splices: Vec<Splice>,
-}
-
-/// A lowered user-defined function.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct FuncDef {
-    /// Source name.
-    pub name: Name,
-    /// Body chunk index, where an [`Insn::CallUser`] calls the function;
-    /// `None` where every call to it was spliced.
-    pub chunk: Option<u32>,
 }
 
 /// A checked shader lowered to slot-addressed bytecode, ready to be
@@ -504,14 +466,13 @@ pub struct Executable {
     /// Global slots holding plain mutable globals, re-initialised per
     /// invocation.
     pub(crate) reset_slots: Vec<u32>,
-    /// All chunks: `chunks[0]` evaluates global initialisers, then
-    /// `main`, then the functions an [`Insn::CallUser`] calls.
-    pub(crate) chunks: Vec<Chunk>,
-    /// Index of the `main` chunk.
-    pub(crate) main_chunk: u32,
-    /// Lowered user functions: those reachable from `main` or a global
-    /// initialiser, in the order lowering reached them.
-    pub(crate) functions: Vec<FuncDef>,
+    /// The global initialisers, every call spliced in.
+    pub(crate) init: Chunk,
+    /// `main`, every call spliced in.
+    pub(crate) main: Chunk,
+    /// The names of the user functions lowered: those reachable from
+    /// `main` or a global initialiser, each after the ones it calls.
+    pub(crate) functions: Vec<Name>,
 }
 
 impl Executable {
@@ -534,7 +495,7 @@ impl Executable {
 
     /// Total number of lowered instructions (diagnostics only).
     pub fn code_len(&self) -> usize {
-        self.chunks.iter().map(|c| c.code.len()).sum()
+        self.init.code.len() + self.main.code.len()
     }
 }
 
@@ -542,9 +503,7 @@ impl Executable {
 ///
 /// # Errors
 ///
-/// [`LowerError`] for the few constructs the bytecode tier does not
-/// support (see the type's docs); callers should fall back to the
-/// tree-walking interpreter.
+/// [`LowerError`] only on a front-end defect (see the type's docs).
 pub fn lower(shader: &CompiledShader) -> Result<Executable, LowerError> {
     Lowerer::new(shader).lower()
 }
@@ -595,14 +554,12 @@ enum ConstKey {
 }
 
 /// A user function definition, the checker's record of its unit (its
-/// expressions' types and callees), the calls it makes and, once
-/// lowering plans to reach it, its index in the function table.
+/// expressions' types and callees) and, once lowered, its index in the
+/// function table.
 struct Def<'a> {
     ast: &'a Function,
     types: &'a [Type],
     callees: &'a [u32],
-    /// Its calls, as the checker recorded them: `(this, callee overload)`.
-    calls: &'a [(u32, u32)],
     index: Option<u32>,
 }
 
@@ -619,7 +576,7 @@ struct Lowerer<'a> {
     read_only: Vec<bool>,
     global_index: HashMap<Name, u32>,
     reset_slots: Vec<u32>,
-    functions: Vec<FuncDef>,
+    functions: Vec<Name>,
     /// The function definitions, by the checker's definition number.
     defs: Vec<Def<'a>>,
     /// Each overload's definition number ([`Calls::defs`]).
@@ -630,8 +587,6 @@ struct Lowerer<'a> {
     /// Per function index: the parameter slots its body writes, as a bit
     /// set over the first 256.
     written: Vec<[u64; 4]>,
-    /// Instructions spliced so far, against [`MAX_SPLICED`].
-    spliced: usize,
     /// The code buffer every chunk is compiled in (chunks are compiled
     /// one at a time), so a chunk's code is allocated once, at its size.
     code_buffer: Vec<Insn>,
@@ -660,7 +615,6 @@ impl<'a> Lowerer<'a> {
             overload_defs: &shader.calls.defs,
             bodies: Vec::new(),
             written: Vec::new(),
-            spliced: 0,
             code_buffer: Vec::new(),
             arg_types: Vec::new(),
             arg_operands: Vec::new(),
@@ -702,19 +656,9 @@ impl<'a> Lowerer<'a> {
         index
     }
 
-    /// The definition number of the user function the call `id` of a
-    /// unit with `callees` runs: `None` for a builtin or constructor
-    /// call, and for a call to a function declared but never defined.
-    fn callee_def(&self, callees: &[u32], id: u32) -> Option<u32> {
-        let overload = *callees.get(id as usize)?;
-        let def = *self.overload_defs.get(overload as usize)?;
-        (def != NO_DEF).then_some(def)
-    }
-
     fn lower(&mut self) -> Result<Executable, LowerError> {
         // Globals: stage builtins first (same order as the interpreter),
-        // then declared globals in item order; definitions in item order,
-        // each with its calls, which the checker recorded contiguously.
+        // then declared globals in item order; definitions in item order.
         let kind = self.shader.kind;
         for (name, ty, writable) in builtin_globals(kind) {
             self.global_index
@@ -723,7 +667,6 @@ impl<'a> Lowerer<'a> {
             self.read_only.push(!writable);
         }
         for (unit, types, calls) in self.units() {
-            let mut edges = &calls.edges[..];
             for item in &unit.items {
                 match item {
                     Item::Var(decl) => {
@@ -741,56 +684,32 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                     }
-                    Item::Function(f) => {
-                        // Past the initialisers' calls before it.
-                        let def = self.defs.len() as u32;
-                        let from =
-                            (edges.iter().position(|e| e.0 != NO_DEF)).unwrap_or(edges.len());
-                        let n = edges[from..].iter().take_while(|e| e.0 == def).count();
-                        self.defs.push(Def {
-                            ast: f,
-                            types,
-                            callees: &calls.callee,
-                            calls: &edges[from..from + n],
-                            index: None,
-                        });
-                        edges = &edges[from + n..];
-                    }
+                    Item::Function(f) => self.defs.push(Def {
+                        ast: f,
+                        types,
+                        callees: &calls.callee,
+                        index: None,
+                    }),
                     _ => {}
                 }
             }
         }
 
-        // Function bodies first, each after the ones it calls, then the
-        // global initialisers and main, which splice them. Only the
-        // functions their calls reach are lowered (sema checked every
-        // one).
+        // The functions the global initialisers and main reach, each after
+        // the ones it calls (sema checked every one), then the initialisers
+        // and main, which splice them.
+        for &def in &self.shader.order {
+            self.lower_function(def)?;
+        }
         let main = (self.defs.iter())
             .position(|d| &*d.ast.name == "main" && d.ast.params.is_empty())
             .ok_or_else(|| err("no main() function"))?;
-        for def in self.plan(main) {
-            self.lower_function(def)?;
-        }
         let init = self.lower_init_chunk()?;
         let main = self.lower_main(main)?;
-        let mut chunks = vec![init, main];
-        // A function keeps a chunk of its own only where a call to it was
-        // left to run time.
-        let mut i = 0;
-        while i < chunks.len() {
-            for pc in 0..chunks[i].code.len() {
-                if let Insn::CallUser { func, .. } = chunks[i].code[pc] {
-                    let f = &mut self.functions[func as usize];
-                    if f.chunk.is_none() {
-                        f.chunk = Some(chunks.len() as u32);
-                        let body = self.bodies[func as usize].take();
-                        chunks.push(body.expect("a lowered body"));
-                    }
-                }
-            }
-            i += 1;
-        }
-
+        assert!(
+            !(init.code.iter().chain(&main.code)).any(|i| matches!(i, Insn::Ret { .. })),
+            "a return left unspliced"
+        );
         Ok(Executable {
             kind,
             consts: std::mem::take(&mut self.consts),
@@ -799,64 +718,10 @@ impl<'a> Lowerer<'a> {
             globals: std::mem::take(&mut self.globals),
             global_index: std::mem::take(&mut self.global_index),
             reset_slots: std::mem::take(&mut self.reset_slots),
-            chunks,
-            main_chunk: 1,
+            init,
+            main,
             functions: std::mem::take(&mut self.functions),
         })
-    }
-
-    /// Numbers the user functions the global initialisers and `main`
-    /// (definition `main`) call and returns their definitions in lowering
-    /// order: each after every function it calls, except a call back
-    /// into a function whose calls are still being walked — a recursive
-    /// cycle, whose calls stay [`Insn::CallUser`]. The walk keeps its
-    /// own stack, so a long call chain cannot overflow the thread's.
-    fn plan(&mut self, main: usize) -> Vec<u32> {
-        let mut roots: Vec<u32> = Vec::new();
-        for (_, _, calls) in self.units() {
-            roots.extend(calls.edges.iter().filter(|e| e.0 == NO_DEF).map(|e| e.1));
-        }
-        roots.extend(self.defs[main].calls.iter().map(|e| e.1));
-        let mut order = Vec::new();
-        // (definition, its next call)
-        let mut stack: Vec<(u32, usize)> = Vec::new();
-        let mut roots = roots.into_iter();
-        loop {
-            let overload = match stack.last_mut() {
-                Some((def, next)) => match self.defs[*def as usize].calls.get(*next) {
-                    Some(&(_, overload)) => {
-                        *next += 1;
-                        overload
-                    }
-                    None => {
-                        order.push(*def);
-                        stack.pop();
-                        continue;
-                    }
-                },
-                None => match roots.next() {
-                    Some(overload) => overload,
-                    None => break,
-                },
-            };
-            // A call to a function never defined fails when it is lowered.
-            let def = self.overload_defs[overload as usize];
-            let Some(d) = self.defs.get_mut(def as usize) else {
-                continue;
-            };
-            if d.index.is_some() {
-                continue;
-            }
-            d.index = Some(self.functions.len() as u32);
-            self.functions.push(FuncDef {
-                name: Name::clone(&d.ast.name),
-                chunk: None,
-            });
-            self.bodies.push(None);
-            self.written.push([0; 4]);
-            stack.push((def, 0));
-        }
-        order
     }
 
     fn lower_init_chunk(&mut self) -> Result<Chunk, LowerError> {
@@ -883,17 +748,21 @@ impl<'a> Lowerer<'a> {
         Ok(cc.finish())
     }
 
-    /// Lowers definition `def`'s body, spliced calls included, into
-    /// [`Self::bodies`].
+    /// Numbers definition `def` in the function table and lowers its
+    /// body, every call spliced, into [`Self::bodies`].
     fn lower_function(&mut self, def: u32) -> Result<(), LowerError> {
+        let index = self.functions.len() as u32;
+        let d = &mut self.defs[def as usize];
+        d.index = Some(index);
         let Def {
             ast: f,
             types,
             callees,
-            index,
             ..
-        } = self.defs[def as usize];
-        let index = index.expect("a planned function");
+        } = *d;
+        self.functions.push(Name::clone(&f.name));
+        self.bodies.push(None);
+        self.written.push([0; 4]);
         let ret_void = f.ret == Type::Void;
         let mut cc = ChunkCompiler::new(self, CompileCx::Function, types, callees);
         cc.ret_void = ret_void;
@@ -1793,11 +1662,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                 }
             }
         }
-        if index_exprs.len() > 8 {
-            return Err(err("lvalue path nests more than 8 indexed accesses"));
-        }
         // Index expressions are evaluated outermost-first, mirroring the
-        // interpreter's assign_to/modify recursion order.
+        // interpreter's assign_to/modify recursion order. Typing bounds a
+        // path at three indexed steps (an array of matrices).
         let mut indices = [Opnd::Const(0); 8];
         for k in (0..index_exprs.len()).rev() {
             indices[k] = self.operand_before(index_exprs[k], &index_exprs[..k])?;
@@ -1828,10 +1695,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         args: &'a [Expr],
         dst: u32,
     ) -> Result<(), LowerError> {
-        if self.callees.get(id as usize).is_some_and(|&c| c != NO_DEF) {
-            let def = (self.lo.callee_def(self.callees, id))
-                .ok_or_else(|| err(format!("no definition of `{name}` takes these arguments")))?;
-            return self.call_user(def, args, dst);
+        if let Some(&overload) = self.callees.get(id as usize).filter(|&&c| c != NO_DEF) {
+            // Sema refuses a reachable call to a function never defined.
+            return self.call_user(self.lo.overload_defs[overload as usize], args, dst);
         }
         let base = self.lo.arg_types.len();
         for a in args {
@@ -1865,13 +1731,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         args: &'a [Expr],
         dst: u32,
     ) -> Result<(), LowerError> {
-        if args.len() > u8::MAX as usize {
-            return Err(err(format!(
-                "call to `{}` has more than {} arguments",
-                id.name(),
-                u8::MAX
-            )));
-        }
         let base = self.lo.arg_operands.len();
         for (i, a) in args.iter().enumerate() {
             let later = args[i + 1..].iter().any(|l| self.has_effects(l));
@@ -1891,6 +1750,7 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             shape,
             dst,
             args: at,
+            // Sema refuses a call of more than 255 arguments.
             argc: args.len() as u8,
         });
         Ok(())
@@ -1902,13 +1762,10 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
     /// stored back in parameter order after the return, before the value
     /// is (as the interpreter does). An `in` parameter the body never
     /// writes, whose argument is a constant, a caller frame slot or a
-    /// read-only global, is read where the argument lives. A call back
-    /// into a recursive cycle, or one that would grow the chunk past
-    /// [`MAX_CHUNK_LEN`] or the lowering's splices past [`MAX_SPLICED`],
-    /// runs the callee's chunk instead.
+    /// read-only global, is read where the argument lives.
     fn call_user(&mut self, def: u32, args: &'a [Expr], dst: u32) -> Result<(), LowerError> {
         let Def { ast: f, index, .. } = self.lo.defs[def as usize];
-        let func = index.expect("a planned function");
+        let func = index.expect("a callee lowered before its caller");
         let has_outs = f
             .params
             .iter()
@@ -1918,13 +1775,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
         let ret = if has_outs { self.alloc_slot() } else { dst };
         if ret >= self.next_slot {
             self.claim(ret);
-        }
-        if args.len() > u8::MAX as usize {
-            return Err(err(format!(
-                "call to `{}` has more than {} arguments",
-                f.name,
-                u8::MAX
-            )));
         }
         // Each argument is evaluated into the next free slot, except a
         // constant or variable, which may be read where it lives.
@@ -1944,16 +1794,11 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             self.lo.arg_operands.push(o);
         }
         let live = self.next_slot;
-        let splice = self.lo.bodies[func as usize].as_ref().is_some_and(|b| {
-            self.code.len() + b.code.len() <= MAX_CHUNK_LEN
-                && self.lo.spliced + b.code.len() <= MAX_SPLICED
-        });
         let written = self.lo.written[func as usize];
         for (i, p) in f.params.iter().enumerate() {
             let slot = base + i as u32;
             let o = self.lo.arg_operands[first + i];
-            let in_place = splice
-                && p.qual == ParamQual::In
+            let in_place = p.qual == ParamQual::In
                 && written[i / 64] & 1 << (i % 64) == 0
                 && match o {
                     Opnd::Const(_) => true,
@@ -1973,19 +1818,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             }
             self.lo.arg_operands[first + i] = Opnd::Local(slot);
         }
-        if splice {
-            self.emit(Insn::Enter { nest: 0 });
-            let ret = (f.ret != Type::Void).then_some(ret);
-            self.splice(func, base, ret, if has_outs { live } else { base }, first);
-        } else {
-            self.emit(Insn::CallUser {
-                func,
-                base,
-                dst: ret,
-                live,
-                nest: 0,
-            });
-        }
+        self.emit(Insn::Enter { nest: 0 });
+        let value = (f.ret != Type::Void).then_some(ret);
+        self.splice(func, base, value, if has_outs { live } else { base }, first);
         self.lo.arg_operands.truncate(first);
         if has_outs {
             for (i, (p, a)) in f.params.iter().zip(args).enumerate() {
@@ -2013,11 +1848,9 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
             stores,
             arg_operands,
             pc_map,
-            spliced,
             ..
         } = &mut *self.lo;
         let body = bodies[func as usize].as_ref().expect("a lowered body");
-        *spliced += body.code.len();
         let params = &arg_operands[params..];
         let opnd = |o: Opnd| match o {
             Opnd::Local(s) if (s as usize) < params.len() => params[s as usize],
@@ -2120,16 +1953,6 @@ impl<'l, 'a> ChunkCompiler<'l, 'a> {
                     *args = copy(*args, *argc as usize);
                 }
                 Insn::Enter { nest } => *nest += 1,
-                Insn::CallUser {
-                    base: b,
-                    dst,
-                    live,
-                    nest,
-                    ..
-                } => {
-                    (*b, *dst, *live) = (*b + base, *dst + base, *live + base);
-                    *nest += 1;
-                }
                 Insn::StoreGlobal { src, .. } => *src = opnd(*src),
                 Insn::Store { def, src } => {
                     let mut store = stores[*def as usize].clone();
@@ -2293,21 +2116,11 @@ fn flatten_lvalue(e: &Expr) -> Result<(&str, Vec<LvStep<'_>>), LowerError> {
 mod tests {
     use super::*;
     use crate::parser::parse;
-    use crate::sema::check;
+    use crate::sema::{check, MAX_SPLICED_NODES};
 
     fn lower_src(src: &str) -> Executable {
         let shader = check(ShaderKind::Fragment, parse(src).expect("parse")).expect("check");
         lower(&shader).expect("lower")
-    }
-
-    /// Lowers `shader` and returns the instructions its function bodies
-    /// and chunks held in all, spliced copies included, and how many of
-    /// those splicing copied.
-    fn lower_counting(shader: &CompiledShader) -> (Executable, usize, usize) {
-        let mut lo = Lowerer::new(shader);
-        let exe = lo.lower().expect("lower");
-        let left: usize = lo.bodies.iter().flatten().map(|b| b.code.len()).sum();
-        (exe, left, lo.spliced)
     }
 
     const P: &str = "precision highp float;\n";
@@ -2341,7 +2154,7 @@ mod tests {
                 {{ float c = 2.0; gl_FragColor = vec4(c); }}
             }}"
         ));
-        let main = &exe.chunks[exe.main_chunk as usize];
+        let main = &exe.main;
         // Two locals and the constructor's temporary in the first block;
         // the second reuses them.
         assert!(main.frame_size <= 3, "frame_size = {}", main.frame_size);
@@ -2373,7 +2186,7 @@ mod tests {
                 gl_FragColor = vec4(twice(y), floor(x), gl_FragCoord.y, 1.0);
              }}"
         ));
-        let main = &exe.chunks[exe.main_chunk as usize].code;
+        let main = &exe.main.code;
         let u = exe.global_slot("u").expect("u");
         let coord = exe.global_slot("gl_FragCoord").expect("gl_FragCoord");
         // `u + 0.5` is evaluated straight into `x`'s slot.
@@ -2417,13 +2230,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(
-            count(main, |i| matches!(
-                i,
-                Insn::CallUser { .. } | Insn::Ret { .. }
-            )),
-            0
-        );
+        assert_eq!(count(main, |i| matches!(i, Insn::Ret { .. })), 0);
         assert_eq!(entered(main), 1);
         assert_eq!(
             count(main, |i| matches!(
@@ -2451,7 +2258,7 @@ mod tests {
         assert_eq!(argc, 4);
         assert_eq!(exe.operands[args as usize + 2], Opnd::GlobalComp(coord, 1));
         // `twice(y)`'s body reads `y` where it lives and writes the
-        // constructor's first argument; no function keeps a chunk.
+        // constructor's first argument.
         let Opnd::Local(first) = exe.operands[args as usize] else {
             panic!("the call's value is a frame slot");
         };
@@ -2465,7 +2272,6 @@ mod tests {
                 ..
             } if *dst == first
         )));
-        assert_eq!(exe.chunks.len(), 2);
         // Same-arity overloads, and a user overload of a builtin name,
         // resolve by argument types: no run-time pick is left.
         let overloads = lower_src(&format!(
@@ -2475,17 +2281,14 @@ mod tests {
              float floor(int v) {{ return float(v); }}\n\
              void main() {{ gl_FragColor = vec4(f(u) + f(vec2(u)) + floor(int(u))); }}"
         ));
-        let main = &overloads.chunks[overloads.main_chunk as usize].code;
-        assert_eq!(entered(main), 3);
-        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 0);
+        assert_eq!(entered(&overloads.main.code), 3);
         assert_eq!(overloads.functions.len(), 3);
     }
 
     /// Lowering reaches functions through calls from `main` and the
-    /// global initialisers only; a function nothing calls is not lowered,
-    /// so a shape the lowerer rejects there no longer sends the whole
-    /// shader to the tree-walker. The reached ones are spliced into the
-    /// initialiser and `main` chunks and keep no chunk of their own.
+    /// global initialisers only; a function nothing calls is not lowered.
+    /// The reached ones are spliced into the initialiser and `main`
+    /// chunks.
     #[test]
     fn only_reachable_functions_are_lowered() {
         let exe = lower_src(&format!(
@@ -2500,14 +2303,11 @@ mod tests {
              void unused() {{ float x; f(x); }}\n\
              void main() {{ gl_FragColor = vec4(used(u) + g); }}"
         ));
-        let mut names: Vec<&str> = exe.functions.iter().map(|f| &*f.name).collect();
+        let mut names: Vec<&str> = exe.functions.iter().map(|f| &**f).collect();
         names.sort_unstable();
         assert_eq!(names, ["init_only", "leaf", "used"]);
-        assert!(exe.functions.iter().all(|f| f.chunk.is_none()));
-        // Init and main only.
-        assert_eq!(exe.chunks.len(), 2);
-        assert_eq!(entered(&exe.chunks[0].code), 1);
-        assert_eq!(entered(&exe.chunks[exe.main_chunk as usize].code), 2);
+        assert_eq!(entered(&exe.init.code), 1);
+        assert_eq!(entered(&exe.main.code), 2);
     }
 
     /// A prelude may call a function it only declares, which the source
@@ -2531,103 +2331,68 @@ mod tests {
             crate::admit_after(Some(&prelude), ShaderKind::Fragment, &src).expect("admits");
         assert!(shader.prelude.is_some(), "checked after the prelude");
         let exe = lower(&shader).expect("lower");
-        let main = &exe.chunks[exe.main_chunk as usize].code;
+        let main = &exe.main.code;
         assert_eq!(entered(main), 2, "twice_hook and hook");
-        assert_eq!(count(main, |i| matches!(i, Insn::CallUser { .. })), 0);
         assert!(main
             .iter()
             .any(|i| matches!(i, Insn::Binary { op: BinOp::Add, .. })));
     }
 
-    /// A call back into a recursive cycle runs the callee's chunk, which
-    /// the function keeps; everything else, the first call into the
-    /// cycle included, is spliced.
-    #[test]
-    fn recursive_calls_keep_their_chunk() {
-        let exe = lower_src(&format!(
-            "{P}uniform float u;\n\
-             float leaf(float v) {{ return v * 2.0; }}\n\
-             float r(float v) {{ return v > 1.0 ? r(v - 1.0) : leaf(v); }}\n\
-             void main() {{ gl_FragColor = vec4(r(u)); }}"
-        ));
-        let r = exe
-            .functions
-            .iter()
-            .position(|f| &*f.name == "r")
-            .expect("r") as u32;
-        let chunk = exe.functions[r as usize].chunk.expect("r keeps its chunk");
-        assert!(exe
-            .functions
-            .iter()
-            .all(|f| f.chunk.is_none() || &*f.name == "r"));
-        assert_eq!(exe.chunks.len(), 3);
-        for code in [
-            &exe.chunks[exe.main_chunk as usize].code,
-            &exe.chunks[chunk as usize].code,
-        ] {
-            assert_eq!(
-                count(code, |i| matches!(i, Insn::CallUser { .. })),
-                1,
-                "{code:?}"
-            );
-        }
-        let main = &exe.chunks[exe.main_chunk as usize].code;
-        assert!(main
-            .iter()
-            .any(|i| matches!(i, Insn::CallUser { func, nest: 1, .. } if *func == r)));
-        assert_eq!(entered(main), 2, "r and leaf");
-    }
-
-    /// A call tree that doubles at every level splices until a chunk
-    /// would pass [`MAX_CHUNK_LEN`], then calls.
-    #[test]
-    fn splicing_stops_at_the_chunk_cap() {
+    /// `f`k calls `f`k-1 twice, from `f0` up to `f{levels}`, which `main`
+    /// calls: a source of a line per level that splices into code
+    /// exponential in `levels`.
+    fn doubling_tree(levels: usize) -> String {
         let mut src = format!("{P}uniform float u;\nfloat f0(float x) {{ return x + 1.0; }}\n");
-        for k in 1..=20 {
+        for k in 1..=levels {
             let j = k - 1;
-            src += &format!("float f{k}(float x) {{ return f{j}(x) + f{j}(x * 0.5); }}\n");
+            src += &format!("float f{k}(float x) {{ return f{j}(x) + f{j}(x); }}\n");
         }
-        src += "void main() { gl_FragColor = vec4(f20(u)); }";
-        let exe = lower_src(&src);
-        for chunk in &exe.chunks {
-            // A splice stops at the cap; a body's own code may follow.
-            assert!(
-                chunk.code.len() <= MAX_CHUNK_LEN + 8,
-                "{}",
-                chunk.code.len()
-            );
-        }
-        assert!(exe.chunks.len() > 2, "the deep calls keep chunks");
+        src + &format!("void main() {{ gl_FragColor = vec4(f{levels}(u)); }}")
     }
 
-    /// A tenant picks the source, up to the admission limit of 16 KiB:
-    /// a call tree that doubles at each of about 350 levels splices
-    /// until [`MAX_SPLICED`] is spent, then calls, so every body and
-    /// chunk lowering makes holds code linear in the source.
+    /// Admission bounds what splicing copies, so the deepest doubling
+    /// call tree it admits lowers to its own few instructions per level
+    /// plus at most twice [`MAX_SPLICED_NODES`]; one level more is
+    /// refused.
     #[test]
-    fn a_doubling_call_tree_at_the_source_limit_lowers_linearly() {
-        let mut src = format!("{P}uniform float u;\nfloat f0(float x) {{ return x + 1.0; }}\n");
-        let mut levels = 0;
-        loop {
-            let (k, j) = (levels + 1, levels);
-            let line = format!("float f{k}(float x){{return f{j}(x)+f{j}(x);}}\n");
-            let main = format!("void main(){{gl_FragColor=vec4(f{k}(u));}}");
-            if src.len() + line.len() + main.len() > 16 * 1024 {
-                src += &format!("void main(){{gl_FragColor=vec4(f{levels}(u));}}");
-                break;
-            }
-            src += &line;
-            levels = k;
-        }
-        assert!(levels > 300, "{levels} levels");
+    fn the_deepest_doubling_tree_admitted_lowers_within_the_limit() {
+        let admit = |levels| crate::admit(ShaderKind::Fragment, &doubling_tree(levels));
+        let levels = (1..)
+            .find(|&l| admit(l + 1).is_err())
+            .expect("a refused depth");
+        let err = admit(levels + 1).expect_err("one level deeper");
+        assert_eq!(err.stage, crate::AdmissionStage::Sema, "{err}");
+        assert!(err.message.contains("expands past"), "{err}");
+        let shader = admit(levels).expect("admitted");
+        assert!(shader.spliced_nodes() <= MAX_SPLICED_NODES);
+        assert!(
+            shader.spliced_nodes() > MAX_SPLICED_NODES / 4,
+            "{levels} levels"
+        );
+        let exe = lower(&shader).expect("lower");
+        let own = 8 * levels;
+        let limit = 2 * MAX_SPLICED_NODES as usize;
+        assert!(
+            exe.code_len() <= own + limit,
+            "{} instructions",
+            exe.code_len()
+        );
+        assert!(exe.operands.len() + exe.stores.len() <= own + limit);
+    }
+
+    /// Lowering evaluates the index expressions of an lvalue both read
+    /// and written twice, so a call in one is spliced twice: the checker
+    /// counts it twice against [`MAX_SPLICED_NODES`] too.
+    #[test]
+    fn a_call_indexing_a_compound_assignment_is_spliced_and_counted_twice() {
+        let src = format!(
+            "{P}int k(int i) {{ return i; }}\n\
+             void main() {{ float a[2]; a[k(0)] += 1.0; a[k(1)] = 2.0; gl_FragColor = vec4(a[0]); }}"
+        );
         let shader = check(ShaderKind::Fragment, parse(&src).expect("parse")).expect("check");
-        let (exe, left, spliced) = lower_counting(&shader);
-        let total = exe.code_len() + left;
-        assert!(spliced <= MAX_SPLICED, "{spliced} spliced");
-        // Each body's own code is a few instructions per level.
-        let own = 16 * levels;
-        assert!(total <= own + MAX_SPLICED, "{total} instructions lowered");
-        assert!(exe.operands.len() + exe.stores.len() <= own + MAX_SPLICED);
+        // `k` is one node for the function, its `return` and `i`.
+        assert_eq!(shader.spliced_nodes(), 3 * 3);
+        assert_eq!(entered(&lower(&shader).expect("lower").main.code), 3);
     }
 
     #[test]

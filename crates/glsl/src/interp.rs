@@ -854,22 +854,29 @@ mod tests {
         assert_eq!(c, [0.75, 0.25, 0.0, 1.0]);
     }
 
+    /// Sema refuses recursion; a chain of nine calls still nests past a
+    /// call-depth limit of 8.
     #[test]
-    fn recursion_is_caught_by_depth_limit() {
-        // GLSL ES forbids recursion; we detect it dynamically.
-        let shader = check(
-            ShaderKind::Fragment,
-            parse(&format!(
-                "{P}float f(float x) {{ return f(x) + 1.0; }}\n\
-                 void main() {{ gl_FragColor = vec4(f(1.0)); }}"
-            ))
-            .expect("parse"),
-        )
-        .expect("check");
+    fn a_deep_call_chain_is_caught_by_depth_limit() {
+        let mut src = format!("{P}float f9(float x) {{ return x; }}\n");
+        for k in (1..9).rev() {
+            src += &format!("float f{k}(float x) {{ return f{}(x) + 1.0; }}\n", k + 1);
+        }
+        src += "void main() { gl_FragColor = vec4(f1(1.0)); }";
+        let shader = check(ShaderKind::Fragment, parse(&src).expect("parse")).expect("check");
         let tex = NoTextures;
         let mut interp = Interpreter::new(&shader, &tex).expect("interp");
+        let limits = |max_call_depth| ExecLimits {
+            max_loop_iterations: 1000,
+            max_call_depth,
+        };
+        interp.set_limits(limits(9));
+        interp
+            .run_main()
+            .expect("nine calls nest within a limit of 9");
+        interp.set_limits(limits(8));
         let err = interp.run_main().unwrap_err();
-        assert!(matches!(err, RuntimeError::CallDepth { .. }));
+        assert!(matches!(err, RuntimeError::CallDepth { limit: 8 }), "{err}");
     }
 
     #[test]

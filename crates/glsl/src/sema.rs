@@ -44,7 +44,24 @@ pub struct CompiledShader {
     pub(crate) types: Vec<Type>,
     /// The user calls of `unit` (the prelude's are in its own record).
     pub(crate) calls: Calls,
+    /// The definitions the global initialisers and `main` reach, each
+    /// after every function it calls: the order lowering lowers them in,
+    /// so that each call splices a body already lowered.
+    pub(crate) order: Vec<u32>,
+    /// Syntax nodes splicing copies into `main` and the initialisers
+    /// ([`CompiledShader::spliced_nodes`]).
+    pub(crate) spliced_nodes: u32,
 }
+
+/// The most syntax nodes splicing may copy into a shader's `main` and
+/// global initialisers, an admission limit like
+/// [`crate::parser::MAX_NESTING`]. A function's expanded size is one
+/// node for the function, one per statement, declared variable and
+/// expression, plus the expanded size of each function it calls; each
+/// call in `main` or an initialiser adds its callee's. A call tree that
+/// doubles at each level would otherwise lower to code exponential in
+/// its depth, from a source of a few hundred bytes.
+pub const MAX_SPLICED_NODES: u32 = 16 * 1024;
 
 /// No user function: the callee of an expression that is no user call,
 /// the definition of a function only declared, and the caller of a call
@@ -60,13 +77,39 @@ pub(crate) struct Calls {
     /// The overload each expression calls, indexed by [`Expr::id`]
     /// ([`NO_DEF`] for a builtin, a constructor or no call).
     pub callee: Vec<u32>,
-    /// Every user call as `(caller definition, callee overload)`, in
-    /// checking order, so each caller's calls are contiguous; the caller
-    /// of a global initialiser's call is [`NO_DEF`].
-    pub edges: Vec<(u32, u32)>,
+    /// Every user call, in checking order, so each caller's calls are
+    /// contiguous.
+    pub edges: Vec<Call>,
+    /// Each of the unit's definitions, in order: where its calls are in
+    /// `edges`, and its own size in syntax nodes.
+    pub bodies: Vec<Body>,
     /// Each overload's definition, as of the unit's end ([`NO_DEF`]
     /// where it has none).
     pub defs: Vec<u32>,
+}
+
+/// One user call.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Call {
+    /// The calling definition ([`NO_DEF`] in a global initialiser).
+    pub caller: u32,
+    /// The overload called.
+    pub callee: u32,
+    /// How many times lowering evaluates the call: it evaluates the
+    /// index expressions of an lvalue that is both read and written (a
+    /// compound assignment's, `++`/`--`'s, an `out` or `inout`
+    /// argument's) twice.
+    pub weight: u32,
+    /// The call expression.
+    pub span: Span,
+}
+
+/// A definition's calls, `edges[calls]`, and own size: one node for the
+/// function, one per statement, declared variable and expression.
+#[derive(Debug, Clone)]
+pub(crate) struct Body {
+    pub calls: std::ops::Range<usize>,
+    pub nodes: u32,
 }
 
 impl CompiledShader {
@@ -78,6 +121,13 @@ impl CompiledShader {
             .as_deref()
             .map_or(&[][..], |p| &p.unit.items[..]);
         prelude.iter().chain(&self.unit.items)
+    }
+
+    /// Syntax nodes splicing its calls copies into `main` and the global
+    /// initialisers (0 for a shader that calls no user function), which
+    /// admission holds at or below [`MAX_SPLICED_NODES`].
+    pub fn spliced_nodes(&self) -> u32 {
+        self.spliced_nodes
     }
 }
 
@@ -140,16 +190,17 @@ pub(crate) fn check_after(
     prelude: Option<Arc<CheckedPrelude>>,
     unit: TranslationUnit,
 ) -> Result<CompiledShader, CompileError> {
-    let (interface, types, calls) = {
+    let (interface, types, calls, (order, spliced_nodes)) = {
         let mut checker = Checker::new(kind, &unit);
         if let Some(prelude) = &prelude {
             checker.resume(prelude);
         }
         checker.collect_functions(&unit)?;
         checker.check_items(&unit)?;
-        checker.require_main()?;
+        let main = checker.require_main()?;
         checker.close_calls();
-        (checker.interface, checker.types, checker.calls)
+        let walked = checker.walk_calls(prelude.as_ref().map(|p| &p.calls), main)?;
+        (checker.interface, checker.types, checker.calls, walked)
     };
     Ok(CompiledShader {
         kind,
@@ -158,6 +209,8 @@ pub(crate) fn check_after(
         interface,
         types,
         calls,
+        order,
+        spliced_nodes,
     })
 }
 
@@ -229,6 +282,11 @@ struct Checker<'a> {
     first_def: u32,
     /// The definition being checked ([`NO_DEF`] in a global initialiser).
     caller: u32,
+    /// Statements, declared variables and expressions checked so far.
+    nodes: u32,
+    /// Where each argument of the calls being checked starts in
+    /// `calls.edges`, innermost call last.
+    arg_calls: Vec<usize>,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
@@ -241,13 +299,14 @@ impl<'a> Checker<'a> {
             types: vec![Type::Void; unit.exprs as usize],
             calls: Calls {
                 callee: vec![NO_DEF; unit.exprs as usize],
-                edges: Vec::new(),
-                defs: Vec::new(),
+                ..Calls::default()
             },
             sigs: 0,
             defs: 0,
             first_def: 0,
             caller: NO_DEF,
+            nodes: 0,
+            arg_calls: Vec::new(),
             kind,
             syms: builtin_globals(kind)
                 .into_iter()
@@ -387,7 +446,12 @@ impl<'a> Checker<'a> {
                 Item::Function(f) => {
                     self.caller = def;
                     def += 1;
+                    let (calls, nodes) = (self.calls.edges.len(), self.nodes);
                     self.check_function(f)?;
+                    self.calls.bodies.push(Body {
+                        calls: calls..self.calls.edges.len(),
+                        nodes: 1 + self.nodes - nodes,
+                    });
                     self.caller = NO_DEF;
                 }
             }
@@ -395,20 +459,117 @@ impl<'a> Checker<'a> {
         Ok(())
     }
 
-    fn require_main(&self) -> Result<(), CompileError> {
-        match self.functions.get("main") {
-            Some(sigs)
-                if sigs
-                    .iter()
-                    .any(|s| s.def != NO_DEF && *s.ret == Type::Void && s.params.is_empty()) => {}
-            _ => {
+    /// The definition number of `void main()`.
+    fn require_main(&self) -> Result<u32, CompileError> {
+        let main = self.functions.get("main").and_then(|sigs| {
+            sigs.iter()
+                .find(|s| s.def != NO_DEF && *s.ret == Type::Void && s.params.is_empty())
+        });
+        main.map(|s| s.def)
+            .ok_or_else(|| CompileError::check("shader must define `void main()`", Span::default()))
+    }
+
+    /// Walks the calls the global initialisers and `main` (definition
+    /// `main`) reach, over the call records of `prelude` and this unit,
+    /// with a stack of its own, so a long call chain cannot overflow the
+    /// thread's. Refuses a call that closes a cycle (GLSL ES 1.00 §6.1
+    /// forbids recursion), a call to a function never defined, and a
+    /// call at which what splicing copies passes [`MAX_SPLICED_NODES`].
+    /// Returns the reached definitions, each after every function it
+    /// calls, and the nodes splicing copies into `main` and the
+    /// initialisers.
+    fn walk_calls(
+        &self,
+        prelude: Option<&Calls>,
+        main: u32,
+    ) -> Result<(Vec<u32>, u32), CompileError> {
+        const UNSEEN: u32 = u32::MAX;
+        const WALKING: u32 = u32::MAX - 1;
+        let units = || prelude.into_iter().chain([&self.calls]);
+        let first_def = prelude.map_or(0, |p| p.bodies.len());
+        let body = |def: u32| {
+            let (calls, def) = match (def as usize).checked_sub(first_def) {
+                Some(def) => (&self.calls, def),
+                None => (prelude.expect("a prelude definition"), def as usize),
+            };
+            let body = &calls.bodies[def];
+            (&calls.edges[body.calls.clone()], body.nodes)
+        };
+        let mut roots = units()
+            .flat_map(|c| c.edges.iter().filter(|e| e.caller == NO_DEF))
+            .chain(body(main).0);
+        // Per definition: its expanded size once walked.
+        let mut expanded = vec![UNSEEN; self.defs as usize];
+        let mut order = Vec::new();
+        // The definitions being walked: each with the call that entered
+        // it, its next call and its expanded size so far.
+        let mut stack: Vec<(u32, &Call, usize, u32)> = Vec::new();
+        let mut spliced = 0u32;
+        loop {
+            let (call, size) = match stack.last_mut() {
+                Some((def, _, next, _)) => match body(*def).0.get(*next) {
+                    Some(call) => {
+                        *next += 1;
+                        (call, None)
+                    }
+                    None => {
+                        let (def, call, _, size) = stack.pop().expect("a walked definition");
+                        expanded[def as usize] = size;
+                        order.push(def);
+                        (call, Some(size))
+                    }
+                },
+                None => match roots.next() {
+                    Some(call) => (call, None),
+                    None => break,
+                },
+            };
+            let size = match size {
+                Some(size) => size,
+                None => {
+                    let name = || {
+                        (self.functions.iter())
+                            .find(|(_, sigs)| sigs.iter().any(|s| s.sig == call.callee))
+                            .map_or("", |(name, _)| name)
+                    };
+                    let refuse = |message| Err(CompileError::check(message, call.span));
+                    let def = self.calls.defs[call.callee as usize];
+                    if def == NO_DEF {
+                        return refuse(format!("`{}` is called but never defined", name()));
+                    }
+                    match expanded[def as usize] {
+                        WALKING => {
+                            return refuse(format!(
+                                "recursive call to `{}` (GLSL ES forbids recursion)",
+                                name()
+                            ))
+                        }
+                        UNSEEN => {
+                            expanded[def as usize] = WALKING;
+                            stack.push((def, call, 0, body(def).1));
+                            continue;
+                        }
+                        size => size,
+                    }
+                }
+            };
+            // The call splices its callee's expanded body, `weight` times.
+            let into = match stack.last_mut() {
+                Some((_, _, _, caller)) => caller,
+                None => &mut spliced,
+            };
+            *into = into.saturating_add(size.saturating_mul(call.weight));
+            if *into > MAX_SPLICED_NODES {
                 return Err(CompileError::check(
-                    "shader must define `void main()`",
-                    Span::default(),
-                ))
+                    format!(
+                        "the call tree expands past {MAX_SPLICED_NODES} nodes here \
+                         (each call copies its callee's body)"
+                    ),
+                    call.span,
+                ));
             }
         }
-        Ok(())
+        Ok((order, spliced))
     }
 
     fn check_global(&mut self, decl: &'a VarDecl) -> Result<(), CompileError> {
@@ -574,6 +735,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_stmt(&mut self, stmt: &'a Stmt) -> Result<(), CompileError> {
+        self.nodes += 1;
         match &stmt.kind {
             StmtKind::Expr(e) => {
                 self.check_expr(e)?;
@@ -586,6 +748,7 @@ impl<'a> Checker<'a> {
                     ));
                 }
                 for var in &decl.vars {
+                    self.nodes += 1;
                     if let Some(init) = &var.init {
                         let ty = self.check_expr(init)?;
                         if ty != var.ty {
@@ -736,6 +899,7 @@ impl<'a> Checker<'a> {
         // frame, which a deeply nested expression repeats once per level,
         // stays small even in an unoptimised build.
         let span = e.span;
+        self.nodes += 1;
         let ty = match &e.kind {
             ExprKind::FloatLit(_) => Ok(Type::Float),
             ExprKind::IntLit(_) => Ok(Type::Int),
@@ -782,6 +946,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_unary(&mut self, op: UnOp, inner: &Expr, span: Span) -> Result<Type, CompileError> {
+        let calls = self.calls.edges.len();
         let ty = self.check_expr(inner)?;
         match op {
             UnOp::Neg | UnOp::Plus => {
@@ -806,6 +971,7 @@ impl<'a> Checker<'a> {
             }
             UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
                 self.check_assignable(inner)?;
+                self.read_and_written(calls..self.calls.edges.len());
                 if matches!(ty.scalar(), Some(Scalar::Float) | Some(Scalar::Int)) && !ty.is_matrix()
                 {
                     Ok(ty)
@@ -826,7 +992,11 @@ impl<'a> Checker<'a> {
         rhs: &Expr,
         span: Span,
     ) -> Result<Type, CompileError> {
+        let calls = self.calls.edges.len();
         let lt = self.check_expr(lhs)?;
+        if op != AssignOp::Assign {
+            self.read_and_written(calls..self.calls.edges.len());
+        }
         let rt = self.check_expr(rhs)?;
         self.check_assignable(lhs)?;
         let effective = match op {
@@ -879,16 +1049,35 @@ impl<'a> Checker<'a> {
         args: &[Expr],
         span: Span,
     ) -> Result<Type, CompileError> {
+        // Bytecode names up to 255 operands of one instruction.
+        if args.len() > u8::MAX as usize {
+            return Err(CompileError::check(
+                format!("call to `{name}` has more than {} arguments", u8::MAX),
+                span,
+            ));
+        }
         // The argument types go on a stack shared by nested calls, so a
         // call allocates nothing of its own.
         let base = self.arg_types.len();
         for a in args {
+            let calls = self.calls.edges.len();
             let ty = self.check_expr(a)?;
             self.arg_types.push(ty);
+            self.arg_calls.push(calls);
         }
         let result = self.resolve_call(id, name, args, base, span);
         self.arg_types.truncate(base);
+        self.arg_calls.truncate(base);
         result
+    }
+
+    /// Counts the calls `edges[calls]`, in an lvalue that is both read
+    /// and written, twice: lowering evaluates its index expressions once
+    /// to read it and again to store it, as the tree-walker does.
+    fn read_and_written(&mut self, calls: std::ops::Range<usize>) {
+        for call in &mut self.calls.edges[calls] {
+            call.weight = call.weight.saturating_mul(2);
+        }
     }
 
     /// The result type of calling `name` on `args`, whose types are
@@ -908,15 +1097,23 @@ impl<'a> Checker<'a> {
         if let Some(overloads) = self.functions.get(name) {
             if let Some(sig) = overloads.iter().find(|s| s.takes(arg_types)).copied() {
                 // out/inout arguments must be lvalues.
-                for (arg, p) in args.iter().zip(sig.params) {
+                let end = self.calls.edges.len();
+                for (i, (arg, p)) in args.iter().zip(sig.params).enumerate() {
                     if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
                         self.check_assignable(arg)?;
+                        let next = self.arg_calls.get(base + i + 1).copied();
+                        self.read_and_written(self.arg_calls[base + i]..next.unwrap_or(end));
                     }
                 }
                 if let Some(callee) = self.calls.callee.get_mut(id as usize) {
                     *callee = sig.sig;
                 }
-                self.calls.edges.push((self.caller, sig.sig));
+                self.calls.edges.push(Call {
+                    caller: self.caller,
+                    callee: sig.sig,
+                    weight: 1,
+                    span,
+                });
                 return Ok(sig.ret.clone());
             }
             return Err(CompileError::check(

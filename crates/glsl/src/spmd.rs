@@ -8,8 +8,8 @@
 //! *semantic* state is per-lane, but it is stored **struct-of-arrays**:
 //! each frame slot (parameter, local or expression temporary) and each
 //! global slot is one `Slot` holding the value of every lane side by
-//! side (`[f32; 8]`, `[[f32; 4]; 8]`, …). The bytecode walk (program
-//! counter plus an explicit call-frame stack) is shared by every lane in
+//! side (`[f32; 8]`, `[[f32; 4]; 8]`, …). The bytecode walk (a program
+//! counter over `main`, every call spliced in) is shared by every lane in
 //! the current execution *context*, so instruction decode is paid once
 //! per batch and the per-lane work for the common instructions is a
 //! tight loop over a small typed array instead of eight tagged-enum
@@ -35,34 +35,34 @@
 //!
 //! # Divergence model
 //!
-//! A context is `(lane mask, call frames, pc)`. When a data-dependent
-//! branch (`JumpIf` / `JumpCmp`, which is what `if`, `?:`, short-circuit
-//! `&&`/`||` and loop conditions lower to) splits the active lanes, the
-//! jumping subgroup is deferred onto a pending stack and the
-//! fall-through subgroup keeps executing. Two contexts merge whenever
-//! they meet at the same `(call frames, pc)` — this is always
+//! A context is `(lane mask, pc)`: calls are static (the checker refuses
+//! recursion and lowering splices every call), so no context holds call
+//! frames. When a data-dependent branch (`JumpIf` / `JumpCmp`, which is
+//! what `if`, `?:`, short-circuit `&&`/`||` and loop conditions lower
+//! to) splits the active lanes, the jumping subgroup is deferred onto a
+//! pending stack and the fall-through subgroup keeps executing. Two
+//! contexts merge whenever they meet at the same `pc` — this is always
 //! semantically safe because every lane only ever executes instructions
 //! its own data dictates; the shared pc is pure scheduling. Reconvergence
 //! at the join point of structured `if`/`else` falls out of two rules:
 //! the scheduler merges any pending context whose position equals the
 //! current one, and after every jump landing it *swaps* to the
-//! furthest-behind compatible pending context so laggards catch up.
-//! `discard` simply retires the lanes of the executing context.
+//! furthest-behind pending context so laggards catch up. `discard`
+//! simply retires the lanes of the executing context.
 //!
 //! Writes to frame slots follow an **ownership rule** with one floor.
 //! Frame slots are allocated stack-like, so the slots live at a program
-//! point are a prefix of its frame, whose length lowering records on
-//! every jump target and call; a callee's frame starts at its first
+//! point are a prefix of the frame, whose length lowering records on
+//! every jump target; a spliced call's frame starts at its first
 //! argument's slot, above every slot its caller has live. A deferred
 //! context therefore reads only the frame slots below its `live` end —
-//! except the destination of each call it is inside, which that call's
-//! return writes before anything reads it (a `Frame` records it for a
-//! `CallUser`; a chunk lists the body and destination of each call
-//! spliced into it). The running context *owns* a
-//! slot at or above the largest pending `live` end (the floor; 0 when
-//! nothing is pending — the uniform-flow case), and a slot below it that
-//! is such a call destination for every pending context that reaches
-//! it. Owned slots are written wholesale: re-typed, full-width loops
+//! except the destination of each spliced call it is inside, which that
+//! call's return writes before anything reads it (a chunk lists the
+//! body and destination of each call spliced into it). The running
+//! context *owns* a slot at or above the largest pending `live` end (the
+//! floor; 0 when nothing is pending — the uniform-flow case), and a slot
+//! below it that is such a call destination for every pending context
+//! that reaches it. Owned slots are written wholesale: re-typed, full-width loops
 //! that keep the hot paths branch-free and vectorisable, whatever
 //! clobbers the other lanes (they are retired, or the slot is dead for
 //! their context). Only a write to an unowned slot is *masked*: the
@@ -97,7 +97,7 @@
 
 use crate::ast::BinOp;
 use crate::builtins::{self, BuiltinCx, BuiltinId};
-use crate::compile::{Chunk, Executable, Insn, Opnd, PathStep, Shape, SlotRef};
+use crate::compile::{Chunk, Executable, Insn, Opnd, PathStep, Shape, SlotRef, Splice};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::ops;
@@ -119,61 +119,25 @@ pub struct BatchError {
     pub error: RuntimeError,
 }
 
-/// Saved caller state for one active [`Insn::CallUser`] call, kept on
-/// the context's explicit frame stack (the SPMD engine never recurses
-/// natively, so a divergent subgroup can be suspended mid-call and
-/// resumed later).
-#[derive(Clone, PartialEq)]
-struct Frame {
-    /// Chunk to resume in the caller.
-    ret_chunk: u32,
-    /// Instruction to resume at in the caller.
-    ret_pc: usize,
-    /// Caller's frame base.
-    frame_base: usize,
-    /// Absolute frame slot the return value goes to.
-    ret_dst: usize,
-    /// The caller's live frame slots (absolute end) after the return.
-    ret_live: usize,
-    /// User calls active in the callee's chunk: those of the frames
-    /// below, the spliced calls around this one, and this one.
-    depth: u32,
-}
-
 /// One schedulable execution context: a subgroup of lanes in lockstep at
 /// a shared program position.
 struct Ctx {
     mask: u8,
-    chunk: u32,
     pc: usize,
-    frame_base: usize,
-    /// End (absolute) of the frame slots live at `pc`, set where the
-    /// context lands after a jump or a return: all a deferred context
-    /// can read, so its ownership floor.
+    /// End of the frame slots live at `pc`, set where the context lands
+    /// after a jump: all a deferred context can read, so its ownership
+    /// floor.
     live: usize,
-    frames: Vec<Frame>,
 }
 
-/// Whether two contexts sit at the same program point (and therefore may
-/// merge). The live frame slots are a static property of a program point
-/// in the structured bytecode, so equal position implies equal `live` —
-/// asserted in debug builds.
-fn same_point(a: &Ctx, b: &Ctx) -> bool {
-    a.chunk == b.chunk && a.pc == b.pc && a.frames == b.frames
-}
-
-/// Merges every pending context at `cur`'s exact position into `cur`,
-/// keeping the merged contexts' frame stacks in `spare`. Returns whether
-/// any context merged.
-fn merge_caught_up(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Frame>>) -> bool {
+/// Merges every pending context at `cur`'s exact position into `cur`.
+/// Returns whether any context merged.
+fn merge_caught_up(cur: &mut Ctx, pending: &mut Vec<Ctx>) -> bool {
     let before = pending.len();
     let mut i = 0;
     while i < pending.len() {
-        if same_point(&pending[i], cur) {
-            debug_assert_eq!(pending[i].frame_base, cur.frame_base);
-            let merged = pending.swap_remove(i);
-            cur.mask |= merged.mask;
-            spare.push(merged.frames);
+        if pending[i].pc == cur.pc {
+            cur.mask |= pending.swap_remove(i).mask;
         } else {
             i += 1;
         }
@@ -183,15 +147,15 @@ fn merge_caught_up(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Fr
 
 /// Merges every pending context at `cur`'s exact position into `cur`,
 /// then repeatedly swaps `cur` with the furthest-behind pending context
-/// of the same frame class so stragglers catch up (yielding `if`/`else`
-/// reconvergence at the join point). Pure scheduling: any interleaving
-/// of contexts is semantically correct.
-fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>, spare: &mut Vec<Vec<Frame>>) {
+/// so stragglers catch up (yielding `if`/`else` reconvergence at the
+/// join point). Pure scheduling: any interleaving of contexts is
+/// semantically correct.
+fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>) {
     loop {
-        merge_caught_up(cur, pending, spare);
+        merge_caught_up(cur, pending);
         let mut behind: Option<usize> = None;
         for (j, p) in pending.iter().enumerate() {
-            if p.chunk == cur.chunk && p.pc < cur.pc && p.frames == cur.frames {
+            if p.pc < cur.pc {
                 match behind {
                     Some(b) if pending[b].pc <= p.pc => {}
                     _ => behind = Some(j),
@@ -213,17 +177,15 @@ fn floor(pending: &[Ctx]) -> usize {
 
 /// Whether the running context owns frame slot `s`: no deferred context
 /// reads it. Each one reads only the slots below its `live` end, except
-/// the destinations of the calls it is inside, spliced or not, which
-/// their return writes first.
+/// the destinations of the spliced calls it is inside, which their
+/// return writes first.
 #[inline(always)]
-fn owns(s: usize, floor: usize, pending: &[Ctx], chunks: &[Chunk]) -> bool {
+fn owns(s: usize, floor: usize, pending: &[Ctx], splices: &[Splice]) -> bool {
     s >= floor
         || pending.iter().all(|p| {
             p.live <= s
-                || p.frames.iter().any(|f| f.ret_dst == s)
-                || chunks[p.chunk as usize].splices.iter().any(|c| {
-                    (c.start as usize..c.end as usize).contains(&p.pc)
-                        && p.frame_base + c.dst as usize == s
+                || splices.iter().any(|c| {
+                    (c.start as usize..c.end as usize).contains(&p.pc) && c.dst as usize == s
                 })
         })
 }
@@ -588,7 +550,7 @@ pub struct SpmdVm<'a> {
     /// (slot, initial value) for plain mutable globals.
     reset_list: Vec<(u32, Value)>,
     /// Frame arena, one SoA slot per parameter, local or temporary; a
-    /// callee's frame starts at its first argument's slot.
+    /// spliced callee's frame starts at its first argument's slot.
     locals: Vec<Slot>,
     /// Loop iteration counter stacks, per lane.
     loop_counters: Vec<Vec<u64>>,
@@ -605,10 +567,6 @@ pub struct SpmdVm<'a> {
     /// Deferred contexts of the running batch; kept between batches so
     /// a divergence allocates nothing in steady state.
     pending: Vec<Ctx>,
-    /// Frame stacks of retired contexts, reused by the next context that
-    /// needs one (a divergence copies the running context's stack into
-    /// a spare one).
-    spare_frames: Vec<Vec<Frame>>,
     /// `gl_FragColor` and `gl_FragData`, resolved once.
     frag_color_slot: Option<u32>,
     frag_data_slot: Option<u32>,
@@ -655,7 +613,6 @@ impl<'a> SpmdVm<'a> {
             init_profile: OpProfile::new(),
             arg_buf: Vec::new(),
             pending: Vec::new(),
-            spare_frames: Vec::new(),
             frag_color_slot: exe.global_slot("gl_FragColor"),
             frag_data_slot: exe.global_slot("gl_FragData"),
             discarded: [false; MAX_LANES],
@@ -665,8 +622,8 @@ impl<'a> SpmdVm<'a> {
             replays: 0,
         };
         // A single-lane run through the SPMD engine is exactly a scalar
-        // run; use it for chunk 0 on lane 0, then broadcast.
-        vm.exec(1, 0)?;
+        // run; use it for the initialisers on lane 0, then broadcast.
+        vm.exec(1, &exe.init)?;
         vm.init_profile = std::mem::take(&mut vm.profile);
         for slot in &mut vm.globals {
             let v = slot.get(0);
@@ -838,7 +795,8 @@ impl<'a> SpmdVm<'a> {
             self.begin_invocation(lane);
         }
         self.completed[..active].fill(false);
-        match self.exec(mask, self.exe.main_chunk) {
+        let exe = self.exe;
+        match self.exec(mask, &exe.main) {
             Ok(()) => {
                 self.completed[..active].fill(true);
                 Ok(())
@@ -850,7 +808,7 @@ impl<'a> SpmdVm<'a> {
                 self.profile = snapshot;
                 for lane in 0..active {
                     self.begin_invocation(lane);
-                    match self.exec(1 << lane, self.exe.main_chunk) {
+                    match self.exec(1 << lane, &exe.main) {
                         Ok(()) => self.completed[lane] = true,
                         Err(error) => return Err(BatchError { lane, error }),
                     }
@@ -880,12 +838,12 @@ impl<'a> SpmdVm<'a> {
         }
     }
 
-    /// The slot operand `o` reads, in a frame based at `fb` (for a
-    /// [`Opnd::GlobalComp`], the whole vector).
+    /// The slot operand `o` reads (for a [`Opnd::GlobalComp`], the whole
+    /// vector).
     #[inline(always)]
-    fn slot(&self, o: Opnd, fb: usize) -> &Slot {
+    fn slot(&self, o: Opnd) -> &Slot {
         match o {
-            Opnd::Local(s) => &self.locals[fb + s as usize],
+            Opnd::Local(s) => &self.locals[s as usize],
             Opnd::Const(c) => &self.consts[c as usize],
             Opnd::Global(g) | Opnd::GlobalComp(g, _) => &self.globals[g as usize],
         }
@@ -893,7 +851,7 @@ impl<'a> SpmdVm<'a> {
 
     /// Operand `o`'s `float` lanes; `None` for any other slot.
     #[inline(always)]
-    fn f1(&self, o: Opnd, fb: usize) -> Option<[f32; MAX_LANES]> {
+    fn f1(&self, o: Opnd) -> Option<[f32; MAX_LANES]> {
         match o {
             Opnd::GlobalComp(g, c) => {
                 let c = c as usize;
@@ -904,7 +862,7 @@ impl<'a> SpmdVm<'a> {
                     _ => None,
                 }
             }
-            _ => match self.slot(o, fb) {
+            _ => match self.slot(o) {
                 Slot::F(x) => Some(*x),
                 _ => None,
             },
@@ -914,9 +872,9 @@ impl<'a> SpmdVm<'a> {
     /// Component `c` of operand `o`'s float vector lanes; `None` for any
     /// other slot.
     #[inline(always)]
-    fn component(&self, o: Opnd, c: u8, fb: usize) -> Option<[f32; MAX_LANES]> {
+    fn component(&self, o: Opnd, c: u8) -> Option<[f32; MAX_LANES]> {
         let c = c as usize;
-        match (self.slot(o, fb), o) {
+        match (self.slot(o), o) {
             (_, Opnd::GlobalComp(..)) => None,
             (Slot::V2(x), _) if c < 2 => Some(per_lane(|l| x[l][c])),
             (Slot::V3(x), _) if c < 3 => Some(per_lane(|l| x[l][c])),
@@ -929,20 +887,12 @@ impl<'a> SpmdVm<'a> {
     /// nothing written, for any other builtin or a slot that is not a
     /// `float`.
     #[inline(always)]
-    fn unary_f1(
-        &mut self,
-        id: BuiltinId,
-        arg: Opnd,
-        dst: usize,
-        fb: usize,
-        mask: u8,
-        owned: bool,
-    ) -> bool {
+    fn unary_f1(&mut self, id: BuiltinId, arg: Opnd, dst: usize, mask: u8, owned: bool) -> bool {
         use BuiltinId as B;
         if !matches!(id, B::Floor | B::Exp2 | B::Log2 | B::Abs | B::Fract) {
             return false;
         }
-        let Some(v) = self.f1(arg, fb) else {
+        let Some(v) = self.f1(arg) else {
             return false;
         };
         // One loop per builtin, so each inlines its function.
@@ -963,8 +913,8 @@ impl<'a> SpmdVm<'a> {
     /// returns how many each lane has; `None` when the slot holds no
     /// float or vecN (a boxed slot takes the generic path).
     #[inline(always)]
-    fn floats(&self, o: Opnd, fb: usize, out: &mut Lanes) -> Option<usize> {
-        let (x, n) = self.slot(o, fb).floats()?;
+    fn floats(&self, o: Opnd, out: &mut Lanes) -> Option<usize> {
+        let (x, n) = self.slot(o).floats()?;
         if let Opnd::GlobalComp(_, c) = o {
             let c = c as usize;
             if c >= n {
@@ -981,29 +931,29 @@ impl<'a> SpmdVm<'a> {
 
     /// [`SpmdVm::floats`] of exactly `n` components per lane.
     #[inline(always)]
-    fn floats_n(&self, o: Opnd, fb: usize, n: usize, out: &mut Lanes) -> bool {
-        self.floats(o, fb, out) == Some(n)
+    fn floats_n(&self, o: Opnd, n: usize, out: &mut Lanes) -> bool {
+        self.floats(o, out) == Some(n)
     }
 
     /// Operand `o`'s `int` lanes; `None` for any other slot.
-    fn ints(&self, o: Opnd, fb: usize) -> Option<[i32; MAX_LANES]> {
-        match self.slot(o, fb) {
+    fn ints(&self, o: Opnd) -> Option<[i32; MAX_LANES]> {
+        match self.slot(o) {
             Slot::I(x) if !matches!(o, Opnd::GlobalComp(..)) => Some(*x),
             _ => None,
         }
     }
 
     /// Operand `o`'s `bool` lanes; `None` for any other slot.
-    fn bools(&self, o: Opnd, fb: usize) -> Option<[bool; MAX_LANES]> {
-        match self.slot(o, fb) {
+    fn bools(&self, o: Opnd) -> Option<[bool; MAX_LANES]> {
+        match self.slot(o) {
             Slot::B(x) if !matches!(o, Opnd::GlobalComp(..)) => Some(*x),
             _ => None,
         }
     }
 
     /// One lane's value of operand `o`, materialised (the generic paths).
-    fn value(&self, o: Opnd, fb: usize, lane: usize) -> Result<Value, RuntimeError> {
-        let v = self.slot(o, fb).get(lane);
+    fn value(&self, o: Opnd, lane: usize) -> Result<Value, RuntimeError> {
+        let v = self.slot(o).get(lane);
         match o {
             Opnd::GlobalComp(_, c) => ops::swizzle_read(&v, &[c as usize]),
             _ => Ok(v),
@@ -1032,10 +982,10 @@ impl<'a> SpmdVm<'a> {
     }
 
     /// `locals[dst] = src` for the running context.
-    fn copy_to(&mut self, dst: usize, src: Opnd, fb: usize, mask: u8, owned: bool) {
+    fn copy_to(&mut self, dst: usize, src: Opnd, mask: u8, owned: bool) {
         match src {
             Opnd::Local(s) => {
-                let s = fb + s as usize;
+                let s = s as usize;
                 if s != dst {
                     let (d, s) = pair_mut(&mut self.locals, dst, s);
                     d.write_from(s, mask, owned);
@@ -1045,7 +995,7 @@ impl<'a> SpmdVm<'a> {
             Opnd::Global(g) => self.locals[dst].write_from(&self.globals[g as usize], mask, owned),
             Opnd::GlobalComp(g, c) => {
                 let mut x = [0.0; 4 * MAX_LANES];
-                if self.floats_n(src, fb, 1, &mut x) {
+                if self.floats_n(src, 1, &mut x) {
                     self.locals[dst].put_floats(1, &x, mask, owned);
                 } else {
                     for_lanes!(mask, l => {
@@ -1060,11 +1010,9 @@ impl<'a> SpmdVm<'a> {
 
     /// `globals[slot] = src` on the running context's lanes (globals are
     /// always written masked).
-    fn store_global(&mut self, slot: usize, src: Opnd, fb: usize, mask: u8) {
+    fn store_global(&mut self, slot: usize, src: Opnd, mask: u8) {
         match src {
-            Opnd::Local(s) => {
-                self.globals[slot].copy_masked_from(&self.locals[fb + s as usize], mask)
-            }
+            Opnd::Local(s) => self.globals[slot].copy_masked_from(&self.locals[s as usize], mask),
             Opnd::Const(c) => self.globals[slot].copy_masked_from(&self.consts[c as usize], mask),
             Opnd::Global(g) if g as usize == slot => {}
             Opnd::Global(g) => {
@@ -1073,7 +1021,7 @@ impl<'a> SpmdVm<'a> {
             }
             Opnd::GlobalComp(..) => {
                 for_lanes!(mask, l => {
-                    if let Ok(v) = self.value(src, fb, l) {
+                    if let Ok(v) = self.value(src, l) {
                         self.globals[slot].set(l, v);
                     }
                 });
@@ -1087,24 +1035,22 @@ impl<'a> SpmdVm<'a> {
         dst: usize,
         cond: Opnd,
         (a, b): (Opnd, Opnd),
-        fb: usize,
         mask: u8,
         owned: bool,
     ) -> Result<(), RuntimeError> {
-        if let (Some(c), Some(x), Some(y)) = (self.bools(cond, fb), self.f1(a, fb), self.f1(b, fb))
-        {
+        if let (Some(c), Some(x), Some(y)) = (self.bools(cond), self.f1(a), self.f1(b)) {
             let v = per_lane(|l| if c[l] { x[l] } else { y[l] });
             self.locals[dst].put_f1(v, mask, owned);
             return Ok(());
         }
         self.lanewise(dst, mask, owned, |vm, l| {
             let c = vm
-                .value(cond, fb, l)?
+                .value(cond, l)?
                 .as_bool()
                 .ok_or_else(|| RuntimeError::Type {
                     message: "condition did not evaluate to bool".into(),
                 })?;
-            vm.value(if c { a } else { b }, fb, l)
+            vm.value(if c { a } else { b }, l)
         })
     }
 
@@ -1120,14 +1066,13 @@ impl<'a> SpmdVm<'a> {
         dst: usize,
         a: Opnd,
         b: Opnd,
-        fb: usize,
         mask: u8,
         owned: bool,
     ) -> bool {
         use BinOp::*;
         let arith = matches!(op, Add | Sub | Mul | Div);
         if shape == Shape::F(1) {
-            let (Some(x), Some(y)) = (self.f1(a, fb), self.f1(b, fb)) else {
+            let (Some(x), Some(y)) = (self.f1(a), self.f1(b)) else {
                 return false;
             };
             let r: [f32; MAX_LANES] = match op {
@@ -1157,7 +1102,7 @@ impl<'a> SpmdVm<'a> {
                     _ => (n, n),
                 };
                 let (mut x, mut y) = ([0.0; 4 * MAX_LANES], [0.0; 4 * MAX_LANES]);
-                if !(self.floats_n(a, fb, na, &mut x) && self.floats_n(b, fb, nb, &mut y)) {
+                if !(self.floats_n(a, na, &mut x) && self.floats_n(b, nb, &mut y)) {
                     return false;
                 }
                 let mut out = [0.0; 4 * MAX_LANES];
@@ -1173,7 +1118,7 @@ impl<'a> SpmdVm<'a> {
                 true
             }
             Shape::I => {
-                let (Some(x), Some(y)) = (self.ints(a, fb), self.ints(b, fb)) else {
+                let (Some(x), Some(y)) = (self.ints(a), self.ints(b)) else {
                     return false;
                 };
                 if arith {
@@ -1196,7 +1141,7 @@ impl<'a> SpmdVm<'a> {
                 true
             }
             Shape::B => {
-                let (Some(x), Some(y)) = (self.bools(a, fb), self.bools(b, fb)) else {
+                let (Some(x), Some(y)) = (self.bools(a), self.bools(b)) else {
                     return false;
                 };
                 let r: [bool; MAX_LANES] = match op {
@@ -1220,13 +1165,11 @@ impl<'a> SpmdVm<'a> {
     /// running context `owned` it. Returns `false` (with no state
     /// mutated) when the call must take the generic per-lane path —
     /// including every case where the scalar builtin would error.
-    #[allow(clippy::too_many_arguments)]
     fn fast_builtin(
         &mut self,
         id: BuiltinId,
         args: &[Opnd],
         dst: usize,
-        fb: usize,
         mask: u8,
         owned: bool,
     ) -> bool {
@@ -1241,14 +1184,14 @@ impl<'a> SpmdVm<'a> {
         macro_rules! map1 {
             ($sfu:expr, $f:expr) => {{
                 let f = $f;
-                if let Some(v) = self.f1(args[0], fb) {
+                if let Some(v) = self.f1(args[0]) {
                     count_ops(&mut self.profile, $sfu, 1, mask);
                     let v = round8(model, $sfu, per_lane(|l| f(v[l])));
                     self.locals[dst].put_f1(v, mask, owned);
                     return true;
                 }
                 let mut x = lanes();
-                let Some(n) = self.floats(args[0], fb, &mut x) else {
+                let Some(n) = self.floats(args[0], &mut x) else {
                     return false;
                 };
                 for v in &mut x[..n * MAX_LANES] {
@@ -1263,17 +1206,16 @@ impl<'a> SpmdVm<'a> {
         macro_rules! map2 {
             ($sfu:expr, $f:expr) => {{
                 let f = $f;
-                if let (Some(p), Some(q)) = (self.f1(args[0], fb), self.f1(args[1], fb)) {
+                if let (Some(p), Some(q)) = (self.f1(args[0]), self.f1(args[1])) {
                     count_ops(&mut self.profile, $sfu, 1, mask);
                     let v = round8(model, $sfu, per_lane(|l| f(p[l], q[l])));
                     self.locals[dst].put_f1(v, mask, owned);
                     return true;
                 }
                 let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
-                let (Some(n), Some(m)) = (
-                    self.floats(args[0], fb, &mut x),
-                    self.floats(args[1], fb, &mut y),
-                ) else {
+                let (Some(n), Some(m)) =
+                    (self.floats(args[0], &mut x), self.floats(args[1], &mut y))
+                else {
                     return false;
                 };
                 if m != n && m != 1 {
@@ -1332,10 +1274,9 @@ impl<'a> SpmdVm<'a> {
             // step(edge, x): no rounding, alu += x's component count.
             if id == B::Step {
                 let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
-                let (Some(m), Some(n)) = (
-                    self.floats(args[0], fb, &mut x),
-                    self.floats(args[1], fb, &mut y),
-                ) else {
+                let (Some(m), Some(n)) =
+                    (self.floats(args[0], &mut x), self.floats(args[1], &mut y))
+                else {
                     return false;
                 };
                 if m != n && m != 1 {
@@ -1358,10 +1299,9 @@ impl<'a> SpmdVm<'a> {
             // dot(a, b): chained rounding, alu += 2n.
             if id == B::Dot {
                 let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
-                let (Some(n), Some(m)) = (
-                    self.floats(args[0], fb, &mut x),
-                    self.floats(args[1], fb, &mut y),
-                ) else {
+                let (Some(n), Some(m)) =
+                    (self.floats(args[0], &mut x), self.floats(args[1], &mut y))
+                else {
                     return false;
                 };
                 if m != n {
@@ -1383,12 +1323,12 @@ impl<'a> SpmdVm<'a> {
 
             // texture2D(sampler, vec2): one fetch per lane.
             if id == B::Texture2D {
-                let Slot::S(units) = self.slot(args[0], fb) else {
+                let Slot::S(units) = self.slot(args[0]) else {
                     return false;
                 };
                 let units = *units;
                 let (mut y, mut z) = (lanes(), lanes());
-                if !self.floats_n(args[1], fb, 2, &mut y) {
+                if !self.floats_n(args[1], 2, &mut y) {
                     return false;
                 }
                 for_lanes!(mask, l => {
@@ -1411,9 +1351,9 @@ impl<'a> SpmdVm<'a> {
             };
             let (mut x, mut y, mut z) = (lanes(), lanes(), lanes());
             let (Some(n), Some(pn), Some(qn)) = (
-                self.floats(args[0], fb, &mut x),
-                self.floats(args[1], fb, &mut y),
-                self.floats(args[2], fb, &mut z),
+                self.floats(args[0], &mut x),
+                self.floats(args[1], &mut y),
+                self.floats(args[2], &mut z),
             ) else {
                 return false;
             };
@@ -1437,9 +1377,9 @@ impl<'a> SpmdVm<'a> {
             B::Float | B::Int if args.len() == 1 => {
                 let mut x = lanes();
                 // The first component, one op per source component.
-                let (first, comps): ([f32; MAX_LANES], usize) = match self.ints(args[0], fb) {
+                let (first, comps): ([f32; MAX_LANES], usize) = match self.ints(args[0]) {
                     Some(x) => (per_lane(|l| x[l] as f32), 1),
-                    None => match self.floats(args[0], fb, &mut x) {
+                    None => match self.floats(args[0], &mut x) {
                         Some(n) => (per_lane(|l| x[l * n]), n),
                         None => return false,
                     },
@@ -1464,7 +1404,7 @@ impl<'a> SpmdVm<'a> {
                 if args.len() == dim {
                     let mut z = lanes();
                     for (c, &arg) in args.iter().enumerate() {
-                        let Some(v) = self.f1(arg, fb) else {
+                        let Some(v) = self.f1(arg) else {
                             break;
                         };
                         for (l, &x) in v.iter().enumerate() {
@@ -1479,7 +1419,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 let mut total = 0usize;
                 for &arg in args {
-                    total += match self.slot(arg, fb) {
+                    total += match self.slot(arg) {
                         Slot::F(_) | Slot::I(_) => 1,
                         _ if matches!(arg, Opnd::GlobalComp(..)) => 1,
                         Slot::V2(_) => 2,
@@ -1501,12 +1441,12 @@ impl<'a> SpmdVm<'a> {
                 let (mut x, mut z) = (lanes(), lanes());
                 let mut k = 0usize;
                 for &arg in args {
-                    let n = match self.ints(arg, fb) {
+                    let n = match self.ints(arg) {
                         Some(v) => {
                             x[..MAX_LANES].copy_from_slice(&per_lane(|l| v[l] as f32));
                             1
                         }
-                        None => match self.floats(arg, fb, &mut x) {
+                        None => match self.floats(arg, &mut x) {
                             Some(n) => n,
                             None => return false,
                         },
@@ -1538,24 +1478,22 @@ impl<'a> SpmdVm<'a> {
     /// `dst`: the SoA fast path when one applies, else
     /// [`builtins::call`] lane by lane on each lane's materialised
     /// arguments.
-    #[allow(clippy::too_many_arguments)]
     fn call_builtin(
         &mut self,
         id: BuiltinId,
         shape: Shape,
         args: &[Opnd],
         dst: usize,
-        fb: usize,
         mask: u8,
         owned: bool,
     ) -> Result<(), RuntimeError> {
-        if shape != Shape::Any && self.fast_builtin(id, args, dst, fb, mask, owned) {
+        if shape != Shape::Any && self.fast_builtin(id, args, dst, mask, owned) {
             return Ok(());
         }
         self.lanewise(dst, mask, owned, |vm, lane| {
             vm.arg_buf.clear();
             for &a in args {
-                let v = vm.value(a, fb, lane)?;
+                let v = vm.value(a, lane)?;
                 vm.arg_buf.push(v);
             }
             let mut cx = BuiltinCx {
@@ -1571,85 +1509,31 @@ impl<'a> SpmdVm<'a> {
         })
     }
 
-    /// User calls active at the running context's position, besides the
-    /// spliced calls around it: those its frames entered.
-    fn depth(cur: &Ctx) -> u32 {
-        cur.frames.last().map_or(0, |f| f.depth)
-    }
-
-    /// Raises the tree-walker's call-depth error where a call entered
-    /// inside `nest` spliced calls at `cur` would nest too deep.
-    fn check_depth(&self, cur: &Ctx, nest: u32) -> Result<(), RuntimeError> {
-        if Self::depth(cur) + nest >= self.limits.max_call_depth {
-            return Err(RuntimeError::CallDepth {
-                limit: self.limits.max_call_depth,
-            });
-        }
-        Ok(())
-    }
-
-    /// Enters user function `fi`'s chunk for the running context: its
-    /// parameters are already in place at frame slot `base`; pushes the
-    /// caller's return state.
-    fn enter_call(
-        &mut self,
-        cur: &mut Ctx,
-        fi: u32,
-        (base, dst, live, nest): (u32, u32, u32, u32),
-    ) -> Result<(), RuntimeError> {
-        self.check_depth(cur, nest)?;
-        let exe = self.exe;
-        let chunk = exe.functions[fi as usize].chunk.expect("a called chunk");
-        let fb = cur.frame_base;
-        let callee_base = fb + base as usize;
-        self.ensure_locals(callee_base + exe.chunks[chunk as usize].frame_size as usize);
-        self.profile.calls += lane_count(cur.mask);
-        let depth = Self::depth(cur) + nest + 1;
-        cur.frames.push(Frame {
-            ret_chunk: cur.chunk,
-            ret_pc: cur.pc + 1,
-            frame_base: fb,
-            ret_dst: fb + dst as usize,
-            ret_live: fb + live as usize,
-            depth,
-        });
-        cur.chunk = chunk;
-        cur.pc = 0;
-        cur.frame_base = callee_base;
-        Ok(())
-    }
-
     /// Runs `chunk` to completion for the lanes in `mask`, scheduling
     /// divergent contexts as described in the module docs. On error the
-    /// per-lane state is torn (the caller replays); a single-lane call
-    /// is exact scalar execution. The pending list and every frame stack
-    /// are VM-owned buffers, so a batch allocates nothing once they
-    /// have grown.
-    fn exec(&mut self, mask: u8, start_chunk: u32) -> Result<(), RuntimeError> {
+    /// per-lane state is torn (the caller replays); a single-lane run is
+    /// exact scalar execution. The pending list is a VM-owned buffer, so
+    /// a batch allocates nothing once it has grown.
+    fn exec(&mut self, mask: u8, chunk: &Chunk) -> Result<(), RuntimeError> {
         let mut pending = std::mem::take(&mut self.pending);
-        let mut frames = self.spare_frames.pop().unwrap_or_default();
-        frames.clear();
-        let frame_size = self.exe.chunks[start_chunk as usize].frame_size as usize;
-        let mut cur = Ctx {
-            mask,
-            chunk: start_chunk,
-            pc: 0,
-            frame_base: 0,
-            live: frame_size,
-            frames,
-        };
-        self.ensure_locals(frame_size);
-        let result = self.run(&mut cur, &mut pending);
-        self.spare_frames.push(cur.frames);
-        self.spare_frames
-            .extend(pending.drain(..).map(|ctx| ctx.frames));
+        let live = chunk.frame_size as usize;
+        let mut cur = Ctx { mask, pc: 0, live };
+        self.ensure_locals(live);
+        let result = self.run(chunk, &mut cur, &mut pending);
+        pending.clear();
         self.pending = pending;
         result
     }
 
     /// The instruction loop of [`SpmdVm::exec`].
-    fn run(&mut self, cur: &mut Ctx, pending: &mut Vec<Ctx>) -> Result<(), RuntimeError> {
+    fn run(
+        &mut self,
+        chunk: &Chunk,
+        cur: &mut Ctx,
+        pending: &mut Vec<Ctx>,
+    ) -> Result<(), RuntimeError> {
         let exe = self.exe;
+        let code = &chunk.code[..];
         // Ownership floor of `pending` (see `floor`): a frame write at or
         // above it goes wholesale, below it it is masked. Globals are
         // always written masked — see the module docs. Every change to
@@ -1664,16 +1548,16 @@ impl<'a> SpmdVm<'a> {
 
         macro_rules! owns {
             ($s:expr) => {
-                owns($s, fl, pending, &exe.chunks)
+                owns($s, fl, pending, &chunk.splices)
             };
         }
 
-        // After a jump or return lands: let pending contexts merge or
-        // catch up (nothing to do in uniform flow).
+        // After a jump lands: let pending contexts merge or catch up
+        // (nothing to do in uniform flow).
         macro_rules! land {
             () => {
                 if !pending.is_empty() {
-                    reschedule(cur, pending, &mut self.spare_frames);
+                    reschedule(cur, pending);
                     refloor!();
                 }
             };
@@ -1683,8 +1567,7 @@ impl<'a> SpmdVm<'a> {
             () => {{
                 match pending.pop() {
                     Some(p) => {
-                        let done = std::mem::replace(cur, p);
-                        self.spare_frames.push(done.frames);
+                        *cur = p;
                         refloor!();
                         continue;
                     }
@@ -1699,23 +1582,17 @@ impl<'a> SpmdVm<'a> {
         macro_rules! jump {
             ($taken:expr, $to:expr) => {{
                 let (go, stay) = ($taken & cur.mask, !$taken & cur.mask);
-                let fb = cur.frame_base;
                 if go == 0 {
                     cur.pc += 1;
                 } else if stay == 0 {
                     cur.pc = $to.pc as usize;
-                    cur.live = fb + $to.live as usize;
+                    cur.live = $to.live as usize;
                     land!();
                 } else {
-                    let mut frames = self.spare_frames.pop().unwrap_or_default();
-                    frames.clone_from(&cur.frames);
                     pending.push(Ctx {
                         mask: go,
-                        chunk: cur.chunk,
                         pc: $to.pc as usize,
-                        frame_base: fb,
-                        live: fb + $to.live as usize,
-                        frames,
+                        live: $to.live as usize,
                     });
                     cur.mask = stay;
                     cur.pc += 1;
@@ -1727,27 +1604,22 @@ impl<'a> SpmdVm<'a> {
 
         loop {
             // Merge any pending context that has caught up to `cur`.
-            if !pending.is_empty() && merge_caught_up(cur, pending, &mut self.spare_frames) {
+            if !pending.is_empty() && merge_caught_up(cur, pending) {
                 refloor!();
             }
-            let code = &exe.chunks[cur.chunk as usize].code[..];
             if cur.pc >= code.len() {
-                // Fell off the end: only the initialiser chunk and
-                // `main` do this (function chunks end in Ret/Err).
-                debug_assert!(cur.frames.is_empty());
                 next_ctx!();
             }
             #[cfg(test)]
             EXECUTED.with(|n| n.set(n.get() + 1));
-            let fb = cur.frame_base;
             let mask = cur.mask;
             match &code[cur.pc] {
                 &Insn::Move { dst, src } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
-                    match self.f1(src, fb) {
+                    match self.f1(src) {
                         Some(v) => self.locals[dst].put_f1(v, mask, owned),
-                        None => self.copy_to(dst, src, fb, mask, owned),
+                        None => self.copy_to(dst, src, mask, owned),
                     }
                 }
                 &Insn::Binary {
@@ -1757,25 +1629,25 @@ impl<'a> SpmdVm<'a> {
                     a,
                     b,
                 } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
-                    if !self.binary_fast(op, shape, dst, a, b, fb, mask, owned) {
+                    if !self.binary_fast(op, shape, dst, a, b, mask, owned) {
                         self.lanewise(dst, mask, owned, |vm, l| {
-                            let (av, bv) = (vm.value(a, fb, l)?, vm.value(b, fb, l)?);
+                            let (av, bv) = (vm.value(a, l)?, vm.value(b, l)?);
                             ops::apply_binary(vm.model, &mut vm.profile, op, av, bv)
                         })?;
                     }
                 }
                 &Insn::Neg { shape, dst, a } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
                     let mut x = [0.0; 4 * MAX_LANES];
                     let ints = match shape {
-                        Shape::I => self.ints(a, fb),
+                        Shape::I => self.ints(a),
                         _ => None,
                     };
                     match (shape, ints) {
-                        (Shape::F(n), _) if self.floats_n(a, fb, n as usize, &mut x) => {
+                        (Shape::F(n), _) if self.floats_n(a, n as usize, &mut x) => {
                             for v in &mut x {
                                 *v = -*v;
                             }
@@ -1788,36 +1660,38 @@ impl<'a> SpmdVm<'a> {
                                 owned,
                             );
                         }
-                        _ => self
-                            .lanewise(dst, mask, owned, |vm, l| ops::negate(vm.value(a, fb, l)?))?,
+                        _ => {
+                            self.lanewise(dst, mask, owned, |vm, l| ops::negate(vm.value(a, l)?))?
+                        }
                     }
                 }
                 &Insn::Select { dst, cond, a, b } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
                     self.profile.branches += lane_count(mask);
-                    self.select(dst, cond, (a, b), fb, mask, owned)?;
+                    self.select(dst, cond, (a, b), mask, owned)?;
                 }
                 &Insn::Not { dst, a } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
-                    match self.bools(a, fb) {
+                    match self.bools(a) {
                         Some(v) => self.locals[dst].put_bools(per_lane(|l| !v[l]), mask, owned),
                         None => self.lanewise(dst, mask, owned, |vm, l| {
-                            let b = vm.value(a, fb, l)?.as_bool().ok_or_else(|| {
-                                RuntimeError::Type {
-                                    message: "`!` requires bool".into(),
-                                }
-                            })?;
+                            let b =
+                                vm.value(a, l)?
+                                    .as_bool()
+                                    .ok_or_else(|| RuntimeError::Type {
+                                        message: "`!` requires bool".into(),
+                                    })?;
                             Ok(Value::Bool(!b))
                         })?,
                     }
                 }
                 &Insn::Swizzle { dst, src, idx, len } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
                     if len == 1 {
-                        if let Some(v) = self.component(src, idx[0], fb) {
+                        if let Some(v) = self.component(src, idx[0]) {
                             self.locals[dst].put_f1(v, mask, owned);
                             cur.pc += 1;
                             continue;
@@ -1825,7 +1699,7 @@ impl<'a> SpmdVm<'a> {
                     }
                     let len = len as usize;
                     let mut x = [0.0; 4 * MAX_LANES];
-                    match self.floats(src, fb, &mut x) {
+                    match self.floats(src, &mut x) {
                         Some(n) if idx[..len].iter().all(|&i| (i as usize) < n) => {
                             let mut out = [0.0; 4 * MAX_LANES];
                             for l in 0..MAX_LANES {
@@ -1838,22 +1712,22 @@ impl<'a> SpmdVm<'a> {
                         _ => {
                             let sel = idx.map(usize::from);
                             self.lanewise(dst, mask, owned, |vm, l| {
-                                ops::swizzle_read(&vm.value(src, fb, l)?, &sel[..len])
+                                ops::swizzle_read(&vm.value(src, l)?, &sel[..len])
                             })?;
                         }
                     }
                 }
                 &Insn::Index { dst, base, index } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     self.lanewise(dst, mask, owns!(dst), |vm, l| {
-                        let i = lane_index(vm.value(index, fb, l)?)?;
+                        let i = lane_index(vm.value(index, l)?)?;
                         // Avoid cloning boxed aggregates (arrays) just to
                         // read one element.
-                        match vm.slot(base, fb) {
+                        match vm.slot(base) {
                             Slot::Boxed(b) if !matches!(base, Opnd::GlobalComp(..)) => {
                                 ops::index_read(&b[l], i)
                             }
-                            _ => ops::index_read(&vm.value(base, fb, l)?, i),
+                            _ => ops::index_read(&vm.value(base, l)?, i),
                         }
                     })?;
                 }
@@ -1864,57 +1738,37 @@ impl<'a> SpmdVm<'a> {
                     args,
                     argc,
                 } => {
-                    let dst = fb + dst as usize;
+                    let dst = dst as usize;
                     let owned = owns!(dst);
                     let args = &exe.operands[args as usize..args as usize + argc as usize];
                     if !(shape == Shape::F(1)
                         && argc == 1
-                        && self.unary_f1(id, args[0], dst, fb, mask, owned))
+                        && self.unary_f1(id, args[0], dst, mask, owned))
                     {
-                        self.call_builtin(id, shape, args, dst, fb, mask, owned)?;
+                        self.call_builtin(id, shape, args, dst, mask, owned)?;
                     }
                 }
                 &Insn::Enter { nest } => {
-                    self.check_depth(cur, nest)?;
+                    // The tree-walker's call-depth error, where this call
+                    // nests too deep.
+                    if nest >= self.limits.max_call_depth {
+                        return Err(RuntimeError::CallDepth {
+                            limit: self.limits.max_call_depth,
+                        });
+                    }
                     self.profile.calls += lane_count(mask);
                 }
-                &Insn::CallUser {
-                    func,
-                    base,
-                    dst,
-                    live,
-                    nest,
-                } => {
-                    self.enter_call(cur, func, (base, dst, live, nest))?;
-                    continue;
-                }
-                &Insn::Ret { value, .. } => match cur.frames.pop() {
-                    None => next_ctx!(),
-                    Some(frame) => {
-                        let dst = frame.ret_dst;
-                        let owned = owns!(dst);
-                        match self.f1(value, fb) {
-                            Some(v) => self.locals[dst].put_f1(v, mask, owned),
-                            None => self.copy_to(dst, value, fb, mask, owned),
-                        }
-                        cur.chunk = frame.ret_chunk;
-                        cur.pc = frame.ret_pc;
-                        cur.frame_base = frame.frame_base;
-                        cur.live = frame.ret_live;
-                        land!();
-                        continue;
-                    }
-                },
+                Insn::Ret { .. } => unreachable!("a return left unspliced"),
                 &Insn::StoreGlobal { slot, src, color } => {
                     if color {
                         for_lanes!(mask, l => { self.wrote_frag_color[l] = true; });
                     }
-                    self.store_global(slot as usize, src, fb, mask);
+                    self.store_global(slot as usize, src, mask);
                 }
-                &Insn::Store { def, src } => self.store_path(def, src, fb, mask)?,
+                &Insn::Store { def, src } => self.store_path(def, src, mask)?,
                 &Insn::Jump(t) => {
                     cur.pc = t.pc as usize;
-                    cur.live = fb + t.live as usize;
+                    cur.live = t.live as usize;
                     land!();
                     continue;
                 }
@@ -1931,11 +1785,11 @@ impl<'a> SpmdVm<'a> {
                         self.profile.branches += lane_count(mask);
                     }
                     let r = match shape {
-                        Shape::I => match (self.ints(a, fb), self.ints(b, fb)) {
+                        Shape::I => match (self.ints(a), self.ints(b)) {
                             (Some(x), Some(y)) => compare_lanes(op, &x, &y),
                             _ => None,
                         },
-                        _ => match (self.f1(a, fb), self.f1(b, fb)) {
+                        _ => match (self.f1(a), self.f1(b)) {
                             (Some(x), Some(y)) => compare_lanes(op, &x, &y),
                             _ => None,
                         },
@@ -1950,7 +1804,7 @@ impl<'a> SpmdVm<'a> {
                         None => {
                             let mut taken = 0u8;
                             for_lanes!(mask, lane => {
-                                let (av, bv) = (self.value(a, fb, lane)?, self.value(b, fb, lane)?);
+                                let (av, bv) = (self.value(a, lane)?, self.value(b, lane)?);
                                 let t = ops::apply_binary(self.model, &mut self.profile, op, av, bv)?;
                                 taken |= u8::from(t == Value::Bool(on)) << lane;
                             });
@@ -1968,7 +1822,7 @@ impl<'a> SpmdVm<'a> {
                     if branch {
                         self.profile.branches += lane_count(mask);
                     }
-                    let taken = match self.bools(cond, fb) {
+                    let taken = match self.bools(cond) {
                         Some(x) => x
                             .iter()
                             .enumerate()
@@ -1976,7 +1830,7 @@ impl<'a> SpmdVm<'a> {
                         None => {
                             let mut taken = 0u8;
                             for_lanes!(mask, lane => {
-                                match self.value(cond, fb, lane)?.as_bool() {
+                                match self.value(cond, lane)?.as_bool() {
                                     Some(b) => taken |= u8::from(b == on) << lane,
                                     None => {
                                         return Err(RuntimeError::Type {
@@ -2016,7 +1870,6 @@ impl<'a> SpmdVm<'a> {
                     });
                 }
                 Insn::Discard => {
-                    debug_assert!(cur.frames.is_empty());
                     for_lanes!(mask, lane => {
                         self.discarded[lane] = true;
                     });
@@ -2028,15 +1881,12 @@ impl<'a> SpmdVm<'a> {
                     })
                 }
                 Insn::ErrNoReturn(func) => {
-                    let name = &exe.functions[*func as usize].name;
+                    let name = &exe.functions[*func as usize];
                     return Err(RuntimeError::Type {
                         message: format!("function `{name}` ended without returning a value"),
                     });
                 }
-                Insn::Halt => {
-                    debug_assert!(cur.frames.is_empty());
-                    next_ctx!();
-                }
+                Insn::Halt => next_ctx!(),
             }
             cur.pc += 1;
         }
@@ -2044,7 +1894,7 @@ impl<'a> SpmdVm<'a> {
 
     /// Stores `src` through `stores[def]`'s accessor path, lane by lane,
     /// with the interpreter's own swizzle and index mutators.
-    fn store_path(&mut self, def: u32, src: Opnd, fb: usize, mask: u8) -> Result<(), RuntimeError> {
+    fn store_path(&mut self, def: u32, src: Opnd, mask: u8) -> Result<(), RuntimeError> {
         let exe = self.exe;
         let def = &exe.stores[def as usize];
         let n = def.n_index as usize;
@@ -2052,9 +1902,9 @@ impl<'a> SpmdVm<'a> {
         for_lanes!(mask, lane => {
             let mut indices = [0i64; 8];
             for (slot, &o) in indices.iter_mut().zip(index_ops) {
-                *slot = lane_index(self.value(o, fb, lane)?)?;
+                *slot = lane_index(self.value(o, lane)?)?;
             }
-            let value = self.value(src, fb, lane)?;
+            let value = self.value(src, lane)?;
             if def.wrote_color {
                 self.wrote_frag_color[lane] = true;
             }
@@ -2063,7 +1913,7 @@ impl<'a> SpmdVm<'a> {
             }
             let root_slot: &mut Slot = match def.root {
                 SlotRef::Global(s) => &mut self.globals[s as usize],
-                SlotRef::Local(s) => &mut self.locals[fb + s as usize],
+                SlotRef::Local(s) => &mut self.locals[s as usize],
             };
             // Mutate boxed aggregates in place; re-pack typed slots
             // through materialise/write-back.
@@ -2524,12 +2374,6 @@ mod tests {
     fn tenant_kernel_batches_stay_under_their_instruction_count() {
         let shader = check_src(TENANT_KERNEL);
         let exe = lower(&shader).expect("lower");
-        assert_eq!(exe.chunks.len(), 2, "initialisers and main only");
-        assert!(exe
-            .chunks
-            .iter()
-            .flat_map(|c| &c.code)
-            .all(|i| !matches!(i, Insn::CallUser { .. } | Insn::Ret { .. })));
         // ±25, sign-mixed: a small LCG stands in for the benchmark's
         // random inputs.
         let mut state = 0x2545_f491_u32;
@@ -2822,13 +2666,16 @@ mod tests {
         );
     }
 
+    /// A chain of nine spliced calls nests past a call-depth limit of 8:
+    /// the lane that enters it traps at the ninth `Enter`, the other
+    /// completes.
     #[test]
-    fn call_depth_guard_traps_unbounded_recursion() {
-        let src = format!(
-            "{P}uniform float u_in;\n\
-             float f(float x) {{ return f(x) + 1.0; }}\n\
-             void main() {{ gl_FragColor = vec4(u_in > 0.0 ? f(u_in) : u_in); }}"
-        );
+    fn call_depth_guard_traps_a_deep_chain() {
+        let mut src = format!("{P}uniform float u_in;\nfloat f9(float x) {{ return x; }}\n");
+        for k in (1..9).rev() {
+            src += &format!("float f{k}(float x) {{ return f{}(x) + 1.0; }}\n", k + 1);
+        }
+        src += "void main() { gl_FragColor = vec4(u_in > 0.0 ? f1(u_in) : u_in); }";
         let exe = lower_src(&src);
         let tex = NoTextures;
         let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 2).expect("spmd");
@@ -2839,9 +2686,7 @@ mod tests {
         let slot = exe.global_slot("u_in").expect("slot");
         spmd.set_lane_slot(0, slot, Value::Float(-1.0));
         spmd.set_lane_slot(1, slot, Value::Float(1.0));
-        let err = spmd
-            .run_batch(2)
-            .expect_err("lane 1 recurses without bound");
+        let err = spmd.run_batch(2).expect_err("lane 1 nests nine calls");
         assert_eq!(err.lane, 1);
         assert!(matches!(err.error, RuntimeError::CallDepth { limit: 8 }));
         assert_eq!(spmd.frag_color(0), Some([-1.0; 4]));

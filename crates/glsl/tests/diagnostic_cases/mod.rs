@@ -15,6 +15,13 @@ pub struct Case {
     pub message: &'static str,
 }
 
+/// Sixteen `u` arguments.
+macro_rules! sixteen_args {
+    () => {
+        "u, u, u, u, u, u, u, u, u, u, u, u, u, u, u, u, "
+    };
+}
+
 pub const CASES: &[Case] = &[
     Case {
         name: "unterminated block comment after a line comment",
@@ -105,5 +112,93 @@ pub const CASES: &[Case] = &[
         line: 4,
         col: 23,
         message: "cannot combine float and int",
+    },
+    Case {
+        name: "direct recursion",
+        source: "precision highp float;\nuniform float u;\nfloat f(float x) {\n  \
+                 return x > 1.0 ? f(x - 1.0) : x;\n}\nvoid main() {\n  \
+                 gl_FragColor = vec4(f(u));\n}\n",
+        stage: AdmissionStage::Sema,
+        line: 4,
+        col: 20,
+        message: "recursive call to `f`",
+    },
+    Case {
+        name: "mutual recursion",
+        source: "precision highp float;\nuniform float u;\nfloat g(float x);\n\
+                 float f(float x) { return x > 1.0 ? g(x * 0.5) : x; }\n\
+                 float g(float x) { return f(x) + 1.0; }\n\
+                 void main() { gl_FragColor = vec4(f(u)); }\n",
+        stage: AdmissionStage::Sema,
+        line: 5,
+        col: 27,
+        message: "recursive call to `f`",
+    },
+    Case {
+        name: "a doubling call tree past the splice limit",
+        source: "precision highp float;\nuniform float u;\n\
+                 float f0(float x) { return x + 1.0; }\n\
+                 float f1(float x) { return f0(x) + f0(x); }\n\
+                 float f2(float x) { return f1(x) + f1(x); }\n\
+                 float f3(float x) { return f2(x) + f2(x); }\n\
+                 float f4(float x) { return f3(x) + f3(x); }\n\
+                 float f5(float x) { return f4(x) + f4(x); }\n\
+                 float f6(float x) { return f5(x) + f5(x); }\n\
+                 float f7(float x) { return f6(x) + f6(x); }\n\
+                 float f8(float x) { return f7(x) + f7(x); }\n\
+                 float f9(float x) { return f8(x) + f8(x); }\n\
+                 float f10(float x) { return f9(x) + f9(x); }\n\
+                 float f11(float x) { return f10(x) + f10(x); }\n\
+                 void main() { gl_FragColor = vec4(f11(u)); }\n",
+        stage: AdmissionStage::Sema,
+        line: 14,
+        col: 38,
+        message: "expands past 16384 nodes",
+    },
+    Case {
+        name: "call to a prototype never defined",
+        source: "precision highp float;\nuniform float u;\nfloat hook(float x);\n\
+                 float unused() { return hook(1.0); }\n\
+                 void main() { gl_FragColor = vec4(hook(u)); }\n",
+        stage: AdmissionStage::Sema,
+        line: 5,
+        col: 35,
+        message: "`hook` is called but never defined",
+    },
+    Case {
+        name: "a call of 257 arguments",
+        source: concat!(
+            "precision highp float;\nuniform float u;\nvoid main() {\n  float x = g(",
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            sixteen_args!(),
+            "u);\n  gl_FragColor = vec4(x);\n}\n"
+        ),
+        stage: AdmissionStage::Sema,
+        line: 4,
+        col: 13,
+        message: "call to `g` has more than 255 arguments",
+    },
+    Case {
+        name: "an lvalue indexed nine times",
+        source: "precision highp float;\nuniform float u;\nvoid main() {\n  mat4 a[2];\n  \
+                 a[0][0][0][0][0][0][0][0][0] = u;\n  gl_FragColor = a[1][0];\n}\n",
+        stage: AdmissionStage::Sema,
+        line: 5,
+        col: 3,
+        message: "type float cannot be indexed",
     },
 ];

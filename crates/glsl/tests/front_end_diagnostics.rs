@@ -2,10 +2,12 @@
 //!
 //! Each malformed source in `diagnostic_cases` is refused at a fixed
 //! admission stage and line, and the strict compile's `CompileError`
-//! points at a fixed line and column. The front end may be rewritten for speed, but a tenant's
-//! diagnostic must keep saying the same thing about the same place.
+//! points at a fixed line and column; the permissive compile refuses
+//! every case past the strict stage with the same error. The front end
+//! may be rewritten for speed, but a tenant's diagnostic must keep
+//! saying the same thing about the same place.
 
-use gpes_glsl::{admit, compile_strict, ShaderKind};
+use gpes_glsl::{admit, compile, compile_strict, AdmissionStage, ShaderKind};
 
 mod diagnostic_cases;
 
@@ -31,6 +33,11 @@ fn malformed_sources_are_refused_at_the_same_stage_line_and_column() {
             case.name
         );
         assert_eq!(diag.message, err.message, "{}", case.name);
+        if case.stage != AdmissionStage::Strict {
+            let permissive = compile(ShaderKind::Fragment, case.source)
+                .expect_err(&format!("{}: compiled permissively", case.name));
+            assert_eq!(permissive, err, "{}", case.name);
+        }
         assert!(
             err.message.contains(case.message),
             "{}: `{}` does not mention `{}`",

@@ -57,7 +57,7 @@ fn admit_on_small_stack(src: String) -> Result<(), AdmissionDiagnostic> {
         .stack_size(512 * 1024)
         .spawn(move || {
             let shader = admit(ShaderKind::Fragment, &src)?;
-            let _ = gpes_glsl::lower_shared(&shader);
+            gpes_glsl::lower_shared(&shader).expect("an admitted shader lowers");
             let tex = NoTextures;
             let mut interp = Interpreter::new(&shader, &tex).expect("interp");
             interp.set_global("u", Value::Float(0.5)).expect("uniform");

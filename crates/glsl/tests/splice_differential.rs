@@ -314,48 +314,3 @@ fn a_chain_past_the_depth_limit_traps_on_the_oracles_lane() {
     assert_eq!(INPUTS[input], 2.5);
     assert!(error.contains("call depth"), "{error}");
 }
-
-/// Recursion still runs as calls and traps at the depth limit, counted
-/// across the spliced calls around it: `a` and `b` are spliced, the
-/// first `r` too, and each call `r` makes runs its chunk.
-#[test]
-fn recursion_inside_spliced_calls_traps_at_the_depth_limit() {
-    let src = format!(
-        "{P}float r(float v, int n) {{ return n <= 0 ? v : r(v + 1.0, n - 1); }}
-        float b(float v) {{ return r(v, int(v)) * 0.5; }}
-        float a(float v) {{ return b(v) + 1.0; }}
-        void main() {{ gl_FragColor = vec4(u_in > 0.0 ? a(u_in) : u_in); }}"
-    );
-    // a, b and n + 1 calls of r: 5.5 nests eight deep, 7.25 ten.
-    let (input, error) = differential(&src, &INPUTS, DEPTH_8).expect("7.25 traps");
-    assert_eq!(INPUTS[input], 7.25);
-    assert!(error.contains("call depth"), "{error}");
-    let endless = format!(
-        "{P}float f(float x) {{ return f(x) + 1.0; }}
-        void main() {{ gl_FragColor = vec4(u_in > 0.5 ? f(u_in) : u_in); }}"
-    );
-    let (input, _) = differential(&endless, &INPUTS, DEPTH_8).expect("recursion traps");
-    assert_eq!(INPUTS[input], 0.75);
-}
-
-/// A call tree that doubles at each of 20 levels — every `f`k calls
-/// `f`k-1 at two sites — splices only up to the chunk cap and calls past
-/// it, so its lowering stays small. Each lane walks one path down the
-/// tree, the lanes of a batch different ones, and every path counts and
-/// computes like the tree-walker's.
-#[test]
-fn a_doubling_call_tree_lowers_within_the_cap() {
-    let mut src = format!("{P}float f0(float x) {{ return x + 1.0; }}\n");
-    for k in 1..=20 {
-        let j = k - 1;
-        src += &format!(
-            "float f{k}(float x) {{ return x > 1.0 ? f{j}(x * 0.5) : f{j}(x + 1.5) * 0.5; }}\n"
-        );
-    }
-    src += "void main() { gl_FragColor = vec4(f20(u_in)); }";
-    let shader = compile(ShaderKind::Fragment, &src).expect("compiles");
-    let exe = lower(&shader).expect("lowers");
-    // Fully spliced, the tree would be millions of instructions.
-    assert!(exe.code_len() < 100_000, "{} instructions", exe.code_len());
-    assert_eq!(differential(&src, &INPUTS, ExecLimits::default()), None);
-}

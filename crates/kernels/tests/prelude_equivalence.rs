@@ -18,8 +18,8 @@ use gpes_core::{codec_prelude, ComputeContext, FloatSpecials, Kernel, PackBias, 
 use gpes_glsl::exec::{FloatModel, OpProfile, TextureAccess};
 use gpes_glsl::interp::Interpreter;
 use gpes_glsl::{
-    admit, admit_after, compile_after, lower, CheckedPrelude, CompiledShader, ShaderKind, SpmdVm,
-    Type, Value, MAX_LANES,
+    admit, admit_after, compile_after, lower, AdmissionStage, CheckedPrelude, CompiledShader,
+    ShaderKind, SpmdVm, Type, Value, MAX_LANES,
 };
 use gpes_kernels::backprop::{self, Activation};
 use gpes_kernels::{
@@ -304,6 +304,37 @@ fn pinned_malformed_sources_refuse_the_same_as_tails() {
             }
         }
     }
+}
+
+/// A tail whose function closes a call cycle through a function the
+/// prelude only declares is refused after the prelude as the whole
+/// source is: at the prelude's call that re-enters the cycle.
+#[test]
+fn a_cycle_through_a_prelude_prototype_is_refused_like_the_whole_source() {
+    let text = "precision highp float;\nfloat hook(float v);\n\
+                float twice_hook(float v) { return hook(v) * 2.0; }\n";
+    let prelude = Arc::new(CheckedPrelude::check(ShaderKind::Fragment, text).expect("prelude"));
+    let source = format!(
+        "{text}uniform float u;\n\
+         float hook(float v) {{ return v > 1.0 ? twice_hook(v * 0.25) : v; }}\n\
+         void main() {{ gl_FragColor = vec4(hook(u)); }}\n"
+    );
+    let what = "a cycle through a prelude prototype";
+    assert!(
+        !assert_equivalent(&prelude, &source, what),
+        "{what} admitted"
+    );
+    let after = admit_after(Some(&prelude), ShaderKind::Fragment, &source).unwrap_err();
+    assert_eq!(after, admit(ShaderKind::Fragment, &source).unwrap_err());
+    assert_eq!(
+        (after.stage, after.line),
+        (AdmissionStage::Sema, 3),
+        "{after}"
+    );
+    assert!(
+        after.message.contains("recursive call to `hook`"),
+        "{after}"
+    );
 }
 
 #[test]

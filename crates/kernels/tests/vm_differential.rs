@@ -22,10 +22,9 @@ use gpes_kernels::{
 
 const MODELS: [FloatModel; 3] = [FloatModel::Exact, FloatModel::Vc4Sfu, FloatModel::Mediump16];
 
-/// The VM fast path must be *live* for the bundled kernels: if the
-/// lowerer rejected these shaders, `Program::link` would silently fall
-/// back to the tree-walker and every differential test below would
-/// compare the interpreter against itself.
+/// The bundled kernels lower to bytecode: a shader the lowerer rejected
+/// would fail its link, and every differential test below needs the
+/// lane path live.
 #[test]
 fn bundled_kernel_shaders_lower_to_bytecode() {
     let mut cc = ComputeContext::new(64, 64).expect("context");
