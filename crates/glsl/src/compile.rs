@@ -2395,6 +2395,58 @@ mod tests {
         assert_eq!(entered(&lower(&shader).expect("lower").main.code), 3);
     }
 
+    /// Lowering evaluates the index expressions of an lvalue both read
+    /// and written twice, so `i[i[0]++]++` nested `levels` deep lowers to
+    /// code exponential in `levels`. Sema counts the same doubling, so
+    /// [`CompiledShader::spliced_nodes`] follows the lowered size within
+    /// a factor of two, in `main` and in a function called twice, up to
+    /// the deepest nesting admitted; one level deeper is refused.
+    #[test]
+    fn nested_read_and_written_lvalues_lower_within_their_count() {
+        let in_main = |chain: &str| {
+            format!(
+                "{P}void main() {{ int i[2]; float a[2]; a[{chain}] = 1.0; \
+                 gl_FragColor = vec4(a[0]); }}"
+            )
+        };
+        let in_callee = |chain: &str| {
+            format!(
+                "{P}int f(int x) {{ int i[2]; i[0] = x; return {chain}; }}\n\
+                 void main() {{ gl_FragColor = vec4(float(f(1) + f(2))); }}"
+            )
+        };
+        for source in [&in_main as &dyn Fn(&str) -> String, &in_callee] {
+            let admit =
+                |levels| crate::admit(ShaderKind::Fragment, &source(&nested_increments(levels)));
+            let levels = (0..)
+                .find(|&l| admit(l + 1).is_err())
+                .expect("a refused depth");
+            assert!(levels >= 8, "{levels} levels");
+            let err = admit(levels + 1).expect_err("one level deeper");
+            assert_eq!(err.stage, crate::AdmissionStage::Sema, "{err}");
+            assert!(err.message.contains("expand"), "{err}");
+            for l in 0..=levels {
+                let shader = admit(l).expect("admitted");
+                let spliced = shader.spliced_nodes() as usize;
+                let lowered = lower(&shader).expect("lower").code_len();
+                assert!(spliced <= MAX_SPLICED_NODES as usize);
+                assert!(
+                    lowered <= 64 + spliced,
+                    "{l} levels: {lowered} > 64 + {spliced}"
+                );
+                assert!(
+                    spliced <= 2 * lowered,
+                    "{l} levels: {spliced} > 2 * {lowered}"
+                );
+            }
+        }
+    }
+
+    /// `i[i[…i[0]++…]++]++`, `levels` deep past the innermost `i[0]++`.
+    fn nested_increments(levels: usize) -> String {
+        (0..levels).fold("i[0]++".to_string(), |inner, _| format!("i[{inner}]++"))
+    }
+
     #[test]
     fn executable_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

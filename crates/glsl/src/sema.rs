@@ -48,19 +48,24 @@ pub struct CompiledShader {
     /// after every function it calls: the order lowering lowers them in,
     /// so that each call splices a body already lowered.
     pub(crate) order: Vec<u32>,
-    /// Syntax nodes splicing copies into `main` and the initialisers
-    /// ([`CompiledShader::spliced_nodes`]).
+    /// Syntax nodes lowering copies into `main` and the initialisers
+    /// beyond their own ([`CompiledShader::spliced_nodes`]).
     pub(crate) spliced_nodes: u32,
 }
 
-/// The most syntax nodes splicing may copy into a shader's `main` and
-/// global initialisers, an admission limit like
+/// The most syntax nodes lowering may copy into a shader's `main` and
+/// global initialisers beyond their own, an admission limit like
 /// [`crate::parser::MAX_NESTING`]. A function's expanded size is one
 /// node for the function, one per statement, declared variable and
 /// expression, plus the expanded size of each function it calls; each
-/// call in `main` or an initialiser adds its callee's. A call tree that
-/// doubles at each level would otherwise lower to code exponential in
-/// its depth, from a source of a few hundred bytes.
+/// call in `main` or an initialiser adds its callee's. Lowering
+/// evaluates the index expressions of an lvalue both read and written
+/// twice, so such an lvalue's nodes and calls count twice, compounding
+/// with nesting; what nesting adds past the first doubling counts
+/// against the limit in every function and in `main` and the
+/// initialisers. A call tree that doubles at each level, or lvalues
+/// nested in each other's indices, would otherwise lower to code
+/// exponential in their depth, from a source of a few hundred bytes.
 pub const MAX_SPLICED_NODES: u32 = 16 * 1024;
 
 /// No user function: the callee of an expression that is no user call,
@@ -86,6 +91,10 @@ pub(crate) struct Calls {
     /// Each overload's definition, as of the unit's end ([`NO_DEF`]
     /// where it has none).
     pub defs: Vec<u32>,
+    /// The global initialisers' and `main`'s compounded repeats
+    /// ([`Checker::compounded`]) as of the unit's end, a prelude's
+    /// included.
+    pub compounded: u32,
 }
 
 /// One user call.
@@ -95,17 +104,16 @@ pub(crate) struct Call {
     pub caller: u32,
     /// The overload called.
     pub callee: u32,
-    /// How many times lowering evaluates the call: it evaluates the
-    /// index expressions of an lvalue that is both read and written (a
-    /// compound assignment's, `++`/`--`'s, an `out` or `inout`
-    /// argument's) twice.
+    /// How many times lowering evaluates the call
+    /// ([`Checker::read_and_written`]).
     pub weight: u32,
     /// The call expression.
     pub span: Span,
 }
 
 /// A definition's calls, `edges[calls]`, and own size: one node for the
-/// function, one per statement, declared variable and expression.
+/// function, one per statement, declared variable and expression, each
+/// counted as often as lowering evaluates it.
 #[derive(Debug, Clone)]
 pub(crate) struct Body {
     pub calls: std::ops::Range<usize>,
@@ -123,9 +131,11 @@ impl CompiledShader {
         prelude.iter().chain(&self.unit.items)
     }
 
-    /// Syntax nodes splicing its calls copies into `main` and the global
-    /// initialisers (0 for a shader that calls no user function), which
-    /// admission holds at or below [`MAX_SPLICED_NODES`].
+    /// Syntax nodes lowering copies into `main` and the global
+    /// initialisers beyond their own: what splicing their calls copies,
+    /// plus what lvalues both read and written, nested in each other's
+    /// indices, repeat past their first doubling (0 for a shader with
+    /// neither). Admission holds it at or below [`MAX_SPLICED_NODES`].
     pub fn spliced_nodes(&self) -> u32 {
         self.spliced_nodes
     }
@@ -261,6 +271,15 @@ impl FnSig<'_> {
     }
 }
 
+/// Where checking stood: the user calls recorded and the nodes counted so
+/// far.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    calls: usize,
+    nodes: u32,
+    repeats: u32,
+}
+
 struct Checker<'a> {
     kind: ShaderKind,
     /// Every variable in scope, outermost first: a lookup scans from the
@@ -282,11 +301,20 @@ struct Checker<'a> {
     first_def: u32,
     /// The definition being checked ([`NO_DEF`] in a global initialiser).
     caller: u32,
-    /// Statements, declared variables and expressions checked so far.
+    /// Statements, declared variables and expressions checked so far,
+    /// each counted as often as lowering evaluates it.
     nodes: u32,
-    /// Where each argument of the calls being checked starts in
-    /// `calls.edges`, innermost call last.
-    arg_calls: Vec<usize>,
+    /// Of `nodes`, the counts past a node's first.
+    repeats: u32,
+    /// Repeats of repeats (an lvalue both read and written inside
+    /// another's index) in the definition being checked, or in the
+    /// global initialisers and `main`, which share one count: a flat
+    /// lvalue at most doubles its nodes, so only these count against
+    /// [`MAX_SPLICED_NODES`].
+    compounded: u32,
+    /// Where checking stood at each argument of the calls being checked,
+    /// innermost call last.
+    arg_marks: Vec<Mark>,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
@@ -306,7 +334,9 @@ impl<'a> Checker<'a> {
             first_def: 0,
             caller: NO_DEF,
             nodes: 0,
-            arg_calls: Vec::new(),
+            repeats: 0,
+            compounded: 0,
+            arg_marks: Vec::new(),
             kind,
             syms: builtin_globals(kind)
                 .into_iter()
@@ -430,6 +460,7 @@ impl<'a> Checker<'a> {
         }
         self.interface = prelude.interface.clone();
         self.has_float_precision_default = prelude.float_default;
+        self.compounded = prelude.calls.compounded;
     }
 
     fn check_items(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
@@ -446,16 +477,26 @@ impl<'a> Checker<'a> {
                 Item::Function(f) => {
                     self.caller = def;
                     def += 1;
+                    // `main` goes on with the initialisers' count.
+                    let roots = self.compounded;
+                    let main = &*f.name == "main" && f.params.is_empty();
+                    if !main {
+                        self.compounded = 0;
+                    }
                     let (calls, nodes) = (self.calls.edges.len(), self.nodes);
                     self.check_function(f)?;
                     self.calls.bodies.push(Body {
                         calls: calls..self.calls.edges.len(),
                         nodes: 1 + self.nodes - nodes,
                     });
+                    if !main {
+                        self.compounded = roots;
+                    }
                     self.caller = NO_DEF;
                 }
             }
         }
+        self.calls.compounded = self.compounded;
         Ok(())
     }
 
@@ -474,10 +515,10 @@ impl<'a> Checker<'a> {
     /// with a stack of its own, so a long call chain cannot overflow the
     /// thread's. Refuses a call that closes a cycle (GLSL ES 1.00 §6.1
     /// forbids recursion), a call to a function never defined, and a
-    /// call at which what splicing copies passes [`MAX_SPLICED_NODES`].
+    /// call at which what lowering copies passes [`MAX_SPLICED_NODES`].
     /// Returns the reached definitions, each after every function it
-    /// calls, and the nodes splicing copies into `main` and the
-    /// initialisers.
+    /// calls, and the nodes lowering copies into `main` and the
+    /// initialisers beyond their own.
     fn walk_calls(
         &self,
         prelude: Option<&Calls>,
@@ -504,7 +545,7 @@ impl<'a> Checker<'a> {
         // The definitions being walked: each with the call that entered
         // it, its next call and its expanded size so far.
         let mut stack: Vec<(u32, &Call, usize, u32)> = Vec::new();
-        let mut spliced = 0u32;
+        let mut spliced = self.calls.compounded;
         loop {
             let (call, size) = match stack.last_mut() {
                 Some((def, _, next, _)) => match body(*def).0.get(*next) {
@@ -946,7 +987,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_unary(&mut self, op: UnOp, inner: &Expr, span: Span) -> Result<Type, CompileError> {
-        let calls = self.calls.edges.len();
+        let from = self.mark();
         let ty = self.check_expr(inner)?;
         match op {
             UnOp::Neg | UnOp::Plus => {
@@ -971,7 +1012,7 @@ impl<'a> Checker<'a> {
             }
             UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
                 self.check_assignable(inner)?;
-                self.read_and_written(calls..self.calls.edges.len());
+                self.read_and_written(from, self.mark(), inner.span)?;
                 if matches!(ty.scalar(), Some(Scalar::Float) | Some(Scalar::Int)) && !ty.is_matrix()
                 {
                     Ok(ty)
@@ -992,10 +1033,10 @@ impl<'a> Checker<'a> {
         rhs: &Expr,
         span: Span,
     ) -> Result<Type, CompileError> {
-        let calls = self.calls.edges.len();
+        let from = self.mark();
         let lt = self.check_expr(lhs)?;
         if op != AssignOp::Assign {
-            self.read_and_written(calls..self.calls.edges.len());
+            self.read_and_written(from, self.mark(), lhs.span)?;
         }
         let rt = self.check_expr(rhs)?;
         self.check_assignable(lhs)?;
@@ -1060,24 +1101,50 @@ impl<'a> Checker<'a> {
         // call allocates nothing of its own.
         let base = self.arg_types.len();
         for a in args {
-            let calls = self.calls.edges.len();
+            let from = self.mark();
             let ty = self.check_expr(a)?;
             self.arg_types.push(ty);
-            self.arg_calls.push(calls);
+            self.arg_marks.push(from);
         }
         let result = self.resolve_call(id, name, args, base, span);
         self.arg_types.truncate(base);
-        self.arg_calls.truncate(base);
+        self.arg_marks.truncate(base);
         result
     }
 
-    /// Counts the calls `edges[calls]`, in an lvalue that is both read
-    /// and written, twice: lowering evaluates its index expressions once
-    /// to read it and again to store it, as the tree-walker does.
-    fn read_and_written(&mut self, calls: std::ops::Range<usize>) {
-        for call in &mut self.calls.edges[calls] {
+    fn mark(&self) -> Mark {
+        Mark {
+            calls: self.calls.edges.len(),
+            nodes: self.nodes,
+            repeats: self.repeats,
+        }
+    }
+
+    /// Counts what was checked from `from` to `to`, an lvalue both read
+    /// and written (a compound assignment's, `++`/`--`'s, an `out` or
+    /// `inout` argument's), again: lowering evaluates its index
+    /// expressions once to read it and once more to store it, as the
+    /// tree-walker does. Its nodes count twice and its calls weigh twice
+    /// as much, compounding with nesting. Refuses the lvalue, at `span`,
+    /// where the repeats it repeats pass [`MAX_SPLICED_NODES`].
+    fn read_and_written(&mut self, from: Mark, to: Mark, span: Span) -> Result<(), CompileError> {
+        for call in &mut self.calls.edges[from.calls..to.calls] {
             call.weight = call.weight.saturating_mul(2);
         }
+        let again = to.nodes - from.nodes;
+        self.nodes += again;
+        self.repeats += again;
+        self.compounded += to.repeats - from.repeats;
+        if self.compounded > MAX_SPLICED_NODES {
+            return Err(CompileError::check(
+                format!(
+                    "lvalues read and written inside each other's indices expand past \
+                     {MAX_SPLICED_NODES} nodes here (each evaluates its indices twice)"
+                ),
+                span,
+            ));
+        }
+        Ok(())
     }
 
     /// The result type of calling `name` on `args`, whose types are
@@ -1097,12 +1164,16 @@ impl<'a> Checker<'a> {
         if let Some(overloads) = self.functions.get(name) {
             if let Some(sig) = overloads.iter().find(|s| s.takes(arg_types)).copied() {
                 // out/inout arguments must be lvalues.
-                let end = self.calls.edges.len();
+                let end = self.mark();
                 for (i, (arg, p)) in args.iter().zip(sig.params).enumerate() {
                     if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
                         self.check_assignable(arg)?;
-                        let next = self.arg_calls.get(base + i + 1).copied();
-                        self.read_and_written(self.arg_calls[base + i]..next.unwrap_or(end));
+                        let next = self.arg_marks.get(base + i + 1).copied();
+                        self.read_and_written(
+                            self.arg_marks[base + i],
+                            next.unwrap_or(end),
+                            arg.span,
+                        )?;
                     }
                 }
                 if let Some(callee) = self.calls.callee.get_mut(id as usize) {

@@ -201,4 +201,27 @@ pub const CASES: &[Case] = &[
         col: 3,
         message: "type float cannot be indexed",
     },
+    Case {
+        name: "lvalues read and written nested sixteen deep",
+        source: "precision highp float;\nvoid main() {\n  int i[2];\n  float a[2];\n  \
+                 a[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++] = 1.0;\n  \
+                 gl_FragColor = vec4(a[0]);\n}\n",
+        stage: AdmissionStage::Sema,
+        line: 5,
+        col: 13,
+        message: "read and written inside each other's indices expand past 16384 nodes",
+    },
+    Case {
+        name: "nested read-and-written lvalues in a doubling call tree",
+        source: "precision highp float;\nint f0(int x) {\n  int i[2];\n  i[0] = x;\n  \
+                 return i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++;\n}\n\
+                 int f1(int x) { return f0(x) + f0(x); }\n\
+                 int f2(int x) { return f1(x) + f1(x); }\n\
+                 int f3(int x) { return f2(x) + f2(x); }\n\
+                 void main() { gl_FragColor = vec4(float(f3(1))); }\n",
+        stage: AdmissionStage::Sema,
+        line: 9,
+        col: 32,
+        message: "the call tree expands past 16384 nodes",
+    },
 ];
