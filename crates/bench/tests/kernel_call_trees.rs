@@ -1,15 +1,16 @@
 //! Every bundled kernel source admits with room to spare under the
-//! admission limit on what splicing its calls copies
-//! (`gpes_glsl::sema::MAX_SPLICED_NODES`): the `gpes-kernels` kernels
-//! and pipelines, the a16 CNN layers, kernels `Kernel::builder` and
+//! admission limits on what splicing its calls copies
+//! (`gpes_glsl::sema::MAX_SPLICED_NODES`) and on how deep its calls nest
+//! (`gpes_glsl::sema::MAX_CALL_DEPTH`): the `gpes-kernels` kernels and
+//! pipelines, the a16 CNN layers, kernels `Kernel::builder` and
 //! `VertexKernel` generate, and the servebench tenant kernel. The test
-//! prints each source's count, the largest last, so the limit stands on
-//! a measurement.
+//! prints each source's counts, the largest last, so the limits stand
+//! on a measurement.
 
 use gpes_bench::ablations::tenant_spec;
 use gpes_core::vertex_compute::VertexKernel;
 use gpes_core::{ComputeContext, Kernel, PipelineSpec, ScalarType};
-use gpes_glsl::sema::MAX_SPLICED_NODES;
+use gpes_glsl::sema::{MAX_CALL_DEPTH, MAX_SPLICED_NODES};
 use gpes_glsl::{admit, ShaderKind};
 use gpes_kernels::backprop::{self, Activation};
 use gpes_kernels::reduce::{self, ReduceOp};
@@ -84,7 +85,7 @@ fn bundled_kernels(cc: &mut ComputeContext) -> Vec<Kernel> {
 }
 
 #[test]
-fn every_bundled_kernel_admits_with_four_times_headroom_under_the_splice_limit() {
+fn every_bundled_kernel_admits_with_four_times_headroom_under_the_splice_and_depth_limits() {
     let mut cc = ComputeContext::new(64, 64).expect("context");
     let mut sources: Vec<(String, ShaderKind, String)> = Vec::new();
     for kernel in bundled_kernels(&mut cc) {
@@ -106,22 +107,31 @@ fn every_bundled_kernel_admits_with_four_times_headroom_under_the_splice_limit()
     ] {
         sources.push((vertex.name().to_owned(), kind, source.to_owned()));
     }
-    let mut counts: Vec<(u32, String)> = sources
+    let mut counts: Vec<(u32, u32, String)> = sources
         .iter()
         .map(|(name, kind, source)| {
             let shader = admit(*kind, source).unwrap_or_else(|e| panic!("{name} {kind:?}: {e}"));
-            (shader.spliced_nodes(), format!("{name} {kind:?}"))
+            let what = format!("{name} {kind:?}");
+            (shader.spliced_nodes(), shader.call_depth(), what)
         })
         .collect();
     counts.sort();
     counts.dedup();
-    for (nodes, what) in &counts {
-        println!("{nodes:>6} spliced nodes  {what}");
+    for (nodes, depth, what) in &counts {
+        println!("{nodes:>6} spliced nodes  {depth:>3} calls deep  {what}");
     }
-    let (largest, what) = counts.last().expect("sources");
+    let (largest, _, what) = counts.last().expect("sources");
     println!("largest: {what}, {largest} of {MAX_SPLICED_NODES}");
     assert!(
         4 * largest <= MAX_SPLICED_NODES,
         "{what} splices {largest} nodes, within 4x of {MAX_SPLICED_NODES}"
+    );
+    let (_, deepest, what) = (counts.iter())
+        .max_by_key(|(_, depth, _)| *depth)
+        .expect("sources");
+    println!("deepest: {what}, {deepest} of {MAX_CALL_DEPTH}");
+    assert!(
+        4 * deepest <= MAX_CALL_DEPTH,
+        "{what} nests {deepest} calls deep, within 4x of {MAX_CALL_DEPTH}"
     );
 }

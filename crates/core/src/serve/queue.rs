@@ -1,6 +1,4 @@
-use super::worker::{
-    worker_main, WorkerConfig, PIPELINES_PER_WORKER_CAP, RESIDENTS_PER_WORKER_CAP,
-};
+use super::worker::{worker_main, WorkerConfig, RESIDENTS_PER_WORKER_CAP};
 use super::*;
 
 // ---- handles -------------------------------------------------------------
@@ -594,19 +592,15 @@ impl RetryPolicy {
 /// Configuration for an [`Engine`]; obtained from [`Engine::builder`].
 pub struct EngineBuilder {
     workers: usize,
-    width: u32,
-    height: u32,
     limits: Option<Limits>,
     dispatch: Option<Dispatch>,
     exec_mode: Option<ExecMode>,
     cache_policy: CachePolicy,
-    cache: Option<Arc<SharedProgramCache>>,
     queue_capacity: usize,
     submit_timeout: Duration,
     fault_plan: Option<FaultPlan>,
     retry: RetryPolicy,
     shared_cache_capacity: Option<usize>,
-    pipeline_cache_capacity: usize,
     resident_cache_capacity: usize,
     default_quotas: TenantQuotas,
 }
@@ -615,14 +609,6 @@ impl EngineBuilder {
     /// Number of worker contexts/threads (default 1).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Screen size of each worker context (default 256×256); bounds the
-    /// largest job output.
-    pub fn screen(mut self, width: u32, height: u32) -> Self {
-        self.width = width;
-        self.height = height;
         self
     }
 
@@ -654,15 +640,6 @@ impl EngineBuilder {
     /// Selects the [`CachePolicy`] (default [`CachePolicy::Shared`]).
     pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
         self.cache_policy = policy;
-        self
-    }
-
-    /// Supplies an existing shared cache (implies
-    /// [`CachePolicy::Shared`]) — lets several engines, or an engine and
-    /// direct-dispatch contexts, share one set of linked programs.
-    pub fn shared_cache(mut self, cache: Arc<SharedProgramCache>) -> Self {
-        self.cache = Some(cache);
-        self.cache_policy = CachePolicy::Shared;
         self
     }
 
@@ -705,21 +682,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Bounds the *engine-created* shared program cache (default
+    /// Bounds the engine's shared program cache (default
     /// [`crate::cache::DEFAULT_SHARED_CACHE_CAPACITY`], minimum 1).
-    /// Ignored when [`EngineBuilder::shared_cache`] supplies an existing
-    /// cache — that cache keeps its own bound — and under
-    /// [`CachePolicy::PerContext`].
+    /// Ignored under [`CachePolicy::PerContext`].
     pub fn shared_cache_capacity(mut self, capacity: usize) -> Self {
         self.shared_cache_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// Bounds each worker's retained-pipeline cache (default 32,
-    /// minimum 1): distinct [`PipelineSpec`]s a worker keeps built
-    /// before FIFO-evicting the oldest.
-    pub fn pipeline_cache_capacity(mut self, capacity: usize) -> Self {
-        self.pipeline_cache_capacity = capacity.max(1);
         self
     }
 
@@ -747,11 +714,9 @@ impl EngineBuilder {
     /// Context-creation failures (e.g. a screen size beyond the limits).
     pub fn build(self) -> Result<Engine, ComputeError> {
         let cache = match self.cache_policy {
-            CachePolicy::Shared => Some(self.cache.unwrap_or_else(|| {
-                Arc::new(match self.shared_cache_capacity {
-                    Some(capacity) => SharedProgramCache::with_capacity(capacity),
-                    None => SharedProgramCache::new(),
-                })
+            CachePolicy::Shared => Some(Arc::new(match self.shared_cache_capacity {
+                Some(capacity) => SharedProgramCache::with_capacity(capacity),
+                None => SharedProgramCache::new(),
             })),
             CachePolicy::PerContext => None,
         };
@@ -765,15 +730,12 @@ impl EngineBuilder {
             .unwrap_or_default();
         let limits = self.limits.clone().unwrap_or_default();
         let config = WorkerConfig {
-            width: self.width,
-            height: self.height,
             limits: self.limits,
             dispatch,
             exec_mode,
             cache: cache.clone(),
             fault_plan: self.fault_plan,
             retry: self.retry,
-            pipeline_cap: self.pipeline_cache_capacity,
             resident_cap: self.resident_cache_capacity,
         };
         let mut contexts = Vec::with_capacity(self.workers);
@@ -849,19 +811,15 @@ impl Engine {
     pub fn builder() -> EngineBuilder {
         EngineBuilder {
             workers: 1,
-            width: 256,
-            height: 256,
             limits: None,
             dispatch: None,
             exec_mode: None,
             cache_policy: CachePolicy::default(),
-            cache: None,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             submit_timeout: DEFAULT_SUBMIT_TIMEOUT,
             fault_plan: None,
             retry: RetryPolicy::default(),
             shared_cache_capacity: None,
-            pipeline_cache_capacity: PIPELINES_PER_WORKER_CAP,
             resident_cache_capacity: RESIDENTS_PER_WORKER_CAP,
             default_quotas: TenantQuotas::default(),
         }

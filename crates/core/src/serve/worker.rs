@@ -7,17 +7,12 @@ use super::*;
 /// serving from state a panic may have left half-updated.
 #[derive(Clone)]
 pub(crate) struct WorkerConfig {
-    pub(crate) width: u32,
-    pub(crate) height: u32,
     pub(crate) limits: Option<Limits>,
     pub(crate) dispatch: Dispatch,
     pub(crate) exec_mode: ExecMode,
     pub(crate) cache: Option<Arc<SharedProgramCache>>,
     pub(crate) fault_plan: Option<FaultPlan>,
     pub(crate) retry: RetryPolicy,
-    /// Per-worker retained-pipeline cache bound
-    /// ([`EngineBuilder::pipeline_cache_capacity`]).
-    pub(crate) pipeline_cap: usize,
     /// Per-worker resident-input cache bound
     /// ([`EngineBuilder::resident_cache_capacity`]).
     pub(crate) resident_cap: usize,
@@ -31,8 +26,8 @@ impl WorkerConfig {
     /// carried plan, so consumed one-shots stay consumed.
     pub(crate) fn make_context(&self, worker: usize) -> Result<ComputeContext, ComputeError> {
         let mut cc = match &self.limits {
-            Some(limits) => ComputeContext::with_limits(self.width, self.height, limits.clone())?,
-            None => ComputeContext::new(self.width, self.height)?,
+            Some(limits) => ComputeContext::with_limits(SCREEN, SCREEN, limits.clone())?,
+            None => ComputeContext::new(SCREEN, SCREEN)?,
         };
         cc.set_dispatch(self.dispatch);
         cc.set_exec_mode(self.exec_mode);
@@ -90,6 +85,10 @@ pub(crate) fn retire_worker(shared: &EngineShared) {
     }
 }
 
+/// The side of each worker context's square screen, which bounds the
+/// largest job output.
+pub(crate) const SCREEN: u32 = 256;
+
 /// Built pipelines a worker caches across requests, keyed by
 /// [`PipelineSpec::fingerprint`]; beyond the cap the oldest entry is
 /// dropped (it owns no textures; the programs stay in the
@@ -113,19 +112,13 @@ pub(crate) struct WorkerState {
     pub(crate) resident_stats: ResidentStats,
 }
 
-impl Default for WorkerState {
-    fn default() -> WorkerState {
-        WorkerState::with_caps(PIPELINES_PER_WORKER_CAP, RESIDENTS_PER_WORKER_CAP)
-    }
-}
-
 impl WorkerState {
-    /// A fresh state with explicit cache bounds
-    /// ([`EngineBuilder::pipeline_cache_capacity`] /
-    /// [`EngineBuilder::resident_cache_capacity`]).
-    pub(crate) fn with_caps(pipeline_cap: usize, resident_cap: usize) -> WorkerState {
+    /// A fresh state: at most [`PIPELINES_PER_WORKER_CAP`] pipelines and
+    /// `resident_cap` resident inputs
+    /// ([`EngineBuilder::resident_cache_capacity`]).
+    pub(crate) fn new(resident_cap: usize) -> WorkerState {
         WorkerState {
-            pipelines: FifoCache::new(pipeline_cap),
+            pipelines: FifoCache::new(PIPELINES_PER_WORKER_CAP),
             residents: FifoCache::new(resident_cap),
             resident_stats: ResidentStats::default(),
         }
@@ -254,7 +247,7 @@ pub(crate) fn worker_main(
     // visible accounting.
     let mut base = ContextStats::default();
     let mut resident_base = ResidentStats::default();
-    let mut state = WorkerState::with_caps(config.pipeline_cap, config.resident_cap);
+    let mut state = WorkerState::new(config.resident_cap);
     // Injected-fault watermark already published to the engine metrics;
     // the fault plan travels across context rebuilds, so the per-context
     // counter is monotonic for this worker's lifetime.
@@ -323,7 +316,7 @@ pub(crate) fn worker_main(
                 base = base.merged(&cc.stats());
                 resident_base = resident_base.merged(&state.resident_stats);
                 resident_base.resident_textures = 0;
-                state = WorkerState::with_caps(config.pipeline_cap, config.resident_cap);
+                state = WorkerState::new(config.resident_cap);
                 let plan = cc.take_fault_plan();
                 match config.make_context(index) {
                     Ok(mut fresh) => {

@@ -17,13 +17,13 @@
 //!
 //! The sema stage ends with a walk over the calls `main` and the global
 //! initialisers reach. It refuses recursion (GLSL ES 1.00 §6.1), a call
-//! to a function never defined, and a call tree whose splicing would
-//! copy more than [`crate::sema::MAX_SPLICED_NODES`] syntax nodes;
-//! checking itself refuses lvalues both read and written, nested in
-//! each other's indices, past the same limit (lowering evaluates their
-//! index expressions twice). So lowering, which inlines every call as a
-//! mobile driver does, is total on every admitted source, and its code
-//! is bounded by a small multiple of the source's nodes plus the limit.
+//! to a function never defined, calls nested more than
+//! [`crate::sema::MAX_CALL_DEPTH`] deep, and a call tree whose splicing
+//! would copy more than [`crate::sema::MAX_SPLICED_NODES`] syntax nodes.
+//! So lowering, which inlines every call as a mobile driver does and
+//! evaluates each node once, is total on every admitted source, and its
+//! code is bounded by a small multiple of the source's nodes plus the
+//! limit; and the executors trap only on data, never on a call's depth.
 //! The walk follows a prelude's calls too: a cycle a source closes
 //! through a function its prelude only declares is refused after the
 //! prelude as it is in the whole source.

@@ -176,15 +176,6 @@ impl BuiltinId {
     }
 }
 
-/// Whether an overload of builtin `id` takes `args`. A user function may
-/// overload a builtin's name with parameter types no builtin takes
-/// (`float floor(int)`); a call with those types must reach the user
-/// function instead of trapping in the builtin.
-pub(crate) fn takes(id: BuiltinId, args: &[Value]) -> bool {
-    let types: Vec<Type> = args.iter().map(Value::ty).collect();
-    signature(id.name(), &types).is_some()
-}
-
 /// Computes the result type of a builtin call, or `None` if `name` is not a
 /// builtin or the argument types do not match any overload.
 pub fn signature(name: &str, args: &[Type]) -> Option<Type> {

@@ -97,11 +97,6 @@ pub enum RuntimeError {
         /// Position of the loop.
         span: Span,
     },
-    /// Call stack exceeded the configured depth.
-    CallDepth {
-        /// The configured limit.
-        limit: u32,
-    },
     /// A name was referenced that has no bound value (an interpreter or
     /// caller wiring bug, e.g. an unset uniform).
     Unbound {
@@ -134,9 +129,6 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::LoopLimit { limit, span } => {
                 write!(f, "loop at {span} exceeded iteration budget of {limit}")
-            }
-            RuntimeError::CallDepth { limit } => {
-                write!(f, "call depth exceeded limit of {limit}")
             }
             RuntimeError::Unbound { name } => write!(f, "unbound identifier `{name}`"),
             RuntimeError::Type { message } => write!(f, "type error: {message}"),

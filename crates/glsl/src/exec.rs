@@ -190,20 +190,22 @@ impl TextureAccess for NoTextures {
     }
 }
 
-/// Interpreter resource limits (defence against runaway shaders).
+/// Run-time limits of both executors (defence against runaway shaders).
+/// Only loops are bounded here: admission fixes everything else about a
+/// shader's shape before it runs (call depth at
+/// [`crate::sema::MAX_CALL_DEPTH`], spliced size at
+/// [`crate::sema::MAX_SPLICED_NODES`]), so an executor traps only on
+/// data: a loop past its budget, an index out of range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecLimits {
     /// Maximum iterations for any single loop.
     pub max_loop_iterations: u64,
-    /// Maximum user-function call depth.
-    pub max_call_depth: u32,
 }
 
 impl Default for ExecLimits {
     fn default() -> Self {
         ExecLimits {
             max_loop_iterations: 16_000_000,
-            max_call_depth: 64,
         }
     }
 }

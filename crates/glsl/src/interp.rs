@@ -7,15 +7,15 @@
 
 use crate::ast::*;
 use crate::builtins::{self, BuiltinCx};
+use crate::compile::{compound_op, lvalue_path, PathStep};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::intern::Interner;
 use crate::ops;
-use crate::sema::CompiledShader;
+use crate::sema::{Calls, CompiledShader, NO_DEF};
 use crate::swizzle::swizzle_indices;
 use crate::types::{Scalar, Type};
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Control-flow outcome of a statement.
 enum Flow {
@@ -26,10 +26,26 @@ enum Flow {
     Discard,
 }
 
+/// An lvalue resolved once: its root variable, the accessor path from
+/// it and the value of each `Index` step's index, evaluated outermost
+/// first as lowering evaluates them.
+struct Place<'e> {
+    root: &'e str,
+    path: Vec<PathStep>,
+    indices: Vec<i64>,
+}
+
 /// Executes invocations of one compiled shader.
 pub struct Interpreter<'a> {
     shader: &'a CompiledShader,
-    functions: HashMap<&'a str, Vec<&'a Function>>,
+    /// Each function definition, by the checker's definition number,
+    /// with the call record of its unit.
+    defs: Vec<(&'a Function, &'a Calls)>,
+    /// `void main()`, with the call record of its unit.
+    main: Option<(&'a Function, &'a Calls)>,
+    /// The call record of the unit whose code is running: which user
+    /// overload each call expression resolved to.
+    calls: &'a Calls,
     model: FloatModel,
     limits: ExecLimits,
     textures: &'a dyn TextureAccess,
@@ -46,7 +62,6 @@ pub struct Interpreter<'a> {
     /// (index into globals, initial value) for mutable plain globals that
     /// must be re-initialised per invocation.
     reset_list: Vec<(usize, Value)>,
-    call_depth: u32,
     discarded: bool,
     wrote_frag_color: bool,
     wrote_frag_data: bool,
@@ -76,15 +91,22 @@ impl<'a> Interpreter<'a> {
         textures: &'a dyn TextureAccess,
         model: FloatModel,
     ) -> Result<Self, RuntimeError> {
-        let mut functions: HashMap<&str, Vec<&Function>> = HashMap::new();
-        for item in shader.items() {
-            if let Item::Function(f) = item {
-                functions.entry(&f.name).or_default().push(f);
-            }
-        }
+        let defs: Vec<_> = (shader.units())
+            .flat_map(|(unit, _, calls)| {
+                (unit.items.iter()).filter_map(move |item| match item {
+                    Item::Function(f) => Some((f, calls)),
+                    _ => None,
+                })
+            })
+            .collect();
+        let main = (defs.iter())
+            .find(|(f, _)| &*f.name == "main" && f.params.is_empty())
+            .copied();
         let mut interp = Interpreter {
             shader,
-            functions,
+            defs,
+            main,
+            calls: &shader.calls,
             model,
             limits: ExecLimits::default(),
             textures,
@@ -93,7 +115,6 @@ impl<'a> Interpreter<'a> {
             scopes: vec![Vec::new()],
             scope_pool: Vec::new(),
             reset_list: Vec::new(),
-            call_depth: 0,
             discarded: false,
             wrote_frag_color: false,
             wrote_frag_data: false,
@@ -117,8 +138,12 @@ impl<'a> Interpreter<'a> {
         // Copy the `&'a` shader reference out of `self` so the item walk
         // does not conflict with `eval`'s mutable borrow (no AST clone).
         let shader = self.shader;
-        for item in shader.items() {
-            if let Item::Var(decl) = item {
+        for (unit, _, calls) in shader.units() {
+            self.calls = calls;
+            for decl in unit.items.iter().filter_map(|item| match item {
+                Item::Var(decl) => Some(decl),
+                _ => None,
+            }) {
                 for var in &decl.vars {
                     let value = if let Some(init) = &var.init {
                         self.eval(init)?
@@ -134,6 +159,7 @@ impl<'a> Interpreter<'a> {
                 }
             }
         }
+        self.calls = &shader.calls;
         Ok(())
     }
 
@@ -215,14 +241,10 @@ impl<'a> Interpreter<'a> {
         }
         self.profile.invocations += 1;
 
-        let main = self
-            .functions
-            .get("main")
-            .and_then(|fs| fs.iter().find(|f| f.params.is_empty()))
-            .copied()
-            .ok_or(RuntimeError::Unbound {
-                name: "main".into(),
-            })?;
+        let (main, calls) = self.main.ok_or(RuntimeError::Unbound {
+            name: "main".into(),
+        })?;
+        self.calls = calls;
         self.push_scope();
         let flow = self.exec_block(&main.body);
         self.pop_scope();
@@ -436,21 +458,15 @@ impl<'a> Interpreter<'a> {
             ExprKind::Unary(op, inner) => self.eval_unary(*op, inner),
             ExprKind::Assign(op, lhs, rhs) => {
                 let rhs_value = self.eval(rhs)?;
-                let new_value = match op {
-                    AssignOp::Assign => rhs_value,
-                    other => {
-                        let current = self.eval(lhs)?;
-                        let bin = match other {
-                            AssignOp::AddAssign => BinOp::Add,
-                            AssignOp::SubAssign => BinOp::Sub,
-                            AssignOp::MulAssign => BinOp::Mul,
-                            AssignOp::DivAssign => BinOp::Div,
-                            AssignOp::Assign => unreachable!(),
-                        };
+                let place = self.place(lhs)?;
+                let new_value = match compound_op(*op) {
+                    None => rhs_value,
+                    Some(bin) => {
+                        let current = self.read(&place)?;
                         self.apply_binary(bin, current, rhs_value)?
                     }
                 };
-                self.assign_to(lhs, new_value.clone())?;
+                self.write(&place, new_value.clone())?;
                 Ok(new_value)
             }
             ExprKind::Ternary(cond, yes, no) => {
@@ -461,7 +477,7 @@ impl<'a> Interpreter<'a> {
                     self.eval(no)
                 }
             }
-            ExprKind::Call(name, args) => self.eval_call(name, args),
+            ExprKind::Call(name, args) => self.eval_call(e.id, name, args),
             ExprKind::Field(base, field) => {
                 let bv = self.eval(base)?;
                 let idx = swizzle_indices(field).ok_or_else(|| RuntimeError::Type {
@@ -506,7 +522,8 @@ impl<'a> Interpreter<'a> {
                     })
             }
             UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
-                let old = self.eval(inner)?;
+                let place = self.place(inner)?;
+                let old = self.read(&place)?;
                 let one = match old.ty().scalar() {
                     Some(Scalar::Int) => Value::Int(1),
                     _ => Value::Float(1.0),
@@ -517,7 +534,7 @@ impl<'a> Interpreter<'a> {
                     BinOp::Sub
                 };
                 let new = self.apply_binary(delta, old.clone(), one)?;
-                self.assign_to(inner, new.clone())?;
+                self.write(&place, new.clone())?;
                 if matches!(op, UnOp::PreInc | UnOp::PreDec) {
                     Ok(new)
                 } else {
@@ -560,79 +577,66 @@ impl<'a> Interpreter<'a> {
         ops::apply_binary(self.model, &mut self.profile, op, a, b)
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr]) -> Result<Value, RuntimeError> {
-        let mut values = Vec::with_capacity(args.len());
-        for a in args {
-            values.push(self.eval(a)?);
-        }
-        // Builtins and constructors first (they cannot be shadowed), where
-        // one takes these argument types: a user function may overload
-        // the name with others.
-        {
-            let overloaded = self.functions.contains_key(name);
+    /// Calls what the checker resolved call `id` to: a user definition,
+    /// else the builtin or constructor `name`.
+    fn eval_call(&mut self, id: u32, name: &str, args: &[Expr]) -> Result<Value, RuntimeError> {
+        let overload = self.calls.callee.get(id as usize).copied();
+        let Some(overload) = overload.filter(|&o| o != NO_DEF) else {
+            let mut values = Vec::with_capacity(args.len());
+            for a in args {
+                values.push(self.eval(a)?);
+            }
             let mut cx = BuiltinCx {
                 model: self.model,
                 profile: &mut self.profile,
                 textures: self.textures,
             };
-            if let Some(result) = builtins::BuiltinId::from_name(name)
-                .filter(|&id| !overloaded || builtins::takes(id, &values))
+            return builtins::BuiltinId::from_name(name)
                 .and_then(|id| builtins::call(id, &values, &mut cx))
-            {
-                return result;
-            }
-        }
-        // User-defined function by exact argument types.
-        let arg_types: Vec<Type> = values.iter().map(Value::ty).collect();
-        let func: &Function = self
-            .functions
-            .get(name)
-            .and_then(|fs| {
-                fs.iter()
-                    .find(|f| {
-                        f.params.len() == arg_types.len()
-                            && f.params.iter().zip(&arg_types).all(|(p, t)| &p.ty == t)
-                    })
-                    .copied()
-            })
-            .ok_or_else(|| RuntimeError::Unbound { name: name.into() })?;
-
-        if self.call_depth >= self.limits.max_call_depth {
-            return Err(RuntimeError::CallDepth {
-                limit: self.limits.max_call_depth,
-            });
-        }
-        self.call_depth += 1;
-        self.profile.calls += 1;
-
+                .unwrap_or_else(|| Err(RuntimeError::Unbound { name: name.into() }));
+        };
+        let (func, calls) = self.defs[self.shader.calls.defs[overload as usize] as usize];
+        // Arguments in order; an `out` or `inout` one is resolved to a
+        // place once, which an `inout` one is read through now, and both
+        // are written back through after the return.
         let mut frame: Vec<(u32, Value)> = Vec::with_capacity(func.params.len());
-        for (param, value) in func.params.iter().zip(values.iter()) {
-            let initial = match param.qual {
-                ParamQual::In | ParamQual::InOut => value.clone(),
-                ParamQual::Out => Value::zero_of(&param.ty),
+        let mut places = Vec::new();
+        for (param, arg) in func.params.iter().zip(args) {
+            let value = match param.qual {
+                ParamQual::In => self.eval(arg)?,
+                ParamQual::Out => {
+                    places.push(self.place(arg)?);
+                    Value::zero_of(&param.ty)
+                }
+                ParamQual::InOut => {
+                    let place = self.place(arg)?;
+                    let value = self.read(&place)?;
+                    places.push(place);
+                    value
+                }
             };
-            frame.push((self.names.intern(&param.name), initial));
+            frame.push((self.names.intern(&param.name), value));
         }
+        self.profile.calls += 1;
         // Functions see only globals + their own frame (no caller locals).
         let saved_scopes = std::mem::take(&mut self.scopes);
         self.scopes.push(saved_scopes[0].clone());
         self.scopes.push(frame);
+        let caller = std::mem::replace(&mut self.calls, calls);
 
         let flow = self.exec_block(&func.body);
 
+        self.calls = caller;
         let frame = self.scopes.pop().expect("call frame");
         let globals = self.scopes.pop().expect("globals frame");
         let mut outer = saved_scopes;
         outer[0] = globals;
         self.scopes = outer;
-        self.call_depth -= 1;
 
         let flow = flow?;
-        // Copy out/inout parameters back to the caller's lvalues.
-        for ((param, slot), arg_expr) in func.params.iter().zip(&frame).zip(args) {
-            if matches!(param.qual, ParamQual::Out | ParamQual::InOut) {
-                self.assign_to(arg_expr, slot.1.clone())?;
-            }
+        let outs = (func.params.iter().zip(frame)).filter(|(p, _)| p.qual != ParamQual::In);
+        for (place, (_, (_, value))) in places.iter().zip(outs) {
+            self.write(place, value)?;
         }
         match flow {
             Flow::Return(Some(v)) => Ok(v),
@@ -656,89 +660,47 @@ impl<'a> Interpreter<'a> {
 
     // ---- lvalues -----------------------------------------------------------
 
-    fn assign_to(&mut self, lhs: &Expr, value: Value) -> Result<(), RuntimeError> {
-        match &lhs.kind {
-            ExprKind::Ident(name) => {
-                if &**name == "gl_FragColor" {
-                    self.wrote_frag_color = true;
-                }
-                if let Some(id) = self.names.get(name) {
-                    for scope in self.scopes.iter_mut().rev() {
-                        if let Some((_, slot)) = scope.iter_mut().rev().find(|(n, _)| *n == id) {
-                            *slot = value;
-                            return Ok(());
-                        }
-                    }
-                }
-                Err(RuntimeError::Unbound {
-                    name: name.to_string(),
-                })
-            }
-            ExprKind::Field(base, field) => {
-                let idx = swizzle_indices(field).ok_or_else(|| RuntimeError::Type {
-                    message: format!("invalid swizzle `.{field}`"),
-                })?;
-                self.modify(base, &mut |bv| swizzle_write(bv, &idx, &value))
-            }
-            ExprKind::Index(base, index) => {
-                if let ExprKind::Ident(n) = &base.kind {
-                    if &**n == "gl_FragData" {
-                        self.wrote_frag_data = true;
-                    }
-                }
-                let i = self.eval_index(index)?;
-                self.modify(base, &mut |bv| index_write(bv, i, &value))
-            }
-            _ => Err(RuntimeError::Type {
-                message: "assignment target is not an lvalue".into(),
-            }),
+    /// Resolves lvalue `e` to a place: its index expressions evaluated
+    /// once, outermost first.
+    fn place<'e>(&mut self, e: &'e Expr) -> Result<Place<'e>, RuntimeError> {
+        let (root, path, exprs) = lvalue_path(e).ok_or_else(|| RuntimeError::Type {
+            message: "assignment target is not an lvalue".into(),
+        })?;
+        let mut indices = vec![0; exprs.len()];
+        for (index, e) in indices.iter_mut().zip(exprs).rev() {
+            *index = self.eval_index(e)?;
         }
+        Ok(Place {
+            root,
+            path,
+            indices,
+        })
     }
 
-    /// Applies `f` to the storage slot denoted by lvalue expression `e`.
-    fn modify(
-        &mut self,
-        e: &Expr,
-        f: &mut dyn FnMut(&mut Value) -> Result<(), RuntimeError>,
-    ) -> Result<(), RuntimeError> {
-        match &e.kind {
-            ExprKind::Ident(name) => {
-                if &**name == "gl_FragColor" {
-                    self.wrote_frag_color = true;
-                }
-                if &**name == "gl_FragData" {
-                    self.wrote_frag_data = true;
-                }
-                // Find the slot without holding the borrow across `f`.
-                if let Some(id) = self.names.get(name) {
-                    for si in (0..self.scopes.len()).rev() {
-                        if let Some(vi) = self.scopes[si].iter().rposition(|(n, _)| *n == id) {
-                            return f(&mut self.scopes[si][vi].1);
-                        }
-                    }
-                }
-                Err(RuntimeError::Unbound {
-                    name: name.to_string(),
-                })
-            }
-            ExprKind::Index(base, index) => {
-                let i = self.eval_index(index)?;
-                self.modify(base, &mut |bv| index_modify(bv, i, f))
-            }
-            ExprKind::Field(base, field) => {
-                let idx = swizzle_indices(field).ok_or_else(|| RuntimeError::Type {
-                    message: format!("invalid swizzle `.{field}`"),
-                })?;
-                self.modify(base, &mut |bv| {
-                    let mut tmp = swizzle_read(bv, &idx)?;
-                    f(&mut tmp)?;
-                    swizzle_write(bv, &idx, &tmp)
-                })
-            }
-            _ => Err(RuntimeError::Type {
-                message: "expression is not an lvalue".into(),
-            }),
+    /// The value at `place`.
+    fn read(&self, place: &Place) -> Result<Value, RuntimeError> {
+        let root = self
+            .lookup(place.root)
+            .ok_or_else(|| RuntimeError::Unbound {
+                name: place.root.into(),
+            })?;
+        ops::read_path(root, &place.path, &place.indices)
+    }
+
+    /// Stores `value` at `place`.
+    fn write(&mut self, place: &Place, value: Value) -> Result<(), RuntimeError> {
+        match place.root {
+            "gl_FragColor" => self.wrote_frag_color = true,
+            "gl_FragData" if !place.path.is_empty() => self.wrote_frag_data = true,
+            _ => {}
         }
+        let id = self.names.get(place.root);
+        let root = (self.scopes.iter_mut().rev())
+            .find_map(|scope| scope.iter_mut().rev().find(|(n, _)| Some(*n) == id))
+            .ok_or_else(|| RuntimeError::Unbound {
+                name: place.root.into(),
+            })?;
+        ops::write_path(&mut root.1, &place.path, &place.indices, value)
     }
 }
 
@@ -746,7 +708,7 @@ impl<'a> Interpreter<'a> {
 // (The value-manipulation helpers shared with the bytecode VM live in
 // `crate::ops`; thin aliases keep this module's call sites readable.)
 
-use ops::{index_modify, index_read, index_write, swizzle_read, swizzle_write};
+use ops::{index_read, swizzle_read};
 
 #[cfg(test)]
 mod tests {
@@ -854,31 +816,6 @@ mod tests {
         assert_eq!(c, [0.75, 0.25, 0.0, 1.0]);
     }
 
-    /// Sema refuses recursion; a chain of nine calls still nests past a
-    /// call-depth limit of 8.
-    #[test]
-    fn a_deep_call_chain_is_caught_by_depth_limit() {
-        let mut src = format!("{P}float f9(float x) {{ return x; }}\n");
-        for k in (1..9).rev() {
-            src += &format!("float f{k}(float x) {{ return f{}(x) + 1.0; }}\n", k + 1);
-        }
-        src += "void main() { gl_FragColor = vec4(f1(1.0)); }";
-        let shader = check(ShaderKind::Fragment, parse(&src).expect("parse")).expect("check");
-        let tex = NoTextures;
-        let mut interp = Interpreter::new(&shader, &tex).expect("interp");
-        let limits = |max_call_depth| ExecLimits {
-            max_loop_iterations: 1000,
-            max_call_depth,
-        };
-        interp.set_limits(limits(9));
-        interp
-            .run_main()
-            .expect("nine calls nest within a limit of 9");
-        interp.set_limits(limits(8));
-        let err = interp.run_main().unwrap_err();
-        assert!(matches!(err, RuntimeError::CallDepth { limit: 8 }), "{err}");
-    }
-
     #[test]
     fn loop_limit_triggers() {
         let shader = check(
@@ -893,7 +830,6 @@ mod tests {
         let mut interp = Interpreter::new(&shader, &tex).expect("interp");
         interp.set_limits(ExecLimits {
             max_loop_iterations: 1000,
-            max_call_depth: 8,
         });
         let err = interp.run_main().unwrap_err();
         assert!(matches!(err, RuntimeError::LoopLimit { .. }));

@@ -11,6 +11,7 @@
 //! largest float shape; 4 ints covers `ivec4`).
 
 use crate::ast::BinOp;
+use crate::compile::PathStep;
 use crate::error::RuntimeError;
 use crate::exec::{FloatModel, OpProfile};
 use crate::types::{Scalar, Type};
@@ -702,6 +703,71 @@ pub(crate) fn index_modify(
                 Err(RuntimeError::Type {
                     message: "component write changed scalar category".into(),
                 })
+            }
+        }
+    }
+}
+
+/// The selector of a swizzle step.
+fn selector(idx: &[u8; 4], len: u8) -> ([usize; 4], usize) {
+    (idx.map(usize::from), len as usize)
+}
+
+/// Reads the value at `path` from `root`, the `k`-th `Index` step taking
+/// `indices[k]`: what both executors read through an lvalue.
+pub(crate) fn read_path(
+    root: &Value,
+    path: &[PathStep],
+    indices: &[i64],
+) -> Result<Value, RuntimeError> {
+    let mut indices = indices.iter();
+    let mut value = None;
+    for step in path {
+        let base = value.as_ref().unwrap_or(root);
+        value = Some(match *step {
+            PathStep::Index => index_read(base, *indices.next().expect("an index per step"))?,
+            PathStep::Swizzle { idx, len } => {
+                let (sel, len) = selector(&idx, len);
+                swizzle_read(base, &sel[..len])?
+            }
+        });
+    }
+    Ok(value.unwrap_or_else(|| root.clone()))
+}
+
+/// Writes `value` at `path` into `root`, the `k`-th `Index` step taking
+/// `indices[k]`: every store both executors make through an lvalue.
+pub(crate) fn write_path(
+    root: &mut Value,
+    path: &[PathStep],
+    indices: &[i64],
+    value: Value,
+) -> Result<(), RuntimeError> {
+    match path.first() {
+        None => {
+            *root = value;
+            Ok(())
+        }
+        Some(PathStep::Index) => {
+            let i = indices[0];
+            if path.len() == 1 {
+                index_write(root, i, &value)
+            } else {
+                index_modify(root, i, &mut |inner| {
+                    write_path(inner, &path[1..], &indices[1..], value.clone())
+                })
+            }
+        }
+        Some(PathStep::Swizzle { idx, len }) => {
+            let (sel, len) = selector(idx, *len);
+            let sel = &sel[..len];
+            if path.len() == 1 {
+                swizzle_write(root, sel, &value)
+            } else {
+                // Swizzle-of-swizzle lvalues: read, recurse, write back.
+                let mut tmp = swizzle_read(root, sel)?;
+                write_path(&mut tmp, &path[1..], indices, value)?;
+                swizzle_write(root, sel, &tmp)
             }
         }
     }

@@ -48,9 +48,11 @@ pub struct CompiledShader {
     /// after every function it calls: the order lowering lowers them in,
     /// so that each call splices a body already lowered.
     pub(crate) order: Vec<u32>,
-    /// Syntax nodes lowering copies into `main` and the initialisers
-    /// beyond their own ([`CompiledShader::spliced_nodes`]).
+    /// Syntax nodes splicing copies into `main` and the initialisers
+    /// ([`CompiledShader::spliced_nodes`]).
     pub(crate) spliced_nodes: u32,
+    /// The deepest nesting of calls ([`CompiledShader::call_depth`]).
+    pub(crate) call_depth: u32,
 }
 
 /// The most syntax nodes lowering may copy into a shader's `main` and
@@ -58,15 +60,18 @@ pub struct CompiledShader {
 /// [`crate::parser::MAX_NESTING`]. A function's expanded size is one
 /// node for the function, one per statement, declared variable and
 /// expression, plus the expanded size of each function it calls; each
-/// call in `main` or an initialiser adds its callee's. Lowering
-/// evaluates the index expressions of an lvalue both read and written
-/// twice, so such an lvalue's nodes and calls count twice, compounding
-/// with nesting; what nesting adds past the first doubling counts
-/// against the limit in every function and in `main` and the
-/// initialisers. A call tree that doubles at each level, or lvalues
-/// nested in each other's indices, would otherwise lower to code
-/// exponential in their depth, from a source of a few hundred bytes.
+/// call in `main` or an initialiser adds its callee's. Lowering emits a
+/// bounded number of instructions per node (it evaluates each node
+/// once), so this bounds the lowered code linearly. A call tree that
+/// doubles at each level would otherwise lower to code exponential in
+/// its depth, from a source of a few hundred bytes.
 pub const MAX_SPLICED_NODES: u32 = 16 * 1024;
+
+/// The most calls admission lets nest inside each other, `main`'s own
+/// calls being the first level. GLSL ES 1.00 forbids recursion, so the
+/// depth a call reaches is fixed by the source, and checked once here
+/// instead of on every call at run time.
+pub const MAX_CALL_DEPTH: u32 = 64;
 
 /// No user function: the callee of an expression that is no user call,
 /// the definition of a function only declared, and the caller of a call
@@ -91,10 +96,6 @@ pub(crate) struct Calls {
     /// Each overload's definition, as of the unit's end ([`NO_DEF`]
     /// where it has none).
     pub defs: Vec<u32>,
-    /// The global initialisers' and `main`'s compounded repeats
-    /// ([`Checker::compounded`]) as of the unit's end, a prelude's
-    /// included.
-    pub compounded: u32,
 }
 
 /// One user call.
@@ -104,16 +105,12 @@ pub(crate) struct Call {
     pub caller: u32,
     /// The overload called.
     pub callee: u32,
-    /// How many times lowering evaluates the call
-    /// ([`Checker::read_and_written`]).
-    pub weight: u32,
     /// The call expression.
     pub span: Span,
 }
 
 /// A definition's calls, `edges[calls]`, and own size: one node for the
-/// function, one per statement, declared variable and expression, each
-/// counted as often as lowering evaluates it.
+/// function, one per statement, declared variable and expression.
 #[derive(Debug, Clone)]
 pub(crate) struct Body {
     pub calls: std::ops::Range<usize>,
@@ -131,13 +128,28 @@ impl CompiledShader {
         prelude.iter().chain(&self.unit.items)
     }
 
-    /// Syntax nodes lowering copies into `main` and the global
-    /// initialisers beyond their own: what splicing their calls copies,
-    /// plus what lvalues both read and written, nested in each other's
-    /// indices, repeat past their first doubling (0 for a shader with
-    /// neither). Admission holds it at or below [`MAX_SPLICED_NODES`].
+    /// The shader's units with the checker's record of each: the
+    /// prelude's, then `unit`.
+    pub(crate) fn units(&self) -> impl Iterator<Item = (&TranslationUnit, &[Type], &Calls)> {
+        let prelude = (self.prelude.as_deref()).map(|p| (&p.unit, &p.types[..], &p.calls));
+        prelude
+            .into_iter()
+            .chain([(&self.unit, &self.types[..], &self.calls)])
+    }
+
+    /// Syntax nodes splicing its calls copies into `main` and the global
+    /// initialisers (0 for a shader that calls no user function), which
+    /// admission holds at or below [`MAX_SPLICED_NODES`].
     pub fn spliced_nodes(&self) -> u32 {
         self.spliced_nodes
+    }
+
+    /// The deepest nesting of calls `main` and the global initialisers
+    /// enter, their own calls being the first level (0 for a shader that
+    /// calls no user function), which admission holds at or below
+    /// [`MAX_CALL_DEPTH`].
+    pub fn call_depth(&self) -> u32 {
+        self.call_depth
     }
 }
 
@@ -200,7 +212,7 @@ pub(crate) fn check_after(
     prelude: Option<Arc<CheckedPrelude>>,
     unit: TranslationUnit,
 ) -> Result<CompiledShader, CompileError> {
-    let (interface, types, calls, (order, spliced_nodes)) = {
+    let (interface, types, calls, (order, spliced_nodes, call_depth)) = {
         let mut checker = Checker::new(kind, &unit);
         if let Some(prelude) = &prelude {
             checker.resume(prelude);
@@ -221,6 +233,7 @@ pub(crate) fn check_after(
         calls,
         order,
         spliced_nodes,
+        call_depth,
     })
 }
 
@@ -271,15 +284,6 @@ impl FnSig<'_> {
     }
 }
 
-/// Where checking stood: the user calls recorded and the nodes counted so
-/// far.
-#[derive(Debug, Clone, Copy)]
-struct Mark {
-    calls: usize,
-    nodes: u32,
-    repeats: u32,
-}
-
 struct Checker<'a> {
     kind: ShaderKind,
     /// Every variable in scope, outermost first: a lookup scans from the
@@ -301,20 +305,8 @@ struct Checker<'a> {
     first_def: u32,
     /// The definition being checked ([`NO_DEF`] in a global initialiser).
     caller: u32,
-    /// Statements, declared variables and expressions checked so far,
-    /// each counted as often as lowering evaluates it.
+    /// Statements, declared variables and expressions checked so far.
     nodes: u32,
-    /// Of `nodes`, the counts past a node's first.
-    repeats: u32,
-    /// Repeats of repeats (an lvalue both read and written inside
-    /// another's index) in the definition being checked, or in the
-    /// global initialisers and `main`, which share one count: a flat
-    /// lvalue at most doubles its nodes, so only these count against
-    /// [`MAX_SPLICED_NODES`].
-    compounded: u32,
-    /// Where checking stood at each argument of the calls being checked,
-    /// innermost call last.
-    arg_marks: Vec<Mark>,
     interface: ShaderInterface,
     current_ret: Type,
     loop_depth: u32,
@@ -334,9 +326,6 @@ impl<'a> Checker<'a> {
             first_def: 0,
             caller: NO_DEF,
             nodes: 0,
-            repeats: 0,
-            compounded: 0,
-            arg_marks: Vec::new(),
             kind,
             syms: builtin_globals(kind)
                 .into_iter()
@@ -460,7 +449,6 @@ impl<'a> Checker<'a> {
         }
         self.interface = prelude.interface.clone();
         self.has_float_precision_default = prelude.float_default;
-        self.compounded = prelude.calls.compounded;
     }
 
     fn check_items(&mut self, unit: &'a TranslationUnit) -> Result<(), CompileError> {
@@ -477,26 +465,16 @@ impl<'a> Checker<'a> {
                 Item::Function(f) => {
                     self.caller = def;
                     def += 1;
-                    // `main` goes on with the initialisers' count.
-                    let roots = self.compounded;
-                    let main = &*f.name == "main" && f.params.is_empty();
-                    if !main {
-                        self.compounded = 0;
-                    }
                     let (calls, nodes) = (self.calls.edges.len(), self.nodes);
                     self.check_function(f)?;
                     self.calls.bodies.push(Body {
                         calls: calls..self.calls.edges.len(),
                         nodes: 1 + self.nodes - nodes,
                     });
-                    if !main {
-                        self.compounded = roots;
-                    }
                     self.caller = NO_DEF;
                 }
             }
         }
-        self.calls.compounded = self.compounded;
         Ok(())
     }
 
@@ -514,18 +492,31 @@ impl<'a> Checker<'a> {
     /// `main`) reach, over the call records of `prelude` and this unit,
     /// with a stack of its own, so a long call chain cannot overflow the
     /// thread's. Refuses a call that closes a cycle (GLSL ES 1.00 §6.1
-    /// forbids recursion), a call to a function never defined, and a
-    /// call at which what lowering copies passes [`MAX_SPLICED_NODES`].
-    /// Returns the reached definitions, each after every function it
-    /// calls, and the nodes lowering copies into `main` and the
-    /// initialisers beyond their own.
+    /// forbids recursion), a call to a function never defined, a call
+    /// through which calls nest past [`MAX_CALL_DEPTH`], and a call at
+    /// which what splicing copies passes [`MAX_SPLICED_NODES`]. Returns
+    /// the reached definitions, each after every function it calls, the
+    /// nodes splicing copies into `main` and the initialisers, and the
+    /// deepest nesting of calls.
     fn walk_calls(
         &self,
         prelude: Option<&Calls>,
         main: u32,
-    ) -> Result<(Vec<u32>, u32), CompileError> {
+    ) -> Result<(Vec<u32>, u32, u32), CompileError> {
         const UNSEEN: u32 = u32::MAX;
         const WALKING: u32 = u32::MAX - 1;
+        /// A definition being walked.
+        struct Walk<'c> {
+            def: u32,
+            /// The call that entered it.
+            call: &'c Call,
+            /// Its next call.
+            next: usize,
+            /// Its expanded size so far.
+            size: u32,
+            /// The deepest nesting of calls it enters, its own included.
+            height: u32,
+        }
         let units = || prelude.into_iter().chain([&self.calls]);
         let first_def = prelude.map_or(0, |p| p.bodies.len());
         let body = |def: u32| {
@@ -539,25 +530,23 @@ impl<'a> Checker<'a> {
         let mut roots = units()
             .flat_map(|c| c.edges.iter().filter(|e| e.caller == NO_DEF))
             .chain(body(main).0);
-        // Per definition: its expanded size once walked.
-        let mut expanded = vec![UNSEEN; self.defs as usize];
+        // Per definition: its expanded size and height once walked.
+        let mut expanded = vec![(UNSEEN, 0); self.defs as usize];
         let mut order = Vec::new();
-        // The definitions being walked: each with the call that entered
-        // it, its next call and its expanded size so far.
-        let mut stack: Vec<(u32, &Call, usize, u32)> = Vec::new();
-        let mut spliced = self.calls.compounded;
+        let mut stack: Vec<Walk> = Vec::new();
+        let (mut spliced, mut depth) = (0u32, 0u32);
         loop {
-            let (call, size) = match stack.last_mut() {
-                Some((def, _, next, _)) => match body(*def).0.get(*next) {
+            let (call, walked) = match stack.last_mut() {
+                Some(top) => match body(top.def).0.get(top.next) {
                     Some(call) => {
-                        *next += 1;
+                        top.next += 1;
                         (call, None)
                     }
                     None => {
-                        let (def, call, _, size) = stack.pop().expect("a walked definition");
-                        expanded[def as usize] = size;
-                        order.push(def);
-                        (call, Some(size))
+                        let top = stack.pop().expect("a walked definition");
+                        expanded[top.def as usize] = (top.size, top.height);
+                        order.push(top.def);
+                        (top.call, Some((top.size, top.height)))
                     }
                 },
                 None => match roots.next() {
@@ -565,52 +554,69 @@ impl<'a> Checker<'a> {
                     None => break,
                 },
             };
-            let size = match size {
-                Some(size) => size,
+            let refuse = |message| Err(CompileError::check(message, call.span));
+            let name = || {
+                (self.functions.iter())
+                    .find(|(_, sigs)| sigs.iter().any(|s| s.sig == call.callee))
+                    .map_or("", |(name, _)| name)
+            };
+            let (size, height) = match walked {
+                Some(walked) => walked,
                 None => {
-                    let name = || {
-                        (self.functions.iter())
-                            .find(|(_, sigs)| sigs.iter().any(|s| s.sig == call.callee))
-                            .map_or("", |(name, _)| name)
-                    };
-                    let refuse = |message| Err(CompileError::check(message, call.span));
                     let def = self.calls.defs[call.callee as usize];
                     if def == NO_DEF {
                         return refuse(format!("`{}` is called but never defined", name()));
                     }
-                    match expanded[def as usize] {
-                        WALKING => {
+                    let (size, height) = match expanded[def as usize] {
+                        (WALKING, _) => {
                             return refuse(format!(
                                 "recursive call to `{}` (GLSL ES forbids recursion)",
                                 name()
                             ))
                         }
-                        UNSEEN => {
-                            expanded[def as usize] = WALKING;
-                            stack.push((def, call, 0, body(def).1));
-                            continue;
-                        }
-                        size => size,
+                        (UNSEEN, _) => (UNSEEN, 1),
+                        walked => walked,
+                    };
+                    if stack.len() as u32 + height > MAX_CALL_DEPTH {
+                        return refuse(format!(
+                            "calls nest more than {MAX_CALL_DEPTH} deep through this call to `{}`",
+                            name()
+                        ));
                     }
+                    if size == UNSEEN {
+                        expanded[def as usize].0 = WALKING;
+                        stack.push(Walk {
+                            def,
+                            call,
+                            next: 0,
+                            size: body(def).1,
+                            height: 1,
+                        });
+                        continue;
+                    }
+                    (size, height)
                 }
             };
-            // The call splices its callee's expanded body, `weight` times.
+            // The call splices its callee's expanded body.
             let into = match stack.last_mut() {
-                Some((_, _, _, caller)) => caller,
-                None => &mut spliced,
+                Some(caller) => {
+                    caller.height = caller.height.max(height + 1);
+                    &mut caller.size
+                }
+                None => {
+                    depth = depth.max(height);
+                    &mut spliced
+                }
             };
-            *into = into.saturating_add(size.saturating_mul(call.weight));
+            *into = into.saturating_add(size);
             if *into > MAX_SPLICED_NODES {
-                return Err(CompileError::check(
-                    format!(
-                        "the call tree expands past {MAX_SPLICED_NODES} nodes here \
-                         (each call copies its callee's body)"
-                    ),
-                    call.span,
+                return refuse(format!(
+                    "the call tree expands past {MAX_SPLICED_NODES} nodes here \
+                     (each call copies its callee's body)"
                 ));
             }
         }
-        Ok((order, spliced))
+        Ok((order, spliced, depth))
     }
 
     fn check_global(&mut self, decl: &'a VarDecl) -> Result<(), CompileError> {
@@ -987,7 +993,6 @@ impl<'a> Checker<'a> {
     }
 
     fn check_unary(&mut self, op: UnOp, inner: &Expr, span: Span) -> Result<Type, CompileError> {
-        let from = self.mark();
         let ty = self.check_expr(inner)?;
         match op {
             UnOp::Neg | UnOp::Plus => {
@@ -1012,7 +1017,6 @@ impl<'a> Checker<'a> {
             }
             UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
                 self.check_assignable(inner)?;
-                self.read_and_written(from, self.mark(), inner.span)?;
                 if matches!(ty.scalar(), Some(Scalar::Float) | Some(Scalar::Int)) && !ty.is_matrix()
                 {
                     Ok(ty)
@@ -1033,11 +1037,7 @@ impl<'a> Checker<'a> {
         rhs: &Expr,
         span: Span,
     ) -> Result<Type, CompileError> {
-        let from = self.mark();
         let lt = self.check_expr(lhs)?;
-        if op != AssignOp::Assign {
-            self.read_and_written(from, self.mark(), lhs.span)?;
-        }
         let rt = self.check_expr(rhs)?;
         self.check_assignable(lhs)?;
         let effective = match op {
@@ -1101,50 +1101,12 @@ impl<'a> Checker<'a> {
         // call allocates nothing of its own.
         let base = self.arg_types.len();
         for a in args {
-            let from = self.mark();
             let ty = self.check_expr(a)?;
             self.arg_types.push(ty);
-            self.arg_marks.push(from);
         }
         let result = self.resolve_call(id, name, args, base, span);
         self.arg_types.truncate(base);
-        self.arg_marks.truncate(base);
         result
-    }
-
-    fn mark(&self) -> Mark {
-        Mark {
-            calls: self.calls.edges.len(),
-            nodes: self.nodes,
-            repeats: self.repeats,
-        }
-    }
-
-    /// Counts what was checked from `from` to `to`, an lvalue both read
-    /// and written (a compound assignment's, `++`/`--`'s, an `out` or
-    /// `inout` argument's), again: lowering evaluates its index
-    /// expressions once to read it and once more to store it, as the
-    /// tree-walker does. Its nodes count twice and its calls weigh twice
-    /// as much, compounding with nesting. Refuses the lvalue, at `span`,
-    /// where the repeats it repeats pass [`MAX_SPLICED_NODES`].
-    fn read_and_written(&mut self, from: Mark, to: Mark, span: Span) -> Result<(), CompileError> {
-        for call in &mut self.calls.edges[from.calls..to.calls] {
-            call.weight = call.weight.saturating_mul(2);
-        }
-        let again = to.nodes - from.nodes;
-        self.nodes += again;
-        self.repeats += again;
-        self.compounded += to.repeats - from.repeats;
-        if self.compounded > MAX_SPLICED_NODES {
-            return Err(CompileError::check(
-                format!(
-                    "lvalues read and written inside each other's indices expand past \
-                     {MAX_SPLICED_NODES} nodes here (each evaluates its indices twice)"
-                ),
-                span,
-            ));
-        }
-        Ok(())
     }
 
     /// The result type of calling `name` on `args`, whose types are
@@ -1164,16 +1126,9 @@ impl<'a> Checker<'a> {
         if let Some(overloads) = self.functions.get(name) {
             if let Some(sig) = overloads.iter().find(|s| s.takes(arg_types)).copied() {
                 // out/inout arguments must be lvalues.
-                let end = self.mark();
-                for (i, (arg, p)) in args.iter().zip(sig.params).enumerate() {
+                for (arg, p) in args.iter().zip(sig.params) {
                     if matches!(p.qual, ParamQual::Out | ParamQual::InOut) {
                         self.check_assignable(arg)?;
-                        let next = self.arg_marks.get(base + i + 1).copied();
-                        self.read_and_written(
-                            self.arg_marks[base + i],
-                            next.unwrap_or(end),
-                            arg.span,
-                        )?;
                     }
                 }
                 if let Some(callee) = self.calls.callee.get_mut(id as usize) {
@@ -1182,7 +1137,6 @@ impl<'a> Checker<'a> {
                 self.calls.edges.push(Call {
                     caller: self.caller,
                     callee: sig.sig,
-                    weight: 1,
                     span,
                 });
                 return Ok(sig.ret.clone());
@@ -1611,6 +1565,29 @@ mod tests {
         ))
         .unwrap_err();
         assert!(e.message.contains("already declared"));
+    }
+
+    /// A function walked once counts its own depth wherever it is
+    /// called again: `f62` → … → `f0` nests 63 calls, under `main`
+    /// directly and under `g` (64 deep), but not under `h` → `g` (65).
+    #[test]
+    fn call_depth_counts_a_walked_function_at_every_call() {
+        let mut chain = format!("{P}uniform float u;\nfloat f0(float x) {{ return x; }}\n");
+        for k in 1..63 {
+            chain += &format!("float f{k}(float x) {{ return f{}(x); }}\n", k - 1);
+        }
+        chain += "float g(float x) { return f62(x); }\nfloat h(float x) { return g(x); }\n";
+        let shader = check_frag(&format!(
+            "{chain}void main() {{ gl_FragColor = vec4(f62(u) + g(u)); }}"
+        ))
+        .expect("64 deep");
+        assert_eq!(shader.call_depth(), MAX_CALL_DEPTH);
+        let e = check_frag(&format!(
+            "{chain}void main() {{ gl_FragColor = vec4(f62(u) + h(u)); }}"
+        ))
+        .unwrap_err();
+        assert!(e.message.contains("through this call to `f62`"), "{e}");
+        assert_eq!(e.span.line, 66, "{e}");
     }
 
     #[test]

@@ -97,7 +97,7 @@
 
 use crate::ast::BinOp;
 use crate::builtins::{self, BuiltinCx, BuiltinId};
-use crate::compile::{Chunk, Executable, Insn, Opnd, PathStep, Shape, SlotRef, Splice};
+use crate::compile::{Chunk, Executable, Insn, Opnd, Shape, SlotRef, Splice};
 use crate::error::RuntimeError;
 use crate::exec::{ExecLimits, FloatModel, OpProfile, TextureAccess};
 use crate::ops;
@@ -1748,16 +1748,7 @@ impl<'a> SpmdVm<'a> {
                         self.call_builtin(id, shape, args, dst, mask, owned)?;
                     }
                 }
-                &Insn::Enter { nest } => {
-                    // The tree-walker's call-depth error, where this call
-                    // nests too deep.
-                    if nest >= self.limits.max_call_depth {
-                        return Err(RuntimeError::CallDepth {
-                            limit: self.limits.max_call_depth,
-                        });
-                    }
-                    self.profile.calls += lane_count(mask);
-                }
+                Insn::Enter => self.profile.calls += lane_count(mask),
                 Insn::Ret { .. } => unreachable!("a return left unspliced"),
                 &Insn::StoreGlobal { slot, src, color } => {
                     if color {
@@ -1919,11 +1910,11 @@ impl<'a> SpmdVm<'a> {
             // through materialise/write-back.
             match root_slot {
                 Slot::Boxed(b) => {
-                    store_path(&mut b[lane], &def.path, &indices[..n], value)?;
+                    ops::write_path(&mut b[lane], &def.path, &indices[..n], value)?;
                 }
                 slot => {
                     let mut root = slot.get(lane);
-                    store_path(&mut root, &def.path, &indices[..n], value)?;
+                    ops::write_path(&mut root, &def.path, &indices[..n], value)?;
                     slot.set(lane, root);
                 }
             }
@@ -2044,50 +2035,6 @@ fn zip_floats(
         for l in 0..MAX_LANES {
             for c in 0..n {
                 out[l * n + c] = f(lane_comp(a, na, l, c), lane_comp(b, nb, l, c));
-            }
-        }
-    }
-}
-
-/// Writes `value` through `path` into `root`, using the shared
-/// swizzle/index mutators so behaviour matches the interpreter's
-/// `assign_to`/`modify` recursion. Every per-lane store takes exactly
-/// this path.
-fn store_path(
-    root: &mut Value,
-    path: &[PathStep],
-    indices: &[i64],
-    value: Value,
-) -> Result<(), RuntimeError> {
-    match path.first() {
-        None => {
-            *root = value;
-            Ok(())
-        }
-        Some(PathStep::Index) => {
-            let i = indices[0];
-            if path.len() == 1 {
-                ops::index_write(root, i, &value)
-            } else {
-                ops::index_modify(root, i, &mut |inner| {
-                    store_path(inner, &path[1..], &indices[1..], value.clone())
-                })
-            }
-        }
-        Some(PathStep::Swizzle { idx, len }) => {
-            let mut sel = [0usize; 4];
-            for (slot, &i) in sel.iter_mut().zip(idx.iter()) {
-                *slot = i as usize;
-            }
-            let sel = &sel[..*len as usize];
-            if path.len() == 1 {
-                ops::swizzle_write(root, sel, &value)
-            } else {
-                // Swizzle-of-swizzle lvalues: read, recurse, write back —
-                // the interpreter's `modify` does the same.
-                let mut tmp = ops::swizzle_read(root, sel)?;
-                store_path(&mut tmp, &path[1..], indices, value)?;
-                ops::swizzle_write(root, sel, &tmp)
             }
         }
     }
@@ -2611,7 +2558,6 @@ mod tests {
         let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 2).expect("spmd");
         spmd.set_limits(ExecLimits {
             max_loop_iterations: 100,
-            max_call_depth: 8,
         });
         let slot = exe.global_slot("u_in").expect("slot");
         spmd.set_lane_slot(0, slot, Value::Float(5.0));
@@ -2664,32 +2610,6 @@ mod tests {
             ),
             &[0.25, 3.75, -1.5, 6.0, 2.5, 5.125, 4.0, 0.0],
         );
-    }
-
-    /// A chain of nine spliced calls nests past a call-depth limit of 8:
-    /// the lane that enters it traps at the ninth `Enter`, the other
-    /// completes.
-    #[test]
-    fn call_depth_guard_traps_a_deep_chain() {
-        let mut src = format!("{P}uniform float u_in;\nfloat f9(float x) {{ return x; }}\n");
-        for k in (1..9).rev() {
-            src += &format!("float f{k}(float x) {{ return f{}(x) + 1.0; }}\n", k + 1);
-        }
-        src += "void main() { gl_FragColor = vec4(u_in > 0.0 ? f1(u_in) : u_in); }";
-        let exe = lower_src(&src);
-        let tex = NoTextures;
-        let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, 2).expect("spmd");
-        spmd.set_limits(ExecLimits {
-            max_loop_iterations: 1000,
-            max_call_depth: 8,
-        });
-        let slot = exe.global_slot("u_in").expect("slot");
-        spmd.set_lane_slot(0, slot, Value::Float(-1.0));
-        spmd.set_lane_slot(1, slot, Value::Float(1.0));
-        let err = spmd.run_batch(2).expect_err("lane 1 nests nine calls");
-        assert_eq!(err.lane, 1);
-        assert!(matches!(err.error, RuntimeError::CallDepth { limit: 8 }));
-        assert_eq!(spmd.frag_color(0), Some([-1.0; 4]));
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! The malformed-source cases `front_end_diagnostics` pins, shared with
-//! the suites that check other front-end paths against them.
+//! The malformed-source cases `front_end_diagnostics` pins, and the
+//! sources at admission's limits it admits, shared with the suites that
+//! check other front-end paths against them.
 
 use gpes_glsl::AdmissionStage;
+use std::sync::LazyLock;
 
+#[derive(Clone, Copy)]
 pub struct Case {
     pub name: &'static str,
     pub source: &'static str,
@@ -22,7 +25,70 @@ macro_rules! sixteen_args {
     };
 }
 
-pub const CASES: &[Case] = &[
+/// A source at one of admission's limits that every front-end path
+/// admits. It lowers to at most 64 instructions of its own plus its
+/// `spliced_nodes`: linear in its size.
+pub struct Admitted {
+    pub name: &'static str,
+    pub source: String,
+}
+
+/// `main` → `f{calls - 1}` → … → `f0`: `calls` calls nested in each
+/// other.
+pub fn call_chain(calls: usize) -> String {
+    let mut src = String::from(
+        "precision highp float;\nuniform float u;\nfloat f0(float x) { return x + 1.0; }\n",
+    );
+    for k in 1..calls {
+        src += &format!("float f{k}(float x) {{ return f{}(x) + 1.0; }}\n", k - 1);
+    }
+    src + &format!(
+        "void main() {{ gl_FragColor = vec4(f{}(u)); }}\n",
+        calls - 1
+    )
+}
+
+pub static ADMITTED: LazyLock<Vec<Admitted>> = LazyLock::new(|| {
+    vec![
+        Admitted {
+            name: "lvalues read and written nested sixteen deep",
+            source: "precision highp float;\nvoid main() {\n  int i[2];\n  float a[2];\n  \
+                 a[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++] = 1.0;\n  \
+                 gl_FragColor = vec4(a[0]);\n}\n"
+                .into(),
+        },
+        Admitted {
+            name: "nested read-and-written lvalues in a doubling call tree",
+            source: "precision highp float;\nint f0(int x) {\n  int i[2];\n  i[0] = x;\n  \
+                 return i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++;\n}\n\
+                 int f1(int x) { return f0(x) + f0(x); }\n\
+                 int f2(int x) { return f1(x) + f1(x); }\n\
+                 int f3(int x) { return f2(x) + f2(x); }\n\
+                 void main() { gl_FragColor = vec4(float(f3(1))); }\n"
+                .into(),
+        },
+        Admitted {
+            name: "calls nested sixty-four deep",
+            source: call_chain(64),
+        },
+    ]
+});
+
+pub static CASES: LazyLock<Vec<Case>> = LazyLock::new(|| {
+    let mut cases = CONST_CASES.to_vec();
+    cases.push(Case {
+        name: "calls nested sixty-five deep",
+        // The generated source lives as long as the cases.
+        source: call_chain(65).leak(),
+        stage: AdmissionStage::Sema,
+        line: 4,
+        col: 28,
+        message: "calls nest more than 64 deep through this call to `f0`",
+    });
+    cases
+});
+
+const CONST_CASES: &[Case] = &[
     Case {
         name: "unterminated block comment after a line comment",
         source: "precision highp float;\n// a line comment /* is not a block\n\
@@ -200,28 +266,5 @@ pub const CASES: &[Case] = &[
         line: 5,
         col: 3,
         message: "type float cannot be indexed",
-    },
-    Case {
-        name: "lvalues read and written nested sixteen deep",
-        source: "precision highp float;\nvoid main() {\n  int i[2];\n  float a[2];\n  \
-                 a[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++]++] = 1.0;\n  \
-                 gl_FragColor = vec4(a[0]);\n}\n",
-        stage: AdmissionStage::Sema,
-        line: 5,
-        col: 13,
-        message: "read and written inside each other's indices expand past 16384 nodes",
-    },
-    Case {
-        name: "nested read-and-written lvalues in a doubling call tree",
-        source: "precision highp float;\nint f0(int x) {\n  int i[2];\n  i[0] = x;\n  \
-                 return i[i[i[i[i[i[i[i[i[0]++]++]++]++]++]++]++]++]++;\n}\n\
-                 int f1(int x) { return f0(x) + f0(x); }\n\
-                 int f2(int x) { return f1(x) + f1(x); }\n\
-                 int f3(int x) { return f2(x) + f2(x); }\n\
-                 void main() { gl_FragColor = vec4(float(f3(1))); }\n",
-        stage: AdmissionStage::Sema,
-        line: 9,
-        col: 32,
-        message: "the call tree expands past 16384 nodes",
     },
 ];

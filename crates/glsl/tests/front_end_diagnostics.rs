@@ -5,17 +5,19 @@
 //! points at a fixed line and column; the permissive compile refuses
 //! every case past the strict stage with the same error. The front end
 //! may be rewritten for speed, but a tenant's diagnostic must keep
-//! saying the same thing about the same place.
+//! saying the same thing about the same place. The sources at
+//! admission's limits are admitted by every path, and lower to code
+//! linear in their size.
 
-use gpes_glsl::{admit, compile, compile_strict, AdmissionStage, ShaderKind};
+use gpes_glsl::{admit, compile, compile_strict, lower, AdmissionStage, ShaderKind};
 
 mod diagnostic_cases;
 
-use diagnostic_cases::CASES;
+use diagnostic_cases::{ADMITTED, CASES};
 
 #[test]
 fn malformed_sources_are_refused_at_the_same_stage_line_and_column() {
-    for case in CASES {
+    for case in CASES.iter() {
         let diag = admit(ShaderKind::Fragment, case.source)
             .expect_err(&format!("{}: admitted", case.name));
         let err = compile_strict(ShaderKind::Fragment, case.source)
@@ -44,6 +46,25 @@ fn malformed_sources_are_refused_at_the_same_stage_line_and_column() {
             case.name,
             err.message,
             case.message
+        );
+    }
+}
+
+#[test]
+fn sources_at_the_limits_are_admitted_and_lower_linearly() {
+    for case in ADMITTED.iter() {
+        admit(ShaderKind::Fragment, &case.source)
+            .unwrap_or_else(|e| panic!("{}: refused: {e}", case.name));
+        compile_strict(ShaderKind::Fragment, &case.source)
+            .unwrap_or_else(|e| panic!("{}: strict: {e}", case.name));
+        let shader = compile(ShaderKind::Fragment, &case.source)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        let lowered = lower(&shader).expect("lowers").code_len();
+        let spliced = shader.spliced_nodes() as usize;
+        assert!(
+            lowered <= 64 + spliced,
+            "{}: {lowered} instructions > 64 + {spliced}",
+            case.name
         );
     }
 }

@@ -6,9 +6,11 @@
 //! bits, discard flags and `OpProfile` counts (`calls` included), and,
 //! where a lane traps, the same lane and runtime error (and, for
 //! one-lane batches, the same profile; an eight-lane run that traps
-//! leaves a torn profile, as in `vm_differential`).
+//! leaves a torn profile, as in `vm_differential`). An lvalue both read
+//! and written evaluates its indices once; those cases also check the
+//! value GLSL ES gives, since both executors could agree on a wrong one.
 
-use gpes_glsl::exec::{ExecLimits, FloatModel, NoTextures};
+use gpes_glsl::exec::{FloatModel, NoTextures};
 use gpes_glsl::interp::Interpreter;
 use gpes_glsl::spmd::SpmdVm;
 use gpes_glsl::{compile, lower, ShaderKind, Value};
@@ -22,10 +24,11 @@ const INPUTS: [f32; 8] = [-1.5, 0.0, 0.75, 1.0, 2.5, 3.0, 5.5, 7.25];
 const P: &str = "precision highp float;\nuniform float u_in;\n";
 
 /// Runs `src` on every input, in SPMD batches of 1 and of 8 lanes and on
-/// the tree-walker, under every float model and `limits`, and asserts
-/// they agree. Returns the first input that traps and its error, which
-/// every configuration must agree on too.
-fn differential(src: &str, inputs: &[f32], limits: ExecLimits) -> Option<(usize, String)> {
+/// the tree-walker, under every float model, and asserts they agree, and
+/// that each lane that completes gives colour `expected`, where given.
+/// Returns the first input that traps and its error, which every
+/// configuration must agree on too.
+fn differential(src: &str, inputs: &[f32], expected: Option<[f32; 4]>) -> Option<(usize, String)> {
     let shader = compile(ShaderKind::Fragment, src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let exe = lower(&shader).expect("lowers");
     let tex = NoTextures;
@@ -33,9 +36,7 @@ fn differential(src: &str, inputs: &[f32], limits: ExecLimits) -> Option<(usize,
     for model in MODELS {
         for lanes in [1usize, 8] {
             let mut vm = SpmdVm::with_model(&exe, &tex, model, lanes).expect("vm");
-            vm.set_limits(limits);
             let mut oracle = Interpreter::with_model(&shader, &tex, model).expect("oracle");
-            oracle.set_limits(limits);
             let slot = vm.global_slot("u_in").expect("u_in");
             let mut trapped = None;
             for (b, batch) in inputs.chunks(lanes).enumerate() {
@@ -60,6 +61,13 @@ fn differential(src: &str, inputs: &[f32], limits: ExecLimits) -> Option<(usize,
                             vm.frag_color(lane).map(|c| c.map(f32::to_bits)),
                             oracle.frag_color().map(|c| c.map(f32::to_bits)),
                             "colour on {x} ({model:?}, {lanes} lanes)\n{src}"
+                        );
+                    }
+                    if expected.is_some() {
+                        assert_eq!(
+                            (vm.frag_color(lane), oracle.frag_color()),
+                            (expected, expected),
+                            "value on {x} ({model:?}, {lanes} lanes)\n{src}"
                         );
                     }
                 }
@@ -97,7 +105,13 @@ fn differential(src: &str, inputs: &[f32], limits: ExecLimits) -> Option<(usize,
 }
 
 fn runs_clean(src: &str) {
-    let trap = differential(src, &INPUTS, ExecLimits::default());
+    let trap = differential(src, &INPUTS, None);
+    assert_eq!(trap, None, "{src}");
+}
+
+/// [`runs_clean`], every lane giving colour `expected`.
+fn gives(src: &str, expected: [f32; 4]) {
+    let trap = differential(src, &INPUTS, Some(expected));
     assert_eq!(trap, None, "{src}");
 }
 
@@ -269,7 +283,7 @@ fn discard_in_a_function_traps_like_the_oracle() {
         "{P}float f(float v) {{ if (v > 2.0) {{ discard; }} return v; }}
         void main() {{ if (u_in < 0.0) {{ discard; }} gl_FragColor = vec4(f(u_in)); }}"
     );
-    let trap = differential(&src, &INPUTS, ExecLimits::default());
+    let trap = differential(&src, &INPUTS, None);
     let (input, error) = trap.expect("a lane above 2 traps");
     assert_eq!(INPUTS[input], 2.5);
     assert!(error.contains("discard inside a function"), "{error}");
@@ -281,7 +295,7 @@ fn a_missing_return_traps_like_the_oracle() {
         "{P}float f(float v) {{ if (v > 0.5) {{ return v * 2.0; }} }}
         void main() {{ gl_FragColor = vec4(u_in > -1.0 ? f(u_in) : 0.0); }}"
     );
-    let trap = differential(&src, &INPUTS, ExecLimits::default());
+    let trap = differential(&src, &INPUTS, None);
     let (input, error) = trap.expect("a lane at or below 0.5 traps");
     assert_eq!(INPUTS[input], 0.0);
     assert!(
@@ -290,27 +304,81 @@ fn a_missing_return_traps_like_the_oracle() {
     );
 }
 
-const DEPTH_8: ExecLimits = ExecLimits {
-    max_loop_iterations: 1000,
-    max_call_depth: 8,
-};
-
-/// `main` → f1 → … → f`depth`, entered only by lanes above 1.
-fn chain(depth: usize) -> String {
-    let mut src = format!("{P}float f{depth}(float v) {{ return v * 0.5; }}\n");
-    for k in (1..depth).rev() {
-        src += &format!("float f{k}(float v) {{ return f{}(v) + 1.0; }}\n", k + 1);
+/// An lvalue is evaluated once: a compound assignment's and `++`'s
+/// lvalue evaluates its index once, and reads and writes the element
+/// that index named.
+#[test]
+fn a_compound_assignment_and_an_increment_evaluate_their_index_once() {
+    for statement in ["a[i++] += 1.0;", "a[i++]++;", "++a[i++];"] {
+        gives(
+            &format!(
+                "{P}void main() {{
+                    int i = 0;
+                    float a[2];
+                    a[0] = 0.0; a[1] = 0.0;
+                    {statement}
+                    gl_FragColor = vec4(float(i), a[0], a[1], u_in - u_in);
+                }}"
+            ),
+            [1.0, 1.0, 0.0, 0.0],
+        );
     }
-    src + "void main() { gl_FragColor = vec4(u_in > 1.0 ? f1(u_in) : u_in); }"
 }
 
-/// Nine nested calls pass a depth limit of 8 on the same lane as the
-/// tree-walker; eight do not. Spliced calls keep no frame, so the limit
-/// is checked where each call enters.
+/// An `inout` argument's index is evaluated once, at the call: the
+/// callee reads and the store back writes the element it named.
 #[test]
-fn a_chain_past_the_depth_limit_traps_on_the_oracles_lane() {
-    assert_eq!(differential(&chain(8), &INPUTS, DEPTH_8), None);
-    let (input, error) = differential(&chain(9), &INPUTS, DEPTH_8).expect("a deep lane traps");
-    assert_eq!(INPUTS[input], 2.5);
-    assert!(error.contains("call depth"), "{error}");
+fn an_inout_argument_evaluates_its_index_once() {
+    gives(
+        &format!(
+            "{P}void bump(inout float v) {{ v += 1.0; }}
+            void main() {{
+                int i = 0;
+                float a[2];
+                a[0] = 0.0; a[1] = 0.0;
+                bump(a[i++]);
+                gl_FragColor = vec4(float(i), a[0], a[1], u_in - u_in);
+            }}"
+        ),
+        [1.0, 1.0, 0.0, 0.0],
+    );
+}
+
+/// An `out` argument's element is fixed at the call (§6.1.1): the
+/// callee writing the global the index reads does not move the copy
+/// out.
+#[test]
+fn an_out_argument_copies_out_to_the_element_named_at_the_call() {
+    gives(
+        &format!(
+            "{P}int g = 0;
+            void set(out float v) {{ g = 2; v = 1.0; }}
+            void main() {{
+                float a[3];
+                a[0] = 0.0; a[1] = 0.0; a[2] = 0.0;
+                set(a[g]);
+                gl_FragColor = vec4(float(g), a[0], a[1], a[2] + u_in - u_in);
+            }}"
+        ),
+        [2.0, 1.0, 0.0, 0.0],
+    );
+}
+
+/// Nested read-and-written lvalues: `i[0]++` yields 0 and makes `i[0]`
+/// 1; `i[0]++` again yields 1 and makes it 2; `a[1]` is stored.
+#[test]
+fn nested_increments_in_an_index_evaluate_once_each() {
+    gives(
+        &format!(
+            "{P}void main() {{
+                int i[2];
+                i[0] = 0; i[1] = 0;
+                float a[2];
+                a[0] = 0.0; a[1] = 0.0;
+                a[i[i[0]++]++] = 1.0;
+                gl_FragColor = vec4(float(i[0]), float(i[1]), a[0], a[1] + u_in - u_in);
+            }}"
+        ),
+        [2.0, 0.0, 0.0, 1.0],
+    );
 }

@@ -290,17 +290,22 @@ fn generated_kernels_check_the_same_after_their_prelude() {
 }
 
 #[test]
-fn pinned_malformed_sources_refuse_the_same_as_tails() {
+fn pinned_sources_check_the_same_as_tails() {
     for bias in BIASES {
         for specials in SPECIALS {
             let prelude = codec_prelude(bias, specials);
-            for case in diagnostic_cases::CASES {
+            for case in diagnostic_cases::CASES.iter() {
                 let source = format!("{}{}", prelude.text(), case.source);
                 let what = format!("{bias:?}/{specials:?} {}", case.name);
                 assert!(
                     !assert_equivalent(prelude, &source, &what),
                     "{what} accepted"
                 );
+            }
+            for case in diagnostic_cases::ADMITTED.iter() {
+                let source = format!("{}{}", prelude.text(), case.source);
+                let what = format!("{bias:?}/{specials:?} {}", case.name);
+                assert!(assert_equivalent(prelude, &source, &what), "{what} refused");
             }
         }
     }

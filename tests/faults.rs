@@ -94,7 +94,6 @@ fn loop_budget_traps_runaway_shaders() {
     let mut gl = Context::new(2, 2).expect("context");
     gl.set_exec_limits(ExecLimits {
         max_loop_iterations: 1000,
-        max_call_depth: 8,
     });
     let fs = "precision highp float;\n\
               void main() {\n\
